@@ -5,10 +5,35 @@
 // modelled in software on top of this transform. FftPlan precomputes twiddle
 // factors and the bit-reversal permutation for a fixed power-of-two size so
 // the steady-state acquisition loop does no allocation.
+//
+// Layout. The twiddles are stored per stage, contiguously: the stage that
+// combines blocks of `len` points holds W^(k*n/len) for k < len/2, as
+// interleaved (re, im) doubles, stages in increasing `len`, n-1 entries in
+// all. Every butterfly then reads its twiddles at unit stride, and works
+// on interleaved doubles through restrict-qualified half-block pointers, so
+// the compiler can keep the loop free of std::complex's NaN-recovery call
+// (__muldc3). The inverse negates the imaginary part of each twiddle in a
+// register rather than keeping a second table. The bit reversal is a list
+// of 32-bit swap pairs.
+//
+// Bit identity. On finite input the kernel computes exactly the bits of
+// the textbook std::complex<double> radix-2 loop it replaced; tests/dsp_test
+// pins this with memcmp against a verbatim copy. (Only an infinite input
+// may differ, where __muldc3 could recover an infinity from a NaN
+// product.) Each product is GCC's expansion of the complex multiply,
+// vr = br*wr - bi*wi and vi = br*wi + bi*wr, and the real-FFT pack/split
+// loops keep every operation of the complex expressions, signed zeros
+// included. Every spectrum, feature frame, report and render downstream
+// depends on those bits. So mpros_dsp must not be built with -ffast-math,
+// -mfma or -march=native: GCC's C++ default, -ffp-contract=fast, would
+// fuse br*wr - bi*wi into an FMA wherever the target has one, and move
+// bits.
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace mpros::dsp {
@@ -19,7 +44,8 @@ using Complex = std::complex<double>;
   return n != 0 && (n & (n - 1)) == 0;
 }
 
-/// Smallest power of two >= n.
+/// Smallest power of two >= n (1 for n = 0). `n` must be at most the
+/// largest power of two a size_t holds (2^63 on 64-bit hosts).
 [[nodiscard]] std::size_t next_power_of_two(std::size_t n);
 
 /// Precomputed in-place FFT for one size. Construction builds the
@@ -41,11 +67,14 @@ class FftPlan {
   void inverse(std::span<Complex> x) const;
 
  private:
-  void transform(std::span<Complex> x, bool invert) const;
+  template <bool Invert>
+  void transform(std::span<Complex> x) const;
 
   std::size_t n_;
-  std::vector<std::size_t> bit_reverse_;
-  std::vector<Complex> twiddle_;          // forward twiddles, n/2 entries
+  // Bit-reversal permutation as (i, j) swaps with i < j.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps_;
+  // Forward twiddles per stage, interleaved re/im: 2*(n-1) doubles.
+  std::vector<double> twiddle_;
 };
 
 /// Real-input FFT plan: packs n reals into an n/2-point complex FFT and

@@ -37,6 +37,14 @@ TEST(ContractsDeathTest, FftPlanRequiresPowerOfTwo) {
   EXPECT_DEATH(dsp::FftPlan(1), "precondition");
 }
 
+TEST(ContractsDeathTest, NextPowerOfTwoRejectsUnrepresentableResult) {
+  // Above 2^63 no power of two fits in a size_t; a doubling loop would
+  // wrap to 0 and spin forever.
+  constexpr std::size_t kTop = std::size_t{1} << 63;
+  EXPECT_DEATH((void)dsp::next_power_of_two(kTop + 1), "precondition");
+  EXPECT_DEATH((void)dsp::next_power_of_two(~std::size_t{0}), "precondition");
+}
+
 TEST(ContractsDeathTest, FftPlanRejectsWrongBufferSize) {
   dsp::FftPlan plan(64);
   std::vector<dsp::Complex> wrong(32);

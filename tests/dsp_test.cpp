@@ -3,11 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
+#include <string>
+#include <utility>
 
+#include "mpros/common/clock.hpp"
 #include "mpros/common/rng.hpp"
 #include "mpros/common/units.hpp"
+#include "mpros/domain/failure_modes.hpp"
 #include "mpros/dsp/cepstrum.hpp"
 #include "mpros/dsp/dct.hpp"
 #include "mpros/dsp/envelope.hpp"
@@ -18,6 +26,8 @@
 #include "mpros/dsp/stats.hpp"
 #include "mpros/dsp/stft.hpp"
 #include "mpros/dsp/window.hpp"
+#include "mpros/plant/chiller.hpp"
+#include "mpros/rules/features.hpp"
 #include "mpros/telemetry/metrics.hpp"
 
 namespace mpros::dsp {
@@ -76,6 +86,10 @@ TEST(FftTest, NextPowerOfTwo) {
   EXPECT_EQ(next_power_of_two(2), 2u);
   EXPECT_EQ(next_power_of_two(3), 4u);
   EXPECT_EQ(next_power_of_two(1000), 1024u);
+  EXPECT_EQ(next_power_of_two(0), 1u);
+  constexpr std::size_t kTop = std::size_t{1} << 63;
+  EXPECT_EQ(next_power_of_two(kTop), kTop);
+  EXPECT_EQ(next_power_of_two(kTop / 2 + 1), kTop);
 }
 
 TEST(FftTest, RealSignalZeroPadding) {
@@ -451,6 +465,279 @@ TEST(ExpSmootherTest, PrimesOnFirstSample) {
   ExpSmoother s(0.1);
   EXPECT_DOUBLE_EQ(s.step(5.0), 5.0);
   EXPECT_NEAR(s.step(10.0), 5.5, 1e-12);
+}
+
+// --- Bit-exactness pins -----------------------------------------------------
+//
+// The FFT kernel is written on interleaved doubles for speed, but every
+// spectrum, feature, report and render downstream depends on its exact
+// bits. ReferencePlan below is a verbatim copy of the textbook
+// std::complex<double> radix-2 kernel and real-FFT split loops the fast
+// kernel must reproduce; the tests memcmp the two.
+
+class ReferencePlan {
+ public:
+  explicit ReferencePlan(std::size_t n) : n_(n) {
+    bit_reverse_.resize(n);
+    std::size_t log2n = 0;
+    while ((std::size_t{1} << log2n) < n) ++log2n;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t r = 0;
+      for (std::size_t b = 0; b < log2n; ++b) {
+        if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2n - 1 - b);
+      }
+      bit_reverse_[i] = r;
+    }
+
+    twiddle_.resize(n / 2);
+    for (std::size_t k = 0; k < n / 2; ++k) {
+      const double angle = -kTwoPi * static_cast<double>(k) /
+                           static_cast<double>(n);
+      twiddle_[k] = Complex(std::cos(angle), std::sin(angle));
+    }
+  }
+
+  void transform(std::span<Complex> x, bool invert) const {
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::size_t j = bit_reverse_[i];
+      if (i < j) std::swap(x[i], x[j]);
+    }
+
+    for (std::size_t len = 2; len <= n_; len <<= 1) {
+      const std::size_t stride = n_ / len;
+      for (std::size_t start = 0; start < n_; start += len) {
+        for (std::size_t k = 0; k < len / 2; ++k) {
+          Complex w = twiddle_[k * stride];
+          if (invert) w = std::conj(w);
+          const Complex u = x[start + k];
+          const Complex v = x[start + k + len / 2] * w;
+          x[start + k] = u + v;
+          x[start + k + len / 2] = u - v;
+        }
+      }
+    }
+
+    if (invert) {
+      const double inv_n = 1.0 / static_cast<double>(n_);
+      for (Complex& c : x) c *= inv_n;
+    }
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::size_t> bit_reverse_;
+  std::vector<Complex> twiddle_;
+};
+
+class ReferenceRealPlan {
+ public:
+  explicit ReferenceRealPlan(std::size_t n) : n_(n), half_plan_(n / 2) {
+    split_twiddle_.resize(n / 2 + 1);
+    for (std::size_t k = 0; k <= n / 2; ++k) {
+      const double angle = -kTwoPi * static_cast<double>(k) /
+                           static_cast<double>(n);
+      split_twiddle_[k] = Complex(std::cos(angle), std::sin(angle));
+    }
+  }
+
+  [[nodiscard]] std::vector<Complex> forward(std::span<const double> x) const {
+    const std::size_t m = n_ / 2;
+    std::vector<Complex> scratch(m);
+    std::vector<Complex> half(m + 1);
+    for (std::size_t j = 0; j < m; ++j) {
+      const double re = 2 * j < x.size() ? x[2 * j] : 0.0;
+      const double im = 2 * j + 1 < x.size() ? x[2 * j + 1] : 0.0;
+      scratch[j] = Complex(re, im);
+    }
+    half_plan_.transform(scratch, false);
+
+    for (std::size_t k = 0; k <= m; ++k) {
+      const Complex zk = scratch[k == m ? 0 : k];
+      const Complex zmk = std::conj(scratch[(m - k) % m]);
+      const Complex even = 0.5 * (zk + zmk);
+      const Complex odd = Complex(0.0, -0.5) * (zk - zmk);
+      half[k] = even + split_twiddle_[k] * odd;
+    }
+    return half;
+  }
+
+  [[nodiscard]] std::vector<double> inverse(
+      std::span<const Complex> half) const {
+    const std::size_t m = n_ / 2;
+    std::vector<Complex> scratch(m);
+    std::vector<double> x(n_);
+    for (std::size_t k = 0; k < m; ++k) {
+      const Complex xk = half[k];
+      const Complex xmk = std::conj(half[m - k]);
+      const Complex even = 0.5 * (xk + xmk);
+      const Complex odd = 0.5 * (xk - xmk) * std::conj(split_twiddle_[k]);
+      scratch[k] = even + Complex(0.0, 1.0) * odd;
+    }
+    half_plan_.transform(scratch, true);
+
+    for (std::size_t j = 0; j < m; ++j) {
+      x[2 * j] = scratch[j].real();
+      x[2 * j + 1] = scratch[j].imag();
+    }
+    return x;
+  }
+
+ private:
+  std::size_t n_;
+  ReferencePlan half_plan_;
+  std::vector<Complex> split_twiddle_;
+};
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+enum class Input { Random, Impulse, Zero, NegativeZero };
+
+std::vector<double> real_input(Input kind, std::size_t n, Rng& rng) {
+  std::vector<double> x(n, kind == Input::NegativeZero ? -0.0 : 0.0);
+  if (kind == Input::Random) {
+    for (double& v : x) v = rng.uniform(-1, 1);
+  } else if (kind == Input::Impulse) {
+    x[n > 1 ? 1 : 0] = 1.0;
+  }
+  return x;
+}
+
+std::vector<Complex> complex_input(Input kind, std::size_t n, Rng& rng) {
+  const std::vector<double> re = real_input(kind, n, rng);
+  const std::vector<double> im = real_input(kind, n, rng);
+  std::vector<Complex> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = Complex(re[i], im[i]);
+  return x;
+}
+
+constexpr Input kAllInputs[] = {Input::Random, Input::Impulse, Input::Zero,
+                                Input::NegativeZero};
+
+TEST(FftBitExactTest, ComplexTransformsMatchReferenceBits) {
+  Rng rng(1201);
+  for (std::size_t n = 2; n <= 32768; n <<= 1) {
+    const FftPlan plan(n);
+    const ReferencePlan reference(n);
+    for (const Input kind : kAllInputs) {
+      const std::vector<Complex> x = complex_input(kind, n, rng);
+      for (const bool invert : {false, true}) {
+        std::vector<Complex> got = x;
+        std::vector<Complex> want = x;
+        invert ? plan.inverse(got) : plan.forward(got);
+        reference.transform(want, invert);
+        EXPECT_TRUE(same_bits(got, want))
+            << "n=" << n << " input=" << static_cast<int>(kind)
+            << " invert=" << invert;
+      }
+    }
+  }
+}
+
+TEST(FftBitExactTest, RealTransformsMatchReferenceBits) {
+  Rng rng(1202);
+  for (std::size_t n = 4; n <= 32768; n <<= 1) {
+    const RealFftPlan plan(n);
+    const ReferenceRealPlan reference(n);
+    std::vector<Complex> half(plan.bins());
+    std::vector<Complex> scratch(plan.scratch_size());
+    std::vector<double> back(n);
+    for (const Input kind : kAllInputs) {
+      const std::vector<double> x = real_input(kind, n, rng);
+      plan.forward(x, half, scratch);
+      const std::vector<Complex> want_half = reference.forward(x);
+      EXPECT_TRUE(same_bits(half, want_half))
+          << "forward n=" << n << " input=" << static_cast<int>(kind);
+
+      plan.inverse(want_half, back, scratch);
+      EXPECT_TRUE(same_bits(back, reference.inverse(want_half)))
+          << "inverse n=" << n << " input=" << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST(FftBitExactTest, OneShotRealRoundTripAndZeroPaddingMatchReferenceBits) {
+  Rng rng(1203);
+  for (const std::size_t n : {4u, 256u, 8192u, 32768u}) {
+    const ReferenceRealPlan reference(n);
+    const std::vector<double> x = real_input(Input::Random, n, rng);
+    const std::vector<Complex> half = rfft(x);
+    EXPECT_TRUE(same_bits(half, reference.forward(x))) << "rfft n=" << n;
+    EXPECT_TRUE(same_bits(irfft(half), reference.inverse(half)))
+        << "irfft n=" << n;
+
+    // A short record is zero-padded up to the plan size.
+    const std::vector<double> shorter(x.begin(), x.begin() + n / 2 + 1);
+    EXPECT_TRUE(same_bits(rfft(shorter, n), reference.forward(shorter)))
+        << "padded rfft n=" << n;
+  }
+}
+
+// FNV-1a over the key-sorted (key, value bits) pairs of a feature frame.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t digest_frame(std::uint64_t h, const rules::FeatureFrame& frame) {
+  std::vector<std::pair<std::string, double>> sorted(frame.all().begin(),
+                                                     frame.all().end());
+  std::sort(sorted.begin(), sorted.end());
+  for (const auto& [key, value] : sorted) {
+    h = fnv1a(h, key.data(), key.size());
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    h = fnv1a(h, &bits, sizeof bits);
+  }
+  return h;
+}
+
+TEST(FftBitExactTest, FeatureFrameDigestPinned) {
+  // Every failure mode on a seeded chiller, through the DC's vibration and
+  // current feature extraction at the DC's default rates and record sizes.
+  // The pinned digest was recorded with the std::complex kernel above, on
+  // x86-64 with GCC 12 and glibc 2.36. Any change to the FFT's bits moves
+  // it; so does a change to plant synthesis, or a libm or standard library
+  // whose sin or normal_distribution return other bits.
+  constexpr double kVibrationRate = 40960.0;
+  constexpr double kCurrentRate = 4096.0;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t seed = 0xD16E57;
+  for (const domain::FailureMode mode : domain::all_failure_modes()) {
+    plant::ChillerConfig cfg;
+    cfg.seed = seed++;
+    plant::ChillerSimulator sim(cfg);
+    plant::FaultEvent fault;
+    fault.mode = mode;
+    fault.ramp = SimTime::from_seconds(60);
+    fault.max_severity = 0.8;
+    sim.faults().schedule(fault);
+    sim.advance(SimTime::from_seconds(120));
+
+    const rules::FeatureExtractor extractor(sim.signature());
+    std::vector<double> current(32768);
+    sim.acquire_current(kCurrentRate, current);
+    std::vector<double> vibration(8192);
+    for (const plant::MachinePoint point :
+         {plant::MachinePoint::Motor, plant::MachinePoint::Gearbox,
+          plant::MachinePoint::Compressor}) {
+      sim.acquire_vibration(point, kVibrationRate, vibration);
+      rules::FeatureFrame frame;
+      extractor.extract_vibration(vibration, kVibrationRate, frame);
+      if (point == plant::MachinePoint::Motor) {
+        extractor.extract_current(current, kCurrentRate, sim.load(), frame);
+      }
+      ASSERT_GT(frame.size(), 0u);
+      h = digest_frame(h, frame);
+    }
+  }
+  EXPECT_EQ(h, 0xA11A35F77E1A9650ULL);
 }
 
 }  // namespace

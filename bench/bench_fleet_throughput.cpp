@@ -103,13 +103,11 @@ void BM_WireSerialization(benchmark::State& state) {
 }
 BENCHMARK(BM_WireSerialization);
 
-// --- E18: sharded-PDME ingest sweep ------------------------------------------
+// --- E21: batched PDME ingest -------------------------------------------------
 //
-// The central-correlation bound above is single-threaded; E18 shards the
-// fusion stage across workers keyed by machine. The sweep replays one fixed
-// prognostics-rich multi-plant report stream through shard_count 0 (the
-// historical inline executive) and 1/2/4/8, measuring accepted reports/s
-// end to end (enqueue + parallel fuse + aggregation barrier + OOSM posts).
+// Replays one fixed prognostics-rich multi-plant report stream through the
+// executive, measuring accepted reports/s end to end (dedup + OOSM post +
+// fuse), once through span submit() and once through per-report accept().
 
 constexpr std::size_t kSweepReports = 24000;
 
@@ -164,15 +162,13 @@ std::vector<net::ReportEnvelope> sweep_envelopes(
   return envs;
 }
 
-/// Accepted reports/s for one shard configuration (fresh model + executive),
-/// ingesting through the span-based submit() API in kIngestBatch spans.
-double measure_shard_rate(const std::vector<net::ReportEnvelope>& envs,
-                          std::size_t shard_count) {
+/// Accepted reports/s (fresh model + executive), ingesting through the
+/// span-based submit() API in kIngestBatch spans.
+double measure_batched_rate(const std::vector<net::ReportEnvelope>& envs) {
   oosm::ObjectModel model;
   const auto ship = oosm::build_ship(model, "bench", 4, 2);
   pdme::PdmeConfig cfg;
   cfg.deduplicate = false;  // measure fusion, not the signature cache
-  cfg.shard_count = shard_count;
   pdme::PdmeExecutive pdme(model, cfg);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -180,14 +176,13 @@ double measure_shard_rate(const std::vector<net::ReportEnvelope>& envs,
     const std::size_t n = std::min(kIngestBatch, envs.size() - i);
     pdme.submit({envs.data() + i, n});
   }
-  pdme.synchronize();
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   return static_cast<double>(pdme.stats().reports_accepted) / secs;
 }
 
 /// The pre-E21 call shape for comparison: one accept() (an envelope build
-/// plus a one-element submit) per report, inline executive.
+/// plus a one-element submit) per report.
 double measure_singleton_rate(const std::vector<net::FailureReport>& stream) {
   oosm::ObjectModel model;
   const auto ship = oosm::build_ship(model, "bench", 4, 2);
@@ -197,27 +192,23 @@ double measure_singleton_rate(const std::vector<net::FailureReport>& stream) {
 
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& r : stream) pdme.accept(r);
-  pdme.synchronize();
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   return static_cast<double>(pdme.stats().reports_accepted) / secs;
 }
 
-void BM_PdmeShardIngest(benchmark::State& state) {
+void BM_PdmeBatchedIngest(benchmark::State& state) {
   oosm::ObjectModel topo;
   const auto ship = oosm::build_ship(topo, "bench", 4, 2);
   const auto envs = sweep_envelopes(sweep_stream(ship));
-  const auto shards = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(measure_shard_rate(envs, shards));
+    benchmark::DoNotOptimize(measure_batched_rate(envs));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kSweepReports));
-  state.SetLabel(shards == 0 ? "inline executive"
-                             : std::to_string(shards) + " fusion workers");
+  state.SetLabel("batched submit()");
 }
-BENCHMARK(BM_PdmeShardIngest)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_PdmeBatchedIngest)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void write_json_snapshot() {
@@ -226,30 +217,20 @@ void write_json_snapshot() {
   const auto stream = sweep_stream(ship);
   const auto envs = sweep_envelopes(stream);
 
-  constexpr std::size_t kShardConfigs[] = {0, 1, 2, 4, 8};
-  double rates[std::size(kShardConfigs)] = {};
-  (void)measure_shard_rate(envs, 0);  // warm allocators and code paths
-  for (std::size_t c = 0; c < std::size(kShardConfigs); ++c) {
-    double best = 0.0;  // best-of-3 to shave scheduler noise
-    for (int rep = 0; rep < 3; ++rep) {
-      best = std::max(best, measure_shard_rate(envs, kShardConfigs[c]));
-    }
-    rates[c] = best;
-  }
+  (void)measure_batched_rate(envs);  // warm allocators and code paths
+  double batched = 0.0;  // best-of-3 to shave scheduler noise
   double singleton = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
+    batched = std::max(batched, measure_batched_rate(envs));
     singleton = std::max(singleton, measure_singleton_rate(stream));
   }
-  const double speedup_8_vs_1 = rates[4] / rates[1];
-  const double speedup_8_vs_inline = rates[4] / rates[0];
 
   std::FILE* f = std::fopen("BENCH_FLEET.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_fleet: cannot write BENCH_FLEET.json\n");
     return;
   }
-  // The sweep measures wall-clock, so the speedup is bounded by the cores
-  // the container actually grants; record that bound beside the numbers.
+  // Wall-clock rates depend on the host; record its core count beside them.
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(f,
                "{\n"
@@ -259,26 +240,16 @@ void write_json_snapshot() {
                "  \"machine_count\": %zu,\n"
                "  \"ingest_batch\": %zu,\n"
                "  \"reports_per_s_inline\": %.0f,\n"
-               "  \"reports_per_s_inline_singleton\": %.0f,\n"
-               "  \"reports_per_s_shards1\": %.0f,\n"
-               "  \"reports_per_s_shards2\": %.0f,\n"
-               "  \"reports_per_s_shards4\": %.0f,\n"
-               "  \"reports_per_s_shards8\": %.0f,\n"
-               "  \"speedup_8_vs_1\": %.2f,\n"
-               "  \"speedup_8_vs_inline\": %.2f\n"
+               "  \"reports_per_s_inline_singleton\": %.0f\n"
                "}\n",
                hw, kSweepReports, ship.plants.size() * 4, kIngestBatch,
-               rates[0], singleton, rates[1], rates[2], rates[3], rates[4],
-               speedup_8_vs_1, speedup_8_vs_inline);
+               batched, singleton);
   std::fclose(f);
   std::printf(
-      "shard sweep    : inline %.0f/s | 1w %.0f/s | 2w %.0f/s | 4w %.0f/s "
-      "| 8w %.0f/s  (%u cores)\n"
-      "singleton      : %.0f/s via per-report accept() for comparison\n"
-      "speedup        : 8 workers = %.2fx vs 1 worker, %.2fx vs inline "
+      "batched        : %.0f/s via submit() spans of %zu  (%u cores)\n"
+      "singleton      : %.0f/s via per-report accept() for comparison "
       "(BENCH_FLEET.json written)\n",
-      rates[0], rates[1], rates[2], rates[3], rates[4], hw, singleton,
-      speedup_8_vs_1, speedup_8_vs_inline);
+      batched, kIngestBatch, hw, singleton);
 }
 
 /// --quick: CI regression gate. Re-measures the inline batched ingest rate
@@ -305,10 +276,10 @@ int run_quick_gate() {
   oosm::ObjectModel topo;
   const auto ship = oosm::build_ship(topo, "bench", 4, 2);
   const auto envs = sweep_envelopes(sweep_stream(ship));
-  (void)measure_shard_rate(envs, 0);  // warm-up
+  (void)measure_batched_rate(envs);  // warm-up
   double best = 0.0;  // best-of-5: the gate runs on loaded CI machines
   for (int rep = 0; rep < 5; ++rep) {
-    best = std::max(best, measure_shard_rate(envs, 0));
+    best = std::max(best, measure_batched_rate(envs));
   }
   const double floor = 0.8 * baseline;
   std::printf("bench_fleet --quick: inline batched ingest %.0f/s "
@@ -331,14 +302,12 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "\nE7 fleet data rates (paper §1) + E18 sharded-PDME ingest "
-      "(E21 batched submit)\n"
+      "\nE7 fleet data rates (paper §1) + E21 batched PDME ingest\n"
       "  claim  : 'millions of data points per second' fleet-wide;\n"
       "           'hundreds of DCs per ship' correlated at the PDME\n"
       "  shape  : samples_per_sim_s scales linearly with dc_count below;\n"
       "           BM_PdmeReportIngest bounds central correlation capacity;\n"
-      "           BM_PdmeShardIngest lifts it with per-machine fusion "
-      "workers\n\n");
+      "           BM_PdmeBatchedIngest lifts it with span submit()\n\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   write_json_snapshot();

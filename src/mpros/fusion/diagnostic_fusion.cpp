@@ -82,10 +82,9 @@ DiagnosticFusion::Cell& DiagnosticFusion::apply_focus(ObjectId machine,
                                                       double belief) {
   MPROS_EXPECTS(belief >= 0.0 && belief <= 1.0);
 
-  // Re-entrancy audit (E18): this is the only state shared between fusion
-  // instances. The sharded PDME runs one DiagnosticFusion per worker, so
-  // cells_ is single-threaded per instance; this counter is a magic-static
-  // reference (thread-safe init) to a relaxed atomic (thread-safe inc).
+  // The only state shared between DiagnosticFusion instances: a
+  // magic-static reference (thread-safe init) to a relaxed atomic counter
+  // (thread-safe inc). cells_ belongs to this instance alone.
   static telemetry::Counter& ds_updates =
       telemetry::Registry::instance().counter("fusion.ds_updates");
 

@@ -300,17 +300,12 @@ std::size_t ShipSystem::advance_to(SimTime t) {
 
   now_ = t;
   const std::size_t delivered = network_.advance_to(now_);
-  // Sharded PDME: drain the fusion workers and apply deferred OOSM posts /
-  // retest commands before anything reads fused state (no-op inline).
-  pdme_->synchronize();
   pdme_->update_liveness(now_);
   // Control plane: retransmit unacked commands whose backoff timer expired.
   pdme_->sweep_commands(now_);
   if (resident_) {
+    // Resident conclusions enter fusion directly (no wire hop needed).
     resident_->scan(now_);
-    // Resident conclusions enter fusion directly (no wire hop needed);
-    // flush them through the shards within the same step.
-    pdme_->synchronize();
   }
 
   // Fleet tier: at the aggregation barrier everything fused through `now_`

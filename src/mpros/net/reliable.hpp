@@ -168,10 +168,10 @@ class ReliableReceiver {
   Outcome on_envelope(DcId dc, std::uint64_t sequence);
 
   /// Would on_envelope(dc, sequence) report a duplicate? Pure query — no
-  /// stats or stream mutation. The sharded PDME router asks this before
-  /// enqueueing so it can re-ack retransmissions without routing them, and
-  /// only commits the stream state (on_envelope) once the shard accepts the
-  /// report — acking a report that was never enqueued would lose it forever.
+  /// stats or stream mutation. The PDME asks this before ingesting so it
+  /// can drop and re-ack retransmissions without fusing them, and only
+  /// commits the stream state (on_envelope) once the reports are fused —
+  /// acking a report that never reached fusion would lose it forever.
   [[nodiscard]] bool is_duplicate(DcId dc, std::uint64_t sequence) const;
 
   /// Cumulative ack for `dc` from current stream state (e.g. re-acking a

@@ -15,7 +15,7 @@ namespace {
 
 /// Registry handles resolved once; observations are relaxed atomics after.
 /// Counters are process-wide, shared by every core (the Registry dedups by
-/// name), so sharded and inline runs report through the same names.
+/// name).
 struct CoreMetrics {
   telemetry::Counter& reports_accepted;
   telemetry::Counter& duplicates_dropped;
@@ -55,8 +55,7 @@ void FusionCore::count_duplicate() {
   CoreMetrics::instance().duplicates_dropped.inc();
 }
 
-void FusionCore::fuse(const net::FailureReport& r, std::uint64_t order,
-                      bool retest_enabled) {
+void FusionCore::fuse(const net::FailureReport& r, bool retest_enabled) {
   CoreMetrics& metrics = CoreMetrics::instance();
   // Sensor-fault conclusions get their own track: fusing "the sensor lies"
   // into Dempster-Shafer would steal mass from real machinery modes.
@@ -107,7 +106,7 @@ void FusionCore::fuse(const net::FailureReport& r, std::uint64_t order,
   ++track.reports;
   ++stats_.fusion_updates;
   metrics.fusion_updates.inc();
-  if (retest_enabled) maybe_record_retest(r, order);
+  if (retest_enabled) maybe_record_retest(r);
 
   MPROS_LOG_DEBUG("pdme", "fused %s for obj=%llu belief=%.2f",
                   domain::to_string(mode),
@@ -141,8 +140,7 @@ void FusionCore::note_sensor_fault(const net::FailureReport& r) {
   }
 }
 
-void FusionCore::maybe_record_retest(const net::FailureReport& r,
-                                     std::uint64_t order) {
+void FusionCore::maybe_record_retest(const net::FailureReport& r) {
   if (!cfg_.auto_retest) return;
   if (r.severity < cfg_.retest_severity) return;
   const FailureMode mode = domain::failure_mode(r.machine_condition);
@@ -153,7 +151,7 @@ void FusionCore::maybe_record_retest(const net::FailureReport& r,
   // its source was.
   if (group.report_count > 1 && group.unknown < cfg_.retest_unknown) return;
   pending_retests_.push_back(
-      PendingRetest{r.dc, r.sensed_object, mode, r.timestamp, order});
+      PendingRetest{r.dc, r.sensed_object, mode, r.timestamp});
 }
 
 std::vector<PendingRetest> FusionCore::take_pending_retests() {

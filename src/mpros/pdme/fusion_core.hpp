@@ -1,16 +1,12 @@
 #pragma once
-// Per-machine knowledge-fusion state, extracted from the PDME executive so
-// it can be sharded (E18): each fusion worker owns one FusionCore covering a
-// disjoint set of machines, so cores never share mutable state and the only
-// synchronization is the owning shard's mutex. The inline (shard_count = 0)
-// executive owns a single core and runs everything on the driver thread.
+// Per-machine knowledge-fusion state owned by the PDME executive. The
+// executive handles everything that spans the ship — the OOSM, DC
+// liveness, reliable-stream bookkeeping, the retest backoff ledger — and
+// hands each accepted report to its FusionCore on the driver thread.
 //
-// A core holds exactly the state that is independent per machine until the
+// A core holds the state that is independent per machine until the
 // comparative/fleet layer: Dempster-Shafer group state, prognostic tracks,
 // report history, dedup signatures, and the sensor-fault quarantine ledger.
-// Anything that spans machines — the OOSM, DC liveness, reliable-stream
-// bookkeeping, the retest backoff ledger — stays with the executive and is
-// reconciled at the aggregation barrier (PdmeExecutive::synchronize()).
 
 #include <cstdint>
 #include <deque>
@@ -21,7 +17,6 @@
 #include <tuple>
 #include <vector>
 
-#include "mpros/common/bounded_queue.hpp"
 #include "mpros/fusion/diagnostic_fusion.hpp"
 #include "mpros/net/reliable.hpp"
 #include "mpros/fusion/prognostic_fusion.hpp"
@@ -71,22 +66,10 @@ struct PdmeConfig {
   std::size_t stale_after_missed = 2;
   std::size_t lost_after_missed = 3;
 
-  /// Sharded ingestion (E18): number of fusion workers, each owning the
-  /// machines whose ObjectId hashes to it. 0 keeps the single-threaded
-  /// inline executive (every existing call pattern unchanged). With shards,
-  /// accept() only enqueues — fused results, OOSM report objects and retest
-  /// commands materialize at PdmeExecutive::synchronize().
-  std::size_t shard_count = 0;
-  /// Bound on each shard's ingest queue; backpressure engages beyond it.
-  std::size_t shard_queue_capacity = 1024;
   /// Control plane: reliable-delivery tuning for the per-DC command streams
   /// (send_command). Same ack algebra as the report path, opposite
   /// direction.
   net::ReliableConfig command_reliable;
-  /// What a full shard queue does to the producer: Block (lossless, the
-  /// driver waits for the worker) or DropOldest (bounded latency, evictions
-  /// are counted in Stats::queue_full / the pdme.queue_full counter).
-  OverflowPolicy overflow_policy = OverflowPolicy::Block;
 };
 
 /// The latest word on each instrument channel the validators flagged:
@@ -104,27 +87,21 @@ struct SensorFaultRecord {
 /// An adaptive-retest candidate recorded at fuse time. The per-machine
 /// checks (severity threshold, corroboration) run in the core where the
 /// group state lives; the executive applies the cross-machine backoff
-/// ledger and sends the command — immediately after the fuse when inline,
-/// at the aggregation barrier when sharded. `order` is the global arrival
-/// order, so replaying candidates sorted by it reproduces the inline
-/// backoff decisions exactly.
+/// ledger and sends the command right after the fuse.
 struct PendingRetest {
   DcId dc;
   ObjectId machine;
   domain::FailureMode mode{};
   SimTime at;
-  std::uint64_t order = 0;
 };
 
-/// Exact-duplicate (retransmission) signature of a report. Includes the
-/// sensed machine, so per-shard dedup sets are equivalent to a global one:
-/// two reports with equal signatures always hash to the same shard.
+/// Exact-duplicate (retransmission) signature of a report.
 [[nodiscard]] std::string report_signature(const net::FailureReport& r);
 
 class FusionCore {
  public:
-  /// The Stats fields a core owns; the executive sums them across shards
-  /// into PdmeExecutive::Stats at stats() time.
+  /// The Stats fields a core owns; the executive adds them to its own
+  /// driver-side counters in PdmeExecutive::snapshot().
   struct Stats {
     std::uint64_t reports_accepted = 0;
     std::uint64_t duplicates_dropped = 0;
@@ -141,13 +118,11 @@ class FusionCore {
   }
   void count_duplicate();
 
-  /// Fuse one report (§5.1 steps 3-4 state updates). `order` is the global
-  /// arrival order (used for retest candidates); `retest_enabled` reflects
-  /// whether the executive is attached to a network.
-  void fuse(const net::FailureReport& report, std::uint64_t order,
-            bool retest_enabled);
+  /// Fuse one report (§5.1 steps 3-4 state updates). `retest_enabled`
+  /// reflects whether the executive is attached to a network.
+  void fuse(const net::FailureReport& report, bool retest_enabled);
 
-  // -- Queries (caller holds the shard lock in sharded mode) ---------------
+  // -- Queries --------------------------------------------------------------
 
   /// Machines with fused tracks, ascending by id.
   [[nodiscard]] std::vector<std::uint64_t> machines() const;
@@ -172,7 +147,7 @@ class FusionCore {
   }
 
   /// Drain the retest candidates recorded since the last call, in record
-  /// order (ascending `order` within one core).
+  /// order.
   [[nodiscard]] std::vector<PendingRetest> take_pending_retests();
   /// Cheap emptiness probe so per-report callers can skip the drain (and
   /// its vector round-trip) on the overwhelmingly common no-retest path.
@@ -199,8 +174,7 @@ class FusionCore {
   };
 
   void note_sensor_fault(const net::FailureReport& report);
-  void maybe_record_retest(const net::FailureReport& report,
-                           std::uint64_t order);
+  void maybe_record_retest(const net::FailureReport& report);
 
   PdmeConfig cfg_;
   fusion::DiagnosticFusion diagnostics_;

@@ -9,7 +9,6 @@
 
 #include "mpros/common/assert.hpp"
 #include "mpros/common/log.hpp"
-#include "mpros/pdme/shard_executor.hpp"
 #include "mpros/telemetry/metrics.hpp"
 #include "mpros/telemetry/trace.hpp"
 
@@ -26,7 +25,6 @@ struct PdmeMetrics {
   telemetry::Counter& malformed_dropped;
   telemetry::Counter& gaps_detected;
   telemetry::Counter& heartbeats_received;
-  telemetry::Counter& queue_full;
   telemetry::Histogram& report_pipeline_latency_us;
 
   static PdmeMetrics& instance() {
@@ -35,7 +33,6 @@ struct PdmeMetrics {
                          reg.counter("pdme.malformed_dropped"),
                          reg.counter("pdme.gaps_detected"),
                          reg.counter("pdme.heartbeats_received"),
-                         reg.counter("pdme.queue_full"),
                          reg.histogram("pdme.report_pipeline_latency_us")};
     return m;
   }
@@ -132,30 +129,12 @@ const char* to_string(DcLiveness liveness) {
 }
 
 PdmeExecutive::PdmeExecutive(oosm::ObjectModel& model, PdmeConfig cfg)
-    : model_(model), cfg_(cfg) {
-  if (cfg_.shard_count >= 1) {
-    shards_ = std::make_unique<ShardExecutor>(cfg_, retest_enabled_);
-  } else {
-    inline_core_ = std::make_unique<FusionCore>(cfg_);
-  }
+    : model_(model), cfg_(cfg), core_(cfg_) {
   subscription_ = model_.subscribe(
       [this](const oosm::OosmEvent& event) { on_oosm_event(event); });
 }
 
 PdmeExecutive::~PdmeExecutive() { model_.unsubscribe(subscription_); }
-
-std::size_t PdmeExecutive::shard_count() const {
-  return shards_ ? cfg_.shard_count : 0;
-}
-
-template <typename F>
-void PdmeExecutive::visit_cores(F&& f) const {
-  if (shards_) {
-    shards_->for_each_core(std::forward<F>(f));
-  } else {
-    f(static_cast<const FusionCore&>(*inline_core_));
-  }
-}
 
 std::optional<ObjectId> PdmeExecutive::accept(
     const net::FailureReport& report) {
@@ -201,8 +180,8 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
       if (posted.has_value()) out.last_object = posted;
       out.accepted += run.size();
       if (head.sequence != 0) {
-        // Commit stream state only after the run reached the pipeline: an
-        // acked sequence whose reports never reached a shard would be
+        // Commit stream state only after the run was fused: an acked
+        // sequence whose reports never reached fusion would be
         // unrecoverable (the DC retires it on our ack).
         const net::ReliableReceiver::Outcome outcome =
             receiver_.on_envelope(head.dc, head.sequence);
@@ -220,37 +199,25 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
 
 std::optional<ObjectId> PdmeExecutive::ingest(
     std::span<const net::ReportEnvelope> run, bool needs_post) {
-  if (shards_) {
-    const std::uint64_t base_order = order_counter_ + 1;
-    order_counter_ += run.size();
-    const auto result = shards_->submit_span(run, base_order, needs_post);
-    if (result.overflow_reports > 0) {
-      stats_.queue_full += result.overflow_reports;
-      PdmeMetrics::instance().queue_full.inc(result.overflow_reports);
-    }
-    return std::nullopt;  // objects are posted at synchronize()
-  }
   std::optional<ObjectId> last;
   for (const net::ReportEnvelope& env : run) {
     const net::FailureReport& r = env.report;
     if (needs_post) {
-      if (cfg_.deduplicate &&
-          !inline_core_->mark_seen(report_signature(r))) {
-        inline_core_->count_duplicate();
+      if (cfg_.deduplicate && !core_.mark_seen(report_signature(r))) {
+        core_.count_duplicate();
         continue;
       }
       last = post_report_object(r);
     }
-    fuse_local(r);
+    fuse_and_retest(r);
   }
   return last;
 }
 
 ObjectId PdmeExecutive::post_report_object(const net::FailureReport& r) {
-  // We fuse the in-hand report directly (inline: right after this call;
-  // sharded: the worker already did) — the OOSM event path exists for
-  // third-party posters, so hold the re-entrancy guard across the whole
-  // post, completion marker included.
+  // We fuse the in-hand report directly, right after this call — the OOSM
+  // event path exists for third-party posters, so hold the re-entrancy
+  // guard across the whole post, completion marker included.
   posting_ = true;
   oosm::PropertyMap props;
   // 11 initial properties plus room for the "posted" marker set_property()
@@ -349,11 +316,10 @@ void PdmeExecutive::on_oosm_event(const oosm::OosmEvent& event) {
   ingest({&env, 1}, /*needs_post=*/false);
 }
 
-void PdmeExecutive::fuse_local(const net::FailureReport& r) {
-  inline_core_->fuse(r, ++order_counter_,
-                     retest_enabled_.load(std::memory_order_relaxed));
-  if (inline_core_->has_pending_retests()) {
-    for (const PendingRetest& pending : inline_core_->take_pending_retests()) {
+void PdmeExecutive::fuse_and_retest(const net::FailureReport& r) {
+  core_.fuse(r, /*retest_enabled=*/network_ != nullptr);
+  if (core_.has_pending_retests()) {
+    for (const PendingRetest& pending : core_.take_pending_retests()) {
       send_retest(pending);
     }
   }
@@ -377,27 +343,6 @@ void PdmeExecutive::send_retest(const PendingRetest& p) {
   ++stats_.retests_commanded;
 }
 
-void PdmeExecutive::synchronize() {
-  if (!shards_) return;
-  shards_->quiesce();
-  const std::vector<PendingPost> posts = shards_->take_pending_posts();
-  const std::vector<PendingRetest> retests = shards_->take_pending_retests();
-  // Replay in global arrival order. At equal order the post wins: inline,
-  // a report's object is posted before its fuse can trigger a retest.
-  std::size_t pi = 0;
-  std::size_t ri = 0;
-  while (pi < posts.size() || ri < retests.size()) {
-    if (ri == retests.size() ||
-        (pi < posts.size() && posts[pi].order <= retests[ri].order)) {
-      post_report_object(posts[pi].report);
-      ++pi;
-    } else {
-      send_retest(retests[ri]);
-      ++ri;
-    }
-  }
-}
-
 std::size_t PdmeExecutive::rebuild_from_model() {
   // objects_of_kind returns creation order — the exact order the live
   // executive fused these reports. Keep it: re-fusing in any other order
@@ -413,34 +358,17 @@ std::size_t PdmeExecutive::rebuild_from_model() {
   }
   for (const net::FailureReport& r : recovered) {
     // Recovery fuses every persisted report, even signature twins (they are
-    // distinct objects in the model) — so bypass the dedup gate and, in
-    // sharded mode, the queue: the workers' mark_seen would drop twins.
-    if (shards_) {
-      const bool retest = retest_enabled_.load(std::memory_order_relaxed);
-      const std::uint64_t order = ++order_counter_;
-      shards_->with_core_mut(r.sensed_object, [&](FusionCore& core) {
-        if (cfg_.deduplicate) core.mark_seen(report_signature(r));
-        core.fuse(r, order, retest);
-      });
-    } else {
-      if (cfg_.deduplicate) inline_core_->mark_seen(report_signature(r));
-      fuse_local(r);
-    }
+    // distinct objects in the model) — so bypass the dedup gate.
+    if (cfg_.deduplicate) core_.mark_seen(report_signature(r));
+    fuse_and_retest(r);
   }
   return recovered.size();
 }
 
 std::vector<PdmeExecutive::SensorFaultRecord> PdmeExecutive::sensor_faults(
     bool active_only) const {
-  // Merge the cores' ledgers back into one key-ordered view so the listing
-  // (and everything rendered from it) is independent of shard count.
-  std::map<FusionCore::SensorFaultKey, SensorFaultRecord> merged;
-  visit_cores([&](const FusionCore& core) {
-    const auto& entries = core.sensor_fault_entries();
-    merged.insert(entries.begin(), entries.end());
-  });
   std::vector<SensorFaultRecord> out;
-  for (const auto& [key, rec] : merged) {
+  for (const auto& [key, rec] : core_.sensor_fault_entries()) {
     if (!active_only || rec.severity > 0.0) out.push_back(rec);
   }
   return out;
@@ -519,19 +447,9 @@ DcLiveness PdmeExecutive::dc_liveness(DcId dc) const {
 }
 
 std::vector<MaintenanceItem> PdmeExecutive::prioritized_list() const {
-  // Gather the tracked machines (ascending) exactly as the inline executive
-  // would enumerate them, then build per-machine lists and one global sort:
-  // the item sequence entering the sort is shard-count-independent, so the
-  // output is too.
-  std::vector<std::uint64_t> machines;
-  visit_cores([&](const FusionCore& core) {
-    const auto m = core.machines();
-    machines.insert(machines.end(), m.begin(), m.end());
-  });
-  std::sort(machines.begin(), machines.end());
-
+  // Per-machine lists in ascending machine order, then one global sort.
   std::vector<MaintenanceItem> items;
-  for (const std::uint64_t m : machines) {
+  for (const std::uint64_t m : core_.machines()) {
     const auto per_machine = prioritized_list(ObjectId(m));
     items.insert(items.end(), per_machine.begin(), per_machine.end());
   }
@@ -544,64 +462,37 @@ std::vector<MaintenanceItem> PdmeExecutive::prioritized_list() const {
 
 std::vector<MaintenanceItem> PdmeExecutive::prioritized_list(
     ObjectId machine) const {
-  if (shards_) {
-    return shards_->with_core(machine, [&](const FusionCore& core) {
-      return core.prioritized_list(machine);
-    });
-  }
-  return inline_core_->prioritized_list(machine);
+  return core_.prioritized_list(machine);
 }
 
 std::optional<fusion::PrognosticVector> PdmeExecutive::prognosis(
     ObjectId machine, FailureMode mode) const {
-  if (shards_) {
-    return shards_->with_core(machine, [&](const FusionCore& core) {
-      return core.prognosis(machine, mode);
-    });
-  }
-  return inline_core_->prognosis(machine, mode);
+  return core_.prognosis(machine, mode);
 }
 
 fusion::PrognosticVector PdmeExecutive::trend_prognosis(
     ObjectId machine, FailureMode mode) const {
-  if (shards_) {
-    return shards_->with_core(machine, [&](const FusionCore& core) {
-      return core.trend_prognosis(machine, mode);
-    });
-  }
-  return inline_core_->trend_prognosis(machine, mode);
+  return core_.trend_prognosis(machine, mode);
 }
 
 fusion::GroupState PdmeExecutive::group_state(
     ObjectId machine, domain::LogicalGroup group) const {
-  if (shards_) {
-    return shards_->with_core(machine, [&](const FusionCore& core) {
-      return core.group_state(machine, group);
-    });
-  }
-  return inline_core_->group_state(machine, group);
+  return core_.group_state(machine, group);
 }
 
 std::vector<net::FailureReport> PdmeExecutive::reports_for(
     ObjectId machine) const {
-  if (shards_) {
-    return shards_->with_core(machine, [&](const FusionCore& core) {
-      return core.reports_for(machine);
-    });
-  }
-  return inline_core_->reports_for(machine);
+  return core_.reports_for(machine);
 }
 
 PdmeExecutive::Stats PdmeExecutive::snapshot() const {
   Stats out = stats_;
-  visit_cores([&](const FusionCore& core) {
-    const FusionCore::Stats& cs = core.core_stats();
-    out.reports_accepted += cs.reports_accepted;
-    out.duplicates_dropped += cs.duplicates_dropped;
-    out.malformed_dropped += cs.malformed_dropped;
-    out.fusion_updates += cs.fusion_updates;
-    out.sensor_fault_reports += cs.sensor_fault_reports;
-  });
+  const FusionCore::Stats& cs = core_.core_stats();
+  out.reports_accepted += cs.reports_accepted;
+  out.duplicates_dropped += cs.duplicates_dropped;
+  out.malformed_dropped += cs.malformed_dropped;
+  out.fusion_updates += cs.fusion_updates;
+  out.sensor_fault_reports += cs.sensor_fault_reports;
   return out;
 }
 
@@ -609,7 +500,6 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
                                       const std::string& endpoint_name) {
   network_ = &network;
   endpoint_name_ = endpoint_name;
-  retest_enabled_.store(true, std::memory_order_relaxed);
   network.register_endpoint(
       endpoint_name, [this](const net::Message& message) {
         PdmeMetrics& metrics = PdmeMetrics::instance();
@@ -770,13 +660,7 @@ void PdmeExecutive::accept(const net::SensorDataMessage& data) {
 }
 
 void PdmeExecutive::reset_machine(ObjectId machine) {
-  if (shards_) {
-    shards_->with_core_mut(machine, [&](FusionCore& core) {
-      core.reset_machine(machine);
-    });
-    return;
-  }
-  inline_core_->reset_machine(machine);
+  core_.reset_machine(machine);
 }
 
 }  // namespace mpros::pdme

@@ -14,19 +14,10 @@
 //     logical group) and prognostics (conservative envelope),
 //  4. fused conclusions are posted back to the OOSM and drive the browser.
 //
-// Two execution modes (PdmeConfig::shard_count):
-//  - 0 (default): the historical inline executive — everything runs on the
-//    driver thread, accept() posts and fuses synchronously.
-//  - N >= 1: sharded ingestion (E18). accept() routes the report to one of
-//    N fusion workers by machine hash through a bounded backpressure queue
-//    and returns immediately; OOSM posts and retest commands are deferred
-//    until synchronize(), which quiesces the workers and replays deferred
-//    work in global arrival order — so fused state, report objects and
-//    stats are byte-identical to an inline run over the same stream.
-//    Queries are safe at any time (they take the shard locks) but are only
-//    snapshot-consistent after synchronize().
+// Everything runs on the driver thread: submit() posts each fresh report,
+// fuses it in the executive's FusionCore and sends any retest command it
+// earns before returning, so every query sees the report at once.
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -42,8 +33,6 @@
 #include "mpros/pdme/fusion_core.hpp"
 
 namespace mpros::pdme {
-
-class ShardExecutor;
 
 /// Watchdog verdict on one DC's report stream.
 enum class DcLiveness : std::uint8_t { Alive = 0, Stale, Lost };
@@ -70,11 +59,10 @@ class PdmeExecutive {
   /// What one submit() span did. Counters are per report, so a caller can
   /// conserve its own ledger: accepted + duplicates == span size.
   struct SubmitOutcome {
-    std::size_t accepted = 0;    ///< reports handed to fusion (or queued)
+    std::size_t accepted = 0;    ///< reports handed to fusion
     std::size_t duplicates = 0;  ///< reports dropped as retransmissions
-    /// Inline mode only: the last report object posted (nullopt when the
-    /// whole span was duplicate, or in sharded mode where posts defer to
-    /// synchronize()).
+    /// The last report object posted (nullopt when every report in the
+    /// span was a duplicate).
     std::optional<ObjectId> last_object;
   };
 
@@ -91,8 +79,7 @@ class PdmeExecutive {
   /// Step 1 of §5.1: post a report into the OOSM (and let the event chain
   /// run fusion). A one-element unsequenced span through submit(). Returns
   /// the created report object's id; nullopt if the report was a duplicate
-  /// retransmission — or, in sharded mode, always nullopt: the post is
-  /// deferred to synchronize().
+  /// retransmission.
   std::optional<ObjectId> accept(const net::FailureReport& report);
 
   /// Post a sensor-data batch: values land as properties on the machine's
@@ -106,10 +93,9 @@ class PdmeExecutive {
   /// live run's DC-health ledger from recorded frames.
   void accept(const net::HeartbeatMessage& hb, SimTime at);
 
-  /// Sharded mode: quiesce the fusion workers, then post the deferred
-  /// report objects and send the deferred retest commands in global arrival
-  /// order (the snapshot-consistent aggregation barrier). No-op inline.
-  void synchronize();
+  /// Does nothing: ingest is synchronous, so every query is already
+  /// consistent. Kept for callers written against a barrier API.
+  void synchronize() {}
 
   /// Record that any datagram from `dc` arrived at `at` (restores a
   /// Stale/Lost DC to Alive). The network adapter calls this for every
@@ -186,9 +172,9 @@ class PdmeExecutive {
   [[nodiscard]] std::vector<net::FailureReport> reports_for(
       ObjectId machine) const;
 
-  /// Every field is a monotonic counter (gauges — queue depths, inflight
-  /// windows — live in the telemetry registry, not here). Report-level and
-  /// datagram-level counters are distinct: envelopes_accepted /
+  /// Every field is a monotonic counter (gauges — inflight windows — live
+  /// in the telemetry registry, not here). Report-level and datagram-level
+  /// counters are distinct: envelopes_accepted /
   /// duplicate_envelopes count sequenced datagrams (a whole batch is one),
   /// reports_accepted / duplicates_dropped count the reports inside them.
   struct Stats {
@@ -211,26 +197,18 @@ class PdmeExecutive {
     std::uint64_t heartbeats_received = 0;
     std::uint64_t sensor_fault_reports = 0;
     std::uint64_t liveness_transitions = 0;  ///< Alive<->Stale<->Lost edges
-    /// Reports that hit a full shard queue: evicted under DropOldest
-    /// (lost — reports_accepted + queue_full conserves the submitted
-    /// count), delayed under Block.
-    std::uint64_t queue_full = 0;
     std::uint64_t commands_sent = 0;  ///< control-plane commands queued
     std::uint64_t command_acks = 0;   ///< DC acks routed to command streams
 
     friend bool operator==(const Stats&, const Stats&) = default;
   };
-  /// Merged snapshot: driver-side counters plus every shard core's, taken
-  /// under the shard locks (by value — the shards keep moving underneath).
+  /// Driver-side counters plus the fusion core's, by value.
   [[nodiscard]] Stats snapshot() const;
   /// Deprecated: thin shim for snapshot().
   [[nodiscard]] Stats stats() const { return snapshot(); }
 
   [[nodiscard]] oosm::ObjectModel& model() { return model_; }
   [[nodiscard]] const oosm::ObjectModel& model() const { return model_; }
-
-  /// Number of fusion shards (0 = inline executive).
-  [[nodiscard]] std::size_t shard_count() const;
 
   /// Forget everything known about a machine (post-maintenance reset).
   void reset_machine(ObjectId machine);
@@ -262,31 +240,24 @@ class PdmeExecutive {
   void on_oosm_event(const oosm::OosmEvent& event);
   [[nodiscard]] net::FailureReport reconstruct_report(ObjectId object) const;
   /// Hand one already-deduplicated-at-datagram-level run to fusion:
-  /// sharded, one submit_span; inline, per-report dedup + post + fuse.
+  /// per-report dedup + post + fuse.
   std::optional<ObjectId> ingest(std::span<const net::ReportEnvelope> run,
                                  bool needs_post);
-  /// Inline mode: fuse on the driver thread, then apply retest candidates.
-  void fuse_local(const net::FailureReport& report);
-  /// Backoff-filter and send one deferred retest command.
+  /// Fuse one report, then send the retest commands it earned.
+  void fuse_and_retest(const net::FailureReport& report);
+  /// Backoff-filter and send one retest command.
   void send_retest(const PendingRetest& pending);
-  template <typename F>
-  void visit_cores(F&& f) const;
   ObjectId post_report_object(const net::FailureReport& report);
 
   oosm::ObjectModel& model_;
   PdmeConfig cfg_;
   net::SimNetwork* network_ = nullptr;  // set by attach_to_network
   std::string endpoint_name_;
-  std::atomic<bool> retest_enabled_{false};  // mirrors network_ for workers
   std::map<ModeKey, SimTime> last_retest_;
   oosm::ObjectModel::SubscriptionId subscription_;
   bool posting_ = false;  // re-entrancy guard while we create objects
 
-  // Exactly one of these is live, per cfg_.shard_count.
-  std::unique_ptr<FusionCore> inline_core_;
-  std::unique_ptr<ShardExecutor> shards_;
-
-  std::uint64_t order_counter_ = 0;  ///< global arrival order (driver thread)
+  FusionCore core_;
   /// Wire-decode arena: batch datagrams decode into this vector, reusing
   /// its slots (and their strings/vectors) across datagrams so steady-state
   /// ingest performs no per-report allocation in the decoder.
@@ -298,7 +269,7 @@ class PdmeExecutive {
       command_senders_;
   std::map<std::uint64_t, std::uint64_t> command_revisions_;
   std::map<std::uint64_t, DcHealth> dc_health_;  // by DcId value
-  Stats stats_;  ///< driver-side fields only; stats() merges the cores' in
+  Stats stats_;  ///< driver-side fields only; snapshot() adds core_'s
 };
 
 }  // namespace mpros::pdme

@@ -1,4 +1,4 @@
-// Tests for the common substrate: clock, ids, ring buffer, queues, pool, rng.
+// Tests for the common substrate: clock, ids, queues, pool, rng.
 
 #include <gtest/gtest.h>
 
@@ -6,11 +6,9 @@
 #include <set>
 #include <thread>
 
-#include "mpros/common/bounded_queue.hpp"
 #include "mpros/common/clock.hpp"
 #include "mpros/common/concurrent_queue.hpp"
 #include "mpros/common/ids.hpp"
-#include "mpros/common/ring_buffer.hpp"
 #include "mpros/common/rng.hpp"
 #include "mpros/common/thread_pool.hpp"
 
@@ -59,36 +57,6 @@ TEST(StrongIdTest, DistinctTypesAndHashing) {
   EXPECT_EQ(ids.size(), 2u);
 }
 
-TEST(RingBufferTest, OverwritesOldest) {
-  RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.empty());
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_TRUE(rb.full());
-  rb.push(4);  // evicts 1
-  EXPECT_EQ(rb.at_oldest(0), 2);
-  EXPECT_EQ(rb.at_oldest(2), 4);
-  EXPECT_EQ(rb.at_newest(0), 4);
-}
-
-TEST(RingBufferTest, LatestCopiesInOrder) {
-  RingBuffer<int> rb(4);
-  for (int i = 1; i <= 6; ++i) rb.push(i);
-  std::vector<int> out;
-  rb.latest(3, out);
-  EXPECT_EQ(out, (std::vector<int>{4, 5, 6}));
-}
-
-TEST(RingBufferTest, BatchPushAndClear) {
-  RingBuffer<double> rb(8);
-  const double vs[] = {1.0, 2.0, 3.0};
-  rb.push(std::span<const double>(vs));
-  EXPECT_EQ(rb.size(), 3u);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-}
-
 TEST(ConcurrentQueueTest, FifoOrder) {
   ConcurrentQueue<int> q;
   q.push(1);
@@ -126,97 +94,6 @@ TEST(ConcurrentQueueTest, TryPopDistinguishesEmptyFromDrained) {
   EXPECT_EQ(v, 8);
   EXPECT_EQ(q.try_pop(v), QueuePopStatus::Drained);
   EXPECT_TRUE(q.drained());
-}
-
-TEST(RingBufferTest, SpanPushMatchesElementwisePushAcrossWraparound) {
-  // The segmented span push must be observationally identical to pushing
-  // element by element (the pre-optimization behaviour), wraparound included.
-  RingBuffer<int> segmented(5);
-  RingBuffer<int> reference(5);
-  int next = 0;
-  for (const std::size_t batch : {3u, 4u, 2u, 5u, 1u, 4u}) {
-    std::vector<int> vs(batch);
-    for (int& v : vs) v = next++;
-    segmented.push(std::span<const int>(vs));
-    for (const int v : vs) reference.push(v);
-    ASSERT_EQ(segmented.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(segmented.at_oldest(i), reference.at_oldest(i));
-      ASSERT_EQ(segmented.at_newest(i), reference.at_newest(i));
-    }
-  }
-}
-
-TEST(RingBufferTest, OversizedSpanViolatesTheContract) {
-  // Batch-ingest audit: a span larger than the window means the producer
-  // sized a batch the buffer can never hold. That used to silently keep
-  // only the tail; it is now an explicit precondition.
-  RingBuffer<int> rb(4);
-  rb.push(1);
-  const std::vector<int> fits{10, 11, 12, 13};  // == capacity: fine
-  rb.push(std::span<const int>(fits));
-  EXPECT_EQ(rb.at_oldest(0), 10);
-  EXPECT_EQ(rb.at_newest(0), 13);
-  const std::vector<int> oversized{10, 11, 12, 13, 14};
-  EXPECT_DEATH(rb.push(std::span<const int>(oversized)), "precondition");
-}
-
-TEST(BoundedQueueTest, BlockPolicyWaitsForSpaceLosslessly) {
-  BoundedQueue<int> q(2, OverflowPolicy::Block);
-  EXPECT_TRUE(q.push(1).accepted);
-  EXPECT_TRUE(q.push(2).accepted);
-  std::atomic<bool> third_accepted{false};
-  std::thread producer([&] {
-    // Full at entry (the consumer pops only after this thread starts), so
-    // this blocks until space frees; whichever way the race goes, Block
-    // must deliver the item.
-    EXPECT_TRUE(q.push(3).accepted);
-    third_accepted.store(true);
-  });
-  EXPECT_EQ(q.pop().value(), 1);
-  producer.join();
-  EXPECT_TRUE(third_accepted.load());
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);  // nothing was lost
-}
-
-TEST(BoundedQueueTest, DropOldestEvictsFrontAndReports) {
-  BoundedQueue<int> q(2, OverflowPolicy::DropOldest);
-  EXPECT_FALSE(q.push(1).was_full);
-  EXPECT_FALSE(q.push(2).was_full);
-  const auto r = q.push(3);
-  EXPECT_TRUE(r.accepted);
-  EXPECT_TRUE(r.was_full);
-  EXPECT_TRUE(r.evicted);  // 1 was discarded: newest data wins
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(BoundedQueueTest, TriStatePopAndCloseSemantics) {
-  BoundedQueue<int> q(4, OverflowPolicy::Block);
-  int v = 0;
-  EXPECT_EQ(q.try_pop(v), QueuePopStatus::Empty);
-  q.push(5);
-  q.close();
-  EXPECT_FALSE(q.push(6).accepted);  // closed rejects producers
-  EXPECT_EQ(q.try_pop(v), QueuePopStatus::Ok);
-  EXPECT_EQ(v, 5);
-  EXPECT_EQ(q.try_pop(v), QueuePopStatus::Drained);
-  EXPECT_TRUE(q.drained());
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueueTest, CloseWakesBlockedProducer) {
-  BoundedQueue<int> q(1, OverflowPolicy::Block);
-  EXPECT_TRUE(q.push(1).accepted);
-  std::thread producer([&] {
-    const auto r = q.push(2);  // blocks on the full queue...
-    EXPECT_FALSE(r.accepted);  // ...until close() rejects it
-  });
-  q.close();
-  producer.join();
-  EXPECT_EQ(q.pop().value(), 1);  // close still drains queued items
 }
 
 TEST(ConcurrentQueueTest, ManyProducersOneConsumer) {

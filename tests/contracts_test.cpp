@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "mpros/common/clock.hpp"
-#include "mpros/common/ring_buffer.hpp"
 #include "mpros/common/thread_pool.hpp"
 #include "mpros/db/table.hpp"
 #include "mpros/dsp/fft.hpp"
@@ -124,13 +123,6 @@ TEST(ContractsDeathTest, ReaderRejectsTruncatedReport) {
   const std::span<const std::uint8_t> truncated(bytes.data(),
                                                 bytes.size() - 3);
   EXPECT_DEATH(net::deserialize_report(truncated), "precondition");
-}
-
-TEST(ContractsDeathTest, RingBufferBoundsChecked) {
-  RingBuffer<int> rb(4);
-  rb.push(1);
-  EXPECT_DEATH({ [[maybe_unused]] int v = rb.at_oldest(1); }, "precondition");
-  EXPECT_DEATH({ [[maybe_unused]] int v = rb.at_newest(1); }, "precondition");
 }
 
 // --- Concurrency stress -------------------------------------------------------

@@ -78,27 +78,6 @@ TEST(ShipSystemTest, FaultFlowsEndToEnd) {
       ship.pdme().prioritized_list(ship.plant_objects(1).motor).empty());
 }
 
-TEST(ShipSystemTest, ShardedPdmeReachesSameConclusionEndToEnd) {
-  // E18: the full Fig 1 dataflow with fusion fanned out across 4 workers.
-  // advance_to() drains the shards every step, so queries behave exactly
-  // like the inline executive's.
-  ShipSystemConfig cfg = small_config();
-  cfg.pdme.shard_count = 4;
-  ShipSystem ship(cfg);
-  ship.chiller(0).faults().schedule({FailureMode::MotorImbalance, SimTime(0),
-                                     SimTime(0), 0.9,
-                                     plant::GrowthProfile::Step});
-  ship.run_until(SimTime::from_hours(1.0));
-
-  const auto list = ship.pdme().prioritized_list(ship.plant_objects(0).motor);
-  ASSERT_FALSE(list.empty());
-  EXPECT_EQ(list.front().mode, FailureMode::MotorImbalance);
-  EXPECT_GT(list.front().fused_belief, 0.8);
-  EXPECT_TRUE(
-      ship.pdme().prioritized_list(ship.plant_objects(1).motor).empty());
-  EXPECT_EQ(ship.pdme().stats().queue_full, 0u);  // default Block policy
-}
-
 TEST(ShipSystemTest, MultipleSimultaneousFaultsAcrossGroups) {
   // §5.3: "there can, in fact, be several failures at one time".
   ShipSystem ship(small_config());
@@ -455,15 +434,13 @@ TEST(FaultToleranceTest, RetransmissionsDeliverReportsThroughPartition) {
 
 TEST(ChaosSmokeTest, HostileTransportConfiguredFromEnvironment) {
   // CI chaos knobs: MPROS_CHAOS_DROP / MPROS_CHAOS_DUP / MPROS_CHAOS_SEED
-  // crank the transport pathologies without a rebuild, MPROS_CHAOS_SHARDS
-  // runs the whole flow through the sharded PDME (E18), and
+  // crank the transport pathologies without a rebuild, and
   // MPROS_CHAOS_BATCH toggles sync-window ReportBatch coalescing (E21):
   // "0" forces the legacy one-datagram-per-report flush under the same
   // weather.
   const char* drop = std::getenv("MPROS_CHAOS_DROP");
   const char* dup = std::getenv("MPROS_CHAOS_DUP");
   const char* seed = std::getenv("MPROS_CHAOS_SEED");
-  const char* shards = std::getenv("MPROS_CHAOS_SHARDS");
   const char* batch = std::getenv("MPROS_CHAOS_BATCH");
 
   ShipSystemConfig cfg = small_config();
@@ -471,7 +448,6 @@ TEST(ChaosSmokeTest, HostileTransportConfiguredFromEnvironment) {
   cfg.network.duplicate_probability = dup ? std::atof(dup) : 0.05;
   cfg.network.jitter = SimTime::from_millis(200.0);
   cfg.network.seed = seed ? std::strtoull(seed, nullptr, 0) : 0xC4405;
-  cfg.pdme.shard_count = shards ? std::strtoull(shards, nullptr, 0) : 0;
   if (batch != nullptr) cfg.dc_template.batch_reports = std::atoi(batch) != 0;
 
   ShipSystem ship(cfg);
@@ -611,6 +587,62 @@ TEST(SupervisorRecoveryTest, ManualRestartPreservesStreamAndConfig) {
   ASSERT_FALSE(list.empty());
   EXPECT_EQ(list.front().mode, FailureMode::MotorImbalance);
   EXPECT_GT(ship.concentrator(0).reliable().last_sequence(), seq_before);
+}
+
+// --- Golden output digest ------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& text) {
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Runs a seeded two-plant ship with two scheduled faults and digests what
+/// an operator and a test can see of it: the browser summary, the ICAS
+/// export and every PDME counter.
+std::uint64_t golden_digest(bool auto_retest, std::uint64_t* retests) {
+  ShipSystemConfig cfg = small_config();
+  cfg.seed = 0x601DE7;
+  cfg.pdme.auto_retest = auto_retest;
+  ShipSystem ship(cfg);
+  ship.chiller(0).faults().schedule({FailureMode::MotorImbalance,
+                                     SimTime::from_seconds(900), SimTime(0),
+                                     0.95, plant::GrowthProfile::Step});
+  ship.chiller(1).faults().schedule({FailureMode::RefrigerantLeak,
+                                     SimTime::from_seconds(2400),
+                                     SimTime::from_hours(1.0), 0.9,
+                                     plant::GrowthProfile::Linear});
+  ship.run_until(SimTime::from_hours(4.0));
+
+  const auto s = ship.pdme().snapshot();
+  *retests = s.retests_commanded;
+  const std::uint64_t counters[] = {
+      s.reports_accepted,     s.duplicates_dropped,  s.malformed_dropped,
+      s.fusion_updates,       s.sensor_batches,      s.retests_commanded,
+      s.envelopes_accepted,   s.duplicate_envelopes, s.batches_received,
+      s.batched_reports,      s.acks_sent,           s.gaps_detected,
+      s.heartbeats_received,  s.sensor_fault_reports, s.liveness_transitions,
+      s.commands_sent,        s.command_acks};
+  std::string text = pdme::render_summary(ship.pdme(), ship.model());
+  text += pdme::export_icas_csv(ship.pdme(), ship.model());
+  for (const std::uint64_t c : counters) text += std::to_string(c) + ';';
+  return fnv1a(0xcbf29ce484222325ULL, text);
+}
+
+TEST(GoldenDigestTest, SeededShipOutputPinned) {
+  // Pins the operator-visible output of the ingest path, with and without
+  // adaptive retests, so a refactor of the PDME cannot drift it silently.
+  // Recorded on x86-64 with GCC 12 and glibc 2.36; a libm whose sin or
+  // normal_distribution return other bits moves it too.
+  std::uint64_t retests = 0;
+  EXPECT_EQ(golden_digest(/*auto_retest=*/false, &retests),
+            0xAAF814C0486999B3ULL);
+  EXPECT_EQ(retests, 0u);
+  EXPECT_EQ(golden_digest(/*auto_retest=*/true, &retests),
+            0x09129C044D433782ULL);
+  EXPECT_GT(retests, 0u);
 }
 
 }  // namespace

@@ -440,82 +440,5 @@ TEST_F(PdmeTest, SensorFaultReportsBypassFusionIntoQuarantineLedger) {
   EXPECT_EQ(pdme_.sensor_faults(/*active_only=*/false).size(), 1u);
 }
 
-// --- Sharded executive (E18) -------------------------------------------------
-
-TEST(PdmeShardedTest, DeferredPostsMaterializeAtSynchronize) {
-  oosm::ObjectModel model;
-  const auto ship = oosm::build_ship(model, "Test", 1, 1);
-  const ObjectId motor = ship.plants.front().motor;
-  PdmeConfig cfg;
-  cfg.shard_count = 2;
-  PdmeExecutive exec(model, cfg);
-  const std::size_t baseline = model.object_count();
-
-  // Sharded accept() only enqueues: no object id yet, no OOSM mutation.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(exec.accept(make_report(motor, FailureMode::MotorImbalance,
-                                         0.6, 0.6, /*ks=*/i + 1,
-                                         100.0 + 10.0 * i))
-                     .has_value());
-  }
-  EXPECT_EQ(model.object_count(), baseline);
-
-  // The aggregation barrier drains the workers and replays the posts.
-  exec.synchronize();
-  EXPECT_EQ(model.object_count(), baseline + 3);
-  EXPECT_EQ(exec.stats().reports_accepted, 3u);
-  const auto state =
-      exec.group_state(motor, domain::LogicalGroup::RotorDynamics);
-  EXPECT_EQ(state.report_count, 3u);
-}
-
-TEST(PdmeShardedTest, BlockPolicyShedsNothing) {
-  oosm::ObjectModel model;
-  const auto ship = oosm::build_ship(model, "Test", 2, 2);
-  PdmeConfig cfg;
-  cfg.shard_count = 4;
-  cfg.shard_queue_capacity = 2;  // force backpressure, not loss
-  cfg.overflow_policy = OverflowPolicy::Block;
-  PdmeExecutive exec(model, cfg);
-
-  std::vector<ObjectId> machines;
-  for (const auto& plant : ship.plants) {
-    machines.insert(machines.end(), {plant.chiller, plant.motor, plant.gearbox,
-                                     plant.compressor});
-  }
-  constexpr std::size_t kReports = 300;
-  for (std::size_t i = 0; i < kReports; ++i) {
-    exec.accept(make_report(machines[i % machines.size()],
-                            FailureMode::MotorBearingWear, 0.5, 0.5, /*ks=*/1,
-                            100.0 + static_cast<double>(i)));
-  }
-  exec.synchronize();
-  // Block is lossless: every distinct report fused, however small the queue.
-  EXPECT_EQ(exec.stats().reports_accepted, kReports);
-}
-
-TEST(PdmeShardedTest, DropOldestAccountsForEveryEviction) {
-  oosm::ObjectModel model;
-  const auto ship = oosm::build_ship(model, "Test", 1, 1);
-  const ObjectId motor = ship.plants.front().motor;
-  PdmeConfig cfg;
-  cfg.shard_count = 1;
-  cfg.shard_queue_capacity = 2;
-  cfg.overflow_policy = OverflowPolicy::DropOldest;
-  PdmeExecutive exec(model, cfg);
-
-  constexpr std::size_t kReports = 500;
-  for (std::size_t i = 0; i < kReports; ++i) {
-    exec.accept(make_report(motor, FailureMode::MotorImbalance, 0.5, 0.5, 1,
-                            100.0 + static_cast<double>(i)));
-  }
-  exec.synchronize();
-  // Conservation under shedding: every submission either fused or was the
-  // push that found the queue full and evicted its oldest entry.
-  const auto stats = exec.stats();
-  EXPECT_EQ(stats.reports_accepted + stats.queue_full, kReports);
-  EXPECT_LE(stats.reports_accepted, kReports);
-}
-
 }  // namespace
 }  // namespace mpros::pdme

@@ -469,29 +469,22 @@ INSTANTIATE_TEST_SUITE_P(
              "_s" + std::to_string(static_cast<int>(inst.param.scale));
     });
 
-// --- Sharded PDME equivalence (E18) -----------------------------------------
+// --- PDME ingest stream fixture ----------------------------------------------
 //
-// The determinism contract of the sharded executive: for any report stream,
-// an N-shard PDME drained through synchronize() leaves OOSM, fused state and
-// browser output byte-identical to the single-threaded inline executive.
-// Per-machine order is preserved (a machine always hashes to the same shard,
-// the shard queue is FIFO), deferred OOSM posts replay in global arrival
-// order, and per-shard dedup sees every signature for its machines.
+// A four-plant ship model with its own executive, plus a seeded report
+// stream to feed it.
 
-class PdmeShardEquivalenceTest : public ::testing::TestWithParam<std::size_t> {
+class PdmeStreamFixture : public ::testing::TestWithParam<std::size_t> {
  protected:
   struct Rig {
     oosm::ObjectModel model;
     oosm::ShipModel ship;
     std::unique_ptr<pdme::PdmeExecutive> exec;
 
-    explicit Rig(std::size_t shard_count)
+    Rig()
         : ship(oosm::build_ship(model, "Prop", /*decks=*/2,
-                                /*plants_per_deck=*/2)) {
-      pdme::PdmeConfig cfg;
-      cfg.shard_count = shard_count;
-      exec = std::make_unique<pdme::PdmeExecutive>(model, cfg);
-    }
+                                /*plants_per_deck=*/2)),
+          exec(std::make_unique<pdme::PdmeExecutive>(model)) {}
 
     [[nodiscard]] std::vector<ObjectId> machines() const {
       std::vector<ObjectId> out;
@@ -555,76 +548,14 @@ class PdmeShardEquivalenceTest : public ::testing::TestWithParam<std::size_t> {
   }
 };
 
-TEST_P(PdmeShardEquivalenceTest, FusedStateMatchesInlineByteForByte) {
-  Rig baseline(0);  // historical single-threaded executive
-  Rig sharded(GetParam());
-  ASSERT_EQ(sharded.exec->shard_count(), GetParam());
-
-  const std::vector<ObjectId> machines = baseline.machines();
-  const auto stream = make_stream(machines);
-  for (const auto& r : stream) baseline.exec->accept(r);
-  baseline.exec->synchronize();  // no-op inline, but part of the contract
-  for (const auto& r : stream) sharded.exec->accept(r);
-  sharded.exec->synchronize();
-
-  // Accounting identical; Block policy means nothing was shed.
-  const auto a = baseline.exec->stats();
-  const auto b = sharded.exec->stats();
-  EXPECT_EQ(a.reports_accepted, b.reports_accepted);
-  EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped);
-  EXPECT_EQ(a.malformed_dropped, b.malformed_dropped);
-  EXPECT_EQ(a.fusion_updates, b.fusion_updates);
-  EXPECT_EQ(a.sensor_fault_reports, b.sensor_fault_reports);
-  EXPECT_EQ(b.queue_full, 0u);
-  EXPECT_GT(b.reports_accepted, 0u);
-  EXPECT_GT(b.duplicates_dropped, 0u);  // the stream really had retransmits
-
-  // OOSM: identical population in identical creation order (deferred posts
-  // replay in global arrival order).
-  const auto objs_a = baseline.model.all_objects();
-  const auto objs_b = sharded.model.all_objects();
-  ASSERT_EQ(objs_a.size(), objs_b.size());
-  for (std::size_t i = 0; i < objs_a.size(); ++i) {
-    ASSERT_EQ(objs_a[i].value(), objs_b[i].value());
-    EXPECT_EQ(baseline.model.name(objs_a[i]), sharded.model.name(objs_b[i]));
-  }
-
-  // Quarantine ledger agrees.
-  const auto faults_a = baseline.exec->sensor_faults(/*active_only=*/false);
-  const auto faults_b = sharded.exec->sensor_faults(/*active_only=*/false);
-  ASSERT_EQ(faults_a.size(), faults_b.size());
-  for (std::size_t i = 0; i < faults_a.size(); ++i) {
-    EXPECT_EQ(faults_a[i].dc.value(), faults_b[i].dc.value());
-    EXPECT_EQ(faults_a[i].kind, faults_b[i].kind);
-    EXPECT_DOUBLE_EQ(faults_a[i].severity, faults_b[i].severity);
-  }
-
-  // Browser pages byte-identical: fleet summary and every machine screen.
-  EXPECT_EQ(pdme::render_summary(*baseline.exec, baseline.model, 50),
-            pdme::render_summary(*sharded.exec, sharded.model, 50));
-  for (const ObjectId m : machines) {
-    EXPECT_EQ(pdme::render_machine(*baseline.exec, baseline.model, m),
-              pdme::render_machine(*sharded.exec, sharded.model, m));
-  }
-  EXPECT_EQ(pdme::export_icas_csv(*baseline.exec, baseline.model),
-            pdme::export_icas_csv(*sharded.exec, sharded.model));
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardCounts, PdmeShardEquivalenceTest,
-                         ::testing::Values<std::size_t>(1, 2, 4, 8),
-                         [](const auto& inst) {
-                           return "shards" + std::to_string(inst.param);
-                         });
-
 // --- E21: batched submit() is byte-identical to singleton submit() -----------
 //
 // The committed guarantee of the batched ingest redesign: however the same
 // report stream is partitioned into submit() spans — including the whole
-// window at once, and with fusion sharded — the OOSM population, browser
-// pages, ICAS export, and report-level counters match the one-report-at-a-
-// time inline executive exactly.
+// window at once — the OOSM population, browser pages, ICAS export, and
+// report-level counters match one-report-at-a-time submission exactly.
 
-class PdmeBatchEquivalenceTest : public PdmeShardEquivalenceTest {
+class PdmeBatchEquivalenceTest : public PdmeStreamFixture {
  protected:
   static std::vector<net::ReportEnvelope> to_envelopes(
       const std::vector<net::FailureReport>& stream) {
@@ -655,7 +586,6 @@ class PdmeBatchEquivalenceTest : public PdmeShardEquivalenceTest {
       exec.submit({envs.data() + i, n});
       i += n;
     }
-    exec.synchronize();
   }
 
   /// Deep equivalence: every object (id, name, kind, every property value,
@@ -669,7 +599,6 @@ class PdmeBatchEquivalenceTest : public PdmeShardEquivalenceTest {
     EXPECT_EQ(sa.malformed_dropped, sb.malformed_dropped);
     EXPECT_EQ(sa.fusion_updates, sb.fusion_updates);
     EXPECT_EQ(sa.sensor_fault_reports, sb.sensor_fault_reports);
-    EXPECT_EQ(sb.queue_full, 0u);
 
     const auto objs_a = a.model.all_objects();
     const auto objs_b = b.model.all_objects();
@@ -709,8 +638,8 @@ class PdmeBatchEquivalenceTest : public PdmeShardEquivalenceTest {
 };
 
 TEST_P(PdmeBatchEquivalenceTest, PartitionedSubmitMatchesSingleton) {
-  Rig singleton(0);
-  Rig batched(0);
+  Rig singleton;
+  Rig batched;
   const std::vector<ObjectId> machines = singleton.machines();
   const auto envs = to_envelopes(make_stream(machines));
 
@@ -720,28 +649,17 @@ TEST_P(PdmeBatchEquivalenceTest, PartitionedSubmitMatchesSingleton) {
 }
 
 TEST_F(PdmeBatchEquivalenceTest, RandomizedPartitionsMatchSingleton) {
-  Rig singleton(0);
+  Rig singleton;
   const std::vector<ObjectId> machines = singleton.machines();
   const auto envs = to_envelopes(make_stream(machines));
   submit_partitioned(*singleton.exec, envs, /*batch=*/1);
 
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    Rig batched(0);
+    Rig batched;
     Rng rng(0xBA7C4 + seed);
     submit_partitioned(*batched.exec, envs, /*batch=*/16, &rng);
     expect_equivalent(singleton, batched, machines);
   }
-}
-
-TEST_F(PdmeBatchEquivalenceTest, BatchedShardedMatchesSingletonInline) {
-  Rig singleton(0);
-  Rig sharded(2);
-  const std::vector<ObjectId> machines = singleton.machines();
-  const auto envs = to_envelopes(make_stream(machines));
-
-  submit_partitioned(*singleton.exec, envs, /*batch=*/1);
-  submit_partitioned(*sharded.exec, envs, /*batch=*/64);
-  expect_equivalent(singleton, sharded, machines);
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, PdmeBatchEquivalenceTest,

@@ -180,18 +180,9 @@ int main(int argc, char** argv) {
     }
     for (std::size_t k = 0; k < fleet.ship_count(); ++k) {
       const auto ps = fleet.ship(k).pdme().stats();
-      std::printf("hull %zu pdme: queue_full %llu, commands %llu, "
-                  "command acks %llu",
-                  k + 1, static_cast<unsigned long long>(ps.queue_full),
-                  static_cast<unsigned long long>(ps.commands_sent),
+      std::printf("hull %zu pdme: commands %llu, command acks %llu\n",
+                  k + 1, static_cast<unsigned long long>(ps.commands_sent),
                   static_cast<unsigned long long>(ps.command_acks));
-      for (std::size_t sh = 0; sh < fleet.ship(k).pdme().shard_count(); ++sh) {
-        std::printf(", shard%zu.depth %.0f", sh,
-                    telemetry::Registry::instance()
-                        .gauge("pdme.shard" + std::to_string(sh) + ".depth")
-                        .value());
-      }
-      std::printf("\n");
     }
     auto& reg = telemetry::Registry::instance();
     std::printf("supervisor: wedges %llu, restarts %llu; config: "

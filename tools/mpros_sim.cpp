@@ -217,14 +217,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.network.dropped),
                   static_cast<unsigned long long>(stats.network.duplicated),
                   static_cast<unsigned long long>(pstats.retests_commanded));
-      std::printf("queue_full=%llu",
-                  static_cast<unsigned long long>(pstats.queue_full));
-      for (std::size_t s = 0; s < ship.pdme().shard_count(); ++s) {
-        std::printf(" shard%zu.depth=%.0f", s,
-                    reg.gauge("pdme.shard" + std::to_string(s) + ".depth")
-                        .value());
-      }
-      std::printf("\nsupervisor: wedges=%llu restarts=%llu; config: "
+      std::printf("supervisor: wedges=%llu restarts=%llu; config: "
                   "commands=%llu acks=%llu applied=%llu rejected=%llu\n\n",
                   static_cast<unsigned long long>(
                       reg.counter("dc.wedges_detected").value()),

@@ -3,10 +3,10 @@
 // Drives N independent hulls through a long simulated voyage while chaos
 // injection hammers the shipboard layer, and re-checks the system's
 // standing invariants at every soak checkpoint — not just at the end, so a
-// violation pins the simulated minute it first appeared. Hull 0 runs the
-// sharded PDME and hull 1 is its inline mirror (same seed, same faults,
-// same chaos), turning the E18 shard-equivalence property into a
-// continuously evaluated invariant.
+// violation pins the simulated minute it first appeared. Hulls 0 and 1 are
+// mirrors (same seed, same faults, same chaos), turning run-to-run
+// determinism — across crashes and rebuilds too — into a continuously
+// evaluated invariant.
 //
 // Chaos knobs come from the environment so one binary serves both the CI
 // job and the nightly soak without recompilation:
@@ -28,7 +28,7 @@
 //                            satisfying every invariant, I1 included
 //
 // Invariants (any violation = nonzero exit naming the simulated time):
-//   I1 shard equivalence      the mirror hulls' fused views render
+//   I1 mirror determinism     the mirror hulls' fused views render
 //                             byte-identical (summary + ICAS export)
 //   I2 delivery conservation  per hull: sent + duplicated ==
 //                             delivered + dropped + dead_lettered + in_flight
@@ -186,8 +186,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- assemble the fleet -------------------------------------------------
-  // Hull 0 shards its PDME, hull 1 is the inline mirror with the identical
-  // seed/fault/chaos script; hulls 2.. add population under varied seeds.
+  // Hulls 0 and 1 are mirrors with the identical seed/fault/chaos script;
+  // hulls 2.. add population under varied seeds.
   const auto make_cfg = [&](std::size_t h) {
     ShipSystemConfig cfg;
     cfg.plant_count = plants;
@@ -196,8 +196,6 @@ int main(int argc, char** argv) {
     cfg.network.seed = mirror_pair ? 0xC0FFEE : 0xC0FFEE + h;
     cfg.network.drop_probability = chaos_drop;
     cfg.network.duplicate_probability = chaos_dup;
-    cfg.pdme.shard_count = (h == 1) ? 0 : 2;  // hull 1 is the inline mirror
-    cfg.pdme.auto_retest = false;  // retest timing differs inline vs sharded
     cfg.dc_template.batch_reports = chaos_batch;
     if (crash_period_s > 0.0 && mirror_pair) {
       cfg.enable_durability = true;
@@ -287,7 +285,7 @@ int main(int argc, char** argv) {
     if (chaos_live && next_crash.micros() >= 0 && t >= next_crash) {
       // Kill -9 analogue on BOTH mirror hulls: destroy each ShipSystem with
       // no shutdown path, then rebuild over its durable directory. Both
-      // recover the same committed barrier, so the shard-equivalence
+      // recover the same committed barrier, so the mirror-determinism
       // invariant must keep holding for the rest of the voyage.
       const SimTime committed = fleet[0]->now();
       for (std::size_t h = 0; h < 2 && h < ships; ++h) {
@@ -362,11 +360,9 @@ int main(int argc, char** argv) {
     next_check = next_check + check;
 
     // I1: the mirror hulls must agree byte-for-byte.
-    const std::string sharded = fused_fingerprint(*fleet[0]);
-    const std::string inlined = fused_fingerprint(*fleet[1]);
-    if (sharded != inlined) {
-      return fail(t, "shard equivalence broken: hull 0 (sharded) and hull 1 "
-                     "(inline mirror) render different fused views");
+    if (fused_fingerprint(*fleet[0]) != fused_fingerprint(*fleet[1])) {
+      return fail(t, "mirror determinism broken: hulls 0 and 1 render "
+                     "different fused views");
     }
 
     for (std::size_t h = 0; h < ships; ++h) {
@@ -447,7 +443,7 @@ int main(int argc, char** argv) {
       "  chaos:   %zu outage(s), %zu wedge(s), %zu config churn(s), "
       "%zu crash(es)\n"
       "  healed:  %llu wedge(s) detected, %llu supervised restart(s)\n"
-      "  config:  %llu applied, %llu rejected; pdme.queue_full=%llu\n",
+      "  config:  %llu applied, %llu rejected\n",
       hours, static_cast<unsigned long long>(datagrams),
       static_cast<unsigned long long>(reports),
       static_cast<unsigned long long>(samples), outage_count, wedge_count,
@@ -458,8 +454,7 @@ int main(int argc, char** argv) {
           reg.counter("mpros.supervisor_restarts").value()),
       static_cast<unsigned long long>(reg.counter("dc.config_applied").value()),
       static_cast<unsigned long long>(
-          reg.counter("dc.config_rejected").value()),
-      static_cast<unsigned long long>(reg.counter("pdme.queue_full").value()));
+          reg.counter("dc.config_rejected").value()));
   if (chaos_wedge && wedge_count > 0 &&
       reg.counter("mpros.supervisor_restarts").value() == 0) {
     std::fprintf(stderr, "mpros_soak: wedges were injected but the "

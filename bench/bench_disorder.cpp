@@ -57,7 +57,8 @@ FusedSummary run_delivery(const net::NetworkConfig& net_cfg, std::size_t n) {
   pdme.attach_to_network(network);
 
   for (const auto& r : report_set(ship.plants[0].motor, n)) {
-    network.send("dc-1", "pdme", net::wrap(r), r.timestamp);
+    network.send("dc-1", "pdme", net::wrap_batch_envelope(r.dc, 0, {&r, 1}),
+                 r.timestamp);
   }
   network.flush();
 
@@ -66,7 +67,7 @@ FusedSummary run_delivery(const net::NetworkConfig& net_cfg, std::size_t n) {
   FusedSummary s;
   s.imbalance = state.modes[0].belief;
   s.unknown = state.unknown;
-  s.fused = pdme.stats().reports_accepted;
+  s.fused = pdme.snapshot().reports_accepted;
   return s;
 }
 

@@ -19,6 +19,7 @@
 // repo root to refresh the committed snapshot).
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,10 +101,14 @@ SweepPoint run_sweep(double drop, bool reliable) {
            kEmitPeriodS * static_cast<double>(next_report) <= t) {
       const net::FailureReport r = make_report(ship.plants[0].motor,
                                                next_report++);
+      // Each report rides a batch of one: sealed on the reliable stream,
+      // or unsequenced (sequence 0) fire-and-forget.
       if (reliable) {
-        network.send("dc-1", "pdme", sender.envelope(r, now), now);
+        network.send("dc-1", "pdme", sender.envelope(std::span(&r, 1), now),
+                     now);
       } else {
-        network.send("dc-1", "pdme", net::wrap(r), now);
+        network.send("dc-1", "pdme",
+                     net::wrap_batch_envelope(DcId(1), 0, {&r, 1}), now);
       }
     }
     if (reliable) {
@@ -122,10 +127,10 @@ SweepPoint run_sweep(double drop, bool reliable) {
   p.drop = drop;
   p.reliable = reliable;
   p.emitted = kReports;
-  p.applied = pdme.stats().reports_accepted;
-  p.retransmits = sender.stats().retransmits;
-  p.duplicates = pdme.stats().duplicates_dropped;
-  p.gaps = pdme.stats().gaps_detected;
+  p.applied = pdme.snapshot().reports_accepted;
+  p.retransmits = sender.snapshot().retransmits;
+  p.duplicates = pdme.snapshot().duplicates_dropped;
+  p.gaps = pdme.snapshot().gaps_detected;
   p.applied_fraction =
       static_cast<double>(p.applied) / static_cast<double>(p.emitted);
   return p;

@@ -143,8 +143,8 @@ SweepPoint run_point(std::size_t reader_count) {
   p.readers = reader_count;
   for (const std::uint64_t n : reads) p.reads += n;
   p.reads_per_s = static_cast<double>(p.reads) / elapsed;
-  p.summaries_applied = server.stats().summaries_applied;
-  p.publishes = server.stats().publishes;
+  p.summaries_applied = server.stats_snapshot().summaries_applied;
+  p.publishes = server.stats_snapshot().publishes;
   return p;
 }
 

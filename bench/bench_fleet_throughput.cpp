@@ -96,7 +96,7 @@ void BM_WireSerialization(benchmark::State& state) {
   r.prognostics = {{0.1, 86400.0}, {0.5, 604800.0}, {0.9, 2592000.0}};
   for (auto _ : state) {
     const auto bytes = net::serialize(r);
-    benchmark::DoNotOptimize(net::deserialize_report(bytes));
+    benchmark::DoNotOptimize(net::try_deserialize_report(bytes));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel("report round-trips");
@@ -143,7 +143,7 @@ std::vector<net::FailureReport> sweep_stream(const oosm::ShipModel& ship) {
 }
 
 /// One DC sync window's worth of coalesced reports per submit() span (E21):
-/// the wire batch size the DCs produce with batch_reports on.
+/// the wire batch size the DCs produce.
 constexpr std::size_t kIngestBatch = 256;
 
 /// The sweep stream as prebuilt submit() envelopes (unsequenced: the bench
@@ -178,7 +178,7 @@ double measure_batched_rate(const std::vector<net::ReportEnvelope>& envs) {
   }
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return static_cast<double>(pdme.stats().reports_accepted) / secs;
+  return static_cast<double>(pdme.snapshot().reports_accepted) / secs;
 }
 
 /// The pre-E21 call shape for comparison: one accept() (an envelope build
@@ -194,7 +194,7 @@ double measure_singleton_rate(const std::vector<net::FailureReport>& stream) {
   for (const auto& r : stream) pdme.accept(r);
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return static_cast<double>(pdme.stats().reports_accepted) / secs;
+  return static_cast<double>(pdme.snapshot().reports_accepted) / secs;
 }
 
 void BM_PdmeBatchedIngest(benchmark::State& state) {

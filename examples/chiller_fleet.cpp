@@ -77,10 +77,10 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  if (ship.pdme().stats().retests_commanded > 0) {
+  if (ship.pdme().snapshot().retests_commanded > 0) {
     std::printf("PDME commanded %llu closer-look vibration tests.\n\n",
                 static_cast<unsigned long long>(
-                    ship.pdme().stats().retests_commanded));
+                    ship.pdme().snapshot().retests_commanded));
   }
 
   std::printf("--- ICAS export ---\n%s\n",

@@ -77,7 +77,8 @@ int main() {
   net::SimNetwork network(hostile);
   pdme_b.attach_to_network(network);
   for (const auto& r : make_reports(ship_b.plants[0].motor)) {
-    network.send("dc-1", "pdme", net::wrap(r), r.timestamp);
+    network.send("dc-1", "pdme", net::wrap_batch_envelope(r.dc, 0, {&r, 1}),
+                 r.timestamp);
   }
   network.flush();
 
@@ -85,8 +86,8 @@ int main() {
   print_state("Disordered + duplicated delivery:", pdme_b,
               ship_b.plants[0].motor);
 
-  const auto na = pdme_a.stats();
-  const auto nb = pdme_b.stats();
+  const auto na = pdme_a.snapshot();
+  const auto nb = pdme_b.snapshot();
   std::printf("\nreports fused: in-order=%llu, disordered=%llu "
               "(duplicates dropped: %llu)\n",
               static_cast<unsigned long long>(na.reports_accepted),

@@ -169,21 +169,18 @@ void DataConcentrator::register_tasks(SimTime resume_at) {
       "process-scan", next_slot(resume_at, SimTime(0), cfg_.process_period),
       cfg_.process_period,
       [this](SimTime now) { run_process_scan(now); });
-  if (cfg_.reliable_delivery) {
-    const SimTime phase =
-        cfg_.desync_phase ? net::desync_phase(cfg_.id.value() << 1,
-                                              cfg_.retransmit_sweep_period)
-                          : SimTime(0);
-    sweep_task_ = scheduler_.add_periodic(
-        "retransmit-sweep",
-        next_slot(resume_at, phase, cfg_.retransmit_sweep_period),
-        cfg_.retransmit_sweep_period, [this](SimTime now) {
-          for (auto& payload : reliable_.due_retransmits(now)) {
-            wire_outbox_.push_back(WireDatagram{now, std::move(payload)});
-          }
-        });
-    has_sweep_task_ = true;
-  }
+  const SimTime sweep_phase =
+      cfg_.desync_phase ? net::desync_phase(cfg_.id.value() << 1,
+                                            cfg_.retransmit_sweep_period)
+                        : SimTime(0);
+  sweep_task_ = scheduler_.add_periodic(
+      "retransmit-sweep",
+      next_slot(resume_at, sweep_phase, cfg_.retransmit_sweep_period),
+      cfg_.retransmit_sweep_period, [this](SimTime now) {
+        for (auto& payload : reliable_.due_retransmits(now)) {
+          wire_outbox_.push_back(WireDatagram{now, std::move(payload)});
+        }
+      });
   if (cfg_.heartbeat_period.micros() > 0) {
     const SimTime phase =
         cfg_.desync_phase ? net::desync_phase((cfg_.id.value() << 1) | 1,
@@ -195,8 +192,7 @@ void DataConcentrator::register_tasks(SimTime resume_at) {
           net::HeartbeatMessage hb;
           hb.dc = cfg_.id;
           hb.timestamp = now;
-          hb.last_sequence =
-              cfg_.reliable_delivery ? reliable_.last_sequence() : 0;
+          hb.last_sequence = reliable_.last_sequence();
           wire_outbox_.push_back(WireDatagram{now, net::wrap(hb)});
           ++stats_.heartbeats_sent;
         });
@@ -476,12 +472,10 @@ bool DataConcentrator::apply_setting(std::string_view key, double value,
       }
     }
   } else if (key == "dc.retransmit_sweep_period_s") {
-    ok = value > 0.0 && cfg_.reliable_delivery;
+    ok = value > 0.0;
     if (ok) {
       cfg_.retransmit_sweep_period = SimTime::from_seconds(value);
-      if (has_sweep_task_) {
-        scheduler_.set_period(sweep_task_, cfg_.retransmit_sweep_period);
-      }
+      scheduler_.set_period(sweep_task_, cfg_.retransmit_sweep_period);
     }
   } else {
     ok = false;

@@ -85,16 +85,10 @@ struct DcConfig {
   /// are withheld from the analyzers and reported as sensor faults.
   bool enable_sensor_validation = true;
   SensorValidatorConfig sensor_validation = chiller_validator_config();
-  /// Reliable report delivery: wrap reports in sequence-numbered envelopes,
-  /// buffer them until the PDME acks, and retransmit with backoff. Off =
-  /// legacy fire-and-forget FailureReportMsg datagrams.
-  bool reliable_delivery = true;
+  /// Reliable report delivery: each sync window's reports ride one
+  /// sequence-numbered ReportBatch datagram, buffered until the PDME acks
+  /// and retransmitted with backoff.
   net::ReliableConfig reliable;
-  /// Coalesce each sync window's reports into one ReportBatch datagram
-  /// (one sequence number on the reliable stream). Off = legacy
-  /// one-datagram-per-report flushing. Fused output is identical either
-  /// way; batching exists for wire and ingest efficiency.
-  bool batch_reports = true;
   /// Cadence of the scheduler task that sweeps the retransmit buffer.
   SimTime retransmit_sweep_period = SimTime::from_seconds(60.0);
   /// Cadence of DC->PDME liveness heartbeats (0 disables).
@@ -261,10 +255,6 @@ class DataConcentrator {
   /// ran (wedged advances do not count). The supervisor watches this.
   [[nodiscard]] std::uint64_t progress() const { return progress_; }
 
-  [[nodiscard]] bool reliable_delivery() const {
-    return cfg_.reliable_delivery;
-  }
-  [[nodiscard]] bool batch_reports() const { return cfg_.batch_reports; }
   [[nodiscard]] net::ReliableSender& reliable() { return reliable_; }
   [[nodiscard]] const SensorValidator& validator() const {
     return validator_;
@@ -332,7 +322,6 @@ class DataConcentrator {
   EventScheduler::TaskId vibration_task_ = 0;
   EventScheduler::TaskId process_task_ = 0;
   EventScheduler::TaskId sweep_task_ = 0;
-  bool has_sweep_task_ = false;
   EventScheduler::TaskId heartbeat_task_ = 0;
   bool has_heartbeat_task_ = false;
   db::Database db_;

@@ -506,7 +506,7 @@ std::string FleetServer::render_fleet_view(std::size_t max_items) const {
 
 net::ReliableReceiver::Stats FleetServer::receiver_stats() const {
   std::lock_guard lock(mu_);
-  return receiver_.stats();
+  return receiver_.snapshot();
 }
 
 std::uint64_t FleetServer::cumulative(ShipId ship) const {

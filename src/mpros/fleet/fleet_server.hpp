@@ -232,8 +232,6 @@ class FleetServer {
   /// fleet-wide snapshot() convention because snapshot() here is the
   /// published FleetSnapshot epoch accessor.
   [[nodiscard]] Stats stats_snapshot() const;
-  /// Deprecated: thin shim for stats_snapshot() — same value, older name.
-  [[nodiscard]] Stats stats() const { return stats_snapshot(); }
 
  private:
   struct ShipState {

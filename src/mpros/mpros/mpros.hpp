@@ -22,7 +22,6 @@
 #include "mpros/dsp/fft.hpp"
 #include "mpros/dsp/filter.hpp"
 #include "mpros/dsp/spectrum.hpp"
-#include "mpros/dsp/stft.hpp"
 #include "mpros/dsp/stats.hpp"
 #include "mpros/dsp/window.hpp"
 #include "mpros/wavelet/dwt.hpp"

@@ -51,17 +51,6 @@ std::optional<ReplayResult> replay_recording(
       continue;
     }
     switch (*type) {
-      case net::MessageType::FailureReportMsg: {
-        const auto report = net::try_unwrap_report(frame.payload);
-        if (!report.has_value()) {
-          ++result.malformed;
-          break;
-        }
-        pdme.note_dc_alive(report->dc, delivered_at);
-        pdme.accept(*report);
-        ++result.messages_replayed;
-        break;
-      }
       case net::MessageType::SensorData: {
         const auto data = net::try_unwrap_sensor_data(frame.payload);
         if (!data.has_value()) {
@@ -73,23 +62,9 @@ std::optional<ReplayResult> replay_recording(
         ++result.messages_replayed;
         break;
       }
-      case net::MessageType::ReportEnvelopeMsg: {
-        // Replay bypasses the reliable layer: signature dedup inside
-        // accept() absorbs recorded retransmissions of the same envelope.
-        const auto env = net::try_unwrap_envelope(frame.payload);
-        if (!env.has_value()) {
-          ++result.malformed;
-          break;
-        }
-        pdme.note_dc_alive(env->dc, delivered_at);
-        pdme.accept(env->report);
-        ++result.messages_replayed;
-        break;
-      }
-      case net::MessageType::ReportBatchMsg:
       case net::MessageType::ReportBatchEnvelopeMsg: {
-        // Same contract as the envelope case: the reliable layer is
-        // bypassed, signature dedup absorbs recorded retransmissions.
+        // Replay bypasses the reliable layer: signature dedup inside
+        // accept() absorbs recorded retransmissions of the same batch.
         std::vector<net::ReportEnvelope> arena;
         const auto view = net::try_unwrap_reports_into(frame.payload, arena);
         if (!view.has_value()) {
@@ -120,8 +95,9 @@ std::optional<ReplayResult> replay_recording(
     }
   }
 
-  result.reports_fused = pdme.stats().reports_accepted;
-  result.sensor_batches = pdme.stats().sensor_batches;
+  const pdme::PdmeExecutive::Stats stats = pdme.snapshot();
+  result.reports_fused = stats.reports_accepted;
+  result.sensor_batches = stats.sensor_batches;
   result.summary = pdme::render_summary(pdme, model);
   return result;
 }

@@ -404,27 +404,12 @@ void ShipSystem::flush_dc(std::size_t i,
                           const std::vector<net::FailureReport>& reports) {
   const std::string endpoint = "dc-" + std::to_string(i + 1);
   dc::DataConcentrator& dc = *dcs_[i];
-  const bool reliable = dc.reliable_delivery();
-  if (dc.batch_reports() && !reports.empty()) {
-    // The whole sync window rides one ReportBatch datagram — in reliable
-    // mode sealed under a single sequence number, so the retransmit window
-    // and ack traffic scale with flushes, not reports.
-    const std::span<const net::FailureReport> window(reports.data(),
-                                                     reports.size());
+  if (!reports.empty()) {
+    // The whole sync window rides one ReportBatch datagram sealed under a
+    // single sequence number, so the retransmit window and ack traffic
+    // scale with flushes, not reports.
     const SimTime at = reports.back().timestamp;
-    network_.send(endpoint, "pdme",
-                  reliable ? dc.reliable().envelope(window, at)
-                           : net::wrap_batch(DcId(i + 1), window),
-                  at);
-  } else {
-    for (const net::FailureReport& report : reports) {
-      // Reliable mode seals each report in a sequence-numbered envelope and
-      // buffers it for retransmission until the PDME's cumulative ack.
-      network_.send(endpoint, "pdme",
-                    reliable ? dc.reliable().envelope(report, report.timestamp)
-                             : net::wrap(report),
-                    report.timestamp);
-    }
+    network_.send(endpoint, "pdme", dc.reliable().envelope(reports, at), at);
   }
   for (const net::SensorDataMessage& batch : dc.drain_sensor_data()) {
     network_.send(endpoint, "pdme", net::wrap(batch), batch.timestamp);
@@ -518,7 +503,7 @@ net::FleetSummary ShipSystem::fleet_summary(SimTime at) const {
   }
   summary.quarantine_active =
       static_cast<std::uint32_t>(pdme_->sensor_faults(true).size());
-  summary.quarantine_total = pdme_->stats().sensor_fault_reports;
+  summary.quarantine_total = pdme_->snapshot().sensor_fault_reports;
 
   const pdme::HealthRollup rollup;
   const std::map<ObjectId, pdme::HealthEntry> health = rollup.compute(*pdme_);
@@ -612,7 +597,7 @@ ShipSystem::FleetStats ShipSystem::fleet_stats() const {
     stats.samples_processed += dc->stats().samples_processed;
     stats.reports_emitted += dc->stats().reports_emitted;
   }
-  stats.reports_fused = pdme_->stats().reports_accepted;
+  stats.reports_fused = pdme_->snapshot().reports_accepted;
   stats.network = network_.stats();
   return stats;
 }

@@ -39,58 +39,6 @@ void Writer::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void Reader::need(std::size_t n) { MPROS_EXPECTS(pos_ + n <= data_.size()); }
-
-std::uint8_t Reader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t Reader::u16() {
-  need(2);
-  const std::uint16_t v = static_cast<std::uint16_t>(
-      data_[pos_] | (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-std::int64_t Reader::i64() { return static_cast<std::int64_t>(u64()); }
-
-double Reader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
-
-std::string Reader::str() {
-  const std::uint32_t len = u32();
-  need(len);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
-  return s;
-}
-
 bool TryReader::take(std::size_t n) {
   if (!ok_ || data_.size() - pos_ < n) {
     ok_ = false;

@@ -30,35 +30,11 @@ class Writer {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Reader aborts on truncated input: messages come from our own Writer and
-/// the simulated transport never corrupts payloads (it loses whole
-/// messages instead, like a checksummed datagram network).
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64();
-  double f64();
-  std::string str();
-
-  [[nodiscard]] bool done() const { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  void need(std::size_t n);
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-/// Fail-soft reader for *untrusted* bytes — flight-recorder files and the
-/// replay path, where a truncated or bit-flipped frame must produce a
-/// decode error, never a crash. A failed read returns zero/empty and
-/// latches ok() false; callers check ok() once at the end.
+/// Fail-soft reader for untrusted bytes — the hostile ship transport,
+/// flight-recorder files and the replay path, where a truncated or
+/// bit-flipped frame must produce a decode error, never a crash. A failed
+/// read returns zero/empty and latches ok() false; callers check ok() once
+/// at the end.
 class TryReader {
  public:
   explicit TryReader(std::span<const std::uint8_t> data) : data_(data) {}

@@ -1,6 +1,5 @@
 #include "mpros/net/messages.hpp"
 
-#include "mpros/common/assert.hpp"
 #include "mpros/net/codec.hpp"
 
 namespace mpros::net {
@@ -73,36 +72,24 @@ const char* to_string(MessageType t) {
   return "?";
 }
 
-MessageType peek_type(std::span<const std::uint8_t> bytes) {
-  MPROS_EXPECTS(!bytes.empty());
-  return static_cast<MessageType>(bytes[0]);
-}
-
 std::optional<MessageType> try_peek_type(std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) return std::nullopt;
   switch (static_cast<MessageType>(bytes[0])) {
-    case MessageType::FailureReportMsg:
     case MessageType::SensorData:
     case MessageType::TestCommand:
-    case MessageType::ReportEnvelopeMsg:
     case MessageType::Ack:
     case MessageType::Heartbeat:
     case MessageType::FleetSummaryEnvelopeMsg:
     case MessageType::Command:
     case MessageType::CommandEnvelopeMsg:
-    case MessageType::ReportBatchMsg:
     case MessageType::ReportBatchEnvelopeMsg:
       return static_cast<MessageType>(bytes[0]);
+    case MessageType::FailureReportMsg:
+    case MessageType::ReportEnvelopeMsg:
+    case MessageType::ReportBatchMsg:
+      break;  // retired report tags
   }
   return std::nullopt;
-}
-
-std::vector<std::uint8_t> wrap(const FailureReport& r) {
-  std::vector<std::uint8_t> out;
-  out.push_back(static_cast<std::uint8_t>(MessageType::FailureReportMsg));
-  const std::vector<std::uint8_t> body = serialize(r);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
 }
 
 std::vector<std::uint8_t> wrap(const SensorDataMessage& m) {
@@ -126,17 +113,6 @@ std::vector<std::uint8_t> wrap(const TestCommandMessage& m) {
   w.u8(static_cast<std::uint8_t>(m.command));
   w.str(m.reason);
   return w.take();
-}
-
-std::vector<std::uint8_t> wrap(const ReportEnvelope& m) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageType::ReportEnvelopeMsg));
-  w.u64(m.dc.value());
-  w.u64(m.sequence);
-  const std::vector<std::uint8_t> body = serialize(m.report);
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
 }
 
 std::vector<std::uint8_t> wrap(const AckMessage& m) {
@@ -219,14 +195,6 @@ std::vector<std::uint8_t> wrap(const CommandEnvelope& m) {
   return out;
 }
 
-std::vector<std::uint8_t> wrap_batch(DcId dc,
-                                     std::span<const FailureReport> reports) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageType::ReportBatchMsg));
-  append_batch_body(w, dc, reports);
-  return w.take();
-}
-
 std::vector<std::uint8_t> wrap_batch_envelope(
     DcId dc, std::uint64_t sequence, std::span<const FailureReport> reports) {
   Writer w;
@@ -239,50 +207,16 @@ std::vector<std::uint8_t> wrap_batch_envelope(
 
 std::optional<ReportBatchView> try_unwrap_reports_into(
     std::span<const std::uint8_t> bytes, std::vector<ReportEnvelope>& arena) {
-  const auto type = try_peek_type(bytes);
-  if (!type.has_value()) return std::nullopt;
-  switch (*type) {
-    case MessageType::FailureReportMsg: {
-      // A lone unsequenced report is a one-element batch from its own DC.
-      if (arena.empty()) arena.resize(1);
-      TryReader rd(bytes.subspan(1));
-      ReportEnvelope& slot = arena.front();
-      if (!try_read_report_frame(rd, slot.report) || !rd.done()) {
-        return std::nullopt;
-      }
-      slot.dc = slot.report.dc;
-      slot.sequence = 0;
-      return ReportBatchView{slot.dc, 0, 1};
-    }
-    case MessageType::ReportEnvelopeMsg: {
-      TryReader hdr(bytes.subspan(1));
-      const DcId dc{hdr.u64()};
-      const std::uint64_t sequence = hdr.u64();
-      if (!hdr.ok() || sequence == 0) return std::nullopt;
-      if (arena.empty()) arena.resize(1);
-      TryReader rd(bytes.subspan(1 + 16));  // past dc + sequence
-      ReportEnvelope& slot = arena.front();
-      if (!try_read_report_frame(rd, slot.report) || !rd.done()) {
-        return std::nullopt;
-      }
-      slot.dc = dc;
-      slot.sequence = sequence;
-      return ReportBatchView{dc, sequence, 1};
-    }
-    case MessageType::ReportBatchMsg:
-      return try_read_batch_body(bytes.subspan(1), /*sequence=*/0, arena);
-    case MessageType::ReportBatchEnvelopeMsg: {
-      TryReader hdr(bytes.subspan(1));
-      const DcId dc{hdr.u64()};
-      const std::uint64_t sequence = hdr.u64();
-      if (!hdr.ok() || sequence == 0) return std::nullopt;
-      auto view = try_read_batch_body(bytes.subspan(1 + 16), sequence, arena);
-      if (!view.has_value() || view->dc != dc) return std::nullopt;
-      return view;
-    }
-    default:
-      return std::nullopt;
+  if (try_peek_type(bytes) != MessageType::ReportBatchEnvelopeMsg) {
+    return std::nullopt;
   }
+  TryReader hdr(bytes.subspan(1));
+  const DcId dc{hdr.u64()};
+  const std::uint64_t sequence = hdr.u64();
+  if (!hdr.ok()) return std::nullopt;
+  auto view = try_read_batch_body(bytes.subspan(1 + 16), sequence, arena);
+  if (!view.has_value() || view->dc != dc) return std::nullopt;
+  return view;
 }
 
 std::optional<CommandMessage> try_unwrap_command(
@@ -306,14 +240,6 @@ std::optional<CommandEnvelope> try_unwrap_command_envelope(
   if (!command.has_value()) return std::nullopt;
   m.command = *std::move(command);
   return m;
-}
-
-std::optional<FailureReport> try_unwrap_report(
-    std::span<const std::uint8_t> bytes) {
-  if (try_peek_type(bytes) != MessageType::FailureReportMsg) {
-    return std::nullopt;
-  }
-  return try_deserialize_report(bytes.subspan(1));
 }
 
 std::optional<SensorDataMessage> try_unwrap_sensor_data(
@@ -356,23 +282,6 @@ std::optional<TestCommandMessage> try_unwrap_test_command(
   return m;
 }
 
-std::optional<ReportEnvelope> try_unwrap_envelope(
-    std::span<const std::uint8_t> bytes) {
-  if (try_peek_type(bytes) != MessageType::ReportEnvelopeMsg) {
-    return std::nullopt;
-  }
-  TryReader r(bytes.subspan(1));
-  ReportEnvelope m;
-  m.dc = DcId(r.u64());
-  m.sequence = r.u64();
-  if (!r.ok() || m.sequence == 0) return std::nullopt;
-  auto report =
-      try_deserialize_report(bytes.subspan(1 + 16));  // past dc + sequence
-  if (!report.has_value()) return std::nullopt;
-  m.report = *std::move(report);
-  return m;
-}
-
 std::optional<AckMessage> try_unwrap_ack(std::span<const std::uint8_t> bytes) {
   if (try_peek_type(bytes) != MessageType::Ack) return std::nullopt;
   TryReader r(bytes.subspan(1));
@@ -393,23 +302,6 @@ std::optional<HeartbeatMessage> try_unwrap_heartbeat(
   m.last_sequence = r.u64();
   if (!r.ok() || !r.done()) return std::nullopt;
   return m;
-}
-
-FailureReport unwrap_report(std::span<const std::uint8_t> bytes) {
-  MPROS_EXPECTS(peek_type(bytes) == MessageType::FailureReportMsg);
-  return deserialize_report(bytes.subspan(1));
-}
-
-SensorDataMessage unwrap_sensor_data(std::span<const std::uint8_t> bytes) {
-  auto m = try_unwrap_sensor_data(bytes);
-  MPROS_EXPECTS(m.has_value());
-  return *std::move(m);
-}
-
-TestCommandMessage unwrap_test_command(std::span<const std::uint8_t> bytes) {
-  auto m = try_unwrap_test_command(bytes);
-  MPROS_EXPECTS(m.has_value());
-  return *std::move(m);
 }
 
 }  // namespace mpros::net

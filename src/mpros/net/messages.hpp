@@ -27,9 +27,12 @@
 namespace mpros::net {
 
 enum class MessageType : std::uint8_t {
+  /// Retired report tag (lone unsequenced report). Reserved: try_peek_type
+  /// rejects it, so endpoints count such datagrams as malformed.
   FailureReportMsg = 1,
   SensorData = 2,
   TestCommand = 3,
+  /// Retired report tag (one sequenced report). Reserved, like tag 1.
   ReportEnvelopeMsg = 4,
   Ack = 5,
   Heartbeat = 6,
@@ -44,14 +47,13 @@ enum class MessageType : std::uint8_t {
   /// Sequenced runtime-reconfiguration command on a DC's reliable command
   /// stream (PDME -> DC), acked with the Ack type above.
   CommandEnvelopeMsg = 9,
-  /// Bare report batch (versioned body: one DC's reports for one sync
-  /// window, back to back). The unreliable sibling of
-  /// ReportBatchEnvelopeMsg, mirroring FailureReportMsg vs
-  /// ReportEnvelopeMsg.
+  /// Retired report tag (unsequenced bare batch). Reserved, like tag 1.
   ReportBatchMsg = 10,
-  /// Sequenced report batch on a DC's reliable report stream: ONE sequence
-  /// number covers the whole window, so acks, gap detection, and
-  /// retransmission move batches instead of single reports.
+  /// The one report datagram: a batch of reports from one DC under one
+  /// sequence number. On the reliable stream the sequence covers a whole
+  /// sync window, so acks, gap detection, and retransmission move batches
+  /// instead of single reports. Sequence 0 = unsequenced (no dedup, no
+  /// ack); a single report is a batch of one.
   ReportBatchEnvelopeMsg = 11,
 };
 
@@ -68,9 +70,10 @@ struct SensorDataMessage {
                          const SensorDataMessage&) = default;
 };
 
-/// A sequence-numbered failure-report envelope: the unit of reliable
-/// delivery. Sequences are per-DC and start at 1; the PDME detects stream
-/// gaps from them and acknowledges cumulatively.
+/// One decoded report with the header of the datagram that carried it:
+/// the element of try_unwrap_reports_into's arena and of
+/// PdmeExecutive::submit(). Sequences are per-DC and start at 1; 0 marks an
+/// unsequenced report.
 struct ReportEnvelope {
   DcId dc;
   std::uint64_t sequence = 0;
@@ -156,69 +159,49 @@ struct TestCommandMessage {
                          const TestCommandMessage&) = default;
 };
 
-/// Type tag of a wire datagram (aborts on empty payloads).
-[[nodiscard]] MessageType peek_type(std::span<const std::uint8_t> bytes);
-
-/// Fail-soft peek: nullopt on empty payloads or unknown type bytes.
+/// Type tag of a wire datagram: nullopt on empty payloads, unknown type
+/// bytes, or a retired report tag.
 [[nodiscard]] std::optional<MessageType> try_peek_type(
     std::span<const std::uint8_t> bytes);
 
-/// Header of a decoded report batch (or of a single-report datagram viewed
-/// as a one-element batch): where the reports came from and how many landed
-/// in the arena's prefix.
+/// Header of a decoded report batch: where the reports came from and how
+/// many landed in the arena's prefix.
 struct ReportBatchView {
   DcId dc;
-  std::uint64_t sequence = 0;  ///< 0 = unsequenced (bare wire forms)
+  std::uint64_t sequence = 0;  ///< 0 = unsequenced
   std::size_t count = 0;       ///< decoded elements at the arena's front
 };
 
-/// Unified fail-soft decoder for every report-carrying wire form
-/// (FailureReportMsg, ReportEnvelopeMsg, ReportBatchMsg,
-/// ReportBatchEnvelopeMsg) into a caller-owned arena. The arena only ever
-/// grows — element strings and prognostics vectors keep their capacity
-/// across calls, so steady-state decode is allocation-free. Elements beyond
-/// the returned count hold stale data from earlier batches; every element in
-/// the prefix has dc/sequence stamped from the datagram header. Returns
-/// nullopt on any malformed byte: one corrupt frame fails the whole
-/// datagram (batches share their datagram's integrity fate).
+/// Fail-soft decoder for the report datagram (ReportBatchEnvelopeMsg) into
+/// a caller-owned arena. The arena only ever grows — element strings and
+/// prognostics vectors keep their capacity across calls, so steady-state
+/// decode is allocation-free. Elements beyond the returned count hold stale
+/// data from earlier batches; every element in the prefix has dc/sequence
+/// stamped from the datagram header. Returns nullopt on any malformed byte:
+/// one corrupt frame fails the whole datagram (batches share their
+/// datagram's integrity fate).
 [[nodiscard]] std::optional<ReportBatchView> try_unwrap_reports_into(
     std::span<const std::uint8_t> bytes, std::vector<ReportEnvelope>& arena);
 
 // Enveloped encodings (type byte + body).
-[[nodiscard]] std::vector<std::uint8_t> wrap(const FailureReport& r);
 [[nodiscard]] std::vector<std::uint8_t> wrap(const SensorDataMessage& m);
 [[nodiscard]] std::vector<std::uint8_t> wrap(const TestCommandMessage& m);
-[[nodiscard]] std::vector<std::uint8_t> wrap(const ReportEnvelope& m);
 [[nodiscard]] std::vector<std::uint8_t> wrap(const AckMessage& m);
 [[nodiscard]] std::vector<std::uint8_t> wrap(const HeartbeatMessage& m);
 [[nodiscard]] std::vector<std::uint8_t> wrap(const CommandMessage& m);
 [[nodiscard]] std::vector<std::uint8_t> wrap(const CommandEnvelope& m);
 
-/// Bare batch datagram (ReportBatchMsg): type byte + versioned batch body.
-[[nodiscard]] std::vector<std::uint8_t> wrap_batch(
-    DcId dc, std::span<const FailureReport> reports);
-/// Sequenced batch datagram (ReportBatchEnvelopeMsg): type byte + u64 dc +
-/// u64 sequence + versioned batch body. The decoder rejects sequence 0 and
-/// a body whose DC disagrees with the header.
+/// The report datagram (ReportBatchEnvelopeMsg): type byte + u64 dc + u64
+/// sequence + versioned batch body. Sequence 0 sends the batch unsequenced.
+/// The decoder rejects a body whose DC disagrees with the header.
 [[nodiscard]] std::vector<std::uint8_t> wrap_batch_envelope(
     DcId dc, std::uint64_t sequence, std::span<const FailureReport> reports);
 
-// Decoders: the payload's type byte must match (checked).
-[[nodiscard]] FailureReport unwrap_report(std::span<const std::uint8_t> bytes);
-[[nodiscard]] SensorDataMessage unwrap_sensor_data(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] TestCommandMessage unwrap_test_command(
-    std::span<const std::uint8_t> bytes);
-
-// Fail-soft decoders for untrusted bytes (flight-recorder replay): nullopt
-// on wrong type, truncation, or corruption — never abort.
-[[nodiscard]] std::optional<FailureReport> try_unwrap_report(
-    std::span<const std::uint8_t> bytes);
+// Decoders for untrusted bytes: nullopt on wrong type, truncation, or
+// corruption — never abort.
 [[nodiscard]] std::optional<SensorDataMessage> try_unwrap_sensor_data(
     std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::optional<TestCommandMessage> try_unwrap_test_command(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] std::optional<ReportEnvelope> try_unwrap_envelope(
     std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::optional<AckMessage> try_unwrap_ack(
     std::span<const std::uint8_t> bytes);

@@ -70,16 +70,6 @@ ReliableSender::~ReliableSender() {
 }
 
 std::vector<std::uint8_t> ReliableSender::envelope(
-    const FailureReport& report, SimTime now) {
-  std::lock_guard lock(mu_);
-  ReportEnvelope env;
-  env.dc = dc_;
-  env.sequence = next_sequence_;
-  env.report = report;
-  return seal(wrap(env), now);
-}
-
-std::vector<std::uint8_t> ReliableSender::envelope(
     std::span<const FailureReport> reports, SimTime now) {
   std::lock_guard lock(mu_);
   return seal(wrap_batch_envelope(dc_, next_sequence_, reports), now);

@@ -2,9 +2,9 @@
 // Reliable report delivery over the hostile ship transport.
 //
 // §5.1 lets knowledge fusion *tolerate* gaps; this layer makes the system
-// *recover* from them. Each DC wraps its failure reports in monotonically
-// sequence-numbered envelopes and keeps a bounded retransmit buffer; the
-// PDME detects stream gaps, drops duplicate sequences, and acknowledges
+// *recover* from them. Each DC seals its failure reports in monotonically
+// sequence-numbered batch datagrams and keeps a bounded retransmit buffer;
+// the PDME detects stream gaps, drops duplicate sequences, and acknowledges
 // cumulatively so the DC can retire delivered entries. Retransmissions back
 // off exponentially, driven by whatever scheduler ticks the owning
 // component (the DC's event scheduler in the assembled system).
@@ -52,15 +52,10 @@ class ReliableSender {
   ReliableSender(const ReliableSender&) = delete;
   ReliableSender& operator=(const ReliableSender&) = delete;
 
-  /// Assign the next sequence to `report`, buffer the envelope for
-  /// retransmission, and return its wire payload for immediate send.
-  [[nodiscard]] std::vector<std::uint8_t> envelope(const FailureReport& report,
-                                                   SimTime now);
-
-  /// Batch overload: seal one sync window's reports under ONE sequence
-  /// number (ReportBatchEnvelopeMsg). The whole window acks, gaps, and
-  /// retransmits as a unit — per-datagram stream arithmetic is unchanged,
-  /// each datagram just carries more reports.
+  /// Seal one sync window's reports under the next sequence number
+  /// (ReportBatchEnvelopeMsg), buffer the datagram for retransmission, and
+  /// return its wire payload for immediate send. The whole window acks,
+  /// gaps, and retransmits as a unit.
   [[nodiscard]] std::vector<std::uint8_t> envelope(
       std::span<const FailureReport> reports, SimTime now);
 
@@ -107,8 +102,6 @@ class ReliableSender {
   /// gauges live on their own accessors (unacked()) or in telemetry
   /// (net.retransmit_inflight).
   [[nodiscard]] Stats snapshot() const;
-  /// Deprecated: thin shim for snapshot() — same value, older name.
-  [[nodiscard]] Stats stats() const { return snapshot(); }
 
   /// The sender's full resumable state: sequence cursor, buffered unacked
   /// entries with their backoff timers, stats. take_state()/restore() let a
@@ -200,8 +193,6 @@ class ReliableReceiver {
   /// stream view lives on cumulative()/open_gaps(). Single-threaded like
   /// the rest of the receiver (the PDME driver owns it).
   [[nodiscard]] Stats snapshot() const { return stats_; }
-  /// Deprecated: thin shim for snapshot() — same value, older name.
-  [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   struct Stream {

@@ -3,14 +3,14 @@
 #include <cstdio>
 #include <span>
 
-#include "mpros/common/assert.hpp"
 #include "mpros/net/codec.hpp"
 
 namespace mpros::net {
 namespace {
 
 constexpr std::uint16_t kReportMagic = 0x4D52;  // "MR"
-// v1: original §7 fields. v2: + telemetry trace id after the version byte.
+// Decoders accept this version only; it carries the telemetry trace id
+// after the version byte.
 constexpr std::uint8_t kReportVersion = 2;
 
 }  // namespace
@@ -48,11 +48,11 @@ bool try_read_report_frame(TryReader& rd, FailureReport& out) {
     return false;
   }
   const std::uint8_t version = rd.u8();
-  if (!rd.ok() || version < 1 || version > kReportVersion) {
+  if (!rd.ok() || version != kReportVersion) {
     rd.fail();
     return false;
   }
-  out.trace = version >= 2 ? rd.u64() : 0;
+  out.trace = rd.u64();
   out.dc = DcId(rd.u64());
   out.knowledge_source = KnowledgeSourceId(rd.u64());
   out.sensed_object = ObjectId(rd.u64());
@@ -88,12 +88,6 @@ std::optional<FailureReport> try_deserialize_report(
   FailureReport r;
   if (!try_read_report_frame(rd, r) || !rd.done()) return std::nullopt;
   return r;
-}
-
-FailureReport deserialize_report(std::span<const std::uint8_t> bytes) {
-  auto r = try_deserialize_report(bytes);
-  MPROS_EXPECTS(r.has_value());
-  return *std::move(r);
 }
 
 std::string summarize(const FailureReport& r) {

@@ -55,10 +55,8 @@ struct FailureReport {
 class Writer;
 class TryReader;
 
-/// Wire encoding (versioned; v2 adds the trace id, v1 still decodes).
+/// Wire encoding (versioned; decoders accept the current version only).
 [[nodiscard]] std::vector<std::uint8_t> serialize(const FailureReport& r);
-[[nodiscard]] FailureReport deserialize_report(
-    std::span<const std::uint8_t> bytes);
 
 /// Appends one report frame (magic + version + fields) to `w`. A batch body
 /// is a count of these frames back to back; serialize() is the one-frame

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <string_view>
 
@@ -71,48 +70,21 @@ std::string encode_prognostics(const std::vector<net::PrognosticPair>& v) {
 std::vector<net::PrognosticPair> decode_prognostics(const std::string& s) {
   std::vector<net::PrognosticPair> out;
   std::string_view rest(s);
-  std::string token;
   while (!rest.empty()) {
     const std::size_t semi = rest.find(';');
     const std::string_view tok = rest.substr(0, semi);
     rest = semi == std::string_view::npos ? std::string_view{}
                                           : rest.substr(semi + 1);
-    if (tok.empty()) continue;
-    net::PrognosticPair p;
-    if (tok.size() == 34 && tok.front() == 'x' && tok[17] == ':') {
-      // Current bit-hex form.
-      std::uint64_t pb = 0;
-      std::uint64_t tb = 0;
-      const char* const base = tok.data();
-      auto res = std::from_chars(base + 1, base + 17, pb, 16);
-      if (res.ec != std::errc{} || res.ptr != base + 17) continue;
-      res = std::from_chars(base + 18, base + 34, tb, 16);
-      if (res.ec != std::errc{} || res.ptr != base + 34) continue;
-      p.probability = std::bit_cast<double>(pb);
-      p.time_seconds = std::bit_cast<double>(tb);
-      out.push_back(p);
-    } else if (tok.find('p') != std::string_view::npos) {
-      // Hex-float interlude format ("1.91a2bp+4:1.5cp+20"): always carries
-      // a 'p' exponent, which decimal encodings never do.
-      const char* first = tok.data();
-      const char* last = tok.data() + tok.size();
-      auto res = std::from_chars(first, last, p.probability,
-                                 std::chars_format::hex);
-      if (res.ec != std::errc{} || res.ptr == last || *res.ptr != ':') {
-        continue;
-      }
-      res = std::from_chars(res.ptr + 1, last, p.time_seconds,
-                            std::chars_format::hex);
-      if (res.ec != std::errc{}) continue;
-      out.push_back(p);
-    } else {
-      // Decimal encodings from databases persisted before the hex codecs.
-      token.assign(tok);
-      if (std::sscanf(token.c_str(), "%lg:%lg", &p.probability,
-                      &p.time_seconds) == 2) {
-        out.push_back(p);
-      }
-    }
+    // "x<prob bits>:<time bits>", the only form encode_prognostics writes.
+    if (tok.size() != 34 || tok.front() != 'x' || tok[17] != ':') continue;
+    std::uint64_t pb = 0;
+    std::uint64_t tb = 0;
+    const char* const base = tok.data();
+    auto res = std::from_chars(base + 1, base + 17, pb, 16);
+    if (res.ec != std::errc{} || res.ptr != base + 17) continue;
+    res = std::from_chars(base + 18, base + 34, tb, 16);
+    if (res.ec != std::errc{} || res.ptr != base + 34) continue;
+    out.push_back({std::bit_cast<double>(pb), std::bit_cast<double>(tb)});
   }
   return out;
 }
@@ -513,12 +485,8 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
           return;
         }
         switch (*type) {
-          // All four report-bearing shapes — bare report, reliable
-          // envelope, bare batch, reliable batch envelope — decode through
-          // the one arena-based unwrapper and funnel into submit().
-          case net::MessageType::FailureReportMsg:
-          case net::MessageType::ReportEnvelopeMsg:
-          case net::MessageType::ReportBatchMsg:
+          // The report datagram decodes through the arena-based unwrapper
+          // and funnels into submit(); sequence 0 skips dedup and acks.
           case net::MessageType::ReportBatchEnvelopeMsg: {
             const auto view =
                 net::try_unwrap_reports_into(message.payload, decode_arena_);
@@ -527,11 +495,8 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
               metrics.malformed_dropped.inc();
               return;
             }
-            if (*type == net::MessageType::ReportBatchMsg ||
-                *type == net::MessageType::ReportBatchEnvelopeMsg) {
-              ++stats_.batches_received;
-              stats_.batched_reports += view->count;
-            }
+            ++stats_.batches_received;
+            stats_.batched_reports += view->count;
             note_dc_alive(view->dc, message.delivered_at);
             const std::span<const net::ReportEnvelope> reports(
                 decode_arena_.data(), view->count);
@@ -605,6 +570,10 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
           case net::MessageType::CommandEnvelopeMsg:
           case net::MessageType::FleetSummaryEnvelopeMsg:
             break;  // these address DCs or the shore tier, not the PDME
+          case net::MessageType::FailureReportMsg:
+          case net::MessageType::ReportEnvelopeMsg:
+          case net::MessageType::ReportBatchMsg:
+            break;  // retired report tags: try_peek_type never yields them
         }
       });
 }

@@ -66,13 +66,13 @@ class PdmeExecutive {
     std::optional<ObjectId> last_object;
   };
 
-  /// THE ingest entry point: every report path — single report, reliable
-  /// envelope, decoded ReportBatch, wire adapter — funnels through here.
+  /// THE ingest entry point: every report path — accept(), a decoded
+  /// ReportBatch, the wire adapter — funnels through here.
   /// Each contiguous run sharing a nonzero (dc, sequence) is one sequenced
   /// datagram: a duplicate run is dropped whole (the retransmitted batch
   /// was already fused), a fresh run is ingested and commits exactly one
   /// sequence number on the DC's reliable stream. Elements with
-  /// sequence == 0 are unsequenced bare reports. Acks are the wire
+  /// sequence == 0 are unsequenced reports. Acks are the wire
   /// adapter's job — submit() itself never touches the network.
   SubmitOutcome submit(std::span<const net::ReportEnvelope> reports);
 
@@ -204,8 +204,6 @@ class PdmeExecutive {
   };
   /// Driver-side counters plus the fusion core's, by value.
   [[nodiscard]] Stats snapshot() const;
-  /// Deprecated: thin shim for snapshot().
-  [[nodiscard]] Stats stats() const { return snapshot(); }
 
   [[nodiscard]] oosm::ObjectModel& model() { return model_; }
   [[nodiscard]] const oosm::ObjectModel& model() const { return model_; }

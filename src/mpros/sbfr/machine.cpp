@@ -17,9 +17,9 @@ void append_u16(std::vector<std::uint8_t>& out, std::size_t v) {
   out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
 }
 
-class Reader {
+class ImageReader {
  public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
+  explicit ImageReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   std::uint8_t u8() {
     MPROS_EXPECTS(pos_ < data_.size());
@@ -151,7 +151,7 @@ std::vector<std::uint8_t> MachineDef::serialize() const {
 
 MachineDef MachineDef::deserialize(std::span<const std::uint8_t> image,
                                    std::string name) {
-  Reader r(image);
+  ImageReader r(image);
   MPROS_EXPECTS(r.u8() == kMagic0);
   MPROS_EXPECTS(r.u8() == kMagic1);
   MPROS_EXPECTS(r.u8() == kVersion);

@@ -15,7 +15,6 @@
 #include "mpros/dsp/fft.hpp"
 #include "mpros/fusion/dempster_shafer.hpp"
 #include "mpros/net/network.hpp"
-#include "mpros/net/report.hpp"
 #include "mpros/sbfr/interpreter.hpp"
 #include "mpros/sbfr/library.hpp"
 
@@ -116,13 +115,6 @@ TEST(ContractsDeathTest, SbfrStepRequiresDeclaredChannelCount) {
   sys.add_machine(sbfr::make_spike_machine());
   const double one_channel[1] = {0.0};
   EXPECT_DEATH(sys.step(one_channel), "precondition");
-}
-
-TEST(ContractsDeathTest, ReaderRejectsTruncatedReport) {
-  const auto bytes = net::serialize(net::FailureReport{});
-  const std::span<const std::uint8_t> truncated(bytes.data(),
-                                                bytes.size() - 3);
-  EXPECT_DEATH(net::deserialize_report(truncated), "precondition");
 }
 
 // --- Concurrency stress -------------------------------------------------------

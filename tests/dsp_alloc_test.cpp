@@ -18,7 +18,6 @@
 #include "mpros/dsp/cepstrum.hpp"
 #include "mpros/dsp/envelope.hpp"
 #include "mpros/dsp/spectrum.hpp"
-#include "mpros/dsp/stft.hpp"
 #include "mpros/wavelet/dwt.hpp"
 #include "mpros/wavelet/features.hpp"
 
@@ -70,15 +69,12 @@ TEST(DspAllocationTest, SteadyStateSpectralPipelineIsAllocationFree) {
   dsp::Spectrum welch;
   std::vector<double> env;
   std::vector<double> ceps;
-  dsp::Spectrogram gram;
-  dsp::StftConfig stft_cfg;
 
   const auto run_all = [&] {
     dsp::amplitude_spectrum(x, kRate, cfg, spec);
     dsp::welch_psd(x, kRate, 1024, dsp::WindowKind::Hann, welch);
     dsp::envelope_bandpassed(x, kRate, 2000.0, 6000.0, env);
     dsp::real_cepstrum(x, 0, ceps);
-    dsp::stft(x, kRate, stft_cfg, gram);
   };
 
   // Two warm-up passes: the first builds plans, windows and scratch lanes,

@@ -24,7 +24,6 @@
 #include "mpros/dsp/plan_cache.hpp"
 #include "mpros/dsp/spectrum.hpp"
 #include "mpros/dsp/stats.hpp"
-#include "mpros/dsp/stft.hpp"
 #include "mpros/dsp/window.hpp"
 #include "mpros/plant/chiller.hpp"
 #include "mpros/rules/features.hpp"
@@ -393,43 +392,6 @@ TEST(EnvelopeTest, BandpassedRejectsOutOfBandTone) {
   for (double& v : env) v -= dc;
   const Spectrum es = amplitude_spectrum(env, kRate);
   EXPECT_GT(es.amplitude_at(37.0), 3.0 * es.amplitude_at(100.0));
-}
-
-TEST(StftTest, StationaryToneTrackIsFlat) {
-  const std::vector<double> x = sine(16384, 512.0, 8192.0);
-  const Spectrogram sg = stft(x, 8192.0);
-  EXPECT_GT(sg.frames(), 20u);
-  const auto track = sg.tone_track(512.0);
-  for (const double a : track) EXPECT_NEAR(a, 1.0, 0.05);
-  EXPECT_LT(sg.burstiness(), 0.1);
-}
-
-TEST(StftTest, BurstLocalizedInTime) {
-  // Tone present only in the middle quarter of the record.
-  std::vector<double> x(16384, 0.0);
-  for (std::size_t i = 6144; i < 10240; ++i) {
-    x[i] = std::sin(kTwoPi * 512.0 * static_cast<double>(i) / 8192.0);
-  }
-  const Spectrogram sg = stft(x, 8192.0);
-  const auto track = sg.tone_track(512.0);
-  // Energy concentrated in the middle frames.
-  const std::size_t mid = track.size() / 2;
-  EXPECT_GT(track[mid], 0.8);
-  EXPECT_LT(track[1], 0.05);
-  EXPECT_LT(track[track.size() - 2], 0.05);
-  EXPECT_GT(sg.burstiness(), 0.5);
-}
-
-TEST(StftTest, FrameGeometry) {
-  StftConfig cfg;
-  cfg.segment_size = 256;
-  cfg.hop = 128;
-  const std::vector<double> x = sine(1024, 100.0, 1024.0);
-  const Spectrogram sg = stft(x, 1024.0, cfg);
-  EXPECT_EQ(sg.frames(), 1u + (1024u - 256u) / 128u);
-  EXPECT_EQ(sg.bins(), 129u);
-  EXPECT_DOUBLE_EQ(sg.bin_hz(), 4.0);
-  EXPECT_DOUBLE_EQ(sg.frame_step_s(), 0.125);
 }
 
 TEST(BiquadTest, LowpassAttenuatesHighFrequencies) {

@@ -25,8 +25,10 @@ TEST(MessagesTest, SensorDataRoundTrip) {
   m.values = {{"process.cond_pressure_kpa", 1017.0},
               {"process.load", 0.8}};
   const auto bytes = net::wrap(m);
-  EXPECT_EQ(net::peek_type(bytes), net::MessageType::SensorData);
-  EXPECT_EQ(net::unwrap_sensor_data(bytes), m);
+  EXPECT_EQ(net::try_peek_type(bytes), net::MessageType::SensorData);
+  const auto back = net::try_unwrap_sensor_data(bytes);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, m);
 }
 
 TEST(MessagesTest, TestCommandRoundTrip) {
@@ -35,8 +37,10 @@ TEST(MessagesTest, TestCommandRoundTrip) {
   m.command = net::TestCommandMessage::Command::VibrationTest;
   m.reason = "closer look";
   const auto bytes = net::wrap(m);
-  EXPECT_EQ(net::peek_type(bytes), net::MessageType::TestCommand);
-  EXPECT_EQ(net::unwrap_test_command(bytes), m);
+  EXPECT_EQ(net::try_peek_type(bytes), net::MessageType::TestCommand);
+  const auto back = net::try_unwrap_test_command(bytes);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, m);
 }
 
 TEST(MessagesTest, ReportEnvelopeRoundTrip) {
@@ -48,9 +52,16 @@ TEST(MessagesTest, ReportEnvelopeRoundTrip) {
   r.severity = 0.4;
   r.belief = 0.6;
   r.timestamp = SimTime::from_seconds(9.0);
-  const auto bytes = net::wrap(r);
-  EXPECT_EQ(net::peek_type(bytes), net::MessageType::FailureReportMsg);
-  EXPECT_EQ(net::unwrap_report(bytes), r);
+  // A lone report is an unsequenced batch of one.
+  const auto bytes = net::wrap_batch_envelope(r.dc, 0, {&r, 1});
+  EXPECT_EQ(net::try_peek_type(bytes),
+            net::MessageType::ReportBatchEnvelopeMsg);
+  std::vector<net::ReportEnvelope> arena;
+  const auto view = net::try_unwrap_reports_into(bytes, arena);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->sequence, 0u);
+  ASSERT_EQ(view->count, 1u);
+  EXPECT_EQ(arena[0].report, r);
 }
 
 // --- Sensor-data intake + fleet-comparative analyzer (§5.7) ------------------
@@ -80,9 +91,9 @@ TEST_F(ResidentTest, SensorDataLandsOnOosmObject) {
       model_.property(ship_.plants[0].chiller, "process.cond_pressure_kpa");
   ASSERT_TRUE(v.has_value());
   EXPECT_DOUBLE_EQ(v->numeric(), 1020.0);
-  EXPECT_EQ(pdme_.stats().sensor_batches, 1u);
+  EXPECT_EQ(pdme_.snapshot().sensor_batches, 1u);
   // Raw telemetry is not a report.
-  EXPECT_EQ(pdme_.stats().reports_accepted, 0u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
 }
 
 TEST_F(ResidentTest, FleetOutlierFlagged) {
@@ -147,8 +158,8 @@ TEST(AutoRetestTest, SevereUncorroboratedReportTriggersCommand) {
 
   std::vector<net::TestCommandMessage> commands;
   network.register_endpoint("dc-1", [&](const net::Message& m) {
-    if (net::peek_type(m.payload) == net::MessageType::TestCommand) {
-      commands.push_back(net::unwrap_test_command(m.payload));
+    if (const auto cmd = net::try_unwrap_test_command(m.payload)) {
+      commands.push_back(*cmd);
     }
   });
 
@@ -165,7 +176,7 @@ TEST(AutoRetestTest, SevereUncorroboratedReportTriggersCommand) {
 
   ASSERT_EQ(commands.size(), 1u);
   EXPECT_EQ(commands[0].target, DcId(1));
-  EXPECT_EQ(pdme.stats().retests_commanded, 1u);
+  EXPECT_EQ(pdme.snapshot().retests_commanded, 1u);
 
   // Backoff: an immediate repeat does not re-command.
   r.timestamp = SimTime::from_seconds(200.0);
@@ -201,7 +212,7 @@ TEST(AutoRetestTest, CorroboratedConclusionNotRetested) {
   r.severity = 0.85;
   r.timestamp = SimTime::from_seconds(200.0);
   pdme.accept(r);
-  EXPECT_EQ(pdme.stats().retests_commanded, 0u);
+  EXPECT_EQ(pdme.snapshot().retests_commanded, 0u);
 }
 
 TEST(AutoRetestTest, ClosedLoopThroughShipSystem) {
@@ -217,7 +228,7 @@ TEST(AutoRetestTest, ClosedLoopThroughShipSystem) {
 
   // The first severe report commands an extra test, so the DC runs more
   // vibration tests than its periodic schedule alone (4 in 1.5h at 1200s).
-  EXPECT_GT(ship.pdme().stats().retests_commanded, 0u);
+  EXPECT_GT(ship.pdme().snapshot().retests_commanded, 0u);
   EXPECT_GT(ship.concentrator(0).stats().vibration_tests, 4u);
 }
 

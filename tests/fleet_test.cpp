@@ -100,10 +100,7 @@ TEST(FleetServerTest, WatchdogDegradesSilentShipsAndRecovers) {
   hb.last_sequence = 1;
   server.accept(hb, SimTime::from_seconds(3300));
   EXPECT_EQ(server.ship_liveness(ShipId(2)), ShipLiveness::Alive);
-  EXPECT_GE(server.stats().liveness_transitions, 3u);
-  // stats_snapshot() is the canonical counter accessor (snapshot() being
-  // the FleetSnapshot epoch); the older stats() name is a pinned shim.
-  EXPECT_TRUE(server.stats() == server.stats_snapshot());
+  EXPECT_GE(server.stats_snapshot().liveness_transitions, 3u);
 }
 
 TEST(FleetServerTest, LatestSequenceWinsAndDuplicatesReAck) {
@@ -118,7 +115,7 @@ TEST(FleetServerTest, LatestSequenceWinsAndDuplicatesReAck) {
   ack = server.accept(make_envelope(1, 1), t);
   EXPECT_EQ(ack.cumulative, 2u);
   {
-    const auto stats = server.stats();
+    const auto stats = server.stats_snapshot();
     EXPECT_EQ(stats.summaries_applied, 1u);
     EXPECT_EQ(stats.summaries_stale, 1u);
     EXPECT_EQ(stats.gaps_detected, 1u);
@@ -130,7 +127,7 @@ TEST(FleetServerTest, LatestSequenceWinsAndDuplicatesReAck) {
   // A retransmitted duplicate is dropped but still re-acked.
   ack = server.accept(make_envelope(1, 2), t);
   EXPECT_EQ(ack.cumulative, 2u);
-  EXPECT_EQ(server.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(server.stats_snapshot().duplicates_dropped, 1u);
   EXPECT_EQ(server.cumulative(ShipId(1)), 2u);
 }
 
@@ -317,8 +314,8 @@ TEST_P(FleetDisorderTest, ScriptedOutageWindowsConvergeToSameView) {
   server.publish(SimTime::from_seconds(1200));
 
   EXPECT_EQ(server.render_fleet_view(), baseline);
-  EXPECT_EQ(server.stats().malformed_dropped, 0u);
-  EXPECT_GT(server.stats().duplicates_dropped, 0u);
+  EXPECT_EQ(server.stats_snapshot().malformed_dropped, 0u);
+  EXPECT_GT(server.stats_snapshot().duplicates_dropped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDisorderTest,
@@ -460,9 +457,9 @@ TEST(FleetChaosSmokeTest, LossyUplinksConvergeUnderEnvironmentKnobs) {
     EXPECT_TRUE(row.has_summary);
     EXPECT_GE(row.last_sequence, last_seq);
   }
-  EXPECT_EQ(server.stats().malformed_dropped, 0u);
+  EXPECT_EQ(server.stats_snapshot().malformed_dropped, 0u);
   for (const auto& uplink : uplinks) {
-    EXPECT_EQ(uplink->stats().overflow_dropped, 0u);
+    EXPECT_EQ(uplink->snapshot().overflow_dropped, 0u);
   }
 }
 
@@ -501,7 +498,7 @@ TEST(FleetSimTest, SeededFaultSurfacesInTheShoreView) {
   EXPECT_LT(top.health, 1.0);
 
   // And the comparative baseline singles the hull out against its sisters.
-  const auto& server_stats = fleet.server().stats();
+  const auto& server_stats = fleet.server().stats_snapshot();
   EXPECT_GT(server_stats.summaries_applied, 3u * 10u);
   EXPECT_EQ(server_stats.malformed_dropped, 0u);
 
@@ -529,8 +526,8 @@ TEST(FleetSimTest, UplinkSurvivesShoreLinkOutage) {
     EXPECT_TRUE(row.has_summary);
     EXPECT_GE(row.last_sequence, 10u);
   }
-  EXPECT_GT(fleet.ship(0).uplink()->stats().retransmits, 0u);
-  EXPECT_EQ(fleet.server().stats().malformed_dropped, 0u);
+  EXPECT_GT(fleet.ship(0).uplink()->snapshot().retransmits, 0u);
+  EXPECT_EQ(fleet.server().stats_snapshot().malformed_dropped, 0u);
 }
 
 TEST(FleetSimTest, ShoreDownlinkReconfiguresOneHullsDc) {
@@ -548,7 +545,7 @@ TEST(FleetSimTest, ShoreDownlinkReconfiguresOneHullsDc) {
   // Let a few summary cadences elapse so the server has learned hull 1's
   // real shore endpoint from its traffic.
   fleet.run_until(SimTime::from_seconds(1500));
-  ASSERT_GT(fleet.server().stats().summaries_applied, 0u);
+  ASSERT_GT(fleet.server().stats_snapshot().summaries_applied, 0u);
 
   net::CommandMessage cmd;
   cmd.target = DcId(1);
@@ -556,7 +553,7 @@ TEST(FleetSimTest, ShoreDownlinkReconfiguresOneHullsDc) {
                   {"validator.spike_sigmas", 6.5}};
   cmd.reason = "shore ops: tighten hull 1 screening";
   ASSERT_TRUE(fleet.server().send_command(ShipId(1), cmd, fleet.now()));
-  EXPECT_EQ(fleet.server().stats().commands_sent, 1u);
+  EXPECT_EQ(fleet.server().stats_snapshot().commands_sent, 1u);
 
   fleet.run_until(SimTime::from_seconds(2400));
 
@@ -564,14 +561,14 @@ TEST(FleetSimTest, ShoreDownlinkReconfiguresOneHullsDc) {
   EXPECT_GE(dc.config_revision(), 1u);
   EXPECT_EQ(dc.runtime_setting("dc.report_hysteresis"), 0.07);
   EXPECT_EQ(dc.runtime_setting("validator.spike_sigmas"), 6.5);
-  EXPECT_GT(fleet.ship(0).pdme().stats().commands_sent, 0u);
-  EXPECT_GT(fleet.ship(0).pdme().stats().command_acks, 0u);
+  EXPECT_GT(fleet.ship(0).pdme().snapshot().commands_sent, 0u);
+  EXPECT_GT(fleet.ship(0).pdme().snapshot().command_acks, 0u);
 
   // The sister hull never saw the command: still at factory defaults.
   auto& other = fleet.ship(1).concentrator(0);
   EXPECT_EQ(other.config_revision(), 0u);
   EXPECT_NE(other.runtime_setting("dc.report_hysteresis"), 0.07);
-  EXPECT_EQ(fleet.ship(1).pdme().stats().commands_sent, 0u);
+  EXPECT_EQ(fleet.ship(1).pdme().snapshot().commands_sent, 0u);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace mpros {
 namespace {
 
-std::vector<net::FailureReport> batch_reports(std::size_t n) {
+std::vector<net::FailureReport> window_reports(std::size_t n) {
   std::vector<net::FailureReport> reports;
   reports.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -74,7 +74,7 @@ std::vector<net::FailureReport> batch_reports(std::size_t n) {
 }
 
 TEST(IngestAllocationTest, SteadyStateArenaDecodeIsAllocationFree) {
-  const auto reports = batch_reports(64);
+  const auto reports = window_reports(64);
   const auto wire = net::wrap_batch_envelope(DcId(7), 3, reports);
 
   std::vector<net::ReportEnvelope> arena;

@@ -57,7 +57,7 @@ TEST(ShipSystemTest, WarnsWhenHeartbeatIntervalConflictsWithDcPeriod) {
 TEST(ShipSystemTest, HealthyFleetProducesFewReports) {
   ShipSystem ship(small_config());
   ship.run_until(SimTime::from_hours(1.0));
-  EXPECT_LE(ship.pdme().stats().reports_accepted, 4u);
+  EXPECT_LE(ship.pdme().snapshot().reports_accepted, 4u);
 }
 
 TEST(ShipSystemTest, FaultFlowsEndToEnd) {
@@ -132,14 +132,11 @@ TEST(ShipSystemTest, NetworkStatsAccumulate) {
   // sensor batches, dedup/malformed drops, liveness heartbeats into the
   // PDME, or cumulative acks back out to the DCs (lossless transport here,
   // so every ack sent is an ack delivered).
+  const pdme::PdmeExecutive::Stats ps = ship.pdme().snapshot();
   EXPECT_EQ(stats.reports_fused,
-            stats.network.delivered - ship.pdme().stats().sensor_batches -
-                ship.pdme().stats().duplicates_dropped -
-                ship.pdme().stats().malformed_dropped -
-                ship.pdme().stats().heartbeats_received -
-                ship.pdme().stats().acks_sent);
-  // The deprecated stats() shim stays pinned to the canonical snapshot().
-  EXPECT_TRUE(ship.pdme().stats() == ship.pdme().snapshot());
+            stats.network.delivered - ps.sensor_batches -
+                ps.duplicates_dropped - ps.malformed_dropped -
+                ps.heartbeats_received - ps.acks_sent);
 }
 
 TEST(DisorderTest, LossyJitteryNetworkStillConverges) {
@@ -428,27 +425,22 @@ TEST(FaultToleranceTest, RetransmissionsDeliverReportsThroughPartition) {
   const auto list = ship.pdme().prioritized_list(ship.plant_objects(0).motor);
   ASSERT_FALSE(list.empty());
   EXPECT_EQ(list.front().mode, FailureMode::MotorImbalance);
-  EXPECT_GT(ship.concentrator(0).reliable().stats().retransmits, 0u);
-  EXPECT_GT(ship.pdme().stats().envelopes_accepted, 0u);
+  EXPECT_GT(ship.concentrator(0).reliable().snapshot().retransmits, 0u);
+  EXPECT_GT(ship.pdme().snapshot().envelopes_accepted, 0u);
 }
 
 TEST(ChaosSmokeTest, HostileTransportConfiguredFromEnvironment) {
   // CI chaos knobs: MPROS_CHAOS_DROP / MPROS_CHAOS_DUP / MPROS_CHAOS_SEED
-  // crank the transport pathologies without a rebuild, and
-  // MPROS_CHAOS_BATCH toggles sync-window ReportBatch coalescing (E21):
-  // "0" forces the legacy one-datagram-per-report flush under the same
-  // weather.
+  // crank the transport pathologies without a rebuild.
   const char* drop = std::getenv("MPROS_CHAOS_DROP");
   const char* dup = std::getenv("MPROS_CHAOS_DUP");
   const char* seed = std::getenv("MPROS_CHAOS_SEED");
-  const char* batch = std::getenv("MPROS_CHAOS_BATCH");
 
   ShipSystemConfig cfg = small_config();
   cfg.network.drop_probability = drop ? std::atof(drop) : 0.15;
   cfg.network.duplicate_probability = dup ? std::atof(dup) : 0.05;
   cfg.network.jitter = SimTime::from_millis(200.0);
   cfg.network.seed = seed ? std::strtoull(seed, nullptr, 0) : 0xC4405;
-  if (batch != nullptr) cfg.dc_template.batch_reports = std::atoi(batch) != 0;
 
   ShipSystem ship(cfg);
   ship.chiller(0).faults().schedule({FailureMode::MotorImbalance, SimTime(0),
@@ -462,7 +454,7 @@ TEST(ChaosSmokeTest, HostileTransportConfiguredFromEnvironment) {
   ASSERT_FALSE(list.empty());
   EXPECT_EQ(list.front().mode, FailureMode::MotorImbalance);
   EXPECT_TRUE(std::isfinite(list.front().fused_belief));
-  EXPECT_EQ(ship.pdme().stats().malformed_dropped, 0u);
+  EXPECT_EQ(ship.pdme().snapshot().malformed_dropped, 0u);
 }
 
 // --- Supervised wedge recovery (E20) -----------------------------------------
@@ -543,8 +535,8 @@ TEST(SupervisorRecoveryTest, WedgeRecoveryIsByteIdenticalToUnwedgedRun) {
   EXPECT_EQ(browser_fingerprint(unwedged), browser_fingerprint(wedged));
 
   // And identical fused-pipeline accounting underneath it.
-  const auto sa = unwedged.pdme().stats();
-  const auto sb = wedged.pdme().stats();
+  const auto sa = unwedged.pdme().snapshot();
+  const auto sb = wedged.pdme().snapshot();
   EXPECT_EQ(sa.reports_accepted, sb.reports_accepted);
   EXPECT_EQ(sa.envelopes_accepted, sb.envelopes_accepted);
   EXPECT_EQ(sa.heartbeats_received, sb.heartbeats_received);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 
@@ -30,7 +31,7 @@ TEST(CodecTest, PrimitivesRoundTrip) {
   w.str("hello");
   w.str("");
 
-  Reader r(w.bytes());
+  TryReader r(w.bytes());
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u16(), 0x1234);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
@@ -40,6 +41,7 @@ TEST(CodecTest, PrimitivesRoundTrip) {
   EXPECT_EQ(r.str(), "hello");
   EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.done());
+  EXPECT_TRUE(r.ok());
 }
 
 FailureReport sample_report() {
@@ -58,11 +60,32 @@ FailureReport sample_report() {
   return r;
 }
 
+/// A lone report on the wire: a batch of one from the report's own DC.
+std::vector<std::uint8_t> wrap_one(const FailureReport& r,
+                                   std::uint64_t sequence = 0) {
+  return wrap_batch_envelope(r.dc, sequence, {&r, 1});
+}
+
+/// Seals one report on `sender`'s stream as a batch of one.
+std::vector<std::uint8_t> seal_one(ReliableSender& sender,
+                                   const FailureReport& r, SimTime now) {
+  return sender.envelope(std::span(&r, 1), now);
+}
+
+/// Decodes a batch-of-one datagram: nullopt unless it decodes to exactly
+/// one report.
+std::optional<ReportEnvelope> unwrap_one(std::span<const std::uint8_t> bytes) {
+  std::vector<ReportEnvelope> arena;
+  const auto view = try_unwrap_reports_into(bytes, arena);
+  if (!view.has_value() || view->count != 1) return std::nullopt;
+  return arena.front();
+}
+
 TEST(ReportProtocolTest, SerializeDeserializeRoundTrip) {
   const FailureReport original = sample_report();
-  const auto bytes = serialize(original);
-  const FailureReport decoded = deserialize_report(bytes);
-  EXPECT_EQ(decoded, original);
+  const auto decoded = try_deserialize_report(serialize(original));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, original);
 }
 
 TEST(ReportProtocolTest, EmptyOptionalFieldsAllowed) {
@@ -73,7 +96,9 @@ TEST(ReportProtocolTest, EmptyOptionalFieldsAllowed) {
   r.recommendations.clear();
   r.additional_info.clear();
   r.prognostics.clear();
-  EXPECT_EQ(deserialize_report(serialize(r)), r);
+  const auto decoded = try_deserialize_report(serialize(r));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, r);
 }
 
 TEST(ReportProtocolTest, SummaryIsOneLine) {
@@ -191,14 +216,15 @@ TEST(SimNetworkTest, InFlightCountsQueued) {
 
 TEST(SimNetworkTest, ReportSurvivesTransportIntact) {
   SimNetwork net(quiet_config());
-  FailureReport received;
+  std::optional<FailureReport> received;
   net.register_endpoint("pdme", [&](const Message& m) {
-    received = deserialize_report(m.payload);
+    received = try_deserialize_report(m.payload);
   });
   const FailureReport sent = sample_report();
   net.send("dc-3", "pdme", serialize(sent), SimTime(0));
   net.flush();
-  EXPECT_EQ(received, sent);
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(*received, sent);
 }
 
 // --- Fail-soft decoding / fuzz ----------------------------------------------
@@ -209,36 +235,9 @@ TEST(SimNetworkTest, ReportSurvivesTransportIntact) {
 TEST(FuzzDecodeTest, TraceRidesTheWire) {
   FailureReport r = sample_report();
   r.trace = 0xFEEDFACEull;
-  EXPECT_EQ(deserialize_report(serialize(r)).trace, 0xFEEDFACEull);
-}
-
-TEST(FuzzDecodeTest, VersionOneReportStillDecodes) {
-  // A v1 wire image (pre-trace) hand-built field by field: upgraded nodes
-  // must keep accepting reports from DCs that have not been reflashed.
-  const FailureReport expected = sample_report();
-  Writer w;
-  w.u16(0x4D52);  // magic "MR"
-  w.u8(1);        // version 1: no trace id
-  w.u64(expected.dc.value());
-  w.u64(expected.knowledge_source.value());
-  w.u64(expected.sensed_object.value());
-  w.u64(expected.machine_condition.value());
-  w.f64(expected.severity);
-  w.f64(expected.belief);
-  w.str(expected.explanation);
-  w.str(expected.recommendations);
-  w.i64(expected.timestamp.micros());
-  w.str(expected.additional_info);
-  w.u32(static_cast<std::uint32_t>(expected.prognostics.size()));
-  for (const PrognosticPair& p : expected.prognostics) {
-    w.f64(p.probability);
-    w.f64(p.time_seconds);
-  }
-
-  const auto decoded = try_deserialize_report(w.bytes());
+  const auto decoded = try_deserialize_report(serialize(r));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->trace, 0u);  // untraced
-  EXPECT_EQ(*decoded, expected);
+  EXPECT_EQ(decoded->trace, 0xFEEDFACEull);
 }
 
 TEST(FuzzDecodeTest, EveryTruncationReturnsNullopt) {
@@ -265,6 +264,8 @@ TEST(FuzzDecodeTest, SingleByteCorruptionNeverCrashes) {
   auto bad_version = clean;
   bad_version[2] = 0xEE;
   EXPECT_FALSE(try_deserialize_report(bad_version).has_value());
+  bad_version[2] = 1;  // the pre-trace frame version is retired
+  EXPECT_FALSE(try_deserialize_report(bad_version).has_value());
 }
 
 TEST(FuzzDecodeTest, HugePrognosticCountRejectedBeforeAllocation) {
@@ -280,6 +281,7 @@ TEST(FuzzDecodeTest, HugePrognosticCountRejectedBeforeAllocation) {
 
 TEST(FuzzDecodeTest, RandomBuffersNeverCrash) {
   Rng rng(0xF422);
+  std::vector<ReportEnvelope> arena;
   for (int round = 0; round < 2000; ++round) {
     std::vector<std::uint8_t> junk(rng.integer(0, 255));
     for (auto& b : junk) {
@@ -287,7 +289,7 @@ TEST(FuzzDecodeTest, RandomBuffersNeverCrash) {
     }
     (void)try_peek_type(junk);
     (void)try_deserialize_report(junk);
-    (void)try_unwrap_report(junk);
+    (void)try_unwrap_reports_into(junk, arena);
     (void)try_unwrap_sensor_data(junk);
     (void)try_unwrap_test_command(junk);
     (void)telemetry::FlightRecorder::decode(junk);
@@ -295,11 +297,11 @@ TEST(FuzzDecodeTest, RandomBuffersNeverCrash) {
 }
 
 TEST(FuzzDecodeTest, WrongEnvelopeTypeReturnsNullopt) {
-  const auto wrapped = wrap(sample_report());
-  ASSERT_EQ(try_peek_type(wrapped), MessageType::FailureReportMsg);
+  const auto wrapped = wrap_one(sample_report());
+  ASSERT_EQ(try_peek_type(wrapped), MessageType::ReportBatchEnvelopeMsg);
   EXPECT_FALSE(try_unwrap_sensor_data(wrapped).has_value());
   EXPECT_FALSE(try_unwrap_test_command(wrapped).has_value());
-  EXPECT_TRUE(try_unwrap_report(wrapped).has_value());
+  EXPECT_TRUE(unwrap_one(wrapped).has_value());
 }
 
 TEST(FuzzDecodeTest, RecorderDumpTruncationAndCorruption) {
@@ -409,8 +411,8 @@ TEST(OutageTest, DeterministicGivenSeedWithOutages) {
 // --- Reliable delivery -------------------------------------------------------
 
 TEST(ReliableProtocolTest, EnvelopeAckHeartbeatRoundTripOnTheWire) {
-  ReportEnvelope env{DcId(4), 9, sample_report()};
-  const auto env_back = try_unwrap_envelope(wrap(env));
+  const ReportEnvelope env{DcId(3), 9, sample_report()};
+  const auto env_back = unwrap_one(wrap_one(env.report, env.sequence));
   ASSERT_TRUE(env_back.has_value());
   EXPECT_EQ(*env_back, env);
 
@@ -425,19 +427,19 @@ TEST(ReliableProtocolTest, EnvelopeAckHeartbeatRoundTripOnTheWire) {
   EXPECT_EQ(*hb_back, hb);
 
   // Cross-type unwraps fail soft, never throw.
-  EXPECT_FALSE(try_unwrap_ack(wrap(env)).has_value());
-  EXPECT_FALSE(try_unwrap_envelope(wrap(hb)).has_value());
+  EXPECT_FALSE(try_unwrap_ack(wrap_one(env.report, env.sequence)).has_value());
+  EXPECT_FALSE(unwrap_one(wrap(hb)).has_value());
 }
 
 TEST(ReliableChannelTest, AckRetiresBufferedEnvelopes) {
   ReliableSender sender(DcId(3));
   ReliableReceiver receiver;
 
-  const auto payload = sender.envelope(sample_report(), SimTime(0));
+  const auto payload = seal_one(sender, sample_report(), SimTime(0));
   EXPECT_EQ(sender.unacked(), 1u);
   EXPECT_EQ(sender.last_sequence(), 1u);
 
-  const auto env = try_unwrap_envelope(payload);
+  const auto env = unwrap_one(payload);
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(env->dc, DcId(3));
   EXPECT_EQ(env->sequence, 1u);
@@ -451,25 +453,6 @@ TEST(ReliableChannelTest, AckRetiresBufferedEnvelopes) {
   sender.on_ack(outcome.ack);
   EXPECT_EQ(sender.unacked(), 0u);
   EXPECT_TRUE(sender.due_retransmits(SimTime::from_hours(10.0)).empty());
-}
-
-TEST(ReliableChannelTest, DeprecatedStatsShimsEqualSnapshots) {
-  // snapshot() is the canonical counter accessor; the older stats() name is
-  // a thin shim pinned to the same value.
-  ReliableSender sender(DcId(5));
-  ReliableReceiver receiver;
-
-  const auto payload = sender.envelope(sample_report(), SimTime(0));
-  const auto env = try_unwrap_envelope(payload);
-  ASSERT_TRUE(env.has_value());
-  const auto outcome = receiver.on_envelope(env->dc, env->sequence);
-  (void)receiver.on_envelope(env->dc, env->sequence);  // a duplicate too
-  sender.on_ack(outcome.ack);
-
-  EXPECT_GT(sender.snapshot().enveloped, 0u);
-  EXPECT_TRUE(sender.stats() == sender.snapshot());
-  EXPECT_GT(receiver.snapshot().duplicates, 0u);
-  EXPECT_TRUE(receiver.stats() == receiver.snapshot());
 }
 
 TEST(ReliableChannelTest, GapDetectedOnLaterSequenceThenHealed) {
@@ -487,8 +470,8 @@ TEST(ReliableChannelTest, GapDetectedOnLaterSequenceThenHealed) {
   EXPECT_EQ(heal.new_gaps, 0u);
   EXPECT_EQ(heal.ack.cumulative, 3u);  // cumulative jumps over the healed gap
   EXPECT_EQ(receiver.open_gaps(dc), 0u);
-  EXPECT_EQ(receiver.stats().gaps_detected, 1u);
-  EXPECT_EQ(receiver.stats().gaps_healed, 1u);
+  EXPECT_EQ(receiver.snapshot().gaps_detected, 1u);
+  EXPECT_EQ(receiver.snapshot().gaps_healed, 1u);
 }
 
 TEST(ReliableChannelTest, DuplicatesDroppedButStillAcked) {
@@ -499,7 +482,7 @@ TEST(ReliableChannelTest, DuplicatesDroppedButStillAcked) {
   // The previous ack may have been the datagram that got lost; a duplicate
   // arrival still earns a fresh cumulative ack.
   EXPECT_EQ(dup.ack.cumulative, 1u);
-  EXPECT_EQ(receiver.stats().duplicates, 1u);
+  EXPECT_EQ(receiver.snapshot().duplicates, 1u);
   // Per-DC streams are independent.
   EXPECT_FALSE(receiver.on_envelope(DcId(2), 1).duplicate);
 }
@@ -510,14 +493,14 @@ TEST(ReliableChannelTest, RetransmitTimersBackOffExponentially) {
   cfg.backoff = 2.0;
   cfg.max_rto = SimTime::from_seconds(40.0);
   ReliableSender sender(DcId(1), cfg);
-  (void)sender.envelope(sample_report(), SimTime(0));
+  (void)seal_one(sender, sample_report(), SimTime(0));
 
   EXPECT_TRUE(sender.due_retransmits(SimTime::from_seconds(9.0)).empty());
   EXPECT_EQ(sender.due_retransmits(SimTime::from_seconds(10.0)).size(), 1u);
   // Backed off to 20 s: due again at t=30, not t=29.
   EXPECT_TRUE(sender.due_retransmits(SimTime::from_seconds(29.0)).empty());
   EXPECT_EQ(sender.due_retransmits(SimTime::from_seconds(30.0)).size(), 1u);
-  EXPECT_EQ(sender.stats().retransmits, 2u);
+  EXPECT_EQ(sender.snapshot().retransmits, 2u);
 }
 
 TEST(ReliableChannelTest, BufferOverflowEvictsOldest) {
@@ -525,10 +508,10 @@ TEST(ReliableChannelTest, BufferOverflowEvictsOldest) {
   cfg.buffer_limit = 4;
   ReliableSender sender(DcId(1), cfg);
   for (int i = 0; i < 6; ++i) {
-    (void)sender.envelope(sample_report(), SimTime(0));
+    (void)seal_one(sender, sample_report(), SimTime(0));
   }
   EXPECT_EQ(sender.unacked(), 4u);
-  EXPECT_EQ(sender.stats().overflow_dropped, 2u);
+  EXPECT_EQ(sender.snapshot().overflow_dropped, 2u);
   EXPECT_EQ(sender.last_sequence(), 6u);
 }
 
@@ -559,14 +542,14 @@ TEST(ReliableChannelTest, RetransmitDebtObservableInTelemetry) {
   cfg.max_rto = SimTime::from_seconds(40.0);
   {
     ReliableSender sender(DcId(91), cfg);
-    (void)sender.envelope(sample_report(), SimTime(0));
-    (void)sender.envelope(sample_report(), SimTime(0));
+    (void)seal_one(sender, sample_report(), SimTime(0));
+    (void)seal_one(sender, sample_report(), SimTime(0));
     EXPECT_DOUBLE_EQ(inflight.value(), g0 + 2);
 
     // RTO walks 10 -> 20 -> 40 (ceiling, counted once per entry) -> 40.
     (void)sender.due_retransmits(SimTime::from_seconds(10.0));
     (void)sender.due_retransmits(SimTime::from_seconds(30.0));
-    EXPECT_EQ(sender.stats().max_backoff_hits, 2u);
+    EXPECT_EQ(sender.snapshot().max_backoff_hits, 2u);
     EXPECT_EQ(ceiling.value(), c0 + 2);
     (void)sender.due_retransmits(SimTime::from_seconds(100.0));
     EXPECT_EQ(ceiling.value(), c0 + 2);  // already at the ceiling: no recount
@@ -686,10 +669,10 @@ TEST(FuzzDecodeTest, FleetSummaryHugeMachineCountRejectedBeforeAllocation) {
 }
 
 TEST(FuzzDecodeTest, FleetEnvelopeWrongTypeReturnsNullopt) {
-  EXPECT_FALSE(try_unwrap_fleet_envelope(wrap(sample_report())).has_value());
+  EXPECT_FALSE(
+      try_unwrap_fleet_envelope(wrap_one(sample_report())).has_value());
   const auto wire = wrap(FleetSummaryEnvelope{ShipId(7), 3, sample_summary()});
-  EXPECT_FALSE(try_unwrap_report(wire).has_value());
-  EXPECT_FALSE(try_unwrap_envelope(wire).has_value());
+  EXPECT_FALSE(unwrap_one(wire).has_value());
   EXPECT_FALSE(try_unwrap_ack(wire).has_value());
 }
 
@@ -798,12 +781,11 @@ TEST(FuzzDecodeTest, CommandHugeSettingsCountRejectedBeforeAllocation) {
 }
 
 TEST(FuzzDecodeTest, CommandWrongTypeReturnsNullopt) {
-  EXPECT_FALSE(try_unwrap_command(wrap(sample_report())).has_value());
+  EXPECT_FALSE(try_unwrap_command(wrap_one(sample_report())).has_value());
   EXPECT_FALSE(try_unwrap_command_envelope(wrap(sample_command())).has_value());
   const auto wire = wrap(CommandEnvelope{DcId(3), 5, sample_command()});
   EXPECT_FALSE(try_unwrap_command(wire).has_value());
-  EXPECT_FALSE(try_unwrap_report(wire).has_value());
-  EXPECT_FALSE(try_unwrap_envelope(wire).has_value());
+  EXPECT_FALSE(unwrap_one(wire).has_value());
   EXPECT_FALSE(try_unwrap_ack(wire).has_value());
   EXPECT_FALSE(try_unwrap_test_command(wire).has_value());
 }
@@ -866,11 +848,10 @@ TEST(FuzzDecodeTest, TestCommandSurvivesRandomBuffers) {
 }
 
 // ---------------------------------------------------------------------------
-// ReportBatch wire protocol (E21 batched ingest): wrap_batch /
-// wrap_batch_envelope + the unified arena decoder, mirrored on the
-// CommandMessage suites above.
+// ReportBatch wire protocol (E21 batched ingest): wrap_batch_envelope and
+// the arena decoder, mirrored on the CommandMessage suites above.
 
-std::vector<FailureReport> sample_batch_reports() {
+std::vector<FailureReport> sample_window_reports() {
   std::vector<FailureReport> reports;
   for (int i = 0; i < 3; ++i) {
     FailureReport r = sample_report();
@@ -884,9 +865,10 @@ std::vector<FailureReport> sample_batch_reports() {
 }
 
 TEST(BatchProtocolTest, BareWireRoundTrip) {
-  const auto reports = sample_batch_reports();
-  const auto wire = wrap_batch(DcId(3), reports);
-  ASSERT_EQ(try_peek_type(wire), MessageType::ReportBatchMsg);
+  // Sequence 0: an unsequenced batch, outside any reliable stream.
+  const auto reports = sample_window_reports();
+  const auto wire = wrap_batch_envelope(DcId(3), 0, reports);
+  ASSERT_EQ(try_peek_type(wire), MessageType::ReportBatchEnvelopeMsg);
 
   std::vector<ReportEnvelope> arena;
   const auto view = try_unwrap_reports_into(wire, arena);
@@ -902,7 +884,7 @@ TEST(BatchProtocolTest, BareWireRoundTrip) {
 }
 
 TEST(BatchProtocolTest, SequencedWireRoundTrip) {
-  const auto reports = sample_batch_reports();
+  const auto reports = sample_window_reports();
   const auto wire = wrap_batch_envelope(DcId(3), 7, reports);
   ASSERT_EQ(try_peek_type(wire), MessageType::ReportBatchEnvelopeMsg);
 
@@ -921,52 +903,28 @@ TEST(BatchProtocolTest, SequencedWireRoundTrip) {
 TEST(BatchProtocolTest, EmptyBatchAllowed) {
   std::vector<ReportEnvelope> arena;
   const auto view =
-      try_unwrap_reports_into(wrap_batch(DcId(2), {}), arena);
+      try_unwrap_reports_into(wrap_batch_envelope(DcId(2), 0, {}), arena);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->dc, DcId(2));
   EXPECT_EQ(view->count, 0u);
 }
 
-TEST(BatchProtocolTest, ZeroSequenceEnvelopeRejected) {
-  std::vector<ReportEnvelope> arena;
-  const auto wire = wrap_batch_envelope(DcId(3), 0, sample_batch_reports());
-  EXPECT_FALSE(try_unwrap_reports_into(wire, arena).has_value());
-}
-
 TEST(BatchProtocolTest, ForgedSourceDcRejected) {
   // A frame claiming a DC other than the batch header's is a forgery: the
   // whole datagram fails, not just the one frame.
-  auto reports = sample_batch_reports();
+  auto reports = sample_window_reports();
   reports[1].dc = DcId(4);
   std::vector<ReportEnvelope> arena;
   EXPECT_FALSE(
-      try_unwrap_reports_into(wrap_batch(DcId(3), reports), arena)
+      try_unwrap_reports_into(wrap_batch_envelope(DcId(3), 7, reports), arena)
           .has_value());
 }
 
-TEST(BatchProtocolTest, SingletonWireFormsDecodeAsOneElementBatches) {
-  const FailureReport r = sample_report();
-  std::vector<ReportEnvelope> arena;
-
-  const auto bare = try_unwrap_reports_into(wrap(r), arena);
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_EQ(bare->count, 1u);
-  EXPECT_EQ(bare->sequence, 0u);
-  EXPECT_EQ(arena.front().report, r);
-
-  const ReportEnvelope env{r.dc, 9, r};
-  const auto sequenced = try_unwrap_reports_into(wrap(env), arena);
-  ASSERT_TRUE(sequenced.has_value());
-  EXPECT_EQ(sequenced->count, 1u);
-  EXPECT_EQ(sequenced->sequence, 9u);
-  EXPECT_EQ(arena.front().report, r);
-}
-
 TEST(BatchProtocolTest, ArenaOnlyGrowsAcrossDecodes) {
-  const auto reports = sample_batch_reports();
+  const auto reports = sample_window_reports();
   std::vector<ReportEnvelope> arena;
   ASSERT_TRUE(
-      try_unwrap_reports_into(wrap_batch(DcId(3), reports), arena)
+      try_unwrap_reports_into(wrap_batch_envelope(DcId(3), 0, reports), arena)
           .has_value());
   const std::size_t high_water = arena.size();
   ASSERT_EQ(high_water, reports.size());
@@ -974,7 +932,7 @@ TEST(BatchProtocolTest, ArenaOnlyGrowsAcrossDecodes) {
   // A smaller batch decodes into the same slots: size never shrinks, and
   // only the returned prefix is meaningful.
   const auto one = try_unwrap_reports_into(
-      wrap_batch(DcId(3), std::span(reports.data(), 1)), arena);
+      wrap_batch_envelope(DcId(3), 0, std::span(reports.data(), 1)), arena);
   ASSERT_TRUE(one.has_value());
   EXPECT_EQ(one->count, 1u);
   EXPECT_EQ(arena.size(), high_water);
@@ -983,35 +941,29 @@ TEST(BatchProtocolTest, ArenaOnlyGrowsAcrossDecodes) {
 
 TEST(FuzzDecodeTest, BatchEveryTruncationReturnsNullopt) {
   std::vector<ReportEnvelope> arena;
-  const auto bare = wrap_batch(DcId(3), sample_batch_reports());
-  for (std::size_t len = 0; len < bare.size(); ++len) {
-    EXPECT_FALSE(
-        try_unwrap_reports_into(std::span(bare.data(), len), arena)
-            .has_value())
-        << "bare prefix of " << len << " bytes decoded";
-  }
-  const auto wire = wrap_batch_envelope(DcId(3), 7, sample_batch_reports());
+  const auto wire = wrap_batch_envelope(DcId(3), 7, sample_window_reports());
   for (std::size_t len = 0; len < wire.size(); ++len) {
     EXPECT_FALSE(
         try_unwrap_reports_into(std::span(wire.data(), len), arena)
             .has_value())
-        << "envelope prefix of " << len << " bytes decoded";
+        << "prefix of " << len << " bytes decoded";
   }
 }
 
 TEST(FuzzDecodeTest, BatchSingleByteCorruptionNeverCrashes) {
   std::vector<ReportEnvelope> arena;
-  const auto clean = wrap_batch(DcId(3), sample_batch_reports());
+  const auto clean = wrap_batch_envelope(DcId(3), 7, sample_window_reports());
   for (std::size_t i = 0; i < clean.size(); ++i) {
     auto bytes = clean;
     bytes[i] ^= 0xFF;
     (void)try_unwrap_reports_into(bytes, arena);
   }
+  // Type byte, u64 dc, u64 sequence, then the u16 batch magic.
   auto bad_magic = clean;
-  bad_magic[1] ^= 0xFF;  // type byte, then the u16 batch magic
+  bad_magic[17] ^= 0xFF;
   EXPECT_FALSE(try_unwrap_reports_into(bad_magic, arena).has_value());
   auto bad_version = clean;
-  bad_version[3] = 0xEE;
+  bad_version[19] = 0xEE;
   EXPECT_FALSE(try_unwrap_reports_into(bad_version, arena).has_value());
 }
 
@@ -1019,7 +971,7 @@ TEST(FuzzDecodeTest, BatchHugeCountRejectedBeforeAllocation) {
   // An empty batch's trailing u32 is the report count: saturate it and the
   // decoder must reject on the payload-capacity bound without ever growing
   // the arena.
-  auto bytes = wrap_batch(DcId(3), {});
+  auto bytes = wrap_batch_envelope(DcId(3), 7, {});
   for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i) {
     bytes[i] = 0xFF;
   }
@@ -1035,10 +987,9 @@ TEST(FuzzDecodeTest, BatchWrongTypeReturnsNullopt) {
   EXPECT_FALSE(
       try_unwrap_reports_into(wrap(sample_test_command()), arena)
           .has_value());
-  const auto wire = wrap_batch(DcId(3), sample_batch_reports());
+  const auto wire = wrap_batch_envelope(DcId(3), 7, sample_window_reports());
   EXPECT_FALSE(try_unwrap_command(wire).has_value());
-  EXPECT_FALSE(try_unwrap_report(wire).has_value());
-  EXPECT_FALSE(try_unwrap_envelope(wire).has_value());
+  EXPECT_FALSE(try_unwrap_sensor_data(wire).has_value());
   EXPECT_FALSE(try_unwrap_ack(wire).has_value());
 }
 
@@ -1107,7 +1058,7 @@ TEST(ReliableChannelTest, PersistentOutageCapsBackoffThenDrains) {
 
   std::vector<AckMessage> acks;
   net.register_endpoint("pdme", [&](const Message& msg) {
-    const auto env = try_unwrap_envelope(msg.payload);
+    const auto env = unwrap_one(msg.payload);
     ASSERT_TRUE(env.has_value());
     const auto out = receiver.on_envelope(env->dc, env->sequence);
     if (!out.duplicate) acks.push_back(out.ack);
@@ -1115,8 +1066,9 @@ TEST(ReliableChannelTest, PersistentOutageCapsBackoffThenDrains) {
 
   // The link is down from the start until t=3600 s.
   net.schedule_outage({"pdme", SimTime(0), SimTime::from_seconds(3600.0), 1.0});
-  net.send("dc-5", "pdme", sender.envelope(sample_report(), SimTime(0)),
-           SimTime(0));
+  FailureReport report = sample_report();
+  report.dc = DcId(5);
+  net.send("dc-5", "pdme", seal_one(sender, report, SimTime(0)), SimTime(0));
 
   // Sweep once a minute through the outage: RTO walks 60 -> 120 -> 240
   // (ceiling) -> 240 -> ... Retransmits land at 60, 180, 420, 660, ...
@@ -1131,7 +1083,7 @@ TEST(ReliableChannelTest, PersistentOutageCapsBackoffThenDrains) {
   }
   // 60, 180, 420 then every 240 s from 660 through 3540: 3 + 13 rounds.
   EXPECT_EQ(sweeps_with_work, 16u);
-  EXPECT_EQ(sender.stats().max_backoff_hits, 1u);  // counted once per entry
+  EXPECT_EQ(sender.snapshot().max_backoff_hits, 1u);  // counted once per entry
   EXPECT_EQ(ceiling.value(), c0 + 1);
   EXPECT_EQ(sender.unacked(), 1u);  // nothing got through, nothing lost
   EXPECT_TRUE(acks.empty());

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "mpros/dc/data_concentrator.hpp"
+#include "mpros/net/messages.hpp"
+#include "mpros/net/report.hpp"
 #include "mpros/oosm/ship_builder.hpp"
 #include "mpros/pdme/browser.hpp"
 #include "mpros/pdme/mimosa.hpp"
@@ -62,7 +67,7 @@ TEST_F(PdmeTest, FusionTriggeredViaOosmEvents) {
       pdme_.group_state(motor_, domain::LogicalGroup::RotorDynamics);
   EXPECT_EQ(state.report_count, 1u);
   EXPECT_NEAR(state.modes[0].belief, 0.8, 1e-9);
-  EXPECT_EQ(pdme_.stats().reports_accepted, 1u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 1u);
 }
 
 TEST_F(PdmeTest, ThirdPartyReportObjectAlsoFused) {
@@ -116,7 +121,7 @@ TEST_F(PdmeTest, DuplicateRetransmissionDropped) {
       make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8);
   EXPECT_TRUE(pdme_.accept(report).has_value());
   EXPECT_FALSE(pdme_.accept(report).has_value());
-  EXPECT_EQ(pdme_.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(pdme_.snapshot().duplicates_dropped, 1u);
   const auto state =
       pdme_.group_state(motor_, domain::LogicalGroup::RotorDynamics);
   EXPECT_EQ(state.report_count, 1u);  // fused once, not twice
@@ -161,12 +166,46 @@ TEST_F(PdmeTest, ConservativePrognosticDominates) {
 TEST_F(PdmeTest, NetworkAttachDeliversReports) {
   net::SimNetwork network;
   pdme_.attach_to_network(network);
-  network.send("dc-1", "pdme",
-               net::wrap(make_report(motor_, FailureMode::GearMeshWear, 0.5,
-                                     0.8)),
+  const auto r = make_report(motor_, FailureMode::GearMeshWear, 0.5, 0.8);
+  network.send("dc-1", "pdme", net::wrap_batch_envelope(r.dc, 0, {&r, 1}),
                SimTime(0));
   network.flush();
-  EXPECT_EQ(pdme_.stats().reports_accepted, 1u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 1u);
+}
+
+using PdmeWireTest = PdmeTest;
+
+TEST_F(PdmeWireTest, RetiredReportTypesCountedMalformed) {
+  // The retired report tags (1 = lone report, 4 = sequenced report,
+  // 10 = bare batch), each carrying a well-formed body in its old layout:
+  // the PDME counts them malformed and fuses nothing.
+  net::SimNetwork network;
+  pdme_.attach_to_network(network);
+  const auto r = make_report(motor_, FailureMode::GearMeshWear, 0.5, 0.8);
+  const std::vector<std::uint8_t> batch =
+      net::wrap_batch_envelope(r.dc, 1, {&r, 1});
+  const std::vector<std::uint8_t> frame = net::serialize(r);
+  const auto header = std::span(batch).subspan(1, 16);  // dc + sequence
+  const auto body = std::span(batch).subspan(1 + 16);   // batch body
+
+  std::vector<std::vector<std::uint8_t>> retired(3);
+  retired[0].push_back(1);
+  retired[0].insert(retired[0].end(), frame.begin(), frame.end());
+  retired[1].push_back(4);
+  retired[1].insert(retired[1].end(), header.begin(), header.end());
+  retired[1].insert(retired[1].end(), frame.begin(), frame.end());
+  retired[2].push_back(10);
+  retired[2].insert(retired[2].end(), body.begin(), body.end());
+
+  std::uint64_t malformed = pdme_.snapshot().malformed_dropped;
+  for (const auto& payload : retired) {
+    network.send("dc-1", "pdme", payload, SimTime(0));
+    network.flush();
+    EXPECT_EQ(pdme_.snapshot().malformed_dropped, malformed + 1)
+        << "type byte " << int{payload[0]};
+    malformed = pdme_.snapshot().malformed_dropped;
+    EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
+  }
 }
 
 TEST_F(PdmeTest, ResetMachineForgets) {
@@ -308,8 +347,8 @@ TEST_F(PdmeTest, MalformedConditionDropped) {
   auto bad = make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.5);
   bad.machine_condition = ConditionId(999);
   pdme_.accept(bad);
-  EXPECT_EQ(pdme_.stats().malformed_dropped, 1u);
-  EXPECT_EQ(pdme_.stats().reports_accepted, 0u);
+  EXPECT_EQ(pdme_.snapshot().malformed_dropped, 1u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
 }
 
 // --- Reliable envelope intake ------------------------------------------------
@@ -328,19 +367,21 @@ TEST_F(PdmeTest, EnvelopeStreamGapsDetectedAckedAndHealed) {
   });
 
   net::ReliableSender sender{DcId(1)};
-  const auto p1 = sender.envelope(
-      make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.8, 1, 100.0), SimTime(0));
-  const auto p2 = sender.envelope(
-      make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8, 1, 200.0), SimTime(0));
-  const auto p3 = sender.envelope(
-      make_report(motor_, FailureMode::MotorImbalance, 0.7, 0.8, 1, 300.0), SimTime(0));
+  const auto seal = [&](double severity, double t_seconds) {
+    const auto r = make_report(motor_, FailureMode::MotorImbalance, severity,
+                               0.8, 1, t_seconds);
+    return sender.envelope(std::span(&r, 1), SimTime(0));
+  };
+  const auto p1 = seal(0.5, 100.0);
+  const auto p2 = seal(0.6, 200.0);
+  const auto p3 = seal(0.7, 300.0);
 
   // Sequence 2 is lost in transit; 3's arrival exposes the gap.
   network.send("dc-1", "pdme", p1, SimTime::from_seconds(1));
   network.send("dc-1", "pdme", p3, SimTime::from_seconds(2));
   network.flush();
-  EXPECT_EQ(pdme_.stats().envelopes_accepted, 2u);
-  EXPECT_EQ(pdme_.stats().gaps_detected, 1u);
+  EXPECT_EQ(pdme_.snapshot().envelopes_accepted, 2u);
+  EXPECT_EQ(pdme_.snapshot().gaps_detected, 1u);
   ASSERT_EQ(acks.size(), 2u);
   EXPECT_EQ(acks.back().cumulative, 1u);  // can't ack past the hole
 
@@ -349,20 +390,55 @@ TEST_F(PdmeTest, EnvelopeStreamGapsDetectedAckedAndHealed) {
   network.flush();
   ASSERT_EQ(acks.size(), 3u);
   EXPECT_EQ(acks.back().cumulative, 3u);
-  EXPECT_EQ(pdme_.receiver().stats().gaps_healed, 1u);
-  EXPECT_EQ(pdme_.stats().reports_accepted, 3u);
+  EXPECT_EQ(pdme_.receiver().snapshot().gaps_healed, 1u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 3u);
 
   // A spurious re-retransmission is dropped but still acked (the DC may
   // simply have missed our ack).
   network.send("dc-1", "pdme", p2, SimTime::from_seconds(4));
   network.flush();
-  EXPECT_EQ(pdme_.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(pdme_.snapshot().duplicates_dropped, 1u);
   ASSERT_EQ(acks.size(), 4u);
   EXPECT_EQ(acks.back().cumulative, 3u);
-  EXPECT_EQ(pdme_.stats().reports_accepted, 3u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 3u);
 
   sender.on_ack(acks.back());
   EXPECT_EQ(sender.unacked(), 0u);
+}
+
+using BatchProtocolTest = PdmeTest;
+
+TEST_F(BatchProtocolTest, UnsequencedBatchAppliesWithoutAck) {
+  // Sequence 0 is unsequenced delivery: the batch decodes and fuses, but
+  // the PDME neither acks it nor opens a reliable stream for its DC.
+  net::SimNetwork network;
+  pdme_.attach_to_network(network);
+  std::size_t acks = 0;
+  network.register_endpoint("dc-1", [&](const net::Message& m) {
+    if (net::try_unwrap_ack(m.payload).has_value()) ++acks;
+  });
+
+  const std::vector<net::FailureReport> reports = {
+      make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.8, 1, 100.0),
+      make_report(motor_, FailureMode::GearMeshWear, 0.6, 0.7, 2, 200.0)};
+  const auto wire = net::wrap_batch_envelope(DcId(1), 0, reports);
+  std::vector<net::ReportEnvelope> arena;
+  const auto view = net::try_unwrap_reports_into(wire, arena);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->sequence, 0u);
+  EXPECT_EQ(view->count, reports.size());
+
+  network.send("dc-1", "pdme", wire, SimTime::from_seconds(300));
+  network.flush();
+  const PdmeExecutive::Stats stats = pdme_.snapshot();
+  EXPECT_EQ(stats.reports_accepted, reports.size());
+  EXPECT_EQ(stats.batches_received, 1u);
+  EXPECT_EQ(stats.acks_sent, 0u);
+  EXPECT_EQ(acks, 0u);
+  EXPECT_EQ(stats.envelopes_accepted, 0u);
+  EXPECT_EQ(pdme_.receiver().snapshot().accepted, 0u);
+  EXPECT_EQ(pdme_.receiver().cumulative(DcId(1)), 0u);
+  EXPECT_EQ(pdme_.receiver().open_gaps(DcId(1)), 0u);
 }
 
 // --- DC liveness supervision -------------------------------------------------
@@ -381,8 +457,8 @@ TEST_F(PdmeTest, WatchdogMarksSilentDcStaleThenLost) {
   pdme_.accept(net::HeartbeatMessage{DcId(9), SimTime::from_seconds(200), 0},
                SimTime::from_seconds(200));
   EXPECT_EQ(pdme_.dc_liveness(DcId(9)), DcLiveness::Alive);
-  EXPECT_EQ(pdme_.stats().heartbeats_received, 1u);
-  EXPECT_GE(pdme_.stats().liveness_transitions, 3u);
+  EXPECT_EQ(pdme_.snapshot().heartbeats_received, 1u);
+  EXPECT_GE(pdme_.snapshot().liveness_transitions, 3u);
 
   // The watchdog never resurrects a DC on its own.
   pdme_.update_liveness(SimTime::from_seconds(500));
@@ -404,7 +480,7 @@ TEST_F(PdmeTest, HeartbeatAdvertisedTailSequenceCountsGaps) {
   // Nothing arrived, but the DC claims it sent 2 reports: both are gaps.
   pdme_.accept(net::HeartbeatMessage{DcId(1), SimTime::from_seconds(60), 2},
                SimTime::from_seconds(60));
-  EXPECT_EQ(pdme_.stats().gaps_detected, 2u);
+  EXPECT_EQ(pdme_.snapshot().gaps_detected, 2u);
   EXPECT_EQ(pdme_.receiver().open_gaps(DcId(1)), 2u);
 }
 
@@ -418,7 +494,7 @@ TEST_F(PdmeTest, SensorFaultReportsBypassFusionIntoQuarantineLedger) {
   r.explanation = "vib.motor: impulsive outliers beyond robust scatter";
   pdme_.accept(r);
 
-  EXPECT_EQ(pdme_.stats().sensor_fault_reports, 1u);
+  EXPECT_EQ(pdme_.snapshot().sensor_fault_reports, 1u);
   // The instrument fault never reaches Dempster-Shafer or the list.
   EXPECT_TRUE(pdme_.prioritized_list(motor_).empty());
   const auto faults = pdme_.sensor_faults();

@@ -224,7 +224,7 @@ TEST(ReplayTest, RecordedRunReplaysToIdenticalPrioritizedList) {
   ship.run_until(SimTime::from_hours(1.0));
 
   const std::string live = pdme::render_summary(ship.pdme(), ship.model());
-  EXPECT_GT(ship.pdme().stats().reports_accepted, 0u);
+  EXPECT_GT(ship.pdme().snapshot().reports_accepted, 0u);
 
   ASSERT_NE(ship.flight_recorder(), nullptr);
   const auto dump = FlightRecorder::decode(ship.flight_recorder()->encode());
@@ -233,7 +233,7 @@ TEST(ReplayTest, RecordedRunReplaysToIdenticalPrioritizedList) {
   const auto replayed = replay_recording(*dump);
   ASSERT_TRUE(replayed.has_value());
   EXPECT_EQ(replayed->summary, live);  // byte-identical
-  EXPECT_EQ(replayed->reports_fused, ship.pdme().stats().reports_accepted);
+  EXPECT_EQ(replayed->reports_fused, ship.pdme().snapshot().reports_accepted);
   EXPECT_GT(replayed->messages_replayed, 0u);
   EXPECT_EQ(replayed->malformed, 0u);
 }

@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   std::printf("%s", fleet.server().render_fleet_view().c_str());
 
   if (show_stats) {
-    const FleetServer::Stats s = fleet.server().stats();
+    const FleetServer::Stats s = fleet.server().stats_snapshot();
     const net::NetworkStats shore = fleet.shore().stats();
     std::printf(
         "\n--- shore-link stats ---\n"
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.gaps_detected),
         static_cast<unsigned long long>(s.liveness_transitions));
     for (std::size_t k = 0; k < fleet.ship_count(); ++k) {
-      const auto up = fleet.ship(k).uplink()->stats();
+      const auto up = fleet.ship(k).uplink()->snapshot();
       std::printf("hull %zu uplink: enveloped %llu, retransmits %llu, "
                   "acked %llu, max-backoff %llu\n",
                   k + 1, static_cast<unsigned long long>(up.enveloped),
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(up.max_backoff_hits));
     }
     for (std::size_t k = 0; k < fleet.ship_count(); ++k) {
-      const auto ps = fleet.ship(k).pdme().stats();
+      const auto ps = fleet.ship(k).pdme().snapshot();
       std::printf("hull %zu pdme: commands %llu, command acks %llu\n",
                   k + 1, static_cast<unsigned long long>(ps.commands_sent),
                   static_cast<unsigned long long>(ps.command_acks));

@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
                   pdme::export_mimosa(ship.pdme(), ship.model()).c_str());
     } else if (show == "stats") {
       const auto stats = ship.fleet_stats();
-      const auto pstats = ship.pdme().stats();
+      const auto pstats = ship.pdme().snapshot();
       auto& reg = telemetry::Registry::instance();
       std::printf("samples=%llu reports=%llu fused=%llu dropped=%llu "
                   "duplicated=%llu retests=%llu\n",

@@ -18,9 +18,6 @@
 //                            supervisor must detect and recover it
 //   MPROS_CHAOS_CHURN=S      every S seconds, command a runtime config
 //                            change (rotating key/value) on a rotating DC
-//   MPROS_CHAOS_BATCH=0      flush one datagram per report instead of the
-//                            sync-window ReportBatch coalescing (E21);
-//                            default/1 keeps batching on
 //   MPROS_CHAOS_CRASH=S      every S seconds, kill BOTH mirror hulls
 //                            mid-voyage (destroy the ShipSystem, no
 //                            shutdown) and rebuild each from its durable
@@ -163,17 +160,15 @@ int main(int argc, char** argv) {
   const auto [outage_period_s, outage_len_s] = env_outage();
   const bool chaos_wedge = env_flag("MPROS_CHAOS_WEDGE");
   const double churn_period_s = env_double("MPROS_CHAOS_CHURN", 0.0);
-  const bool chaos_batch = env_double("MPROS_CHAOS_BATCH", 1.0) != 0.0;
   const double crash_period_s = env_double("MPROS_CHAOS_CRASH", 0.0);
 
   std::printf(
       "mpros_soak: %zu hull(s) x %zu plant(s), %.0f simulated hour(s)%s\n"
       "chaos: drop=%.3f dup=%.3f outage=%.0fs/%.0fs wedge=%d churn=%.0fs "
-      "batch=%d crash=%.0fs\n",
+      "crash=%.0fs\n",
       ships, plants, hours, short_mode ? " (short/CI profile)" : "",
       chaos_drop, chaos_dup, outage_period_s, outage_len_s,
-      chaos_wedge ? 1 : 0, churn_period_s, chaos_batch ? 1 : 0,
-      crash_period_s);
+      chaos_wedge ? 1 : 0, churn_period_s, crash_period_s);
 
   // Durable OOSM directories for the mirror pair: only armed when the
   // crash injector is on (a crash needs something to recover from).
@@ -196,7 +191,6 @@ int main(int argc, char** argv) {
     cfg.network.seed = mirror_pair ? 0xC0FFEE : 0xC0FFEE + h;
     cfg.network.drop_probability = chaos_drop;
     cfg.network.duplicate_probability = chaos_dup;
-    cfg.dc_template.batch_reports = chaos_batch;
     if (crash_period_s > 0.0 && mirror_pair) {
       cfg.enable_durability = true;
       cfg.durability.directory =
@@ -379,7 +373,7 @@ int main(int argc, char** argv) {
       }
 
       // I3: cumulative PDME counters never regress.
-      const pdme::PdmeExecutive::Stats s = fleet[h]->pdme().stats();
+      const pdme::PdmeExecutive::Stats s = fleet[h]->pdme().snapshot();
       const pdme::PdmeExecutive::Stats& prev = last_stats[h];
       if (s.reports_accepted < prev.reports_accepted ||
           s.envelopes_accepted < prev.envelopes_accepted ||

@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "mpros/mpros/mpros.hpp"
+#include "mpros/pdme/mimosa.hpp"
 #include "mpros/telemetry/metrics.hpp"
 
 namespace mpros {
@@ -593,8 +594,11 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& text) {
 
 /// Runs a seeded two-plant ship with two scheduled faults and digests what
 /// an operator and a test can see of it: the browser summary, the ICAS
-/// export and every PDME counter.
-std::uint64_t golden_digest(bool auto_retest, std::uint64_t* retests) {
+/// export and every PDME counter. `renders` receives a second digest over
+/// the per-machine browser page of every plant machine and the MIMOSA
+/// export, the two outputs that read the PDME's report history.
+std::uint64_t golden_digest(bool auto_retest, std::uint64_t* retests,
+                            std::uint64_t* renders) {
   ShipSystemConfig cfg = small_config();
   cfg.seed = 0x601DE7;
   cfg.pdme.auto_retest = auto_retest;
@@ -620,6 +624,18 @@ std::uint64_t golden_digest(bool auto_retest, std::uint64_t* retests) {
   std::string text = pdme::render_summary(ship.pdme(), ship.model());
   text += pdme::export_icas_csv(ship.pdme(), ship.model());
   for (const std::uint64_t c : counters) text += std::to_string(c) + ';';
+
+  std::string pages;
+  for (std::size_t p = 0; p < ship.plant_count(); ++p) {
+    const oosm::ChillerPlant& plant = ship.plant_objects(p);
+    for (const ObjectId machine :
+         {plant.chiller, plant.motor, plant.gearbox, plant.compressor,
+          plant.evaporator, plant.condenser, plant.chw_pump, plant.cw_pump}) {
+      pages += pdme::render_machine(ship.pdme(), ship.model(), machine);
+    }
+  }
+  pages += pdme::export_mimosa(ship.pdme(), ship.model());
+  *renders = fnv1a(0xcbf29ce484222325ULL, pages);
   return fnv1a(0xcbf29ce484222325ULL, text);
 }
 
@@ -628,13 +644,18 @@ TEST(GoldenDigestTest, SeededShipOutputPinned) {
   // adaptive retests, so a refactor of the PDME cannot drift it silently.
   // Recorded on x86-64 with GCC 12 and glibc 2.36; a libm whose sin or
   // normal_distribution return other bits moves it too.
+  // The render digests cover the machine pages and the MIMOSA export,
+  // which read the report history that the summary and ICAS do not.
   std::uint64_t retests = 0;
-  EXPECT_EQ(golden_digest(/*auto_retest=*/false, &retests),
+  std::uint64_t renders = 0;
+  EXPECT_EQ(golden_digest(/*auto_retest=*/false, &retests, &renders),
             0xAAF814C0486999B3ULL);
   EXPECT_EQ(retests, 0u);
-  EXPECT_EQ(golden_digest(/*auto_retest=*/true, &retests),
+  EXPECT_EQ(renders, 0x01647082B8454C5FULL);
+  EXPECT_EQ(golden_digest(/*auto_retest=*/true, &retests, &renders),
             0x09129C044D433782ULL);
   EXPECT_GT(retests, 0u);
+  EXPECT_EQ(renders, 0x01647082B8454C5FULL);
 }
 
 }  // namespace

@@ -132,17 +132,16 @@ void populate(const std::string& dir, std::size_t reports) {
   oosm::DurableModelJournal journal(model, dur.db());
   const auto ship = oosm::build_ship(model, "bench", 2, 2);
   for (std::size_t i = 0; i < reports; ++i) {
-    oosm::PropertyMap props;
-    props.append("belief", 0.25 + 0.5 * static_cast<double>(i % 3));
-    props.append("dc", std::int64_t(1 + i % 4));
-    props.append("ks", std::int64_t(1 + i % 4));
-    props.append("machine_condition", std::int64_t(2 + i % 5));
-    props.append("plausibility", 0.75);
-    props.append("severity", 0.4);
-    props.append("timestamp_us", std::int64_t(i) * 1000000);
-    const ObjectId report = model.create_object_bulk(
-        "report-" + std::to_string(i), domain::EquipmentKind::Report,
-        std::move(props));
+    const ObjectId report = model.create_object(
+        "report-" + std::to_string(i), domain::EquipmentKind::Report);
+    model.set_property(report, "belief",
+                       0.25 + 0.5 * static_cast<double>(i % 3));
+    model.set_property(report, "dc", std::int64_t(1 + i % 4));
+    model.set_property(report, "ks", std::int64_t(1 + i % 4));
+    model.set_property(report, "machine_condition", std::int64_t(2 + i % 5));
+    model.set_property(report, "plausibility", 0.75);
+    model.set_property(report, "severity", 0.4);
+    model.set_property(report, "timestamp_us", std::int64_t(i) * 1000000);
     model.relate(report, oosm::Relation::RefersTo,
                  ship.plants[i % ship.plants.size()].motor);
     if ((i + 1) % 64 == 0) dur.commit();

@@ -75,7 +75,8 @@ void BM_PdmeReportIngest(benchmark::State& state) {
     r.severity = 0.5;
     r.belief = 0.4;
     r.timestamp = SimTime(static_cast<std::int64_t>(i));
-    pdme.accept(r);
+    const net::ReportEnvelope env{r.dc, 0, std::move(r)};
+    pdme.submit({&env, 1});
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
@@ -107,7 +108,7 @@ BENCHMARK(BM_WireSerialization);
 //
 // Replays one fixed prognostics-rich multi-plant report stream through the
 // executive, measuring accepted reports/s end to end (dedup + OOSM post +
-// fuse), once through span submit() and once through per-report accept().
+// fuse), once through span submit() and once through one-report submits.
 
 constexpr std::size_t kSweepReports = 24000;
 
@@ -181,8 +182,8 @@ double measure_batched_rate(const std::vector<net::ReportEnvelope>& envs) {
   return static_cast<double>(pdme.snapshot().reports_accepted) / secs;
 }
 
-/// The pre-E21 call shape for comparison: one accept() (an envelope build
-/// plus a one-element submit) per report.
+/// The pre-E21 call shape for comparison: an envelope build plus a
+/// one-element submit per report.
 double measure_singleton_rate(const std::vector<net::FailureReport>& stream) {
   oosm::ObjectModel model;
   const auto ship = oosm::build_ship(model, "bench", 4, 2);
@@ -191,7 +192,10 @@ double measure_singleton_rate(const std::vector<net::FailureReport>& stream) {
   pdme::PdmeExecutive pdme(model, cfg);
 
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& r : stream) pdme.accept(r);
+  for (const auto& r : stream) {
+    const net::ReportEnvelope env{r.dc, 0, r};
+    pdme.submit({&env, 1});
+  }
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   return static_cast<double>(pdme.snapshot().reports_accepted) / secs;
@@ -247,7 +251,7 @@ void write_json_snapshot() {
   std::fclose(f);
   std::printf(
       "batched        : %.0f/s via submit() spans of %zu  (%u cores)\n"
-      "singleton      : %.0f/s via per-report accept() for comparison "
+      "singleton      : %.0f/s via one-report submit() for comparison "
       "(BENCH_FLEET.json written)\n",
       batched, kIngestBatch, hw, singleton);
 }

@@ -66,8 +66,12 @@ int main() {
   pdme::PdmeExecutive pdme_a(model_a);
   pdme::PdmeExecutive pdme_b(model_b);
 
-  // (a) Perfect, in-order delivery.
-  for (const auto& r : make_reports(ship_a.plants[0].motor)) pdme_a.accept(r);
+  // (a) Perfect, in-order delivery: one unsequenced batch.
+  std::vector<net::ReportEnvelope> in_order;
+  for (const auto& r : make_reports(ship_a.plants[0].motor)) {
+    in_order.push_back({r.dc, 0, r});
+  }
+  pdme_a.submit(in_order);
 
   // (b) Hostile transport: heavy jitter reorders, duplicates retransmit.
   net::NetworkConfig hostile;

@@ -103,8 +103,7 @@ FleetServer::FleetServer(FleetServerConfig cfg) : cfg_(cfg) {
   MPROS_EXPECTS(cfg.lost_after_missed > cfg.stale_after_missed);
   MPROS_EXPECTS(cfg.z_threshold > 0.0);
   // Readers must never observe a null view, even before the first publish.
-  published_.store(std::make_shared<const FleetSnapshot>(),
-                   std::memory_order_release);
+  published_ = std::make_shared<const FleetSnapshot>();
 }
 
 void FleetServer::expect_ship(ShipId ship, std::string name, SimTime since) {
@@ -427,12 +426,16 @@ void FleetServer::publish(SimTime now) {
   metrics.ships_alive.set(static_cast<double>(snap->ships_alive));
   metrics.ships_lost.set(static_cast<double>(snap->ships_lost));
   metrics.outliers.set(static_cast<double>(snap->outliers.size()));
-  // The merge barrier's single visible effect: one release-store readers
+  // The merge barrier's single visible effect: one pointer swap readers
   // pick up wholesale. No reader ever sees a half-built view. The epoch
   // gate is stored second, so a reader that observes the new epoch is
-  // guaranteed at least this snapshot from the pointer load.
+  // guaranteed at least this snapshot from the pointer copy. The old view
+  // is released outside the lock.
   const std::uint64_t epoch = snap->epoch;
-  published_.store(std::move(snap), std::memory_order_release);
+  {
+    std::lock_guard lock(published_mu_);
+    published_.swap(snap);
+  }
   published_epoch_.store(epoch, std::memory_order_release);
 }
 

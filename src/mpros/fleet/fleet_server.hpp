@@ -15,8 +15,10 @@
 // FleetSnapshot published by copy-on-write at the server's merge barrier
 // (publish()). Ingest mutates private state under an internal mutex that
 // readers never touch; publish() builds a fresh snapshot and swaps one
-// atomic pointer. Thousands of concurrent browser/ICAS-style readers
-// therefore never contend with ingest — E19 measures exactly that.
+// pointer under a second, tiny mutex. Readers gate on an atomic epoch and
+// take that mutex only when the epoch moves, so thousands of concurrent
+// browser/ICAS-style readers never contend with ingest — E19 measures
+// exactly that.
 
 #include <atomic>
 #include <cstdint>
@@ -163,20 +165,20 @@ class FleetServer {
   /// only writer of the published pointer.
   void publish(SimTime now);
 
-  /// Wait-free against ingest: one atomic shared_ptr load, no locks shared
-  /// with accept()/publish(). Never null (an empty epoch-0 snapshot exists
-  /// from construction).
+  /// The newest published view: a pointer copy under the publication
+  /// mutex, which ingest never holds. Never null (an empty epoch-0
+  /// snapshot exists from construction).
   [[nodiscard]] std::shared_ptr<const FleetSnapshot> snapshot() const {
-    return published_.load(std::memory_order_acquire);
+    std::lock_guard lock(published_mu_);
+    return published_;
   }
 
   /// Epoch of the most recently published snapshot. Hot readers gate on
-  /// this plain atomic and call snapshot() only when it advances: the
-  /// shared_ptr load touches the control block's shared state (libstdc++
-  /// guards atomic<shared_ptr> with an embedded lock), so a dashboard
-  /// polling at high rate should pin one snapshot and refresh by epoch.
-  /// Published after the snapshot store: once a reader observes epoch E
-  /// here, snapshot() returns a view at least as new as E.
+  /// this plain atomic and call snapshot() only when it advances, so a
+  /// dashboard polling at high rate pins one snapshot and takes the
+  /// publication mutex once per publish, not once per read. Published
+  /// after the snapshot store: once a reader observes epoch E here,
+  /// snapshot() returns a view at least as new as E.
   [[nodiscard]] std::uint64_t published_epoch() const noexcept {
     return published_epoch_.load(std::memory_order_acquire);
   }
@@ -259,7 +261,8 @@ class FleetServer {
   std::map<std::uint64_t, ShipState> ships_;  // by ShipId value
   std::uint64_t epoch_ = 0;
   Stats stats_;
-  std::atomic<std::shared_ptr<const FleetSnapshot>> published_;
+  mutable std::mutex published_mu_;  ///< guards published_ only
+  std::shared_ptr<const FleetSnapshot> published_;
   std::atomic<std::uint64_t> published_epoch_{0};
 };
 

@@ -63,8 +63,9 @@ std::optional<ReplayResult> replay_recording(
         break;
       }
       case net::MessageType::ReportBatchEnvelopeMsg: {
-        // Replay bypasses the reliable layer: signature dedup inside
-        // accept() absorbs recorded retransmissions of the same batch.
+        // Replay bypasses the reliable layer: the batch goes in unsequenced,
+        // and the PDME's report dedup absorbs recorded retransmissions of
+        // the same batch.
         std::vector<net::ReportEnvelope> arena;
         const auto view = net::try_unwrap_reports_into(frame.payload, arena);
         if (!view.has_value()) {
@@ -72,9 +73,8 @@ std::optional<ReplayResult> replay_recording(
           break;
         }
         pdme.note_dc_alive(view->dc, delivered_at);
-        for (std::size_t i = 0; i < view->count; ++i) {
-          pdme.accept(arena[i].report);
-        }
+        for (std::size_t i = 0; i < view->count; ++i) arena[i].sequence = 0;
+        pdme.submit({arena.data(), view->count});
         ++result.messages_replayed;
         break;
       }

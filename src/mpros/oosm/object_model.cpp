@@ -1,6 +1,8 @@
 #include "mpros/oosm/object_model.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <string_view>
 
 #include "mpros/common/assert.hpp"
 
@@ -17,36 +19,36 @@ const char* to_string(Relation r) {
   return "?";
 }
 
-ObjectModel::ObjectRecord& ObjectModel::allocate_slot(ObjectId id) {
-  if (id.value() >= objects_.size()) {
-    objects_.resize(id.value() + 1);
-  }
-  std::optional<ObjectRecord>& slot = objects_[id.value()];
-  MPROS_EXPECTS(!slot.has_value());
-  slot.emplace();
+namespace {
+
+/// A logged report's property keys, ASCII-sorted (PropertyMap order).
+constexpr std::string_view kReportKeys[] = {
+    "belief", "condition",   "dc",          "explanation",
+    "ks",     "posted",      "prognostics", "recommendations",
+    "sensed", "severity",    "timestamp_us", "trace"};
+
+}  // namespace
+
+ObjectModel::Slot& ObjectModel::allocate_slot(ObjectId id) {
+  if (id.value() >= slots_.size()) slots_.resize(id.value() + 1);
+  Slot& s = slots_[id.value()];
+  MPROS_EXPECTS(!s.live());
   ++live_count_;
-  creation_order_.push_back(id);
-  return *slot;
+  return s;
+}
+
+ObjectModel::ObjectRecord& ObjectModel::new_record(Slot& slot) {
+  MPROS_EXPECTS(records_.size() < kNone);
+  slot.record = static_cast<std::uint32_t>(records_.size());
+  return records_.emplace_back();
 }
 
 ObjectId ObjectModel::create_object(std::string name,
                                     domain::EquipmentKind kind) {
   const ObjectId id(next_id_++);
-  ObjectRecord& rec = allocate_slot(id);
+  ObjectRecord& rec = new_record(allocate_slot(id));
   rec.name = std::move(name);
   rec.kind = kind;
-  notify(OosmEvent{OosmEvent::Kind::ObjectCreated, id, {}, {}, {}});
-  return id;
-}
-
-ObjectId ObjectModel::create_object_bulk(std::string name,
-                                         domain::EquipmentKind kind,
-                                         PropertyMap properties) {
-  const ObjectId id(next_id_++);
-  ObjectRecord& rec = allocate_slot(id);
-  rec.name = std::move(name);
-  rec.kind = kind;
-  rec.properties = std::move(properties);
   notify(OosmEvent{OosmEvent::Kind::ObjectCreated, id, {}, {}, {}});
   return id;
 }
@@ -54,61 +56,154 @@ ObjectId ObjectModel::create_object_bulk(std::string name,
 void ObjectModel::create_object_with_id(ObjectId id, std::string name,
                                         domain::EquipmentKind kind) {
   MPROS_EXPECTS(id.valid() && !exists(id));
-  ObjectRecord& rec = allocate_slot(id);
+  ObjectRecord& rec = new_record(allocate_slot(id));
   rec.name = std::move(name);
   rec.kind = kind;
   next_id_ = std::max(next_id_, id.value() + 1);
   notify(OosmEvent{OosmEvent::Kind::ObjectCreated, id, {}, {}, {}});
 }
 
-void ObjectModel::delete_object(ObjectId id) {
-  ObjectRecord& rec = record(id);
-
-  // Remove edges referencing this object from its neighbors.
-  for (std::size_t r = 0; r < kRelationCount; ++r) {
-    for (const ObjectId to : rec.out[r]) {
-      auto& in = record(to).in[r];
-      in.erase(std::remove(in.begin(), in.end(), id), in.end());
-    }
-    for (const ObjectId from : rec.in[r]) {
-      auto& out = record(from).out[r];
-      out.erase(std::remove(out.begin(), out.end(), id), out.end());
-    }
+ObjectId ObjectModel::post_report(const net::FailureReport& report) {
+  const ObjectId id(next_id_++);
+  const std::uint32_t index = log_.append(report);
+  allocate_slot(id).log = index;
+  notify(OosmEvent{OosmEvent::Kind::ObjectCreated, id, {}, {}, {}});
+  const ObjectId sensed = report.sensed_object;
+  if (sensed != id && exists(sensed)) {
+    log_.mutable_record(index).flags |= ReportLog::kRefersTo;
+    record(sensed).in[static_cast<std::size_t>(Relation::RefersTo)].push_back(
+        id);
+    notify(OosmEvent{OosmEvent::Kind::RelationAdded, id, {},
+                     Relation::RefersTo, sensed});
   }
-  objects_[id.value()].reset();
+  log_.mutable_record(index).flags |= ReportLog::kPosted;
+  notify(OosmEvent{OosmEvent::Kind::PropertyChanged, id, "posted", {}, {}});
+  return id;
+}
+
+void ObjectModel::restore_report(ObjectId id, const net::FailureReport& report,
+                                 bool refers) {
+  MPROS_EXPECTS(id.valid() && !exists(id));
+  const std::uint32_t index = log_.append(report);
+  allocate_slot(id).log = index;
+  next_id_ = std::max(next_id_, id.value() + 1);
+  std::uint8_t flags = ReportLog::kPosted;
+  const ObjectId sensed = report.sensed_object;
+  if (refers && sensed != id && exists(sensed)) {
+    flags |= ReportLog::kRefersTo;
+    record(sensed).in[static_cast<std::size_t>(Relation::RefersTo)].push_back(
+        id);
+  }
+  log_.mutable_record(index).flags = flags;
+  notify(OosmEvent{OosmEvent::Kind::ObjectCreated, id, {}, {}, {}});
+}
+
+std::optional<std::uint32_t> ObjectModel::report_index(ObjectId id) const {
+  if (!exists(id) || slots_[id.value()].log == kNone) return std::nullopt;
+  return slots_[id.value()].log;
+}
+
+void ObjectModel::reset_reports(ObjectId machine) {
+  const ObjectId watermark(next_id_);
+  resets_[machine.value()] = watermark;
+  notify(OosmEvent{OosmEvent::Kind::ReportsReset, machine, {}, {}, watermark});
+}
+
+void ObjectModel::restore_reset(ObjectId machine, ObjectId watermark) {
+  resets_[machine.value()] = watermark;
+}
+
+bool ObjectModel::is_report_edge(ObjectId from, Relation relation,
+                                 ObjectId to) const {
+  if (relation != Relation::RefersTo) return false;
+  const ReportLog::Record* rec = log_record(from);
+  return rec != nullptr && (rec->flags & ReportLog::kRefersTo) != 0 &&
+         rec->sensed_object == to;
+}
+
+bool ObjectModel::has_added_property(ObjectId id,
+                                     const std::string& key) const {
+  const ObjectRecord* rec = find_record(id);
+  return slot(id).log != kNone && rec != nullptr &&
+         rec->properties.contains(key);
+}
+
+void ObjectModel::delete_object(ObjectId id) {
+  const Slot s = slot(id);
+  const auto refers = static_cast<std::size_t>(Relation::RefersTo);
+  if (const ReportLog::Record* lr = log_record(id);
+      lr != nullptr && (lr->flags & ReportLog::kRefersTo) != 0 &&
+      exists(lr->sensed_object)) {
+    auto& in = record(lr->sensed_object).in[refers];
+    in.erase(std::remove(in.begin(), in.end(), id), in.end());
+  }
+  if (s.record != kNone) {
+    ObjectRecord& rec = records_[s.record];
+    // Remove edges referencing this object from its neighbors. A logged
+    // report pointing here keeps its record's edge, which reads as absent
+    // once this object is gone (ids are never reused).
+    for (std::size_t r = 0; r < kRelationCount; ++r) {
+      for (const ObjectId to : rec.out[r]) {
+        auto& in = records_[slots_[to.value()].record].in[r];
+        in.erase(std::remove(in.begin(), in.end(), id), in.end());
+      }
+      for (const ObjectId from : rec.in[r]) {
+        const std::uint32_t from_record = slots_[from.value()].record;
+        if (from_record == kNone) continue;  // a logged report's own edge
+        auto& out = records_[from_record].out[r];
+        out.erase(std::remove(out.begin(), out.end(), id), out.end());
+      }
+    }
+    rec = ObjectRecord{};
+  }
+  slots_[id.value()] = Slot{};
   --live_count_;
-  creation_order_.erase(
-      std::remove(creation_order_.begin(), creation_order_.end(), id),
-      creation_order_.end());
   notify(OosmEvent{OosmEvent::Kind::ObjectDeleted, id, {}, {}, {}});
 }
 
 bool ObjectModel::exists(ObjectId id) const {
-  return id.value() < objects_.size() && objects_[id.value()].has_value();
+  return id.value() < slots_.size() && slots_[id.value()].live();
+}
+
+const ObjectModel::Slot& ObjectModel::slot(ObjectId id) const {
+  MPROS_EXPECTS(exists(id));
+  return slots_[id.value()];
 }
 
 ObjectModel::ObjectRecord& ObjectModel::record(ObjectId id) {
   MPROS_EXPECTS(exists(id));
-  return *objects_[id.value()];
+  Slot& s = slots_[id.value()];
+  return s.record != kNone ? records_[s.record] : new_record(s);
 }
 
-const ObjectModel::ObjectRecord& ObjectModel::record(ObjectId id) const {
-  MPROS_EXPECTS(exists(id));
-  return *objects_[id.value()];
+const ObjectModel::ObjectRecord* ObjectModel::find_record(ObjectId id) const {
+  const Slot& s = slot(id);
+  return s.record != kNone ? &records_[s.record] : nullptr;
+}
+
+const ReportLog::Record* ObjectModel::log_record(ObjectId id) const {
+  const Slot& s = slot(id);
+  return s.log != kNone ? &log_.record(s.log) : nullptr;
 }
 
 const std::string& ObjectModel::name(ObjectId id) const {
-  return record(id).name;
+  const Slot& s = slot(id);
+  return s.log != kNone ? log_.text(log_.record(s.log).name)
+                        : records_[s.record].name;
 }
 
 domain::EquipmentKind ObjectModel::kind(ObjectId id) const {
-  return record(id).kind;
+  const Slot& s = slot(id);
+  return s.log != kNone ? domain::EquipmentKind::Report
+                        : records_[s.record].kind;
 }
 
 std::optional<ObjectId> ObjectModel::find_by_name(
     const std::string& name) const {
-  for (const ObjectId id : creation_order_) {
-    if (record(id).name == name) return id;
+  for (std::uint64_t v = 1; v < slots_.size(); ++v) {
+    if (slots_[v].live() && this->name(ObjectId(v)) == name) {
+      return ObjectId(v);
+    }
   }
   return std::nullopt;
 }
@@ -116,14 +211,21 @@ std::optional<ObjectId> ObjectModel::find_by_name(
 std::vector<ObjectId> ObjectModel::objects_of_kind(
     domain::EquipmentKind kind) const {
   std::vector<ObjectId> out;
-  for (const ObjectId id : creation_order_) {
-    if (record(id).kind == kind) out.push_back(id);
+  for (std::uint64_t v = 1; v < slots_.size(); ++v) {
+    if (slots_[v].live() && this->kind(ObjectId(v)) == kind) {
+      out.emplace_back(v);
+    }
   }
   return out;
 }
 
 std::vector<ObjectId> ObjectModel::all_objects() const {
-  return creation_order_;
+  std::vector<ObjectId> out;
+  out.reserve(live_count_);
+  for (std::uint64_t v = 1; v < slots_.size(); ++v) {
+    if (slots_[v].live()) out.emplace_back(v);
+  }
+  return out;
 }
 
 void ObjectModel::set_property(ObjectId id, const std::string& key,
@@ -132,24 +234,67 @@ void ObjectModel::set_property(ObjectId id, const std::string& key,
   notify(OosmEvent{OosmEvent::Kind::PropertyChanged, id, key, {}, {}});
 }
 
-std::optional<db::Value> ObjectModel::property(ObjectId id,
-                                               const std::string& key) const {
-  const db::Value* v = record(id).properties.find(key);
-  if (v == nullptr) return std::nullopt;
-  return *v;
+std::optional<db::Value> ObjectModel::report_property(
+    const ReportLog::Record& rec, std::string_view key) const {
+  const auto integer = [](std::uint64_t v) {
+    return db::Value(static_cast<std::int64_t>(v));
+  };
+  if (key == "belief") return db::Value(rec.belief);
+  if (key == "condition") return integer(rec.machine_condition.value());
+  if (key == "dc") return integer(rec.dc.value());
+  if (key == "explanation") return db::Value(log_.text(rec.explanation));
+  if (key == "ks") return integer(rec.knowledge_source.value());
+  if (key == "posted") {
+    if ((rec.flags & ReportLog::kPosted) == 0) return std::nullopt;
+    return db::Value(std::int64_t{1});
+  }
+  if (key == "prognostics") {
+    return db::Value(encode_prognostics(log_.prognostics(rec)));
+  }
+  if (key == "recommendations") {
+    return db::Value(log_.text(rec.recommendations));
+  }
+  if (key == "sensed") return integer(rec.sensed_object.value());
+  if (key == "severity") return db::Value(rec.severity);
+  if (key == "timestamp_us") return db::Value(rec.timestamp.micros());
+  if (key == "trace" && rec.trace != 0) return integer(rec.trace);
+  return std::nullopt;
 }
 
-const PropertyMap& ObjectModel::properties(ObjectId id) const {
-  return record(id).properties;
+std::optional<db::Value> ObjectModel::property(ObjectId id,
+                                               const std::string& key) const {
+  if (const ObjectRecord* rec = find_record(id)) {
+    if (const db::Value* v = rec->properties.find(key)) return *v;
+  }
+  if (const ReportLog::Record* lr = log_record(id)) {
+    return report_property(*lr, key);
+  }
+  return std::nullopt;
+}
+
+PropertyMap ObjectModel::properties(ObjectId id) const {
+  const ReportLog::Record* lr = log_record(id);
+  const ObjectRecord* rec = find_record(id);
+  if (lr == nullptr) return rec->properties;
+  PropertyMap out;
+  out.reserve(std::size(kReportKeys));
+  for (const std::string_view key : kReportKeys) {
+    if (auto v = report_property(*lr, key)) out.append(key, std::move(*v));
+  }
+  if (rec != nullptr) {
+    for (const auto& [key, value] : rec->properties) out.set(key, value);
+  }
+  return out;
 }
 
 void ObjectModel::add_edge(ObjectId from, Relation relation, ObjectId to) {
-  // record() doubles as the existence check (it asserts on unknown ids).
+  if (is_report_edge(from, relation, to)) return;
   const auto r = static_cast<std::size_t>(relation);
+  // record() doubles as the existence check (it asserts on unknown ids).
   auto& out = record(from).out[r];
   if (std::find(out.begin(), out.end(), to) != out.end()) return;
   out.push_back(to);
-  record(to).in[r].push_back(from);
+  record(to).in[r].push_back(from);  // may grow records_: `out` is done
   notify(OosmEvent{OosmEvent::Kind::RelationAdded, from, {}, relation, to});
 }
 
@@ -161,17 +306,34 @@ void ObjectModel::relate(ObjectId from, Relation relation, ObjectId to) {
 
 std::vector<ObjectId> ObjectModel::related(ObjectId from,
                                            Relation relation) const {
-  return record(from).out[static_cast<std::size_t>(relation)];
+  std::vector<ObjectId> out;
+  if (relation == Relation::RefersTo) {
+    const ReportLog::Record* lr = log_record(from);
+    if (lr != nullptr && (lr->flags & ReportLog::kRefersTo) != 0 &&
+        exists(lr->sensed_object)) {
+      out.push_back(lr->sensed_object);
+    }
+  }
+  if (const ObjectRecord* rec = find_record(from)) {
+    const auto& edges = rec->out[static_cast<std::size_t>(relation)];
+    out.insert(out.end(), edges.begin(), edges.end());
+  }
+  return out;
 }
 
 std::vector<ObjectId> ObjectModel::related_to(ObjectId to,
                                               Relation relation) const {
-  return record(to).in[static_cast<std::size_t>(relation)];
+  const ObjectRecord* rec = find_record(to);
+  if (rec == nullptr) return {};
+  return rec->in[static_cast<std::size_t>(relation)];
 }
 
 bool ObjectModel::has_relation(ObjectId from, Relation relation,
                                ObjectId to) const {
-  const auto& out = record(from).out[static_cast<std::size_t>(relation)];
+  if (is_report_edge(from, relation, to) && exists(to)) return true;
+  const ObjectRecord* rec = find_record(from);
+  if (rec == nullptr) return false;
+  const auto& out = rec->out[static_cast<std::size_t>(relation)];
   return std::find(out.begin(), out.end(), to) != out.end();
 }
 

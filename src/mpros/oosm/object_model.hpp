@@ -12,24 +12,31 @@
 // Knowledge Fusion subscribes to process failure-prediction reports as they
 // are posted, and the browser updates its display the same way.
 //
+// Reports the PDME posts live in the report log (report_log.hpp): each
+// takes a fixed-layout log record and an 8-byte id slot instead of a full
+// object record, and reads back through the same object API. Objects built
+// with create_object() — ship equipment, reports a third party assembles by
+// hand — are general records.
+//
 // Thread model: single writer (the PDME executive); listeners run inline on
 // the writer thread.
 //
-// Reference stability: records live in a dense id-indexed table, so
-// references returned by name()/properties() are invalidated by object
-// creation (table growth). Copy out anything needed across a mutation.
+// Reference stability: general records live in a dense table, so a name()
+// reference to a general object is invalidated by object creation (table
+// growth). Copy out anything needed across a mutation.
 
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mpros/common/ids.hpp"
 #include "mpros/db/value.hpp"
 #include "mpros/domain/equipment.hpp"
+#include "mpros/net/report.hpp"
 #include "mpros/oosm/property_map.hpp"
+#include "mpros/oosm/report_log.hpp"
 
 namespace mpros::oosm {
 
@@ -48,11 +55,13 @@ inline constexpr std::size_t kRelationCount = 5;
 
 struct OosmEvent {
   enum class Kind { ObjectCreated, ObjectDeleted, PropertyChanged,
-                    RelationAdded } kind;
-  ObjectId object;          ///< subject (for RelationAdded: the `from` side)
+                    RelationAdded, ReportsReset } kind;
+  ObjectId object;          ///< subject (RelationAdded: the `from` side;
+                            ///< ReportsReset: the machine)
   std::string property;     ///< PropertyChanged only
   Relation relation{};      ///< RelationAdded only
-  ObjectId other;           ///< RelationAdded only
+  ObjectId other;           ///< RelationAdded: the `to` side; ReportsReset:
+                            ///< the new watermark
 };
 
 class ObjectModel {
@@ -62,17 +71,6 @@ class ObjectModel {
   // -- Object lifecycle -----------------------------------------------------
 
   ObjectId create_object(std::string name, domain::EquipmentKind kind);
-
-  /// Create an object with its initial properties in one step, emitting a
-  /// single ObjectCreated event (the properties are readable by the time
-  /// listeners run). The bulk path exists for high-rate posters — the PDME
-  /// posts one Report object per fused conclusion and the per-property
-  /// notify() fan-out dominated that cost. No PropertyChanged events are
-  /// emitted for the initial properties; listeners keying on a specific
-  /// marker property should have the poster set that one marker with
-  /// set_property() afterwards (the PDME's "posted" contract).
-  ObjectId create_object_bulk(std::string name, domain::EquipmentKind kind,
-                              PropertyMap properties);
 
   void delete_object(ObjectId id);
   [[nodiscard]] bool exists(ObjectId id) const;
@@ -95,8 +93,9 @@ class ObjectModel {
   void set_property(ObjectId id, const std::string& key, db::Value value);
   [[nodiscard]] std::optional<db::Value> property(ObjectId id,
                                                   const std::string& key) const;
-  /// Key-sorted (same iteration order the historical std::map gave).
-  [[nodiscard]] const PropertyMap& properties(ObjectId id) const;
+  /// Key-sorted (same iteration order the historical std::map gave). By
+  /// value: a logged report's properties are derived from its record.
+  [[nodiscard]] PropertyMap properties(ObjectId id) const;
 
   // -- Relationships ----------------------------------------------------------
 
@@ -122,6 +121,42 @@ class ObjectModel {
   /// Transitive PartOf children.
   [[nodiscard]] std::vector<ObjectId> components_of(ObjectId id) const;
 
+  // -- Report log -------------------------------------------------------------
+
+  /// Post one failure report as a Report object backed by the report log.
+  /// Emits what building it by hand would: ObjectCreated; RelationAdded for
+  /// `RefersTo` the sensed object, when that object exists; then
+  /// PropertyChanged("posted"), the completion marker. The object reads as
+  /// "Report <condition> on <sensed>" with properties belief, condition,
+  /// dc, explanation, ks, posted, prognostics (encode_prognostics text),
+  /// recommendations, sensed, severity, timestamp_us and, when nonzero,
+  /// trace. additional_info is kept in the log, not as a property.
+  ObjectId post_report(const net::FailureReport& report);
+
+  [[nodiscard]] const ReportLog& report_log() const { return log_; }
+  /// Log index of a live report object posted through post_report().
+  [[nodiscard]] std::optional<std::uint32_t> report_index(ObjectId id) const;
+
+  /// Maintenance reset: reports on `machine` posted before now no longer
+  /// count toward its condition. Records the watermark — the next object
+  /// id, so exactly the reports posted since sit at or above it — and
+  /// emits ReportsReset so a journal can persist it.
+  void reset_reports(ObjectId machine);
+  /// The latest reset watermark of every machine ever reset, by machine id.
+  [[nodiscard]] const std::map<std::uint64_t, ObjectId>& report_resets()
+      const {
+    return resets_;
+  }
+
+  /// True when `from -(relation)-> to` is a logged report's own RefersTo
+  /// edge, which the log record carries (journals skip it).
+  [[nodiscard]] bool is_report_edge(ObjectId from, Relation relation,
+                                    ObjectId to) const;
+  /// True when `key` on a logged report was set after posting, so it is
+  /// stored beside the record rather than derived from it.
+  [[nodiscard]] bool has_added_property(ObjectId id,
+                                        const std::string& key) const;
+
   // -- Events -----------------------------------------------------------------
 
   using Listener = std::function<void(const OosmEvent&)>;
@@ -131,6 +166,8 @@ class ObjectModel {
   void unsubscribe(SubscriptionId id);
 
  private:
+  /// A general object, or the properties and edges added to a logged
+  /// report after it was posted.
   struct ObjectRecord {
     std::string name;
     domain::EquipmentKind kind{};
@@ -138,26 +175,49 @@ class ObjectModel {
     std::vector<ObjectId> out[kRelationCount];
     std::vector<ObjectId> in[kRelationCount];
   };
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  /// Per-id slot: a log index, a record index, both (a logged report with
+  /// later additions) or neither (no such object).
+  struct Slot {
+    std::uint32_t log = kNone;
+    std::uint32_t record = kNone;
+    [[nodiscard]] bool live() const { return log != kNone || record != kNone; }
+  };
 
   /// Restore an object under a specific id (persistence only).
   void create_object_with_id(ObjectId id, std::string name,
                              domain::EquipmentKind kind);
+  /// Restore a logged report under a specific id (persistence only). The
+  /// RefersTo edge is restored when `refers` and the sensed object exists.
+  void restore_report(ObjectId id, const net::FailureReport& report,
+                      bool refers);
+  /// Restore a reset watermark (persistence only).
+  void restore_reset(ObjectId machine, ObjectId watermark);
 
   /// Claim the (empty) slot for `id`, growing the table as needed.
-  ObjectRecord& allocate_slot(ObjectId id);
+  Slot& allocate_slot(ObjectId id);
+  ObjectRecord& new_record(Slot& slot);
 
+  [[nodiscard]] const Slot& slot(ObjectId id) const;
+  /// The record holding `id`'s own properties and edges, created on first
+  /// use for a logged report.
   ObjectRecord& record(ObjectId id);
-  [[nodiscard]] const ObjectRecord& record(ObjectId id) const;
+  /// nullptr for a logged report with nothing added.
+  [[nodiscard]] const ObjectRecord* find_record(ObjectId id) const;
+  /// The log record behind `id`, or nullptr for a general object.
+  [[nodiscard]] const ReportLog::Record* log_record(ObjectId id) const;
+  [[nodiscard]] std::optional<db::Value> report_property(
+      const ReportLog::Record& rec, std::string_view key) const;
   void notify(const OosmEvent& event);
   void add_edge(ObjectId from, Relation relation, ObjectId to);
 
-  /// Dense id-indexed storage (ids are allocated sequentially from 1, so
-  /// the table has no holes beyond deletions). record() is the innermost
-  /// operation of report posting — an array index beats hashing, and bulk
-  /// ingest never pays a rehash-and-relink pause.
-  std::vector<std::optional<ObjectRecord>> objects_;
+  /// Dense id-indexed slots (ids are allocated sequentially from 1, so the
+  /// table has no holes beyond deletions); id order is creation order.
+  std::vector<Slot> slots_;
+  std::vector<ObjectRecord> records_;
+  ReportLog log_;
+  std::map<std::uint64_t, ObjectId> resets_;
   std::size_t live_count_ = 0;
-  std::vector<ObjectId> creation_order_;
   std::uint64_t next_id_ = 1;
   std::map<SubscriptionId, Listener> listeners_;
   SubscriptionId next_subscription_ = 1;

@@ -39,25 +39,100 @@ TableSchema relations_schema() {
        ColumnDef{"to_id", ValueType::Integer, false}}};
 }
 
+TableSchema reports_schema() {
+  return TableSchema{
+      Persistence::kReportsTable,
+      {ColumnDef{"id", ValueType::Integer, false},
+       ColumnDef{"dc", ValueType::Integer, false},
+       ColumnDef{"ks", ValueType::Integer, false},
+       ColumnDef{"sensed", ValueType::Integer, false},
+       ColumnDef{"condition", ValueType::Integer, false},
+       ColumnDef{"severity", ValueType::Real, false},
+       ColumnDef{"belief", ValueType::Real, false},
+       ColumnDef{"timestamp_us", ValueType::Integer, false},
+       ColumnDef{"trace", ValueType::Integer, false},
+       ColumnDef{"refers", ValueType::Integer, false},  ///< RefersTo edge
+       ColumnDef{"explanation", ValueType::Text, false},
+       ColumnDef{"recommendations", ValueType::Text, false},
+       ColumnDef{"additional_info", ValueType::Text, false},
+       ColumnDef{"prognostics", ValueType::Text, false}}};
+}
+
+TableSchema resets_schema() {
+  return TableSchema{Persistence::kResetsTable,
+                     {ColumnDef{"machine_id", ValueType::Integer, false},
+                      ColumnDef{"watermark", ValueType::Integer, false}}};
+}
+
+Value integer(std::uint64_t v) { return Value(static_cast<std::int64_t>(v)); }
+
+/// The oosm_reports row of the logged report `id`.
+db::Row report_row(const ObjectModel& model, ObjectId id) {
+  const ReportLog& log = model.report_log();
+  const ReportLog::Record& r = log.record(*model.report_index(id));
+  return {integer(id.value()),
+          integer(r.dc.value()),
+          integer(r.knowledge_source.value()),
+          integer(r.sensed_object.value()),
+          integer(r.machine_condition.value()),
+          Value(r.severity),
+          Value(r.belief),
+          Value(r.timestamp.micros()),
+          integer(r.trace),
+          Value(std::int64_t{(r.flags & ReportLog::kRefersTo) != 0 ? 1 : 0}),
+          Value(log.text(r.explanation)),
+          Value(log.text(r.recommendations)),
+          Value(log.text(r.additional_info)),
+          Value(encode_prognostics(log.prognostics(r)))};
+}
+
+net::FailureReport report_from_row(const db::Row& row) {
+  const auto id = [&](std::size_t column) {
+    return static_cast<std::uint64_t>(row[column].as_integer());
+  };
+  net::FailureReport r;
+  r.dc = DcId(id(1));
+  r.knowledge_source = KnowledgeSourceId(id(2));
+  r.sensed_object = ObjectId(id(3));
+  r.machine_condition = ConditionId(id(4));
+  r.severity = row[5].as_real();
+  r.belief = row[6].as_real();
+  r.timestamp = SimTime(row[7].as_integer());
+  r.trace = id(8);
+  r.explanation = row[10].as_text();
+  r.recommendations = row[11].as_text();
+  r.additional_info = row[12].as_text();
+  r.prognostics = decode_prognostics(row[13].as_text());
+  return r;
+}
+
 }  // namespace
 
 void Persistence::save(const ObjectModel& model, db::Database& db) {
-  for (const char* table :
-       {kObjectsTable, kPropertiesTable, kRelationsTable}) {
+  for (const char* table : {kObjectsTable, kPropertiesTable, kRelationsTable,
+                            kReportsTable, kResetsTable}) {
     if (db.has_table(table)) db.drop_table(table);
   }
   db::Table& objects = db.create_table(objects_schema());
   db::Table& properties = db.create_table(properties_schema());
   db::Table& relations = db.create_table(relations_schema());
+  db::Table& reports = db.create_table(reports_schema());
+  db::Table& resets = db.create_table(resets_schema());
   properties.create_index("object_id");
   relations.create_index("from_id");
 
   for (const ObjectId id : model.all_objects()) {
-    objects.insert({Value(static_cast<std::int64_t>(id.value())),
-                    Value(model.name(id)),
-                    Value(static_cast<std::int64_t>(model.kind(id)))});
+    const bool logged = model.report_index(id).has_value();
+    if (logged) {
+      reports.insert(report_row(model, id));
+    } else {
+      objects.insert({Value(static_cast<std::int64_t>(id.value())),
+                      Value(model.name(id)),
+                      Value(static_cast<std::int64_t>(model.kind(id)))});
+    }
 
     for (const auto& [key, value] : model.properties(id)) {
+      if (logged && !model.has_added_property(id, key)) continue;
       Value int_v, real_v, text_v;
       switch (value.type()) {
         case ValueType::Integer: int_v = value; break;
@@ -72,11 +147,15 @@ void Persistence::save(const ObjectModel& model, db::Database& db) {
     for (std::size_t r = 0; r < kRelationCount; ++r) {
       const auto relation = static_cast<Relation>(r);
       for (const ObjectId to : model.related(id, relation)) {
+        if (model.is_report_edge(id, relation, to)) continue;
         relations.insert_auto({Value(static_cast<std::int64_t>(id.value())),
                                Value(static_cast<std::int64_t>(r)),
                                Value(static_cast<std::int64_t>(to.value()))});
       }
     }
+  }
+  for (const auto& [machine, watermark] : model.report_resets()) {
+    resets.insert({integer(machine), integer(watermark.value())});
   }
 }
 
@@ -99,11 +178,19 @@ void DurableModelJournal::create_tables() {
   db_.create_table(objects_schema());
   db_.create_table(properties_schema());
   db_.create_table(relations_schema());
+  db_.create_table(reports_schema());
+  db_.create_table(resets_schema());
   db_.create_index(Persistence::kPropertiesTable, "object_id");
   db_.create_index(Persistence::kRelationsTable, "from_id");
 }
 
 void DurableModelJournal::adopt_tables() {
+  if (!db_.has_table(Persistence::kReportsTable)) {
+    db_.create_table(reports_schema());
+  }
+  if (!db_.has_table(Persistence::kResetsTable)) {
+    db_.create_table(resets_schema());
+  }
   for (const auto& [row_key, row] :
        db_.table(Persistence::kPropertiesTable).rows()) {
     const auto object = static_cast<std::uint64_t>(row[1].as_integer());
@@ -175,23 +262,42 @@ void DurableModelJournal::upsert_property(ObjectId id, const std::string& key) {
   rec.type = type;
 }
 
+void DurableModelJournal::record_reset(ObjectId machine, ObjectId watermark) {
+  const auto key = static_cast<std::int64_t>(machine.value());
+  const Value value = integer(watermark.value());
+  if (db_.table(Persistence::kResetsTable).find(key) != nullptr) {
+    db_.update(Persistence::kResetsTable, key, "watermark", value);
+  } else {
+    db_.insert(Persistence::kResetsTable, {Value(key), value});
+  }
+}
+
 void DurableModelJournal::on_event(const OosmEvent& event) {
   const auto object_key = static_cast<std::int64_t>(event.object.value());
   switch (event.kind) {
     case OosmEvent::Kind::ObjectCreated: {
+      // A logged report is written whole at its "posted" marker.
+      if (model_.report_index(event.object).has_value()) break;
       db_.insert(Persistence::kObjectsTable,
                  {Value(object_key), Value(model_.name(event.object)),
                   Value(static_cast<std::int64_t>(model_.kind(event.object)))});
-      // create_object_bulk readies properties before the single event.
-      for (const auto& [key, value] : model_.properties(event.object)) {
-        upsert_property(event.object, key);
-      }
       break;
     }
     case OosmEvent::Kind::PropertyChanged:
+      if (model_.report_index(event.object).has_value() &&
+          !model_.has_added_property(event.object, event.property)) {
+        if (event.property == "posted") {
+          db_.insert(Persistence::kReportsTable,
+                     report_row(model_, event.object));
+        }
+        break;
+      }
       upsert_property(event.object, event.property);
       break;
     case OosmEvent::Kind::RelationAdded: {
+      if (model_.is_report_edge(event.object, event.relation, event.other)) {
+        break;  // the report row's refers column
+      }
       const std::int64_t row = db_.insert_auto(
           Persistence::kRelationsTable,
           {Value(object_key),
@@ -202,7 +308,10 @@ void DurableModelJournal::on_event(const OosmEvent& event) {
       break;
     }
     case OosmEvent::Kind::ObjectDeleted: {
+      // The object is in exactly one of the two tables; erase is a no-op
+      // on the other.
       db_.erase(Persistence::kObjectsTable, object_key);
+      db_.erase(Persistence::kReportsTable, object_key);
       const auto lo = prop_rows_.lower_bound({event.object.value(), ""});
       auto hi = lo;
       while (hi != prop_rows_.end() &&
@@ -219,18 +328,45 @@ void DurableModelJournal::on_event(const OosmEvent& event) {
       relation_rows_.erase(rlo, rhi);
       break;
     }
+    case OosmEvent::Kind::ReportsReset:
+      record_reset(event.object, event.other);
+      break;
   }
 }
 
 ObjectModel Persistence::load(const db::Database& db) {
   ObjectModel model;
 
-  const db::Table& objects = db.table(kObjectsTable);
-  for (const db::Row& row : objects.select()) {
-    const ObjectId id(static_cast<std::uint64_t>(row[0].as_integer()));
-    model.create_object_with_id(
-        id, row[1].as_text(),
-        static_cast<domain::EquipmentKind>(row[2].as_integer()));
+  // General objects and logged reports interleave by id, which is creation
+  // order: restore them merged so every report finds its machine in place.
+  static const std::map<std::int64_t, db::Row> kNoRows;
+  const auto& objects = db.table(kObjectsTable).rows();
+  const auto& reports =
+      db.has_table(kReportsTable) ? db.table(kReportsTable).rows() : kNoRows;
+  auto o = objects.begin();
+  auto r = reports.begin();
+  while (o != objects.end() || r != reports.end()) {
+    if (r == reports.end() || (o != objects.end() && o->first < r->first)) {
+      const db::Row& row = o->second;
+      model.create_object_with_id(
+          ObjectId(static_cast<std::uint64_t>(row[0].as_integer())),
+          row[1].as_text(),
+          static_cast<domain::EquipmentKind>(row[2].as_integer()));
+      ++o;
+    } else {
+      const db::Row& row = r->second;
+      model.restore_report(
+          ObjectId(static_cast<std::uint64_t>(row[0].as_integer())),
+          report_from_row(row), row[9].as_integer() != 0);
+      ++r;
+    }
+  }
+  if (db.has_table(kResetsTable)) {
+    for (const auto& [key, row] : db.table(kResetsTable).rows()) {
+      model.restore_reset(
+          ObjectId(static_cast<std::uint64_t>(row[0].as_integer())),
+          ObjectId(static_cast<std::uint64_t>(row[1].as_integer())));
+    }
   }
 
   const db::Table& properties = db.table(kPropertiesTable);

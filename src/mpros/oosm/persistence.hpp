@@ -18,8 +18,12 @@ namespace mpros::oosm {
 
 class Persistence {
  public:
-  /// Create the oosm_objects / oosm_properties / oosm_relations tables in
-  /// `db` (drops any existing snapshot tables first).
+  /// Write the model into `db` (dropping any existing snapshot tables
+  /// first): general objects to oosm_objects, their properties and edges to
+  /// oosm_properties / oosm_relations, one oosm_reports row per logged
+  /// report (its RefersTo edge a column of the row), and one
+  /// oosm_report_resets row per reset watermark. Properties and edges added
+  /// to a logged report after posting go to the general tables.
   static void save(const ObjectModel& model, db::Database& db);
 
   /// Rebuild a model from a snapshot produced by save() (or maintained by a
@@ -30,21 +34,25 @@ class Persistence {
   static constexpr const char* kObjectsTable = "oosm_objects";
   static constexpr const char* kPropertiesTable = "oosm_properties";
   static constexpr const char* kRelationsTable = "oosm_relations";
+  static constexpr const char* kReportsTable = "oosm_reports";
+  static constexpr const char* kResetsTable = "oosm_report_resets";
 };
 
 /// Incremental background persistence (paper §4.6: "managed entirely in the
 /// background"): subscribes to an ObjectModel and mirrors every event —
-/// creation, property change, relation, deletion — into the same three
-/// tables Persistence::save() writes, through the *journaled* Database
-/// mutators, so an attached write-ahead log captures each change as it
-/// happens instead of requiring periodic full-model dumps.
+/// creation, property change, relation, deletion, report reset — into the
+/// same tables Persistence::save() writes, through the *journaled*
+/// Database mutators, so an attached write-ahead log captures each change
+/// as it happens instead of requiring periodic full-model dumps. A logged
+/// report is one oosm_reports insert, written at its "posted" marker.
 ///
 /// Two start modes, decided by what is already in `db`:
 ///  - fresh (no oosm_objects table): creates the tables + indexes, then
 ///    mirrors events; attach BEFORE building the model so creations land.
 ///  - adopt (tables exist, e.g. recovered from WAL): rebuilds its row-key
 ///    bookkeeping from the tables and continues mirroring. The model must
-///    match the tables (it was just loaded from them).
+///    match the tables (it was just loaded from them). A directory written
+///    before the report tables existed gets them created here.
 ///
 /// Runs inline on the model's single writer thread, like every listener.
 class DurableModelJournal {
@@ -60,6 +68,7 @@ class DurableModelJournal {
   void adopt_tables();
   void on_event(const OosmEvent& event);
   void upsert_property(ObjectId id, const std::string& key);
+  void record_reset(ObjectId machine, ObjectId watermark);
 
   ObjectModel& model_;
   db::Database& db_;

@@ -1,13 +1,12 @@
 #pragma once
 // Flat sorted property container for OOSM objects.
 //
-// Report posting is the OOSM hot path: every fused conclusion creates one
-// Report object carrying ~11 properties, and std::map paid one node
-// allocation (plus a key-string allocation) per property. PropertyMap keeps
-// the entries in a vector sorted ascending by key — iteration order is
-// identical to std::map's, so everything rendered from it (browser, ICAS
-// export, persistence dumps) is byte-for-byte unchanged — while a bulk
-// build through append() is a handful of contiguous emplacements.
+// std::map paid one node allocation (plus a key-string allocation) per
+// property. PropertyMap keeps the entries in a vector sorted ascending by
+// key — iteration order is identical to std::map's, so everything rendered
+// from it (browser, ICAS export, persistence dumps) is byte-for-byte
+// unchanged — while a build through append(), as a logged report's
+// property view does, is a handful of contiguous emplacements.
 
 #include <algorithm>
 #include <string>

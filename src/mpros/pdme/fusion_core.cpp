@@ -1,8 +1,11 @@
 #include "mpros/pdme/fusion_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
+#include "mpros/common/assert.hpp"
 #include "mpros/common/log.hpp"
 #include "mpros/telemetry/metrics.hpp"
 #include "mpros/telemetry/trace.hpp"
@@ -39,15 +42,80 @@ struct CoreMetrics {
 
 }  // namespace
 
-std::string report_signature(const net::FailureReport& r) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "%llu/%llu/%llu/%llu/%lld/%.6f",
-                static_cast<unsigned long long>(r.dc.value()),
-                static_cast<unsigned long long>(r.knowledge_source.value()),
-                static_cast<unsigned long long>(r.sensed_object.value()),
-                static_cast<unsigned long long>(r.machine_condition.value()),
-                static_cast<long long>(r.timestamp.micros()), r.belief);
-  return buf;
+DedupIndex::Key DedupIndex::key_of(const net::FailureReport& r) {
+  return {r.dc.value(),           r.knowledge_source.value(),
+          r.sensed_object.value(), r.machine_condition.value(),
+          r.timestamp.micros(),    r.belief};
+}
+
+DedupIndex::Key DedupIndex::key_of(std::uint32_t index) const {
+  const oosm::ReportLog::Record& r = log_.record(index);
+  return {r.dc.value(),           r.knowledge_source.value(),
+          r.sensed_object.value(), r.machine_condition.value(),
+          r.timestamp.micros(),    r.belief};
+}
+
+std::uint64_t DedupIndex::hash(const Key& k) {
+  // Belief stays out of the hash: equal keys must hash equal, and two
+  // beliefs can print alike without being bitwise equal.
+  std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+  for (const std::uint64_t v :
+       {k.dc, k.ks, k.sensed, k.condition,
+        static_cast<std::uint64_t>(k.timestamp_us)}) {
+    h = (h ^ v) * 0xBF58476D1CE4E5B9ULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+bool DedupIndex::same(const Key& a, const Key& b) {
+  if (a.dc != b.dc || a.ks != b.ks || a.sensed != b.sensed ||
+      a.condition != b.condition || a.timestamp_us != b.timestamp_us) {
+    return false;
+  }
+  if (std::bit_cast<std::uint64_t>(a.belief) ==
+      std::bit_cast<std::uint64_t>(b.belief)) {
+    return true;
+  }
+  char ta[48];
+  char tb[48];
+  std::snprintf(ta, sizeof ta, "%.6f", a.belief);
+  std::snprintf(tb, sizeof tb, "%.6f", b.belief);
+  return std::strcmp(ta, tb) == 0;
+}
+
+std::size_t DedupIndex::probe(const Key& k) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash(k) & mask;
+  while (slots_[i] != kEmpty && !same(key_of(slots_[i]), k)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+bool DedupIndex::contains(const net::FailureReport& report) const {
+  return size_ != 0 && slots_[probe(key_of(report))] != kEmpty;
+}
+
+void DedupIndex::insert(std::uint32_t index) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::size_t i = probe(key_of(index));
+  if (slots_[i] != kEmpty) return;
+  slots_[i] = index;
+  ++size_;
+}
+
+void DedupIndex::grow() {
+  std::vector<std::uint32_t> old(std::max<std::size_t>(16, slots_.size() * 2),
+                                 kEmpty);
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const std::uint32_t index : old) {
+    if (index == kEmpty) continue;
+    std::size_t i = hash(key_of(index)) & mask;
+    while (slots_[i] != kEmpty) i = (i + 1) & mask;
+    slots_[i] = index;
+  }
 }
 
 void FusionCore::count_duplicate() {
@@ -55,11 +123,27 @@ void FusionCore::count_duplicate() {
   CoreMetrics::instance().duplicates_dropped.inc();
 }
 
-void FusionCore::fuse(const net::FailureReport& r, bool retest_enabled) {
+void FusionCore::fuse(const net::FailureReport& r, std::uint32_t log_index,
+                      bool retest_enabled) {
+  MPROS_EXPECTS(log_index < kUnlogged);
+  fuse_ref(r, log_index, retest_enabled);
+}
+
+void FusionCore::fuse_unlogged(const net::FailureReport& r,
+                               bool retest_enabled) {
+  MPROS_EXPECTS(unlogged_.size() < kUnlogged);
+  const auto ref = static_cast<HistoryRef>(kUnlogged | unlogged_.size());
+  unlogged_.push_back(r);
+  fuse_ref(r, ref, retest_enabled);
+}
+
+void FusionCore::fuse_ref(const net::FailureReport& r, HistoryRef ref,
+                          bool retest_enabled) {
   CoreMetrics& metrics = CoreMetrics::instance();
   // Sensor-fault conclusions get their own track: fusing "the sensor lies"
   // into Dempster-Shafer would steal mass from real machinery modes.
   if (domain::is_sensor_fault_condition(r.machine_condition)) {
+    history_[r.sensed_object.value()].push_back(ref);
     note_sensor_fault(r);
     return;
   }
@@ -81,7 +165,7 @@ void FusionCore::fuse(const net::FailureReport& r, bool retest_enabled) {
 
   ++stats_.reports_accepted;
   metrics.reports_accepted.inc();
-  reports_[r.sensed_object.value()].push_back(r);
+  history_[r.sensed_object.value()].push_back(ref);
 
   // Diagnostic fusion: the report's Belief field becomes simple support.
   // apply() is update() minus the per-call GroupState summary allocation;
@@ -120,7 +204,6 @@ void FusionCore::note_sensor_fault(const net::FailureReport& r) {
   metrics.reports_accepted.inc();
   ++stats_.sensor_fault_reports;
   metrics.sensor_fault_reports.inc();
-  reports_[r.sensed_object.value()].push_back(r);
 
   const domain::SensorFaultKind kind =
       domain::sensor_fault_kind(r.machine_condition);
@@ -221,14 +304,23 @@ fusion::PrognosticVector FusionCore::trend_prognosis(ObjectId machine,
 
 std::vector<net::FailureReport> FusionCore::reports_for(
     ObjectId machine) const {
-  const auto it = reports_.find(machine.value());
-  if (it == reports_.end()) return {};
-  return {it->second.begin(), it->second.end()};
+  const auto it = history_.find(machine.value());
+  if (it == history_.end()) return {};
+  std::vector<net::FailureReport> out(it->second.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const HistoryRef ref = it->second[i];
+    if ((ref & kUnlogged) != 0) {
+      out[i] = unlogged_[ref & ~kUnlogged];
+    } else {
+      log_.read(ref, out[i]);
+    }
+  }
+  return out;
 }
 
 void FusionCore::reset_machine(ObjectId machine) {
   diagnostics_.reset(machine);
-  reports_.erase(machine.value());
+  history_.erase(machine.value());
   for (auto it = tracks_.begin(); it != tracks_.end();) {
     if (it->first.machine == machine.value()) {
       it = tracks_.erase(it);

@@ -6,13 +6,14 @@
 //
 // A core holds the state that is independent per machine until the
 // comparative/fleet layer: Dempster-Shafer group state, prognostic tracks,
-// report history, dedup signatures, and the sensor-fault quarantine ledger.
+// the per-machine report history index, the dedup index, and the
+// sensor-fault quarantine ledger. Report contents live once, in the OOSM
+// report log; the core keeps log indices into it.
 
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "mpros/fusion/prognostic_fusion.hpp"
 #include "mpros/fusion/trend.hpp"
 #include "mpros/net/report.hpp"
+#include "mpros/oosm/report_log.hpp"
 
 namespace mpros::pdme {
 
@@ -95,8 +97,40 @@ struct PendingRetest {
   SimTime at;
 };
 
-/// Exact-duplicate (retransmission) signature of a report.
-[[nodiscard]] std::string report_signature(const net::FailureReport& r);
+/// Exact-duplicate (retransmission) detection over the report log. Two
+/// reports are duplicates when their dc, knowledge source, sensed object,
+/// condition and timestamp are equal and their beliefs print the same with
+/// "%.6f". The set holds log indices and reads the keys from the log, so
+/// it stores no string per report.
+class DedupIndex {
+ public:
+  explicit DedupIndex(const oosm::ReportLog& log) : log_(log) {}
+
+  /// True when a logged report in the set is a duplicate of `report`.
+  [[nodiscard]] bool contains(const net::FailureReport& report) const;
+  /// Add logged report `index`; a no-op when a duplicate is already in.
+  void insert(std::uint32_t index);
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  struct Key {
+    std::uint64_t dc, ks, sensed, condition;
+    std::int64_t timestamp_us;
+    double belief;
+  };
+  static Key key_of(const net::FailureReport& r);
+  [[nodiscard]] Key key_of(std::uint32_t index) const;
+  static std::uint64_t hash(const Key& k);
+  static bool same(const Key& a, const Key& b);
+  /// Slot of `k`'s duplicate, or of the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(const Key& k) const;
+  void grow();
+
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  const oosm::ReportLog& log_;
+  std::vector<std::uint32_t> slots_;  ///< open addressing, power of two
+  std::size_t size_ = 0;
+};
 
 class FusionCore {
  public:
@@ -110,17 +144,27 @@ class FusionCore {
     std::uint64_t sensor_fault_reports = 0;
   };
 
-  explicit FusionCore(const PdmeConfig& cfg) : cfg_(cfg) {}
+  /// `log` is the OOSM report log the executive posts into; it must
+  /// outlive the core.
+  FusionCore(const PdmeConfig& cfg, const oosm::ReportLog& log)
+      : cfg_(cfg), log_(log), dedup_(log) {}
 
-  /// Dedup bookkeeping: returns false when this signature was seen before.
-  bool mark_seen(std::string signature) {
-    return seen_signatures_.insert(std::move(signature)).second;
+  /// Dedup bookkeeping over logged reports.
+  [[nodiscard]] bool seen(const net::FailureReport& report) const {
+    return dedup_.contains(report);
   }
+  void mark_seen(std::uint32_t log_index) { dedup_.insert(log_index); }
   void count_duplicate();
+  [[nodiscard]] std::size_t dedup_entries() const { return dedup_.size(); }
 
-  /// Fuse one report (§5.1 steps 3-4 state updates). `retest_enabled`
-  /// reflects whether the executive is attached to a network.
-  void fuse(const net::FailureReport& report, bool retest_enabled);
+  /// Fuse one report (§5.1 steps 3-4 state updates); `log_index` is where
+  /// it sits in the report log. `retest_enabled` reflects whether the
+  /// executive is attached to a network.
+  void fuse(const net::FailureReport& report, std::uint32_t log_index,
+            bool retest_enabled);
+  /// Fuse a report that is not in the log (a Report object a third party
+  /// built by hand); the history keeps its own copy.
+  void fuse_unlogged(const net::FailureReport& report, bool retest_enabled);
 
   // -- Queries --------------------------------------------------------------
 
@@ -173,21 +217,28 @@ class FusionCore {
     std::size_t reports = 0;
   };
 
+  /// A history entry: a report-log index, or kUnlogged | an index into
+  /// unlogged_.
+  using HistoryRef = std::uint32_t;
+  static constexpr HistoryRef kUnlogged = 0x80000000u;
+
+  void fuse_ref(const net::FailureReport& report, HistoryRef ref,
+                bool retest_enabled);
   void note_sensor_fault(const net::FailureReport& report);
   void maybe_record_retest(const net::FailureReport& report);
 
   PdmeConfig cfg_;
+  const oosm::ReportLog& log_;
   fusion::DiagnosticFusion diagnostics_;
   /// Reused per-report buffers: prognostic-pair conversion plus the fuse
   /// scratch keep the steady-state fuse path off the heap.
   std::vector<fusion::PrognosticPoint> prog_points_;
   fusion::FuseScratch fuse_scratch_;
   std::map<ModeKey, ModeTrack> tracks_;
-  /// Per-machine report history. Deques: report structs never move once
-  /// stored, so high-rate ingest avoids the reallocate-and-move storms a
-  /// growing vector of string-bearing structs would pay.
-  std::map<std::uint64_t, std::deque<net::FailureReport>> reports_;
-  std::set<std::string> seen_signatures_;
+  /// Per-machine report history since the last reset, arrival order.
+  std::map<std::uint64_t, std::vector<HistoryRef>> history_;
+  std::deque<net::FailureReport> unlogged_;
+  DedupIndex dedup_;
   std::map<SensorFaultKey, SensorFaultRecord> sensor_faults_;
   std::vector<PendingRetest> pending_retests_;
   Stats stats_;

@@ -1,10 +1,6 @@
 #include "mpros/pdme/pdme.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <charconv>
-#include <cstring>
-#include <string_view>
 
 #include "mpros/common/assert.hpp"
 #include "mpros/common/log.hpp"
@@ -25,6 +21,9 @@ struct PdmeMetrics {
   telemetry::Counter& gaps_detected;
   telemetry::Counter& heartbeats_received;
   telemetry::Histogram& report_pipeline_latency_us;
+  telemetry::Gauge& report_records;
+  telemetry::Gauge& report_text_bytes;
+  telemetry::Gauge& dedup_entries;
 
   static PdmeMetrics& instance() {
     static auto& reg = telemetry::Registry::instance();
@@ -32,62 +31,13 @@ struct PdmeMetrics {
                          reg.counter("pdme.malformed_dropped"),
                          reg.counter("pdme.gaps_detected"),
                          reg.counter("pdme.heartbeats_received"),
-                         reg.histogram("pdme.report_pipeline_latency_us")};
+                         reg.histogram("pdme.report_pipeline_latency_us"),
+                         reg.gauge("oosm.report_records"),
+                         reg.gauge("oosm.report_text_bytes"),
+                         reg.gauge("pdme.dedup_entries")};
     return m;
   }
 };
-
-/// Fixed-width hex of the raw IEEE-754 bits: exact round-trip with no
-/// digit-generation arithmetic at all. Report posting is the ingest hot
-/// path and this string is an opaque codec blob, read back only by
-/// decode_prognostics below.
-char* write_bits_hex(char* p, double v) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    *p++ = kHex[(bits >> shift) & 0xF];
-  }
-  return p;
-}
-
-std::string encode_prognostics(const std::vector<net::PrognosticPair>& v) {
-  // One token per pair: "x<prob bits>:<time bits>;", 36 chars exactly.
-  std::string out;
-  out.reserve(v.size() * 36);
-  char buf[40];
-  for (const net::PrognosticPair& p : v) {
-    char* w = buf;
-    *w++ = 'x';
-    w = write_bits_hex(w, p.probability);
-    *w++ = ':';
-    w = write_bits_hex(w, p.time_seconds);
-    *w++ = ';';
-    out.append(buf, w);
-  }
-  return out;
-}
-
-std::vector<net::PrognosticPair> decode_prognostics(const std::string& s) {
-  std::vector<net::PrognosticPair> out;
-  std::string_view rest(s);
-  while (!rest.empty()) {
-    const std::size_t semi = rest.find(';');
-    const std::string_view tok = rest.substr(0, semi);
-    rest = semi == std::string_view::npos ? std::string_view{}
-                                          : rest.substr(semi + 1);
-    // "x<prob bits>:<time bits>", the only form encode_prognostics writes.
-    if (tok.size() != 34 || tok.front() != 'x' || tok[17] != ':') continue;
-    std::uint64_t pb = 0;
-    std::uint64_t tb = 0;
-    const char* const base = tok.data();
-    auto res = std::from_chars(base + 1, base + 17, pb, 16);
-    if (res.ec != std::errc{} || res.ptr != base + 17) continue;
-    res = std::from_chars(base + 18, base + 34, tb, 16);
-    if (res.ec != std::errc{} || res.ptr != base + 34) continue;
-    out.push_back({std::bit_cast<double>(pb), std::bit_cast<double>(tb)});
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -101,21 +51,12 @@ const char* to_string(DcLiveness liveness) {
 }
 
 PdmeExecutive::PdmeExecutive(oosm::ObjectModel& model, PdmeConfig cfg)
-    : model_(model), cfg_(cfg), core_(cfg_) {
+    : model_(model), cfg_(cfg), core_(cfg_, model.report_log()) {
   subscription_ = model_.subscribe(
       [this](const oosm::OosmEvent& event) { on_oosm_event(event); });
 }
 
 PdmeExecutive::~PdmeExecutive() { model_.unsubscribe(subscription_); }
-
-std::optional<ObjectId> PdmeExecutive::accept(
-    const net::FailureReport& report) {
-  net::ReportEnvelope env;
-  env.dc = report.dc;
-  env.sequence = 0;  // unsequenced: no reliable-stream bookkeeping
-  env.report = report;
-  return submit({&env, 1}).last_object;
-}
 
 PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
     std::span<const net::ReportEnvelope> reports) {
@@ -148,7 +89,7 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
       ++stats_.duplicate_envelopes;
       out.duplicates += run.size();
     } else {
-      const auto posted = ingest(run, /*needs_post=*/true);
+      const auto posted = ingest(run);
       if (posted.has_value()) out.last_object = posted;
       out.accepted += run.size();
       if (head.sequence != 0) {
@@ -170,18 +111,19 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
 }
 
 std::optional<ObjectId> PdmeExecutive::ingest(
-    std::span<const net::ReportEnvelope> run, bool needs_post) {
+    std::span<const net::ReportEnvelope> run) {
   std::optional<ObjectId> last;
   for (const net::ReportEnvelope& env : run) {
     const net::FailureReport& r = env.report;
-    if (needs_post) {
-      if (cfg_.deduplicate && !core_.mark_seen(report_signature(r))) {
-        core_.count_duplicate();
-        continue;
-      }
-      last = post_report_object(r);
+    if (cfg_.deduplicate && core_.seen(r)) {
+      core_.count_duplicate();
+      continue;
     }
-    fuse_and_retest(r);
+    const ObjectId obj = post_report_object(r);
+    const std::uint32_t index = *model_.report_index(obj);
+    if (cfg_.deduplicate) core_.mark_seen(index);
+    fuse_and_retest(r, index);
+    last = obj;
   }
   return last;
 }
@@ -191,41 +133,7 @@ ObjectId PdmeExecutive::post_report_object(const net::FailureReport& r) {
   // event path exists for third-party posters, so hold the re-entrancy
   // guard across the whole post, completion marker included.
   posting_ = true;
-  oosm::PropertyMap props;
-  // 11 initial properties plus room for the "posted" marker set_property()
-  // inserts below — sized so the marker never triggers a reallocation.
-  props.reserve(12);
-  // append() requires ascending key order — this list is ASCII-sorted.
-  props.append("belief", r.belief);
-  props.append("condition",
-               static_cast<std::int64_t>(r.machine_condition.value()));
-  props.append("dc", static_cast<std::int64_t>(r.dc.value()));
-  props.append("explanation", r.explanation);
-  props.append("ks", static_cast<std::int64_t>(r.knowledge_source.value()));
-  props.append("prognostics", encode_prognostics(r.prognostics));
-  props.append("recommendations", r.recommendations);
-  props.append("sensed", static_cast<std::int64_t>(r.sensed_object.value()));
-  props.append("severity", r.severity);
-  props.append("timestamp_us", r.timestamp.micros());
-  if (r.trace != 0) {
-    props.append("trace", static_cast<std::int64_t>(r.trace));
-  }
-  char name[64];
-  char* w = name;
-  std::memcpy(w, "Report ", 7);
-  w += 7;
-  w = std::to_chars(w, name + 32, r.machine_condition.value()).ptr;
-  std::memcpy(w, " on ", 4);
-  w += 4;
-  w = std::to_chars(w, name + 60, r.sensed_object.value()).ptr;
-  const ObjectId obj = model_.create_object_bulk(
-      std::string(name, w), domain::EquipmentKind::Report, std::move(props));
-  if (model_.exists(r.sensed_object)) {
-    model_.relate(obj, oosm::Relation::RefersTo, r.sensed_object);
-  }
-  // The completion marker: fusion triggers off this property event, so
-  // third parties posting report objects by hand use the same contract.
-  model_.set_property(obj, "posted", std::int64_t{1});
+  const ObjectId obj = model_.post_report(r);
   posting_ = false;
   return obj;
 }
@@ -261,7 +169,7 @@ net::FailureReport PdmeExecutive::reconstruct_report(ObjectId object) const {
   r.explanation = get_text("explanation");
   r.recommendations = get_text("recommendations");
   r.timestamp = SimTime(get_int("timestamp_us"));
-  r.prognostics = decode_prognostics(get_text("prognostics"));
+  r.prognostics = oosm::decode_prognostics(get_text("prognostics"));
   // Reports posted by third parties predate tracing; default to untraced.
   const auto trace = model_.property(object, "trace");
   if (trace.has_value()) {
@@ -281,15 +189,21 @@ void PdmeExecutive::on_oosm_event(const oosm::OosmEvent& event) {
     return;
   }
   // Already in the model: fuse without dedup and without a second post.
-  net::ReportEnvelope env;
-  env.dc = DcId(0);
-  env.sequence = 0;
-  env.report = reconstruct_report(event.object);
-  ingest({&env, 1}, /*needs_post=*/false);
+  if (const auto index = model_.report_index(event.object)) {
+    fuse_and_retest(model_.report_log().report(*index), *index);
+  } else {
+    fuse_and_retest(reconstruct_report(event.object), std::nullopt);
+  }
 }
 
-void PdmeExecutive::fuse_and_retest(const net::FailureReport& r) {
-  core_.fuse(r, /*retest_enabled=*/network_ != nullptr);
+void PdmeExecutive::fuse_and_retest(const net::FailureReport& r,
+                                    std::optional<std::uint32_t> log_index) {
+  const bool retest_enabled = network_ != nullptr;
+  if (log_index.has_value()) {
+    core_.fuse(r, *log_index, retest_enabled);
+  } else {
+    core_.fuse_unlogged(r, retest_enabled);
+  }
   if (core_.has_pending_retests()) {
     for (const PendingRetest& pending : core_.take_pending_retests()) {
       send_retest(pending);
@@ -321,20 +235,44 @@ std::size_t PdmeExecutive::rebuild_from_model() {
   // (the old timestamp sort was unstable across same-stamp reports) folds
   // the Dempster-Shafer floats differently and recovery would no longer be
   // byte-identical to the uncrashed run.
-  std::vector<net::FailureReport> recovered;
+  //
+  // Maintenance resets replay at their watermarks: a machine's last reset
+  // lands just before the first report posted after it, so what it cleared
+  // stays cleared and everything it left (counters, the sensor-fault
+  // ledger, dedup) is rebuilt as the live run had it.
+  std::vector<std::pair<ObjectId, ObjectId>> resets;  // (watermark, machine)
+  for (const auto& [machine, watermark] : model_.report_resets()) {
+    resets.emplace_back(watermark, ObjectId(machine));
+  }
+  std::sort(resets.begin(), resets.end());
+  auto next_reset = resets.begin();
+  const auto reset_through = [&](ObjectId id) {
+    for (; next_reset != resets.end() && next_reset->first <= id;
+         ++next_reset) {
+      core_.reset_machine(next_reset->second);
+    }
+  };
+
+  std::size_t recovered = 0;
+  net::FailureReport r;
   for (const ObjectId obj :
        model_.objects_of_kind(domain::EquipmentKind::Report)) {
-    const auto posted = model_.property(obj, "posted");
-    if (!posted.has_value()) continue;  // half-written report: skip
-    recovered.push_back(reconstruct_report(obj));
+    const auto index = model_.report_index(obj);
+    if (index.has_value()) {
+      model_.report_log().read(*index, r);
+      // Recovery fuses every persisted report, even signature twins (they
+      // are distinct objects in the model) — so bypass the dedup gate.
+      if (cfg_.deduplicate) core_.mark_seen(*index);
+    } else {
+      if (!model_.property(obj, "posted").has_value()) continue;  // half-written
+      r = reconstruct_report(obj);
+    }
+    reset_through(obj);
+    fuse_and_retest(r, index);
+    ++recovered;
   }
-  for (const net::FailureReport& r : recovered) {
-    // Recovery fuses every persisted report, even signature twins (they are
-    // distinct objects in the model) — so bypass the dedup gate.
-    if (cfg_.deduplicate) core_.mark_seen(report_signature(r));
-    fuse_and_retest(r);
-  }
-  return recovered.size();
+  reset_through(ObjectId(~std::uint64_t{0}));
+  return recovered;
 }
 
 std::vector<PdmeExecutive::SensorFaultRecord> PdmeExecutive::sensor_faults(
@@ -389,6 +327,12 @@ void PdmeExecutive::accept(const net::HeartbeatMessage& hb, SimTime at) {
 
 void PdmeExecutive::update_liveness(SimTime now) {
   MPROS_EXPECTS(cfg_.heartbeat_interval.micros() > 0);
+  PdmeMetrics& metrics = PdmeMetrics::instance();
+  const oosm::ReportLog& log = model_.report_log();
+  metrics.report_records.set(static_cast<double>(log.size()));
+  metrics.report_text_bytes.set(static_cast<double>(log.texts().bytes()));
+  metrics.dedup_entries.set(static_cast<double>(core_.dedup_entries()));
+
   for (auto& [dc, h] : dc_health_) {
     const SimTime silent = now - h.last_heard;
     const auto missed = static_cast<std::size_t>(
@@ -630,6 +574,7 @@ void PdmeExecutive::accept(const net::SensorDataMessage& data) {
 
 void PdmeExecutive::reset_machine(ObjectId machine) {
   core_.reset_machine(machine);
+  model_.reset_reports(machine);
 }
 
 }  // namespace mpros::pdme

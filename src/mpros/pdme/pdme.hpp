@@ -48,7 +48,7 @@ struct DcHealth {
 class PdmeExecutive {
  public:
   /// `model` must outlive the executive. The executive subscribes to OOSM
-  /// events so that report objects posted by anyone (not just accept())
+  /// events so that report objects posted by anyone (not just submit())
   /// reach knowledge fusion (§4.5).
   explicit PdmeExecutive(oosm::ObjectModel& model, PdmeConfig cfg = {});
   ~PdmeExecutive();
@@ -66,8 +66,9 @@ class PdmeExecutive {
     std::optional<ObjectId> last_object;
   };
 
-  /// THE ingest entry point: every report path — accept(), a decoded
-  /// ReportBatch, the wire adapter — funnels through here.
+  /// THE ingest entry point: every report path — a decoded ReportBatch,
+  /// the wire adapter, replay, resident analyzers — funnels through here.
+  /// Each fresh report is posted into the OOSM report log and fused.
   /// Each contiguous run sharing a nonzero (dc, sequence) is one sequenced
   /// datagram: a duplicate run is dropped whole (the retransmitted batch
   /// was already fused), a fresh run is ingested and commits exactly one
@@ -75,12 +76,6 @@ class PdmeExecutive {
   /// sequence == 0 are unsequenced reports. Acks are the wire
   /// adapter's job — submit() itself never touches the network.
   SubmitOutcome submit(std::span<const net::ReportEnvelope> reports);
-
-  /// Step 1 of §5.1: post a report into the OOSM (and let the event chain
-  /// run fusion). A one-element unsequenced span through submit(). Returns
-  /// the created report object's id; nullopt if the report was a duplicate
-  /// retransmission.
-  std::optional<ObjectId> accept(const net::FailureReport& report);
 
   /// Post a sensor-data batch: values land as properties on the machine's
   /// OOSM object (the §1 open-interface flow; PDME-resident algorithms
@@ -113,7 +108,9 @@ class PdmeExecutive {
   void expect_dc(DcId dc, SimTime since);
 
   /// Run the liveness watchdog at `now`: DCs silent past the configured
-  /// missed-interval thresholds transition to Stale/Lost (logged).
+  /// missed-interval thresholds transition to Stale/Lost (logged). This is
+  /// the PDME's per-window barrier hook, so it also sets the size gauges
+  /// oosm.report_records, oosm.report_text_bytes and pdme.dedup_entries.
   void update_liveness(SimTime now);
 
   [[nodiscard]] DcLiveness dc_liveness(DcId dc) const;
@@ -168,7 +165,9 @@ class PdmeExecutive {
   [[nodiscard]] fusion::GroupState group_state(
       ObjectId machine, domain::LogicalGroup group) const;
 
-  /// Reports accumulated for one machine, arrival order.
+  /// Reports fused for one machine since its last reset, arrival order,
+  /// read from the OOSM report log. The same after crash recovery as live,
+  /// additional_info included.
   [[nodiscard]] std::vector<net::FailureReport> reports_for(
       ObjectId machine) const;
 
@@ -208,7 +207,9 @@ class PdmeExecutive {
   [[nodiscard]] oosm::ObjectModel& model() { return model_; }
   [[nodiscard]] const oosm::ObjectModel& model() const { return model_; }
 
-  /// Forget everything known about a machine (post-maintenance reset).
+  /// Forget everything known about a machine (post-maintenance reset). The
+  /// reset is recorded in the OOSM as a report watermark, so a durable
+  /// journal persists it and rebuild_from_model() honours it.
   void reset_machine(ObjectId machine);
 
   /// Disaster recovery (§4.9 "long-term unattended operation"): rebuild
@@ -218,7 +219,8 @@ class PdmeExecutive {
   /// them, which Persistence::load preserves — so the Dempster-Shafer
   /// floating-point folds replay bit-identically (a timestamp sort would
   /// reorder same-stamp reports and perturb the folds at the last ulp).
-  /// Returns how many were recovered.
+  /// Each machine's last maintenance reset replays at its watermark, so the
+  /// reports it cleared stay cleared. Returns how many were re-fused.
   std::size_t rebuild_from_model();
 
   /// Restore one DC's watchdog record from persisted state (crash
@@ -239,10 +241,11 @@ class PdmeExecutive {
   [[nodiscard]] net::FailureReport reconstruct_report(ObjectId object) const;
   /// Hand one already-deduplicated-at-datagram-level run to fusion:
   /// per-report dedup + post + fuse.
-  std::optional<ObjectId> ingest(std::span<const net::ReportEnvelope> run,
-                                 bool needs_post);
-  /// Fuse one report, then send the retest commands it earned.
-  void fuse_and_retest(const net::FailureReport& report);
+  std::optional<ObjectId> ingest(std::span<const net::ReportEnvelope> run);
+  /// Fuse one report (logged at `log_index`, or a hand-built Report object
+  /// when nullopt), then send the retest commands it earned.
+  void fuse_and_retest(const net::FailureReport& report,
+                       std::optional<std::uint32_t> log_index);
   /// Backoff-filter and send one retest command.
   void send_retest(const PendingRetest& pending);
   ObjectId post_report_object(const net::FailureReport& report);

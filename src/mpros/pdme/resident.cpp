@@ -134,10 +134,13 @@ std::vector<net::FailureReport> FleetComparativeAnalyzer::scan(SimTime now) {
     fresh.push_back(r);
   }
 
-  for (const net::FailureReport& r : fresh) {
-    pdme_.accept(r);
-    ++stats_.reports_issued;
+  std::vector<net::ReportEnvelope> batch(fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    batch[i].dc = fresh[i].dc;
+    batch[i].report = fresh[i];  // sequence 0: unsequenced
   }
+  pdme_.submit(batch);
+  stats_.reports_issued += fresh.size();
   return fresh;
 }
 

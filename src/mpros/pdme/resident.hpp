@@ -45,7 +45,7 @@ struct FleetAnalyzerConfig {
 class FleetComparativeAnalyzer {
  public:
   /// The analyzer reads `pdme.model()` and posts conclusions back through
-  /// `pdme.accept()`; both must outlive it.
+  /// `pdme.submit()`; both must outlive it.
   FleetComparativeAnalyzer(PdmeExecutive& pdme,
                            FleetAnalyzerConfig cfg = {});
 

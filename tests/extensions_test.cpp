@@ -9,6 +9,7 @@
 #include "mpros/pdme/health.hpp"
 #include "mpros/pdme/resident.hpp"
 #include "mpros/pdme/spatial.hpp"
+#include "submit_one.hpp"
 
 namespace mpros {
 namespace {
@@ -171,7 +172,7 @@ TEST(AutoRetestTest, SevereUncorroboratedReportTriggersCommand) {
   r.severity = 0.85;  // severe...
   r.belief = 0.6;     // ...but group still carries real unknown mass
   r.timestamp = SimTime::from_seconds(100.0);
-  pdme.accept(r);
+  submit_one(pdme, r);
   network.flush();
 
   ASSERT_EQ(commands.size(), 1u);
@@ -180,7 +181,7 @@ TEST(AutoRetestTest, SevereUncorroboratedReportTriggersCommand) {
 
   // Backoff: an immediate repeat does not re-command.
   r.timestamp = SimTime::from_seconds(200.0);
-  pdme.accept(r);
+  submit_one(pdme, r);
   network.flush();
   EXPECT_EQ(commands.size(), 1u);
 }
@@ -205,13 +206,13 @@ TEST(AutoRetestTest, CorroboratedConclusionNotRetested) {
   r.severity = 0.40;
   r.belief = 0.95;
   r.timestamp = SimTime::from_seconds(100.0);
-  pdme.accept(r);
+  submit_one(pdme, r);
   // ...then the severe confirmation arrives into an already-collapsed
   // group: no closer look needed.
   r.knowledge_source = KnowledgeSourceId(3);
   r.severity = 0.85;
   r.timestamp = SimTime::from_seconds(200.0);
-  pdme.accept(r);
+  submit_one(pdme, r);
   EXPECT_EQ(pdme.snapshot().retests_commanded, 0u);
 }
 
@@ -291,7 +292,7 @@ class SpatialTest : public ::testing::Test {
     r.severity = severity;
     r.belief = belief;
     r.timestamp = SimTime::from_seconds(t);
-    pdme_.accept(r);
+    submit_one(pdme_, r);
   }
 
   oosm::ObjectModel model_;
@@ -399,7 +400,7 @@ class HealthTest : public ::testing::Test {
     r.severity = severity;
     r.belief = belief;
     r.timestamp = SimTime::from_seconds(t);
-    pdme_.accept(r);
+    submit_one(pdme_, r);
   }
 
   oosm::ObjectModel model_;

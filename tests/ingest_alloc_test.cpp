@@ -11,6 +11,10 @@
 //  - MassFunction::combine_simple_support: report-rate evidence folding;
 //  - PrognosticVector::fuse_in_place: report-rate curve fusion.
 //
+// It also bounds the whole warm PdmeExecutive::submit() path — dedup, the
+// OOSM report-log post and fusion — at one allocation per report on
+// average: the log's amortized growth, not a per-report node or string.
+//
 // Lives in its own binary so the hook cannot distort the other suites.
 
 #include <gtest/gtest.h>
@@ -25,6 +29,8 @@
 #include "mpros/fusion/prognostic_fusion.hpp"
 #include "mpros/net/messages.hpp"
 #include "mpros/net/report.hpp"
+#include "mpros/oosm/ship_builder.hpp"
+#include "mpros/pdme/pdme.hpp"
 
 namespace {
 
@@ -134,6 +140,54 @@ TEST(IngestAllocationTest, SteadyStatePrognosticFuseIsAllocationFree) {
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << "warm prognostic fuse allocated " << (after - before) << " time(s)";
+}
+
+TEST(IngestAllocationTest, WarmSubmitAveragesAtMostOneAllocationPerReport) {
+  // 64 DCs x 16 reports per window, sequenced, every report fresh: the
+  // pdme_ingest shape. Warm windows size the report log, the per-machine
+  // history and the dedup index. The measured fifth window is the worst
+  // case for amortized growth: every per-machine vector doubles in it, and
+  // the reliable receiver allocates once per datagram.
+  constexpr std::size_t kDcs = 64;
+  constexpr std::size_t kPerDc = 16;
+  oosm::ObjectModel model;
+  const oosm::ShipModel ship = oosm::build_ship(model, "Alloc", kDcs / 2, 2);
+  pdme::PdmeExecutive pdme(model);
+
+  std::uint64_t sequence = 0;
+  const auto window = [&](std::size_t w) {
+    ++sequence;
+    std::vector<net::ReportEnvelope> envs;
+    envs.reserve(kDcs * kPerDc);
+    for (std::size_t d = 0; d < kDcs; ++d) {
+      const oosm::ChillerPlant& plant = ship.plants[d];
+      const ObjectId machines[] = {plant.chiller, plant.motor, plant.gearbox,
+                                   plant.compressor};
+      for (std::size_t i = 0; i < kPerDc; ++i) {
+        net::FailureReport r = window_reports(1).front();
+        r.dc = DcId(d + 1);
+        r.sensed_object = machines[i % 4];
+        r.knowledge_source = KnowledgeSourceId(1 + i % 4);
+        r.timestamp = SimTime(static_cast<std::int64_t>(w * 1000 + i + 1) *
+                              1'000'000);
+        r.additional_info = "load=0.8;window=" + std::to_string(w);
+        envs.push_back({DcId(d + 1), sequence, std::move(r)});
+      }
+    }
+    return envs;
+  };
+
+  for (std::size_t w = 0; w < 4; ++w) (void)pdme.submit(window(w));
+  const auto measured = window(4);
+  const std::uint64_t before = g_allocations.load();
+  const auto out = pdme.submit(measured);
+  const std::uint64_t after = g_allocations.load();
+  ASSERT_EQ(out.accepted, kDcs * kPerDc);
+  const double per_report = static_cast<double>(after - before) /
+                            static_cast<double>(kDcs * kPerDc);
+  EXPECT_LE(per_report, 1.0)
+      << "warm submit allocated " << (after - before) << " time(s) for "
+      << kDcs * kPerDc << " reports";
 }
 
 }  // namespace

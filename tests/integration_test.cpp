@@ -9,6 +9,7 @@
 #include "mpros/mpros/mpros.hpp"
 #include "mpros/pdme/mimosa.hpp"
 #include "mpros/telemetry/metrics.hpp"
+#include "submit_one.hpp"
 
 namespace mpros {
 namespace {
@@ -186,11 +187,11 @@ TEST(DisorderTest, OrderInvarianceOfFusedState) {
     reports.push_back(r);
   }
 
-  for (const auto& r : reports) p1.accept(r);
+  for (const auto& r : reports) submit_one(p1, r);
   for (auto it = reports.rbegin(); it != reports.rend(); ++it) {
     auto r = *it;
     r.sensed_object = ship2.plants[0].motor;
-    p2.accept(r);
+    submit_one(p2, r);
   }
 
   const auto s1 = p1.group_state(ship1.plants[0].motor,

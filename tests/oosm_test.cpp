@@ -200,18 +200,27 @@ std::vector<std::uint8_t> model_fingerprint(const ObjectModel& m) {
   return db::encode_snapshot(db, 0);
 }
 
-/// Exercise every event kind the journal mirrors: plain and bulk creation,
+/// Exercise every event kind the journal mirrors: creation, report posts,
 /// property set/overwrite/type-change/null, relations (incl. the symmetric
-/// Proximity double event), and deletion of a related object.
+/// Proximity double event), a report reset, and deletion of a related
+/// object and of a report.
 void mutate_model(ObjectModel& m) {
   const ObjectId plant = m.create_object("Plant", EquipmentKind::Chiller);
   const ObjectId motor =
       m.create_object("Motor", EquipmentKind::InductionMotor);
-  PropertyMap initial;
-  initial.append("mfr", "GE");
-  initial.append("range", 5.0);
-  const ObjectId doomed =
-      m.create_object_bulk("Doomed", EquipmentKind::Sensor, std::move(initial));
+  const ObjectId doomed = m.create_object("Doomed", EquipmentKind::Sensor);
+  m.set_property(doomed, "mfr", "GE");
+  m.set_property(doomed, "range", 5.0);
+  net::FailureReport r;
+  r.sensed_object = motor;
+  r.machine_condition = ConditionId(3);
+  r.explanation = "1x amplitude elevated";
+  const ObjectId kept = m.post_report(r);
+  r.timestamp = SimTime(1);
+  const ObjectId dropped = m.post_report(r);
+  m.set_property(kept, "acknowledged", std::int64_t{1});
+  m.reset_reports(motor);
+  m.delete_object(dropped);
   m.relate(motor, Relation::PartOf, plant);
   m.relate(motor, Relation::Proximity, doomed);  // symmetric: two events
   m.set_property(motor, "rpm", 1780.0);
@@ -308,6 +317,131 @@ TEST(ShipBuilderTest, MechanicalPowerFlowsDownTheDriveLine) {
   const auto downstream = m.downstream_of(p.motor);
   // motor -> gearbox -> compressor -> (refrigerant loop).
   EXPECT_GE(downstream.size(), 3u);
+}
+
+// --- Report log ----------------------------------------------------------------
+
+net::FailureReport log_report(ObjectId sensed, std::int64_t t_us) {
+  net::FailureReport r;
+  r.dc = DcId(2);
+  r.knowledge_source = KnowledgeSourceId(3);
+  r.sensed_object = sensed;
+  r.machine_condition = ConditionId(4);
+  r.severity = 0.625;
+  r.belief = 0.75;
+  r.explanation = "bearing tone at BPFO with harmonics";
+  r.recommendations = "Schedule bearing replacement.";
+  r.additional_info = "load=0.8";
+  r.timestamp = SimTime(t_us);
+  r.prognostics = {{0.5, 86400.0}, {0.9, 604800.0}};
+  r.trace = 77;
+  return r;
+}
+
+TEST(ReportLogTest, PostedReportReadsAsAnObjectWithTheSameEvents) {
+  ObjectModel m;
+  const ObjectId motor = m.create_object("Motor", EquipmentKind::InductionMotor);
+  std::vector<OosmEvent> events;
+  m.subscribe([&](const OosmEvent& e) { events.push_back(e); });
+
+  const ObjectId report = m.post_report(log_report(motor, 5'000'000));
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].kind, OosmEvent::Kind::ObjectCreated);
+  EXPECT_EQ(events[1].kind, OosmEvent::Kind::RelationAdded);
+  EXPECT_EQ(events[1].relation, Relation::RefersTo);
+  EXPECT_EQ(events[1].other, motor);
+  EXPECT_EQ(events[2].kind, OosmEvent::Kind::PropertyChanged);
+  EXPECT_EQ(events[2].property, "posted");
+
+  EXPECT_EQ(m.name(report), "Report 4 on " + std::to_string(motor.value()));
+  EXPECT_EQ(m.kind(report), EquipmentKind::Report);
+  EXPECT_EQ(m.find_by_name(m.name(report)), report);
+  EXPECT_EQ(m.objects_of_kind(EquipmentKind::Report),
+            std::vector<ObjectId>{report});
+  EXPECT_EQ(m.related(report, Relation::RefersTo),
+            std::vector<ObjectId>{motor});
+  EXPECT_EQ(m.related_to(motor, Relation::RefersTo),
+            std::vector<ObjectId>{report});
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : m.properties(report)) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "belief", "condition", "dc", "explanation", "ks",
+                      "posted", "prognostics", "recommendations", "sensed",
+                      "severity", "timestamp_us", "trace"}));
+  EXPECT_EQ(m.property(report, "trace")->as_integer(), 77);
+  EXPECT_EQ(m.property(report, "explanation")->as_text(),
+            "bearing tone at BPFO with harmonics");
+  EXPECT_FALSE(m.property(report, "additional_info").has_value());
+  EXPECT_EQ(decode_prognostics(m.property(report, "prognostics")->as_text()),
+            log_report(motor, 0).prognostics);
+  EXPECT_EQ(m.report_log().report(*m.report_index(report)),
+            log_report(motor, 5'000'000));
+}
+
+TEST(ReportLogTest, AdditionsToALoggedReportPersistBesideItsRow) {
+  // Properties and edges set on a logged report after posting live beside
+  // its record, win on read, and survive save/load and the journal alike.
+  ObjectModel m;
+  db::Database journal_db;
+  DurableModelJournal journal(m, journal_db);
+  const ObjectId motor = m.create_object("Motor", EquipmentKind::InductionMotor);
+  const ObjectId crew = m.create_object("Crew", EquipmentKind::Ship);
+  const ObjectId report = m.post_report(log_report(motor, 1));
+  const ObjectId other = m.post_report(log_report(motor, 2));
+  m.set_property(report, "acknowledged", std::int64_t{1});
+  m.set_property(report, "severity", 0.25);  // an override wins on read
+  m.relate(crew, Relation::RefersTo, report);
+  m.relate(report, Relation::KindOf, crew);
+  m.delete_object(other);
+  m.reset_reports(motor);
+
+  db::Database saved;
+  Persistence::save(m, saved);
+  for (const db::Database* db : {&saved, &journal_db}) {
+    const ObjectModel r = Persistence::load(*db);
+    EXPECT_EQ(r.object_count(), 3u);
+    EXPECT_FALSE(r.exists(other));
+    ASSERT_TRUE(r.report_index(report).has_value());
+    EXPECT_EQ(r.property(report, "acknowledged")->as_integer(), 1);
+    EXPECT_DOUBLE_EQ(r.property(report, "severity")->as_real(), 0.25);
+    EXPECT_EQ(r.report_log().record(*r.report_index(report)).severity, 0.625);
+    EXPECT_EQ(r.properties(report).size(), 13u);
+    EXPECT_EQ(r.related(report, Relation::RefersTo),
+              std::vector<ObjectId>{motor});
+    EXPECT_EQ(r.related(report, Relation::KindOf),
+              std::vector<ObjectId>{crew});
+    EXPECT_EQ(r.related(crew, Relation::RefersTo),
+              std::vector<ObjectId>{report});
+    EXPECT_EQ(r.related_to(motor, Relation::RefersTo),
+              std::vector<ObjectId>{report});
+    ASSERT_EQ(r.report_resets().size(), 1u);
+    EXPECT_EQ(r.report_resets().at(motor.value()), ObjectId(other.value() + 1));
+  }
+
+  // Deleting the machine drops the report's edge from both sides.
+  m.delete_object(motor);
+  EXPECT_TRUE(m.related(report, Relation::RefersTo).empty());
+  EXPECT_FALSE(m.has_relation(report, Relation::RefersTo, motor));
+}
+
+TEST(ReportLogTest, CopiedModelInternsIntoItsOwnText) {
+  ObjectModel copy;
+  ObjectId report;
+  {
+    ObjectModel m;
+    const ObjectId motor =
+        m.create_object("Motor", EquipmentKind::InductionMotor);
+    report = m.post_report(log_report(motor, 1));
+    copy = m;
+  }
+  net::FailureReport again = log_report(ObjectId(1), 2);
+  const ObjectId second = copy.post_report(again);
+  const auto& log = copy.report_log();
+  EXPECT_EQ(log.record(*copy.report_index(second)).explanation,
+            log.record(*copy.report_index(report)).explanation);
+  EXPECT_EQ(copy.property(report, "recommendations")->as_text(),
+            "Schedule bearing replacement.");
+  EXPECT_EQ(log.texts().size(), 4u);  // name, explanation, advice, info
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "mpros/pdme/mimosa.hpp"
 #include "mpros/oosm/persistence.hpp"
 #include "mpros/pdme/pdme.hpp"
+#include "submit_one.hpp"
 
 namespace mpros::pdme {
 namespace {
@@ -51,7 +52,7 @@ class PdmeTest : public ::testing::Test {
 
 TEST_F(PdmeTest, AcceptPostsReportObjectIntoOosm) {
   const std::size_t before = model_.object_count();
-  const auto obj = pdme_.accept(
+  const auto obj = submit_one(pdme_, 
       make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8));
   ASSERT_TRUE(obj.has_value());
   EXPECT_EQ(model_.object_count(), before + 1);
@@ -62,7 +63,7 @@ TEST_F(PdmeTest, AcceptPostsReportObjectIntoOosm) {
 }
 
 TEST_F(PdmeTest, FusionTriggeredViaOosmEvents) {
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8));
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8));
   const auto state =
       pdme_.group_state(motor_, domain::LogicalGroup::RotorDynamics);
   EXPECT_EQ(state.report_count, 1u);
@@ -96,9 +97,9 @@ TEST_F(PdmeTest, ThirdPartyReportObjectAlsoFused) {
 }
 
 TEST_F(PdmeTest, ReinforcingReportsRaiseBelief) {
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.6,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.6,
                            /*ks=*/1));
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.6,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.6,
                            /*ks=*/3, /*t=*/200.0));
   const auto state =
       pdme_.group_state(motor_, domain::LogicalGroup::RotorDynamics);
@@ -106,9 +107,9 @@ TEST_F(PdmeTest, ReinforcingReportsRaiseBelief) {
 }
 
 TEST_F(PdmeTest, ConflictingReportsShareGroupBelief) {
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.7,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.7,
                            /*ks=*/1));
-  pdme_.accept(make_report(motor_, FailureMode::ShaftMisalignment, 0.6, 0.7,
+  submit_one(pdme_, make_report(motor_, FailureMode::ShaftMisalignment, 0.6, 0.7,
                            /*ks=*/3, /*t=*/200.0));
   const auto state =
       pdme_.group_state(motor_, domain::LogicalGroup::RotorDynamics);
@@ -119,8 +120,8 @@ TEST_F(PdmeTest, ConflictingReportsShareGroupBelief) {
 TEST_F(PdmeTest, DuplicateRetransmissionDropped) {
   const auto report =
       make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8);
-  EXPECT_TRUE(pdme_.accept(report).has_value());
-  EXPECT_FALSE(pdme_.accept(report).has_value());
+  EXPECT_TRUE(submit_one(pdme_, report).has_value());
+  EXPECT_FALSE(submit_one(pdme_, report).has_value());
   EXPECT_EQ(pdme_.snapshot().duplicates_dropped, 1u);
   const auto state =
       pdme_.group_state(motor_, domain::LogicalGroup::RotorDynamics);
@@ -128,8 +129,8 @@ TEST_F(PdmeTest, DuplicateRetransmissionDropped) {
 }
 
 TEST_F(PdmeTest, PrioritizedListOrdersBySeverityWeightedBelief) {
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.9, 0.9));
-  pdme_.accept(make_report(motor_, FailureMode::RotorBarDefect, 0.2, 0.4,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.9, 0.9));
+  submit_one(pdme_, make_report(motor_, FailureMode::RotorBarDefect, 0.2, 0.4,
                            /*ks=*/2, 150.0));
   const auto list = pdme_.prioritized_list();
   ASSERT_GE(list.size(), 2u);
@@ -140,7 +141,7 @@ TEST_F(PdmeTest, PrioritizedListOrdersBySeverityWeightedBelief) {
 }
 
 TEST_F(PdmeTest, PrognosticFusionFeedsTimeToFailure) {
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.7, 0.9));
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.7, 0.9));
   const auto prognosis =
       pdme_.prognosis(motor_, FailureMode::MotorImbalance);
   ASSERT_TRUE(prognosis.has_value());
@@ -156,8 +157,8 @@ TEST_F(PdmeTest, ConservativePrognosticDominates) {
   auto late = make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.8,
                           /*ks=*/3, 200.0);
   late.prognostics = {{0.9, 100.0 * 86400.0}};
-  pdme_.accept(late);
-  pdme_.accept(early);
+  submit_one(pdme_, late);
+  submit_one(pdme_, early);
   const auto list = pdme_.prioritized_list(motor_);
   ASSERT_TRUE(list.front().p90_ttf.has_value());
   EXPECT_LE(list.front().p90_ttf->days(), 10.5);
@@ -209,7 +210,7 @@ TEST_F(PdmeWireTest, RetiredReportTypesCountedMalformed) {
 }
 
 TEST_F(PdmeTest, ResetMachineForgets) {
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8));
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8));
   pdme_.reset_machine(motor_);
   EXPECT_TRUE(pdme_.prioritized_list(motor_).empty());
   EXPECT_TRUE(pdme_.reports_for(motor_).empty());
@@ -218,17 +219,17 @@ TEST_F(PdmeTest, ResetMachineForgets) {
 TEST_F(PdmeTest, BrowserRendersFig2Layout) {
   // Fig 2's situation: six condition reports from four knowledge sources,
   // some conflicting and some reinforcing, for A/C Compressor Motor 1.
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.7,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.7,
                            /*ks=*/1, 100));
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.6,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.6,
                            /*ks=*/3, 110));
-  pdme_.accept(make_report(motor_, FailureMode::ShaftMisalignment, 0.4, 0.5,
+  submit_one(pdme_, make_report(motor_, FailureMode::ShaftMisalignment, 0.4, 0.5,
                            /*ks=*/2, 120));
-  pdme_.accept(make_report(motor_, FailureMode::RotorBarDefect, 0.3, 0.6,
+  submit_one(pdme_, make_report(motor_, FailureMode::RotorBarDefect, 0.3, 0.6,
                            /*ks=*/1, 130));
-  pdme_.accept(make_report(motor_, FailureMode::MotorBearingWear, 0.5, 0.7,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorBearingWear, 0.5, 0.7,
                            /*ks=*/4, 140));
-  pdme_.accept(make_report(motor_, FailureMode::MotorBearingWear, 0.6, 0.8,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorBearingWear, 0.6, 0.8,
                            /*ks=*/2, 150));
 
   const std::string screen = render_machine(pdme_, model_, motor_);
@@ -241,7 +242,7 @@ TEST_F(PdmeTest, BrowserRendersFig2Layout) {
 }
 
 TEST_F(PdmeTest, SummaryAndIcasExport) {
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.8, 0.9));
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.8, 0.9));
   const std::string summary = render_summary(pdme_, model_);
   EXPECT_NE(summary.find("Prioritized Maintenance List"), std::string::npos);
   EXPECT_NE(summary.find("A/C Compressor Motor 1"), std::string::npos);
@@ -254,11 +255,11 @@ TEST_F(PdmeTest, SummaryAndIcasExport) {
 TEST_F(PdmeTest, RebuildFromModelRecoversFusionState) {
   // §4.9: the OOSM is the persistent record; a restarted executive must
   // recover the maintenance picture from the Report objects alone.
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.7, 0.6,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.7, 0.6,
                            /*ks=*/1, 100));
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.6,
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.6,
                            /*ks=*/3, 200));
-  pdme_.accept(make_report(motor_, FailureMode::RotorBarDefect, 0.4, 0.5,
+  submit_one(pdme_, make_report(motor_, FailureMode::RotorBarDefect, 0.4, 0.5,
                            /*ks=*/2, 300));
   const auto original = pdme_.prioritized_list(motor_);
 
@@ -276,9 +277,9 @@ TEST_F(PdmeTest, RebuildFromModelRecoversFusionState) {
     EXPECT_NEAR(rebuilt[i].max_severity, original[i].max_severity, 1e-9);
   }
   // Recovery also primes dedup: a replayed datagram is still dropped.
-  EXPECT_FALSE(recovered
-                   .accept(make_report(motor_, FailureMode::MotorImbalance,
-                                       0.7, 0.6, /*ks=*/1, 100))
+  EXPECT_FALSE(submit_one(recovered,
+                          make_report(motor_, FailureMode::MotorImbalance,
+                                      0.7, 0.6, /*ks=*/1, 100))
                    .has_value());
 }
 
@@ -287,7 +288,7 @@ TEST_F(PdmeTest, TrendProjectionFromEscalatingReports) {
   // (0.2 -> 0.6 over 40 days), so the trend projects failure ~40 days past
   // the last report (severity 1.0 at the extrapolated crossing).
   for (int i = 0; i <= 4; ++i) {
-    pdme_.accept(make_report(motor_, FailureMode::MotorImbalance,
+    submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance,
                              0.2 + 0.1 * i, 0.8, /*ks=*/1,
                              /*t=*/86400.0 * 10.0 * i));
   }
@@ -304,7 +305,7 @@ TEST_F(PdmeTest, TrendProjectionFromEscalatingReports) {
 
 TEST_F(PdmeTest, FlatSeverityHasNoTrendProjection) {
   for (int i = 0; i <= 4; ++i) {
-    pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.4, 0.8,
+    submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.4, 0.8,
                              /*ks=*/1, /*t=*/86400.0 * 10.0 * i));
   }
   const auto list = pdme_.prioritized_list(motor_);
@@ -315,7 +316,7 @@ TEST_F(PdmeTest, FlatSeverityHasNoTrendProjection) {
 TEST_F(PdmeTest, MimosaExportCarriesStandardRecords) {
   // §3.3: MIMOSA integration — asset, health-assessment and proposed-event
   // records for every fused conclusion.
-  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.9, 0.9));
+  submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.9, 0.9));
   const std::string doc = export_mimosa(pdme_, model_);
 
   EXPECT_NE(doc.find("HD|USNS-MERCY|MPROS-PDME|"), std::string::npos);
@@ -346,7 +347,7 @@ TEST_F(PdmeTest, MimosaGradeLadder) {
 TEST_F(PdmeTest, MalformedConditionDropped) {
   auto bad = make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.5);
   bad.machine_condition = ConditionId(999);
-  pdme_.accept(bad);
+  submit_one(pdme_, bad);
   EXPECT_EQ(pdme_.snapshot().malformed_dropped, 1u);
   EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
 }
@@ -492,7 +493,7 @@ TEST_F(PdmeTest, SensorFaultReportsBypassFusionIntoQuarantineLedger) {
   r.machine_condition =
       domain::sensor_fault_condition(domain::SensorFaultKind::Spike);
   r.explanation = "vib.motor: impulsive outliers beyond robust scatter";
-  pdme_.accept(r);
+  submit_one(pdme_, r);
 
   EXPECT_EQ(pdme_.snapshot().sensor_fault_reports, 1u);
   // The instrument fault never reaches Dempster-Shafer or the list.
@@ -511,7 +512,7 @@ TEST_F(PdmeTest, SensorFaultReportsBypassFusionIntoQuarantineLedger) {
   net::FailureReport clear = r;
   clear.severity = 0.0;
   clear.timestamp = r.timestamp + SimTime::from_seconds(300);
-  pdme_.accept(clear);
+  submit_one(pdme_, clear);
   EXPECT_TRUE(pdme_.sensor_faults().empty());
   EXPECT_EQ(pdme_.sensor_faults(/*active_only=*/false).size(), 1u);
 }

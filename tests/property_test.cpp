@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "mpros/common/rng.hpp"
 #include "mpros/common/units.hpp"
@@ -16,6 +20,7 @@
 #include "mpros/fusion/prognostic_fusion.hpp"
 #include "mpros/net/network.hpp"
 #include "mpros/net/report.hpp"
+#include "mpros/oosm/persistence.hpp"
 #include "mpros/oosm/ship_builder.hpp"
 #include "mpros/pdme/browser.hpp"
 #include "mpros/pdme/pdme.hpp"
@@ -671,6 +676,324 @@ INSTANTIATE_TEST_SUITE_P(BatchSizes, PdmeBatchEquivalenceTest,
                                       ? std::string("fullwindow")
                                       : "batch" + std::to_string(inst.param);
                          });
+
+// --- Report log: reads the same as the pre-log representation ---------------
+//
+// Posted reports used to be kept three ways in memory: a FailureReport copy
+// in a per-machine history, a full OOSM object with a dozen properties, and
+// a signature string for dedup. The shadow below keeps exactly that, driven
+// by a seeded generator over sequenced, unsequenced, duplicate,
+// malformed-condition and sensor-fault reports, hand-built report objects
+// and maintenance resets. The live executive — and a Persistence save ->
+// load -> rebuild of it, and a journal mirror -> load -> rebuild — must read
+// the same: reports_for(), each report object's property() and
+// properties(), and the operator renders.
+
+class ReportLogEquivalenceTest
+    : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  using Props = std::vector<std::pair<std::string, db::Value>>;
+
+  static Props as_vector(const oosm::PropertyMap& m) {
+    return {m.begin(), m.end()};
+  }
+
+  /// The properties a posted report object carried before the log.
+  static Props old_properties(const net::FailureReport& r) {
+    oosm::PropertyMap p;
+    p.set("belief", r.belief);
+    p.set("condition", static_cast<std::int64_t>(r.machine_condition.value()));
+    p.set("dc", static_cast<std::int64_t>(r.dc.value()));
+    p.set("explanation", r.explanation);
+    p.set("ks", static_cast<std::int64_t>(r.knowledge_source.value()));
+    p.set("prognostics", oosm::encode_prognostics(r.prognostics));
+    p.set("recommendations", r.recommendations);
+    p.set("sensed", static_cast<std::int64_t>(r.sensed_object.value()));
+    p.set("severity", r.severity);
+    p.set("timestamp_us", r.timestamp.micros());
+    if (r.trace != 0) p.set("trace", static_cast<std::int64_t>(r.trace));
+    p.set("posted", std::int64_t{1});
+    return as_vector(p);
+  }
+
+  /// The pre-log dedup signature string.
+  static std::string old_signature(const net::FailureReport& r) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%llu/%llu/%llu/%llu/%lld/%.6f",
+                  static_cast<unsigned long long>(r.dc.value()),
+                  static_cast<unsigned long long>(r.knowledge_source.value()),
+                  static_cast<unsigned long long>(r.sensed_object.value()),
+                  static_cast<unsigned long long>(r.machine_condition.value()),
+                  static_cast<long long>(r.timestamp.micros()), r.belief);
+    return buf;
+  }
+
+  struct Shadow {
+    std::map<std::uint64_t, std::vector<net::FailureReport>> history;
+    std::map<std::uint64_t, Props> objects;  ///< report objects by id
+    std::set<std::string> signatures;
+    std::set<std::pair<std::uint64_t, std::uint64_t>> datagrams;
+    std::uint64_t next_id = 0;
+    std::uint64_t duplicates = 0;
+
+    void fuse(const net::FailureReport& r) {
+      const ConditionId c = r.machine_condition;
+      if (!domain::is_sensor_fault_condition(c) &&
+          (!c.valid() || c.value() > domain::kFailureModeCount)) {
+        return;  // malformed: posted, counted, never in the history
+      }
+      history[r.sensed_object.value()].push_back(r);
+    }
+
+    /// One submit() of one datagram (sequenced) or stretch (unsequenced).
+    void submit(const std::vector<net::ReportEnvelope>& run) {
+      const net::ReportEnvelope& head = run.front();
+      if (head.sequence != 0 &&
+          !datagrams.insert({head.dc.value(), head.sequence}).second) {
+        duplicates += run.size();
+        return;
+      }
+      for (const net::ReportEnvelope& env : run) {
+        if (!signatures.insert(old_signature(env.report)).second) {
+          ++duplicates;
+          continue;
+        }
+        objects[next_id++] = old_properties(env.report);
+        fuse(env.report);
+      }
+    }
+  };
+
+  struct Rig {
+    db::Database journal_db;
+    oosm::ObjectModel model;
+    std::unique_ptr<oosm::DurableModelJournal> journal;
+    oosm::ShipModel ship;
+    std::unique_ptr<pdme::PdmeExecutive> exec;
+
+    Rig()
+        : journal(std::make_unique<oosm::DurableModelJournal>(model,
+                                                              journal_db)),
+          ship(oosm::build_ship(model, "Log", 1, 2)),
+          exec(std::make_unique<pdme::PdmeExecutive>(model)) {}
+  };
+
+  static net::FailureReport random_report(Rng& rng,
+                                          const std::vector<ObjectId>& targets,
+                                          int step) {
+    static const char* const kExplanations[] = {"", "bearing tone at BPFO",
+                                                "1x amplitude elevated"};
+    static const char* const kRecommendations[] = {"", "Balance the rotor."};
+    net::FailureReport r;
+    r.dc = DcId(rng.integer(1, 3));
+    r.knowledge_source = KnowledgeSourceId(rng.integer(1, 4));
+    r.sensed_object = targets[rng.integer(0, targets.size() - 1)];
+    const double kind = rng.uniform(0.0, 1.0);
+    if (kind < 0.72) {
+      r.machine_condition = domain::condition_id(
+          domain::all_failure_modes()[rng.integer(0, 11)]);
+    } else if (kind < 0.86) {
+      r.machine_condition = domain::sensor_fault_condition(
+          static_cast<domain::SensorFaultKind>(rng.integer(0, 3)));
+    } else {
+      const std::uint64_t malformed[] = {0, domain::kFailureModeCount + 1, 57};
+      r.machine_condition = ConditionId(malformed[rng.integer(0, 2)]);
+    }
+    r.severity = rng.uniform(0.0, 1.0);
+    // Beliefs that print alike to six decimals are duplicates too.
+    const double beliefs[] = {0.5, 0.5 + 1e-9, 0.25, rng.uniform(0.05, 0.95)};
+    r.belief = beliefs[rng.integer(0, 3)];
+    // A narrow timestamp range makes distinct reports collide on the key.
+    r.timestamp = SimTime::from_seconds(60.0 * rng.integer(1, 30));
+    r.explanation = kExplanations[rng.integer(0, 2)];
+    r.recommendations = kRecommendations[rng.integer(0, 1)];
+    r.additional_info =
+        rng.bernoulli(0.5) ? "" : "load=0.8;step=" + std::to_string(step);
+    const auto pairs = rng.integer(0, 3);
+    for (std::uint64_t p = 0; p < pairs; ++p) {
+      r.prognostics.push_back(
+          {rng.uniform(0.0, 1.0), rng.uniform(3600.0, 90.0 * 86400.0)});
+    }
+    r.trace = rng.bernoulli(0.5) ? rng.integer(1, 1ull << 40) : 0;
+    return r;
+  }
+
+  /// A Report object assembled by hand, the way a third-party poster would.
+  static void post_by_hand(Rig& rig, Shadow& shadow,
+                           const net::FailureReport& r) {
+    oosm::ObjectModel& m = rig.model;
+    const ObjectId obj =
+        m.create_object("Hand-posted report", domain::EquipmentKind::Report);
+    ASSERT_EQ(obj.value(), shadow.next_id);
+    ++shadow.next_id;
+    m.set_property(obj, "dc", static_cast<std::int64_t>(r.dc.value()));
+    m.set_property(obj, "ks",
+                   static_cast<std::int64_t>(r.knowledge_source.value()));
+    m.set_property(obj, "sensed",
+                   static_cast<std::int64_t>(r.sensed_object.value()));
+    m.set_property(obj, "condition",
+                   static_cast<std::int64_t>(r.machine_condition.value()));
+    m.set_property(obj, "severity", r.severity);
+    m.set_property(obj, "belief", r.belief);
+    m.set_property(obj, "timestamp_us", r.timestamp.micros());
+    m.set_property(obj, "explanation", r.explanation);
+    m.set_property(obj, "recommendations", r.recommendations);
+    m.set_property(obj, "prognostics", oosm::encode_prognostics(r.prognostics));
+    if (m.exists(r.sensed_object)) {
+      m.relate(obj, oosm::Relation::RefersTo, r.sensed_object);
+    }
+    m.set_property(obj, "posted", std::int64_t{1});
+    // The event path fuses what the properties say: no trace, no
+    // additional_info, no dedup.
+    net::FailureReport seen = r;
+    seen.trace = 0;
+    seen.additional_info.clear();
+    shadow.fuse(seen);
+  }
+
+  static void expect_matches(const Shadow& shadow, const oosm::ObjectModel& m,
+                             const pdme::PdmeExecutive& exec,
+                             const std::vector<ObjectId>& targets,
+                             const char* where) {
+    for (const ObjectId t : targets) {
+      const auto it = shadow.history.find(t.value());
+      EXPECT_EQ(exec.reports_for(t),
+                it == shadow.history.end() ? std::vector<net::FailureReport>{}
+                                           : it->second)
+          << where << ": history of object " << t.value();
+    }
+    for (const auto& [id, props] : shadow.objects) {
+      const ObjectId obj(id);
+      ASSERT_TRUE(m.exists(obj)) << where << ": report " << id;
+      EXPECT_EQ(m.kind(obj), domain::EquipmentKind::Report);
+      const auto sensed = static_cast<std::uint64_t>(
+          m.property(obj, "sensed")->as_integer());
+      const auto condition = static_cast<std::uint64_t>(
+          m.property(obj, "condition")->as_integer());
+      EXPECT_EQ(m.name(obj), "Report " + std::to_string(condition) + " on " +
+                                 std::to_string(sensed));
+      EXPECT_EQ(m.has_relation(obj, oosm::Relation::RefersTo,
+                               ObjectId(sensed)),
+                m.exists(ObjectId(sensed)));
+      EXPECT_TRUE(as_vector(m.properties(obj)) == props)
+          << where << ": properties of report " << id;
+      for (const auto& [key, value] : props) {
+        const auto v = m.property(obj, key);
+        EXPECT_TRUE(v.has_value() && *v == value)
+            << where << ": report " << id << " property " << key;
+      }
+      EXPECT_FALSE(m.property(obj, "additional_info").has_value());
+    }
+  }
+};
+
+TEST_P(ReportLogEquivalenceTest, LogReadsLikeTheObjectsItReplaced) {
+  Rng rng(splitmix64(0x106E9 ^ GetParam()));
+  Rig rig;
+  Shadow shadow;
+  shadow.next_id = rig.model.all_objects().back().value() + 1;
+  std::vector<ObjectId> targets;
+  for (const auto& plant : rig.ship.plants) {
+    targets.insert(targets.end(),
+                   {plant.chiller, plant.motor, plant.gearbox,
+                    plant.compressor});
+  }
+  targets.push_back(ObjectId(999'999));  // a sensed object the OOSM lacks
+
+  std::vector<std::vector<net::ReportEnvelope>> sent;  // sequenced datagrams
+  std::vector<net::FailureReport> reports;             // for resends
+  std::uint64_t sequence[4] = {};
+  std::size_t hand_posted = 0;
+  std::size_t resets = 0;
+  const auto submit = [&](const std::vector<net::ReportEnvelope>& run) {
+    std::uint64_t predicted = shadow.next_id;
+    shadow.submit(run);
+    const auto out = rig.exec->submit(run);
+    if (shadow.next_id != predicted) {
+      ASSERT_TRUE(out.last_object.has_value());
+      EXPECT_EQ(out.last_object->value(), shadow.next_id - 1);
+    } else {
+      EXPECT_FALSE(out.last_object.has_value());
+    }
+  };
+  for (int step = 0; step < 300; ++step) {
+    const double action = rng.uniform(0.0, 1.0);
+    if (action < 0.50) {
+      // A fresh sequenced datagram of one to four reports.
+      const DcId dc(rng.integer(1, 3));
+      std::vector<net::ReportEnvelope> run;
+      const auto n = rng.integer(1, 4);
+      ++sequence[dc.value()];
+      for (std::uint64_t k = 0; k < n; ++k) {
+        net::FailureReport r = random_report(rng, targets, step);
+        r.dc = dc;
+        reports.push_back(r);
+        run.push_back({dc, sequence[dc.value()], std::move(r)});
+      }
+      sent.push_back(run);
+      submit(run);
+    } else if (action < 0.60 && !sent.empty()) {
+      submit(sent[rng.integer(0, sent.size() - 1)]);  // retransmission
+    } else if (action < 0.80) {
+      // Unsequenced reports; some are copies of earlier ones.
+      std::vector<net::ReportEnvelope> run;
+      const auto n = rng.integer(1, 3);
+      for (std::uint64_t k = 0; k < n; ++k) {
+        net::FailureReport r =
+            !reports.empty() && rng.bernoulli(0.3)
+                ? reports[rng.integer(0, reports.size() - 1)]
+                : random_report(rng, targets, step);
+        reports.push_back(r);
+        run.push_back({r.dc, 0, std::move(r)});
+      }
+      submit(run);
+    } else if (action < 0.90) {
+      net::FailureReport r = random_report(rng, targets, step);
+      r.machine_condition = domain::condition_id(
+          domain::all_failure_modes()[rng.integer(0, 11)]);
+      post_by_hand(rig, shadow, r);
+      ++hand_posted;
+    } else {
+      const ObjectId machine = targets[rng.integer(0, targets.size() - 1)];
+      rig.exec->reset_machine(machine);
+      shadow.history.erase(machine.value());
+      ++resets;
+    }
+    if (step % 50 == 0) expect_matches(shadow, rig.model, *rig.exec, targets,
+                                       "live");
+  }
+  ASSERT_GT(hand_posted, 0u);
+  ASSERT_GT(resets, 0u);
+  expect_matches(shadow, rig.model, *rig.exec, targets, "live");
+  EXPECT_EQ(rig.exec->snapshot().duplicates_dropped, shadow.duplicates);
+
+  db::Database saved;
+  oosm::Persistence::save(rig.model, saved);
+  for (const auto& [where, db] :
+       {std::pair<const char*, const db::Database*>{"save/load", &saved},
+        {"journal/load", &rig.journal_db}}) {
+    oosm::ObjectModel restored = oosm::Persistence::load(*db);
+    EXPECT_EQ(restored.object_count(), rig.model.object_count()) << where;
+    pdme::PdmeExecutive rebuilt(restored);
+    rebuilt.rebuild_from_model();
+    expect_matches(shadow, restored, rebuilt, targets, where);
+    EXPECT_EQ(pdme::render_summary(rebuilt, restored, 50),
+              pdme::render_summary(*rig.exec, rig.model, 50))
+        << where;
+    for (const ObjectId t : targets) {
+      EXPECT_EQ(pdme::render_machine(rebuilt, restored, t),
+                pdme::render_machine(*rig.exec, rig.model, t))
+          << where;
+    }
+    EXPECT_EQ(pdme::export_icas_csv(rebuilt, restored),
+              pdme::export_icas_csv(*rig.exec, rig.model))
+        << where;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReportLogEquivalenceTest,
+                         ::testing::Values<std::uint64_t>(1, 2, 3, 4, 5, 6, 7,
+                                                          8));
 
 }  // namespace
 }  // namespace mpros

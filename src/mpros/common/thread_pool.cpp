@@ -1,5 +1,7 @@
 #include "mpros/common/thread_pool.hpp"
 
+#include <algorithm>
+
 #include "mpros/common/assert.hpp"
 
 namespace mpros {
@@ -8,69 +10,62 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
+  if (threads == 1) return;  // the caller is the one worker
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  for (std::size_t w = 0; w < threads; ++w) {
+    workers_.emplace_back([this, w] { worker_loop(w); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  wait_idle();
-  tasks_.close();
-  // jthread joins on destruction.
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  MPROS_EXPECTS(task != nullptr);
   {
-    std::lock_guard lock(idle_mu_);
-    ++in_flight_;
+    std::lock_guard lock(mu_);
+    stop_ = true;
   }
-  const bool accepted = tasks_.push(std::move(task));
-  MPROS_ASSERT(accepted);  // submit() after destruction is a bug
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(idle_mu_);
-  idle_cv_.wait(lock, [&] { return in_flight_ == 0; });
+  work_cv_.notify_all();
+  workers_.clear();  // join before the condvars go away
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // Chunk the index range into ~thread_count() contiguous blocks instead of
-  // one task per index: the fleet loop calls this with hundreds of DCs, and
-  // per-index submission paid a queue push + wakeup per element. The first
-  // n % chunks blocks take one extra index so uneven ranges stay covered.
-  const std::size_t chunks = std::min(n, thread_count());
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  std::size_t start = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t count = base + (c < extra ? 1 : 0);
-    // Capturing fn by reference is safe: wait_idle() below outlives the
-    // tasks.
-    submit([&fn, start, count] {
-      for (std::size_t i = start; i < start + count; ++i) fn(i);
-    });
-    start += count;
+  if (workers_.empty()) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
-  MPROS_ASSERT(start == n);
-  wait_idle();
+  std::unique_lock lock(mu_);
+  MPROS_EXPECTS(pending_ == 0);  // not reentrant
+  // fn is read by reference: the wait below outlives every block.
+  fn_ = &fn;
+  n_ = n;
+  blocks_ = std::min(n, workers_.size());
+  pending_ = blocks_;
+  ++fork_;
+  work_cv_.notify_all();
+  done_cv_.wait(lock, [&] { return pending_ == 0; });
+  fn_ = nullptr;
 }
 
-void ThreadPool::worker_loop() {
-  while (auto task = tasks_.pop()) {
-    (*task)();
-    {
-      // Notify while holding the lock: wait_idle() (and so ~ThreadPool) can
-      // then only proceed after this thread is done touching the condvar,
-      // which would otherwise race with its destruction.
-      std::lock_guard lock(idle_mu_);
-      MPROS_ASSERT(in_flight_ > 0);
-      --in_flight_;
-      idle_cv_.notify_all();
-    }
+void ThreadPool::worker_loop(std::size_t worker) {
+  std::uint64_t seen = 0;
+  std::unique_lock lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [&] { return stop_ || fork_ != seen; });
+    if (stop_) return;
+    seen = fork_;
+    if (worker >= blocks_) continue;  // fewer indices than workers
+    const std::function<void(std::size_t)>& fn = *fn_;
+    const std::size_t base = n_ / blocks_;
+    const std::size_t extra = n_ % blocks_;
+    const std::size_t start = worker * base + std::min(worker, extra);
+    const std::size_t end = start + base + (worker < extra ? 1 : 0);
+    lock.unlock();
+    for (std::size_t i = start; i < end; ++i) fn(i);
+    lock.lock();
+    MPROS_ASSERT(pending_ > 0);
+    // Notify under the lock: the caller may return and destroy the pool as
+    // soon as it sees zero.
+    if (--pending_ == 0) done_cv_.notify_one();
   }
 }
 

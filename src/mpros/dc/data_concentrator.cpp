@@ -46,6 +46,17 @@ bool point_owns(plant::MachinePoint point, FailureMode mode) {
 /// SBFR event codes: 0x60 + machine index (resolved via sbfr_machine_mode_).
 constexpr std::uint8_t kSbfrEventBase = 0x60;
 
+/// How far back the DC database's log tables reach. They are a rolling
+/// window for local inspection, not the durable record: condensed health
+/// history lives in the PDME's fused model, so a DC's memory stays flat
+/// over an unattended voyage (§4.9).
+constexpr SimTime kLogHorizon = SimTime::from_hours(1.0);
+
+/// The append-only tables trim_log() keeps inside kLogHorizon; each has
+/// time_us as column 1. "config" is upserted, so it never grows.
+constexpr const char* kLogTables[] = {"measurements", "diagnostics",
+                                      "test_log"};
+
 /// Registry handles resolved once; afterwards an observation is a relaxed
 /// atomic add, cheap enough for the test/scan path.
 struct DcMetrics {
@@ -235,6 +246,24 @@ void DataConcentrator::setup_database() {
   db_.table("config").create_index("key");
 }
 
+void DataConcentrator::trim_log(SimTime now) {
+  // Keys are insert_auto order, which is time order, so the oldest row is
+  // always the table's first: erase from the front until one is in window.
+  // The table itself is the cursor, so trimming carries across a salvage.
+  const std::int64_t cutoff = (now - kLogHorizon).micros();
+  std::uint64_t rows = 0;
+  for (const char* name : kLogTables) {
+    db::Table& t = db_.table(name);
+    while (!t.rows().empty()) {
+      const auto& [key, row] = *t.rows().begin();
+      if (row[1].as_integer() > cutoff) break;
+      t.erase(key);
+    }
+    rows += t.row_count();
+  }
+  stats_.log_rows = rows;
+}
+
 void DataConcentrator::setup_sbfr(bool add_machines) {
   if (!cfg_.enable_sbfr) return;
   const auto nominals = domain::navy_chiller_nominals();
@@ -355,6 +384,7 @@ void DataConcentrator::handle_command(const net::TestCommandMessage& command) {
       db_.table("test_log").insert_auto(
           {db::Value(chiller_.now().micros()),
            db::Value("commanded: " + command.reason)});
+      trim_log(chiller_.now());
       if (journal_ != nullptr) {
         journal_->record_event(chiller_.now().micros(),
                                "dc-" + std::to_string(cfg_.id.value()),
@@ -392,6 +422,7 @@ void DataConcentrator::apply_command(const net::CommandMessage& cmd,
   }
   db_.table("test_log").insert_auto(
       {db::Value(now.micros()), db::Value("config: " + cmd.reason)});
+  trim_log(now);
   if (journal_ != nullptr) {
     journal_->record_event(now.micros(),
                            "dc-" + std::to_string(cfg_.id.value()),
@@ -632,6 +663,7 @@ void DataConcentrator::emit_sensor_fault(SimTime now,
            db::Value(static_cast<std::int64_t>(r.sensed_object.value())),
            db::Value(static_cast<std::int64_t>(r.machine_condition.value())),
            db::Value(r.severity), db::Value(r.belief)});
+  trim_log(now);
   if (journal_ != nullptr) {
     journal_->record_event(now.micros(),
                            "dc-" + std::to_string(cfg_.id.value()),
@@ -704,6 +736,7 @@ void DataConcentrator::emit_raw(
                     db::Value(static_cast<std::int64_t>(
                         r.machine_condition.value())),
                     db::Value(severity), db::Value(belief)});
+  trim_log(now);
   outbox_.push_back(std::move(r));
   ++stats_.reports_emitted;
   DcMetrics::instance().reports_emitted.inc();
@@ -731,6 +764,7 @@ void DataConcentrator::run_vibration_test(SimTime now) {
   }
   db_.table("test_log").insert_auto(
       {db::Value(now.micros()), db::Value("vibration")});
+  trim_log(now);
 
   const plant::ProcessSnapshot process = chiller_.process_snapshot();
   const double load = chiller_.load();
@@ -833,6 +867,7 @@ void DataConcentrator::run_process_scan(SimTime now) {
     measurements.insert_auto(
         {db::Value(now.micros()), db::Value(key), db::Value(value)});
   }
+  trim_log(now);
 
   if (cfg_.sensor_publish_every != 0 &&
       stats_.process_scans % cfg_.sensor_publish_every == 0) {

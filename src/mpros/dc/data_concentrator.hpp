@@ -10,7 +10,8 @@
 //   3. the Wavelet Neural Network (nn::WnnClassifier, shared & pre-trained),
 //   4. fuzzy-logic diagnostics on non-vibration data (fuzzy::FuzzyDiagnoser),
 // coordinated by the event scheduler, with results logged in the DC's
-// relational database and emitted as §7 failure reports.
+// relational database (a rolling one-hour log of measurements, diagnostics
+// and tests) and emitted as §7 failure reports.
 
 #include <cstdint>
 #include <map>
@@ -113,6 +114,9 @@ class DataConcentrator {
     std::uint64_t config_applied = 0;    ///< settings accepted
     std::uint64_t config_rejected = 0;   ///< settings refused (bad key/value)
     std::uint64_t config_stale = 0;      ///< commands older than applied rev
+    /// Rows now held by the measurements, diagnostics and test_log tables,
+    /// which keep only the last simulated hour.
+    std::uint64_t log_rows = 0;
   };
 
   struct LastReport {
@@ -297,6 +301,9 @@ class DataConcentrator {
   bool validate_window(SimTime now, const std::string& channel,
                        std::span<const double> samples);
   void setup_database();
+  /// Erase log-table rows at or before now - one hour, oldest first, and
+  /// refresh stats_.log_rows.
+  void trim_log(SimTime now);
   /// Build the SBFR channel/mode tables; `add_machines` is false when the
   /// machines (with their latch state) arrived via Salvage.
   void setup_sbfr(bool add_machines = true);

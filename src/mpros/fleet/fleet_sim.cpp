@@ -26,8 +26,8 @@ FleetSim::FleetSim(FleetSimConfig cfg)
     ship_cfg.uplink.endpoint.clear();  // "hull-<k+1>"
     ship_cfg.seed = splitmix64(cfg_.seed ^ ((k + 1) * 0x9E3779B9));
     if (ship_cfg.worker_threads == 0) {
-      // N hulls already fan out across the host; per-ship pools of
-      // hardware_concurrency would oversubscribe it N-fold.
+      // advance_to() steps hulls serially, so a hull's pool would only
+      // ever run while the driver waits on it: one worker is the driver.
       ship_cfg.worker_threads = 1;
     }
     ships_.push_back(std::make_unique<ShipSystem>(ship_cfg));

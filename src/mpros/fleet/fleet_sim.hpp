@@ -18,8 +18,8 @@ namespace mpros::fleet {
 struct FleetSimConfig {
   std::size_t ship_count = 4;
   /// Per-hull template; uplink.{enabled, ship, name, endpoint} are
-  /// overridden per hull, worker_threads defaults to 1 (N ships already
-  /// parallelize the host).
+  /// overridden per hull, and worker_threads 0 becomes 1: hulls advance one
+  /// after another, so each hull's DCs run on the driver thread.
   ShipSystemConfig ship_template;
   /// The ship-to-shore link: slower and lossier than any shipboard LAN.
   net::NetworkConfig shore;

@@ -57,7 +57,8 @@ struct ShipSystemConfig {
   pdme::PdmeConfig pdme;
   double initial_load = 0.8;
   std::uint64_t seed = 0x5417;
-  std::size_t worker_threads = 0;     ///< 0 = hardware concurrency
+  /// DC pool size: 0 = hardware concurrency, 1 = the calling thread.
+  std::size_t worker_threads = 0;
   bool use_wnn = false;               ///< train & share a WNN classifier
   WnnTrainingConfig wnn_training;
   /// Run the PDME-resident fleet-comparative analyzer (§5.7) once per

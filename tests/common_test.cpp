@@ -1,4 +1,4 @@
-// Tests for the common substrate: clock, ids, queues, pool, rng.
+// Tests for the common substrate: clock, ids, pool, rng.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "mpros/common/clock.hpp"
-#include "mpros/common/concurrent_queue.hpp"
 #include "mpros/common/ids.hpp"
 #include "mpros/common/rng.hpp"
 #include "mpros/common/thread_pool.hpp"
@@ -57,69 +56,10 @@ TEST(StrongIdTest, DistinctTypesAndHashing) {
   EXPECT_EQ(ids.size(), 2u);
 }
 
-TEST(ConcurrentQueueTest, FifoOrder) {
-  ConcurrentQueue<int> q;
-  q.push(1);
-  q.push(2);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  int v = 0;
-  EXPECT_EQ(q.try_pop(v), QueuePopStatus::Empty);
-}
-
-TEST(ConcurrentQueueTest, CloseWakesAndDrains) {
-  ConcurrentQueue<int> q;
-  q.push(42);
-  q.close();
-  EXPECT_FALSE(q.push(43));
-  EXPECT_EQ(q.pop().value(), 42);  // drains before returning nullopt
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(ConcurrentQueueTest, TryPopDistinguishesEmptyFromDrained) {
-  // Regression: try_pop used to return a bare optional, so a non-blocking
-  // consumer could not tell "nothing right now" from "closed and drained"
-  // and would spin forever on a dead queue.
-  ConcurrentQueue<int> q;
-  int v = 0;
-  EXPECT_EQ(q.try_pop(v), QueuePopStatus::Empty);
-  EXPECT_FALSE(q.drained());
-  q.push(7);
-  EXPECT_EQ(q.try_pop(v), QueuePopStatus::Ok);
-  EXPECT_EQ(v, 7);
-  q.push(8);
-  q.close();
-  EXPECT_FALSE(q.drained());  // closed but not yet empty
-  EXPECT_EQ(q.try_pop(v), QueuePopStatus::Ok);
-  EXPECT_EQ(v, 8);
-  EXPECT_EQ(q.try_pop(v), QueuePopStatus::Drained);
-  EXPECT_TRUE(q.drained());
-}
-
-TEST(ConcurrentQueueTest, ManyProducersOneConsumer) {
-  ConcurrentQueue<int> q;
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 4;
-  std::vector<std::jthread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(i);
-    });
-  }
-  producers.clear();  // join
-  q.close();
-  int count = 0;
-  while (q.pop().has_value()) ++count;
-  EXPECT_EQ(count, kPerProducer * kProducers);
-}
-
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
+  pool.parallel_for(100, [&counter](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -153,10 +93,34 @@ TEST(ThreadPoolTest, ParallelForEmptyRangeReturns) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, WaitIdleWithNoTasksReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
+TEST(ThreadPoolTest, IdlePoolDestructsWithoutWork) {
+  ThreadPool pool(2);  // the destructor must not hang on a pool never forked
   SUCCEED();
+}
+
+TEST(ThreadPoolTest, OneWorkerRunsEveryIndexOnTheCaller) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(9);
+  for (int round = 0; round < 3; ++round) {
+    pool.parallel_for(ran.size(), [&ran](std::size_t i) {
+      ran[i] = std::this_thread::get_id();
+    });
+    for (const std::thread::id& id : ran) EXPECT_EQ(id, caller);
+  }
+}
+
+TEST(ThreadPoolTest, MultiWorkerPoolRunsOffTheCaller) {
+  // More than one worker keeps the fork/join shape: the caller only waits.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(2);
+  pool.parallel_for(ran.size(), [&ran](std::size_t i) {
+    ran[i] = std::this_thread::get_id();
+  });
+  EXPECT_NE(ran[0], caller);
+  EXPECT_NE(ran[1], caller);
+  EXPECT_NE(ran[0], ran[1]);
 }
 
 TEST(RngTest, DeterministicGivenSeed) {

@@ -155,35 +155,14 @@ TEST(ConcurrencyStressTest, PoolHammeredWithSmallTasks) {
   ThreadPool pool(4);
   std::atomic<std::uint64_t> sum{0};
   for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&sum, i] { sum.fetch_add(static_cast<std::uint64_t>(i)); });
-    }
-    pool.wait_idle();
+    // Ranges both below and above the worker count, back to back, so
+    // every fork races the previous join's wakeups.
+    const std::size_t n = round % 2 == 0 ? 200 : 3;
+    pool.parallel_for(n, [&sum](std::size_t i) {
+      sum.fetch_add(static_cast<std::uint64_t>(i));
+    });
   }
-  EXPECT_EQ(sum.load(), 20ull * (199ull * 200ull / 2ull));
-}
-
-TEST(ConcurrencyStressTest, QueueCloseRacesWithProducers) {
-  for (int round = 0; round < 20; ++round) {
-    ConcurrentQueue<int> q;
-    std::atomic<int> pushed{0};
-    std::vector<std::jthread> producers;
-    for (int t = 0; t < 4; ++t) {
-      producers.emplace_back([&] {
-        for (int i = 0; i < 100; ++i) {
-          if (q.push(i)) pushed.fetch_add(1);
-        }
-      });
-    }
-    std::jthread closer([&q] { q.close(); });
-    producers.clear();
-    closer.join();
-
-    int drained = 0;
-    int v = 0;
-    while (q.try_pop(v) == QueuePopStatus::Ok) ++drained;
-    EXPECT_EQ(drained, pushed.load());
-  }
+  EXPECT_EQ(sum.load(), 10ull * (199ull * 200ull / 2ull) + 10ull * 3ull);
 }
 
 }  // namespace

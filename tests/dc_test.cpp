@@ -161,6 +161,50 @@ TEST_F(DataConcentratorTest, DatabaseAccumulatesMeasurementsAndDiagnostics) {
   EXPECT_FALSE(keys.empty());
 }
 
+TEST_F(DataConcentratorTest, DatabaseKeepsOneHourAcrossSalvage) {
+  chiller_.faults().schedule({FailureMode::MotorImbalance, SimTime(0),
+                              SimTime(0), 0.9, plant::GrowthProfile::Step});
+  const db::Value imbalance(static_cast<std::int64_t>(
+      domain::condition_id(FailureMode::MotorImbalance).value()));
+  const auto check_window = [&](DataConcentrator& dc, SimTime now) {
+    const db::Database& db = dc.database();
+    // One hour of 60-s scans x 11 variables, however long the DC has run.
+    EXPECT_EQ(db.table("measurements").row_count(), 60u * 11u);
+    std::uint64_t rows = 0;
+    for (const char* name : {"measurements", "diagnostics", "test_log"}) {
+      const db::Table& t = db.table(name);
+      EXPECT_GT(t.row_count(), 0u) << name;
+      for (const auto& [key, row] : t.rows()) {
+        EXPECT_GT(row[1].as_integer(),
+                  (now - SimTime::from_hours(1.0)).micros())
+            << name << " row " << key;
+      }
+      rows += t.row_count();
+    }
+    EXPECT_EQ(dc.stats().log_rows, rows);
+    // The secondary index follows the trim: recent diagnostics are still
+    // found, and every hit is a live row.
+    const auto keys = db.table("diagnostics").lookup("condition", imbalance);
+    EXPECT_FALSE(keys.empty());
+    for (const std::int64_t key : keys) {
+      EXPECT_NE(db.table("diagnostics").find(key), nullptr);
+    }
+    EXPECT_TRUE(db.integrity_violations().empty());
+  };
+
+  const DcConfig cfg = dc_config();
+  DataConcentrator dc(cfg, refs_, chiller_);
+  (void)dc.advance_to(SimTime::from_hours(3.0));
+  EXPECT_EQ(dc.stats().process_scans, 180u);
+  check_window(dc, SimTime::from_hours(3.0));
+
+  // A restarted DC inherits the trimmed tables and keeps trimming them.
+  DataConcentrator recovered(cfg, refs_, chiller_, nullptr, dc.salvage());
+  (void)recovered.advance_to(SimTime::from_hours(4.0));
+  EXPECT_EQ(recovered.stats().process_scans, 240u);
+  check_window(recovered, SimTime::from_hours(4.0));
+}
+
 TEST_F(DataConcentratorTest, OnDemandVibrationTestRunsEarly) {
   chiller_.faults().schedule({FailureMode::MotorImbalance, SimTime(0),
                               SimTime(0), 0.9, plant::GrowthProfile::Step});

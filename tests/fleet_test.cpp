@@ -14,6 +14,7 @@
 #include "mpros/fleet/fleet_server.hpp"
 #include "mpros/fleet/fleet_sim.hpp"
 #include "mpros/net/fleet_summary.hpp"
+#include "mpros/pdme/browser.hpp"
 
 namespace mpros::fleet {
 namespace {
@@ -505,6 +506,43 @@ TEST(FleetSimTest, SeededFaultSurfacesInTheShoreView) {
   const std::string view = fleet.server().render_fleet_view();
   EXPECT_NE(view.find("Hull-01"), std::string::npos);
   EXPECT_NE(view.find("MotorImbalance"), std::string::npos);
+}
+
+TEST(FleetSimTest, InlineHullsMatchPooledHulls) {
+  // A one-worker hull runs its DCs on the driver thread; a two-worker hull
+  // forks them onto its pool. The schedule must not leak into the output.
+  const auto run = [](std::size_t workers) {
+    FleetSimConfig cfg;
+    cfg.ship_count = 3;
+    cfg.seed = 0xB17E;
+    cfg.ship_template.plant_count = 2;
+    cfg.ship_template.worker_threads = workers;
+    cfg.ship_template.dc_template.vibration_period =
+        SimTime::from_seconds(600);
+    cfg.ship_template.dc_template.process_period = SimTime::from_seconds(60);
+    cfg.shore.drop_probability = 0.05;
+    FleetSim fleet(cfg);
+    fleet.ship(1).chiller(0).faults().schedule(
+        {FailureMode::MotorImbalance, SimTime::from_seconds(600),
+         SimTime::from_hours(1.5), 0.9, plant::GrowthProfile::Linear});
+    fleet.run_until(SimTime::from_hours(2.0));
+    std::vector<std::string> out{fleet.server().render_fleet_view()};
+    for (std::size_t k = 0; k < fleet.ship_count(); ++k) {
+      ShipSystem& ship = fleet.ship(k);
+      out.push_back(pdme::export_icas_csv(ship.pdme(), ship.model()));
+    }
+    return out;
+  };
+  const std::vector<std::string> inline_run = run(1);
+  const std::vector<std::string> pooled_run = run(2);
+  ASSERT_EQ(inline_run.size(), 4u);
+  EXPECT_NE(inline_run[0].find("MotorImbalance"), std::string::npos);
+  EXPECT_NE(inline_run[2].find(
+                domain::condition_text(FailureMode::MotorImbalance)),
+            std::string::npos);
+  for (std::size_t i = 0; i < inline_run.size(); ++i) {
+    EXPECT_EQ(inline_run[i], pooled_run[i]) << "output " << i;
+  }
 }
 
 TEST(FleetSimTest, UplinkSurvivesShoreLinkOutage) {

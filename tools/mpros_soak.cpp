@@ -35,6 +35,10 @@
 //                             the newest stamped revision and every
 //                             commanded value reads back via
 //                             runtime_setting()
+//   I5 bounded DC log         each DC's log_rows never exceeds the rows it
+//                             wrote since the last checkpoint at or before
+//                             now - 1 h: one hour of scans, reports and
+//                             tests, plus at most one checkpoint period
 //
 //   mpros_soak --short        CI mode: 2 hulls x 2 plants, 3 simulated hours
 //   mpros_soak                nightly: 6 hulls x 4 plants, 240 simulated
@@ -47,6 +51,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -99,6 +104,16 @@ int fail(SimTime at, const std::string& what) {
   std::fprintf(stderr, "mpros_soak: INVARIANT VIOLATION at t=%.0fs: %s\n",
                at.seconds(), what.c_str());
   return 1;
+}
+
+/// I5: an upper bound on the log-table rows a DC has written so far. A scan
+/// logs one measurement per process variable; every report logs one
+/// diagnostic; a test logs its run, plus a marker when commanded; every
+/// config command logs one line.
+[[nodiscard]] std::uint64_t log_rows_written(
+    const dc::DataConcentrator::Stats& s, std::uint64_t vars_per_scan) {
+  return s.process_scans * vars_per_scan + s.reports_emitted +
+         2 * s.vibration_tests + s.config_commands;
 }
 
 [[nodiscard]] std::string fused_fingerprint(ShipSystem& ship) {
@@ -272,6 +287,19 @@ int main(int argc, char** argv) {
   // I3 bookkeeping: last PDME counter snapshot per hull.
   std::vector<pdme::PdmeExecutive::Stats> last_stats(ships);
 
+  // I5 bookkeeping: per (hull, plant), log_rows_written() at each
+  // checkpoint of the last hour, oldest first, plus the newest one at or
+  // before now - 1 h. A probe chiller, outside the fleet so no hull's noise
+  // stream moves, gives the number of process variables a scan logs.
+  struct LogMark {
+    SimTime at;
+    std::uint64_t written = 0;
+  };
+  std::vector<std::vector<std::deque<LogMark>>> log_marks(
+      ships, std::vector<std::deque<LogMark>>(plants));
+  const std::uint64_t vars_per_scan =
+      plant::ChillerSimulator().process_snapshot().size();
+
   SimTime next_check = check;
   for (SimTime t = step; t <= end; t = t + step) {
     const bool chaos_live = t <= chaos_end;
@@ -295,8 +323,9 @@ int main(int argc, char** argv) {
                              std::to_string(committed.seconds()) + "s)");
         }
         arm_faults(*fleet[h]);
-        // Counters and network stats restart with the process.
+        // Counters, network stats and the DC logs restart with the process.
         last_stats[h] = {};
+        for (auto& marks : log_marks[h]) marks.clear();
         // Commands in flight died with the hull; re-issue the newest
         // commanded state so the convergence invariant stays meaningful
         // (and the post-crash control plane gets exercised).
@@ -384,6 +413,29 @@ int main(int argc, char** argv) {
         return fail(t, "PDME counters regressed on hull " + std::to_string(h));
       }
       last_stats[h] = s;
+
+      // I5: the DC log keeps one hour, so it holds at most what was
+      // written since the last checkpoint at or before t - 1 h.
+      for (std::size_t p = 0; p < plants; ++p) {
+        const dc::DataConcentrator::Stats& ds =
+            fleet[h]->concentrator(p).stats();
+        const std::uint64_t written = log_rows_written(ds, vars_per_scan);
+        std::deque<LogMark>& marks = log_marks[h][p];
+        const SimTime horizon = t - SimTime::from_hours(1.0);
+        while (marks.size() > 1 && marks[1].at <= horizon) marks.pop_front();
+        const std::uint64_t bound =
+            !marks.empty() && marks.front().at <= horizon
+                ? written - marks.front().written
+                : written;
+        if (ds.log_rows > bound) {
+          return fail(t, "hull " + std::to_string(h) + " dc-" +
+                             std::to_string(p + 1) + " log holds " +
+                             std::to_string(ds.log_rows) +
+                             " rows, more than the " + std::to_string(bound) +
+                             " written in the last hour");
+        }
+        marks.push_back({t, written});
+      }
     }
   }
 

@@ -8,15 +8,15 @@
 // or a knowledge source." (§4.2)
 //
 // The event model (§4.5) notifies subscribers of object creation, property
-// changes, and relationship changes "without the need to poll" — the PDME's
-// Knowledge Fusion subscribes to process failure-prediction reports as they
-// are posted, and the browser updates its display the same way.
+// changes, and relationship changes "without the need to poll" — the
+// durable journal (persistence.hpp) mirrors every change this way.
 //
 // Reports the PDME posts live in the report log (report_log.hpp): each
 // takes a fixed-layout log record and an 8-byte id slot instead of a full
 // object record, and reads back through the same object API. Objects built
 // with create_object() — ship equipment, reports a third party assembles by
-// hand — are general records.
+// hand — are general records; a hand-built report is stored and persisted
+// but never fused (the PDME fuses only what its submit() posts).
 //
 // Thread model: single writer (the PDME executive); listeners run inline on
 // the writer thread.

@@ -5,42 +5,11 @@
 #include <cstdio>
 #include <cstring>
 
-#include "mpros/common/assert.hpp"
 #include "mpros/common/log.hpp"
-#include "mpros/telemetry/metrics.hpp"
-#include "mpros/telemetry/trace.hpp"
 
 namespace mpros::pdme {
 
 using domain::FailureMode;
-
-namespace {
-
-/// Registry handles resolved once; observations are relaxed atomics after.
-/// Counters are process-wide, shared by every core (the Registry dedups by
-/// name).
-struct CoreMetrics {
-  telemetry::Counter& reports_accepted;
-  telemetry::Counter& duplicates_dropped;
-  telemetry::Counter& malformed_dropped;
-  telemetry::Counter& fusion_updates;
-  telemetry::Counter& sensor_fault_reports;
-  telemetry::Histogram& fuse_wall_us;
-
-  static CoreMetrics& instance() {
-    static auto& reg = telemetry::Registry::instance();
-    static CoreMetrics m{
-        reg.counter("pdme.reports_accepted"),
-        reg.counter("pdme.duplicates_dropped"),
-        reg.counter("pdme.malformed_dropped"),
-        reg.counter("pdme.fusion_updates"),
-        reg.counter("pdme.sensor_fault_reports"),
-        reg.histogram("pdme.fuse_wall_us")};
-    return m;
-  }
-};
-
-}  // namespace
 
 DedupIndex::Key DedupIndex::key_of(const net::FailureReport& r) {
   return {r.dc.value(),           r.knowledge_source.value(),
@@ -118,54 +87,16 @@ void DedupIndex::grow() {
   }
 }
 
-void FusionCore::count_duplicate() {
-  ++stats_.duplicates_dropped;
-  CoreMetrics::instance().duplicates_dropped.inc();
-}
-
-void FusionCore::fuse(const net::FailureReport& r, std::uint32_t log_index,
-                      bool retest_enabled) {
-  MPROS_EXPECTS(log_index < kUnlogged);
-  fuse_ref(r, log_index, retest_enabled);
-}
-
-void FusionCore::fuse_unlogged(const net::FailureReport& r,
-                               bool retest_enabled) {
-  MPROS_EXPECTS(unlogged_.size() < kUnlogged);
-  const auto ref = static_cast<HistoryRef>(kUnlogged | unlogged_.size());
-  unlogged_.push_back(r);
-  fuse_ref(r, ref, retest_enabled);
-}
-
-void FusionCore::fuse_ref(const net::FailureReport& r, HistoryRef ref,
-                          bool retest_enabled) {
-  CoreMetrics& metrics = CoreMetrics::instance();
+std::optional<PendingRetest> FusionCore::fuse(const net::FailureReport& r,
+                                              std::uint32_t log_index) {
+  history_[r.sensed_object.value()].push_back(log_index);
   // Sensor-fault conclusions get their own track: fusing "the sensor lies"
   // into Dempster-Shafer would steal mass from real machinery modes.
   if (domain::is_sensor_fault_condition(r.machine_condition)) {
-    history_[r.sensed_object.value()].push_back(ref);
     note_sensor_fault(r);
-    return;
-  }
-  if (!r.machine_condition.valid() ||
-      r.machine_condition.value() > domain::kFailureModeCount) {
-    ++stats_.malformed_dropped;
-    metrics.malformed_dropped.inc();
-    return;
-  }
-  // Stage timing rides the trace: traced reports (every DC test stamps one)
-  // get the span and feed the wall-clock histogram; untraced bulk ingest
-  // pays neither the clock reads nor the observe.
-  std::optional<telemetry::StageTimer> span;
-  if (r.trace != 0) {
-    span.emplace("pdme.fuse", r.trace, r.timestamp.micros(),
-                 &metrics.fuse_wall_us);
+    return std::nullopt;
   }
   const FailureMode mode = domain::failure_mode(r.machine_condition);
-
-  ++stats_.reports_accepted;
-  metrics.reports_accepted.inc();
-  history_[r.sensed_object.value()].push_back(ref);
 
   // Diagnostic fusion: the report's Belief field becomes simple support.
   // apply() is update() minus the per-call GroupState summary allocation;
@@ -188,23 +119,15 @@ void FusionCore::fuse_ref(const net::FailureReport& r, HistoryRef ref,
   track.trend.observe(r.timestamp, std::clamp(r.severity, 0.0, 1.0));
   track.latest_report = std::max(track.latest_report, r.timestamp);
   ++track.reports;
-  ++stats_.fusion_updates;
-  metrics.fusion_updates.inc();
-  if (retest_enabled) maybe_record_retest(r);
 
   MPROS_LOG_DEBUG("pdme", "fused %s for obj=%llu belief=%.2f",
                   domain::to_string(mode),
                   static_cast<unsigned long long>(r.sensed_object.value()),
                   r.belief);
+  return retest_for(r);
 }
 
 void FusionCore::note_sensor_fault(const net::FailureReport& r) {
-  CoreMetrics& metrics = CoreMetrics::instance();
-  ++stats_.reports_accepted;
-  metrics.reports_accepted.inc();
-  ++stats_.sensor_fault_reports;
-  metrics.sensor_fault_reports.inc();
-
   const domain::SensorFaultKind kind =
       domain::sensor_fault_kind(r.machine_condition);
   SensorFaultRecord& rec = sensor_faults_[{
@@ -223,24 +146,20 @@ void FusionCore::note_sensor_fault(const net::FailureReport& r) {
   }
 }
 
-void FusionCore::maybe_record_retest(const net::FailureReport& r) {
-  if (!cfg_.auto_retest) return;
-  if (r.severity < cfg_.retest_severity) return;
+std::optional<PendingRetest> FusionCore::retest_for(
+    const net::FailureReport& r) const {
+  if (!cfg_.auto_retest) return std::nullopt;
+  if (r.severity < cfg_.retest_severity) return std::nullopt;
   const FailureMode mode = domain::failure_mode(r.machine_condition);
   const fusion::GroupState group =
       diagnostics_.state(r.sensed_object, domain::logical_group(mode));
   // Already corroborated: several reports and little unknown mass left. A
   // first-ever severe report always earns a closer look, however confident
   // its source was.
-  if (group.report_count > 1 && group.unknown < cfg_.retest_unknown) return;
-  pending_retests_.push_back(
-      PendingRetest{r.dc, r.sensed_object, mode, r.timestamp});
-}
-
-std::vector<PendingRetest> FusionCore::take_pending_retests() {
-  std::vector<PendingRetest> out;
-  out.swap(pending_retests_);
-  return out;
+  if (group.report_count > 1 && group.unknown < cfg_.retest_unknown) {
+    return std::nullopt;
+  }
+  return PendingRetest{r.dc, r.sensed_object, mode, r.timestamp};
 }
 
 std::vector<std::uint64_t> FusionCore::machines() const {
@@ -307,14 +226,7 @@ std::vector<net::FailureReport> FusionCore::reports_for(
   const auto it = history_.find(machine.value());
   if (it == history_.end()) return {};
   std::vector<net::FailureReport> out(it->second.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const HistoryRef ref = it->second[i];
-    if ((ref & kUnlogged) != 0) {
-      out[i] = unlogged_[ref & ~kUnlogged];
-    } else {
-      log_.read(ref, out[i]);
-    }
-  }
+  for (std::size_t i = 0; i < out.size(); ++i) log_.read(it->second[i], out[i]);
   return out;
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 // Per-machine knowledge-fusion state owned by the PDME executive. The
 // executive handles everything that spans the ship — the OOSM, DC
-// liveness, reliable-stream bookkeeping, the retest backoff ledger — and
-// hands each accepted report to its FusionCore on the driver thread.
+// liveness, reliable-stream bookkeeping, the retest backoff ledger, every
+// counter — and hands each accepted report to its FusionCore on the driver
+// thread.
 //
 // A core holds the state that is independent per machine until the
 // comparative/fleet layer: Dempster-Shafer group state, prognostic tracks,
@@ -11,7 +12,6 @@
 // report log; the core keeps log indices into it.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -45,8 +45,11 @@ struct MaintenanceItem {
 };
 
 struct PdmeConfig {
-  /// Reports older than this against the same (machine, condition) replace
-  /// nothing — exact duplicates (retransmissions) are dropped by signature.
+  /// Drop exact duplicates (retransmissions) before they are posted: a
+  /// report whose dc, knowledge source, sensed object, condition and
+  /// timestamp equal a logged report's, and whose belief prints the same
+  /// with "%.6f", is counted in duplicates_dropped and not fused
+  /// (DedupIndex).
   bool deduplicate = true;
 
   /// Adaptive "closer look" (§6.3): when a fused report crosses
@@ -86,10 +89,10 @@ struct SensorFaultRecord {
   std::string explanation;
 };
 
-/// An adaptive-retest candidate recorded at fuse time. The per-machine
-/// checks (severity threshold, corroboration) run in the core where the
-/// group state lives; the executive applies the cross-machine backoff
-/// ledger and sends the command right after the fuse.
+/// An adaptive-retest candidate earned by one fuse. The per-machine checks
+/// (severity threshold, corroboration) run in the core where the group
+/// state lives; the executive applies the cross-machine backoff ledger and
+/// sends the command right after the fuse.
 struct PendingRetest {
   DcId dc;
   ObjectId machine;
@@ -134,16 +137,6 @@ class DedupIndex {
 
 class FusionCore {
  public:
-  /// The Stats fields a core owns; the executive adds them to its own
-  /// driver-side counters in PdmeExecutive::snapshot().
-  struct Stats {
-    std::uint64_t reports_accepted = 0;
-    std::uint64_t duplicates_dropped = 0;
-    std::uint64_t malformed_dropped = 0;
-    std::uint64_t fusion_updates = 0;
-    std::uint64_t sensor_fault_reports = 0;
-  };
-
   /// `log` is the OOSM report log the executive posts into; it must
   /// outlive the core.
   FusionCore(const PdmeConfig& cfg, const oosm::ReportLog& log)
@@ -154,17 +147,14 @@ class FusionCore {
     return dedup_.contains(report);
   }
   void mark_seen(std::uint32_t log_index) { dedup_.insert(log_index); }
-  void count_duplicate();
   [[nodiscard]] std::size_t dedup_entries() const { return dedup_.size(); }
 
   /// Fuse one report (§5.1 steps 3-4 state updates); `log_index` is where
-  /// it sits in the report log. `retest_enabled` reflects whether the
-  /// executive is attached to a network.
-  void fuse(const net::FailureReport& report, std::uint32_t log_index,
-            bool retest_enabled);
-  /// Fuse a report that is not in the log (a Report object a third party
-  /// built by hand); the history keeps its own copy.
-  void fuse_unlogged(const net::FailureReport& report, bool retest_enabled);
+  /// it sits in the report log. The condition must be a failure mode or a
+  /// sensor fault: the executive counts and drops malformed ones. Returns
+  /// the closer-look retest the report earned, if any.
+  std::optional<PendingRetest> fuse(const net::FailureReport& report,
+                                    std::uint32_t log_index);
 
   // -- Queries --------------------------------------------------------------
 
@@ -190,18 +180,7 @@ class FusionCore {
     return sensor_faults_;
   }
 
-  /// Drain the retest candidates recorded since the last call, in record
-  /// order.
-  [[nodiscard]] std::vector<PendingRetest> take_pending_retests();
-  /// Cheap emptiness probe so per-report callers can skip the drain (and
-  /// its vector round-trip) on the overwhelmingly common no-retest path.
-  [[nodiscard]] bool has_pending_retests() const {
-    return !pending_retests_.empty();
-  }
-
   void reset_machine(ObjectId machine);
-
-  [[nodiscard]] const Stats& core_stats() const { return stats_; }
 
  private:
   struct ModeKey {
@@ -217,15 +196,9 @@ class FusionCore {
     std::size_t reports = 0;
   };
 
-  /// A history entry: a report-log index, or kUnlogged | an index into
-  /// unlogged_.
-  using HistoryRef = std::uint32_t;
-  static constexpr HistoryRef kUnlogged = 0x80000000u;
-
-  void fuse_ref(const net::FailureReport& report, HistoryRef ref,
-                bool retest_enabled);
   void note_sensor_fault(const net::FailureReport& report);
-  void maybe_record_retest(const net::FailureReport& report);
+  [[nodiscard]] std::optional<PendingRetest> retest_for(
+      const net::FailureReport& report) const;
 
   PdmeConfig cfg_;
   const oosm::ReportLog& log_;
@@ -235,13 +208,10 @@ class FusionCore {
   std::vector<fusion::PrognosticPoint> prog_points_;
   fusion::FuseScratch fuse_scratch_;
   std::map<ModeKey, ModeTrack> tracks_;
-  /// Per-machine report history since the last reset, arrival order.
-  std::map<std::uint64_t, std::vector<HistoryRef>> history_;
-  std::deque<net::FailureReport> unlogged_;
+  /// Per-machine report-log indices since the last reset, arrival order.
+  std::map<std::uint64_t, std::vector<std::uint32_t>> history_;
   DedupIndex dedup_;
   std::map<SensorFaultKey, SensorFaultRecord> sensor_faults_;
-  std::vector<PendingRetest> pending_retests_;
-  Stats stats_;
 };
 
 }  // namespace mpros::pdme

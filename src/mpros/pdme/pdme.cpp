@@ -13,13 +13,18 @@ using domain::FailureMode;
 
 namespace {
 
-/// Driver-thread metrics (the fusion-path counters live in fusion_core.cpp;
-/// the Registry dedups by name so both resolve to the same instances).
+/// Registry handles resolved once; observations are relaxed atomics after.
+/// Counters are process-wide, shared by every executive (the Registry dedups
+/// by name); each has a twin field in the executive's own Stats.
 struct PdmeMetrics {
+  telemetry::Counter& reports_accepted;
   telemetry::Counter& duplicates_dropped;
   telemetry::Counter& malformed_dropped;
+  telemetry::Counter& fusion_updates;
+  telemetry::Counter& sensor_fault_reports;
   telemetry::Counter& gaps_detected;
   telemetry::Counter& heartbeats_received;
+  telemetry::Histogram& fuse_wall_us;
   telemetry::Histogram& report_pipeline_latency_us;
   telemetry::Gauge& report_records;
   telemetry::Gauge& report_text_bytes;
@@ -27,10 +32,14 @@ struct PdmeMetrics {
 
   static PdmeMetrics& instance() {
     static auto& reg = telemetry::Registry::instance();
-    static PdmeMetrics m{reg.counter("pdme.duplicates_dropped"),
+    static PdmeMetrics m{reg.counter("pdme.reports_accepted"),
+                         reg.counter("pdme.duplicates_dropped"),
                          reg.counter("pdme.malformed_dropped"),
+                         reg.counter("pdme.fusion_updates"),
+                         reg.counter("pdme.sensor_fault_reports"),
                          reg.counter("pdme.gaps_detected"),
                          reg.counter("pdme.heartbeats_received"),
+                         reg.histogram("pdme.fuse_wall_us"),
                          reg.histogram("pdme.report_pipeline_latency_us"),
                          reg.gauge("oosm.report_records"),
                          reg.gauge("oosm.report_text_bytes"),
@@ -38,6 +47,15 @@ struct PdmeMetrics {
     return m;
   }
 };
+
+/// Add `n` to a Stats field and to its registry twin: every counter the
+/// executive shares with the registry moves through here.
+void count(std::uint64_t& field, telemetry::Counter& twin,
+           std::uint64_t n = 1) {
+  if (n == 0) return;
+  field += n;
+  twin.inc(n);
+}
 
 }  // namespace
 
@@ -51,17 +69,13 @@ const char* to_string(DcLiveness liveness) {
 }
 
 PdmeExecutive::PdmeExecutive(oosm::ObjectModel& model, PdmeConfig cfg)
-    : model_(model), cfg_(cfg), core_(cfg_, model.report_log()) {
-  subscription_ = model_.subscribe(
-      [this](const oosm::OosmEvent& event) { on_oosm_event(event); });
-}
-
-PdmeExecutive::~PdmeExecutive() { model_.unsubscribe(subscription_); }
+    : model_(model), cfg_(cfg), core_(cfg_, model.report_log()) {}
 
 PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
     std::span<const net::ReportEnvelope> reports) {
   SubmitOutcome out;
   PdmeMetrics& metrics = PdmeMetrics::instance();
+  std::uint64_t duplicates = 0;  // whole-datagram and per-report drops
   std::size_t i = 0;
   while (i < reports.size()) {
     const net::ReportEnvelope& head = reports[i];
@@ -84,13 +98,22 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
         receiver_.is_duplicate(head.dc, head.sequence)) {
       // A retransmitted sequenced datagram: every report it carried was
       // already fused the first time, so the whole run drops.
-      stats_.duplicates_dropped += run.size();
-      metrics.duplicates_dropped.inc(run.size());
+      duplicates += run.size();
       ++stats_.duplicate_envelopes;
       out.duplicates += run.size();
     } else {
-      const auto posted = ingest(run);
-      if (posted.has_value()) out.last_object = posted;
+      for (const net::ReportEnvelope& env : run) {
+        const net::FailureReport& r = env.report;
+        if (cfg_.deduplicate && core_.seen(r)) {
+          ++duplicates;
+          continue;
+        }
+        const ObjectId obj = model_.post_report(r);
+        const std::uint32_t index = *model_.report_index(obj);
+        if (cfg_.deduplicate) core_.mark_seen(index);
+        fuse(r, index);
+        out.last_object = obj;
+      }
       out.accepted += run.size();
       if (head.sequence != 0) {
         // Commit stream state only after the run was fused: an acked
@@ -98,117 +121,44 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
         // unrecoverable (the DC retires it on our ack).
         const net::ReliableReceiver::Outcome outcome =
             receiver_.on_envelope(head.dc, head.sequence);
-        stats_.gaps_detected += outcome.new_gaps;
-        if (outcome.new_gaps > 0) {
-          metrics.gaps_detected.inc(outcome.new_gaps);
-        }
+        count(stats_.gaps_detected, metrics.gaps_detected, outcome.new_gaps);
         ++stats_.envelopes_accepted;
       }
     }
     i = j;
   }
+  count(stats_.duplicates_dropped, metrics.duplicates_dropped, duplicates);
   return out;
 }
 
-std::optional<ObjectId> PdmeExecutive::ingest(
-    std::span<const net::ReportEnvelope> run) {
-  std::optional<ObjectId> last;
-  for (const net::ReportEnvelope& env : run) {
-    const net::FailureReport& r = env.report;
-    if (cfg_.deduplicate && core_.seen(r)) {
-      core_.count_duplicate();
-      continue;
-    }
-    const ObjectId obj = post_report_object(r);
-    const std::uint32_t index = *model_.report_index(obj);
-    if (cfg_.deduplicate) core_.mark_seen(index);
-    fuse_and_retest(r, index);
-    last = obj;
-  }
-  return last;
-}
-
-ObjectId PdmeExecutive::post_report_object(const net::FailureReport& r) {
-  // We fuse the in-hand report directly, right after this call — the OOSM
-  // event path exists for third-party posters, so hold the re-entrancy
-  // guard across the whole post, completion marker included.
-  posting_ = true;
-  const ObjectId obj = model_.post_report(r);
-  posting_ = false;
-  return obj;
-}
-
-net::FailureReport PdmeExecutive::reconstruct_report(ObjectId object) const {
-  // Reconstruct the report from OOSM properties (§4.5: fusion reacts to the
-  // model, not to a private channel).
-  const auto get_int = [&](const char* key) -> std::int64_t {
-    const auto v = model_.property(object, key);
-    MPROS_ASSERT(v.has_value());
-    return v->as_integer();
-  };
-  const auto get_real = [&](const char* key) -> double {
-    const auto v = model_.property(object, key);
-    MPROS_ASSERT(v.has_value());
-    return v->numeric();
-  };
-  const auto get_text = [&](const char* key) -> std::string {
-    const auto v = model_.property(object, key);
-    return v.has_value() && v->type() == db::ValueType::Text ? v->as_text()
-                                                             : std::string();
-  };
-
-  net::FailureReport r;
-  r.dc = DcId(static_cast<std::uint64_t>(get_int("dc")));
-  r.knowledge_source =
-      KnowledgeSourceId(static_cast<std::uint64_t>(get_int("ks")));
-  r.sensed_object = ObjectId(static_cast<std::uint64_t>(get_int("sensed")));
-  r.machine_condition =
-      ConditionId(static_cast<std::uint64_t>(get_int("condition")));
-  r.severity = get_real("severity");
-  r.belief = get_real("belief");
-  r.explanation = get_text("explanation");
-  r.recommendations = get_text("recommendations");
-  r.timestamp = SimTime(get_int("timestamp_us"));
-  r.prognostics = oosm::decode_prognostics(get_text("prognostics"));
-  // Reports posted by third parties predate tracing; default to untraced.
-  const auto trace = model_.property(object, "trace");
-  if (trace.has_value()) {
-    r.trace = static_cast<std::uint64_t>(trace->as_integer());
-  }
-  return r;
-}
-
-void PdmeExecutive::on_oosm_event(const oosm::OosmEvent& event) {
-  if (posting_) return;  // our own posts fuse directly, not via the event
-  if (event.kind != oosm::OosmEvent::Kind::PropertyChanged ||
-      event.property != "posted") {
+void PdmeExecutive::fuse(const net::FailureReport& r,
+                         std::uint32_t log_index) {
+  PdmeMetrics& metrics = PdmeMetrics::instance();
+  const ConditionId condition = r.machine_condition;
+  const bool sensor_fault = domain::is_sensor_fault_condition(condition);
+  if (!sensor_fault &&
+      (!condition.valid() || condition.value() > domain::kFailureModeCount)) {
+    count(stats_.malformed_dropped, metrics.malformed_dropped);
     return;
   }
-  if (!model_.exists(event.object) ||
-      model_.kind(event.object) != domain::EquipmentKind::Report) {
+  count(stats_.reports_accepted, metrics.reports_accepted);
+  if (sensor_fault) {
+    count(stats_.sensor_fault_reports, metrics.sensor_fault_reports);
+    core_.fuse(r, log_index);  // a ledger update; never earns a retest
     return;
   }
-  // Already in the model: fuse without dedup and without a second post.
-  if (const auto index = model_.report_index(event.object)) {
-    fuse_and_retest(model_.report_log().report(*index), *index);
-  } else {
-    fuse_and_retest(reconstruct_report(event.object), std::nullopt);
+  // Stage timing rides the trace: traced reports (every DC test stamps one)
+  // get the span and feed the wall-clock histogram; untraced bulk ingest
+  // pays neither the clock reads nor the observe.
+  std::optional<telemetry::StageTimer> span;
+  if (r.trace != 0) {
+    span.emplace("pdme.fuse", r.trace, r.timestamp.micros(),
+                 &metrics.fuse_wall_us);
   }
-}
-
-void PdmeExecutive::fuse_and_retest(const net::FailureReport& r,
-                                    std::optional<std::uint32_t> log_index) {
-  const bool retest_enabled = network_ != nullptr;
-  if (log_index.has_value()) {
-    core_.fuse(r, *log_index, retest_enabled);
-  } else {
-    core_.fuse_unlogged(r, retest_enabled);
-  }
-  if (core_.has_pending_retests()) {
-    for (const PendingRetest& pending : core_.take_pending_retests()) {
-      send_retest(pending);
-    }
-  }
+  const std::optional<PendingRetest> retest = core_.fuse(r, log_index);
+  span.reset();
+  count(stats_.fusion_updates, metrics.fusion_updates);
+  if (retest.has_value()) send_retest(*retest);
 }
 
 void PdmeExecutive::send_retest(const PendingRetest& p) {
@@ -257,25 +207,23 @@ std::size_t PdmeExecutive::rebuild_from_model() {
   net::FailureReport r;
   for (const ObjectId obj :
        model_.objects_of_kind(domain::EquipmentKind::Report)) {
+    // Only submit() posts to the log; a Report object built by hand was
+    // never fused live, so it is not fused here either.
     const auto index = model_.report_index(obj);
-    if (index.has_value()) {
-      model_.report_log().read(*index, r);
-      // Recovery fuses every persisted report, even signature twins (they
-      // are distinct objects in the model) — so bypass the dedup gate.
-      if (cfg_.deduplicate) core_.mark_seen(*index);
-    } else {
-      if (!model_.property(obj, "posted").has_value()) continue;  // half-written
-      r = reconstruct_report(obj);
-    }
+    if (!index.has_value()) continue;
+    model_.report_log().read(*index, r);
+    // Recovery fuses every persisted report, even signature twins (they
+    // are distinct objects in the model) — so bypass the dedup gate.
+    if (cfg_.deduplicate) core_.mark_seen(*index);
     reset_through(obj);
-    fuse_and_retest(r, index);
+    fuse(r, *index);
     ++recovered;
   }
   reset_through(ObjectId(~std::uint64_t{0}));
   return recovered;
 }
 
-std::vector<PdmeExecutive::SensorFaultRecord> PdmeExecutive::sensor_faults(
+std::vector<SensorFaultRecord> PdmeExecutive::sensor_faults(
     bool active_only) const {
   std::vector<SensorFaultRecord> out;
   for (const auto& [key, rec] : core_.sensor_fault_entries()) {
@@ -314,15 +262,12 @@ void PdmeExecutive::note_dc_alive(DcId dc, SimTime at) {
 void PdmeExecutive::accept(const net::HeartbeatMessage& hb, SimTime at) {
   PdmeMetrics& metrics = PdmeMetrics::instance();
   note_dc_alive(hb.dc, at);
-  ++stats_.heartbeats_received;
-  metrics.heartbeats_received.inc();
+  count(stats_.heartbeats_received, metrics.heartbeats_received);
   ++dc_health_[hb.dc.value()].heartbeats;
   // The advertised newest sequence reveals tail loss: gaps with no later
   // envelope arrival to expose them.
-  const std::uint64_t tail_gaps =
-      receiver_.on_advertised(hb.dc, hb.last_sequence);
-  stats_.gaps_detected += tail_gaps;
-  if (tail_gaps > 0) metrics.gaps_detected.inc(tail_gaps);
+  count(stats_.gaps_detected, metrics.gaps_detected,
+        receiver_.on_advertised(hb.dc, hb.last_sequence));
 }
 
 void PdmeExecutive::update_liveness(SimTime now) {
@@ -401,125 +346,97 @@ std::vector<net::FailureReport> PdmeExecutive::reports_for(
   return core_.reports_for(machine);
 }
 
-PdmeExecutive::Stats PdmeExecutive::snapshot() const {
-  Stats out = stats_;
-  const FusionCore::Stats& cs = core_.core_stats();
-  out.reports_accepted += cs.reports_accepted;
-  out.duplicates_dropped += cs.duplicates_dropped;
-  out.malformed_dropped += cs.malformed_dropped;
-  out.fusion_updates += cs.fusion_updates;
-  out.sensor_fault_reports += cs.sensor_fault_reports;
-  return out;
-}
-
 void PdmeExecutive::attach_to_network(net::SimNetwork& network,
                                       const std::string& endpoint_name) {
   network_ = &network;
   endpoint_name_ = endpoint_name;
-  network.register_endpoint(
-      endpoint_name, [this](const net::Message& message) {
+  network.register_endpoint(endpoint_name, [this](const net::Message& m) {
+    // The wire is hostile (fault injection, §5.1 "fragmentary" inputs): a
+    // datagram that does not parse is counted and dropped, never fatal.
+    if (!deliver(m)) {
+      count(stats_.malformed_dropped,
+            PdmeMetrics::instance().malformed_dropped);
+    }
+  });
+}
+
+bool PdmeExecutive::deliver(const net::Message& message) {
+  const auto type = net::try_peek_type(message.payload);
+  if (!type.has_value()) return false;
+  switch (*type) {
+    // The report datagram decodes through the arena-based unwrapper and
+    // funnels into submit(); sequence 0 skips dedup and acks.
+    case net::MessageType::ReportBatchEnvelopeMsg: {
+      const auto view =
+          net::try_unwrap_reports_into(message.payload, decode_arena_);
+      if (!view.has_value()) return false;
+      ++stats_.batches_received;
+      stats_.batched_reports += view->count;
+      note_dc_alive(view->dc, message.delivered_at);
+      const std::span<const net::ReportEnvelope> reports(decode_arena_.data(),
+                                                         view->count);
+      const bool duplicate_datagram =
+          view->sequence != 0 &&
+          receiver_.is_duplicate(view->dc, view->sequence);
+      if (!duplicate_datagram) {
         PdmeMetrics& metrics = PdmeMetrics::instance();
-        // The wire is hostile (fault injection, §5.1 "fragmentary" inputs):
-        // everything decodes through the fail-soft path, and a datagram
-        // that does not parse is counted and dropped, never fatal.
-        const auto type = net::try_peek_type(message.payload);
-        if (!type.has_value()) {
-          ++stats_.malformed_dropped;
-          metrics.malformed_dropped.inc();
-          return;
+        for (const net::ReportEnvelope& env : reports) {
+          telemetry::StageTimer transit("net.transit", env.report.trace,
+                                        message.sent_at.micros());
+          transit.set_sim_end(message.delivered_at.micros());
+          metrics.report_pipeline_latency_us.observe(static_cast<double>(
+              (message.delivered_at - env.report.timestamp).micros()));
         }
-        switch (*type) {
-          // The report datagram decodes through the arena-based unwrapper
-          // and funnels into submit(); sequence 0 skips dedup and acks.
-          case net::MessageType::ReportBatchEnvelopeMsg: {
-            const auto view =
-                net::try_unwrap_reports_into(message.payload, decode_arena_);
-            if (!view.has_value()) {
-              ++stats_.malformed_dropped;
-              metrics.malformed_dropped.inc();
-              return;
-            }
-            ++stats_.batches_received;
-            stats_.batched_reports += view->count;
-            note_dc_alive(view->dc, message.delivered_at);
-            const std::span<const net::ReportEnvelope> reports(
-                decode_arena_.data(), view->count);
-            const bool duplicate_datagram =
-                view->sequence != 0 &&
-                receiver_.is_duplicate(view->dc, view->sequence);
-            if (!duplicate_datagram) {
-              for (const net::ReportEnvelope& env : reports) {
-                telemetry::StageTimer transit("net.transit",
-                                              env.report.trace,
-                                              message.sent_at.micros());
-                transit.set_sim_end(message.delivered_at.micros());
-                metrics.report_pipeline_latency_us.observe(
-                    static_cast<double>(
-                        (message.delivered_at - env.report.timestamp)
-                            .micros()));
-              }
-            }
-            submit(reports);
-            if (view->sequence != 0 && network_ != nullptr) {
-              // Ack fresh and duplicate datagrams alike — a retransmission
-              // may mean our previous ack was the datagram that got lost.
-              network_->send(endpoint_name_,
-                             "dc-" + std::to_string(view->dc.value()),
-                             net::wrap(receiver_.make_ack(view->dc)),
-                             message.delivered_at);
-              ++stats_.acks_sent;
-            }
-            break;
-          }
-          case net::MessageType::Heartbeat: {
-            const auto hb = net::try_unwrap_heartbeat(message.payload);
-            if (!hb.has_value()) {
-              ++stats_.malformed_dropped;
-              metrics.malformed_dropped.inc();
-              return;
-            }
-            accept(*hb, message.delivered_at);
-            break;
-          }
-          case net::MessageType::SensorData: {
-            const auto data = net::try_unwrap_sensor_data(message.payload);
-            if (!data.has_value()) {
-              ++stats_.malformed_dropped;
-              metrics.malformed_dropped.inc();
-              return;
-            }
-            note_dc_alive(data->dc, message.delivered_at);
-            accept(*data);
-            break;
-          }
-          case net::MessageType::Ack: {
-            // A DC acking its command stream (report-stream acks flow
-            // PDME->DC and never arrive here).
-            const auto ack = net::try_unwrap_ack(message.payload);
-            if (!ack.has_value()) {
-              ++stats_.malformed_dropped;
-              metrics.malformed_dropped.inc();
-              return;
-            }
-            note_dc_alive(ack->dc, message.delivered_at);
-            const auto it = command_senders_.find(ack->dc.value());
-            if (it != command_senders_.end()) {
-              it->second->on_ack(*ack);
-              ++stats_.command_acks;
-            }
-            break;
-          }
-          case net::MessageType::TestCommand:
-          case net::MessageType::Command:
-          case net::MessageType::CommandEnvelopeMsg:
-          case net::MessageType::FleetSummaryEnvelopeMsg:
-            break;  // these address DCs or the shore tier, not the PDME
-          case net::MessageType::FailureReportMsg:
-          case net::MessageType::ReportEnvelopeMsg:
-          case net::MessageType::ReportBatchMsg:
-            break;  // retired report tags: try_peek_type never yields them
-        }
-      });
+      }
+      submit(reports);
+      if (view->sequence != 0 && network_ != nullptr) {
+        // Ack fresh and duplicate datagrams alike — a retransmission may
+        // mean our previous ack was the datagram that got lost.
+        network_->send(endpoint_name_,
+                       "dc-" + std::to_string(view->dc.value()),
+                       net::wrap(receiver_.make_ack(view->dc)),
+                       message.delivered_at);
+        ++stats_.acks_sent;
+      }
+      return true;
+    }
+    case net::MessageType::Heartbeat: {
+      const auto hb = net::try_unwrap_heartbeat(message.payload);
+      if (!hb.has_value()) return false;
+      accept(*hb, message.delivered_at);
+      return true;
+    }
+    case net::MessageType::SensorData: {
+      const auto data = net::try_unwrap_sensor_data(message.payload);
+      if (!data.has_value()) return false;
+      note_dc_alive(data->dc, message.delivered_at);
+      accept(*data);
+      return true;
+    }
+    case net::MessageType::Ack: {
+      // A DC acking its command stream (report-stream acks flow PDME->DC
+      // and never arrive here).
+      const auto ack = net::try_unwrap_ack(message.payload);
+      if (!ack.has_value()) return false;
+      note_dc_alive(ack->dc, message.delivered_at);
+      const auto it = command_senders_.find(ack->dc.value());
+      if (it != command_senders_.end()) {
+        it->second->on_ack(*ack);
+        ++stats_.command_acks;
+      }
+      return true;
+    }
+    case net::MessageType::TestCommand:
+    case net::MessageType::Command:
+    case net::MessageType::CommandEnvelopeMsg:
+    case net::MessageType::FleetSummaryEnvelopeMsg:
+      return true;  // these address DCs or the shore tier, not the PDME
+    case net::MessageType::FailureReportMsg:
+    case net::MessageType::ReportEnvelopeMsg:
+    case net::MessageType::ReportBatchMsg:
+      return true;  // retired report tags: try_peek_type never yields them
+  }
+  return true;
 }
 
 std::uint64_t PdmeExecutive::send_command(
@@ -563,13 +480,11 @@ const net::ReliableSender* PdmeExecutive::command_stream(DcId dc) const {
 void PdmeExecutive::accept(const net::SensorDataMessage& data) {
   ++stats_.sensor_batches;
   if (!model_.exists(data.machine)) return;
-  posting_ = true;  // raw telemetry is not a report; skip fusion triggers
   for (const auto& [key, value] : data.values) {
     model_.set_property(data.machine, key, value);
   }
   model_.set_property(data.machine, "last_sensor_update_us",
                       data.timestamp.micros());
-  posting_ = false;
 }
 
 void PdmeExecutive::reset_machine(ObjectId machine) {

@@ -6,13 +6,17 @@
 // Fusion of conflicting and reinforcing source conclusions is performed to
 // form a prioritized list for the use of maintenance personnel."
 //
-// Report flow implements §5.1's four-step format literally:
-//  1. arriving reports are posted into the OOSM (as Report objects that
-//     RefersTo the sensed machine),
-//  2. the OOSM's event model notifies Knowledge Fusion,
-//  3. KF reads the new report and fuses diagnostics (Dempster-Shafer per
-//     logical group) and prognostics (conservative envelope),
-//  4. fused conclusions are posted back to the OOSM and drive the browser.
+// Report flow follows §5.1's four steps, all inside submit(), the one road
+// into fusion:
+//  1. each fresh report is posted into the OOSM report log (a Report object
+//     that RefersTo the sensed machine; the OOSM still announces it to
+//     listeners such as the durable journal),
+//  2. the executive hands the same in-hand report to Knowledge Fusion,
+//  3. KF fuses diagnostics (Dempster-Shafer per logical group) and
+//     prognostics (conservative envelope),
+//  4. the fused conclusions drive the prioritized list and the browser.
+// A Report object someone builds by hand with create_object() is only an
+// object: it is stored and persisted, never fused.
 //
 // Everything runs on the driver thread: submit() posts each fresh report,
 // fuses it in the executive's FusionCore and sends any retest command it
@@ -47,11 +51,8 @@ struct DcHealth {
 
 class PdmeExecutive {
  public:
-  /// `model` must outlive the executive. The executive subscribes to OOSM
-  /// events so that report objects posted by anyone (not just submit())
-  /// reach knowledge fusion (§4.5).
+  /// `model` must outlive the executive.
   explicit PdmeExecutive(oosm::ObjectModel& model, PdmeConfig cfg = {});
-  ~PdmeExecutive();
 
   PdmeExecutive(const PdmeExecutive&) = delete;
   PdmeExecutive& operator=(const PdmeExecutive&) = delete;
@@ -141,8 +142,6 @@ class PdmeExecutive {
   /// send_command to it). Tests assert window drain / backoff through it.
   [[nodiscard]] const net::ReliableSender* command_stream(DcId dc) const;
 
-  /// Compatibility alias — the record type moved to fusion_core.hpp.
-  using SensorFaultRecord = pdme::SensorFaultRecord;
   [[nodiscard]] std::vector<SensorFaultRecord> sensor_faults(
       bool active_only = true) const;
 
@@ -201,8 +200,9 @@ class PdmeExecutive {
 
     friend bool operator==(const Stats&, const Stats&) = default;
   };
-  /// Driver-side counters plus the fusion core's, by value.
-  [[nodiscard]] Stats snapshot() const;
+  /// The counters, by value. Each field with a pdme.* registry counter
+  /// moves with it.
+  [[nodiscard]] Stats snapshot() const { return stats_; }
 
   [[nodiscard]] oosm::ObjectModel& model() { return model_; }
   [[nodiscard]] const oosm::ObjectModel& model() const { return model_; }
@@ -213,7 +213,8 @@ class PdmeExecutive {
   void reset_machine(ObjectId machine);
 
   /// Disaster recovery (§4.9 "long-term unattended operation"): rebuild
-  /// fusion state from the Report objects already persisted in the OOSM.
+  /// fusion state from the reports persisted in the OOSM report log
+  /// (hand-built Report objects were never fused, so they are skipped).
   /// Call on a freshly constructed executive over a reloaded model; reports
   /// are re-fused in creation order — the order the live executive posted
   /// them, which Persistence::load preserves — so the Dempster-Shafer
@@ -237,26 +238,19 @@ class PdmeExecutive {
  private:
   using ModeKey = std::pair<std::uint64_t, domain::FailureMode>;
 
-  void on_oosm_event(const oosm::OosmEvent& event);
-  [[nodiscard]] net::FailureReport reconstruct_report(ObjectId object) const;
-  /// Hand one already-deduplicated-at-datagram-level run to fusion:
-  /// per-report dedup + post + fuse.
-  std::optional<ObjectId> ingest(std::span<const net::ReportEnvelope> run);
-  /// Fuse one report (logged at `log_index`, or a hand-built Report object
-  /// when nullopt), then send the retest commands it earned.
-  void fuse_and_retest(const net::FailureReport& report,
-                       std::optional<std::uint32_t> log_index);
+  /// Count one logged report, fuse it (malformed conditions are counted
+  /// and dropped) and send the retest command it earned.
+  void fuse(const net::FailureReport& report, std::uint32_t log_index);
   /// Backoff-filter and send one retest command.
   void send_retest(const PendingRetest& pending);
-  ObjectId post_report_object(const net::FailureReport& report);
+  /// Wire adapter body: false when the datagram does not parse.
+  bool deliver(const net::Message& message);
 
   oosm::ObjectModel& model_;
   PdmeConfig cfg_;
   net::SimNetwork* network_ = nullptr;  // set by attach_to_network
   std::string endpoint_name_;
   std::map<ModeKey, SimTime> last_retest_;
-  oosm::ObjectModel::SubscriptionId subscription_;
-  bool posting_ = false;  // re-entrancy guard while we create objects
 
   FusionCore core_;
   /// Wire-decode arena: batch datagrams decode into this vector, reusing
@@ -270,7 +264,7 @@ class PdmeExecutive {
       command_senders_;
   std::map<std::uint64_t, std::uint64_t> command_revisions_;
   std::map<std::uint64_t, DcHealth> dc_health_;  // by DcId value
-  Stats stats_;  ///< driver-side fields only; snapshot() adds core_'s
+  Stats stats_;
 };
 
 }  // namespace mpros::pdme

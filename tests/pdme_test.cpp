@@ -14,6 +14,7 @@
 #include "mpros/pdme/mimosa.hpp"
 #include "mpros/oosm/persistence.hpp"
 #include "mpros/pdme/pdme.hpp"
+#include "mpros/telemetry/metrics.hpp"
 #include "submit_one.hpp"
 
 namespace mpros::pdme {
@@ -71,9 +72,10 @@ TEST_F(PdmeTest, FusionTriggeredViaOosmEvents) {
   EXPECT_EQ(pdme_.snapshot().reports_accepted, 1u);
 }
 
-TEST_F(PdmeTest, ThirdPartyReportObjectAlsoFused) {
-  // §4.5: fusion reacts to the OOSM, so a report object posted by hand (not
-  // via accept()) must reach knowledge fusion too.
+TEST_F(PdmeTest, HandBuiltReportObjectIsNotFused) {
+  // submit() is the one road into fusion: a Report object assembled by
+  // hand, "posted" marker and all, is stored like any object but never
+  // reaches knowledge fusion.
   const ObjectId obj =
       model_.create_object("manual report", domain::EquipmentKind::Report);
   model_.set_property(obj, "dc", std::int64_t{9});
@@ -90,10 +92,16 @@ TEST_F(PdmeTest, ThirdPartyReportObjectAlsoFused) {
   model_.set_property(obj, "prognostics", "");
   model_.set_property(obj, "posted", std::int64_t{1});
 
+  ASSERT_TRUE(model_.exists(obj));
+  EXPECT_EQ(model_.kind(obj), domain::EquipmentKind::Report);
   const auto state =
       pdme_.group_state(motor_, domain::LogicalGroup::Electrical);
-  EXPECT_EQ(state.report_count, 1u);
-  EXPECT_NEAR(state.modes[0].belief, 0.7, 1e-9);
+  EXPECT_EQ(state.report_count, 0u);
+  EXPECT_DOUBLE_EQ(state.unknown, 1.0);  // vacuous: no evidence fused
+  for (const auto& mode : state.modes) EXPECT_EQ(mode.belief, 0.0);
+  EXPECT_TRUE(pdme_.reports_for(motor_).empty());
+  EXPECT_TRUE(pdme_.prioritized_list().empty());
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
 }
 
 TEST_F(PdmeTest, ReinforcingReportsRaiseBelief) {
@@ -483,6 +491,79 @@ TEST_F(PdmeTest, HeartbeatAdvertisedTailSequenceCountsGaps) {
                SimTime::from_seconds(60));
   EXPECT_EQ(pdme_.snapshot().gaps_detected, 2u);
   EXPECT_EQ(pdme_.receiver().open_gaps(DcId(1)), 2u);
+}
+
+TEST_F(PdmeTest, EveryCounterMovesWithItsRegistryTwin) {
+  // Each Stats field that has a pdme.* registry counter is counted once, in
+  // one place: on every counting path the field and the registry counter
+  // move by the same amount.
+  using Field = std::uint64_t PdmeExecutive::Stats::*;
+  using S = PdmeExecutive::Stats;
+  const std::vector<std::pair<const char*, Field>> twins = {
+      {"pdme.reports_accepted", &S::reports_accepted},
+      {"pdme.duplicates_dropped", &S::duplicates_dropped},
+      {"pdme.malformed_dropped", &S::malformed_dropped},
+      {"pdme.fusion_updates", &S::fusion_updates},
+      {"pdme.sensor_fault_reports", &S::sensor_fault_reports},
+      {"pdme.gaps_detected", &S::gaps_detected},
+      {"pdme.heartbeats_received", &S::heartbeats_received}};
+  auto& registry = telemetry::Registry::instance();
+  net::SimNetwork network;
+  pdme_.attach_to_network(network);
+  network.register_endpoint("dc-1", [](const net::Message&) {});  // acks
+
+  // Drive one path; `expected` is the field that path must move.
+  const auto drive = [&](const char* path, Field expected, auto&& action) {
+    const S before = pdme_.snapshot();
+    std::vector<std::uint64_t> registry_before;
+    for (const auto& twin : twins) {
+      registry_before.push_back(registry.counter(twin.first).value());
+    }
+    action();
+    const S after = pdme_.snapshot();
+    EXPECT_GT(after.*expected, before.*expected) << path;
+    for (std::size_t i = 0; i < twins.size(); ++i) {
+      const auto [name, field] = twins[i];
+      EXPECT_EQ(after.*field - before.*field,
+                registry.counter(name).value() - registry_before[i])
+          << path << ": " << name;
+    }
+  };
+
+  const std::vector<net::FailureReport> batch = {
+      make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.8, 1, 100.0),
+      [&] {
+        auto r = make_report(motor_, FailureMode::MotorImbalance, 0.4, 1.0, 2,
+                             100.0);
+        r.machine_condition =
+            domain::sensor_fault_condition(domain::SensorFaultKind::Spike);
+        return r;
+      }()};
+  const auto datagram = net::wrap_batch_envelope(DcId(1), 1, batch);
+  const auto send = [&](const std::vector<std::uint8_t>& payload) {
+    network.send("dc-1", "pdme", payload, SimTime::from_seconds(1));
+    network.flush();
+  };
+
+  drive("fresh batch", &S::fusion_updates, [&] { send(datagram); });
+  drive("retransmitted datagram", &S::duplicates_dropped,
+        [&] { send(datagram); });
+  drive("signature duplicate", &S::duplicates_dropped,
+        [&] { submit_one(pdme_, batch[0]); });
+  drive("malformed condition", &S::malformed_dropped, [&] {
+    auto bad = make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.5);
+    bad.machine_condition = ConditionId(999);
+    submit_one(pdme_, bad);
+  });
+  drive("malformed wire payload", &S::malformed_dropped,
+        [&] { send({0xFF, 0x00, 0x01}); });
+  drive("heartbeat with a tail gap", &S::gaps_detected, [&] {
+    pdme_.accept(net::HeartbeatMessage{DcId(1), SimTime::from_seconds(60), 3},
+                 SimTime::from_seconds(60));
+  });
+  const S totals = pdme_.snapshot();
+  EXPECT_EQ(totals.sensor_fault_reports, 1u);
+  EXPECT_EQ(totals.heartbeats_received, 1u);
 }
 
 // --- Sensor-fault routing ----------------------------------------------------

@@ -684,7 +684,8 @@ INSTANTIATE_TEST_SUITE_P(BatchSizes, PdmeBatchEquivalenceTest,
 // a signature string for dedup. The shadow below keeps exactly that, driven
 // by a seeded generator over sequenced, unsequenced, duplicate,
 // malformed-condition and sensor-fault reports, hand-built report objects
-// and maintenance resets. The live executive — and a Persistence save ->
+// (stored and persisted, never fused: only submit() reaches fusion) and
+// maintenance resets. The live executive — and a Persistence save ->
 // load -> rebuild of it, and a journal mirror -> load -> rebuild — must read
 // the same: reports_for(), each report object's property() and
 // properties(), and the operator renders.
@@ -731,10 +732,12 @@ class ReportLogEquivalenceTest
   struct Shadow {
     std::map<std::uint64_t, std::vector<net::FailureReport>> history;
     std::map<std::uint64_t, Props> objects;  ///< report objects by id
+    std::vector<std::uint64_t> hand_built;   ///< hand-built report ids
     std::set<std::string> signatures;
     std::set<std::pair<std::uint64_t, std::uint64_t>> datagrams;
     std::uint64_t next_id = 0;
     std::uint64_t duplicates = 0;
+    std::uint64_t accepted = 0;
 
     void fuse(const net::FailureReport& r) {
       const ConditionId c = r.machine_condition;
@@ -743,6 +746,7 @@ class ReportLogEquivalenceTest
         return;  // malformed: posted, counted, never in the history
       }
       history[r.sensed_object.value()].push_back(r);
+      ++accepted;
     }
 
     /// One submit() of one datagram (sequenced) or stretch (unsequenced).
@@ -843,12 +847,8 @@ class ReportLogEquivalenceTest
       m.relate(obj, oosm::Relation::RefersTo, r.sensed_object);
     }
     m.set_property(obj, "posted", std::int64_t{1});
-    // The event path fuses what the properties say: no trace, no
-    // additional_info, no dedup.
-    net::FailureReport seen = r;
-    seen.trace = 0;
-    seen.additional_info.clear();
-    shadow.fuse(seen);
+    // Not fused: the history and the counters stay as they were.
+    shadow.hand_built.push_back(obj.value());
   }
 
   static void expect_matches(const Shadow& shadow, const oosm::ObjectModel& m,
@@ -883,6 +883,13 @@ class ReportLogEquivalenceTest
             << where << ": report " << id << " property " << key;
       }
       EXPECT_FALSE(m.property(obj, "additional_info").has_value());
+    }
+    for (const std::uint64_t id : shadow.hand_built) {
+      const ObjectId obj(id);
+      ASSERT_TRUE(m.exists(obj)) << where << ": hand-built report " << id;
+      EXPECT_EQ(m.kind(obj), domain::EquipmentKind::Report);
+      EXPECT_EQ(m.name(obj), "Hand-posted report");
+      EXPECT_TRUE(m.property(obj, "posted").has_value());
     }
   }
 };
@@ -966,6 +973,7 @@ TEST_P(ReportLogEquivalenceTest, LogReadsLikeTheObjectsItReplaced) {
   ASSERT_GT(resets, 0u);
   expect_matches(shadow, rig.model, *rig.exec, targets, "live");
   EXPECT_EQ(rig.exec->snapshot().duplicates_dropped, shadow.duplicates);
+  EXPECT_EQ(rig.exec->snapshot().reports_accepted, shadow.accepted);
 
   db::Database saved;
   oosm::Persistence::save(rig.model, saved);
@@ -977,6 +985,7 @@ TEST_P(ReportLogEquivalenceTest, LogReadsLikeTheObjectsItReplaced) {
     pdme::PdmeExecutive rebuilt(restored);
     rebuilt.rebuild_from_model();
     expect_matches(shadow, restored, rebuilt, targets, where);
+    EXPECT_EQ(rebuilt.snapshot().reports_accepted, shadow.accepted) << where;
     EXPECT_EQ(pdme::render_summary(rebuilt, restored, 50),
               pdme::render_summary(*rig.exec, rig.model, 50))
         << where;

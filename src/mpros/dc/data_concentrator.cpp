@@ -697,9 +697,7 @@ void DataConcentrator::emit_raw(
   // never publish a non-finite conclusion (D-S fusion at the PDME would
   // poison every belief it touches).
   if (!std::isfinite(severity) || !std::isfinite(belief)) {
-    static auto& nonfinite =
-        telemetry::Registry::instance().counter("rules.nonfinite_inputs");
-    nonfinite.inc();
+    rules::nonfinite_inputs().inc();
     return;
   }
   // Hysteresis: unchanged conclusions are not fresh evidence.

@@ -125,21 +125,21 @@ GroupState DiagnosticFusion::state(ObjectId machine,
 }
 
 std::vector<GroupState> DiagnosticFusion::states(ObjectId machine) const {
+  // cells_ orders by (machine, group), so one machine's cells are one
+  // contiguous run starting at its lowest group.
   std::vector<GroupState> out;
-  for (const auto& [key, c] : cells_) {
-    if (key.machine == machine.value()) out.push_back(summarize(key.group, c));
+  for (auto it = cells_.lower_bound(Key{machine.value(), LogicalGroup{}});
+       it != cells_.end() && it->first.machine == machine.value(); ++it) {
+    out.push_back(summarize(it->first.group, it->second));
   }
   return out;
 }
 
 void DiagnosticFusion::reset(ObjectId machine) {
-  for (auto it = cells_.begin(); it != cells_.end();) {
-    if (it->first.machine == machine.value()) {
-      it = cells_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  const auto first = cells_.lower_bound(Key{machine.value(), LogicalGroup{}});
+  auto last = first;
+  while (last != cells_.end() && last->first.machine == machine.value()) ++last;
+  cells_.erase(first, last);
 }
 
 }  // namespace mpros::fusion

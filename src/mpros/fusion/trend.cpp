@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "mpros/common/assert.hpp"
 
@@ -29,7 +30,7 @@ void TrendProjector::observe(SimTime t, double severity) {
       // the oldest slot in place. Equivalent to the general path below —
       // insert at the end, then drop the front — without the O(window)
       // shift per report.
-      history_[head_] = Sample{t, severity};
+      history_[head_] = Sample{t, t.days(), severity};
       head_ = (head_ + 1) % history_.size();
       return;
     }
@@ -38,7 +39,7 @@ void TrendProjector::observe(SimTime t, double severity) {
   const auto pos = std::upper_bound(
       history_.begin(), history_.end(), t,
       [](SimTime value, const Sample& s) { return value < s.t; });
-  history_.insert(pos, Sample{t, severity});
+  history_.insert(pos, Sample{t, t.days(), severity});
   if (history_.size() > cfg_.max_points) {
     history_.erase(history_.begin());
   }
@@ -47,27 +48,32 @@ void TrendProjector::observe(SimTime t, double severity) {
 std::optional<TrendFit> TrendProjector::fit() const {
   if (history_.size() < cfg_.min_points) return std::nullopt;
 
-  // Index circularly from head_ so the sums accumulate in time order —
-  // bit-identical to the flat-vector iteration this replaced.
-  const std::size_t count = history_.size();
-  const double n = static_cast<double>(count);
+  // The circular window in time order is two contiguous runs: [head_, end)
+  // then [0, head_). Both passes visit them in that order so the sums
+  // accumulate exactly as over a flat, time-ordered vector.
+  const std::span<const Sample> older(history_.data() + head_,
+                                      history_.size() - head_);
+  const std::span<const Sample> newer(history_.data(), head_);
+  const double n = static_cast<double>(history_.size());
   double sum_t = 0.0, sum_s = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Sample& p = history_[(head_ + i) % count];
-    sum_t += p.t.days();
-    sum_s += p.severity;
+  for (const std::span<const Sample> run : {older, newer}) {
+    for (const Sample& p : run) {
+      sum_t += p.days;
+      sum_s += p.severity;
+    }
   }
   const double mean_t = sum_t / n;
   const double mean_s = sum_s / n;
 
   double sxx = 0.0, sxy = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Sample& p = history_[(head_ + i) % count];
-    const double dt = p.t.days() - mean_t;
-    const double ds = p.severity - mean_s;
-    sxx += dt * dt;
-    sxy += dt * ds;
-    syy += ds * ds;
+  for (const std::span<const Sample> run : {older, newer}) {
+    for (const Sample& p : run) {
+      const double dt = p.days - mean_t;
+      const double ds = p.severity - mean_s;
+      sxx += dt * dt;
+      sxy += dt * ds;
+      syy += ds * ds;
+    }
   }
   if (sxx <= 0.0) return std::nullopt;  // all samples at one instant
 

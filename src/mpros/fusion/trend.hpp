@@ -64,6 +64,7 @@ class TrendProjector {
  private:
   struct Sample {
     SimTime t;
+    double days;  ///< t.days(), computed once on arrival for fit()
     double severity;
   };
 

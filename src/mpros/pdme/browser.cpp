@@ -1,5 +1,6 @@
 #include "mpros/pdme/browser.hpp"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -41,6 +42,20 @@ void append_line(std::string& out, const char* fmt, ...) {
   va_end(args);
   out += buf;
   out += '\n';
+}
+
+/// printf("%.*f", precision, v), appended.
+void append_fixed(std::string& out, double v, int precision) {
+  char buf[400];  // room for the widest fixed-notation double
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::fixed, precision);
+  out.append(buf, r.ptr);
+}
+
+void append_number(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace
@@ -154,21 +169,35 @@ std::string export_icas_csv(const PdmeExecutive& pdme,
   std::string out =
       "machine,condition,fused_belief,plausibility,max_severity,"
       "report_count,p50_ttf_seconds,p90_ttf_seconds\n";
-  char buf[256];
   for (const MaintenanceItem& item : pdme.prioritized_list()) {
-    const std::string machine_name =
-        model.exists(item.machine) ? model.name(item.machine)
-                                   : std::to_string(item.machine.value());
     const double p50 =
         item.median_ttf.has_value() ? item.median_ttf->seconds() : -1.0;
     const double p90 =
         item.p90_ttf.has_value() ? item.p90_ttf->seconds() : -1.0;
-    std::snprintf(buf, sizeof buf, "\"%s\",\"%s\",%.4f,%.4f,%.3f,%zu,%.0f,%.0f\n",
-                  machine_name.c_str(),
-                  domain::condition_text(item.mode).c_str(),
-                  item.fused_belief, item.plausibility, item.max_severity,
-                  item.report_count, p50, p90);
-    out += buf;
+    // "\"%s\",\"%s\",%.4f,%.4f,%.3f,%zu,%.0f,%.0f\n" without printf:
+    // to_chars with a fixed precision is specified to print exactly what
+    // printf does in the "C" locale.
+    out += '"';
+    if (model.exists(item.machine)) {
+      out += model.name(item.machine);
+    } else {
+      append_number(out, item.machine.value());
+    }
+    out += "\",\"";
+    out += domain::condition_text(item.mode);
+    out += "\",";
+    append_fixed(out, item.fused_belief, 4);
+    out += ',';
+    append_fixed(out, item.plausibility, 4);
+    out += ',';
+    append_fixed(out, item.max_severity, 3);
+    out += ',';
+    append_number(out, item.report_count);
+    out += ',';
+    append_fixed(out, p50, 0);
+    out += ',';
+    append_fixed(out, p90, 0);
+    out += '\n';
   }
   return out;
 }

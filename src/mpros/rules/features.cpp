@@ -12,11 +12,15 @@
 
 namespace mpros::rules {
 
+telemetry::Counter& nonfinite_inputs() {
+  static telemetry::Counter& c =
+      telemetry::Registry::instance().counter("rules.nonfinite_inputs");
+  return c;
+}
+
 void FeatureFrame::set(std::string key, double value) {
   if (!std::isfinite(value)) {
-    static auto& nonfinite =
-        telemetry::Registry::instance().counter("rules.nonfinite_inputs");
-    nonfinite.inc();
+    nonfinite_inputs().inc();
     return;
   }
   values_[std::move(key)] = value;

@@ -14,7 +14,16 @@
 
 #include "mpros/domain/equipment.hpp"
 
+namespace mpros::telemetry {
+class Counter;
+}
+
 namespace mpros::rules {
+
+/// `rules.nonfinite_inputs`: every non-finite value refused before it could
+/// become evidence, whether a feature (FeatureFrame::set) or a DC's finished
+/// conclusion on its way to the wire.
+[[nodiscard]] telemetry::Counter& nonfinite_inputs();
 
 // Canonical feature keys. Vibration amplitudes are in g.
 namespace feat {

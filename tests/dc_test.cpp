@@ -9,6 +9,8 @@
 #include "mpros/dc/data_concentrator.hpp"
 #include "mpros/dc/scheduler.hpp"
 #include "mpros/dc/supervisor.hpp"
+#include "mpros/rules/features.hpp"
+#include "mpros/telemetry/metrics.hpp"
 
 namespace mpros::dc {
 namespace {
@@ -358,6 +360,40 @@ TEST_F(DataConcentratorTest, QuarantineSuppressesFalseMachineryDiagnoses) {
     EXPECT_TRUE(std::isfinite(r.belief));
   }
   EXPECT_EQ(dc.stats().process_scans, 60u);  // scans keep running
+}
+
+TEST_F(DataConcentratorTest, NonFiniteFeatureAndConclusionShareOneCounter) {
+  // Both refusal sites count under the one `rules.nonfinite_inputs` counter.
+  telemetry::Counter& nonfinite = rules::nonfinite_inputs();
+  EXPECT_EQ(&nonfinite,
+            &telemetry::Registry::instance().counter("rules.nonfinite_inputs"));
+
+  std::uint64_t before = nonfinite.value();
+  rules::FeatureFrame frame;
+  frame.set("nan", std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nonfinite.value(), before + 1);
+
+  // An oil-temperature RTD biased far out of range, with validation off,
+  // makes the fuzzy analyzer fire; an infinite believability prior makes
+  // every belief NaN, so emit_raw must refuse each conclusion. With the DLI
+  // off no FeatureFrame is built, so only emit_raw moves the counter.
+  chiller_.sensor_faults().schedule({"process.oil_temp_c",
+                                     plant::SensorFaultType::OutOfRange,
+                                     SimTime(0), SimTime::from_hours(2.0),
+                                     900.0});
+  DcConfig cfg = dc_config();
+  cfg.enable_sensor_validation = false;
+  cfg.enable_dli = false;
+  DataConcentrator dc(cfg, refs_, chiller_);
+  dc.believability() =
+      rules::BelievabilityTable(std::numeric_limits<double>::infinity(), 1.0);
+  before = nonfinite.value();
+  const auto reports = dc.advance_to(SimTime::from_hours(1.0));
+  EXPECT_GT(nonfinite.value(), before);
+  for (const net::FailureReport& r : reports) {
+    EXPECT_TRUE(std::isfinite(r.severity));
+    EXPECT_TRUE(std::isfinite(r.belief));
+  }
 }
 
 TEST_F(DataConcentratorTest, SensorRecoveryEmitsAllClear) {

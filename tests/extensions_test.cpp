@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "mpros/common/rng.hpp"
 #include "mpros/fusion/trend.hpp"
 #include "mpros/mpros/mpros.hpp"
 #include "mpros/pdme/health.hpp"
@@ -525,6 +530,92 @@ TEST(TrendTest, SlidingWindowForgetsAncientHistory) {
   const auto fit = trend.fit();
   ASSERT_TRUE(fit.has_value());
   EXPECT_GT(fit->slope_per_day, 0.05);
+}
+
+TEST(TrendTest, FitMatchesTimeOrderedTwoPass) {
+  // fit() walks the circular window in place; it must give exactly the bits
+  // of the textbook two-pass fit over a time-ordered copy of the window.
+  fusion::TrendConfig cfg;
+  cfg.max_points = 16;
+  fusion::TrendProjector trend(cfg);
+  std::vector<std::pair<SimTime, double>> window;  // time-ordered reference
+  const auto observe = [&](SimTime t, double severity) {
+    trend.observe(t, severity);
+    const auto pos = std::upper_bound(
+        window.begin(), window.end(), t,
+        [](SimTime v, const auto& s) { return v < s.first; });
+    window.insert(pos, {t, severity});
+    if (window.size() > cfg.max_points) window.erase(window.begin());
+  };
+  const auto reference_fit = [&] {
+    const double n = static_cast<double>(window.size());
+    double sum_t = 0.0, sum_s = 0.0;
+    for (const auto& [t, s] : window) {
+      sum_t += t.days();
+      sum_s += s;
+    }
+    const double mean_t = sum_t / n;
+    const double mean_s = sum_s / n;
+    double sxx = 0.0, sxy = 0.0, syy = 0.0;
+    for (const auto& [t, s] : window) {
+      const double dt = t.days() - mean_t;
+      const double ds = s - mean_s;
+      sxx += dt * dt;
+      sxy += dt * ds;
+      syy += ds * ds;
+    }
+    fusion::TrendFit f;
+    f.slope_per_day = sxy / sxx;
+    f.intercept = mean_s - f.slope_per_day * mean_t;
+    f.r_squared = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
+    return f;
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expect_matches = [&](SimTime now) {
+    const auto got = trend.fit();
+    ASSERT_TRUE(got.has_value());
+    const fusion::TrendFit want = reference_fit();
+    EXPECT_EQ(bits(got->slope_per_day), bits(want.slope_per_day));
+    EXPECT_EQ(bits(got->intercept), bits(want.intercept));
+    EXPECT_EQ(bits(got->r_squared), bits(want.r_squared));
+
+    ASSERT_GE(want.slope_per_day, cfg.min_slope_per_day);
+    ASSERT_GE(want.r_squared, cfg.min_r_squared);
+    const double days_to_failure =
+        (cfg.failure_severity -
+         (want.intercept + want.slope_per_day * now.days())) /
+        want.slope_per_day;
+    const auto ttf = trend.time_to_failure(now);
+    ASSERT_TRUE(ttf.has_value());
+    EXPECT_EQ(ttf->micros(),
+              days_to_failure <= 0.0
+                  ? 0
+                  : SimTime::from_days(days_to_failure).micros());
+  };
+
+  // A noisy ramp with sub-second timestamps, so days() rounds.
+  Rng rng(0x7E4D);
+  const auto severity_at = [&](double day) {
+    return std::clamp(0.05 + 0.3 * day + rng.normal(0.0, 0.01), 0.0, 1.0);
+  };
+  SimTime t;
+  for (int i = 0; i < 37; ++i) {  // 37 > 16 in order: the window has wrapped
+    t += SimTime(4'321'987'654 + 1'000'003 * i);
+    observe(t, severity_at(t.days()));
+  }
+  expect_matches(t);
+
+  // An out-of-order arrival lands mid-window (the projector linearizes).
+  const SimTime late = t - SimTime::from_hours(6.0) + SimTime(17);
+  observe(late, severity_at(late.days()));
+  expect_matches(t);
+
+  // In-order arrivals wrap it again.
+  for (int i = 0; i < 5; ++i) {
+    t += SimTime(3'999'999'999 + 7 * i);
+    observe(t, severity_at(t.days()));
+  }
+  expect_matches(t);
 }
 
 }  // namespace

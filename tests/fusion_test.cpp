@@ -206,6 +206,49 @@ TEST(DiagnosticFusionTest, ResetForgetsMachine) {
   EXPECT_TRUE(fusion.states(ObjectId(1)).empty());
 }
 
+TEST(DiagnosticFusionTest, StatesCoverOnlyTheAskedMachine) {
+  // Neighbouring machine ids sit next to m's cells in the (machine, group)
+  // order; states(m) must stop at m's run and match state() exactly.
+  DiagnosticFusion fusion;
+  const ObjectId m(41);
+  for (const std::uint64_t id : {40u, 41u, 42u}) {
+    const ObjectId machine(id);
+    fusion.update(machine, FailureMode::MotorImbalance, 0.3 + 0.1 * (id - 40));
+    fusion.update(machine, FailureMode::GearMeshWear, 0.6);
+    fusion.update(machine, FailureMode::OilDegradation, 0.5);
+  }
+  fusion.update(ObjectId(40), FailureMode::StatorWindingFault, 0.7);
+  fusion.update(ObjectId(42), FailureMode::RefrigerantLeak, 0.7);
+  fusion.update(m, FailureMode::MotorImbalance, 0.45);  // a second Rotor report
+
+  const std::vector<GroupState> got = fusion.states(m);
+  const LogicalGroup want[] = {LogicalGroup::RotorDynamics,
+                               LogicalGroup::Bearing, LogicalGroup::GearTrain};
+  ASSERT_EQ(got.size(), std::size(want));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].group, want[i]);
+    const GroupState ref = fusion.state(m, want[i]);
+    EXPECT_EQ(got[i].unknown, ref.unknown);
+    EXPECT_EQ(got[i].last_conflict, ref.last_conflict);
+    EXPECT_EQ(got[i].report_count, ref.report_count);
+    ASSERT_EQ(got[i].modes.size(), ref.modes.size());
+    for (std::size_t k = 0; k < ref.modes.size(); ++k) {
+      EXPECT_EQ(got[i].modes[k].mode, ref.modes[k].mode);
+      EXPECT_EQ(got[i].modes[k].belief, ref.modes[k].belief);
+      EXPECT_EQ(got[i].modes[k].plausibility, ref.modes[k].plausibility);
+    }
+  }
+  EXPECT_EQ(got[0].report_count, 2u);
+
+  EXPECT_TRUE(fusion.states(ObjectId(7)).empty());
+  EXPECT_TRUE(fusion.states(ObjectId(43)).empty());
+
+  fusion.reset(m);
+  EXPECT_TRUE(fusion.states(m).empty());
+  EXPECT_EQ(fusion.states(ObjectId(40)).size(), 4u);
+  EXPECT_EQ(fusion.states(ObjectId(42)).size(), 4u);
+}
+
 TEST(DiagnosticFusionTest, OrderInvariance) {
   // §5.1: inputs may arrive time-disordered; Dempster combination is
   // commutative/associative so fused state must not depend on order.

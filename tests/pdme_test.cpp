@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "mpros/common/rng.hpp"
 #include "mpros/dc/data_concentrator.hpp"
 #include "mpros/net/messages.hpp"
 #include "mpros/net/report.hpp"
@@ -258,6 +262,70 @@ TEST_F(PdmeTest, SummaryAndIcasExport) {
   const std::string csv = export_icas_csv(pdme_, model_);
   EXPECT_NE(csv.find("machine,condition"), std::string::npos);
   EXPECT_NE(csv.find("motor imbalance"), std::string::npos);
+}
+
+TEST_F(PdmeTest, IcasRowsMatchPrintfFormat) {
+  // The ICAS export writes its rows without printf; each must still equal
+  // the historical "%.4f,%.4f,%.3f,%zu,%.0f,%.0f" rendering of the list.
+  const oosm::ShipModel more = oosm::build_ship(model_, "Icas", 2, 4);
+  std::vector<ObjectId> machines;
+  for (const oosm::ChillerPlant& p : ship_.plants) {
+    machines.insert(machines.end(), {p.motor, p.gearbox, p.compressor,
+                                     p.chw_pump, p.cw_pump});
+  }
+  for (const oosm::ChillerPlant& p : more.plants) {
+    machines.insert(machines.end(), {p.motor, p.gearbox, p.compressor,
+                                     p.chw_pump, p.cw_pump});
+  }
+
+  Rng rng(0x1CA5);
+  const auto modes = domain::all_failure_modes();
+  for (int i = 0; i < 400; ++i) {
+    net::FailureReport r = make_report(
+        machines[rng.integer(0, machines.size() - 1)],
+        modes[rng.integer(0, modes.size() - 1)], rng.uniform(0.0, 1.0),
+        rng.uniform(0.05, 0.95), rng.integer(1, 4), 100.0 + 37.0 * i);
+    r.prognostics = {{rng.uniform(0.0, 0.4), rng.uniform(1e3, 1e6)},
+                     {rng.uniform(0.6, 1.0), rng.uniform(1e6, 1e8)}};
+    submit_one(pdme_, r);
+  }
+  // Lone reports on objects nothing else reports on: exact binary rounding
+  // ties (severity 0.0625 and 0.3125 at %.3f, p50 3.5 s at %.0f), and an
+  // unnamed machine with no prognosis.
+  net::FailureReport tie =
+      make_report(ship_.plants.front().evaporator,
+                  FailureMode::OilDegradation, 0.0625, 0.5, 1, 90000.0);
+  tie.prognostics = {{0.25, 2.5}, {0.75, 4.5}};
+  submit_one(pdme_, tie);
+  net::FailureReport bare =
+      make_report(ObjectId(987654), FailureMode::PumpCavitation, 0.3125, 0.4);
+  bare.prognostics.clear();
+  submit_one(pdme_, bare);
+
+  std::string want =
+      "machine,condition,fused_belief,plausibility,max_severity,"
+      "report_count,p50_ttf_seconds,p90_ttf_seconds\n";
+  std::size_t without_prognosis = 0;
+  for (const MaintenanceItem& item : pdme_.prioritized_list()) {
+    const std::string name = model_.exists(item.machine)
+                                 ? model_.name(item.machine)
+                                 : std::to_string(item.machine.value());
+    const double p50 = item.median_ttf ? item.median_ttf->seconds() : -1.0;
+    const double p90 = item.p90_ttf ? item.p90_ttf->seconds() : -1.0;
+    if (!item.median_ttf) ++without_prognosis;
+    char row[512];
+    std::snprintf(row, sizeof row,
+                  "\"%s\",\"%s\",%.4f,%.4f,%.3f,%zu,%.0f,%.0f\n",
+                  name.c_str(), domain::condition_text(item.mode).c_str(),
+                  item.fused_belief, item.plausibility, item.max_severity,
+                  item.report_count, p50, p90);
+    want += row;
+  }
+  EXPECT_GE(without_prognosis, 1u);
+
+  EXPECT_GT(std::count(want.begin(), want.end(), '\n'), 40);
+  // One string compare: gtest prints a line diff for multi-line strings.
+  EXPECT_EQ(export_icas_csv(pdme_, model_), want);
 }
 
 TEST_F(PdmeTest, RebuildFromModelRecoversFusionState) {

@@ -1,0 +1,89 @@
+#include "mpros/common/codec.hpp"
+
+#include <bit>
+
+#include "mpros/common/assert.hpp"
+
+namespace mpros {
+
+template <typename T>
+void Writer::le(T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
+void Writer::u16(std::uint16_t v) { le(v); }
+void Writer::u32(std::uint32_t v) { le(v); }
+void Writer::u64(std::uint64_t v) { le(v); }
+void Writer::i64(std::int64_t v) { le(static_cast<std::uint64_t>(v)); }
+void Writer::f64(double v) { le(std::bit_cast<std::uint64_t>(v)); }
+
+void Writer::str(const std::string& s) {
+  bytes(std::span(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+}
+
+void Writer::bytes(std::span<const std::uint8_t> b) {
+  MPROS_EXPECTS(b.size() <= 0xFFFFFFFFu);
+  u32(static_cast<std::uint32_t>(b.size()));
+  raw(b);
+}
+
+void Writer::raw(std::span<const std::uint8_t> b) {
+  buf_.insert(buf_.end(), b.begin(), b.end());
+}
+
+bool TryReader::take(std::size_t n) {
+  if (!ok_ || data_.size() - pos_ < n) {
+    ok_ = false;
+    return false;
+  }
+  return true;
+}
+
+template <typename T>
+T TryReader::le() {
+  if (!take(sizeof(T))) return 0;
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
+  }
+  pos_ += sizeof(T);
+  return v;
+}
+
+std::uint8_t TryReader::u8() { return le<std::uint8_t>(); }
+std::uint16_t TryReader::u16() { return le<std::uint16_t>(); }
+std::uint32_t TryReader::u32() { return le<std::uint32_t>(); }
+std::uint64_t TryReader::u64() { return le<std::uint64_t>(); }
+std::int64_t TryReader::i64() { return static_cast<std::int64_t>(u64()); }
+double TryReader::f64() { return std::bit_cast<double>(u64()); }
+
+std::span<const std::uint8_t> TryReader::prefixed() {
+  const std::uint32_t len = u32();
+  // Length check before anything is allocated: a corrupted length must not
+  // become a multi-gigabyte allocation.
+  if (!take(len)) return {};
+  const std::span<const std::uint8_t> out = data_.subspan(pos_, len);
+  pos_ += len;
+  return out;
+}
+
+std::string TryReader::str() {
+  std::string s;
+  str(s);
+  return s;
+}
+
+void TryReader::str(std::string& out) {
+  const std::span<const std::uint8_t> b = prefixed();
+  out.assign(reinterpret_cast<const char*>(b.data()), b.size());
+}
+
+void TryReader::bytes(std::vector<std::uint8_t>& out) {
+  const std::span<const std::uint8_t> b = prefixed();
+  out.assign(b.begin(), b.end());
+}
+
+}  // namespace mpros

@@ -1,9 +1,15 @@
 #include "mpros/db/durable.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "mpros/common/assert.hpp"
+#include "mpros/common/file.hpp"
 #include "mpros/common/log.hpp"
 #include "mpros/db/snapshot.hpp"
 #include "mpros/telemetry/metrics.hpp"
@@ -44,6 +50,63 @@ std::string DurableDatabase::wal_path(const std::string& directory) {
   return (std::filesystem::path(directory) / "db.wal").string();
 }
 
+namespace {
+
+/// Load the snapshot bytes (if any) into `r`, then replay `wal` past it,
+/// applying no commit newer than `cap`.
+void load(Recovered& r, const FileRead& snapshot,
+          std::span<const std::uint8_t> wal, std::uint64_t cap) {
+  r.db = Database();
+  r.report = RecoveryReport();
+  if (snapshot.ok()) {
+    if (std::optional<DecodedSnapshot> loaded = decode_snapshot(snapshot.bytes)) {
+      r.db = std::move(loaded->db);
+      r.report.snapshot_loaded = true;
+      r.report.snapshot_seq = loaded->wal_seq;
+    } else {
+      r.report.snapshot_malformed = true;
+    }
+  }
+  Database& db = r.db;
+  r.wal = WriteAheadLog::replay(
+      wal, r.report.snapshot_seq, [&db, cap](std::uint64_t seq, RedoOp&& op) {
+        return seq <= cap && apply_redo(db, std::move(op));
+      });
+}
+
+}  // namespace
+
+Recovered recover_directory(const std::string& directory) {
+  Recovered r;
+  const std::string snap_path = DurableDatabase::snapshot_path(directory);
+  const std::string wal_path = DurableDatabase::wal_path(directory);
+  const FileRead snapshot = read_file(snap_path);
+  const FileRead wal = read_file(wal_path);
+  for (const auto& [path, file] : {std::pair(&snap_path, &snapshot),
+                                   std::pair(&wal_path, &wal)}) {
+    if (file->status == FileRead::Status::Unreadable) {
+      r.report.io_error =
+          "cannot read " + *path + ": " + std::strerror(file->error);
+      return r;
+    }
+  }
+
+  load(r, snapshot, wal.bytes, std::numeric_limits<std::uint64_t>::max());
+  if (r.wal.partial_frame) {
+    // A CRC-valid frame carried an inadmissible op and its earlier ops
+    // already landed: rebuild, replaying only the frames that applied
+    // whole. The capped pass stops at the same frame, so its result
+    // matches the first pass's but for the flag.
+    load(r, snapshot, wal.bytes, r.wal.last_seq);
+    r.wal.partial_frame = true;
+  }
+  r.report.commits_replayed = r.wal.commits;
+  r.report.records_replayed = r.wal.records;
+  r.report.truncated_bytes = r.wal.truncated_bytes;
+  r.report.recovered_seq = std::max(r.report.snapshot_seq, r.wal.last_seq);
+  return r;
+}
+
 DurableDatabase::DurableDatabase(DurabilityConfig config)
     : config_(std::move(config)) {
   std::error_code ec;
@@ -62,65 +125,41 @@ DurableDatabase::~DurableDatabase() {
 }
 
 void DurableDatabase::recover() {
-  const std::string snap = snapshot_path(config_.directory);
+  Recovered r = recover_directory(config_.directory);
+  db_ = std::move(r.db);
+  recovery_ = std::move(r.report);
   const std::string wal = wal_path(config_.directory);
 
-  std::uint64_t after_seq = 0;
-  if (std::optional<DecodedSnapshot> loaded = load_snapshot(snap)) {
-    db_ = std::move(loaded->db);
-    after_seq = loaded->wal_seq;
-    recovery_.snapshot_loaded = true;
-    recovery_.snapshot_seq = after_seq;
-  } else if (std::filesystem::exists(snap)) {
+  if (!recovery_.io_error.empty()) {
+    MPROS_LOG_ERROR("db", "durable: %s; leaving the directory untouched",
+                    recovery_.io_error.c_str());
+    wal_ = std::make_unique<WriteAheadLog>();
+    return;
+  }
+  if (recovery_.snapshot_malformed) {
     MPROS_LOG_WARN("db", "durable: snapshot %s malformed, replaying full WAL",
-                   snap.c_str());
+                   snapshot_path(config_.directory).c_str());
   }
-
-  const auto apply = [this](std::uint64_t, RedoOp&& op) {
-    return apply_redo(db_, std::move(op));
-  };
-  WalReplayResult replay = WriteAheadLog::replay(wal, after_seq, apply);
-  if (replay.partial_frame) {
-    // A CRC-valid frame carried an inadmissible op and its earlier ops
-    // already landed: rebuild from the snapshot, replaying only the
-    // frames that applied cleanly.
-    MPROS_LOG_WARN("db", "durable: %s holds a partial commit, rebuilding",
+  if (r.wal.partial_frame) {
+    MPROS_LOG_WARN("db", "durable: %s holds a partial commit, rebuilt",
                    wal.c_str());
-    db_ = Database();
-    std::uint64_t snapshot_seq = 0;
-    if (recovery_.snapshot_loaded) {
-      std::optional<DecodedSnapshot> loaded = load_snapshot(snap);
-      MPROS_ASSERT(loaded.has_value());  // it decoded moments ago
-      db_ = std::move(loaded->db);
-      snapshot_seq = loaded->wal_seq;
-    }
-    const std::uint64_t cap = replay.last_seq;
-    const auto capped = [this, cap](std::uint64_t seq, RedoOp&& op) {
-      return seq <= cap && apply_redo(db_, std::move(op));
-    };
-    (void)WriteAheadLog::replay(wal, snapshot_seq, capped);
   }
-  recovery_.commits_replayed = replay.commits;
-  recovery_.records_replayed = replay.records;
-  recovery_.truncated_bytes = replay.truncated_bytes;
-  recovery_.recovered_seq = std::max(after_seq, replay.last_seq);
-
-  if (replay.truncated_bytes > 0) {
+  if (recovery_.truncated_bytes > 0) {
     MPROS_LOG_WARN("db",
                    "durable: dropping %llu torn bytes from %s "
                    "(recovered through commit %llu)",
-                   static_cast<unsigned long long>(replay.truncated_bytes),
+                   static_cast<unsigned long long>(recovery_.truncated_bytes),
                    wal.c_str(),
                    static_cast<unsigned long long>(recovery_.recovered_seq));
   }
-  if (!WriteAheadLog::truncate_torn_tail(wal, replay)) {
+  if (!WriteAheadLog::truncate_torn_tail(wal, r.wal)) {
     MPROS_LOG_ERROR("db", "durable: cannot truncate %s", wal.c_str());
   }
 
   WalCounters& counters = WalCounters::instance();
-  counters.replayed_commits.inc(replay.commits);
-  counters.replayed_records.inc(replay.records);
-  counters.truncated_bytes.inc(replay.truncated_bytes);
+  counters.replayed_commits.inc(recovery_.commits_replayed);
+  counters.replayed_records.inc(recovery_.records_replayed);
+  counters.truncated_bytes.inc(recovery_.truncated_bytes);
 
   wal_ = std::make_unique<WriteAheadLog>(wal, recovery_.recovered_seq + 1);
 }
@@ -162,6 +201,9 @@ bool DurableDatabase::commit() {
 
 bool DurableDatabase::checkpoint() {
   MPROS_EXPECTS(!db_.in_transaction());
+  // A closed log (unreadable directory, failed reopen) must not let a
+  // snapshot overwrite what recovery could not read.
+  if (!wal_->ok()) return false;
   if (wal_->seal() != 0) {
     WalCounters::instance().commits.inc();
     ++commits_since_checkpoint_;

@@ -3,12 +3,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 
+#include "mpros/common/codec.hpp"
 #include "mpros/common/log.hpp"
 #include "mpros/db/wal.hpp"
 
@@ -22,28 +22,25 @@ constexpr char kSnapshotMagic[4] = {'M', 'D', 'B', 'S'};
 
 std::vector<std::uint8_t> encode_snapshot(const Database& db,
                                           std::uint64_t wal_seq) {
-  using namespace walfmt;
-  std::vector<std::uint8_t> out;
-  for (const char c : kSnapshotMagic) {
-    put_u8(out, static_cast<std::uint8_t>(c));
-  }
-  put_u8(out, kSnapshotVersion);
-  put_u64(out, wal_seq);
+  Writer w;
+  for (const char c : kSnapshotMagic) w.u8(static_cast<std::uint8_t>(c));
+  w.u8(kSnapshotVersion);
+  w.u64(wal_seq);
 
   std::vector<std::string> names = db.table_names();
   std::sort(names.begin(), names.end());
-  put_u32(out, static_cast<std::uint32_t>(names.size()));
+  w.u32(static_cast<std::uint32_t>(names.size()));
   for (const std::string& name : names) {
     const Table& t = db.table(name);
-    put_schema(out, t.schema());
-    put_i64(out, t.next_auto_key());
+    walfmt::put_schema(w, t.schema());
+    w.i64(t.next_auto_key());
     const std::vector<std::string> indexed = t.indexed_columns();
-    put_u32(out, static_cast<std::uint32_t>(indexed.size()));
-    for (const std::string& column : indexed) put_str(out, column);
-    put_u64(out, t.row_count());
-    for (const auto& [key, row] : t.rows()) put_row(out, row);
+    w.u32(static_cast<std::uint32_t>(indexed.size()));
+    for (const std::string& column : indexed) w.str(column);
+    w.u64(t.row_count());
+    for (const auto& [key, row] : t.rows()) walfmt::put_row(w, row);
   }
-  return out;
+  return w.take();
 }
 
 std::optional<DecodedSnapshot> decode_snapshot(
@@ -53,21 +50,20 @@ std::optional<DecodedSnapshot> decode_snapshot(
       bytes[4] != kSnapshotVersion) {
     return std::nullopt;
   }
-  walfmt::TryReader in{bytes, 5};
+  TryReader in(bytes.subspan(5));
 
   DecodedSnapshot out;
-  std::uint32_t table_count = 0;
-  if (!in.u64(out.wal_seq) || !in.u32(table_count)) return std::nullopt;
+  out.wal_seq = in.u64();
+  const std::uint32_t table_count = in.u32();
   // A table is at least a schema with one column (~11 bytes).
-  if (table_count > in.remaining() / 11) return std::nullopt;
+  if (!in.ok() || table_count > in.remaining() / 11) return std::nullopt;
 
   for (std::uint32_t ti = 0; ti < table_count; ++ti) {
     TableSchema schema;
-    std::int64_t next_key = 0;
-    std::uint32_t index_count = 0;
-    if (!in.schema(schema) || !in.i64(next_key) || !in.u32(index_count)) {
-      return std::nullopt;
-    }
+    walfmt::read_schema(in, schema);
+    const std::int64_t next_key = in.i64();
+    const std::uint32_t index_count = in.u32();
+    if (!in.ok()) return std::nullopt;
     // Pre-validate through the same gate the WAL uses, so the aborting
     // create_table contract is never tripped by hostile bytes.
     RedoOp create;
@@ -79,20 +75,19 @@ std::optional<DecodedSnapshot> decode_snapshot(
 
     if (index_count > in.remaining() / 4) return std::nullopt;
     for (std::uint32_t i = 0; i < index_count; ++i) {
-      std::string column;
-      if (!in.str(column)) return std::nullopt;
-      const auto col = schema.column_index(column);
-      if (!col.has_value()) return std::nullopt;
+      const std::string column = in.str();
+      if (!in.ok() || !schema.column_index(column).has_value()) {
+        return std::nullopt;
+      }
       t.create_index(column);
     }
 
-    std::uint64_t row_count = 0;
-    if (!in.u64(row_count)) return std::nullopt;
+    const std::uint64_t row_count = in.u64();
     // A row is at least a count plus one tag byte per cell.
-    if (row_count > in.remaining() / 5) return std::nullopt;
+    if (!in.ok() || row_count > in.remaining() / 5) return std::nullopt;
     for (std::uint64_t ri = 0; ri < row_count; ++ri) {
       Row row;
-      if (!in.row(row)) return std::nullopt;
+      if (!walfmt::read_row(in, row)) return std::nullopt;
       if (!t.row_admissible(row)) return std::nullopt;
       if (row[0].type() != ValueType::Integer) return std::nullopt;
       if (t.find(row[0].as_integer()) != nullptr) return std::nullopt;
@@ -103,7 +98,7 @@ std::optional<DecodedSnapshot> decode_snapshot(
     if (next_key < t.next_auto_key()) return std::nullopt;
     t.restore_next_key(next_key);
   }
-  if (in.remaining() != 0) return std::nullopt;  // trailing garbage
+  if (!in.done()) return std::nullopt;  // trailing garbage
   return out;
 }
 
@@ -136,19 +131,6 @@ bool write_snapshot(const Database& db, std::uint64_t wal_seq,
     return false;
   }
   return true;
-}
-
-std::optional<DecodedSnapshot> load_snapshot(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::array<std::uint8_t, 1 << 16> buf;
-  std::size_t n = 0;
-  while ((n = std::fread(buf.data(), 1, buf.size(), f)) > 0) {
-    bytes.insert(bytes.end(), buf.data(), buf.data() + n);
-  }
-  std::fclose(f);
-  return decode_snapshot(bytes);
 }
 
 }  // namespace mpros::db

@@ -8,7 +8,7 @@
 // databases with identical content produce identical snapshot bytes — the
 // crash-equivalence tests compare states exactly this way.
 //
-// Layout ("MDBS", the recorder's versioned dump idiom, little-endian):
+// Layout (versioned "MDBS" header, little-endian, mpros/common/codec.hpp):
 //
 //   "MDBS" u8 version | u64 wal_seq | u32 table_count | table*
 //   table := schema | i64 next_key | u32 index_count | index_column_name*
@@ -47,10 +47,5 @@ struct DecodedSnapshot {
 /// over `path`. A crash mid-write leaves the previous snapshot intact.
 [[nodiscard]] bool write_snapshot(const Database& db, std::uint64_t wal_seq,
                                   const std::string& path);
-
-/// Load `path` into a DecodedSnapshot; nullopt when the file is missing or
-/// malformed (recovery then falls back to replaying the whole WAL).
-[[nodiscard]] std::optional<DecodedSnapshot> load_snapshot(
-    const std::string& path);
 
 }  // namespace mpros::db

@@ -3,240 +3,149 @@
 #include <unistd.h>
 
 #include <array>
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 
 #include "mpros/common/assert.hpp"
+#include "mpros/common/file.hpp"
 #include "mpros/common/log.hpp"
 
 namespace mpros::db {
 
 namespace walfmt {
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_value(std::vector<std::uint8_t>& out, const Value& v) {
-  put_u8(out, static_cast<std::uint8_t>(v.type()));
+void put_value(Writer& w, const Value& v) {
+  w.u8(static_cast<std::uint8_t>(v.type()));
   switch (v.type()) {
     case ValueType::Null: break;
-    case ValueType::Integer: put_i64(out, v.as_integer()); break;
-    case ValueType::Real: put_f64(out, v.as_real()); break;
-    case ValueType::Text: put_str(out, v.as_text()); break;
+    case ValueType::Integer: w.i64(v.as_integer()); break;
+    case ValueType::Real: w.f64(v.as_real()); break;
+    case ValueType::Text: w.str(v.as_text()); break;
   }
 }
 
-void put_row(std::vector<std::uint8_t>& out, const Row& row) {
-  put_u32(out, static_cast<std::uint32_t>(row.size()));
-  for (const Value& v : row) put_value(out, v);
+void put_row(Writer& w, const Row& row) {
+  w.u32(static_cast<std::uint32_t>(row.size()));
+  for (const Value& v : row) put_value(w, v);
 }
 
-void put_schema(std::vector<std::uint8_t>& out, const TableSchema& schema) {
-  put_str(out, schema.name);
-  put_u32(out, static_cast<std::uint32_t>(schema.columns.size()));
+void put_schema(Writer& w, const TableSchema& schema) {
+  w.str(schema.name);
+  w.u32(static_cast<std::uint32_t>(schema.columns.size()));
   for (const ColumnDef& col : schema.columns) {
-    put_str(out, col.name);
-    put_u8(out, static_cast<std::uint8_t>(col.type));
-    put_u8(out, col.nullable ? 1 : 0);
+    w.str(col.name);
+    w.u8(static_cast<std::uint8_t>(col.type));
+    w.u8(col.nullable ? 1 : 0);
   }
 }
 
-void put_op(std::vector<std::uint8_t>& out, const RedoOp& op) {
-  put_u8(out, static_cast<std::uint8_t>(op.kind));
-  put_str(out, op.table);
+void put_op(Writer& w, const RedoOp& op) {
+  w.u8(static_cast<std::uint8_t>(op.kind));
+  w.str(op.table);
   switch (op.kind) {
     case RedoOp::Kind::CreateTable:
-      put_schema(out, op.schema);
+      put_schema(w, op.schema);
       break;
     case RedoOp::Kind::DropTable:
       break;
     case RedoOp::Kind::CreateIndex:
-      put_str(out, op.column);
+      w.str(op.column);
       break;
     case RedoOp::Kind::Insert:
-      put_i64(out, op.key);
-      put_row(out, op.row);
+      w.i64(op.key);
+      put_row(w, op.row);
       break;
     case RedoOp::Kind::Update:
-      put_i64(out, op.key);
-      put_str(out, op.column);
-      put_value(out, op.value);
+      w.i64(op.key);
+      w.str(op.column);
+      put_value(w, op.value);
       break;
     case RedoOp::Kind::Erase:
-      put_i64(out, op.key);
+      w.i64(op.key);
       break;
   }
 }
 
-bool TryReader::u8(std::uint8_t& v) {
-  if (remaining() < 1) return false;
-  v = data[pos++];
-  return true;
-}
-
-bool TryReader::u32(std::uint32_t& v) {
-  if (remaining() < 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
+bool read_value(TryReader& in, Value& v) {
+  switch (static_cast<ValueType>(in.u8())) {
+    case ValueType::Null: v = Value(); break;
+    case ValueType::Integer: v = Value(in.i64()); break;
+    case ValueType::Real: v = Value(in.f64()); break;
+    case ValueType::Text: v = Value(in.str()); break;
+    default: in.fail(); break;  // unknown tag
   }
-  pos += 4;
-  return true;
+  return in.ok();
 }
 
-bool TryReader::u64(std::uint64_t& v) {
-  if (remaining() < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos += 8;
-  return true;
-}
-
-bool TryReader::i64(std::int64_t& v) {
-  std::uint64_t u = 0;
-  if (!u64(u)) return false;
-  v = static_cast<std::int64_t>(u);
-  return true;
-}
-
-bool TryReader::f64(double& v) {
-  std::uint64_t u = 0;
-  if (!u64(u)) return false;
-  v = std::bit_cast<double>(u);
-  return true;
-}
-
-bool TryReader::str(std::string& s) {
-  std::uint32_t len = 0;
-  if (!u32(len) || remaining() < len) return false;
-  s.assign(reinterpret_cast<const char*>(data.data() + pos), len);
-  pos += len;
-  return true;
-}
-
-bool TryReader::value(Value& v) {
-  std::uint8_t tag = 0;
-  if (!u8(tag)) return false;
-  switch (static_cast<ValueType>(tag)) {
-    case ValueType::Null:
-      v = Value();
-      return true;
-    case ValueType::Integer: {
-      std::int64_t i = 0;
-      if (!i64(i)) return false;
-      v = Value(i);
-      return true;
-    }
-    case ValueType::Real: {
-      double d = 0;
-      if (!f64(d)) return false;
-      v = Value(d);
-      return true;
-    }
-    case ValueType::Text: {
-      std::string s;
-      if (!str(s)) return false;
-      v = Value(std::move(s));
-      return true;
-    }
-  }
-  return false;  // unknown tag
-}
-
-bool TryReader::row(Row& out_row) {
-  std::uint32_t count = 0;
-  if (!u32(count)) return false;
+bool read_row(TryReader& in, Row& row) {
+  const std::uint32_t count = in.u32();
   // Memory-bomb guard: a value is at least one tag byte.
-  if (count > remaining()) return false;
-  out_row.clear();
-  out_row.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Value v;
-    if (!value(v)) return false;
-    out_row.push_back(std::move(v));
+  if (count > in.remaining()) in.fail();
+  row.clear();
+  if (!in.ok()) return false;
+  row.reserve(count);
+  for (std::uint32_t i = 0; i < count && in.ok(); ++i) {
+    read_value(in, row.emplace_back());
   }
-  return true;
+  return in.ok();
 }
 
-bool TryReader::schema(TableSchema& out_schema) {
-  if (!str(out_schema.name)) return false;
-  std::uint32_t count = 0;
-  if (!u32(count)) return false;
+bool read_schema(TryReader& in, TableSchema& schema) {
+  in.str(schema.name);
+  const std::uint32_t count = in.u32();
   // A column is at least name-len(4) + type(1) + nullable(1) bytes.
-  if (count > remaining() / 6) return false;
-  out_schema.columns.clear();
-  out_schema.columns.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ColumnDef col;
-    std::uint8_t type = 0;
-    std::uint8_t nullable = 0;
-    if (!str(col.name) || !u8(type) || !u8(nullable)) return false;
-    if (type > static_cast<std::uint8_t>(ValueType::Text)) return false;
-    if (nullable > 1) return false;
+  if (count > in.remaining() / 6) in.fail();
+  schema.columns.clear();
+  if (!in.ok()) return false;
+  schema.columns.reserve(count);
+  for (std::uint32_t i = 0; i < count && in.ok(); ++i) {
+    ColumnDef& col = schema.columns.emplace_back();
+    in.str(col.name);
+    const std::uint8_t type = in.u8();
+    const std::uint8_t nullable = in.u8();
+    if (type > static_cast<std::uint8_t>(ValueType::Text) || nullable > 1) {
+      in.fail();
+    }
     col.type = static_cast<ValueType>(type);
     col.nullable = nullable == 1;
-    out_schema.columns.push_back(std::move(col));
   }
-  return true;
+  return in.ok();
 }
 
-bool TryReader::op(RedoOp& out_op) {
-  std::uint8_t kind = 0;
-  if (!u8(kind)) return false;
+bool read_op(TryReader& in, RedoOp& op) {
+  const std::uint8_t kind = in.u8();
   if (kind < static_cast<std::uint8_t>(RedoOp::Kind::CreateTable) ||
       kind > static_cast<std::uint8_t>(RedoOp::Kind::Erase)) {
+    in.fail();
     return false;
   }
-  out_op = RedoOp{};
-  out_op.kind = static_cast<RedoOp::Kind>(kind);
-  if (!str(out_op.table)) return false;
-  switch (out_op.kind) {
+  op = RedoOp{};
+  op.kind = static_cast<RedoOp::Kind>(kind);
+  in.str(op.table);
+  switch (op.kind) {
     case RedoOp::Kind::CreateTable:
-      return schema(out_op.schema);
+      read_schema(in, op.schema);
+      break;
     case RedoOp::Kind::DropTable:
-      return true;
+      break;
     case RedoOp::Kind::CreateIndex:
-      return str(out_op.column);
+      in.str(op.column);
+      break;
     case RedoOp::Kind::Insert:
-      return i64(out_op.key) && row(out_op.row);
+      op.key = in.i64();
+      read_row(in, op.row);
+      break;
     case RedoOp::Kind::Update:
-      return i64(out_op.key) && str(out_op.column) && value(out_op.value);
+      op.key = in.i64();
+      in.str(op.column);
+      read_value(in, op.value);
+      break;
     case RedoOp::Kind::Erase:
-      return i64(out_op.key);
+      op.key = in.i64();
+      break;
   }
-  return false;
+  return in.ok();
 }
 
 namespace {
@@ -278,28 +187,19 @@ bool header_intact(std::span<const std::uint8_t> bytes) {
          bytes[sizeof(kWalMagic)] == kWalVersion;
 }
 
-std::vector<std::uint8_t> read_file(const std::string& path, bool& existed) {
-  std::vector<std::uint8_t> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  existed = f != nullptr;
-  if (f == nullptr) return bytes;
-  std::array<std::uint8_t, 1 << 16> buf;
-  std::size_t n = 0;
-  while ((n = std::fread(buf.data(), 1, buf.size(), f)) > 0) {
-    bytes.insert(bytes.end(), buf.data(), buf.data() + n);
-  }
-  std::fclose(f);
-  return bytes;
-}
-
 }  // namespace
 
 WriteAheadLog::WriteAheadLog(std::string path, std::uint64_t next_seq)
     : path_(std::move(path)), next_seq_(next_seq) {
   MPROS_EXPECTS(next_seq_ >= 1);
-  bool existed = false;
-  const std::vector<std::uint8_t> bytes = read_file(path_, existed);
-  const bool fresh = !existed || !header_intact(bytes);
+  const FileRead existing = read_file(path_);
+  if (existing.status == FileRead::Status::Unreadable) {
+    // Recreating it would destroy whatever committed frames it holds.
+    MPROS_LOG_ERROR("db", "wal: cannot read %s: %s", path_.c_str(),
+                    std::strerror(existing.error));
+    return;
+  }
+  const bool fresh = !header_intact(existing.bytes);
   file_ = std::fopen(path_.c_str(), fresh ? "wb" : "ab");
   if (file_ == nullptr) {
     MPROS_LOG_ERROR("db", "wal: cannot open %s: %s", path_.c_str(),
@@ -309,7 +209,7 @@ WriteAheadLog::WriteAheadLog(std::string path, std::uint64_t next_seq)
   if (fresh) {
     if (!write_header()) return;
   } else {
-    synced_bytes_ = bytes.size();
+    synced_bytes_ = existing.bytes.size();
   }
 }
 
@@ -348,31 +248,31 @@ void WriteAheadLog::discard_pending() {
 std::uint64_t WriteAheadLog::seal() {
   if (pending_ops_ == 0) return 0;
   const std::uint64_t seq = next_seq_++;
-  std::vector<std::uint8_t> payload;
+  Writer payload;
   payload.reserve(12 + pending_.size());
-  walfmt::put_u64(payload, seq);
-  walfmt::put_u32(payload, static_cast<std::uint32_t>(pending_ops_));
-  payload.insert(payload.end(), pending_.begin(), pending_.end());
-  walfmt::put_u32(sealed_, static_cast<std::uint32_t>(payload.size()));
-  walfmt::put_u32(sealed_, walfmt::crc32(payload));
-  sealed_.insert(sealed_.end(), payload.begin(), payload.end());
+  payload.u64(seq);
+  payload.u32(static_cast<std::uint32_t>(pending_ops_));
+  payload.raw(pending_.bytes());
+  sealed_.u32(static_cast<std::uint32_t>(payload.size()));
+  sealed_.u32(walfmt::crc32(payload.bytes()));
+  sealed_.raw(payload.bytes());
   discard_pending();
   ++stats_.commits;
   return seq;
 }
 
 bool WriteAheadLog::sync(bool do_fsync) {
-  if (sealed_.empty()) return true;
+  if (sealed_.size() == 0) return true;
   if (file_ == nullptr) return false;
-  const std::size_t n = sealed_.size();
-  if (std::fwrite(sealed_.data(), 1, n, file_) != n ||
+  const std::vector<std::uint8_t>& frames = sealed_.bytes();
+  if (std::fwrite(frames.data(), 1, frames.size(), file_) != frames.size() ||
       std::fflush(file_) != 0 ||
       (do_fsync && ::fsync(fileno(file_)) != 0)) {
     MPROS_LOG_ERROR("db", "wal: write to %s failed: %s", path_.c_str(),
                     std::strerror(errno));
     return false;
   }
-  synced_bytes_ += n;
+  synced_bytes_ += frames.size();
   sealed_.clear();
   if (do_fsync) ++stats_.fsyncs;
   return true;
@@ -395,14 +295,12 @@ bool WriteAheadLog::reset(std::uint64_t next_seq) {
 }
 
 WalReplayResult WriteAheadLog::replay(
-    const std::string& path, std::uint64_t after_seq,
+    std::span<const std::uint8_t> bytes, std::uint64_t after_seq,
     const std::function<bool(std::uint64_t, RedoOp&&)>& apply) {
   WalReplayResult result;
-  bool existed = false;
-  const std::vector<std::uint8_t> bytes = read_file(path, existed);
-  if (!existed) return result;
   if (!header_intact(bytes)) {
-    // Torn before the header finished (or not a WAL at all): empty log.
+    // Empty, torn before the header finished, or not a WAL at all: an
+    // empty log.
     result.truncated_bytes = bytes.size();
     return result;
   }
@@ -410,35 +308,27 @@ WalReplayResult WriteAheadLog::replay(
 
   std::size_t pos = kHeaderBytes;
   while (pos < bytes.size()) {
-    walfmt::TryReader frame{std::span(bytes).subspan(pos), 0};
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    if (!frame.u32(len) || !frame.u32(crc) || frame.remaining() < len) break;
+    TryReader frame(bytes.subspan(pos));
+    const std::uint32_t len = frame.u32();
+    const std::uint32_t crc = frame.u32();
+    if (!frame.ok() || frame.remaining() < len) break;
     const std::span<const std::uint8_t> payload =
-        std::span(bytes).subspan(pos + kFrameOverhead, len);
+        bytes.subspan(pos + kFrameOverhead, len);
     if (walfmt::crc32(payload) != crc) break;
 
-    walfmt::TryReader body{payload, 0};
-    std::uint64_t seq = 0;
-    std::uint32_t op_count = 0;
-    if (!body.u64(seq) || !body.u32(op_count)) break;
-    if (op_count > body.remaining()) break;  // an op is >= 1 byte
+    TryReader body(payload);
+    const std::uint64_t seq = body.u64();
+    const std::uint32_t op_count = body.u32();
+    if (!body.ok() || op_count > body.remaining()) break;  // an op is >= 1 byte
 
     // Decode the WHOLE frame before applying any of it, so a frame that
     // turns out malformed halfway through never leaves partial effects.
-    bool frame_ok = true;
     std::vector<RedoOp> ops;
     ops.reserve(op_count);
-    for (std::uint32_t i = 0; i < op_count; ++i) {
-      RedoOp op;
-      if (!body.op(op)) {
-        frame_ok = false;
-        break;
-      }
-      ops.push_back(std::move(op));
+    for (std::uint32_t i = 0; i < op_count && body.ok(); ++i) {
+      walfmt::read_op(body, ops.emplace_back());
     }
-    if (frame_ok && body.remaining() != 0) frame_ok = false;
-    if (!frame_ok) break;
+    if (!body.ok() || !body.done()) break;
 
     // A CRC-valid but semantically inadmissible op poisons the tail the
     // same way torn bytes do — but by then earlier ops of the frame have
@@ -446,6 +336,7 @@ WalReplayResult WriteAheadLog::replay(
     // capped at last_seq.
     const bool replay_frame = seq > after_seq;
     if (replay_frame) {
+      bool frame_ok = true;
       std::uint64_t applied = 0;
       for (RedoOp& op : ops) {
         if (!apply(seq, std::move(op))) {
@@ -472,8 +363,21 @@ WalReplayResult WriteAheadLog::replay(
   return result;
 }
 
+WalReplayResult WriteAheadLog::replay(
+    const std::string& path, std::uint64_t after_seq,
+    const std::function<bool(std::uint64_t, RedoOp&&)>& apply) {
+  const FileRead file = read_file(path);
+  if (file.status == FileRead::Status::Unreadable) {
+    WalReplayResult result;
+    result.unreadable = true;
+    return result;
+  }
+  return replay(file.bytes, after_seq, apply);
+}
+
 bool WriteAheadLog::truncate_torn_tail(const std::string& path,
                                        const WalReplayResult& result) {
+  if (result.unreadable) return false;
   std::error_code ec;
   if (result.valid_bytes < kHeaderBytes) {
     // Missing or header-torn: lay down a fresh empty log.

@@ -7,9 +7,9 @@
 // CRC-framed record and a single fsync makes the whole batch durable — one
 // fsync per commit window, not per record. Recovery replays intact records
 // in order and truncates the first torn or corrupt frame (and everything
-// after it), exactly like the flight recorder's fail-soft TryReader decode.
+// after it); decoding never aborts on hostile bytes.
 //
-// On-disk layout (all integers little-endian, the recorder's dump idiom):
+// On-disk layout (all integers little-endian, mpros/common/codec.hpp):
 //
 //   "MWAL" u8 version                                  file header
 //   { u32 payload_len | u32 crc32(payload) | payload } *    commit frames
@@ -24,48 +24,32 @@
 #include <string>
 #include <vector>
 
+#include "mpros/common/codec.hpp"
 #include "mpros/db/database.hpp"
 
 namespace mpros::db {
 
 inline constexpr std::uint8_t kWalVersion = 1;
 
-// -- Shared binary codec ------------------------------------------------------
-// Reused by the snapshot encoding (snapshot.cpp) and the fuzz tests.
+// -- Record codec -------------------------------------------------------------
+// Values, rows, schemas and redo ops over the shared little-endian codec;
+// the snapshot encoding (snapshot.cpp) reuses them.
 
 namespace walfmt {
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v);
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v);
-void put_f64(std::vector<std::uint8_t>& out, double v);  // IEEE-754 bits
-void put_str(std::vector<std::uint8_t>& out, const std::string& s);
-void put_value(std::vector<std::uint8_t>& out, const Value& v);
-void put_row(std::vector<std::uint8_t>& out, const Row& row);
-void put_schema(std::vector<std::uint8_t>& out, const TableSchema& schema);
-void put_op(std::vector<std::uint8_t>& out, const RedoOp& op);
+void put_value(Writer& w, const Value& v);
+void put_row(Writer& w, const Row& row);
+void put_schema(Writer& w, const TableSchema& schema);
+void put_op(Writer& w, const RedoOp& op);
 
-/// Bounds-checked reader: every read reports success, nothing aborts, and
-/// count fields are guarded against memory bombs (a count the remaining
-/// bytes cannot possibly hold is a decode failure, not an allocation).
-struct TryReader {
-  std::span<const std::uint8_t> data;
-  std::size_t pos = 0;
-
-  [[nodiscard]] std::size_t remaining() const { return data.size() - pos; }
-
-  bool u8(std::uint8_t& v);
-  bool u32(std::uint32_t& v);
-  bool u64(std::uint64_t& v);
-  bool i64(std::int64_t& v);
-  bool f64(double& v);
-  bool str(std::string& s);
-  bool value(Value& v);
-  bool row(Row& row);
-  bool schema(TableSchema& schema);
-  bool op(RedoOp& op);
-};
+/// Fail-soft reads: an unknown tag, an out-of-range enum or a count the
+/// remaining bytes cannot possibly hold (a memory bomb, refused before any
+/// allocation) fails `in` exactly like truncation does. Each returns
+/// in.ok().
+bool read_value(TryReader& in, Value& v);
+bool read_row(TryReader& in, Row& row);
+bool read_schema(TryReader& in, TableSchema& schema);
+bool read_op(TryReader& in, RedoOp& op);
 
 /// CRC-32 (IEEE 802.3 polynomial, table-driven) over `data`.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
@@ -81,6 +65,9 @@ struct WalReplayResult {
   std::uint64_t valid_bytes = 0;    ///< file prefix that decoded cleanly
   std::uint64_t truncated_bytes = 0;///< torn/corrupt tail past the prefix
   std::uint64_t last_seq = 0;       ///< newest commit sequence seen intact
+  /// The file exists but could not be read: nothing was replayed, and
+  /// there is no torn tail to cut.
+  bool unreadable = false;
   /// True when `apply` rejected an op after earlier ops of the same frame
   /// were already applied — the target holds a partial commit and the
   /// caller must rebuild capped at last_seq.
@@ -91,8 +78,11 @@ class WriteAheadLog {
  public:
   /// Open `path` for appending (creating it, with a fresh header, if absent
   /// or header-torn). `next_seq` stamps the next sealed commit; recovery
-  /// passes last replayed seq + 1.
+  /// passes last replayed seq + 1. A log that exists but cannot be read is
+  /// left as it is and stays closed (ok() false).
   explicit WriteAheadLog(std::string path, std::uint64_t next_seq = 1);
+  /// A closed log: it buffers ops but never writes (ok() false).
+  WriteAheadLog() = default;
   ~WriteAheadLog();
 
   WriteAheadLog(const WriteAheadLog&) = delete;
@@ -132,17 +122,23 @@ class WriteAheadLog {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Fail-soft replay: walk `path`, apply every intact commit with
+  /// Fail-soft replay: walk the log `bytes`, apply every intact commit with
   /// seq > `after_seq` through `apply(seq, op)`, stop at the first torn or
   /// corrupt frame. `apply` returning false poisons the tail the same way
   /// corruption does (the frame and everything after it is invalid).
-  /// A missing file is an empty log, not an error.
+  static WalReplayResult replay(
+      std::span<const std::uint8_t> bytes, std::uint64_t after_seq,
+      const std::function<bool(std::uint64_t, RedoOp&&)>& apply);
+
+  /// replay() over the file at `path`. A missing file is an empty log, not
+  /// an error; an unreadable one replays nothing and is marked `unreadable`.
   static WalReplayResult replay(
       const std::string& path, std::uint64_t after_seq,
       const std::function<bool(std::uint64_t, RedoOp&&)>& apply);
 
   /// Drop everything past the intact prefix `replay` found. Creates the
   /// file (bare header) when it was missing or the header itself was torn.
+  /// Refuses (false) for an `unreadable` result.
   static bool truncate_torn_tail(const std::string& path,
                                  const WalReplayResult& result);
 
@@ -151,9 +147,9 @@ class WriteAheadLog {
 
   std::string path_;
   std::FILE* file_ = nullptr;
-  std::vector<std::uint8_t> pending_;  ///< ops of the open (unsealed) commit
+  Writer pending_;  ///< ops of the open (unsealed) commit
   std::size_t pending_ops_ = 0;
-  std::vector<std::uint8_t> sealed_;   ///< framed commits awaiting sync()
+  Writer sealed_;   ///< framed commits awaiting sync()
   std::uint64_t next_seq_ = 1;
   std::uint64_t synced_bytes_ = 0;
   Stats stats_;

@@ -1,6 +1,6 @@
 #include "mpros/net/fleet_summary.hpp"
 
-#include "mpros/net/codec.hpp"
+#include "mpros/common/codec.hpp"
 #include "mpros/net/messages.hpp"
 
 namespace mpros::net {

@@ -1,6 +1,6 @@
 #include "mpros/net/messages.hpp"
 
-#include "mpros/net/codec.hpp"
+#include "mpros/common/codec.hpp"
 
 namespace mpros::net {
 

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <span>
 
-#include "mpros/net/codec.hpp"
+#include "mpros/common/codec.hpp"
 
 namespace mpros::net {
 namespace {

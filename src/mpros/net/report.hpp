@@ -15,6 +15,11 @@
 #include "mpros/common/clock.hpp"
 #include "mpros/common/ids.hpp"
 
+namespace mpros {
+class Writer;
+class TryReader;
+}  // namespace mpros
+
 namespace mpros::net {
 
 /// §7.3: "Zero to n ordered pairs of the form '(probability, time)'. Each
@@ -51,9 +56,6 @@ struct FailureReport {
   friend bool operator==(const FailureReport&,
                          const FailureReport&) = default;
 };
-
-class Writer;
-class TryReader;
 
 /// Wire encoding (versioned; decoders accept the current version only).
 [[nodiscard]] std::vector<std::uint8_t> serialize(const FailureReport& r);

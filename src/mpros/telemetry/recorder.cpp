@@ -1,78 +1,16 @@
 #include "mpros/telemetry/recorder.hpp"
 
 #include <cstdio>
+#include <cstring>
+
+#include "mpros/common/codec.hpp"
+#include "mpros/common/file.hpp"
 
 namespace mpros::telemetry {
 
 namespace {
 
 constexpr char kMagic[3] = {'M', 'F', 'R'};
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked cursor: every read reports success, nothing aborts.
-struct Cursor {
-  std::span<const std::uint8_t> data;
-  std::size_t pos = 0;
-
-  [[nodiscard]] std::size_t remaining() const { return data.size() - pos; }
-
-  bool u8(std::uint8_t& v) {
-    if (remaining() < 1) return false;
-    v = data[pos++];
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (remaining() < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (remaining() < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 8;
-    return true;
-  }
-  bool str(std::string& s) {
-    std::uint32_t len = 0;
-    if (!u32(len) || remaining() < len) return false;
-    s.assign(reinterpret_cast<const char*>(data.data() + pos), len);
-    pos += len;
-    return true;
-  }
-  bool bytes(std::vector<std::uint8_t>& out) {
-    std::uint32_t len = 0;
-    if (!u32(len) || remaining() < len) return false;
-    out.assign(data.begin() + static_cast<std::ptrdiff_t>(pos),
-               data.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    pos += len;
-    return true;
-  }
-};
 
 }  // namespace
 
@@ -146,24 +84,21 @@ void FlightRecorder::clear() {
 
 std::vector<std::uint8_t> FlightRecorder::encode() const {
   std::lock_guard lock(mu_);
-  std::vector<std::uint8_t> out;
-  out.push_back(static_cast<std::uint8_t>(kMagic[0]));
-  out.push_back(static_cast<std::uint8_t>(kMagic[1]));
-  out.push_back(static_cast<std::uint8_t>(kMagic[2]));
-  out.push_back(kRecorderVersion);
-  out.push_back(header_.pdme_dedup ? 0x01 : 0x00);
-  put_u32(out, header_.plant_count);
-  put_u64(out, header_.seed);
-  put_u32(out, static_cast<std::uint32_t>(ring_.size()));
+  Writer w;
+  for (const char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
+  w.u8(kRecorderVersion);
+  w.u8(header_.pdme_dedup ? 0x01 : 0x00);
+  w.u32(header_.plant_count);
+  w.u64(header_.seed);
+  w.u32(static_cast<std::uint32_t>(ring_.size()));
   for (const RecorderFrame& frame : ring_) {
-    out.push_back(static_cast<std::uint8_t>(frame.kind));
-    put_u64(out, static_cast<std::uint64_t>(frame.time_us));
-    put_str(out, frame.from);
-    put_str(out, frame.to);
-    put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-    out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+    w.u8(static_cast<std::uint8_t>(frame.kind));
+    w.i64(frame.time_us);
+    w.str(frame.from);
+    w.str(frame.to);
+    w.bytes(frame.payload);
   }
-  return out;
+  return w.take();
 }
 
 bool FlightRecorder::dump(const std::string& path) const {
@@ -177,65 +112,53 @@ bool FlightRecorder::dump(const std::string& path) const {
 
 std::optional<FlightRecorder::Decoded> FlightRecorder::decode(
     std::span<const std::uint8_t> bytes) {
-  Cursor c{bytes};
-  std::uint8_t m0 = 0, m1 = 0, m2 = 0, version = 0, flags = 0;
-  if (!c.u8(m0) || !c.u8(m1) || !c.u8(m2) || !c.u8(version) || !c.u8(flags)) {
+  TryReader r(bytes);
+  const std::uint8_t magic[3] = {r.u8(), r.u8(), r.u8()};
+  const std::uint8_t version = r.u8();
+  const std::uint8_t flags = r.u8();
+  if (!r.ok() || std::memcmp(magic, kMagic, sizeof magic) != 0 ||
+      version != kRecorderVersion) {
     return std::nullopt;
   }
-  if (m0 != kMagic[0] || m1 != kMagic[1] || m2 != kMagic[2]) {
-    return std::nullopt;
-  }
-  if (version != kRecorderVersion) return std::nullopt;
 
   Decoded out;
   out.header.version = version;
   out.header.pdme_dedup = (flags & 0x01) != 0;
-  std::uint64_t seed = 0;
-  std::uint32_t plant_count = 0, frame_count = 0;
-  if (!c.u32(plant_count) || !c.u64(seed) || !c.u32(frame_count)) {
-    return std::nullopt;
-  }
-  out.header.plant_count = plant_count;
-  out.header.seed = seed;
+  out.header.plant_count = r.u32();
+  out.header.seed = r.u64();
+  const std::uint32_t frame_count = r.u32();
 
   // Each frame needs at least kind + time + three u32 lengths: reject frame
   // counts the remaining bytes cannot possibly hold (memory-bomb guard).
   constexpr std::size_t kMinFrameBytes = 1 + 8 + 4 + 4 + 4;
-  if (frame_count > c.remaining() / kMinFrameBytes) return std::nullopt;
+  if (!r.ok() || frame_count > r.remaining() / kMinFrameBytes) {
+    return std::nullopt;
+  }
 
   out.frames.reserve(frame_count);
-  for (std::uint32_t i = 0; i < frame_count; ++i) {
+  for (std::uint32_t i = 0; i < frame_count && r.ok(); ++i) {
     RecorderFrame frame;
-    std::uint8_t kind = 0;
-    std::uint64_t time = 0;
-    if (!c.u8(kind) || !c.u64(time) || !c.str(frame.from) ||
-        !c.str(frame.to) || !c.bytes(frame.payload)) {
-      return std::nullopt;
-    }
+    const std::uint8_t kind = r.u8();
+    frame.time_us = r.i64();
+    r.str(frame.from);
+    r.str(frame.to);
+    r.bytes(frame.payload);
     if (kind != static_cast<std::uint8_t>(FrameKind::NetMessage) &&
         kind != static_cast<std::uint8_t>(FrameKind::Event)) {
       return std::nullopt;
     }
     frame.kind = static_cast<FrameKind>(kind);
-    frame.time_us = static_cast<std::int64_t>(time);
     out.frames.push_back(std::move(frame));
   }
-  if (c.remaining() != 0) return std::nullopt;  // trailing garbage
+  if (!r.ok() || !r.done()) return std::nullopt;  // truncated / trailing garbage
   return out;
 }
 
 std::optional<FlightRecorder::Decoded> FlightRecorder::load(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return decode(bytes);
+  const FileRead file = read_file(path);
+  if (!file.ok()) return std::nullopt;
+  return decode(file.bytes);
 }
 
 }  // namespace mpros::telemetry

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <thread>
 
 #include "mpros/common/clock.hpp"
+#include "mpros/common/file.hpp"
 #include "mpros/common/ids.hpp"
 #include "mpros/common/rng.hpp"
 #include "mpros/common/thread_pool.hpp"
@@ -163,6 +169,35 @@ TEST(RngTest, NormalHasRoughlyCorrectMoments) {
   const double var = sum_sq / kN - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.1);
   EXPECT_NEAR(var, 4.0, 0.2);
+}
+
+
+TEST(ReadFileTest, MissingEmptyUnreadableAndReadAreDistinct) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mpros_read_file_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir / "a_directory");
+  std::ofstream(dir / "empty", std::ios::binary).flush();
+  std::ofstream(dir / "three", std::ios::binary) << "abc";
+
+  const FileRead missing = read_file((dir / "missing").string());
+  EXPECT_EQ(missing.status, FileRead::Status::Missing);
+
+  const FileRead empty = read_file((dir / "empty").string());
+  EXPECT_EQ(empty.status, FileRead::Status::Ok);
+  EXPECT_TRUE(empty.bytes.empty());
+
+  // fopen("rb") succeeds on a directory; the read fails with EISDIR.
+  const FileRead unreadable = read_file((dir / "a_directory").string());
+  EXPECT_EQ(unreadable.status, FileRead::Status::Unreadable);
+  EXPECT_EQ(unreadable.error, EISDIR);
+  EXPECT_TRUE(unreadable.bytes.empty());
+
+  const FileRead three = read_file((dir / "three").string());
+  EXPECT_TRUE(three.ok());
+  EXPECT_EQ(three.bytes, (std::vector<std::uint8_t>{'a', 'b', 'c'}));
+  fs::remove_all(dir);
 }
 
 }  // namespace

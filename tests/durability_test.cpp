@@ -491,5 +491,117 @@ TEST(DurabilityPropertyTest, ScriptedInterleavingsMatchShadowAndSurviveCrash) {
   EXPECT_TRUE(recovered.db().integrity_violations().empty());
 }
 
+
+// --- Read errors are not empty files ----------------------------------------
+// fopen("rb") succeeds on a directory and fread then fails with EISDIR: the
+// cheapest real read error. Recovery must report it and touch nothing.
+
+TEST(DurableDatabaseTest, UnreadableWalIsReportedAndLeftUntouched) {
+  TempDir dir;
+  {
+    DurableDatabase durable(config_for(dir));
+    durable.db().create_table(crew_schema());
+    durable.db().insert_auto("crew", {Value("ada"), Value(), Value()});
+    ASSERT_TRUE(durable.checkpoint());
+  }
+  const fs::path snap = DurableDatabase::snapshot_path(dir.str());
+  const auto snapshot = read_file(snap);
+  const fs::path wal = DurableDatabase::wal_path(dir.str());
+  fs::remove(wal);
+  fs::create_directories(wal / "keep");
+
+  DurableDatabase durable(config_for(dir));
+  EXPECT_NE(durable.recovery().io_error.find("db.wal"), std::string::npos)
+      << durable.recovery().io_error;
+  // Nothing buffered yet: a checkpoint must still not replace the
+  // snapshot with the empty store recovery fell back to.
+  EXPECT_FALSE(durable.checkpoint());
+  durable.db().create_table(crew_schema());
+  EXPECT_FALSE(durable.commit());
+
+  EXPECT_TRUE(fs::is_directory(wal / "keep"));
+  EXPECT_EQ(read_file(snap), snapshot);
+}
+
+TEST(DurableDatabaseTest, UnreadableSnapshotIsReportedAndNotOverwritten) {
+  TempDir dir;
+  {
+    DurableDatabase durable(config_for(dir));
+    durable.db().create_table(crew_schema());
+    durable.db().insert_auto("crew", {Value("ada"), Value(), Value()});
+    ASSERT_TRUE(durable.commit());
+  }
+  const fs::path snap = DurableDatabase::snapshot_path(dir.str());
+  fs::create_directories(snap / "keep");
+  const auto wal = read_file(DurableDatabase::wal_path(dir.str()));
+
+  DurableDatabase reopened(config_for(dir));
+  EXPECT_NE(reopened.recovery().io_error.find("db.snapshot"),
+            std::string::npos)
+      << reopened.recovery().io_error;
+  EXPECT_FALSE(reopened.recovery().snapshot_loaded);
+  reopened.db().create_table(crew_schema());
+  EXPECT_FALSE(reopened.commit());
+  EXPECT_FALSE(reopened.checkpoint());
+
+  EXPECT_TRUE(fs::is_directory(snap / "keep"));
+  EXPECT_EQ(read_file(DurableDatabase::wal_path(dir.str())), wal);
+}
+
+// --- recover_directory: the one recovery routine, read-only ------------------
+
+TEST(RecoverDirectoryTest, TornTailIsReportedButNotCut) {
+  TempDir dir;
+  {
+    DurableDatabase durable(config_for(dir));
+    durable.db().create_table(crew_schema());
+    ASSERT_TRUE(durable.commit());
+    durable.db().insert_auto("crew", {Value("ada"), Value(), Value()});
+    ASSERT_TRUE(durable.commit());
+  }
+  const fs::path wal = DurableDatabase::wal_path(dir.str());
+  auto bytes = read_file(wal);
+  bytes.resize(bytes.size() - 3);
+  write_file(wal, bytes);
+
+  const Recovered r = recover_directory(dir.str());
+  EXPECT_TRUE(r.report.io_error.empty());
+  EXPECT_EQ(r.report.commits_replayed, 1u);
+  EXPECT_GT(r.report.truncated_bytes, 0u);
+  EXPECT_EQ(r.report.truncated_bytes, r.wal.truncated_bytes);
+  EXPECT_TRUE(r.db.has_table("crew"));
+  EXPECT_EQ(r.db.table("crew").row_count(), 0u);
+  EXPECT_EQ(read_file(wal), bytes);  // nothing on disk changed
+
+  // The live store, built on the same routine, does cut the tail.
+  DurableDatabase live(config_for(dir));
+  EXPECT_EQ(live.recovery().truncated_bytes, r.report.truncated_bytes);
+  EXPECT_EQ(fingerprint(live.db()), fingerprint(r.db));
+  EXPECT_LT(read_file(wal).size(), bytes.size());
+}
+
+TEST(RecoverDirectoryTest, MalformedSnapshotIsReportedApartFromMissing) {
+  TempDir dir;
+  EXPECT_FALSE(recover_directory(dir.str()).report.snapshot_malformed);
+  {
+    DurableDatabase durable(config_for(dir));
+    durable.db().create_table(crew_schema());
+    ASSERT_TRUE(durable.checkpoint());
+  }
+  const fs::path snap = DurableDatabase::snapshot_path(dir.str());
+  const Recovered clean = recover_directory(dir.str());
+  EXPECT_TRUE(clean.report.snapshot_loaded);
+  EXPECT_FALSE(clean.report.snapshot_malformed);
+
+  auto bytes = read_file(snap);
+  bytes.push_back(0x00);  // trailing garbage
+  write_file(snap, bytes);
+  const Recovered r = recover_directory(dir.str());
+  EXPECT_TRUE(r.report.io_error.empty());
+  EXPECT_FALSE(r.report.snapshot_loaded);
+  EXPECT_TRUE(r.report.snapshot_malformed);
+  EXPECT_EQ(read_file(snap), bytes);
+}
+
 }  // namespace
 }  // namespace mpros::db

@@ -1099,5 +1099,147 @@ TEST(ReliableChannelTest, PersistentOutageCapsBackoffThenDrains) {
   EXPECT_TRUE(sender.due_retransmits(SimTime::from_hours(24.0)).empty());
 }
 
+
+// The wire bytes of every datagram, recorded before the codec moved to
+// mpros/common: any change to a byte layout fails here first.
+// One fixed instance of every datagram the ship and shore exchange.
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>> wire_samples() {
+  FailureReport a;
+  a.dc = DcId(3);
+  a.knowledge_source = KnowledgeSourceId(1);
+  a.sensed_object = ObjectId(17);
+  a.machine_condition = ConditionId(5);
+  a.severity = 0.625;
+  a.belief = 0.875;
+  a.explanation = "1x amplitude high";
+  a.recommendations = "Balance rotor.";
+  a.timestamp = SimTime(1234500000);
+  a.additional_info = "load=0.8";
+  a.prognostics = {{0.25, 86400.0}, {0.5, 604800.0}};
+  a.trace = 99;
+  FailureReport b;
+  b.dc = DcId(3);
+  b.knowledge_source = KnowledgeSourceId(2);
+  b.sensed_object = ObjectId(18);
+  b.machine_condition = ConditionId(9);
+  b.severity = 0.125;
+  b.timestamp = SimTime(1234600000);
+  const std::vector<FailureReport> batch{a, b};
+
+  SensorDataMessage sensor;
+  sensor.dc = DcId(1);
+  sensor.machine = ObjectId(4);
+  sensor.timestamp = SimTime(5000000);
+  sensor.values = {{"temp", 71.25}, {"rpm", 1780.0}};
+
+  TestCommandMessage test;
+  test.target = DcId(2);
+  test.reason = "operator request";
+
+  CommandMessage command;
+  command.target = DcId(5);
+  command.revision = 3;
+  command.issued_at = SimTime(7000000);
+  command.settings = {{"vibration.enabled", 0.0}, {"period_s", 30.0}};
+  command.reason = "tune";
+
+  MachineHealthSummary m1;
+  m1.machine = ObjectId(11);
+  m1.name = "Motor 1";
+  m1.klass = "InductionMotor";
+  m1.health = 0.5;
+  m1.has_diagnosis = true;
+  m1.top_mode = domain::FailureMode::MotorImbalance;
+  m1.top_belief = 0.75;
+  m1.top_severity = 0.5;
+  m1.priority = 0.375;
+  m1.report_count = 4;
+  m1.has_median_ttf = true;
+  m1.median_ttf = SimTime(86400000000);
+  MachineHealthSummary m2;
+  m2.machine = ObjectId(12);
+  m2.name = "Pump 1";
+  m2.klass = "CentrifugalPump";
+  FleetSummaryEnvelope fleet;
+  fleet.ship = ShipId(2);
+  fleet.sequence = 4;
+  fleet.summary.ship = ShipId(2);
+  fleet.summary.ship_name = "Hull-02";
+  fleet.summary.timestamp = SimTime(3600000000);
+  fleet.summary.dcs_alive = 3;
+  fleet.summary.dcs_stale = 1;
+  fleet.summary.quarantine_active = 1;
+  fleet.summary.quarantine_total = 6;
+  fleet.summary.machines = {m1, m2};
+
+  return {
+      {"report batch", wrap_batch_envelope(DcId(3), 7, batch)},
+      {"ack", wrap(AckMessage{DcId(3), 41})},
+      {"heartbeat", wrap(HeartbeatMessage{DcId(2), SimTime(12500000), 9})},
+      {"sensor data", wrap(sensor)},
+      {"test command", wrap(test)},
+      {"command", wrap(command)},
+      {"command envelope", wrap(CommandEnvelope{DcId(5), 2, command})},
+      {"fleet summary", wrap(fleet)},
+  };
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+TEST(WireBytesTest, EveryDatagramMatchesRecordedHex) {
+  const std::map<std::string, std::string> recorded{
+      {"report batch",
+       "0b03000000000000000700000000000000524201030000000000000002000000"
+       "524d026300000000000000030000000000000001000000000000001100000000"
+       "0000000500000000000000000000000000e43f000000000000ec3f1100000031"
+       "7820616d706c697475646520686967680e00000042616c616e636520726f746f"
+       "722ea0f9944900000000080000006c6f61643d302e3802000000000000000000"
+       "d03f000000000018f540000000000000e03f0000000000752241524d02000000"
+       "0000000000030000000000000002000000000000001200000000000000090000"
+       "0000000000000000000000c03f000000000000f03f0000000000000000408096"
+       "49000000000000000000000000"},
+      {"ack",
+       "0503000000000000002900000000000000"},
+      {"heartbeat",
+       "06020000000000000020bcbe00000000000900000000000000"},
+      {"sensor data",
+       "0201000000000000000400000000000000404b4c000000000002000000040000"
+       "0074656d700000000000d051400300000072706d0000000000d09b40"},
+      {"test command",
+       "03020000000000000001100000006f70657261746f722072657175657374"},
+      {"command",
+       "084d430105000000000000000300000000000000c0cf6a000000000004000000"
+       "74756e650200000011000000766962726174696f6e2e656e61626c6564000000"
+       "000000000008000000706572696f645f730000000000003e40"},
+      {"command envelope",
+       "09050000000000000002000000000000004d4301050000000000000003000000"
+       "00000000c0cf6a00000000000400000074756e65020000001100000076696272"
+       "6174696f6e2e656e61626c6564000000000000000008000000706572696f645f"
+       "730000000000003e40"},
+      {"fleet summary",
+       "0702000000000000000400000000000000534601020000000000000007000000"
+       "48756c6c2d303200a493d6000000000300000001000000000000000100000006"
+       "00000000000000020000000b00000000000000070000004d6f746f7220310e00"
+       "0000496e64756374696f6e4d6f746f72000000000000e03f0300000000000000"
+       "e83f000000000000e03f000000000000d83f040000000060d71d140000000c00"
+       "0000000000000600000050756d7020310f00000043656e747269667567616c50"
+       "756d70000000000000f03f00"},
+  };
+  const auto samples = wire_samples();
+  ASSERT_EQ(samples.size(), recorded.size());
+  for (const auto& [name, bytes] : samples) {
+    ASSERT_TRUE(recorded.contains(name)) << name;
+    EXPECT_EQ(hex(bytes), recorded.at(name)) << name;
+  }
+}
+
 }  // namespace
 }  // namespace mpros::net

@@ -4,26 +4,25 @@
 //   mpros_dbtool verify <dir>           recover read-only, check integrity
 //   mpros_dbtool log    <dir>           walk the WAL frame by frame
 //
-// Every mode is strictly read-only: recovery is re-implemented here as
-// snapshot load + WAL replay into an in-memory Database, *without* the
-// torn-tail truncation the live DurableDatabase performs — an operator can
-// point this at a crashed ship's directory (or a copy under forensic hold)
-// and nothing on disk changes.
+// Every mode is strictly read-only: dump and verify run the same
+// recover_directory() the live DurableDatabase builds on, which rebuilds
+// the store in memory *without* the torn-tail truncation the live store
+// performs — an operator can point this at a crashed ship's directory (or
+// a copy under forensic hold) and nothing on disk changes.
 //
-// Exit status: 0 clean; 1 usage/IO error; 2 verify found damage (torn
-// tail, partial commit, or an index/constraint violation in the recovered
-// store).
+// Exit status: 0 clean; 1 usage or I/O error (including a db.snapshot or
+// db.wal that exists but cannot be read); 2 verify found damage (a
+// db.snapshot that does not decode, a torn tail, a partial commit, or an
+// index/constraint violation in the recovered store).
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "mpros/db/database.hpp"
 #include "mpros/db/durable.hpp"
-#include "mpros/db/snapshot.hpp"
 #include "mpros/db/wal.hpp"
 
 namespace {
@@ -66,56 +65,16 @@ const char* op_name(db::RedoOp::Kind k) {
   return "?";
 }
 
-/// Read-only recovery: what a DurableDatabase would rebuild, minus the
-/// on-disk tail truncation. Mirrors DurableDatabase::recover().
-struct Recovered {
-  db::Database db;
-  bool snapshot_loaded = false;
-  std::uint64_t snapshot_seq = 0;
-  db::WalReplayResult replay;
-};
-
-Recovered recover_readonly(const std::string& dir) {
-  Recovered r;
-  const std::string snap = db::DurableDatabase::snapshot_path(dir);
-  const std::string wal = db::DurableDatabase::wal_path(dir);
-
-  std::uint64_t after_seq = 0;
-  if (auto loaded = db::load_snapshot(snap)) {
-    r.db = std::move(loaded->db);
-    after_seq = loaded->wal_seq;
-    r.snapshot_loaded = true;
-    r.snapshot_seq = after_seq;
-  }
-
-  db::Database* target = &r.db;
-  r.replay = db::WriteAheadLog::replay(
-      wal, after_seq, [target](std::uint64_t, db::RedoOp&& op) {
-        return db::apply_redo(*target, std::move(op));
-      });
-  if (r.replay.partial_frame) {
-    // A CRC-valid frame carried an inadmissible op: rebuild capped at the
-    // last frame that applied whole.
-    r.db = db::Database();
-    std::uint64_t snapshot_seq = 0;
-    if (r.snapshot_loaded) {
-      auto loaded = db::load_snapshot(snap);
-      if (loaded) {
-        r.db = std::move(loaded->db);
-        snapshot_seq = loaded->wal_seq;
-      }
-    }
-    const std::uint64_t cap = r.replay.last_seq;
-    (void)db::WriteAheadLog::replay(
-        wal, snapshot_seq, [target, cap](std::uint64_t seq, db::RedoOp&& op) {
-          return seq <= cap && db::apply_redo(*target, std::move(op));
-        });
-  }
-  return r;
+/// False (after saying why) when recovery hit an I/O error.
+bool readable(const db::Recovered& r) {
+  if (r.report.io_error.empty()) return true;
+  std::fprintf(stderr, "mpros_dbtool: %s\n", r.report.io_error.c_str());
+  return false;
 }
 
 int cmd_dump(const std::string& dir, const std::string& only_table) {
-  const Recovered r = recover_readonly(dir);
+  const db::Recovered r = db::recover_directory(dir);
+  if (!readable(r)) return 1;
   for (const std::string& name : r.db.table_names()) {
     if (!only_table.empty() && name != only_table) continue;
     const db::Table& t = r.db.table(name);
@@ -146,31 +105,37 @@ int cmd_dump(const std::string& dir, const std::string& only_table) {
 }
 
 int cmd_verify(const std::string& dir) {
-  const Recovered r = recover_readonly(dir);
-  std::printf("snapshot : %s", r.snapshot_loaded ? "loaded" : "none");
-  if (r.snapshot_loaded) {
+  const db::Recovered r = db::recover_directory(dir);
+  if (!readable(r)) return 1;
+  std::printf("snapshot : %s", r.report.snapshot_loaded ? "loaded" : "none");
+  if (r.report.snapshot_loaded) {
     std::printf(" (covers wal seq %llu)",
-                static_cast<unsigned long long>(r.snapshot_seq));
+                static_cast<unsigned long long>(r.report.snapshot_seq));
   }
   std::printf("\n");
   std::printf("wal      : %llu commits, %llu records replayed, "
               "last seq %llu\n",
-              static_cast<unsigned long long>(r.replay.commits),
-              static_cast<unsigned long long>(r.replay.records),
-              static_cast<unsigned long long>(r.replay.last_seq));
+              static_cast<unsigned long long>(r.wal.commits),
+              static_cast<unsigned long long>(r.wal.records),
+              static_cast<unsigned long long>(r.wal.last_seq));
   std::printf("tables   : %zu\n", r.db.table_names().size());
 
   bool damaged = false;
-  if (r.replay.truncated_bytes > 0) {
-    std::printf("TORN TAIL: %llu bytes past the intact prefix (a live "
-                "recovery would drop them)\n",
-                static_cast<unsigned long long>(r.replay.truncated_bytes));
+  if (r.report.snapshot_malformed) {
+    std::printf("MALFORMED SNAPSHOT: db.snapshot does not decode; the WAL "
+                "was replayed from an empty store\n");
     damaged = true;
   }
-  if (r.replay.partial_frame) {
+  if (r.wal.truncated_bytes > 0) {
+    std::printf("TORN TAIL: %llu bytes past the intact prefix (a live "
+                "recovery would drop them)\n",
+                static_cast<unsigned long long>(r.wal.truncated_bytes));
+    damaged = true;
+  }
+  if (r.wal.partial_frame) {
     std::printf("PARTIAL COMMIT: a CRC-valid frame carried an inadmissible "
                 "op; recovered capped at seq %llu\n",
-                static_cast<unsigned long long>(r.replay.last_seq));
+                static_cast<unsigned long long>(r.wal.last_seq));
     damaged = true;
   }
   const std::vector<std::string> violations = r.db.integrity_violations();
@@ -218,6 +183,10 @@ int cmd_log(const std::string& dir) {
         std::printf("\n");
         return true;
       });
+  if (replay.unreadable) {
+    std::fprintf(stderr, "mpros_dbtool: cannot read %s\n", wal.c_str());
+    return 1;
+  }
   std::printf("%llu commits, %llu records, %llu valid bytes",
               static_cast<unsigned long long>(replay.commits),
               static_cast<unsigned long long>(replay.records),

@@ -43,10 +43,12 @@ int main() {
                 item.max_severity);
   }
 
-  // §4.6: persistence "entirely managed in the background" — snapshot the
-  // whole ship model (machines, relationships, accumulated report objects).
+  // §4.6: persistence "entirely managed in the background" — a journal
+  // attached to the running ship writes the whole model (machines,
+  // relationships, accumulated report objects) and would mirror every later
+  // change; here it detaches right away.
   db::Database store;
-  oosm::Persistence::save(ship.model(), store);
+  { oosm::DurableModelJournal journal(ship.model(), store); }
   std::printf("\nOOSM snapshot: %zu objects across tables {%s}\n",
               ship.model().object_count(),
               [&store] {

@@ -40,7 +40,6 @@ const Table& Database::table(const std::string& name) const {
 }
 
 void Database::drop_table(const std::string& name) {
-  MPROS_EXPECTS(!in_txn_);  // DDL inside a transaction is not supported
   MPROS_EXPECTS(tables_.erase(name) == 1);
   if (journal_ != nullptr) {
     RedoOp op;
@@ -69,60 +68,11 @@ std::vector<std::string> Database::table_names() const {
   return names;
 }
 
-void Database::begin() {
-  MPROS_EXPECTS(!in_txn_);
-  in_txn_ = true;
-  undo_log_.clear();
-  // Seal any buffered autocommit ops first so a later rollback discards
-  // only the ops journaled inside this transaction.
-  if (journal_ != nullptr) journal_->journal_begin();
-}
-
-void Database::commit() {
-  MPROS_EXPECTS(in_txn_);
-  in_txn_ = false;
-  undo_log_.clear();
-  if (journal_ != nullptr) journal_->journal_commit();
-}
-
-void Database::rollback() {
-  MPROS_EXPECTS(in_txn_);
-  for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it) {
-    Table& t = table(it->table);
-    switch (it->kind) {
-      case UndoOp::Kind::DeleteInserted:
-        t.erase(it->key);
-        // Undo the key-counter bump too: without this an aborted
-        // insert_auto perturbed every later auto key, breaking
-        // byte-identical WAL-replay recovery.
-        t.restore_next_key(it->saved_next_key);
-        break;
-      case UndoOp::Kind::RestoreUpdated:
-        t.update(it->key, it->column, it->old_value);
-        break;
-      case UndoOp::Kind::ReinsertErased: {
-        const std::int64_t saved = t.next_auto_key();
-        t.insert(it->old_row);
-        t.restore_next_key(saved);
-        break;
-      }
-    }
-  }
-  undo_log_.clear();
-  in_txn_ = false;
-  if (journal_ != nullptr) journal_->journal_rollback();
-}
-
 std::int64_t Database::insert(const std::string& table_name, Row row) {
   Table& t = table(table_name);
   Row journal_copy;
   if (journal_ != nullptr) journal_copy = row;
-  const std::int64_t saved_next_key = t.next_auto_key();
   const std::int64_t key = t.insert(std::move(row));
-  if (in_txn_) {
-    undo_log_.push_back({UndoOp::Kind::DeleteInserted, table_name, key, {}, {},
-                         {}, saved_next_key});
-  }
   if (journal_ != nullptr) {
     RedoOp op;
     op.kind = RedoOp::Kind::Insert;
@@ -137,12 +87,7 @@ std::int64_t Database::insert(const std::string& table_name, Row row) {
 std::int64_t Database::insert_auto(const std::string& table_name,
                                    Row row_without_key) {
   Table& t = table(table_name);
-  const std::int64_t saved_next_key = t.next_auto_key();
   const std::int64_t key = t.insert_auto(std::move(row_without_key));
-  if (in_txn_) {
-    undo_log_.push_back({UndoOp::Kind::DeleteInserted, table_name, key, {}, {},
-                         {}, saved_next_key});
-  }
   if (journal_ != nullptr) {
     // Journal the full row including the assigned key so replay is exact.
     RedoOp op;
@@ -158,14 +103,6 @@ std::int64_t Database::insert_auto(const std::string& table_name,
 bool Database::update(const std::string& table_name, std::int64_t key,
                       const std::string& column, Value v) {
   Table& t = table(table_name);
-  const Row* row = t.find(key);
-  if (row == nullptr) return false;
-  if (in_txn_) {
-    const auto col = t.schema().column_index(column);
-    MPROS_EXPECTS(col.has_value());
-    undo_log_.push_back({UndoOp::Kind::RestoreUpdated, table_name, key, column,
-                         (*row)[*col], {}, 0});
-  }
   Value journal_copy;
   if (journal_ != nullptr) journal_copy = v;
   const bool applied = t.update(key, column, std::move(v));
@@ -182,14 +119,7 @@ bool Database::update(const std::string& table_name, std::int64_t key,
 }
 
 bool Database::erase(const std::string& table_name, std::int64_t key) {
-  Table& t = table(table_name);
-  const Row* row = t.find(key);
-  if (row == nullptr) return false;
-  if (in_txn_) {
-    undo_log_.push_back(
-        {UndoOp::Kind::ReinsertErased, table_name, key, {}, {}, *row, 0});
-  }
-  const bool applied = t.erase(key);
+  const bool applied = table(table_name).erase(key);
   if (applied && journal_ != nullptr) {
     RedoOp op;
     op.kind = RedoOp::Kind::Erase;

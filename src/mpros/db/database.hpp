@@ -1,5 +1,5 @@
 #pragma once
-// Database: a named collection of tables with undo-log transactions.
+// Database: a named collection of tables.
 //
 // Thread-compatible (external synchronization); the DC wraps one behind its
 // scheduler thread and the OOSM behind its single-writer event loop.
@@ -35,17 +35,12 @@ struct RedoOp {
   Value value;          // Update
 };
 
-/// Receives every committed mutation made through a Database. The durability
-/// layer implements this to build WAL commit batches; begin/commit/rollback
-/// let it align batch boundaries with transactions so a rollback discards
-/// exactly the ops the undo log reverted.
+/// Receives every mutation made through a Database. The durability layer
+/// implements this to build WAL commit batches.
 class JournalSink {
  public:
   virtual ~JournalSink() = default;
   virtual void journal(RedoOp op) = 0;
-  virtual void journal_begin() = 0;
-  virtual void journal_commit() = 0;
-  virtual void journal_rollback() = 0;
 };
 
 class Database {
@@ -73,22 +68,11 @@ class Database {
   /// through Database methods is forwarded; direct Table& mutations bypass
   /// it, so durable callers must go through the Database wrappers.
   void attach_journal(JournalSink* journal) { journal_ = journal; }
-  [[nodiscard]] bool journaled() const { return journal_ != nullptr; }
 
   /// Index consistency audit across every table (see Table::index_violations).
   [[nodiscard]] std::vector<std::string> integrity_violations() const;
 
-  // -- Transactions ---------------------------------------------------------
-  // A transaction records inverse operations; rollback() replays them in
-  // reverse. Transactions do not nest.
-
-  void begin();
-  void commit();
-  void rollback();
-  [[nodiscard]] bool in_transaction() const { return in_txn_; }
-
-  /// Transactional row ops (usable outside a transaction too, where they
-  /// just forward to the table).
+  /// Journaled row ops.
   std::int64_t insert(const std::string& table_name, Row row);
   std::int64_t insert_auto(const std::string& table_name, Row row_without_key);
   bool update(const std::string& table_name, std::int64_t key,
@@ -96,21 +80,7 @@ class Database {
   bool erase(const std::string& table_name, std::int64_t key);
 
  private:
-  struct UndoOp {
-    enum class Kind { DeleteInserted, RestoreUpdated, ReinsertErased } kind;
-    std::string table;
-    std::int64_t key = 0;
-    std::string column;  // RestoreUpdated
-    Value old_value;     // RestoreUpdated
-    Row old_row;         // ReinsertErased
-    // DeleteInserted: the auto-key counter before the insert, so rollback
-    // restores it and aborted transactions cannot perturb later auto keys.
-    std::int64_t saved_next_key = 0;
-  };
-
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
-  std::vector<UndoOp> undo_log_;
-  bool in_txn_ = false;
   JournalSink* journal_ = nullptr;
 };
 

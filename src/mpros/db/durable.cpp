@@ -169,53 +169,32 @@ void DurableDatabase::journal(RedoOp op) {
   WalCounters::instance().records.inc();
 }
 
-void DurableDatabase::journal_begin() {
-  // Seal buffered autocommit ops so a rollback cannot discard them.
-  if (wal_->seal() != 0) WalCounters::instance().commits.inc();
-}
-
-void DurableDatabase::journal_commit() {
-  if (wal_->seal() != 0) WalCounters::instance().commits.inc();
-}
-
-void DurableDatabase::journal_rollback() { wal_->discard_pending(); }
-
 bool DurableDatabase::commit() {
-  MPROS_EXPECTS(!db_.in_transaction());
   WalCounters& counters = WalCounters::instance();
-  if (wal_->seal() != 0) {
-    counters.commits.inc();
-    ++commits_since_checkpoint_;
-  }
+  if (wal_->seal() != 0) counters.commits.inc();
   const std::uint64_t fsyncs_before = wal_->stats().fsyncs;
-  if (!wal_->sync(config_.fsync)) return false;
+  if (!wal_->sync()) return false;
   counters.fsyncs.inc(wal_->stats().fsyncs - fsyncs_before);
 
-  const bool by_bytes = config_.checkpoint_bytes != 0 &&
-                        wal_->bytes_on_disk() >= config_.checkpoint_bytes;
-  const bool by_commits = config_.checkpoint_commits != 0 &&
-                          commits_since_checkpoint_ >= config_.checkpoint_commits;
-  if (by_bytes || by_commits) return checkpoint();
+  if (config_.checkpoint_bytes != 0 &&
+      wal_->bytes_on_disk() >= config_.checkpoint_bytes) {
+    return checkpoint();
+  }
   return true;
 }
 
 bool DurableDatabase::checkpoint() {
-  MPROS_EXPECTS(!db_.in_transaction());
   // A closed log (unreadable directory, failed reopen) must not let a
   // snapshot overwrite what recovery could not read.
   if (!wal_->ok()) return false;
-  if (wal_->seal() != 0) {
-    WalCounters::instance().commits.inc();
-    ++commits_since_checkpoint_;
-  }
-  if (!wal_->sync(config_.fsync)) return false;
+  if (wal_->seal() != 0) WalCounters::instance().commits.inc();
+  if (!wal_->sync()) return false;
 
   const std::uint64_t covered = wal_->next_seq() - 1;
   if (!write_snapshot(db_, covered, snapshot_path(config_.directory))) {
     return false;
   }
   WalCounters::instance().snapshots_written.inc();
-  commits_since_checkpoint_ = 0;
   return wal_->reset(wal_->next_seq());
 }
 

@@ -26,13 +26,8 @@ namespace mpros::db {
 
 struct DurabilityConfig {
   std::string directory;  ///< holds db.snapshot + db.wal
-  /// Checkpoint when the synced log exceeds this many bytes (0 = never by
-  /// size).
+  /// Checkpoint when the synced log exceeds this many bytes (0 = never).
   std::uint64_t checkpoint_bytes = 4u << 20;
-  /// Checkpoint every N commits (0 = never by count).
-  std::uint64_t checkpoint_commits = 0;
-  /// Benchmarks only: skip the fsync (group commit still batches frames).
-  bool fsync = true;
 };
 
 /// What recovery found on disk.
@@ -94,9 +89,6 @@ class DurableDatabase final : public JournalSink {
 
   // JournalSink (called by db_; not for direct use).
   void journal(RedoOp op) override;
-  void journal_begin() override;
-  void journal_commit() override;
-  void journal_rollback() override;
 
  private:
   void recover();
@@ -105,7 +97,6 @@ class DurableDatabase final : public JournalSink {
   Database db_;
   RecoveryReport recovery_;
   std::unique_ptr<WriteAheadLog> wal_;
-  std::uint64_t commits_since_checkpoint_ = 0;
 };
 
 }  // namespace mpros::db

@@ -49,11 +49,8 @@ void Table::check_row(const Row& row) const {
 std::int64_t Table::insert(Row row) {
   check_row(row);
   const std::int64_t key = row[0].as_integer();
-  MPROS_EXPECTS(pk_index_.find(key) == pk_index_.end());
-
   auto [it, inserted] = rows_.emplace(key, std::move(row));
-  MPROS_ASSERT(inserted);
-  pk_index_.emplace(key, it);
+  MPROS_EXPECTS(inserted);
   index_row(key, it->second);
   next_key_ = std::max(next_key_, key + 1);
   return key;
@@ -68,13 +65,13 @@ std::int64_t Table::insert_auto(Row row_without_key) {
 }
 
 const Row* Table::find(std::int64_t key) const {
-  const auto it = pk_index_.find(key);
-  return it == pk_index_.end() ? nullptr : &it->second->second;
+  const auto it = rows_.find(key);
+  return it == rows_.end() ? nullptr : &it->second;
 }
 
 bool Table::update(std::int64_t key, const std::string& column, Value v) {
-  const auto it = pk_index_.find(key);
-  if (it == pk_index_.end()) return false;
+  const auto it = rows_.find(key);
+  if (it == rows_.end()) return false;
   const auto col = schema_.column_index(column);
   MPROS_EXPECTS(col.has_value());
   MPROS_EXPECTS(*col != 0);  // primary keys are immutable
@@ -84,7 +81,7 @@ bool Table::update(std::int64_t key, const std::string& column, Value v) {
   // precondition with the table already inconsistent.
   check_cell(*col, v);
 
-  Row& row = it->second->second;
+  Row& row = it->second;
   unindex_row(key, row);
   row[*col] = std::move(v);
   index_row(key, row);
@@ -92,11 +89,10 @@ bool Table::update(std::int64_t key, const std::string& column, Value v) {
 }
 
 bool Table::erase(std::int64_t key) {
-  const auto it = pk_index_.find(key);
-  if (it == pk_index_.end()) return false;
-  unindex_row(key, it->second->second);
-  rows_.erase(it->second);
-  pk_index_.erase(it);
+  const auto it = rows_.find(key);
+  if (it == rows_.end()) return false;
+  unindex_row(key, it->second);
+  rows_.erase(it);
   return true;
 }
 
@@ -104,14 +100,6 @@ std::vector<Row> Table::select(const Predicate& where) const {
   std::vector<Row> out;
   for (const auto& [key, row] : rows_) {
     if (!where || where(row)) out.push_back(row);
-  }
-  return out;
-}
-
-std::vector<std::int64_t> Table::select_keys(const Predicate& where) const {
-  std::vector<std::int64_t> out;
-  for (const auto& [key, row] : rows_) {
-    if (!where || where(row)) out.push_back(key);
   }
   return out;
 }
@@ -138,23 +126,6 @@ std::vector<std::int64_t> Table::lookup(const std::string& column,
   std::vector<std::int64_t> out;
   auto [lo, hi] = idx->second.equal_range(v);
   for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::int64_t> Table::lookup_range(const std::string& column,
-                                              const Value& lo,
-                                              const Value& hi) const {
-  const auto col = schema_.column_index(column);
-  MPROS_EXPECTS(col.has_value());
-  const auto idx = indexes_.find(*col);
-  MPROS_EXPECTS(idx != indexes_.end());
-
-  std::vector<std::int64_t> out;
-  for (auto it = idx->second.lower_bound(lo); it != idx->second.end(); ++it) {
-    if (hi.less(it->first)) break;
-    out.push_back(it->second);
-  }
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -39,7 +39,7 @@ class Table {
   explicit Table(TableSchema schema);
 
   [[nodiscard]] const TableSchema& schema() const { return schema_; }
-  [[nodiscard]] std::size_t row_count() const { return pk_index_.size(); }
+  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 
   /// Insert a row. The primary key (column 0) must be a non-null integer and
   /// unique. Returns the key. Type-checks every cell against the schema.
@@ -59,23 +59,12 @@ class Table {
   /// Full scan in key order; rows matching `where` (or all rows if null).
   [[nodiscard]] std::vector<Row> select(const Predicate& where = nullptr) const;
 
-  /// Scan returning only keys (cheaper for joins).
-  [[nodiscard]] std::vector<std::int64_t> select_keys(
-      const Predicate& where = nullptr) const;
-
   /// Create a secondary index on a column (idempotent).
   void create_index(const std::string& column);
 
   /// Indexed equality lookup; requires create_index(column) first.
   [[nodiscard]] std::vector<std::int64_t> lookup(const std::string& column,
                                                  const Value& v) const;
-
-  /// Indexed range lookup [lo, hi]; requires create_index(column) first.
-  [[nodiscard]] std::vector<std::int64_t> lookup_range(
-      const std::string& column, const Value& lo, const Value& hi) const;
-
-  /// Number of live secondary indexes.
-  [[nodiscard]] std::size_t index_count() const { return indexes_.size(); }
 
   /// Names of indexed columns, in schema order (deterministic).
   [[nodiscard]] std::vector<std::string> indexed_columns() const;
@@ -88,8 +77,8 @@ class Table {
   /// The key insert_auto would assign next.
   [[nodiscard]] std::int64_t next_auto_key() const { return next_key_; }
 
-  /// Force the auto-key counter (transaction rollback and WAL recovery
-  /// bookkeeping only — a lower counter re-issues keys).
+  /// Force the auto-key counter (snapshot decoding only — a lower counter
+  /// re-issues keys).
   void restore_next_key(std::int64_t next_key) { next_key_ = next_key; }
 
   /// Non-aborting schema checks, used by fail-soft recovery decoders to
@@ -117,8 +106,6 @@ class Table {
 
   TableSchema schema_;
   std::map<std::int64_t, Row> rows_;  // key order for stable scans
-  std::unordered_map<std::int64_t, std::map<std::int64_t, Row>::iterator>
-      pk_index_;
   std::unordered_map<std::size_t, SecondaryIndex> indexes_;  // by column idx
   std::int64_t next_key_ = 1;
 };

@@ -240,11 +240,6 @@ void WriteAheadLog::append(const RedoOp& op) {
   ++stats_.records;
 }
 
-void WriteAheadLog::discard_pending() {
-  pending_.clear();
-  pending_ops_ = 0;
-}
-
 std::uint64_t WriteAheadLog::seal() {
   if (pending_ops_ == 0) return 0;
   const std::uint64_t seq = next_seq_++;
@@ -256,31 +251,32 @@ std::uint64_t WriteAheadLog::seal() {
   sealed_.u32(static_cast<std::uint32_t>(payload.size()));
   sealed_.u32(walfmt::crc32(payload.bytes()));
   sealed_.raw(payload.bytes());
-  discard_pending();
+  pending_.clear();
+  pending_ops_ = 0;
   ++stats_.commits;
   return seq;
 }
 
-bool WriteAheadLog::sync(bool do_fsync) {
+bool WriteAheadLog::sync() {
   if (sealed_.size() == 0) return true;
   if (file_ == nullptr) return false;
   const std::vector<std::uint8_t>& frames = sealed_.bytes();
   if (std::fwrite(frames.data(), 1, frames.size(), file_) != frames.size() ||
-      std::fflush(file_) != 0 ||
-      (do_fsync && ::fsync(fileno(file_)) != 0)) {
+      std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0) {
     MPROS_LOG_ERROR("db", "wal: write to %s failed: %s", path_.c_str(),
                     std::strerror(errno));
     return false;
   }
   synced_bytes_ += frames.size();
   sealed_.clear();
-  if (do_fsync) ++stats_.fsyncs;
+  ++stats_.fsyncs;
   return true;
 }
 
 bool WriteAheadLog::reset(std::uint64_t next_seq) {
   MPROS_EXPECTS(next_seq >= 1);
-  discard_pending();
+  pending_.clear();
+  pending_ops_ = 0;
   sealed_.clear();
   if (file_ != nullptr) std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "wb");

@@ -94,24 +94,19 @@ class WriteAheadLog {
   /// Buffer one op into the open commit batch. No I/O.
   void append(const RedoOp& op);
 
-  /// Drop the buffered (unsealed) ops — transaction rollback.
-  void discard_pending();
-
   /// Frame the buffered ops as one commit record (still only in memory).
   /// Returns the commit's sequence number, or 0 if nothing was buffered.
   std::uint64_t seal();
 
   /// Group commit: write every sealed frame and fsync once. A no-op
   /// (returning true, no fsync) when nothing sealed is outstanding.
-  /// `do_fsync = false` still writes + flushes (benchmark ceiling mode).
-  bool sync(bool do_fsync = true);
+  bool sync();
 
   /// Post-checkpoint compaction: truncate the file to a bare header and
   /// continue stamping from `next_seq`. Discards buffered/sealed frames.
   bool reset(std::uint64_t next_seq);
 
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
-  [[nodiscard]] std::size_t pending_ops() const { return pending_ops_; }
   /// Bytes durable on disk (header + synced frames).
   [[nodiscard]] std::uint64_t bytes_on_disk() const { return synced_bytes_; }
 

@@ -241,8 +241,6 @@ void DataConcentrator::setup_database() {
       {ColumnDef{"id", ValueType::Integer, false},
        ColumnDef{"key", ValueType::Text, false},
        ColumnDef{"value", ValueType::Real, false}}});
-  db_.table("diagnostics").create_index("condition");
-  db_.table("measurements").create_index("key");
   db_.table("config").create_index("key");
 }
 

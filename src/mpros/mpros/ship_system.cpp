@@ -11,7 +11,7 @@ namespace mpros {
 
 namespace {
 
-/// Durability mirror tables (alongside the journal's three oosm_* tables).
+/// Durability mirror tables (alongside the journal's five oosm_* tables).
 constexpr const char* kShipMetaTable = "ship_meta";
 constexpr const char* kDcConfigTable = "dc_config";
 constexpr const char* kDcHealthTable = "pdme_dc_health";

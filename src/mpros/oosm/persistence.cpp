@@ -108,57 +108,6 @@ net::FailureReport report_from_row(const db::Row& row) {
 
 }  // namespace
 
-void Persistence::save(const ObjectModel& model, db::Database& db) {
-  for (const char* table : {kObjectsTable, kPropertiesTable, kRelationsTable,
-                            kReportsTable, kResetsTable}) {
-    if (db.has_table(table)) db.drop_table(table);
-  }
-  db::Table& objects = db.create_table(objects_schema());
-  db::Table& properties = db.create_table(properties_schema());
-  db::Table& relations = db.create_table(relations_schema());
-  db::Table& reports = db.create_table(reports_schema());
-  db::Table& resets = db.create_table(resets_schema());
-  properties.create_index("object_id");
-  relations.create_index("from_id");
-
-  for (const ObjectId id : model.all_objects()) {
-    const bool logged = model.report_index(id).has_value();
-    if (logged) {
-      reports.insert(report_row(model, id));
-    } else {
-      objects.insert({Value(static_cast<std::int64_t>(id.value())),
-                      Value(model.name(id)),
-                      Value(static_cast<std::int64_t>(model.kind(id)))});
-    }
-
-    for (const auto& [key, value] : model.properties(id)) {
-      if (logged && !model.has_added_property(id, key)) continue;
-      Value int_v, real_v, text_v;
-      switch (value.type()) {
-        case ValueType::Integer: int_v = value; break;
-        case ValueType::Real: real_v = value; break;
-        case ValueType::Text: text_v = value; break;
-        case ValueType::Null: break;
-      }
-      properties.insert_auto({Value(static_cast<std::int64_t>(id.value())),
-                              Value(key), int_v, real_v, text_v});
-    }
-
-    for (std::size_t r = 0; r < kRelationCount; ++r) {
-      const auto relation = static_cast<Relation>(r);
-      for (const ObjectId to : model.related(id, relation)) {
-        if (model.is_report_edge(id, relation, to)) continue;
-        relations.insert_auto({Value(static_cast<std::int64_t>(id.value())),
-                               Value(static_cast<std::int64_t>(r)),
-                               Value(static_cast<std::int64_t>(to.value()))});
-      }
-    }
-  }
-  for (const auto& [machine, watermark] : model.report_resets()) {
-    resets.insert({integer(machine), integer(watermark.value())});
-  }
-}
-
 DurableModelJournal::DurableModelJournal(ObjectModel& model, db::Database& db)
     : model_(model), db_(db) {
   if (db_.has_table(Persistence::kObjectsTable)) {
@@ -180,8 +129,34 @@ void DurableModelJournal::create_tables() {
   db_.create_table(relations_schema());
   db_.create_table(reports_schema());
   db_.create_table(resets_schema());
-  db_.create_index(Persistence::kPropertiesTable, "object_id");
-  db_.create_index(Persistence::kRelationsTable, "from_id");
+
+  // Whatever the model already holds goes in through the row writers its
+  // events use. A logged report is its oosm_reports row plus what was added
+  // to it after posting.
+  for (const ObjectId id : model_.all_objects()) {
+    const bool logged = model_.report_index(id).has_value();
+    if (logged) {
+      db_.insert(Persistence::kReportsTable, report_row(model_, id));
+    } else {
+      insert_object(id);
+    }
+    for (const auto& [key, value] : model_.properties(id)) {
+      if (!logged || model_.has_added_property(id, key)) {
+        upsert_property(id, key);
+      }
+    }
+    for (std::size_t r = 0; r < kRelationCount; ++r) {
+      const auto relation = static_cast<Relation>(r);
+      for (const ObjectId to : model_.related(id, relation)) {
+        if (!model_.is_report_edge(id, relation, to)) {
+          insert_relation(id, relation, to);
+        }
+      }
+    }
+  }
+  for (const auto& [machine, watermark] : model_.report_resets()) {
+    record_reset(ObjectId(machine), watermark);
+  }
 }
 
 void DurableModelJournal::adopt_tables() {
@@ -262,6 +237,22 @@ void DurableModelJournal::upsert_property(ObjectId id, const std::string& key) {
   rec.type = type;
 }
 
+void DurableModelJournal::insert_object(ObjectId id) {
+  db_.insert(Persistence::kObjectsTable,
+             {integer(id.value()), Value(model_.name(id)),
+              Value(static_cast<std::int64_t>(model_.kind(id)))});
+}
+
+void DurableModelJournal::insert_relation(ObjectId from, Relation relation,
+                                          ObjectId to) {
+  const std::int64_t row = db_.insert_auto(
+      Persistence::kRelationsTable,
+      {integer(from.value()), Value(static_cast<std::int64_t>(relation)),
+       integer(to.value())});
+  relation_rows_.emplace(from.value(), row);
+  relation_rows_.emplace(to.value(), row);
+}
+
 void DurableModelJournal::record_reset(ObjectId machine, ObjectId watermark) {
   const auto key = static_cast<std::int64_t>(machine.value());
   const Value value = integer(watermark.value());
@@ -273,16 +264,13 @@ void DurableModelJournal::record_reset(ObjectId machine, ObjectId watermark) {
 }
 
 void DurableModelJournal::on_event(const OosmEvent& event) {
-  const auto object_key = static_cast<std::int64_t>(event.object.value());
   switch (event.kind) {
-    case OosmEvent::Kind::ObjectCreated: {
+    case OosmEvent::Kind::ObjectCreated:
       // A logged report is written whole at its "posted" marker.
-      if (model_.report_index(event.object).has_value()) break;
-      db_.insert(Persistence::kObjectsTable,
-                 {Value(object_key), Value(model_.name(event.object)),
-                  Value(static_cast<std::int64_t>(model_.kind(event.object)))});
+      if (!model_.report_index(event.object).has_value()) {
+        insert_object(event.object);
+      }
       break;
-    }
     case OosmEvent::Kind::PropertyChanged:
       if (model_.report_index(event.object).has_value() &&
           !model_.has_added_property(event.object, event.property)) {
@@ -294,22 +282,16 @@ void DurableModelJournal::on_event(const OosmEvent& event) {
       }
       upsert_property(event.object, event.property);
       break;
-    case OosmEvent::Kind::RelationAdded: {
-      if (model_.is_report_edge(event.object, event.relation, event.other)) {
-        break;  // the report row's refers column
+    case OosmEvent::Kind::RelationAdded:
+      // A report edge is the report row's refers column.
+      if (!model_.is_report_edge(event.object, event.relation, event.other)) {
+        insert_relation(event.object, event.relation, event.other);
       }
-      const std::int64_t row = db_.insert_auto(
-          Persistence::kRelationsTable,
-          {Value(object_key),
-           Value(static_cast<std::int64_t>(event.relation)),
-           Value(static_cast<std::int64_t>(event.other.value()))});
-      relation_rows_.emplace(event.object.value(), row);
-      relation_rows_.emplace(event.other.value(), row);
       break;
-    }
     case OosmEvent::Kind::ObjectDeleted: {
       // The object is in exactly one of the two tables; erase is a no-op
       // on the other.
+      const auto object_key = static_cast<std::int64_t>(event.object.value());
       db_.erase(Persistence::kObjectsTable, object_key);
       db_.erase(Persistence::kReportsTable, object_key);
       const auto lo = prop_rows_.lower_bound({event.object.value(), ""});

@@ -3,8 +3,9 @@
 //
 // "Object types are mapped to tables and properties and relationships are
 // mapped to columns and helper tables." Persistence is managed "entirely in
-// the background": save() snapshots the whole model; load() rebuilds it,
-// preserving object ids.
+// the background": a DurableModelJournal writes the tables as the model
+// changes; Persistence::load() rebuilds a model from them, preserving
+// object ids.
 
 #include <cstdint>
 #include <map>
@@ -18,17 +19,8 @@ namespace mpros::oosm {
 
 class Persistence {
  public:
-  /// Write the model into `db` (dropping any existing snapshot tables
-  /// first): general objects to oosm_objects, their properties and edges to
-  /// oosm_properties / oosm_relations, one oosm_reports row per logged
-  /// report (its RefersTo edge a column of the row), and one
-  /// oosm_report_resets row per reset watermark. Properties and edges added
-  /// to a logged report after posting go to the general tables.
-  static void save(const ObjectModel& model, db::Database& db);
-
-  /// Rebuild a model from a snapshot produced by save() (or maintained by a
-  /// DurableModelJournal). Object ids match the originals; listeners are
-  /// not restored.
+  /// Rebuild a model from the tables a DurableModelJournal maintains.
+  /// Object ids match the originals; listeners are not restored.
   static ObjectModel load(const db::Database& db);
 
   static constexpr const char* kObjectsTable = "oosm_objects";
@@ -40,15 +32,18 @@ class Persistence {
 
 /// Incremental background persistence (paper §4.6: "managed entirely in the
 /// background"): subscribes to an ObjectModel and mirrors every event —
-/// creation, property change, relation, deletion, report reset — into the
-/// same tables Persistence::save() writes, through the *journaled*
-/// Database mutators, so an attached write-ahead log captures each change
-/// as it happens instead of requiring periodic full-model dumps. A logged
-/// report is one oosm_reports insert, written at its "posted" marker.
+/// creation, property change, relation, deletion, report reset — through
+/// the *journaled* Database mutators, so an attached write-ahead log
+/// captures each change as it happens. General objects go to oosm_objects,
+/// their properties and edges to oosm_properties / oosm_relations, one
+/// oosm_reports row per logged report (written at its "posted" marker, its
+/// RefersTo edge a column of the row), and one oosm_report_resets row per
+/// reset watermark. Properties and edges added to a logged report after
+/// posting go to the general tables.
 ///
 /// Two start modes, decided by what is already in `db`:
-///  - fresh (no oosm_objects table): creates the tables + indexes, then
-///    mirrors events; attach BEFORE building the model so creations land.
+///  - fresh (no oosm_objects table): creates the tables, writes whatever
+///    the model already holds, then mirrors events.
 ///  - adopt (tables exist, e.g. recovered from WAL): rebuilds its row-key
 ///    bookkeeping from the tables and continues mirroring. The model must
 ///    match the tables (it was just loaded from them). A directory written
@@ -67,6 +62,8 @@ class DurableModelJournal {
   void create_tables();
   void adopt_tables();
   void on_event(const OosmEvent& event);
+  void insert_object(ObjectId id);
+  void insert_relation(ObjectId from, Relation relation, ObjectId to);
   void upsert_property(ObjectId id, const std::string& key);
   void record_reset(ObjectId machine, ObjectId watermark);
 

@@ -5,8 +5,10 @@
 // tests/data/README.md).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -14,6 +16,7 @@
 
 #include "mpros/db/durable.hpp"
 #include "mpros/db/snapshot.hpp"
+#include "mpros/mpros/mpros.hpp"
 #include "mpros/mpros/replay.hpp"
 #include "mpros/telemetry/recorder.hpp"
 
@@ -64,6 +67,38 @@ TEST(GoldenCorpusTest, DamagedCopiesAreReportedAsDamage) {
   EXPECT_TRUE(bad.report.io_error.empty());
   EXPECT_TRUE(bad.report.snapshot_malformed);
   EXPECT_FALSE(bad.report.snapshot_loaded);
+}
+
+TEST(GoldenCorpusTest, ShipDirectoryRecoversToRecordedRender) {
+  // ship-durable/ holds a durable ship's store at its 3600-s barrier (see
+  // tests/data/README.md); a ShipSystem built over a copy adopts it and
+  // shows the operator what the live ship showed.
+  namespace fs = std::filesystem;
+  const fs::path copy =
+      fs::temp_directory_path() /
+      ("mpros_corpus_ship_" + std::to_string(::getpid()));
+  fs::remove_all(copy);
+  fs::copy(kData + "/ship-durable", copy, fs::copy_options::recursive);
+  {
+    ShipSystemConfig cfg;
+    cfg.plant_count = 2;
+    cfg.dc_template.vibration_period = SimTime::from_seconds(600);
+    cfg.dc_template.process_period = SimTime::from_seconds(60);
+    cfg.worker_threads = 2;
+    cfg.seed = 0xC4A5;
+    cfg.enable_durability = true;
+    cfg.durability.directory = copy.string();
+    cfg.durability.checkpoint_bytes = 0;
+    ShipSystem ship(cfg);
+    ASSERT_TRUE(ship.recovered());
+    EXPECT_EQ(ship.now().micros(), SimTime::from_seconds(3600).micros());
+    EXPECT_TRUE(ship.durable()->db().integrity_violations().empty());
+    EXPECT_EQ(pdme::render_summary(ship.pdme(), ship.model()),
+              text_of(kData + "/ship-durable.summary.txt"));
+    EXPECT_EQ(pdme::export_icas_csv(ship.pdme(), ship.model()),
+              text_of(kData + "/ship-durable.icas.csv"));
+  }
+  fs::remove_all(copy);
 }
 
 TEST(GoldenCorpusTest, RecordingReencodesAndReplaysToRecordedSummary) {

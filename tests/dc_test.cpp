@@ -155,19 +155,22 @@ TEST_F(DataConcentratorTest, DatabaseAccumulatesMeasurementsAndDiagnostics) {
   EXPECT_GT(dc.database().table("diagnostics").row_count(), 0u);
   EXPECT_GT(dc.database().table("test_log").row_count(), 0u);
 
-  // Diagnostics are queryable by condition id via the secondary index.
-  const auto keys = dc.database().table("diagnostics").lookup(
-      "condition",
-      db::Value(static_cast<std::int64_t>(
-          domain::condition_id(FailureMode::MotorImbalance).value())));
-  EXPECT_FALSE(keys.empty());
+  // Diagnostics record the condition id.
+  const auto imbalance = static_cast<std::int64_t>(
+      domain::condition_id(FailureMode::MotorImbalance).value());
+  EXPECT_FALSE(dc.database()
+                   .table("diagnostics")
+                   .select([&](const db::Row& row) {
+                     return row[4].as_integer() == imbalance;
+                   })
+                   .empty());
 }
 
 TEST_F(DataConcentratorTest, DatabaseKeepsOneHourAcrossSalvage) {
   chiller_.faults().schedule({FailureMode::MotorImbalance, SimTime(0),
                               SimTime(0), 0.9, plant::GrowthProfile::Step});
-  const db::Value imbalance(static_cast<std::int64_t>(
-      domain::condition_id(FailureMode::MotorImbalance).value()));
+  const auto imbalance = static_cast<std::int64_t>(
+      domain::condition_id(FailureMode::MotorImbalance).value());
   const auto check_window = [&](DataConcentrator& dc, SimTime now) {
     const db::Database& db = dc.database();
     // One hour of 60-s scans x 11 variables, however long the DC has run.
@@ -184,13 +187,12 @@ TEST_F(DataConcentratorTest, DatabaseKeepsOneHourAcrossSalvage) {
       rows += t.row_count();
     }
     EXPECT_EQ(dc.stats().log_rows, rows);
-    // The secondary index follows the trim: recent diagnostics are still
-    // found, and every hit is a live row.
-    const auto keys = db.table("diagnostics").lookup("condition", imbalance);
-    EXPECT_FALSE(keys.empty());
-    for (const std::int64_t key : keys) {
-      EXPECT_NE(db.table("diagnostics").find(key), nullptr);
-    }
+    // Recent diagnostics still name the imbalance after the trim.
+    EXPECT_FALSE(db.table("diagnostics")
+                     .select([&](const db::Row& row) {
+                       return row[4].as_integer() == imbalance;
+                     })
+                     .empty());
     EXPECT_TRUE(db.integrity_violations().empty());
   };
 

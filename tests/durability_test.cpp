@@ -1,6 +1,6 @@
 // Durability layer tests: WAL group commit, snapshot/checkpoint, crash
 // recovery, and exhaustive torn-tail fuzz (truncation at every byte offset,
-// single-byte corruption) — plus rollback-vs-shadow property scripts.
+// single-byte corruption) — plus commit-vs-shadow property scripts.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -159,35 +159,6 @@ TEST(DurableDatabaseTest, RegistersTelemetryCounters) {
   EXPECT_EQ(reg.counter("wal.replayed_records").value(), replayed_before + 2);
 }
 
-TEST(DurableDatabaseTest, TransactionRollbackLeavesNoTraceOnDisk) {
-  TempDir dir;
-  Database shadow;
-  shadow.create_table(crew_schema());
-  shadow.insert_auto("crew", {Value("base"), Value(), Value()});
-  shadow.insert_auto("crew", {Value("after"), Value(), Value()});
-
-  {
-    DurableDatabase durable(config_for(dir));
-    durable.db().create_table(crew_schema());
-    durable.db().insert_auto("crew", {Value("base"), Value(), Value()});
-
-    durable.db().begin();
-    durable.db().insert_auto("crew", {Value("phantom"), Value(), Value()});
-    durable.db().update("crew", 1, "name", Value("mutated"));
-    durable.db().erase("crew", 1);
-    durable.db().rollback();
-
-    // Post-rollback, the auto key the phantom consumed is reissued — the
-    // durable stream must reproduce that counter exactly on replay.
-    durable.db().insert_auto("crew", {Value("after"), Value(), Value()});
-    EXPECT_TRUE(durable.commit());
-  }
-
-  DurableDatabase reopened(config_for(dir));
-  EXPECT_EQ(fingerprint(reopened.db()), fingerprint(shadow));
-  EXPECT_TRUE(reopened.db().integrity_violations().empty());
-}
-
 // --- Snapshot & checkpoint ---------------------------------------------------
 
 TEST(SnapshotTest, EncodeIsDeterministicAndRoundTrips) {
@@ -263,21 +234,28 @@ TEST(DurableDatabaseTest, CheckpointCompactsLogAndPreservesState) {
   EXPECT_EQ(again.db().table("crew").row_count(), 51u);
 }
 
-TEST(DurableDatabaseTest, AutoCheckpointByCommitCount) {
+TEST(DurableDatabaseTest, AutoCheckpointByBytes) {
   TempDir dir;
   DurabilityConfig cfg = config_for(dir);
-  cfg.checkpoint_commits = 4;
+  cfg.checkpoint_bytes = 256;
   DurableDatabase durable(cfg);
   durable.db().create_table(crew_schema());
-  for (int i = 0; i < 4; ++i) {
+  ASSERT_TRUE(durable.commit());
+  std::size_t rows = 0;
+  while (!fs::exists(DurableDatabase::snapshot_path(dir.str())) && rows < 64) {
     durable.db().insert_auto("crew", {Value("x"), Value(), Value()});
     EXPECT_TRUE(durable.commit());
+    ++rows;
   }
-  // The fourth commit triggered snapshot + log compaction.
-  EXPECT_TRUE(fs::exists(DurableDatabase::snapshot_path(dir.str())));
+  // The commit that took the log past the budget triggered snapshot + log
+  // compaction; earlier commits did not.
+  ASSERT_TRUE(fs::exists(DurableDatabase::snapshot_path(dir.str())));
+  EXPECT_GT(rows, 1u);
+  EXPECT_LT(durable.wal_bytes(), cfg.checkpoint_bytes);
   DurableDatabase reopened(cfg);
   EXPECT_TRUE(reopened.recovery().snapshot_loaded);
-  EXPECT_EQ(reopened.db().table("crew").row_count(), 4u);
+  EXPECT_EQ(reopened.recovery().commits_replayed, 0u);
+  EXPECT_EQ(reopened.db().table("crew").row_count(), rows);
 }
 
 TEST(DurableDatabaseTest, CorruptSnapshotFailsSoftToEmpty) {
@@ -406,7 +384,7 @@ TEST(WalFuzzTest, RecoveryTruncatesTornTailAndKeepsAppending) {
   EXPECT_EQ(fingerprint(reopened.db()), expected);
 }
 
-// --- Rollback-under-interleaving property scripts ----------------------------
+// --- Commit-under-interleaving property scripts ------------------------------
 
 TEST(DurabilityPropertyTest, ScriptedInterleavingsMatchShadowAndSurviveCrash) {
   TempDir dir;
@@ -421,17 +399,15 @@ TEST(DurabilityPropertyTest, ScriptedInterleavingsMatchShadowAndSurviveCrash) {
 
   Database shadow;
   shadow.create_table(crew_schema());
+  shadow.create_index("crew", "rank");
   std::vector<std::uint8_t> committed;  // fingerprint at the last commit()
 
   {
     DurableDatabase durable(config_for(dir));
     durable.db().create_table(crew_schema());
+    durable.db().create_index("crew", "rank");
 
     for (int round = 0; round < 60; ++round) {
-      const bool in_txn = rng() % 3 == 0;
-      const bool roll_back = in_txn && rng() % 2 == 0;
-      if (in_txn) durable.db().begin();
-
       // Script the round's ops concretely so the keeper replay into the
       // shadow uses identical keys/values.
       const int op_count = 1 + static_cast<int>(rng() % 4);
@@ -442,7 +418,7 @@ TEST(DurabilityPropertyTest, ScriptedInterleavingsMatchShadowAndSurviveCrash) {
                     Value(static_cast<std::int64_t>(rng() % 10)),
                     Value(static_cast<double>(rng() % 1000) / 8.0)};
             durable.db().insert_auto("crew", row);
-            if (!roll_back) shadow.insert_auto("crew", row);
+            shadow.insert_auto("crew", row);
             break;
           }
           case 1: {
@@ -450,28 +426,21 @@ TEST(DurabilityPropertyTest, ScriptedInterleavingsMatchShadowAndSurviveCrash) {
             if (key < 0) break;
             const Value v(static_cast<std::int64_t>(rng() % 10));
             durable.db().update("crew", key, "rank", v);
-            if (!roll_back) shadow.update("crew", key, "rank", v);
+            shadow.update("crew", key, "rank", v);
             break;
           }
           case 2: {
             const std::int64_t key = pick_key(durable.db());
             if (key < 0) break;
             durable.db().erase("crew", key);
-            if (!roll_back) shadow.erase("crew", key);
+            shadow.erase("crew", key);
             break;
           }
         }
       }
 
-      if (in_txn) {
-        if (roll_back) {
-          durable.db().rollback();
-        } else {
-          durable.db().commit();
-        }
-      }
-      // Rolled-back work must be invisible — live AND in what the journal
-      // recorded — and indexes must be coherent after every round.
+      // The live store tracks the shadow and its index stays coherent
+      // after every round.
       ASSERT_EQ(fingerprint(durable.db()), fingerprint(shadow))
           << "round " << round;
       ASSERT_TRUE(durable.db().integrity_violations().empty());

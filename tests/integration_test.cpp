@@ -337,7 +337,7 @@ TEST(BelievabilityLoopTest, ReversalsLowerFutureReportBeliefs) {
 TEST(OosmPersistenceIntegrationTest, ShipSurvivesSaveLoad) {
   ShipSystem ship(small_config());
   db::Database db;
-  oosm::Persistence::save(ship.model(), db);
+  { oosm::DurableModelJournal journal(ship.model(), db); }
   const oosm::ObjectModel restored = oosm::Persistence::load(db);
   EXPECT_EQ(restored.object_count(), ship.model().object_count());
   EXPECT_TRUE(restored.find_by_name("A/C Compressor Motor 1").has_value());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -155,7 +156,7 @@ TEST(PersistenceTest, SaveLoadRoundTrip) {
   m.set_property(motor, "poles", std::int64_t{4});
 
   db::Database db;
-  Persistence::save(m, db);
+  { DurableModelJournal journal(m, db); }  // attached to a built model
   const ObjectModel restored = Persistence::load(db);
 
   EXPECT_EQ(restored.object_count(), 2u);
@@ -176,28 +177,47 @@ TEST(PersistenceTest, SurvivesIdGapsFromDeletions) {
   m.delete_object(b);
 
   db::Database db;
-  Persistence::save(m, db);
+  { DurableModelJournal journal(m, db); }
   const ObjectModel restored = Persistence::load(db);
   EXPECT_EQ(restored.object_count(), 2u);
   EXPECT_EQ(restored.find_by_name("c"), c);
 }
 
-TEST(PersistenceTest, SaveIsIdempotent) {
-  ObjectModel m;
-  m.create_object("a", EquipmentKind::Sensor);
+/// Canonical model fingerprint: snapshot-encode the tables a journal
+/// attached to the finished model writes. It walks objects in creation
+/// order and rows deterministically, so two models with identical content
+/// produce identical bytes. The journal detaches before this returns.
+std::vector<std::uint8_t> model_fingerprint(ObjectModel& m) {
   db::Database db;
-  Persistence::save(m, db);
-  Persistence::save(m, db);  // drops and recreates snapshot tables
-  EXPECT_EQ(Persistence::load(db).object_count(), 1u);
+  { DurableModelJournal journal(m, db); }
+  return db::encode_snapshot(db, 0);
 }
 
-/// Canonical model fingerprint: snapshot-encode a save() of the model.
-/// save() iterates objects in creation order and rows deterministically, so
-/// two models with identical content produce identical bytes.
-std::vector<std::uint8_t> model_fingerprint(const ObjectModel& m) {
-  db::Database db;
-  Persistence::save(m, db);
-  return db::encode_snapshot(db, 0);
+/// The model as its read API shows it, with no persistence code involved:
+/// every live object's name, kind, typed properties and outgoing edges, then
+/// the reset watermarks. model_fingerprint() cannot see what a journal
+/// attached to a built model leaves out; this can.
+std::string model_text(const ObjectModel& m) {
+  std::string out;
+  for (const ObjectId id : m.all_objects()) {
+    out += std::to_string(id.value()) + " " + m.name(id) + " " +
+           std::to_string(static_cast<int>(m.kind(id))) + "\n";
+    for (const auto& [key, value] : m.properties(id)) {
+      out += "  " + std::string(key) + " " + db::to_string(value.type()) +
+             " " + value.to_string() + "\n";
+    }
+    for (std::size_t r = 0; r < kRelationCount; ++r) {
+      for (const ObjectId to : m.related(id, static_cast<Relation>(r))) {
+        out += "  -" + std::to_string(r) + "-> " +
+               std::to_string(to.value()) + "\n";
+      }
+    }
+  }
+  for (const auto& [machine, watermark] : m.report_resets()) {
+    out += "reset " + std::to_string(machine) + " " +
+           std::to_string(watermark.value()) + "\n";
+  }
+  return out;
 }
 
 /// Exercise every event kind the journal mirrors: creation, report posts,
@@ -231,17 +251,24 @@ void mutate_model(ObjectModel& m) {
   m.delete_object(doomed);  // cascades property + relation rows
 }
 
-TEST(DurableModelJournalTest, MirrorIsLoadEquivalentToSave) {
+TEST(DurableModelJournalTest, AttachedBeforeAndAfterBuildLoadTheSameModel) {
   ObjectModel m;
-  db::Database journal_db;
-  DurableModelJournal journal(m, journal_db);
+  db::Database mirrored;
+  DurableModelJournal journal(m, mirrored);
   mutate_model(m);
+  db::Database written;
+  { DurableModelJournal late(m, written); }
 
-  // The incrementally-mirrored tables load back into the same model a full
-  // save() would produce, and the mirror kept its indexes coherent.
-  const ObjectModel restored = Persistence::load(journal_db);
-  EXPECT_EQ(model_fingerprint(restored), model_fingerprint(m));
-  EXPECT_TRUE(journal_db.integrity_violations().empty());
+  // The tables mirrored event by event and the tables written over the
+  // finished model load back into the same model, both coherent.
+  ObjectModel from_events = Persistence::load(mirrored);
+  ObjectModel from_model = Persistence::load(written);
+  EXPECT_EQ(model_fingerprint(from_events), model_fingerprint(m));
+  EXPECT_EQ(model_fingerprint(from_model), model_fingerprint(m));
+  EXPECT_EQ(model_text(from_events), model_text(m));
+  EXPECT_EQ(model_text(from_model), model_text(m));
+  EXPECT_TRUE(mirrored.integrity_violations().empty());
+  EXPECT_TRUE(written.integrity_violations().empty());
 }
 
 TEST(DurableModelJournalTest, AdoptModeContinuesMirroring) {
@@ -263,7 +290,7 @@ TEST(DurableModelJournalTest, AdoptModeContinuesMirroring) {
       recovered.create_object("Pump", EquipmentKind::CentrifugalPump);
   recovered.relate(pump, Relation::PartOf, *recovered.find_by_name("Plant"));
 
-  const ObjectModel reloaded = Persistence::load(journal_db);
+  ObjectModel reloaded = Persistence::load(journal_db);
   EXPECT_EQ(model_fingerprint(reloaded), model_fingerprint(recovered));
   EXPECT_TRUE(journal_db.integrity_violations().empty());
 }
@@ -380,7 +407,8 @@ TEST(ReportLogTest, PostedReportReadsAsAnObjectWithTheSameEvents) {
 
 TEST(ReportLogTest, AdditionsToALoggedReportPersistBesideItsRow) {
   // Properties and edges set on a logged report after posting live beside
-  // its record, win on read, and survive save/load and the journal alike.
+  // its record, win on read, and survive both a journal attached before
+  // they were made and one attached after.
   ObjectModel m;
   db::Database journal_db;
   DurableModelJournal journal(m, journal_db);
@@ -396,7 +424,7 @@ TEST(ReportLogTest, AdditionsToALoggedReportPersistBesideItsRow) {
   m.reset_reports(motor);
 
   db::Database saved;
-  Persistence::save(m, saved);
+  { DurableModelJournal late(m, saved); }
   for (const db::Database* db : {&saved, &journal_db}) {
     const ObjectModel r = Persistence::load(*db);
     EXPECT_EQ(r.object_count(), 3u);

@@ -340,7 +340,7 @@ TEST_F(PdmeTest, RebuildFromModelRecoversFusionState) {
   const auto original = pdme_.prioritized_list(motor_);
 
   db::Database store;
-  oosm::Persistence::save(model_, store);
+  { oosm::DurableModelJournal journal(model_, store); }
   oosm::ObjectModel restored = oosm::Persistence::load(store);
   PdmeExecutive recovered(restored);
   EXPECT_EQ(recovered.rebuild_from_model(), 3u);

@@ -685,10 +685,10 @@ INSTANTIATE_TEST_SUITE_P(BatchSizes, PdmeBatchEquivalenceTest,
 // by a seeded generator over sequenced, unsequenced, duplicate,
 // malformed-condition and sensor-fault reports, hand-built report objects
 // (stored and persisted, never fused: only submit() reaches fusion) and
-// maintenance resets. The live executive — and a Persistence save ->
-// load -> rebuild of it, and a journal mirror -> load -> rebuild — must read
-// the same: reports_for(), each report object's property() and
-// properties(), and the operator renders.
+// maintenance resets. The live executive — and a journal attached to the
+// finished model -> load -> rebuild of it, and a journal mirror -> load ->
+// rebuild — must read the same: reports_for(), each report object's
+// property() and properties(), and the operator renders.
 
 class ReportLogEquivalenceTest
     : public ::testing::TestWithParam<std::uint64_t> {
@@ -976,9 +976,10 @@ TEST_P(ReportLogEquivalenceTest, LogReadsLikeTheObjectsItReplaced) {
   EXPECT_EQ(rig.exec->snapshot().reports_accepted, shadow.accepted);
 
   db::Database saved;
-  oosm::Persistence::save(rig.model, saved);
+  { oosm::DurableModelJournal late(rig.model, saved); }
   for (const auto& [where, db] :
-       {std::pair<const char*, const db::Database*>{"save/load", &saved},
+       {std::pair<const char*, const db::Database*>{"late journal/load",
+                                                    &saved},
         {"journal/load", &rig.journal_db}}) {
     oosm::ObjectModel restored = oosm::Persistence::load(*db);
     EXPECT_EQ(restored.object_count(), rig.model.object_count()) << where;

@@ -1,5 +1,7 @@
 #include "mpros/domain/failure_modes.hpp"
 
+#include <algorithm>
+
 #include "mpros/common/assert.hpp"
 
 namespace mpros::domain {
@@ -103,23 +105,25 @@ FailureMode failure_mode(ConditionId id) {
   return static_cast<FailureMode>(id.value() - 1);
 }
 
-std::string condition_text(FailureMode m) {
-  switch (m) {
-    case FailureMode::MotorImbalance: return "motor imbalance";
-    case FailureMode::ShaftMisalignment: return "shaft misalignment";
-    case FailureMode::BearingHousingLooseness:
-      return "pump bearing housing looseness";
-    case FailureMode::RotorBarDefect: return "motor rotor bar problem";
-    case FailureMode::StatorWindingFault: return "stator winding fault";
-    case FailureMode::MotorBearingWear: return "motor bearing wear";
-    case FailureMode::CompressorBearingWear: return "compressor bearing wear";
-    case FailureMode::OilDegradation: return "lubricating oil degradation";
-    case FailureMode::GearMeshWear: return "gear mesh wear";
-    case FailureMode::PumpCavitation: return "pump cavitation";
-    case FailureMode::RefrigerantLeak: return "refrigerant leak";
-    case FailureMode::CondenserFouling: return "condenser fouling";
-  }
-  return "?";
+const std::string& condition_text(FailureMode m) {
+  // Enum order, then the text for an out-of-range value. Static strings
+  // let a row renderer append a text without copying it, even one longer
+  // than the small-string buffer.
+  static const std::string kTexts[kFailureModeCount + 1] = {
+      "motor imbalance",
+      "shaft misalignment",
+      "pump bearing housing looseness",
+      "motor rotor bar problem",
+      "stator winding fault",
+      "motor bearing wear",
+      "compressor bearing wear",
+      "lubricating oil degradation",
+      "gear mesh wear",
+      "pump cavitation",
+      "refrigerant leak",
+      "condenser fouling",
+      "?"};
+  return kTexts[std::min(static_cast<std::size_t>(m), kFailureModeCount)];
 }
 
 const char* to_string(SensorFaultKind k) {
@@ -147,14 +151,12 @@ SensorFaultKind sensor_fault_kind(ConditionId id) {
   return static_cast<SensorFaultKind>(id.value() - kSensorFaultConditionBase);
 }
 
-std::string sensor_fault_condition_text(SensorFaultKind k) {
-  switch (k) {
-    case SensorFaultKind::Flatline: return "sensor flatline (stuck-at)";
-    case SensorFaultKind::Dropout: return "sensor dropout (non-finite data)";
-    case SensorFaultKind::OutOfRange: return "sensor reading out of range";
-    case SensorFaultKind::Spike: return "sensor spike train";
-  }
-  return "?";
+const std::string& sensor_fault_condition_text(SensorFaultKind k) {
+  // Enum order, then the text for an out-of-range value.
+  static const std::string kTexts[kSensorFaultKindCount + 1] = {
+      "sensor flatline (stuck-at)", "sensor dropout (non-finite data)",
+      "sensor reading out of range", "sensor spike train", "?"};
+  return kTexts[std::min(static_cast<std::size_t>(k), kSensorFaultKindCount)];
 }
 
 }  // namespace mpros::domain

@@ -69,8 +69,8 @@ inline constexpr std::size_t kLogicalGroupCount = 5;
 [[nodiscard]] FailureMode failure_mode(ConditionId id);
 
 /// Human-readable machine-condition text per the report protocol (§7.2),
-/// e.g. "motor imbalance".
-[[nodiscard]] std::string condition_text(FailureMode m);
+/// e.g. "motor imbalance". A static string: callers need not copy it.
+[[nodiscard]] const std::string& condition_text(FailureMode m);
 
 // ---------------------------------------------------------------------------
 // Sensor-fault conditions.
@@ -105,7 +105,9 @@ inline constexpr std::uint64_t kSensorFaultConditionBase = 100;
 /// Inverse of sensor_fault_condition; aborts on out-of-range ids.
 [[nodiscard]] SensorFaultKind sensor_fault_kind(ConditionId id);
 
-/// Report-protocol text, e.g. "sensor flatline (stuck-at)".
-[[nodiscard]] std::string sensor_fault_condition_text(SensorFaultKind k);
+/// Report-protocol text, e.g. "sensor flatline (stuck-at)"; a static
+/// string, like condition_text().
+[[nodiscard]] const std::string& sensor_fault_condition_text(
+    SensorFaultKind k);
 
 }  // namespace mpros::domain

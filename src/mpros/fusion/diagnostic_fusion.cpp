@@ -102,14 +102,10 @@ GroupState DiagnosticFusion::summarize(LogicalGroup group,
   s.unknown = c.mass.unknown();
   s.last_conflict = c.last_conflict;
   s.report_count = c.report_count;
-
-  const auto members = domain::modes_in_group(group);
-  const FrameOfDiscernment& f = frame(group);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const HypothesisSet singleton = f.singleton(i);
-    s.modes.push_back(ModeBelief{members[i], c.mass.belief(singleton),
-                                 c.mass.plausibility(singleton)});
-  }
+  const auto add = [&s](const ModeBelief& mb, std::size_t) {
+    s.modes.push_back(mb);
+  };
+  visit_modes(group, c, add);
   return s;
 }
 
@@ -122,17 +118,6 @@ GroupState DiagnosticFusion::state(ObjectId machine,
     return summarize(group, vacuous);
   }
   return summarize(group, it->second);
-}
-
-std::vector<GroupState> DiagnosticFusion::states(ObjectId machine) const {
-  // cells_ orders by (machine, group), so one machine's cells are one
-  // contiguous run starting at its lowest group.
-  std::vector<GroupState> out;
-  for (auto it = cells_.lower_bound(Key{machine.value(), LogicalGroup{}});
-       it != cells_.end() && it->first.machine == machine.value(); ++it) {
-    out.push_back(summarize(it->first.group, it->second));
-  }
-  return out;
 }
 
 void DiagnosticFusion::reset(ObjectId machine) {

@@ -64,8 +64,18 @@ class DiagnosticFusion {
   [[nodiscard]] GroupState state(ObjectId machine,
                                  domain::LogicalGroup group) const;
 
-  /// All group states for one machine that have received reports.
-  [[nodiscard]] std::vector<GroupState> states(ObjectId machine) const;
+  /// fn(ModeBelief, report_count) for every mode, in enum order, of every
+  /// group of one machine that has received reports, ascending by group:
+  /// the values state() summarizes, without building the summaries.
+  template <class Fn>
+  void for_each_mode(ObjectId machine, Fn&& fn) const {
+    // cells_ orders by (machine, group), so one machine's cells are one
+    // contiguous run starting at its lowest group.
+    for (auto it = cells_.lower_bound(Key{machine.value(), {}});
+         it != cells_.end() && it->first.machine == machine.value(); ++it) {
+      visit_modes(it->first.group, it->second, fn);
+    }
+  }
 
   /// Forget one machine entirely (e.g. after maintenance).
   void reset(ObjectId machine);
@@ -93,6 +103,19 @@ class DiagnosticFusion {
 
   [[nodiscard]] GroupState summarize(domain::LogicalGroup group,
                                      const Cell& cell) const;
+  /// fn(ModeBelief, report_count) for each of the group's modes, enum
+  /// order: the one belief/plausibility read behind every summary.
+  template <class Fn>
+  void visit_modes(domain::LogicalGroup group, const Cell& c, Fn& fn) const {
+    const auto members = domain::modes_in_group(group);
+    const FrameOfDiscernment& f = frame(group);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const HypothesisSet singleton = f.singleton(i);
+      fn(ModeBelief{members[i], c.mass.belief(singleton),
+                    c.mass.plausibility(singleton)},
+         c.report_count);
+    }
+  }
   [[nodiscard]] HypothesisSet set_of(domain::LogicalGroup group,
                                      domain::FailureMode mode) const;
   Cell& cell(ObjectId machine, domain::LogicalGroup group);

@@ -37,16 +37,18 @@ ObjectModel::Slot& ObjectModel::allocate_slot(ObjectId id) {
   return s;
 }
 
-ObjectModel::ObjectRecord& ObjectModel::new_record(Slot& slot) {
+ObjectModel::ObjectRecord& ObjectModel::new_record(ObjectId id, Slot& slot) {
   MPROS_EXPECTS(records_.size() < kNone);
   slot.record = static_cast<std::uint32_t>(records_.size());
-  return records_.emplace_back();
+  ObjectRecord& rec = records_.emplace_back();
+  rec.id = id;
+  return rec;
 }
 
 ObjectId ObjectModel::create_object(std::string name,
                                     domain::EquipmentKind kind) {
   const ObjectId id(next_id_++);
-  ObjectRecord& rec = new_record(allocate_slot(id));
+  ObjectRecord& rec = new_record(id, allocate_slot(id));
   rec.name = std::move(name);
   rec.kind = kind;
   notify(OosmEvent{OosmEvent::Kind::ObjectCreated, id, {}, {}, {}});
@@ -56,7 +58,7 @@ ObjectId ObjectModel::create_object(std::string name,
 void ObjectModel::create_object_with_id(ObjectId id, std::string name,
                                         domain::EquipmentKind kind) {
   MPROS_EXPECTS(id.valid() && !exists(id));
-  ObjectRecord& rec = new_record(allocate_slot(id));
+  ObjectRecord& rec = new_record(id, allocate_slot(id));
   rec.name = std::move(name);
   rec.kind = kind;
   next_id_ = std::max(next_id_, id.value() + 1);
@@ -173,7 +175,7 @@ const ObjectModel::Slot& ObjectModel::slot(ObjectId id) const {
 ObjectModel::ObjectRecord& ObjectModel::record(ObjectId id) {
   MPROS_EXPECTS(exists(id));
   Slot& s = slots_[id.value()];
-  return s.record != kNone ? records_[s.record] : new_record(s);
+  return s.record != kNone ? records_[s.record] : new_record(id, s);
 }
 
 const ObjectModel::ObjectRecord* ObjectModel::find_record(ObjectId id) const {
@@ -224,6 +226,20 @@ std::vector<ObjectId> ObjectModel::all_objects() const {
   out.reserve(live_count_);
   for (std::uint64_t v = 1; v < slots_.size(); ++v) {
     if (slots_[v].live()) out.emplace_back(v);
+  }
+  return out;
+}
+
+std::vector<ObjectId> ObjectModel::equipment_objects() const {
+  // Only general objects and reports with later additions have records,
+  // so this walk never touches the report log. Records are made in
+  // creation order (Persistence::load restores ascending ids).
+  std::vector<ObjectId> out;
+  for (const ObjectRecord& rec : records_) {
+    if (rec.id.valid() && slots_[rec.id.value()].log == kNone &&
+        rec.kind != domain::EquipmentKind::Report) {
+      out.push_back(rec.id);
+    }
   }
   return out;
 }

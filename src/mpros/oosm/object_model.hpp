@@ -87,6 +87,9 @@ class ObjectModel {
       domain::EquipmentKind kind) const;
   /// Every object, in creation order.
   [[nodiscard]] std::vector<ObjectId> all_objects() const;
+  /// Every live object that is not a Report, in creation order. Costs
+  /// O(general objects), however many reports were posted.
+  [[nodiscard]] std::vector<ObjectId> equipment_objects() const;
 
   // -- Properties -------------------------------------------------------------
 
@@ -169,6 +172,7 @@ class ObjectModel {
   /// A general object, or the properties and edges added to a logged
   /// report after it was posted.
   struct ObjectRecord {
+    ObjectId id;  ///< invalid once deleted
     std::string name;
     domain::EquipmentKind kind{};
     PropertyMap properties;
@@ -196,7 +200,7 @@ class ObjectModel {
 
   /// Claim the (empty) slot for `id`, growing the table as needed.
   Slot& allocate_slot(ObjectId id);
-  ObjectRecord& new_record(Slot& slot);
+  ObjectRecord& new_record(ObjectId id, Slot& slot);
 
   [[nodiscard]] const Slot& slot(ObjectId id) const;
   /// The record holding `id`'s own properties and edges, created on first

@@ -19,15 +19,17 @@ const char* source_name(std::uint64_t ks) {
 }
 
 /// Condition text that survives sensor-fault and unknown ids (the report
-/// list must render whatever arrived, not abort on it).
-std::string condition_label(ConditionId id) {
+/// list must render whatever arrived, not abort on it). An unknown id's
+/// text is built in `unknown`.
+const std::string& condition_label(ConditionId id, std::string& unknown) {
   if (domain::is_sensor_fault_condition(id)) {
     return domain::sensor_fault_condition_text(domain::sensor_fault_kind(id));
   }
   if (id.valid() && id.value() <= domain::kFailureModeCount) {
     return domain::condition_text(domain::failure_mode(id));
   }
-  return "condition " + std::to_string(id.value());
+  unknown = "condition " + std::to_string(id.value());
+  return unknown;
 }
 
 std::string ttf_text(const std::optional<SimTime>& t) {
@@ -75,11 +77,12 @@ std::string render_machine(const PdmeExecutive& pdme,
   append_line(out, "Condition reports received: %zu", reports.size());
   append_line(out, "%-22s %-26s %8s %7s  %s", "Source", "Condition",
               "Severity", "Belief", "Effective");
+  std::string unknown;
   for (const net::FailureReport& r : reports) {
     append_line(out, "%-22s %-26s %8.2f %7.2f  %s",
                 source_name(r.knowledge_source.value()),
-                condition_label(r.machine_condition).c_str(), r.severity,
-                r.belief, to_string(r.timestamp).c_str());
+                condition_label(r.machine_condition, unknown).c_str(),
+                r.severity, r.belief, to_string(r.timestamp).c_str());
   }
   append_line(out, "");
   append_line(out, "--- Fused condition groups (Knowledge Fusion) ---");

@@ -11,6 +11,14 @@ namespace mpros::pdme {
 
 using domain::FailureMode;
 
+namespace {
+
+bool by_priority(const MaintenanceItem& a, const MaintenanceItem& b) {
+  return a.priority > b.priority;
+}
+
+}  // namespace
+
 DedupIndex::Key DedupIndex::key_of(const net::FailureReport& r) {
   return {r.dc.value(),           r.knowledge_source.value(),
           r.sensed_object.value(), r.machine_condition.value(),
@@ -119,6 +127,7 @@ std::optional<PendingRetest> FusionCore::fuse(const net::FailureReport& r,
   track.trend.observe(r.timestamp, std::clamp(r.severity, 0.0, 1.0));
   track.latest_report = std::max(track.latest_report, r.timestamp);
   ++track.reports;
+  list_dirty_ = true;
 
   MPROS_LOG_DEBUG("pdme", "fused %s for obj=%llu belief=%.2f",
                   domain::to_string(mode),
@@ -162,47 +171,58 @@ std::optional<PendingRetest> FusionCore::retest_for(
   return PendingRetest{r.dc, r.sensed_object, mode, r.timestamp};
 }
 
-std::vector<std::uint64_t> FusionCore::machines() const {
-  std::vector<std::uint64_t> out;
-  for (const auto& [key, track] : tracks_) {
-    if (out.empty() || out.back() != key.machine) out.push_back(key.machine);
-  }
-  return out;  // tracks_ is key-ordered, so this is ascending and unique
+void FusionCore::append_list(ObjectId machine,
+                             std::vector<MaintenanceItem>& items) const {
+  const std::size_t first = items.size();
+  const auto add = [&](const fusion::ModeBelief& mb, std::size_t reports) {
+    if (mb.belief <= 1e-9) return;
+    MaintenanceItem item;
+    item.machine = machine;
+    item.mode = mb.mode;
+    item.fused_belief = mb.belief;
+    item.plausibility = mb.plausibility;
+    item.report_count = reports;
+
+    const auto track = tracks_.find(ModeKey{machine.value(), mb.mode});
+    if (track != tracks_.end()) {
+      item.max_severity = track->second.max_severity;
+      if (!track->second.fused_prognosis.empty()) {
+        item.median_ttf =
+            track->second.fused_prognosis.time_to_probability(0.5);
+        item.p90_ttf = track->second.fused_prognosis.time_to_probability(0.9);
+      }
+      item.trend_ttf =
+          track->second.trend.time_to_failure(track->second.latest_report);
+    }
+    item.priority = item.fused_belief * std::max(0.1, item.max_severity);
+    items.push_back(item);
+  };
+  diagnostics_.for_each_mode(machine, add);
+  std::sort(items.begin() + static_cast<std::ptrdiff_t>(first), items.end(),
+            by_priority);
 }
 
 std::vector<MaintenanceItem> FusionCore::prioritized_list(
     ObjectId machine) const {
   std::vector<MaintenanceItem> items;
-  for (const fusion::GroupState& gs : diagnostics_.states(machine)) {
-    for (const fusion::ModeBelief& mb : gs.modes) {
-      if (mb.belief <= 1e-9) continue;
-      MaintenanceItem item;
-      item.machine = machine;
-      item.mode = mb.mode;
-      item.fused_belief = mb.belief;
-      item.plausibility = mb.plausibility;
-      item.report_count = gs.report_count;
-
-      const auto track = tracks_.find(ModeKey{machine.value(), mb.mode});
-      if (track != tracks_.end()) {
-        item.max_severity = track->second.max_severity;
-        if (!track->second.fused_prognosis.empty()) {
-          item.median_ttf =
-              track->second.fused_prognosis.time_to_probability(0.5);
-          item.p90_ttf = track->second.fused_prognosis.time_to_probability(0.9);
-        }
-        item.trend_ttf =
-            track->second.trend.time_to_failure(track->second.latest_report);
-      }
-      item.priority = item.fused_belief * std::max(0.1, item.max_severity);
-      items.push_back(item);
-    }
-  }
-  std::sort(items.begin(), items.end(),
-            [](const MaintenanceItem& a, const MaintenanceItem& b) {
-              return a.priority > b.priority;
-            });
+  append_list(machine, items);
   return items;
+}
+
+const std::vector<MaintenanceItem>& FusionCore::prioritized_list() const {
+  if (!list_dirty_) return list_;
+  list_dirty_ = false;
+  // Each machine's list in ascending machine order (tracks_ is key-ordered),
+  // then one global sort: the sort is unstable, so this input order is part
+  // of the rendered bytes.
+  list_.clear();
+  for (auto it = tracks_.begin(); it != tracks_.end();) {
+    const std::uint64_t machine = it->first.machine;
+    append_list(ObjectId(machine), list_);
+    while (it != tracks_.end() && it->first.machine == machine) ++it;
+  }
+  std::sort(list_.begin(), list_.end(), by_priority);
+  return list_;
 }
 
 std::optional<fusion::PrognosticVector> FusionCore::prognosis(
@@ -231,6 +251,7 @@ std::vector<net::FailureReport> FusionCore::reports_for(
 }
 
 void FusionCore::reset_machine(ObjectId machine) {
+  list_dirty_ = true;
   diagnostics_.reset(machine);
   history_.erase(machine.value());
   for (auto it = tracks_.begin(); it != tracks_.end();) {

@@ -9,7 +9,8 @@
 // comparative/fleet layer: Dempster-Shafer group state, prognostic tracks,
 // the per-machine report history index, the dedup index, and the
 // sensor-fault quarantine ledger. Report contents live once, in the OOSM
-// report log; the core keeps log indices into it.
+// report log; the core keeps log indices into it. The prioritized list is
+// derived from the group state and tracks and cached beside them.
 
 #include <cstdint>
 #include <map>
@@ -158,8 +159,13 @@ class FusionCore {
 
   // -- Queries --------------------------------------------------------------
 
-  /// Machines with fused tracks, ascending by id.
-  [[nodiscard]] std::vector<std::uint64_t> machines() const;
+  /// The prioritized list of every machine, most urgent first: each
+  /// machine's list in ascending machine order, then one std::sort by
+  /// priority. Derived state: cached, and rebuilt by the first read after
+  /// fuse() or reset_machine() moved fused state, so the reference stays
+  /// valid, and unchanged, until the next fuse() or reset_machine().
+  [[nodiscard]] const std::vector<MaintenanceItem>& prioritized_list() const;
+  /// One machine's list, most urgent first, built on each call.
   [[nodiscard]] std::vector<MaintenanceItem> prioritized_list(
       ObjectId machine) const;
   [[nodiscard]] std::optional<fusion::PrognosticVector> prognosis(
@@ -197,6 +203,9 @@ class FusionCore {
   };
 
   void note_sensor_fault(const net::FailureReport& report);
+  /// Append one machine's list to `items`, most urgent first.
+  void append_list(ObjectId machine,
+                   std::vector<MaintenanceItem>& items) const;
   [[nodiscard]] std::optional<PendingRetest> retest_for(
       const net::FailureReport& report) const;
 
@@ -212,6 +221,11 @@ class FusionCore {
   std::map<std::uint64_t, std::vector<std::uint32_t>> history_;
   DedupIndex dedup_;
   std::map<SensorFaultKey, SensorFaultRecord> sensor_faults_;
+  /// The global list and whether fused state moved since it was built.
+  /// Const readers rebuild it, which is safe only because every read runs
+  /// on the driver thread that fuses.
+  mutable std::vector<MaintenanceItem> list_;
+  mutable bool list_dirty_ = false;
 };
 
 }  // namespace mpros::pdme

@@ -13,8 +13,7 @@ std::map<ObjectId, double> own_health(const PdmeExecutive& pdme,
                                       const oosm::ObjectModel& model,
                                       double impact) {
   std::map<ObjectId, double> own;
-  for (const ObjectId id : model.all_objects()) {
-    if (model.kind(id) == domain::EquipmentKind::Report) continue;
+  for (const ObjectId id : model.equipment_objects()) {
     double h = 1.0;
     for (const MaintenanceItem& item : pdme.prioritized_list(id)) {
       h *= 1.0 - std::clamp(item.fused_belief *

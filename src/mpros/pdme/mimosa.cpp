@@ -34,7 +34,7 @@ std::string export_mimosa(const PdmeExecutive& pdme,
                 cfg.site_id.c_str(), cfg.agent_id.c_str());
   out += buf;
 
-  const auto items = pdme.prioritized_list();
+  const std::vector<MaintenanceItem>& items = pdme.prioritized_list();
 
   // Asset registry rows for every machine carrying a conclusion.
   std::set<std::uint64_t> assets;

@@ -307,18 +307,8 @@ DcLiveness PdmeExecutive::dc_liveness(DcId dc) const {
   return it == dc_health_.end() ? DcLiveness::Alive : it->second.liveness;
 }
 
-std::vector<MaintenanceItem> PdmeExecutive::prioritized_list() const {
-  // Per-machine lists in ascending machine order, then one global sort.
-  std::vector<MaintenanceItem> items;
-  for (const std::uint64_t m : core_.machines()) {
-    const auto per_machine = prioritized_list(ObjectId(m));
-    items.insert(items.end(), per_machine.begin(), per_machine.end());
-  }
-  std::sort(items.begin(), items.end(),
-            [](const MaintenanceItem& a, const MaintenanceItem& b) {
-              return a.priority > b.priority;
-            });
-  return items;
+const std::vector<MaintenanceItem>& PdmeExecutive::prioritized_list() const {
+  return core_.prioritized_list();
 }
 
 std::vector<MaintenanceItem> PdmeExecutive::prioritized_list(

@@ -145,8 +145,16 @@ class PdmeExecutive {
   [[nodiscard]] std::vector<SensorFaultRecord> sensor_faults(
       bool active_only = true) const;
 
-  /// The prioritized list (§3.1), most urgent first.
-  [[nodiscard]] std::vector<MaintenanceItem> prioritized_list() const;
+  /// The prioritized list (§3.1), most urgent first. Derived state the
+  /// FusionCore keeps: the first read after a fuse or reset rebuilds it,
+  /// every later read returns it as it is. The reference stays valid and
+  /// unchanged until the next submit(), reset_machine() or
+  /// rebuild_from_model(); copy the list to keep it across one. A read may
+  /// rebuild that cache, so like every other call it belongs on the driver
+  /// thread: two threads must not read one executive's list at once, even
+  /// though the method is const.
+  [[nodiscard]] const std::vector<MaintenanceItem>& prioritized_list() const;
+  /// One machine's slice of the list, built on each call.
   [[nodiscard]] std::vector<MaintenanceItem> prioritized_list(
       ObjectId machine) const;
 

@@ -35,7 +35,7 @@ bool SpatialReasoner::fluid_borne(FailureMode mode) {
 std::vector<SpatialItem> SpatialReasoner::refine(
     const PdmeExecutive& pdme) const {
   const oosm::ObjectModel& model = pdme.model();
-  const std::vector<MaintenanceItem> items = pdme.prioritized_list();
+  const std::vector<MaintenanceItem>& items = pdme.prioritized_list();
 
   std::vector<SpatialItem> out;
   out.reserve(items.size());

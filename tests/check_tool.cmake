@@ -1,14 +1,10 @@
 # Runs one CLI tool and checks its exit status, plus its stdout byte for
 # byte when EXPECTED names a file:
 #
-#   cmake -DTOOL=<exe> [-DMODE=<arg>] -DINPUT=<path> -DEXIT_CODE=<n>
+#   cmake -DTOOL=<exe> "-DARGS=<arg>;<arg>;..." -DEXIT_CODE=<n>
 #         [-DEXPECTED=<file>] -P check_tool.cmake
-set(args ${INPUT})
-if(MODE)
-  set(args ${MODE} ${INPUT})
-endif()
-string(JOIN " " shown ${TOOL} ${args})
-execute_process(COMMAND ${TOOL} ${args}
+string(JOIN " " shown ${TOOL} ${ARGS})
+execute_process(COMMAND ${TOOL} ${ARGS}
                 OUTPUT_VARIABLE out
                 RESULT_VARIABLE rc)
 if(NOT rc STREQUAL EXIT_CODE)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "mpros/common/rng.hpp"
 #include "mpros/fusion/bayes_net.hpp"
@@ -199,16 +200,33 @@ TEST(DiagnosticFusionTest, MachinesAreIndependent) {
   EXPECT_NEAR(other.unknown, 1.0, 1e-12);
 }
 
+/// What DiagnosticFusion::for_each_mode(m) visits, in visit order.
+struct Visited {
+  FailureMode mode{};
+  double belief = 0.0;
+  double plausibility = 0.0;
+  std::size_t reports = 0;
+};
+
+std::vector<Visited> visit(const DiagnosticFusion& fusion, ObjectId m) {
+  std::vector<Visited> out;
+  fusion.for_each_mode(m, [&](const ModeBelief& mb, std::size_t reports) {
+    out.push_back({mb.mode, mb.belief, mb.plausibility, reports});
+  });
+  return out;
+}
+
 TEST(DiagnosticFusionTest, ResetForgetsMachine) {
   DiagnosticFusion fusion;
   fusion.update(ObjectId(1), FailureMode::GearMeshWear, 0.9);
   fusion.reset(ObjectId(1));
-  EXPECT_TRUE(fusion.states(ObjectId(1)).empty());
+  EXPECT_TRUE(visit(fusion, ObjectId(1)).empty());
 }
 
 TEST(DiagnosticFusionTest, StatesCoverOnlyTheAskedMachine) {
   // Neighbouring machine ids sit next to m's cells in the (machine, group)
-  // order; states(m) must stop at m's run and match state() exactly.
+  // order; the walk over m must stop at m's run and visit exactly what
+  // state() reports for each group m has, in group order.
   DiagnosticFusion fusion;
   const ObjectId m(41);
   for (const std::uint64_t id : {40u, 41u, 42u}) {
@@ -221,32 +239,33 @@ TEST(DiagnosticFusionTest, StatesCoverOnlyTheAskedMachine) {
   fusion.update(ObjectId(42), FailureMode::RefrigerantLeak, 0.7);
   fusion.update(m, FailureMode::MotorImbalance, 0.45);  // a second Rotor report
 
-  const std::vector<GroupState> got = fusion.states(m);
-  const LogicalGroup want[] = {LogicalGroup::RotorDynamics,
-                               LogicalGroup::Bearing, LogicalGroup::GearTrain};
-  ASSERT_EQ(got.size(), std::size(want));
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].group, want[i]);
-    const GroupState ref = fusion.state(m, want[i]);
-    EXPECT_EQ(got[i].unknown, ref.unknown);
-    EXPECT_EQ(got[i].last_conflict, ref.last_conflict);
-    EXPECT_EQ(got[i].report_count, ref.report_count);
-    ASSERT_EQ(got[i].modes.size(), ref.modes.size());
-    for (std::size_t k = 0; k < ref.modes.size(); ++k) {
-      EXPECT_EQ(got[i].modes[k].mode, ref.modes[k].mode);
-      EXPECT_EQ(got[i].modes[k].belief, ref.modes[k].belief);
-      EXPECT_EQ(got[i].modes[k].plausibility, ref.modes[k].plausibility);
+  std::vector<Visited> want;
+  for (const LogicalGroup g : {LogicalGroup::RotorDynamics,
+                               LogicalGroup::Bearing, LogicalGroup::GearTrain}) {
+    const GroupState ref = fusion.state(m, g);
+    for (const ModeBelief& mb : ref.modes) {
+      want.push_back({mb.mode, mb.belief, mb.plausibility, ref.report_count});
     }
   }
-  EXPECT_EQ(got[0].report_count, 2u);
+  const std::vector<Visited> got = visit(fusion, m);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].mode, want[i].mode);
+    EXPECT_EQ(got[i].belief, want[i].belief);
+    EXPECT_EQ(got[i].plausibility, want[i].plausibility);
+    EXPECT_EQ(got[i].reports, want[i].reports);
+  }
+  EXPECT_EQ(got.front().reports, 2u);
 
-  EXPECT_TRUE(fusion.states(ObjectId(7)).empty());
-  EXPECT_TRUE(fusion.states(ObjectId(43)).empty());
+  EXPECT_TRUE(visit(fusion, ObjectId(7)).empty());
+  EXPECT_TRUE(visit(fusion, ObjectId(43)).empty());
 
   fusion.reset(m);
-  EXPECT_TRUE(fusion.states(m).empty());
-  EXPECT_EQ(fusion.states(ObjectId(40)).size(), 4u);
-  EXPECT_EQ(fusion.states(ObjectId(42)).size(), 4u);
+  EXPECT_TRUE(visit(fusion, m).empty());
+  // Rotor, electrical, bearing and gear-train modes: 3 + 2 + 3 + 1.
+  EXPECT_EQ(visit(fusion, ObjectId(40)).size(), 9u);
+  // Rotor, bearing, gear-train and process modes: 3 + 3 + 1 + 3.
+  EXPECT_EQ(visit(fusion, ObjectId(42)).size(), 10u);
 }
 
 TEST(DiagnosticFusionTest, OrderInvariance) {

@@ -15,6 +15,11 @@
 // OOSM report-log post and fusion — at one allocation per report on
 // average: the log's amortized growth, not a per-report node or string.
 //
+// On the read side it checks that a repeated prioritized-list read, and
+// its rebuild after a fuse that adds no item, allocate nothing, and that a
+// health rollup allocates the same, in count and bytes, however many
+// reports the OOSM holds.
+//
 // Lives in its own binary so the hook cannot distort the other suites.
 
 #include <gtest/gtest.h>
@@ -22,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <vector>
 
@@ -30,22 +36,31 @@
 #include "mpros/net/messages.hpp"
 #include "mpros/net/report.hpp"
 #include "mpros/oosm/ship_builder.hpp"
+#include "mpros/pdme/health.hpp"
 #include "mpros/pdme/pdme.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+// Out of line: inlined into the hooks, GCC 12 pairs their malloc with the
+// free in the replacement delete and reports a false mismatch.
+[[gnu::noinline]] void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
 
 void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
@@ -188,6 +203,91 @@ TEST(IngestAllocationTest, WarmSubmitAveragesAtMostOneAllocationPerReport) {
   EXPECT_LE(per_report, 1.0)
       << "warm submit allocated " << (after - before) << " time(s) for "
       << kDcs * kPerDc << " reports";
+}
+
+TEST(PdmeTest, RepeatedListReadAllocatesNothing) {
+  oosm::ObjectModel model;
+  const oosm::ShipModel ship = oosm::build_ship(model, "Alloc", 2, 2);
+  pdme::PdmeExecutive pdme(model);
+  const oosm::ChillerPlant& plant = ship.plants.front();
+  std::vector<net::FailureReport> reports = window_reports(12);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    reports[i].sensed_object = i % 2 == 0 ? plant.motor : plant.gearbox;
+  }
+  for (const net::FailureReport& r : reports) {
+    const net::ReportEnvelope env{r.dc, 0, r};
+    (void)pdme.submit({&env, 1});
+  }
+  const std::size_t warm = pdme.prioritized_list().size();
+  ASSERT_GT(warm, 2u);
+
+  std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(pdme.prioritized_list().size(), warm);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u)
+      << "reading an unchanged list allocated";
+
+  // A fuse that adds no item dirties the list; its rebuild walks the
+  // Dempster-Shafer cells in place and refills the same vector.
+  net::FailureReport again = reports.front();
+  again.timestamp = again.timestamp + SimTime::from_seconds(1.0);
+  const net::ReportEnvelope env{again.dc, 0, again};
+  ASSERT_EQ(pdme.submit({&env, 1}).accepted, 1u);
+  before = g_allocations.load();
+  EXPECT_EQ(pdme.prioritized_list().size(), warm);
+  EXPECT_EQ(g_allocations.load() - before, 0u)
+      << "rebuilding a list of unchanged length allocated";
+}
+
+TEST(HealthRollupTest, ComputeCostIsIndependentOfReportCount) {
+  // The rollup walks equipment objects, never the report objects the OOSM
+  // accumulates, so a voyage's fleet summary does not grow with it.
+  oosm::ObjectModel model;
+  const oosm::ShipModel ship = oosm::build_ship(model, "Alloc", 1, 2);
+  pdme::PdmeExecutive pdme(model);
+  const pdme::HealthRollup rollup;
+  const oosm::ChillerPlant& plant = ship.plants.front();
+  std::size_t posted = 0;
+  const auto post_until = [&](std::size_t total) {
+    for (; posted < total; ++posted) {
+      net::FailureReport r = window_reports(1).front();
+      r.sensed_object = posted % 2 == 0 ? plant.motor : plant.compressor;
+      r.belief = 0.9;  // fused belief saturates at exactly 1.0 early on
+      r.severity = 0.6;
+      r.timestamp = SimTime::from_seconds(static_cast<double>(posted + 1));
+      const net::ReportEnvelope env{r.dc, 0, r};
+      ASSERT_EQ(pdme.submit({&env, 1}).accepted, 1u);
+    }
+  };
+  struct Cost {
+    std::uint64_t allocations, bytes;
+    std::map<ObjectId, pdme::HealthEntry> health;
+  };
+  const auto measure = [&] {
+    (void)rollup.compute(pdme);  // refresh the lists the reports dirtied
+    Cost c{g_allocations.load(), g_bytes.load(), {}};
+    c.health = rollup.compute(pdme);
+    c.allocations = g_allocations.load() - c.allocations;
+    c.bytes = g_bytes.load() - c.bytes;
+    return c;
+  };
+
+  post_until(100);
+  const Cost few = measure();
+  post_until(10'000);
+  const Cost many = measure();
+  ASSERT_GT(model.object_count(), 10'000u);
+  EXPECT_EQ(many.allocations, few.allocations);
+  EXPECT_EQ(many.bytes, few.bytes);
+  ASSERT_EQ(many.health.size(), few.health.size());
+  for (const auto& [id, entry] : few.health) {
+    const auto it = many.health.find(id);
+    ASSERT_NE(it, many.health.end());
+    EXPECT_EQ(it->second.own, entry.own) << id.value();
+    EXPECT_EQ(it->second.rolled, entry.rolled) << id.value();
+  }
+  EXPECT_LT(few.health.at(plant.motor).own, 1.0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -326,6 +327,108 @@ TEST_F(PdmeTest, IcasRowsMatchPrintfFormat) {
   EXPECT_GT(std::count(want.begin(), want.end(), '\n'), 40);
   // One string compare: gtest prints a line diff for multi-line strings.
   EXPECT_EQ(export_icas_csv(pdme_, model_), want);
+}
+
+/// Field-for-field equality, doubles compared bit for bit.
+void expect_same_list(const std::vector<MaintenanceItem>& got,
+                      const std::vector<MaintenanceItem>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const MaintenanceItem& a = got[i];
+    const MaintenanceItem& b = want[i];
+    EXPECT_TRUE(a.machine == b.machine && a.mode == b.mode &&
+                bits(a.fused_belief) == bits(b.fused_belief) &&
+                bits(a.plausibility) == bits(b.plausibility) &&
+                bits(a.max_severity) == bits(b.max_severity) &&
+                bits(a.priority) == bits(b.priority) &&
+                a.report_count == b.report_count &&
+                a.median_ttf == b.median_ttf && a.p90_ttf == b.p90_ttf &&
+                a.trend_ttf == b.trend_ttf)
+        << where << ": item " << i << " differs";
+  }
+}
+
+TEST_F(PdmeTest, CachedListMatchesColdRebuild) {
+  // The global list is derived state, rebuilt only by the first read after
+  // a fuse or reset. At every read of a seeded run of submits, duplicates,
+  // sensor-fault reports and maintenance resets, it and the per-machine
+  // lists must equal what a fresh executive rebuilds from the same model,
+  // and so must the ICAS text.
+  oosm::ShipModel more = oosm::build_ship(model_, "Cache", 2, 3);
+  std::vector<ObjectId> machines;
+  for (const oosm::ShipModel* ship : {&ship_, &more}) {
+    for (const oosm::ChillerPlant& p : ship->plants) {
+      machines.insert(machines.end(), {p.motor, p.gearbox, p.compressor,
+                                       p.chw_pump});
+    }
+  }
+  const auto modes = domain::all_failure_modes();
+  Rng rng(0xCAC4E);
+  std::vector<net::FailureReport> sent;
+  double t = 100.0;
+  const auto random_report = [&] {
+    net::FailureReport r = make_report(
+        machines[rng.integer(0, machines.size() - 1)],
+        modes[rng.integer(0, modes.size() - 1)], rng.uniform(0.0, 1.0),
+        rng.uniform(0.05, 0.95), rng.integer(1, 4), t += 30.0,
+        rng.integer(1, 3));
+    if (rng.uniform(0.0, 1.0) < 0.1) {
+      r.machine_condition = domain::sensor_fault_condition(
+          domain::SensorFaultKind::Flatline);
+      r.severity = 0.0;  // a cleared channel: the ledger, not fusion
+    }
+    return r;
+  };
+
+  std::size_t reads = 0;
+  std::size_t resets = 0;
+  for (int step = 0; step < 600; ++step) {
+    const double roll = rng.uniform(0.0, 1.0);
+    if (roll < 0.55) {
+      std::vector<net::ReportEnvelope> batch;
+      const std::size_t n = rng.integer(1, 4);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Every fifth report is a retransmission of one already sent.
+        net::FailureReport r = !sent.empty() && rng.integer(0, 4) == 0
+                                   ? sent[rng.integer(0, sent.size() - 1)]
+                                   : random_report();
+        sent.push_back(r);
+        batch.push_back({r.dc, 0, std::move(r)});
+      }
+      pdme_.submit(batch);
+    } else if (roll < 0.62) {
+      pdme_.reset_machine(machines[rng.integer(0, machines.size() - 1)]);
+      ++resets;
+    } else {
+      PdmeExecutive cold(model_);
+      cold.rebuild_from_model();
+      const std::string where = "step " + std::to_string(step);
+      // A machine's list, the global list, or both; some reads find the
+      // global list clean, some find it dirty.
+      const std::uint64_t kind = rng.integer(0, 2);
+      if (kind != 1) {
+        const ObjectId m = machines[rng.integer(0, machines.size() - 1)];
+        expect_same_list(pdme_.prioritized_list(m), cold.prioritized_list(m),
+                         where + " machine " + std::to_string(m.value()));
+      }
+      if (kind != 0) {
+        expect_same_list(pdme_.prioritized_list(), cold.prioritized_list(),
+                         where + " global");
+        EXPECT_EQ(export_icas_csv(pdme_, model_),
+                  export_icas_csv(cold, model_))
+            << where;
+      }
+      ++reads;
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(reads, 150u);
+  EXPECT_GT(resets, 20u);
+  EXPECT_GT(pdme_.snapshot().duplicates_dropped, 50u);
+  EXPECT_GT(pdme_.snapshot().sensor_fault_reports, 50u);
+  EXPECT_GT(pdme_.prioritized_list().size(), 10u);
 }
 
 TEST_F(PdmeTest, RebuildFromModelRecoversFusionState) {

@@ -1,4 +1,4 @@
-// E16 — Zero-rebuild real-FFT fast path (ISSUE 2).
+// E16 — Zero-rebuild real-FFT fast path, and one DC test's analysis.
 //
 // The seed DSP layer rebuilt its FFT plan (bit-reversal table + twiddles)
 // and window taper on every amplitude_spectrum() call and ran real signals
@@ -6,8 +6,16 @@
 // windows process-wide, packs N reals into an N/2 complex FFT, and reuses
 // a per-thread scratch arena so steady-state extraction never allocates.
 //
+// The DC-test row times what DataConcentrator::run_vibration_test spends
+// on analysis, with the plant simulator left out: the records are acquired
+// from a seeded chiller up front, then each test runs four sensor screens
+// (current and three accelerometers), three vibration feature frames and
+// one current frame. It also counts the complex magnitudes (libm cabs
+// calls) one test computes. It is a layer number outside the pipeline
+// ledger and gates nothing.
+//
 // The google-benchmark suite covers interactive runs; main() additionally
-// takes a fixed-repetition median of both paths and writes the numbers to
+// takes a fixed-repetition median of each path and writes the numbers to
 // BENCH_DSP.json at the current working directory (run from the repo root
 // to refresh the committed copy). Acceptance: cached single-spectrum
 // latency >= 2x better than the rebuild path.
@@ -15,15 +23,33 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
+#include "mpros/dc/sensor_validator.hpp"
 #include "mpros/dsp/fft.hpp"
 #include "mpros/dsp/spectrum.hpp"
 #include "mpros/dsp/window.hpp"
+#include "mpros/plant/chiller.hpp"
 #include "mpros/rules/features.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_magnitudes{0};
+
+}  // namespace
+
+// Every std::abs(std::complex<double>) in the DSP layer compiles to a libm
+// cabs call. This definition takes precedence over libm's, counts the call
+// and returns what glibc's cabs returns: hypot of the two parts.
+extern "C" double cabs(__complex__ double z) {
+  g_magnitudes.fetch_add(1, std::memory_order_relaxed);
+  return std::hypot(__real__ z, __imag__ z);
+}
 
 namespace {
 
@@ -118,6 +144,63 @@ void BM_FeatureFrame_Cached(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureFrame_Cached)->Unit(benchmark::kMicrosecond);
 
+// One DC vibration test's records, acquired from a seeded chiller at the
+// DC's default rates and lengths (DcConfig).
+struct DcTestRecords {
+  std::vector<double> current = std::vector<double>(32768);
+  std::vector<double> vibration[3] = {std::vector<double>(8192),
+                                      std::vector<double>(8192),
+                                      std::vector<double>(8192)};
+  double load = 0.0;
+};
+
+constexpr double kCurrentRate = 4096.0;
+constexpr plant::MachinePoint kPoints[3] = {plant::MachinePoint::Motor,
+                                            plant::MachinePoint::Gearbox,
+                                            plant::MachinePoint::Compressor};
+
+std::vector<DcTestRecords> acquire_dc_tests(std::size_t tests) {
+  plant::ChillerSimulator chiller;
+  std::vector<DcTestRecords> out(tests);
+  for (DcTestRecords& r : out) {
+    chiller.advance(SimTime::from_seconds(600.0));
+    chiller.acquire_current(kCurrentRate, r.current);
+    for (std::size_t p = 0; p < 3; ++p) {
+      chiller.acquire_vibration(kPoints[p], kRate, r.vibration[p]);
+    }
+    r.load = chiller.load();
+  }
+  return out;
+}
+
+/// The analysis of run_vibration_test on one test's records.
+void analyze_dc_test(const DcTestRecords& r, dc::SensorValidator& validator,
+                     const rules::FeatureExtractor& extractor) {
+  (void)validator.check_window(plant::kCurrentChannel, r.current);
+  for (std::size_t p = 0; p < 3; ++p) {
+    (void)validator.check_window(plant::vibration_channel(kPoints[p]),
+                                 r.vibration[p]);
+    rules::FeatureFrame frame;
+    extractor.extract_vibration(r.vibration[p], kRate, frame);
+    if (kPoints[p] == plant::MachinePoint::Motor) {
+      extractor.extract_current(r.current, kCurrentRate, r.load, frame);
+    }
+    benchmark::DoNotOptimize(&frame);
+  }
+}
+
+void BM_DcTestAnalysis(benchmark::State& state) {
+  const std::vector<DcTestRecords> tests = acquire_dc_tests(8);
+  dc::SensorValidator validator;
+  const rules::FeatureExtractor extractor(domain::navy_chiller_signature());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    analyze_dc_test(tests[i++ % tests.size()], validator, extractor);
+  }
+  state.SetLabel("4 screens + 3 vibration frames + 1 current frame");
+}
+BENCHMARK(BM_DcTestAnalysis)->Unit(benchmark::kMicrosecond);
+
 // Median-of-reps wall time in nanoseconds for the JSON snapshot.
 template <typename Fn>
 double median_ns(std::size_t reps, Fn&& fn) {
@@ -151,6 +234,20 @@ void write_json_snapshot() {
   const double feature_frame =
       median_ns(100, [&] { extractor.extract_vibration(x, kRate, frame); });
 
+  const std::vector<DcTestRecords> tests = acquire_dc_tests(8);
+  dc::SensorValidator validator;
+  for (const DcTestRecords& t : tests) {
+    analyze_dc_test(t, validator, extractor);  // warm every cache and lane
+  }
+  std::size_t next = 0;
+  const double dc_test = median_ns(80, [&] {
+    analyze_dc_test(tests[next++ % tests.size()], validator, extractor);
+  });
+  const std::uint64_t magnitudes_before = g_magnitudes.load();
+  for (const DcTestRecords& t : tests) analyze_dc_test(t, validator, extractor);
+  const std::uint64_t magnitudes_per_test =
+      (g_magnitudes.load() - magnitudes_before) / tests.size();
+
   std::FILE* f = std::fopen("BENCH_DSP.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_dsp: cannot write BENCH_DSP.json\n");
@@ -164,15 +261,21 @@ void write_json_snapshot() {
                "  \"single_spectrum_rebuild_ns\": %.0f,\n"
                "  \"single_spectrum_cached_ns\": %.0f,\n"
                "  \"single_spectrum_speedup\": %.2f,\n"
-               "  \"feature_frame_cached_ns\": %.0f\n"
+               "  \"feature_frame_cached_ns\": %.0f,\n"
+               "  \"dc_test_analysis_ns\": %.0f,\n"
+               "  \"dc_test_magnitudes\": %llu\n"
                "}\n",
                kWindow, kRate, rebuild, cached, rebuild / cached,
-               feature_frame);
+               feature_frame, dc_test,
+               static_cast<unsigned long long>(magnitudes_per_test));
   std::fclose(f);
   std::printf("single spectrum: rebuild %.1f us -> cached %.1f us (%.2fx)\n",
               rebuild / 1e3, cached / 1e3, rebuild / cached);
-  std::printf("feature frame  : %.1f us  (BENCH_DSP.json written)\n",
-              feature_frame / 1e3);
+  std::printf("feature frame  : %.1f us\n", feature_frame / 1e3);
+  std::printf("DC test        : %.1f us, %llu magnitudes  "
+              "(BENCH_DSP.json written)\n",
+              dc_test / 1e3,
+              static_cast<unsigned long long>(magnitudes_per_test));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mpros/dsp/scratch.hpp"
+#include "mpros/dsp/select.hpp"
 #include "mpros/telemetry/metrics.hpp"
 
 namespace mpros::dc {
@@ -25,19 +27,23 @@ struct ValidatorMetrics {
   }
 };
 
-double median_of(std::vector<double> v) {
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
-                   v.end());
-  return v[mid];
+/// The median and the MAD each need one buffer as long as the window. The
+/// calling thread's DSP real lane 0 already holds a whole current record
+/// after its spectrum, so the screens borrow it; no dsp:: routine runs while
+/// they do.
+std::span<double> screen_buffer(std::size_t n) {
+  return dsp::DspScratch::local().real_lane(0, n);
 }
 
-/// Robust scatter: 1.4826 * MAD ~ sigma for Gaussian noise.
-double robust_sigma(std::span<const double> samples, double median) {
-  std::vector<double> dev;
-  dev.reserve(samples.size());
-  for (const double s : samples) dev.push_back(std::fabs(s - median));
-  return 1.4826 * median_of(std::move(dev));
+/// Robust scatter of value(0..n-1) about their median: 1.4826 * MAD ~ sigma
+/// for Gaussian noise.
+template <typename Value>
+double robust_sigma(std::size_t n, const Value& value, double median,
+                    std::span<double> work) {
+  return 1.4826 * dsp::select_kth(
+                      n, n / 2,
+                      [&](std::size_t i) { return std::fabs(value(i) - median); },
+                      work);
 }
 
 }  // namespace
@@ -74,18 +80,20 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
     const std::string& channel, std::span<const double> samples) const {
   if (samples.empty()) return std::nullopt;
 
+  // One pass: finiteness and the extremes.
+  double lo = samples[0];
+  double hi = samples[0];
   for (const double s : samples) {
     if (!std::isfinite(s)) return domain::SensorFaultKind::Dropout;
+    lo = std::min(lo, s);
+    hi = std::max(hi, s);
   }
-
-  const auto [lo_it, hi_it] = std::minmax_element(samples.begin(),
-                                                  samples.end());
-  if (*hi_it - *lo_it < cfg_.flatline_peak_to_peak) {
+  if (hi - lo < cfg_.flatline_peak_to_peak) {
     return domain::SensorFaultKind::Flatline;
   }
 
-  std::vector<double> copy(samples.begin(), samples.end());
-  const double median = median_of(std::move(copy));
+  const std::span<double> work = screen_buffer(samples.size());
+  const double median = dsp::median(samples, work);
   if (const auto range_it = cfg_.ranges.find(channel);
       range_it != cfg_.ranges.end()) {
     const PhysicalRange& r = range_it->second;
@@ -94,12 +102,14 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
     }
   }
 
-  const double sigma = robust_sigma(samples, median);
+  const double sigma = robust_sigma(
+      samples.size(), [samples](std::size_t i) { return samples[i]; }, median,
+      work);
   if (sigma > 0.0) {
     const double limit = cfg_.spike_sigmas * sigma;
     std::size_t spikes = 0;
     for (const double s : samples) {
-      if (std::fabs(s - median) > limit) ++spikes;
+      spikes += static_cast<std::size_t>(std::fabs(s - median) > limit);
     }
     if (spikes >= cfg_.spike_min_count) {
       return domain::SensorFaultKind::Spike;
@@ -132,22 +142,42 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_value(
     return domain::SensorFaultKind::Flatline;
   }
 
-  if (state.history.size() >= cfg_.scalar_history) {
-    const std::vector<double> hist(state.history.begin(),
-                                   state.history.end());
-    const double median = median_of(hist);
-    const double sigma = robust_sigma(hist, median);
+  const std::size_t n = state.history_size;
+  if (n > 0 && n >= cfg_.scalar_history) {
+    const std::size_t slots = state.history.size();
+    const std::size_t first = state.history_next + slots - n;
+    const auto held = [&](std::size_t j) {
+      return state.history[(first + j) % slots];
+    };
+    const std::span<double> work = screen_buffer(n);
+    const double median = dsp::select_kth(n, n / 2, held, work);
+    const double sigma = robust_sigma(n, held, median, work);
     if (sigma > 0.0 &&
         std::fabs(value - median) > cfg_.scalar_spike_sigmas * sigma) {
       return domain::SensorFaultKind::Spike;
     }
   }
 
-  state.history.push_back(value);
-  while (state.history.size() > cfg_.scalar_history) {
-    state.history.pop_front();
-  }
+  remember(state, value);
   return std::nullopt;
+}
+
+void SensorValidator::remember(ChannelState& state, double value) const {
+  const std::size_t limit = cfg_.scalar_history;
+  if (state.history.size() < limit) {
+    // Unroll the ring oldest-first before it grows; only a longer
+    // `scalar_history` gets here after the first readings.
+    std::rotate(state.history.begin(),
+                state.history.begin() +
+                    static_cast<std::ptrdiff_t>(state.history_next),
+                state.history.end());
+    state.history_next = state.history.size();
+    state.history.resize(limit);
+  }
+  if (state.history.empty()) return;
+  state.history[state.history_next] = value;
+  state.history_next = (state.history_next + 1) % state.history.size();
+  state.history_size = std::min(state.history_size + 1, limit);
 }
 
 SensorValidator::Verdict SensorValidator::resolve(

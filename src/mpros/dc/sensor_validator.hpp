@@ -17,7 +17,6 @@
 // consecutive clean checks.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -112,8 +111,16 @@ class SensorValidator {
     std::size_t repeat_count = 0;  ///< scalar stuck-at tracking
     double last_value = 0.0;
     bool has_last = false;
-    std::deque<double> history;  ///< scalar recent readings (clean only)
+    /// Scalar recent readings (clean only): the `history_size` readings
+    /// before `history_next` in a ring, oldest overwritten first. The ring
+    /// grows only when `scalar_history` does.
+    std::vector<double> history;
+    std::size_t history_next = 0;
+    std::size_t history_size = 0;
   };
+
+  /// Append a clean reading, keeping the last `scalar_history` of them.
+  void remember(ChannelState& state, double value) const;
 
   Verdict resolve(ChannelState& state,
                   std::optional<domain::SensorFaultKind> fault);

@@ -10,6 +10,54 @@
 
 namespace mpros::dsp {
 
+namespace {
+
+/// Bins [begin, end) of a band [lo_hz, hi_hz], clipped to `bins`. Every band
+/// read, magnitude array or complex half spectrum, walks this range.
+struct BinRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+BinRange band_bins(double bin_hz, std::size_t bins, double lo_hz,
+                   double hi_hz) {
+  if (bin_hz <= 0.0 || hi_hz < lo_hz || bins == 0) return {};
+  const auto lo = static_cast<std::size_t>(std::max(0.0, lo_hz / bin_hz));
+  const auto hi =
+      std::min<std::size_t>(bins - 1, static_cast<std::size_t>(hi_hz / bin_hz));
+  return {lo, hi + 1};
+}
+
+template <typename Amplitude>
+double peak_over(BinRange r, const Amplitude& amplitude) {
+  double peak = 0.0;
+  for (std::size_t i = r.begin; i < r.end; ++i) {
+    peak = std::max(peak, amplitude(i));
+  }
+  return peak;
+}
+
+template <typename Amplitude>
+double energy_over(BinRange r, const Amplitude& amplitude) {
+  double sum = 0.0;
+  for (std::size_t i = r.begin; i < r.end; ++i) {
+    const double a = amplitude(i);
+    sum += a * a;
+  }
+  return sum;
+}
+
+template <typename S>
+double order_band_peak(const S& s, double shaft_hz, double order,
+                       double tolerance) {
+  MPROS_EXPECTS(shaft_hz > 0.0 && order > 0.0 && tolerance >= 0.0);
+  const double center = shaft_hz * order;
+  const double half_width = shaft_hz * tolerance;
+  return s.band_peak(center - half_width, center + half_width);
+}
+
+}  // namespace
+
 double Spectrum::amplitude_at(double hz) const {
   if (bin_hz <= 0.0 || hz < 0.0) return 0.0;
   const auto i = static_cast<std::size_t>(std::llround(hz / bin_hz));
@@ -17,29 +65,13 @@ double Spectrum::amplitude_at(double hz) const {
 }
 
 double Spectrum::band_peak(double lo_hz, double hi_hz) const {
-  if (bin_hz <= 0.0 || hi_hz < lo_hz) return 0.0;
-  const auto lo = static_cast<std::size_t>(std::max(0.0, lo_hz / bin_hz));
-  const auto hi = std::min<std::size_t>(
-      amplitude.size() == 0 ? 0 : amplitude.size() - 1,
-      static_cast<std::size_t>(hi_hz / bin_hz));
-  double peak = 0.0;
-  for (std::size_t i = lo; i <= hi && i < amplitude.size(); ++i) {
-    peak = std::max(peak, amplitude[i]);
-  }
-  return peak;
+  return peak_over(band_bins(bin_hz, amplitude.size(), lo_hz, hi_hz),
+                   [this](std::size_t i) { return amplitude[i]; });
 }
 
 double Spectrum::band_energy(double lo_hz, double hi_hz) const {
-  if (bin_hz <= 0.0 || hi_hz < lo_hz) return 0.0;
-  const auto lo = static_cast<std::size_t>(std::max(0.0, lo_hz / bin_hz));
-  const auto hi = std::min<std::size_t>(
-      amplitude.size() == 0 ? 0 : amplitude.size() - 1,
-      static_cast<std::size_t>(hi_hz / bin_hz));
-  double sum = 0.0;
-  for (std::size_t i = lo; i <= hi && i < amplitude.size(); ++i) {
-    sum += amplitude[i] * amplitude[i];
-  }
-  return sum;
+  return energy_over(band_bins(bin_hz, amplitude.size(), lo_hz, hi_hz),
+                     [this](std::size_t i) { return amplitude[i]; });
 }
 
 double Spectrum::total_energy() const {
@@ -48,15 +80,18 @@ double Spectrum::total_energy() const {
   return sum;
 }
 
-Spectrum amplitude_spectrum(std::span<const double> x, double sample_rate_hz,
-                            const SpectrumConfig& cfg) {
-  Spectrum out;
-  amplitude_spectrum(x, sample_rate_hz, cfg, out);
-  return out;
+double HalfSpectrum::band_peak(double lo_hz, double hi_hz) const {
+  return peak_over(band_bins(bin_hz, bins(), lo_hz, hi_hz),
+                   [this](std::size_t i) { return amplitude(i); });
 }
 
-void amplitude_spectrum(std::span<const double> x, double sample_rate_hz,
-                        const SpectrumConfig& cfg, Spectrum& out) {
+double HalfSpectrum::band_energy(double lo_hz, double hi_hz) const {
+  return energy_over(band_bins(bin_hz, bins(), lo_hz, hi_hz),
+                     [this](std::size_t i) { return amplitude(i); });
+}
+
+HalfSpectrum half_spectrum(std::span<const double> x, double sample_rate_hz,
+                           const SpectrumConfig& cfg) {
   MPROS_EXPECTS(sample_rate_hz > 0.0);
   MPROS_EXPECTS(x.size() >= 2);
 
@@ -76,17 +111,30 @@ void amplitude_spectrum(std::span<const double> x, double sample_rate_hz,
   const std::span<Complex> half = scratch.complex_lane(0, plan.bins());
   plan.forward(windowed, half, scratch.complex_lane(1, plan.scratch_size()));
 
-  out.sample_rate_hz = sample_rate_hz;
+  // Amplitudes divide by the window's coherent gain so a unit-amplitude sine
+  // at a bin center reads ~1.0 (HalfSpectrum::amplitude).
+  HalfSpectrum out;
+  out.half = half;
+  out.coherent_gain = window.coherent_gain;
   out.bin_hz = sample_rate_hz / static_cast<double>(n);
-  out.amplitude.resize(n / 2 + 1);
+  return out;
+}
 
-  // Scale so a unit-amplitude sine at a bin center reads ~1.0: divide by the
-  // window's coherent gain, and double non-DC/non-Nyquist bins (single-sided).
-  const double gain = window.coherent_gain;
+Spectrum amplitude_spectrum(std::span<const double> x, double sample_rate_hz,
+                            const SpectrumConfig& cfg) {
+  Spectrum out;
+  amplitude_spectrum(x, sample_rate_hz, cfg, out);
+  return out;
+}
+
+void amplitude_spectrum(std::span<const double> x, double sample_rate_hz,
+                        const SpectrumConfig& cfg, Spectrum& out) {
+  const HalfSpectrum half = half_spectrum(x, sample_rate_hz, cfg);
+  out.sample_rate_hz = sample_rate_hz;
+  out.bin_hz = half.bin_hz;
+  out.amplitude.resize(half.bins());
   for (std::size_t i = 0; i < out.amplitude.size(); ++i) {
-    double a = std::abs(half[i]) / gain;
-    if (i != 0 && i != n / 2) a *= 2.0;
-    out.amplitude[i] = a;
+    out.amplitude[i] = half.amplitude(i);
   }
 }
 
@@ -182,10 +230,12 @@ std::vector<SpectralPeak> find_peaks(const Spectrum& s, std::size_t max_peaks,
 
 double order_amplitude(const Spectrum& s, double shaft_hz, double order,
                        double tolerance) {
-  MPROS_EXPECTS(shaft_hz > 0.0 && order > 0.0 && tolerance >= 0.0);
-  const double center = shaft_hz * order;
-  const double half_width = shaft_hz * tolerance;
-  return s.band_peak(center - half_width, center + half_width);
+  return order_band_peak(s, shaft_hz, order, tolerance);
+}
+
+double order_amplitude(const HalfSpectrum& s, double shaft_hz, double order,
+                       double tolerance) {
+  return order_band_peak(s, shaft_hz, order, tolerance);
 }
 
 }  // namespace mpros::dsp

@@ -4,6 +4,35 @@
 #include <cmath>
 
 namespace mpros::dsp {
+namespace {
+
+/// Central moments about a known mean; `x` is not empty.
+Moments central_moments(std::span<const double> x, double mean) {
+  Moments m;
+  m.mean = mean;
+  double m2 = 0.0, m3 = 0.0, m4 = 0.0;
+  for (double v : x) {
+    const double d = v - m.mean;
+    const double d2 = d * d;
+    m2 += d2;
+    m3 += d2 * d;
+    m4 += d2 * d2;
+  }
+  const double n = static_cast<double>(x.size());
+  m2 /= n;
+  m3 /= n;
+  m4 /= n;
+
+  m.variance = m2;
+  m.stddev = std::sqrt(m2);
+  if (m2 > 0.0) {
+    m.skewness = m3 / std::pow(m2, 1.5);
+    m.kurtosis = m4 / (m2 * m2);
+  }
+  return m;
+}
+
+}  // namespace
 
 double mean(std::span<const double> x) {
   if (x.empty()) return 0.0;
@@ -37,30 +66,26 @@ double crest_factor(std::span<const double> x) {
 }
 
 Moments moments(std::span<const double> x) {
-  Moments m;
-  if (x.empty()) return m;
-  m.mean = mean(x);
+  if (x.empty()) return {};
+  return central_moments(x, mean(x));
+}
 
-  double m2 = 0.0, m3 = 0.0, m4 = 0.0;
+WaveformStats waveform_stats(std::span<const double> x) {
+  WaveformStats s;
+  if (x.empty()) return s;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  double peak = 0.0;
   for (double v : x) {
-    const double d = v - m.mean;
-    const double d2 = d * d;
-    m2 += d2;
-    m3 += d2 * d;
-    m4 += d2 * d2;
+    sum += v;
+    sum_sq += v * v;
+    peak = std::max(peak, std::fabs(v));
   }
   const double n = static_cast<double>(x.size());
-  m2 /= n;
-  m3 /= n;
-  m4 /= n;
-
-  m.variance = m2;
-  m.stddev = std::sqrt(m2);
-  if (m2 > 0.0) {
-    m.skewness = m3 / std::pow(m2, 1.5);
-    m.kurtosis = m4 / (m2 * m2);
-  }
-  return m;
+  s.moments = central_moments(x, sum / n);
+  s.rms = std::sqrt(sum_sq / n);
+  s.crest_factor = s.rms > 0.0 ? peak / s.rms : 0.0;
+  return s;
 }
 
 std::size_t zero_crossings(std::span<const double> x) {

@@ -39,6 +39,17 @@ struct Moments {
 /// variance, 3+ recommended for the higher moments.
 [[nodiscard]] Moments moments(std::span<const double> x);
 
+/// What a feature frame reads of a waveform's statistics, in two passes:
+/// the sum, sum of squares and peak in one, the central moments in the
+/// other. Each field is bit for bit the standalone routine's (moments, rms,
+/// crest_factor), since every accumulator runs in the same index order.
+struct WaveformStats {
+  Moments moments;
+  double rms = 0.0;
+  double crest_factor = 0.0;
+};
+[[nodiscard]] WaveformStats waveform_stats(std::span<const double> x);
+
 /// Zero-crossing count (sign changes), a cheap frequency proxy used by SBFR.
 [[nodiscard]] std::size_t zero_crossings(std::span<const double> x);
 

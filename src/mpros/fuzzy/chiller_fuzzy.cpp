@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mpros/common/assert.hpp"
 #include "mpros/rules/features.hpp"
 
 namespace mpros::fuzzy {
@@ -178,24 +177,9 @@ std::vector<rules::Diagnosis> FuzzyDiagnoser::evaluate(
     const rules::BelievabilityTable& beliefs) const {
   std::vector<rules::Diagnosis> out;
   for (const ModeEngine& me : engines_) {
-    CrispInputs inputs;
-    bool complete = true;
-    // Feed exactly the variables this engine declares; a missing sensor
-    // means the engine abstains (fragmentary input, §5.1).
-    for (const auto& rule : me.engine.rules()) {
-      for (const auto& a : rule.antecedents) {
-        const auto it = snapshot.find(a.variable);
-        if (it == snapshot.end()) {
-          complete = false;
-          break;
-        }
-        inputs[a.variable] = it->second;
-      }
-      if (!complete) break;
-    }
-    if (!complete) continue;
-
-    const double severity = me.engine.infer(inputs);
+    // A missing sensor means the engine abstains (fragmentary input, §5.1).
+    if (!me.engine.has_inputs(snapshot)) continue;
+    const double severity = me.engine.infer(snapshot);
     if (severity < kFireThreshold) continue;
 
     rules::Diagnosis d;
@@ -219,16 +203,7 @@ std::vector<rules::Diagnosis> FuzzyDiagnoser::evaluate(
 double FuzzyDiagnoser::severity(domain::FailureMode mode,
                                 const ProcessSnapshot& snapshot) const {
   for (const ModeEngine& me : engines_) {
-    if (me.mode != mode) continue;
-    CrispInputs inputs;
-    for (const auto& rule : me.engine.rules()) {
-      for (const auto& a : rule.antecedents) {
-        const auto it = snapshot.find(a.variable);
-        MPROS_EXPECTS(it != snapshot.end());
-        inputs[a.variable] = it->second;
-      }
-    }
-    return me.engine.infer(inputs);
+    if (me.mode == mode) return me.engine.infer(snapshot);
   }
   return 0.0;
 }

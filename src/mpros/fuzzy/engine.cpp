@@ -17,20 +17,33 @@ MamdaniEngine& MamdaniEngine::add_rule(FuzzyRule rule) {
   MPROS_EXPECTS(!rule.antecedents.empty());
   MPROS_EXPECTS(output_.has_term(rule.output_term));
   MPROS_EXPECTS(rule.weight > 0.0 && rule.weight <= 1.0);
+  BoundRule bound;
+  bound.output_term = output_.term_index(rule.output_term);
+  bound.weight = rule.weight;
   for (const Antecedent& a : rule.antecedents) {
-    MPROS_EXPECTS(input_variable(a.variable).has_term(a.term));
+    const std::size_t v = input_index(a.variable);
+    MPROS_EXPECTS(inputs_[v].has_term(a.term));
+    bound.antecedents.push_back({v, inputs_[v].term_index(a.term), a.negated});
   }
-  rules_.push_back(std::move(rule));
+  rules_.push_back(std::move(bound));
   return *this;
 }
 
-const LinguisticVariable& MamdaniEngine::input_variable(
-    const std::string& name) const {
-  for (const LinguisticVariable& v : inputs_) {
-    if (v.name() == name) return v;
+std::size_t MamdaniEngine::input_index(const std::string& name) const {
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    if (inputs_[i].name() == name) return i;
   }
   MPROS_EXPECTS(false && "unknown fuzzy input variable");
-  return inputs_.front();  // unreachable
+  return 0;  // unreachable
+}
+
+bool MamdaniEngine::has_inputs(const CrispInputs& inputs) const {
+  for (const BoundRule& rule : rules_) {
+    for (const BoundAntecedent& a : rule.antecedents) {
+      if (!inputs.contains(inputs_[a.variable].name())) return false;
+    }
+  }
+  return true;
 }
 
 std::vector<double> MamdaniEngine::firing_strengths(
@@ -38,12 +51,13 @@ std::vector<double> MamdaniEngine::firing_strengths(
   std::vector<double> strengths;
   strengths.reserve(rules_.size());
 
-  for (const FuzzyRule& rule : rules_) {
+  for (const BoundRule& rule : rules_) {
     double strength = 1.0;
-    for (const Antecedent& a : rule.antecedents) {
-      const auto it = inputs.find(a.variable);
+    for (const BoundAntecedent& a : rule.antecedents) {
+      const LinguisticVariable& var = inputs_[a.variable];
+      const auto it = inputs.find(var.name());
       MPROS_EXPECTS(it != inputs.end());
-      double g = input_variable(a.variable).grade(a.term, it->second);
+      double g = var.grade_term(a.term, it->second);
       if (a.negated) g = 1.0 - g;
       strength = std::min(strength, g);
     }
@@ -72,7 +86,7 @@ double MamdaniEngine::infer(const CrispInputs& inputs, Defuzzifier d) const {
     for (std::size_t r = 0; r < rules_.size(); ++r) {
       if (strengths[r] <= 0.0) continue;
       const double clipped = std::min(
-          strengths[r], output_.grade(rules_[r].output_term, y));
+          strengths[r], output_.grade_term(rules_[r].output_term, y));
       mu = std::max(mu, clipped);
     }
     weighted_area += mu * y;

@@ -38,7 +38,11 @@ class MamdaniEngine {
 
   MamdaniEngine& add_rule(FuzzyRule rule);
 
-  /// Run inference. Missing inputs abort (the caller owns the sensor list).
+  /// True when `inputs` holds every variable some rule reads.
+  [[nodiscard]] bool has_inputs(const CrispInputs& inputs) const;
+
+  /// Run inference. Missing inputs abort (the caller owns the sensor list;
+  /// has_inputs() checks it). Inputs no rule reads are ignored.
   /// Returns the defuzzified crisp output; if no rule fires at all, returns
   /// the output universe minimum.
   [[nodiscard]] double infer(const CrispInputs& inputs,
@@ -49,16 +53,27 @@ class MamdaniEngine {
   [[nodiscard]] std::vector<double> firing_strengths(
       const CrispInputs& inputs) const;
 
-  [[nodiscard]] const std::vector<FuzzyRule>& rules() const { return rules_; }
   [[nodiscard]] const LinguisticVariable& output() const { return output_; }
 
  private:
-  [[nodiscard]] const LinguisticVariable& input_variable(
-      const std::string& name) const;
+  /// An accepted rule with every name resolved to an index by add_rule(),
+  /// so inference looks nothing up by string.
+  struct BoundAntecedent {
+    std::size_t variable = 0;  ///< into inputs_
+    std::size_t term = 0;      ///< into that variable's terms()
+    bool negated = false;
+  };
+  struct BoundRule {
+    std::vector<BoundAntecedent> antecedents;
+    std::size_t output_term = 0;  ///< into output_.terms()
+    double weight = 1.0;
+  };
+
+  [[nodiscard]] std::size_t input_index(const std::string& name) const;
 
   std::vector<LinguisticVariable> inputs_;
   LinguisticVariable output_;
-  std::vector<FuzzyRule> rules_;
+  std::vector<BoundRule> rules_;
 
   static constexpr std::size_t kSamples = 201;
 };

@@ -65,15 +65,16 @@ LinguisticVariable& LinguisticVariable::add_term(std::string term_name,
 
 double LinguisticVariable::grade(const std::string& term_name,
                                  double x) const {
-  return term(term_name).mf.grade(std::clamp(x, min_, max_));
+  return grade_term(term_index(term_name), x);
 }
 
-const Term& LinguisticVariable::term(const std::string& term_name) const {
-  for (const Term& t : terms_) {
-    if (t.name == term_name) return t;
+std::size_t LinguisticVariable::term_index(
+    const std::string& term_name) const {
+  for (std::size_t i = 0; i < terms_.size(); ++i) {
+    if (terms_[i].name == term_name) return i;
   }
   MPROS_EXPECTS(false && "unknown fuzzy term");
-  return terms_.front();  // unreachable
+  return 0;  // unreachable
 }
 
 bool LinguisticVariable::has_term(const std::string& term_name) const {

@@ -5,6 +5,8 @@
 // conclusions drawn from non-vibrational data (temperatures, pressures,
 // superheat) through Mamdani inference.
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <variant>
 #include <vector>
@@ -59,8 +61,14 @@ class LinguisticVariable {
 
   /// Membership of x in the named term; aborts if the term is unknown.
   [[nodiscard]] double grade(const std::string& term_name, double x) const;
+  /// Membership of x in terms()[index], clamped into the universe first
+  /// like the by-name grade().
+  [[nodiscard]] double grade_term(std::size_t index, double x) const {
+    return terms_[index].mf.grade(std::clamp(x, min_, max_));
+  }
+  /// Index of the named term in terms(); aborts if the term is unknown.
+  [[nodiscard]] std::size_t term_index(const std::string& term_name) const;
 
-  [[nodiscard]] const Term& term(const std::string& term_name) const;
   [[nodiscard]] bool has_term(const std::string& term_name) const;
 
  private:

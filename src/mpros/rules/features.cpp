@@ -18,12 +18,16 @@ telemetry::Counter& nonfinite_inputs() {
   return c;
 }
 
-void FeatureFrame::set(std::string key, double value) {
+void FeatureFrame::set(std::string_view key, double value) {
   if (!std::isfinite(value)) {
     nonfinite_inputs().inc();
     return;
   }
-  values_[std::move(key)] = value;
+  if (const auto it = values_.find(key); it != values_.end()) {
+    it->second = value;
+  } else {
+    values_.emplace(key, value);
+  }
 }
 
 double FeatureFrame::get(const std::string& key, double fallback) const {
@@ -47,40 +51,39 @@ void FeatureExtractor::extract_vibration(std::span<const double> waveform,
   MPROS_EXPECTS(waveform.size() >= 64);
   const double shaft = signature_.shaft_hz;
 
-  // Per-thread reusable outputs: the acquisition loop calls this at a steady
-  // record size, so after the first pass the whole DSP chain below (cached
-  // plans + windows + these buffers) performs no heap allocation.
-  static thread_local dsp::Spectrum spec;
-  static thread_local dsp::Spectrum env_spec;
+  // The transforms and band reads below are allocation-free once the plan
+  // and window caches, the scratch lanes and `env` are warm. Each band read
+  // computes magnitudes for the bins it covers only; every read of `spec`
+  // comes before the envelope, whose transforms reuse the lane it views.
   static thread_local std::vector<double> env;
 
   dsp::SpectrumConfig scfg;
   scfg.fft_size =
       std::max(cfg_.fft_size, dsp::next_power_of_two(waveform.size()));
-  dsp::amplitude_spectrum(waveform, sample_rate_hz, scfg, spec);
+  const dsp::HalfSpectrum spec =
+      dsp::half_spectrum(waveform, sample_rate_hz, scfg);
 
   const auto order = [&](double k) {
     return dsp::order_amplitude(spec, shaft, k, cfg_.order_tolerance);
   };
 
-  frame.set(feat::kOrderHalf, order(0.5));
-  frame.set(feat::kOrder1, order(1.0));
-  frame.set(feat::kOrder2, order(2.0));
-  frame.set(feat::kOrder3, order(3.0));
-  frame.set(feat::kOrder4, order(4.0));
+  // orders[k] is the amplitude at k x running speed; half orders apart.
+  double orders[7] = {};
+  for (int k = 1; k <= 6; ++k) orders[k] = order(static_cast<double>(k));
+  const double half_orders[3] = {order(0.5), order(1.5), order(2.5)};
+
+  frame.set(feat::kOrderHalf, half_orders[0]);
+  frame.set(feat::kOrder1, orders[1]);
+  frame.set(feat::kOrder2, orders[2]);
+  frame.set(feat::kOrder3, orders[3]);
+  frame.set(feat::kOrder4, orders[4]);
 
   double series = 0.0;
-  for (int k = 1; k <= 6; ++k) {
-    const double a = order(static_cast<double>(k));
-    series += a * a;
-  }
+  for (int k = 1; k <= 6; ++k) series += orders[k] * orders[k];
   frame.set(feat::kHarmonicSeries, std::sqrt(series));
 
   double sub = 0.0;
-  for (double k : {0.5, 1.5, 2.5}) {
-    const double a = order(k);
-    sub += a * a;
-  }
+  for (const double a : half_orders) sub += a * a;
   frame.set(feat::kSubharmonics, std::sqrt(sub));
 
   // Gear mesh and its +/- 1x-shaft sidebands (wear modulates the mesh tone).
@@ -117,7 +120,8 @@ void FeatureExtractor::extract_vibration(std::span<const double> waveform,
     // Remove the DC component of the envelope before the spectrum.
     const double env_mean = dsp::mean(env);
     for (double& v : env) v -= env_mean;
-    dsp::amplitude_spectrum(env, sample_rate_hz, scfg, env_spec);
+    const dsp::HalfSpectrum env_spec =
+        dsp::half_spectrum(env, sample_rate_hz, scfg);
 
     // Motor bearings ride the motor shaft; the compressor's angular-contact
     // set rides the high-speed shaft after the speed increaser.
@@ -131,10 +135,10 @@ void FeatureExtractor::extract_vibration(std::span<const double> waveform,
     frame.set(feat::kFtf, env_order(hss, signature_.hss_bearing.ftf));
   }
 
-  const dsp::Moments m = dsp::moments(waveform);
-  frame.set(feat::kOverallRms, dsp::rms(waveform));
-  frame.set(feat::kCrestFactor, dsp::crest_factor(waveform));
-  frame.set(feat::kKurtosis, m.kurtosis);
+  const dsp::WaveformStats stats = dsp::waveform_stats(waveform);
+  frame.set(feat::kOverallRms, stats.rms);
+  frame.set(feat::kCrestFactor, stats.crest_factor);
+  frame.set(feat::kKurtosis, stats.moments.kurtosis);
 }
 
 void FeatureExtractor::extract_current(std::span<const double> waveform,
@@ -147,10 +151,10 @@ void FeatureExtractor::extract_current(std::span<const double> waveform,
   // Current-signature analysis needs sub-Hz resolution to resolve the
   // pole-pass sidebands around the line component, so the FFT length
   // follows the (long, low-rate) record rather than the vibration default.
-  static thread_local dsp::Spectrum spec;
   dsp::SpectrumConfig scfg;
   scfg.fft_size = dsp::next_power_of_two(waveform.size());
-  dsp::amplitude_spectrum(waveform, sample_rate_hz, scfg, spec);
+  const dsp::HalfSpectrum spec =
+      dsp::half_spectrum(waveform, sample_rate_hz, scfg);
 
   const double fundamental = spec.band_peak(line * 0.98, line * 1.02);
   frame.set(feat::kCurrentRms, dsp::rms(waveform));

@@ -7,9 +7,11 @@
 // spectral orders, bearing envelope tones, electrical signatures, overall
 // statistics, and process variables.
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "mpros/domain/equipment.hpp"
@@ -72,10 +74,20 @@ inline constexpr const char* kMotorCurrent = "process.motor_current_a";
 
 class FeatureFrame {
  public:
-  /// Store a feature. Non-finite values are refused (counted under
-  /// `rules.nonfinite_inputs`): a NaN that slipped past the sensor screens
-  /// must read as "unmeasured" so clauses abstain, never as evidence.
-  void set(std::string key, double value);
+  /// std::hash<std::string>'s value, usable for a string_view probe.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  using Map = std::unordered_map<std::string, double, KeyHash, std::equal_to<>>;
+
+  /// Store a feature; overwriting one already present allocates nothing.
+  /// Non-finite values are refused (counted under `rules.nonfinite_inputs`):
+  /// a NaN that slipped past the sensor screens must read as "unmeasured" so
+  /// clauses abstain, never as evidence.
+  void set(std::string_view key, double value);
   [[nodiscard]] bool has(const std::string& key) const {
     return values_.contains(key);
   }
@@ -84,12 +96,10 @@ class FeatureFrame {
   [[nodiscard]] std::optional<double> maybe(const std::string& key) const;
   [[nodiscard]] std::size_t size() const { return values_.size(); }
 
-  [[nodiscard]] const std::unordered_map<std::string, double>& all() const {
-    return values_;
-  }
+  [[nodiscard]] const Map& all() const { return values_; }
 
  private:
-  std::unordered_map<std::string, double> values_;
+  Map values_;
 };
 
 /// Extraction settings; defaults fit the 40 kHz 4-channel digitizer model.

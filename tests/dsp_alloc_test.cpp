@@ -72,6 +72,7 @@ TEST(DspAllocationTest, SteadyStateSpectralPipelineIsAllocationFree) {
 
   const auto run_all = [&] {
     dsp::amplitude_spectrum(x, kRate, cfg, spec);
+    (void)dsp::half_spectrum(x, kRate, cfg);
     dsp::welch_psd(x, kRate, 1024, dsp::WindowKind::Hann, welch);
     dsp::envelope_bandpassed(x, kRate, 2000.0, 6000.0, env);
     dsp::real_cepstrum(x, 0, ceps);

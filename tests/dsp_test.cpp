@@ -8,9 +8,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numbers>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mpros/common/clock.hpp"
 #include "mpros/common/rng.hpp"
@@ -22,6 +24,7 @@
 #include "mpros/dsp/fft.hpp"
 #include "mpros/dsp/filter.hpp"
 #include "mpros/dsp/plan_cache.hpp"
+#include "mpros/dsp/select.hpp"
 #include "mpros/dsp/spectrum.hpp"
 #include "mpros/dsp/stats.hpp"
 #include "mpros/dsp/window.hpp"
@@ -700,6 +703,218 @@ TEST(FftBitExactTest, FeatureFrameDigestPinned) {
     }
   }
   EXPECT_EQ(h, 0xA11A35F77E1A9650ULL);
+}
+
+// --- Band reads on the half spectrum ---------------------------------------
+
+TEST(HalfSpectrumTest, BandReadsMatchTheMagnitudeSpectrumBitForBit) {
+  Rng rng(0xBA4D);
+  std::vector<double> x(8192);
+  for (double& v : x) v = rng.normal(0.0, 1.0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] += std::sin(kTwoPi * 297.0 * static_cast<double>(i) / 40960.0);
+  }
+  SpectrumConfig cfg;
+  cfg.fft_size = 16384;  // zero-padded, as the DC's vibration frames are
+  const Spectrum full = amplitude_spectrum(x, 40960.0, cfg);
+  const HalfSpectrum half = half_spectrum(x, 40960.0, cfg);
+  ASSERT_EQ(half.bins(), full.bins());
+  EXPECT_EQ(half.bin_hz, full.bin_hz);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < full.bins(); ++i) {
+    ASSERT_EQ(bits(half.amplitude(i)), bits(full.amplitude[i])) << i;
+  }
+  // Bands inside, across the edges of and beyond the spectrum, empty ones
+  // and a reversed one.
+  for (int trial = 0; trial < 400; ++trial) {
+    const double lo = rng.uniform(-500.0, 21000.0);
+    const double hi = lo + rng.uniform(-50.0, 3000.0);
+    EXPECT_EQ(bits(half.band_peak(lo, hi)), bits(full.band_peak(lo, hi)));
+    EXPECT_EQ(bits(half.band_energy(lo, hi)), bits(full.band_energy(lo, hi)));
+  }
+  EXPECT_EQ(bits(order_amplitude(half, 29.6, 2.0, 0.05)),
+            bits(order_amplitude(full, 29.6, 2.0, 0.05)));
+}
+
+TEST(WaveformStatsTest, OnePassFieldsMatchTheStandaloneRoutines) {
+  Rng rng(0x57A7);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{97},
+                              std::size_t{8192}}) {
+    std::vector<double> x(n);
+    for (double& v : x) v = rng.normal(0.3, 2.0);
+    const WaveformStats s = waveform_stats(x);
+    const Moments m = moments(x);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    EXPECT_EQ(bits(s.moments.mean), bits(m.mean));
+    EXPECT_EQ(bits(s.moments.variance), bits(m.variance));
+    EXPECT_EQ(bits(s.moments.skewness), bits(m.skewness));
+    EXPECT_EQ(bits(s.moments.kurtosis), bits(m.kurtosis));
+    EXPECT_EQ(bits(s.rms), bits(rms(x)));
+    EXPECT_EQ(bits(s.crest_factor), bits(crest_factor(x)));
+  }
+  EXPECT_EQ(waveform_stats({}).rms, 0.0);
+}
+
+// --- Exact selection -----------------------------------------------------------
+
+/// The value std::nth_element leaves at rank k of a copy of `v`.
+double nth_reference(std::vector<double> v, std::size_t k) {
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(k),
+                   v.end());
+  return v[k];
+}
+
+/// select_kth and median against nth_element at a spread of ranks, compared
+/// with == (so +0 and -0 agree). The work buffer starts out poisoned and
+/// longer than the input, as the screen's borrowed lane is.
+void expect_selection_exact(const std::vector<double>& v,
+                            const std::string& what) {
+  SCOPED_TRACE(what + " n=" + std::to_string(v.size()));
+  const std::size_t n = v.size();
+  std::vector<double> work(n + 7, std::numeric_limits<double>::quiet_NaN());
+  std::vector<std::size_t> ranks = {0, n / 4, (n - 1) / 2, n / 2, n - 1};
+  if (n > 4) ranks.push_back(n / 2 - 1);
+  for (const std::size_t k : ranks) {
+    EXPECT_TRUE(select_kth(v, k, work) == nth_reference(v, k)) << "rank " << k;
+  }
+  EXPECT_TRUE(median(v, work) == nth_reference(v, n / 2));
+  // The screen's form: absolute deviations computed on the fly.
+  const double center = nth_reference(v, n / 2);
+  const double mad = select_kth(
+      n, n / 2, [&](std::size_t i) { return std::fabs(v[i] - center); },
+      work);
+  std::vector<double> dev = v;
+  for (double& x : dev) x = std::fabs(x - center);
+  EXPECT_TRUE(mad == nth_reference(dev, n / 2));
+}
+
+std::vector<double> absolute_deviations(std::vector<double> v) {
+  const double median = nth_reference(v, v.size() / 2);
+  for (double& x : v) x = std::fabs(x - median);
+  return v;
+}
+
+/// A current-channel record: 60 Hz line at 4096 Hz with a harmonic and
+/// a little noise, the periodic shape that slows nth_element down.
+std::vector<double> line_current(std::size_t n, double noise, Rng& rng) {
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i) / 4096.0;
+    x[i] = 140.0 * std::sin(kTwoPi * 60.0 * t) +
+           6.0 * std::sin(kTwoPi * 180.0 * t + 0.3) +
+           (noise > 0.0 ? rng.normal(0.0, noise) : 0.0);
+  }
+  return x;
+}
+
+TEST(SelectKthTest, PeriodicCurrentRecordsAndTheirDeviations) {
+  Rng rng(0x5E1E);
+  for (const std::size_t n : {std::size_t{4096}, std::size_t{32768}}) {
+    for (const double noise : {0.0, 0.5}) {
+      const std::vector<double> x = line_current(n, noise, rng);
+      expect_selection_exact(x, "line current");
+      expect_selection_exact(absolute_deviations(x), "line current |dev|");
+    }
+    // A pure tone whose period divides the record: every phase repeats.
+    std::vector<double> tone(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      tone[i] = std::sin(kTwoPi * static_cast<double>(i % 64) / 64.0);
+    }
+    expect_selection_exact(tone, "64-sample tone");
+    expect_selection_exact(absolute_deviations(tone), "64-sample tone |dev|");
+  }
+}
+
+TEST(SelectKthTest, SortedReversedConstantAndTwoValuedData) {
+  for (const std::size_t n : {std::size_t{3000}, std::size_t{8192}}) {
+    std::vector<double> up(n);
+    for (std::size_t i = 0; i < n; ++i) up[i] = static_cast<double>(i);
+    expect_selection_exact(up, "sorted");
+    std::vector<double> down(up.rbegin(), up.rend());
+    expect_selection_exact(down, "reversed");
+    expect_selection_exact(std::vector<double>(n, 2.5), "constant");
+    std::vector<double> runs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      runs[i] = static_cast<double>(i / 700);
+    }
+    expect_selection_exact(runs, "constant runs");
+    std::vector<double> two(n);
+    for (std::size_t i = 0; i < n; ++i) two[i] = (i % 3 == 0) ? -1.0 : 4.0;
+    expect_selection_exact(two, "two-valued");
+    std::vector<double> lopsided(n, 7.0);
+    lopsided[n / 3] = -7.0;
+    expect_selection_exact(lopsided, "one outlier");
+  }
+}
+
+TEST(SelectKthTest, SignedZerosCompareEqual) {
+  for (const std::size_t n : {std::size_t{5}, std::size_t{4000}}) {
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = i % 3 == 0 ? -0.0 : (i % 3 == 1 ? 0.0 : 1.0);
+    }
+    expect_selection_exact(v, "+-0 and 1");
+    std::vector<double> zeros(n);
+    for (std::size_t i = 0; i < n; ++i) zeros[i] = i % 2 == 0 ? -0.0 : 0.0;
+    expect_selection_exact(zeros, "+-0 only");
+  }
+}
+
+TEST(SelectKthTest, SmallSizesAndBothSidesOfEveryCutover) {
+  Rng rng(0xC07);
+  // 1-3 values; the nth_element cut-over; the sample reaching its full
+  // 1024 values at n = 16384.
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, kSelectCutover - 1,
+        kSelectCutover, kSelectCutover + 1, std::size_t{16383},
+        std::size_t{16384}, std::size_t{16385}}) {
+    std::vector<double> v(n);
+    for (double& x : v) x = rng.normal(0.0, 1.0);
+    expect_selection_exact(v, "gaussian");
+    for (double& x : v) x = std::round(rng.uniform(0.0, 4.0));
+    expect_selection_exact(v, "five values");
+  }
+}
+
+TEST(SelectKthTest, BracketMissFallsBackToAFullSelection) {
+  // One minimum at index 1, which the sample does not visit: the bracket
+  // for rank 0 starts above it, and only the fallback finds it. Likewise a
+  // lone maximum for rank n - 1.
+  for (const std::size_t n : {std::size_t{4096}, std::size_t{32768}}) {
+    std::vector<double> v(n, 5.0);
+    v[1] = -1.0;
+    v[2] = 9.0;
+    std::vector<double> work(n);
+    EXPECT_EQ(select_kth(v, 0, work), -1.0);
+    EXPECT_EQ(select_kth(v, n - 1, work), 9.0);
+    expect_selection_exact(v, "lone extremes");
+  }
+}
+
+TEST(SelectKthTest, SeededDaqWindows) {
+  plant::ChillerConfig cfg;
+  cfg.seed = 0xDA0;
+  plant::ChillerSimulator sim(cfg);
+  plant::FaultEvent fault;
+  fault.mode = domain::FailureMode::MotorBearingWear;
+  fault.ramp = SimTime::from_seconds(600);
+  sim.faults().schedule(fault);
+  std::vector<double> current(32768);
+  std::vector<double> vibration(8192);
+  for (int test = 0; test < 3; ++test) {
+    sim.advance(SimTime::from_seconds(300));
+    sim.acquire_current(4096.0, current);
+    expect_selection_exact(current, "current record");
+    expect_selection_exact(absolute_deviations(current), "current |dev|");
+    for (const plant::MachinePoint point :
+         {plant::MachinePoint::Motor, plant::MachinePoint::Gearbox,
+          plant::MachinePoint::Compressor}) {
+      sim.acquire_vibration(point, 40960.0, vibration);
+      expect_selection_exact(vibration, "vibration record");
+      expect_selection_exact(absolute_deviations(vibration),
+                             "vibration |dev|");
+    }
+  }
 }
 
 }  // namespace

@@ -1,16 +1,23 @@
 #include "mpros/common/codec.hpp"
 
 #include <bit>
+#include <cstring>
 
 #include "mpros/common/assert.hpp"
 
 namespace mpros {
 
+// Every MPROS byte format is little-endian and so is every supported host,
+// so a value's own bytes are its encoded bytes: one resize and one memcpy
+// per field instead of a push_back (and a capacity check) per byte.
+static_assert(std::endian::native == std::endian::little,
+              "the codec copies values as their in-memory bytes");
+
 template <typename T>
 void Writer::le(T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  const std::size_t at = buf_.size();
+  buf_.resize(at + sizeof(T));
+  std::memcpy(buf_.data() + at, &v, sizeof(T));
 }
 
 void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
@@ -45,10 +52,8 @@ bool TryReader::take(std::size_t n) {
 template <typename T>
 T TryReader::le() {
   if (!take(sizeof(T))) return 0;
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
-  }
+  T v;
+  std::memcpy(&v, data_.data() + pos_, sizeof(T));
   pos_ += sizeof(T);
   return v;
 }

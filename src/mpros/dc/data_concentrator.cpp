@@ -43,6 +43,17 @@ bool point_owns(plant::MachinePoint point, FailureMode mode) {
   return false;
 }
 
+/// Whether the motor current record diagnoses `mode` without the motor
+/// accelerometer: while that accelerometer is quarantined, only these modes
+/// leave the motor point. Any other motor rule would fire on process
+/// evidence alone, its vibration clauses abstaining.
+bool current_owns(const rules::RuleEngine& dli, FailureMode mode) {
+  for (const rules::Rule& r : dli.rulebase()) {
+    if (r.mode == mode) return rules::reads_current(r);
+  }
+  return false;
+}
+
 /// SBFR event codes: 0x60 + machine index (resolved via sbfr_machine_mode_).
 constexpr std::uint8_t kSbfrEventBase = 0x60;
 
@@ -781,15 +792,20 @@ void DataConcentrator::run_vibration_test(SimTime now) {
     metrics.samples_processed.inc(vib_buffer_.size());
 
     // Quarantined accelerometer: withhold the window; the analyzers for
-    // this point sit out the test instead of diagnosing a lying sensor.
-    if (!validate_window(now, plant::vibration_channel(point), vib_buffer_)) {
-      continue;
-    }
-    if (!cfg_.enable_dli) continue;
+    // this point sit out the test instead of diagnosing a lying sensor. A
+    // healthy current record still reaches the motor point's rules, and
+    // the modes it owns are reported.
+    const bool vibration_ok =
+        validate_window(now, plant::vibration_channel(point), vib_buffer_);
+    const bool with_current =
+        point == plant::MachinePoint::Motor && current_ok;
+    if (!cfg_.enable_dli || (!vibration_ok && !with_current)) continue;
 
     rules::FeatureFrame frame;
-    extractor_.extract_vibration(vib_buffer_, cfg_.sample_rate_hz, frame);
-    if (point == plant::MachinePoint::Motor && current_ok) {
+    if (vibration_ok) {
+      extractor_.extract_vibration(vib_buffer_, cfg_.sample_rate_hz, frame);
+    }
+    if (with_current) {
       extractor_.extract_current(current_buffer_,
                                  cfg_.current_sample_rate_hz, load, frame);
     }
@@ -802,11 +818,12 @@ void DataConcentrator::run_vibration_test(SimTime now) {
 
     for (const rules::Diagnosis& d : dli_.evaluate(frame, beliefs_)) {
       if (!point_owns(point, d.mode)) continue;
+      if (!vibration_ok && !current_owns(dli_, d.mode)) continue;
       emit(now, kDliExpertSystem, sensed_object_for(d.mode), d);
     }
 
     // WNN on the same records: transitory-phenomena classifier (§6.2).
-    if (wnn_ && wnn_->trained() &&
+    if (vibration_ok && wnn_ && wnn_->trained() &&
         (point == plant::MachinePoint::Motor ||
          point == plant::MachinePoint::Compressor)) {
       nn::WnnContext ctx;

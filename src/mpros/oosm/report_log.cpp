@@ -1,5 +1,6 @@
 #include "mpros/oosm/report_log.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstring>
@@ -40,11 +41,26 @@ const std::string& TextPool::text(std::uint32_t id) const {
   return id == 0 ? kEmpty : texts_[id - 1];
 }
 
+std::uint32_t ReportLog::append_pairs(
+    std::span<const net::PrognosticPair> pairs) {
+  if (pairs_.empty() || pairs_.back().size() + pairs.size() > kPairsPerChunk) {
+    MPROS_EXPECTS(pairs_.size() < (std::size_t{1} << (32 - kPairChunkBits)));
+    pairs_.emplace_back().reserve(std::max<std::size_t>(kPairsPerChunk,
+                                                        pairs.size()));
+  }
+  std::vector<net::PrognosticPair>& chunk = pairs_.back();
+  const auto begin = static_cast<std::uint32_t>(
+      (pairs_.size() - 1) << kPairChunkBits | chunk.size());
+  chunk.insert(chunk.end(), pairs.begin(), pairs.end());
+  return begin;
+}
+
 std::uint32_t ReportLog::append(const net::FailureReport& r) {
-  MPROS_EXPECTS(records_.size() < std::numeric_limits<std::uint32_t>::max());
-  MPROS_EXPECTS(prognostics_.size() + r.prognostics.size() <=
-                std::numeric_limits<std::uint32_t>::max());
-  Record& rec = records_.emplace_back();
+  MPROS_EXPECTS(size_ < std::numeric_limits<std::uint32_t>::max());
+  if (size_ % kRecordsPerChunk == 0) {
+    records_.emplace_back().reserve(kRecordsPerChunk);
+  }
+  Record& rec = records_.back().emplace_back();
   rec.dc = r.dc;
   rec.knowledge_source = r.knowledge_source;
   rec.sensed_object = r.sensed_object;
@@ -65,15 +81,15 @@ std::uint32_t ReportLog::append(const net::FailureReport& r) {
   rec.explanation = texts_.intern(r.explanation);
   rec.recommendations = texts_.intern(r.recommendations);
   rec.additional_info = texts_.intern(r.additional_info);
-  rec.prognostics_begin = static_cast<std::uint32_t>(prognostics_.size());
-  rec.prognostics_count = static_cast<std::uint32_t>(r.prognostics.size());
-  prognostics_.insert(prognostics_.end(), r.prognostics.begin(),
-                      r.prognostics.end());
-  return static_cast<std::uint32_t>(records_.size() - 1);
+  if (!r.prognostics.empty()) {
+    rec.prognostics_begin = append_pairs(r.prognostics);
+    rec.prognostics_count = static_cast<std::uint32_t>(r.prognostics.size());
+  }
+  return static_cast<std::uint32_t>(size_++);
 }
 
 void ReportLog::read(std::uint32_t index, net::FailureReport& out) const {
-  const Record& rec = records_[index];
+  const Record& rec = record(index);
   out.dc = rec.dc;
   out.knowledge_source = rec.knowledge_source;
   out.sensed_object = rec.sensed_object;

@@ -8,10 +8,17 @@
 //  - text fields (name, explanation, recommendations, additional info) are
 //    interned, so the handful of distinct strings a knowledge source emits
 //    is stored once;
-//  - prognostic pairs live in one shared pool, addressed by offset.
+//  - prognostic pairs live in a shared pool, addressed by chunk and offset.
 // ObjectModel keeps a small per-id slot pointing into the log and serves
 // the report's name, kind, properties and RefersTo edge from the record,
 // so the object API reads exactly as it did for a stored object.
+//
+// Both the records and the pair pool are stored in fixed-size chunks, each
+// allocated when the one before it fills. Growing the log never copies what
+// it already holds and never holds two copies at once; an empty log
+// allocates nothing. A record or pair stays at its address while the log
+// grows; only a copy of the log may move its last, partial chunks while
+// they fill.
 //
 // Append-only: records never move between indexes and are never edited, so
 // a log index names one report for the life of the model. Single writer,
@@ -73,20 +80,33 @@ class ReportLog {
     std::uint32_t explanation = 0;
     std::uint32_t recommendations = 0;
     std::uint32_t additional_info = 0;
-    std::uint32_t prognostics_begin = 0;  ///< offset into the pair pool
+    /// Where the pairs start in the pair pool: chunk << kPairChunkBits |
+    /// offset. A record's pairs never straddle two chunks.
+    std::uint32_t prognostics_begin = 0;
     std::uint32_t prognostics_count = 0;
     std::uint8_t flags = 0;
   };
   static constexpr std::uint8_t kRefersTo = 1;  ///< RefersTo edge posted
   static constexpr std::uint8_t kPosted = 2;    ///< "posted" marker set
 
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  /// Records per record chunk (24 KiB), and the pair pool's chunk size
+  /// (1,024 pairs, 16 KiB). A report with more pairs than that gets a
+  /// chunk of its own, sized to fit.
+  static constexpr std::uint32_t kRecordsPerChunk = 256;
+  static constexpr std::uint32_t kPairChunkBits = 10;
+  static constexpr std::uint32_t kPairsPerChunk = 1u << kPairChunkBits;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] const Record& record(std::uint32_t index) const {
-    return records_[index];
+    return records_[index / kRecordsPerChunk][index % kRecordsPerChunk];
   }
   [[nodiscard]] std::span<const net::PrognosticPair> prognostics(
       const Record& r) const {
-    return {prognostics_.data() + r.prognostics_begin, r.prognostics_count};
+    if (r.prognostics_count == 0) return {};
+    const std::vector<net::PrognosticPair>& chunk =
+        pairs_[r.prognostics_begin >> kPairChunkBits];
+    return {chunk.data() + (r.prognostics_begin & (kPairsPerChunk - 1)),
+            r.prognostics_count};
   }
   [[nodiscard]] const std::string& text(std::uint32_t id) const {
     return texts_.text(id);
@@ -106,10 +126,17 @@ class ReportLog {
 
   /// Append `report`'s record; flags start clear.
   std::uint32_t append(const net::FailureReport& report);
-  Record& mutable_record(std::uint32_t index) { return records_[index]; }
+  Record& mutable_record(std::uint32_t index) {
+    return records_[index / kRecordsPerChunk][index % kRecordsPerChunk];
+  }
+  /// Copy `pairs` into the pool; returns the packed begin.
+  std::uint32_t append_pairs(std::span<const net::PrognosticPair> pairs);
 
-  std::vector<Record> records_;
-  std::vector<net::PrognosticPair> prognostics_;
+  /// Every chunk but the last holds exactly kRecordsPerChunk records; a
+  /// chunk's capacity is reserved when it is started.
+  std::vector<std::vector<Record>> records_;
+  std::vector<std::vector<net::PrognosticPair>> pairs_;
+  std::size_t size_ = 0;
   TextPool texts_;
 };
 

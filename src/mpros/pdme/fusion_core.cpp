@@ -32,7 +32,7 @@ DedupIndex::Key DedupIndex::key_of(std::uint32_t index) const {
           r.timestamp.micros(),    r.belief};
 }
 
-std::uint64_t DedupIndex::hash(const Key& k) {
+std::uint32_t DedupIndex::tag_of(const Key& k) {
   // Belief stays out of the hash: equal keys must hash equal, and two
   // beliefs can print alike without being bitwise equal.
   std::uint64_t h = 0x9E3779B97F4A7C15ULL;
@@ -42,7 +42,7 @@ std::uint64_t DedupIndex::hash(const Key& k) {
     h = (h ^ v) * 0xBF58476D1CE4E5B9ULL;
     h ^= h >> 31;
   }
-  return h;
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 
 bool DedupIndex::same(const Key& a, const Key& b) {
@@ -61,37 +61,43 @@ bool DedupIndex::same(const Key& a, const Key& b) {
   return std::strcmp(ta, tb) == 0;
 }
 
-std::size_t DedupIndex::probe(const Key& k) const {
+std::size_t DedupIndex::probe(const Key& k, std::uint32_t tag) const {
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash(k) & mask;
-  while (slots_[i] != kEmpty && !same(key_of(slots_[i]), k)) {
+  std::size_t i = tag & mask;
+  while (slots_[i].index != kEmpty &&
+         (slots_[i].tag != tag || !same(key_of(slots_[i].index), k))) {
     i = (i + 1) & mask;
   }
   return i;
 }
 
 bool DedupIndex::contains(const net::FailureReport& report) const {
-  return size_ != 0 && slots_[probe(key_of(report))] != kEmpty;
+  if (size_ == 0) return false;
+  const Key k = key_of(report);
+  return slots_[probe(k, tag_of(k))].index != kEmpty;
 }
 
 void DedupIndex::insert(std::uint32_t index) {
   if (2 * (size_ + 1) > slots_.size()) grow();
-  const std::size_t i = probe(key_of(index));
-  if (slots_[i] != kEmpty) return;
-  slots_[i] = index;
+  const Key k = key_of(index);
+  const std::uint32_t tag = tag_of(k);
+  Slot& slot = slots_[probe(k, tag)];
+  if (slot.index != kEmpty) return;
+  slot = {index, tag};
   ++size_;
 }
 
 void DedupIndex::grow() {
-  std::vector<std::uint32_t> old(std::max<std::size_t>(16, slots_.size() * 2),
-                                 kEmpty);
+  // The home slot is the tag's low bits, so re-placing reads no log record.
+  std::vector<Slot> old(std::max<std::size_t>(16, slots_.size() * 2),
+                        Slot{kEmpty, 0});
   old.swap(slots_);
   const std::size_t mask = slots_.size() - 1;
-  for (const std::uint32_t index : old) {
-    if (index == kEmpty) continue;
-    std::size_t i = hash(key_of(index)) & mask;
-    while (slots_[i] != kEmpty) i = (i + 1) & mask;
-    slots_[i] = index;
+  for (const Slot& slot : old) {
+    if (slot.index == kEmpty) continue;
+    std::size_t i = slot.tag & mask;
+    while (slots_[i].index != kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
   }
 }
 

@@ -105,7 +105,9 @@ struct PendingRetest {
 /// reports are duplicates when their dc, knowledge source, sensed object,
 /// condition and timestamp are equal and their beliefs print the same with
 /// "%.6f". The set holds log indices and reads the keys from the log, so
-/// it stores no string per report.
+/// it stores no string per report. Each slot also keeps 32 bits of its
+/// key's hash: a probe reads the log only on a tag match, and grow()
+/// re-places every slot from its tag alone.
 class DedupIndex {
  public:
   explicit DedupIndex(const oosm::ReportLog& log) : log_(log) {}
@@ -122,17 +124,21 @@ class DedupIndex {
     std::int64_t timestamp_us;
     double belief;
   };
+  struct Slot {
+    std::uint32_t index;  ///< log index, kEmpty when free
+    std::uint32_t tag;    ///< tag_of() the key; also picks the home slot
+  };
   static Key key_of(const net::FailureReport& r);
   [[nodiscard]] Key key_of(std::uint32_t index) const;
-  static std::uint64_t hash(const Key& k);
+  static std::uint32_t tag_of(const Key& k);
   static bool same(const Key& a, const Key& b);
   /// Slot of `k`'s duplicate, or of the empty slot where it would go.
-  [[nodiscard]] std::size_t probe(const Key& k) const;
+  [[nodiscard]] std::size_t probe(const Key& k, std::uint32_t tag) const;
   void grow();
 
   static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
   const oosm::ReportLog& log_;
-  std::vector<std::uint32_t> slots_;  ///< open addressing, power of two
+  std::vector<Slot> slots_;  ///< open addressing, power of two
   std::size_t size_ = 0;
 };
 

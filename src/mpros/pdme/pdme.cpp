@@ -75,7 +75,6 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
     std::span<const net::ReportEnvelope> reports) {
   SubmitOutcome out;
   PdmeMetrics& metrics = PdmeMetrics::instance();
-  std::uint64_t duplicates = 0;  // whole-datagram and per-report drops
   std::size_t i = 0;
   while (i < reports.size()) {
     const net::ReportEnvelope& head = reports[i];
@@ -98,23 +97,22 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
         receiver_.is_duplicate(head.dc, head.sequence)) {
       // A retransmitted sequenced datagram: every report it carried was
       // already fused the first time, so the whole run drops.
-      duplicates += run.size();
       ++stats_.duplicate_envelopes;
       out.duplicates += run.size();
     } else {
       for (const net::ReportEnvelope& env : run) {
         const net::FailureReport& r = env.report;
         if (cfg_.deduplicate && core_.seen(r)) {
-          ++duplicates;
+          ++out.duplicates;
           continue;
         }
         const ObjectId obj = model_.post_report(r);
         const std::uint32_t index = *model_.report_index(obj);
         if (cfg_.deduplicate) core_.mark_seen(index);
         fuse(r, index);
+        ++out.accepted;
         out.last_object = obj;
       }
-      out.accepted += run.size();
       if (head.sequence != 0) {
         // Commit stream state only after the run was fused: an acked
         // sequence whose reports never reached fusion would be
@@ -127,7 +125,8 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
     }
     i = j;
   }
-  count(stats_.duplicates_dropped, metrics.duplicates_dropped, duplicates);
+  count(stats_.duplicates_dropped, metrics.duplicates_dropped,
+        out.duplicates);
   return out;
 }
 
@@ -371,9 +370,12 @@ bool PdmeExecutive::deliver(const net::Message& message) {
       if (!duplicate_datagram) {
         PdmeMetrics& metrics = PdmeMetrics::instance();
         for (const net::ReportEnvelope& env : reports) {
-          telemetry::StageTimer transit("net.transit", env.report.trace,
-                                        message.sent_at.micros());
-          transit.set_sim_end(message.delivered_at.micros());
+          // The transit span exists only to be recorded under its trace.
+          if (env.report.trace != 0) {
+            telemetry::StageTimer transit("net.transit", env.report.trace,
+                                          message.sent_at.micros());
+            transit.set_sim_end(message.delivered_at.micros());
+          }
           metrics.report_pipeline_latency_us.observe(static_cast<double>(
               (message.delivered_at - env.report.timestamp).micros()));
         }

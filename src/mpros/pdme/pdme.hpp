@@ -60,8 +60,12 @@ class PdmeExecutive {
   /// What one submit() span did. Counters are per report, so a caller can
   /// conserve its own ledger: accepted + duplicates == span size.
   struct SubmitOutcome {
-    std::size_t accepted = 0;    ///< reports handed to fusion
-    std::size_t duplicates = 0;  ///< reports dropped as retransmissions
+    /// Reports posted and handed to fusion (a malformed one among them is
+    /// also counted in Stats::malformed_dropped).
+    std::size_t accepted = 0;
+    /// Reports dropped as retransmissions: what Stats::duplicates_dropped
+    /// gained.
+    std::size_t duplicates = 0;
     /// The last report object posted (nullopt when every report in the
     /// span was a duplicate).
     std::optional<ObjectId> last_object;

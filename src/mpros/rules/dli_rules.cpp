@@ -255,4 +255,13 @@ std::vector<Rule> chiller_rulebase(const domain::MachineSignature& /*sig*/,
   return rules;
 }
 
+bool reads_current(const Rule& rule) {
+  for (const Clause& c : rule.clauses) {
+    if (c.required && c.feature.starts_with(feat::kElectricalPrefix)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace mpros::rules

@@ -19,4 +19,9 @@ namespace mpros::rules {
     const domain::MachineSignature& signature = domain::navy_chiller_signature(),
     const domain::ProcessNominals& nominals = domain::navy_chiller_nominals());
 
+/// Whether `rule` diagnoses from the motor current record: one of its
+/// required clauses reads an `electrical.*` feature. Such a rule can fire
+/// on a current record alone; any other needs the accelerometer.
+[[nodiscard]] bool reads_current(const Rule& rule);
+
 }  // namespace mpros::rules

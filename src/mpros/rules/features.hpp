@@ -50,7 +50,9 @@ inline constexpr const char* kFtf = "bearing.ftf";
 // Compressor
 inline constexpr const char* kVanePass = "compressor.vane_pass";
 inline constexpr const char* kBroadbandHf = "broadband.high_freq";
-// Electrical (from the motor-current channel)
+// Electrical (from the motor-current channel). FeatureExtractor::
+// extract_current writes every feature under this prefix and no other.
+inline constexpr std::string_view kElectricalPrefix = "electrical.";
 inline constexpr const char* kTwiceLine = "electrical.2x_line";
 inline constexpr const char* kPolePassSidebands = "electrical.pole_pass_sidebands";
 inline constexpr const char* kCurrentRms = "electrical.current_rms";

@@ -346,6 +346,69 @@ TEST_F(DataConcentratorTest, StuckAccelerometerQuarantinedAndReported) {
   EXPECT_EQ(dc.stats().vibration_tests, 12u);
 }
 
+TEST_F(DataConcentratorTest, QuarantinedMotorAccelerometerKeepsCurrentSignature) {
+  // The motor point's current record is its own channel: a stuck motor
+  // accelerometer must not silence the rotor-bar rule, whose 1x clause
+  // abstains on the missing vibration feature.
+  chiller_.faults().schedule({FailureMode::RotorBarDefect, SimTime(0),
+                              SimTime(0), 0.9, plant::GrowthProfile::Step});
+  const auto dli_reports = [](const std::vector<net::FailureReport>& all,
+                              FailureMode mode) {
+    std::size_t n = 0;
+    for (const net::FailureReport& r : all) {
+      n += r.knowledge_source == kDliExpertSystem &&
+           r.machine_condition == domain::condition_id(mode);
+    }
+    return n;
+  };
+
+  plant::ChillerSimulator healthy_chiller(make_chiller_config());
+  healthy_chiller.faults().schedule({FailureMode::RotorBarDefect, SimTime(0),
+                                     SimTime(0), 0.9,
+                                     plant::GrowthProfile::Step});
+  DataConcentrator healthy(dc_config(), refs_, healthy_chiller);
+  const auto healthy_reports = healthy.advance_to(SimTime::from_hours(1.0));
+  EXPECT_EQ(dli_reports(healthy_reports, FailureMode::RotorBarDefect), 2u);
+
+  chiller_.sensor_faults().schedule(
+      {plant::vibration_channel(plant::MachinePoint::Motor),
+       plant::SensorFaultType::StuckAt, SimTime(0), SimTime::from_hours(2.0),
+       3.3});
+  DataConcentrator dc(dc_config(), refs_, chiller_);
+  const auto reports = dc.advance_to(SimTime::from_hours(1.0));
+  ASSERT_TRUE(dc.validator().quarantined("vib.motor"));
+  ASSERT_FALSE(dc.validator().quarantined(plant::kCurrentChannel));
+  EXPECT_GE(dli_reports(reports, FailureMode::RotorBarDefect), 1u);
+  for (const net::FailureReport& r : reports) {
+    if (r.machine_condition ==
+        domain::condition_id(FailureMode::RotorBarDefect)) {
+      EXPECT_EQ(r.sensed_object, refs_.motor);
+    }
+  }
+  // Rules that need the motor's vibration spectrum stay silent.
+  EXPECT_EQ(dli_reports(reports, FailureMode::MotorImbalance), 0u);
+  EXPECT_EQ(dli_reports(reports, FailureMode::ShaftMisalignment), 0u);
+}
+
+TEST_F(DataConcentratorTest, QuarantinedMotorAccelerometerIsNotReadFromHeat) {
+  // A compressor bearing defect heats the bearings. With the motor
+  // accelerometer quarantined, the motor bearing rule's vibration clauses
+  // abstain, and the temperature clause alone must not blame the motor.
+  chiller_.faults().schedule({FailureMode::CompressorBearingWear, SimTime(0),
+                              SimTime(0), 0.9, plant::GrowthProfile::Step});
+  chiller_.sensor_faults().schedule(
+      {plant::vibration_channel(plant::MachinePoint::Motor),
+       plant::SensorFaultType::StuckAt, SimTime(0), SimTime::from_hours(2.0),
+       3.3});
+  DataConcentrator dc(dc_config(), refs_, chiller_);
+  const auto reports = dc.advance_to(SimTime::from_hours(1.0));
+  ASSERT_TRUE(dc.validator().quarantined("vib.motor"));
+  for (const net::FailureReport& r : reports) {
+    EXPECT_NE(r.machine_condition,
+              domain::condition_id(FailureMode::MotorBearingWear));
+  }
+}
+
 TEST_F(DataConcentratorTest, QuarantineSuppressesFalseMachineryDiagnoses) {
   // An open-circuit bearing RTD reads NaN: without validation the fuzzy
   // analyzer would be fed garbage; with it, the channel is quarantined and

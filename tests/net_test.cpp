@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -58,6 +60,52 @@ FailureReport sample_report() {
   r.additional_info = "load=0.8";
   r.prognostics = {{0.1, 86400.0}, {0.5, 604800.0}, {0.9, 2592000.0}};
   return r;
+}
+
+TEST(CodecTest, EveryWidthWritesPinnedLittleEndianBytes) {
+  const double nan_with_payload = std::bit_cast<double>(0x7FF80000DEADBEEFull);
+  Writer w;
+  w.u8(0xAB);
+  w.u16(0x1234);
+  w.u32(0xDEADBEEFu);
+  w.u64(0x0123456789ABCDEFull);
+  w.i64(std::numeric_limits<std::int64_t>::min());
+  w.i64(-2);
+  w.f64(-0.0);
+  w.f64(nan_with_payload);
+  w.f64(1.0);
+  w.str("hi");
+  const std::vector<std::uint8_t> expected = {
+      0xAB,                                            // u8
+      0x34, 0x12,                                      // u16
+      0xEF, 0xBE, 0xAD, 0xDE,                          // u32
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // INT64_MIN
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // -2
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+      0xEF, 0xBE, 0xAD, 0xDE, 0x00, 0x00, 0xF8, 0x7F,  // NaN payload
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // 1.0
+      0x02, 0x00, 0x00, 0x00, 'h', 'i'};               // str
+  EXPECT_EQ(w.bytes(), expected);
+
+  TryReader r(w.bytes());
+  EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u16(), 0x1234);
+  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(r.i64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(r.i64(), -2);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x8000000000000000ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x7FF80000DEADBEEFull);
+  EXPECT_EQ(r.f64(), 1.0);
+  EXPECT_EQ(r.str(), "hi");
+  EXPECT_TRUE(r.done());
+  EXPECT_TRUE(r.ok());
+  // Past the end every width reads zero and latches the failure.
+  EXPECT_EQ(r.u8(), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.u64(), 0u);
+  EXPECT_FALSE(r.ok());
 }
 
 /// A lone report on the wire: a batch of one from the report's own DC.
@@ -242,10 +290,15 @@ TEST(FuzzDecodeTest, TraceRidesTheWire) {
 
 TEST(FuzzDecodeTest, EveryTruncationReturnsNullopt) {
   const auto bytes = serialize(sample_report());
+  FailureReport out;
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(try_deserialize_report(
                      std::span(bytes.data(), len)).has_value())
         << "prefix of " << len << " bytes decoded";
+    // The reader under it latches the failure: no later field reads data.
+    TryReader rd(std::span(bytes.data(), len));
+    EXPECT_FALSE(try_read_report_frame(rd, out)) << len;
+    EXPECT_FALSE(rd.ok()) << len;
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -470,6 +471,103 @@ TEST(ReportLogTest, CopiedModelInternsIntoItsOwnText) {
   EXPECT_EQ(copy.property(report, "recommendations")->as_text(),
             "Schedule bearing replacement.");
   EXPECT_EQ(log.texts().size(), 4u);  // name, explanation, advice, info
+}
+
+/// Report `i` of a chunking run: its own timestamp and trace, and 0-6
+/// prognostic pairs whose bits name it.
+net::FailureReport chunk_report(ObjectId sensed, std::uint32_t i) {
+  net::FailureReport r = log_report(sensed, 1000 + i);
+  r.trace = i;
+  r.severity = 0.001 * i;
+  r.prognostics.clear();
+  for (std::uint32_t k = 0; k < i % 7; ++k) {
+    r.prognostics.push_back({0.1 * k, 86400.0 * i + k});
+  }
+  return r;
+}
+
+TEST(ReportLogTest, RecordAddressesStayPutAcrossAChunkBoundary) {
+  ObjectModel m;
+  const ObjectId motor = m.create_object("Motor", EquipmentKind::InductionMotor);
+  const ReportLog& log = m.report_log();
+  constexpr std::uint32_t kFirst = ReportLog::kRecordsPerChunk;
+  for (std::uint32_t i = 0; i < kFirst; ++i) {
+    m.post_report(chunk_report(motor, i));
+  }
+  std::vector<const ReportLog::Record*> records;
+  std::vector<const net::PrognosticPair*> pairs;
+  for (std::uint32_t i = 0; i < kFirst; ++i) {
+    records.push_back(&log.record(i));
+    pairs.push_back(log.prognostics(log.record(i)).data());
+  }
+  for (std::uint32_t i = kFirst; i < 2 * kFirst + 3; ++i) {
+    m.post_report(chunk_report(motor, i));
+  }
+  ASSERT_EQ(log.size(), 2 * kFirst + 3);
+  for (std::uint32_t i = 0; i < kFirst; ++i) {
+    EXPECT_EQ(&log.record(i), records[i]) << i;
+    EXPECT_EQ(log.prognostics(log.record(i)).data(), pairs[i]) << i;
+  }
+}
+
+TEST(ReportLogTest, RecordsAndPrognosticSpansReadBackPastThreeChunks) {
+  ObjectModel m;
+  const ObjectId motor = m.create_object("Motor", EquipmentKind::InductionMotor);
+  std::vector<net::FailureReport> posted;
+  for (std::uint32_t i = 0; i < 3 * ReportLog::kRecordsPerChunk + 17; ++i) {
+    posted.push_back(chunk_report(motor, i));
+    if (i == 400) {
+      // More pairs than a pair chunk holds: the report gets its own chunk.
+      posted.back().prognostics.assign(ReportLog::kPairsPerChunk + 3,
+                                       {0.5, 3600.0});
+    }
+  }
+  std::size_t total_pairs = 0;
+  std::vector<std::uint32_t> indexes;
+  for (const net::FailureReport& r : posted) {
+    indexes.push_back(*m.report_index(m.post_report(r)));
+    total_pairs += r.prognostics.size();
+  }
+  ASSERT_GT(total_pairs, 3 * ReportLog::kPairsPerChunk);
+
+  const ReportLog& log = m.report_log();
+  ASSERT_EQ(log.size(), posted.size());
+  for (std::size_t i = 0; i < posted.size(); ++i) {
+    ASSERT_EQ(indexes[i], i);
+    EXPECT_EQ(log.report(indexes[i]), posted[i]) << i;
+    const auto span = log.prognostics(log.record(indexes[i]));
+    EXPECT_TRUE(std::equal(span.begin(), span.end(),
+                           posted[i].prognostics.begin(),
+                           posted[i].prognostics.end()))
+        << i;
+  }
+}
+
+TEST(ReportLogTest, CopiedLogEqualsTheOriginalAndStillAppends) {
+  ObjectModel m;
+  const ObjectId motor = m.create_object("Motor", EquipmentKind::InductionMotor);
+  const std::uint32_t n = ReportLog::kRecordsPerChunk + 10;
+  for (std::uint32_t i = 0; i < n; ++i) m.post_report(chunk_report(motor, i));
+
+  const ReportLog copy = m.report_log();
+  ASSERT_EQ(copy.size(), n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(copy.report(i), m.report_log().report(i)) << i;
+    EXPECT_EQ(copy.record(i).flags, m.report_log().record(i).flags) << i;
+  }
+  EXPECT_EQ(copy.texts().size(), m.report_log().texts().size());
+
+  // A copied model appends to its own log, past the copied partial chunk,
+  // and leaves the original alone.
+  ObjectModel twin = m;
+  for (std::uint32_t i = n; i < 2 * ReportLog::kRecordsPerChunk + 1; ++i) {
+    EXPECT_EQ(*twin.report_index(twin.post_report(chunk_report(motor, i))),
+              i);
+  }
+  EXPECT_EQ(m.report_log().size(), n);
+  for (std::uint32_t i = 0; i < 2 * ReportLog::kRecordsPerChunk + 1; ++i) {
+    EXPECT_EQ(twin.report_log().report(i), chunk_report(motor, i)) << i;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -139,6 +140,119 @@ TEST_F(PdmeTest, DuplicateRetransmissionDropped) {
   const auto state =
       pdme_.group_state(motor_, domain::LogicalGroup::RotorDynamics);
   EXPECT_EQ(state.report_count, 1u);  // fused once, not twice
+}
+
+TEST_F(PdmeTest, SubmitOutcomeSplitsASpanPerReport) {
+  // One unsequenced span carrying the same report twice: the second copy
+  // is a retransmission, and the outcome says so report by report.
+  const auto report =
+      make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8);
+  const std::vector<net::ReportEnvelope> span = {{report.dc, 0, report},
+                                                 {report.dc, 0, report}};
+  const PdmeExecutive::SubmitOutcome out = pdme_.submit(span);
+  EXPECT_EQ(out.accepted, 1u);
+  EXPECT_EQ(out.duplicates, 1u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 1u);
+  EXPECT_EQ(pdme_.snapshot().duplicates_dropped, 1u);
+}
+
+TEST_F(PdmeTest, SubmitOutcomeDropsAFusedReportInsideAFreshSequence) {
+  const auto fused =
+      make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8, 1, 100.0);
+  const auto fresh =
+      make_report(motor_, FailureMode::MotorImbalance, 0.7, 0.8, 1, 200.0);
+  ASSERT_TRUE(submit_one(pdme_, fused).has_value());
+
+  // Sequence 1 is new to the stream, but one of its reports was already
+  // fused unsequenced.
+  const std::vector<net::ReportEnvelope> datagram = {{DcId(1), 1, fused},
+                                                     {DcId(1), 1, fresh}};
+  const PdmeExecutive::SubmitOutcome out = pdme_.submit(datagram);
+  EXPECT_EQ(out.accepted, 1u);
+  EXPECT_EQ(out.duplicates, 1u);
+  EXPECT_TRUE(out.last_object.has_value());
+  PdmeExecutive::Stats stats = pdme_.snapshot();
+  EXPECT_EQ(stats.reports_accepted, 2u);
+  EXPECT_EQ(stats.duplicates_dropped, 1u);
+  EXPECT_EQ(stats.envelopes_accepted, 1u);
+
+  // Its retransmission drops whole.
+  const PdmeExecutive::SubmitOutcome again = pdme_.submit(datagram);
+  EXPECT_EQ(again.accepted, 0u);
+  EXPECT_EQ(again.duplicates, 2u);
+  EXPECT_FALSE(again.last_object.has_value());
+  stats = pdme_.snapshot();
+  EXPECT_EQ(stats.reports_accepted, 2u);
+  EXPECT_EQ(stats.duplicates_dropped, 3u);
+}
+
+// --- Dedup index -------------------------------------------------------------
+
+TEST(DedupIndexTest, BeliefsThatPrintAlikeAreDuplicates) {
+  oosm::ObjectModel model;
+  DedupIndex dedup(model.report_log());
+  const auto post = [&](const net::FailureReport& r) {
+    return *model.report_index(model.post_report(r));
+  };
+  const auto report =
+      make_report(ObjectId(7), FailureMode::MotorImbalance, 0.6, 0.8);
+  dedup.insert(post(report));
+
+  auto twin = report;
+  twin.belief = std::nextafter(0.8, 1.0);
+  ASSERT_NE(std::bit_cast<std::uint64_t>(twin.belief),
+            std::bit_cast<std::uint64_t>(report.belief));
+  EXPECT_TRUE(dedup.contains(twin));
+  twin.belief = 0.8000004;  // "0.800000"
+  EXPECT_TRUE(dedup.contains(twin));
+  twin.belief = 0.800002;  // "0.800002"
+  EXPECT_FALSE(dedup.contains(twin));
+
+  // Every other key field must match exactly.
+  const std::vector<net::FailureReport> apart = {
+      make_report(ObjectId(7), FailureMode::MotorImbalance, 0.6, 0.8, 2),
+      make_report(ObjectId(7), FailureMode::MotorImbalance, 0.6, 0.8, 1,
+                  100.000001),
+      make_report(ObjectId(7), FailureMode::MotorImbalance, 0.6, 0.8, 1,
+                  100.0, 2),
+      make_report(ObjectId(8), FailureMode::MotorImbalance, 0.6, 0.8),
+      make_report(ObjectId(7), FailureMode::RotorBarDefect, 0.6, 0.8)};
+  for (const net::FailureReport& r : apart) EXPECT_FALSE(dedup.contains(r));
+
+  // Severity is not part of the key, and inserting a duplicate is a no-op.
+  auto resent = report;
+  resent.severity = 0.9;
+  resent.belief = std::nextafter(0.8, 0.0);
+  EXPECT_TRUE(dedup.contains(resent));
+  dedup.insert(post(resent));
+  EXPECT_EQ(dedup.size(), 1u);
+}
+
+TEST(DedupIndexTest, MembershipHoldsAcrossGrows) {
+  oosm::ObjectModel model;
+  DedupIndex dedup(model.report_log());
+  std::vector<net::FailureReport> inserted;
+  const auto check_all = [&] {
+    for (const net::FailureReport& r : inserted) {
+      ASSERT_TRUE(dedup.contains(r)) << inserted.size();
+      auto later = r;
+      later.timestamp = later.timestamp + SimTime(1);
+      ASSERT_FALSE(dedup.contains(later)) << inserted.size();
+    }
+  };
+  constexpr std::size_t kReports = 2000;  // the table grows 8 times
+  for (std::size_t i = 0; i < kReports; ++i) {
+    const auto r = make_report(
+        ObjectId(1 + i % 5),
+        i % 2 == 0 ? FailureMode::MotorImbalance : FailureMode::GearMeshWear,
+        0.5, 0.5 + 0.0001 * static_cast<double>(i % 7), 1 + i % 3,
+        static_cast<double>(i / 4), 1 + i % 4);
+    dedup.insert(*model.report_index(model.post_report(r)));
+    inserted.push_back(r);
+    ASSERT_EQ(dedup.size(), inserted.size());
+    if (std::has_single_bit(inserted.size())) check_all();
+  }
+  check_all();
 }
 
 TEST_F(PdmeTest, PrioritizedListOrdersBySeverityWeightedBelief) {

@@ -129,6 +129,15 @@ TEST(RuleEngineTest, DiagnosesSortedBySeverity) {
   EXPECT_EQ(diagnoses[0].mode, FailureMode::MotorImbalance);
 }
 
+TEST(RuleEngineTest, OnlyElectricalModesReadTheCurrentRecord) {
+  std::vector<FailureMode> modes;
+  for (const Rule& r : chiller_rulebase()) {
+    if (reads_current(r)) modes.push_back(r.mode);
+  }
+  EXPECT_EQ(modes, (std::vector<FailureMode>{FailureMode::RotorBarDefect,
+                                             FailureMode::StatorWindingFault}));
+}
+
 // --- Severity gradients (E11) ----------------------------------------------
 
 TEST(SeverityTest, GradientBoundaries) {

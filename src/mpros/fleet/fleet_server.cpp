@@ -63,8 +63,15 @@ struct RobustStats {
   double mad = 0.0;
 };
 
-RobustStats robust_stats(const std::vector<double>& values,
-                         const FleetServerConfig& cfg) {
+/// Robust z-score (deviation / median absolute deviation) below the class
+/// median before a machine or hull is flagged as a fleet outlier.
+constexpr double kZThreshold = 3.0;
+static_assert(kZThreshold > 0.0);
+/// Floor on the absolute health gap, so a uniformly healthy class with a
+/// microscopic MAD does not false-alarm.
+constexpr double kMinHealthDelta = 0.08;
+
+RobustStats robust_stats(const std::vector<double>& values) {
   RobustStats out;
   out.med = median(values);
   std::vector<double> abs_dev;
@@ -72,7 +79,7 @@ RobustStats robust_stats(const std::vector<double>& values,
   for (const double v : values) abs_dev.push_back(std::fabs(v - out.med));
   // Floor the MAD so a uniformly healthy population (MAD ~ 0) does not turn
   // measurement noise into sigma-shattering z-scores.
-  out.mad = std::max(median(abs_dev), cfg.min_health_delta / cfg.z_threshold);
+  out.mad = std::max(median(abs_dev), kMinHealthDelta / kZThreshold);
   return out;
 }
 
@@ -101,7 +108,6 @@ FleetServer::FleetServer(FleetServerConfig cfg) : cfg_(cfg) {
   MPROS_EXPECTS(cfg.summary_interval.micros() > 0);
   MPROS_EXPECTS(cfg.stale_after_missed >= 1);
   MPROS_EXPECTS(cfg.lost_after_missed > cfg.stale_after_missed);
-  MPROS_EXPECTS(cfg.z_threshold > 0.0);
   // Readers must never observe a null view, even before the first publish.
   published_ = std::make_shared<const FleetSnapshot>();
 }
@@ -351,14 +357,14 @@ std::shared_ptr<const FleetSnapshot> FleetServer::build_snapshot_locked(
     for (const std::size_t i : members) {
       values.push_back(snap->items[i].health);
     }
-    const RobustStats st = robust_stats(values, cfg_);
+    const RobustStats st = robust_stats(values);
     for (const std::size_t i : members) {
       FleetMaintenanceItem& item = snap->items[i];
       const double delta = item.health - st.med;
       item.fleet_z = delta / st.mad;
       // Only sicker-than-fleet flags; a machine healthier than its sisters
       // is good news, not a maintenance item.
-      if (delta <= -cfg_.min_health_delta && item.fleet_z <= -cfg_.z_threshold) {
+      if (delta <= -kMinHealthDelta && item.fleet_z <= -kZThreshold) {
         item.fleet_outlier = true;
         FleetOutlier out;
         out.klass = klass;
@@ -380,13 +386,13 @@ std::shared_ptr<const FleetSnapshot> FleetServer::build_snapshot_locked(
     if (row.has_summary) hull_health.push_back(row.mean_health);
   }
   if (hull_health.size() >= cfg_.min_fleet) {
-    const RobustStats st = robust_stats(hull_health, cfg_);
+    const RobustStats st = robust_stats(hull_health);
     for (ShipStatus& row : snap->ships) {
       if (!row.has_summary) continue;
       const double delta = row.mean_health - st.med;
       row.fleet_z = delta / st.mad;
       row.outlier_hull =
-          delta <= -cfg_.min_health_delta && row.fleet_z <= -cfg_.z_threshold;
+          delta <= -kMinHealthDelta && row.fleet_z <= -kZThreshold;
     }
   }
 

@@ -52,12 +52,6 @@ struct FleetServerConfig {
   /// Fleet-comparative baseline: minimum sister machines (across hulls,
   /// same equipment class) before a comparison is made.
   std::size_t min_fleet = 3;
-  /// Robust z-score (deviation / median absolute deviation) below the
-  /// class median before a machine is flagged as a fleet outlier.
-  double z_threshold = 3.0;
-  /// Floor on the absolute health gap, so a uniformly healthy class with a
-  /// microscopic MAD does not false-alarm.
-  double min_health_delta = 0.08;
 };
 
 /// One hull's standing in the published view.

@@ -21,7 +21,10 @@ constexpr std::int64_t kCommittedThroughKey = 1;
 }  // namespace
 
 ShipSystem::ShipSystem(ShipSystemConfig cfg)
-    : cfg_(cfg), network_(cfg.network), pool_(cfg.worker_threads) {
+    : cfg_(cfg),
+      network_(cfg.network),
+      pool_(cfg.worker_threads),
+      supervisor_(cfg.supervisor) {
   MPROS_EXPECTS(cfg.plant_count >= 1);
 
   if (cfg_.enable_durability) {
@@ -75,7 +78,7 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
 
   if (cfg.enable_flight_recorder) {
     recorder_ =
-        std::make_unique<telemetry::FlightRecorder>(cfg.recorder_capacity);
+        std::make_unique<telemetry::FlightRecorder>();
     telemetry::RecorderHeader header;
     header.pdme_dedup = cfg.pdme.deduplicate;
     header.plant_count = static_cast<std::uint32_t>(cfg.plant_count);
@@ -217,9 +220,6 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
     }
   }
 
-  if (cfg_.enable_supervisor) {
-    supervisor_ = std::make_unique<dc::DcSupervisor>(cfg_.supervisor);
-  }
   step_horizon_ = std::max(SimTime::from_hours(1.0),
                            SimTime(cfg_.supervisor.wedge_timeout.micros() * 2));
 
@@ -282,14 +282,10 @@ std::size_t ShipSystem::advance_to(SimTime t) {
   // Supervised recovery: a DC whose progress tick froze gets torn down,
   // rebuilt from its salvage and caught up (restart_dc_to flushes each
   // catch-up slice itself) before the regular flush below.
-  if (supervisor_) {
-    for (std::size_t i = 0; i < dcs_.size(); ++i) {
-      if (!supervisor_->observe(DcId(i + 1), dcs_[i]->progress(), t)) {
-        continue;
-      }
-      restart_dc_to(i, t);
-      supervisor_->notify_restarted(DcId(i + 1), dcs_[i]->progress(), t);
-    }
+  for (std::size_t i = 0; i < dcs_.size(); ++i) {
+    if (!supervisor_.observe(DcId(i + 1), dcs_[i]->progress(), t)) continue;
+    restart_dc_to(i, t);
+    supervisor_.notify_restarted(DcId(i + 1), dcs_[i]->progress(), t);
   }
 
   // Serialize and send on the driver thread in DC order so the wire
@@ -481,10 +477,8 @@ void ShipSystem::wedge_dc(std::size_t plant, bool wedged) {
 void ShipSystem::restart_dc(std::size_t plant) {
   MPROS_EXPECTS(plant < dcs_.size());
   restart_dc_to(plant, now_);
-  if (supervisor_) {
-    supervisor_->notify_restarted(DcId(plant + 1), dcs_[plant]->progress(),
-                                  now_);
-  }
+  supervisor_.notify_restarted(DcId(plant + 1), dcs_[plant]->progress(),
+                              now_);
 }
 
 net::FleetSummary ShipSystem::fleet_summary(SimTime at) const {

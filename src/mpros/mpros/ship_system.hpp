@@ -66,17 +66,16 @@ struct ShipSystemConfig {
   bool enable_fleet_analyzer = false;
   pdme::FleetAnalyzerConfig fleet_analyzer;
   /// Journal every delivered datagram (plus notable DC events) into a
-  /// bounded flight recorder; dump with flight_recorder()->dump(path) and
-  /// replay with mpros::replay_file / tools/mpros_replay.
+  /// bounded flight recorder (FlightRecorder's default capacity); dump with
+  /// flight_recorder()->dump(path) and replay with mpros::replay_file /
+  /// tools/mpros_replay.
   bool enable_flight_recorder = false;
-  std::size_t recorder_capacity = 1 << 16;
   /// Fleet-tier membership (off by default: a lone ship has no shore).
   UplinkConfig uplink;
-  /// Supervised DC recovery (§4.9): watch every DC's progress tick each
-  /// step; a DC that stops ticking for supervisor.wedge_timeout is torn
-  /// down and restarted from its salvage, then caught up slice-by-slice so
-  /// its output matches an unwedged run.
-  bool enable_supervisor = true;
+  /// Supervised DC recovery (§4.9), always on: watch every DC's progress
+  /// tick each step; a DC that stops ticking for supervisor.wedge_timeout
+  /// is torn down and restarted from its salvage, then caught up
+  /// slice-by-slice so its output matches an unwedged run.
   dc::DcSupervisorConfig supervisor;
   /// Durable OOSM (§4.6, "managed entirely in the background" — but
   /// crash-safe): journal the object model, each DC's persisted runtime
@@ -138,8 +137,7 @@ class ShipSystem {
   /// path does this automatically; tests and operators call it directly.
   void restart_dc(std::size_t plant);
 
-  /// Null unless cfg.enable_supervisor.
-  [[nodiscard]] dc::DcSupervisor* supervisor() { return supervisor_.get(); }
+  [[nodiscard]] dc::DcSupervisor& supervisor() { return supervisor_; }
 
   /// Close the §6.1 believability loop: a maintainer opened the machine
   /// and either confirmed the fused conclusion or reversed it. Updates the
@@ -240,7 +238,7 @@ class ShipSystem {
   std::vector<std::unique_ptr<dc::DataConcentrator>> dcs_;
   ThreadPool pool_;
   SimTime now_;
-  std::unique_ptr<dc::DcSupervisor> supervisor_;
+  dc::DcSupervisor supervisor_;
   /// Recent advance_to() end-times: the step grid a recovered DC's catch-up
   /// replays. Pruned past twice the wedge timeout — wedges are detected
   /// well inside that.

@@ -33,7 +33,6 @@ ObjectModel::Slot& ObjectModel::allocate_slot(ObjectId id) {
   if (id.value() >= slots_.size()) slots_.resize(id.value() + 1);
   Slot& s = slots_[id.value()];
   MPROS_EXPECTS(!s.live());
-  ++live_count_;
   return s;
 }
 
@@ -65,39 +64,31 @@ void ObjectModel::create_object_with_id(ObjectId id, std::string name,
   notify(OosmEvent{OosmEvent::Kind::ObjectCreated, id, {}, {}, {}});
 }
 
-ObjectId ObjectModel::post_report(const net::FailureReport& report) {
-  const ObjectId id(next_id_++);
+void ObjectModel::append_report(ObjectId id, const net::FailureReport& report,
+                                bool refers) {
   const std::uint32_t index = log_.append(report);
   allocate_slot(id).log = index;
-  notify(OosmEvent{OosmEvent::Kind::ObjectCreated, id, {}, {}, {}});
   const ObjectId sensed = report.sensed_object;
-  if (sensed != id && exists(sensed)) {
-    log_.mutable_record(index).flags |= ReportLog::kRefersTo;
+  if (refers && exists(sensed) && find_record(sensed) != nullptr) {
+    log_.mutable_record(index).flags = ReportLog::kRefersTo;
     record(sensed).in[static_cast<std::size_t>(Relation::RefersTo)].push_back(
         id);
-    notify(OosmEvent{OosmEvent::Kind::RelationAdded, id, {},
-                     Relation::RefersTo, sensed});
   }
-  log_.mutable_record(index).flags |= ReportLog::kPosted;
-  notify(OosmEvent{OosmEvent::Kind::PropertyChanged, id, "posted", {}, {}});
+}
+
+ObjectId ObjectModel::post_report(const net::FailureReport& report) {
+  const ObjectId id(next_id_++);
+  append_report(id, report, /*refers=*/true);
+  notify(OosmEvent{OosmEvent::Kind::ReportPosted, id, {}, {}, {}});
   return id;
 }
 
 void ObjectModel::restore_report(ObjectId id, const net::FailureReport& report,
                                  bool refers) {
   MPROS_EXPECTS(id.valid() && !exists(id));
-  const std::uint32_t index = log_.append(report);
-  allocate_slot(id).log = index;
+  append_report(id, report, refers);
   next_id_ = std::max(next_id_, id.value() + 1);
-  std::uint8_t flags = ReportLog::kPosted;
-  const ObjectId sensed = report.sensed_object;
-  if (refers && sensed != id && exists(sensed)) {
-    flags |= ReportLog::kRefersTo;
-    record(sensed).in[static_cast<std::size_t>(Relation::RefersTo)].push_back(
-        id);
-  }
-  log_.mutable_record(index).flags = flags;
-  notify(OosmEvent{OosmEvent::Kind::ObjectCreated, id, {}, {}, {}});
+  notify(OosmEvent{OosmEvent::Kind::ReportPosted, id, {}, {}, {}});
 }
 
 std::optional<std::uint32_t> ObjectModel::report_index(ObjectId id) const {
@@ -115,54 +106,6 @@ void ObjectModel::restore_reset(ObjectId machine, ObjectId watermark) {
   resets_[machine.value()] = watermark;
 }
 
-bool ObjectModel::is_report_edge(ObjectId from, Relation relation,
-                                 ObjectId to) const {
-  if (relation != Relation::RefersTo) return false;
-  const ReportLog::Record* rec = log_record(from);
-  return rec != nullptr && (rec->flags & ReportLog::kRefersTo) != 0 &&
-         rec->sensed_object == to;
-}
-
-bool ObjectModel::has_added_property(ObjectId id,
-                                     const std::string& key) const {
-  const ObjectRecord* rec = find_record(id);
-  return slot(id).log != kNone && rec != nullptr &&
-         rec->properties.contains(key);
-}
-
-void ObjectModel::delete_object(ObjectId id) {
-  const Slot s = slot(id);
-  const auto refers = static_cast<std::size_t>(Relation::RefersTo);
-  if (const ReportLog::Record* lr = log_record(id);
-      lr != nullptr && (lr->flags & ReportLog::kRefersTo) != 0 &&
-      exists(lr->sensed_object)) {
-    auto& in = record(lr->sensed_object).in[refers];
-    in.erase(std::remove(in.begin(), in.end(), id), in.end());
-  }
-  if (s.record != kNone) {
-    ObjectRecord& rec = records_[s.record];
-    // Remove edges referencing this object from its neighbors. A logged
-    // report pointing here keeps its record's edge, which reads as absent
-    // once this object is gone (ids are never reused).
-    for (std::size_t r = 0; r < kRelationCount; ++r) {
-      for (const ObjectId to : rec.out[r]) {
-        auto& in = records_[slots_[to.value()].record].in[r];
-        in.erase(std::remove(in.begin(), in.end(), id), in.end());
-      }
-      for (const ObjectId from : rec.in[r]) {
-        const std::uint32_t from_record = slots_[from.value()].record;
-        if (from_record == kNone) continue;  // a logged report's own edge
-        auto& out = records_[from_record].out[r];
-        out.erase(std::remove(out.begin(), out.end(), id), out.end());
-      }
-    }
-    rec = ObjectRecord{};
-  }
-  slots_[id.value()] = Slot{};
-  --live_count_;
-  notify(OosmEvent{OosmEvent::Kind::ObjectDeleted, id, {}, {}, {}});
-}
-
 bool ObjectModel::exists(ObjectId id) const {
   return id.value() < slots_.size() && slots_[id.value()].live();
 }
@@ -173,9 +116,8 @@ const ObjectModel::Slot& ObjectModel::slot(ObjectId id) const {
 }
 
 ObjectModel::ObjectRecord& ObjectModel::record(ObjectId id) {
-  MPROS_EXPECTS(exists(id));
-  Slot& s = slots_[id.value()];
-  return s.record != kNone ? records_[s.record] : new_record(id, s);
+  MPROS_EXPECTS(exists(id) && slots_[id.value()].record != kNone);
+  return records_[slots_[id.value()].record];
 }
 
 const ObjectModel::ObjectRecord* ObjectModel::find_record(ObjectId id) const {
@@ -223,7 +165,7 @@ std::vector<ObjectId> ObjectModel::objects_of_kind(
 
 std::vector<ObjectId> ObjectModel::all_objects() const {
   std::vector<ObjectId> out;
-  out.reserve(live_count_);
+  out.reserve(object_count());
   for (std::uint64_t v = 1; v < slots_.size(); ++v) {
     if (slots_[v].live()) out.emplace_back(v);
   }
@@ -231,15 +173,12 @@ std::vector<ObjectId> ObjectModel::all_objects() const {
 }
 
 std::vector<ObjectId> ObjectModel::equipment_objects() const {
-  // Only general objects and reports with later additions have records,
-  // so this walk never touches the report log. Records are made in
-  // creation order (Persistence::load restores ascending ids).
+  // Only general objects have records, so this walk never touches the
+  // report log. Records are made in creation order (Persistence::load
+  // restores ascending ids).
   std::vector<ObjectId> out;
   for (const ObjectRecord& rec : records_) {
-    if (rec.id.valid() && slots_[rec.id.value()].log == kNone &&
-        rec.kind != domain::EquipmentKind::Report) {
-      out.push_back(rec.id);
-    }
+    if (rec.kind != domain::EquipmentKind::Report) out.push_back(rec.id);
   }
   return out;
 }
@@ -260,10 +199,7 @@ std::optional<db::Value> ObjectModel::report_property(
   if (key == "dc") return integer(rec.dc.value());
   if (key == "explanation") return db::Value(log_.text(rec.explanation));
   if (key == "ks") return integer(rec.knowledge_source.value());
-  if (key == "posted") {
-    if ((rec.flags & ReportLog::kPosted) == 0) return std::nullopt;
-    return db::Value(std::int64_t{1});
-  }
+  if (key == "posted") return db::Value(std::int64_t{1});
   if (key == "prognostics") {
     return db::Value(encode_prognostics(log_.prognostics(rec)));
   }
@@ -279,38 +215,32 @@ std::optional<db::Value> ObjectModel::report_property(
 
 std::optional<db::Value> ObjectModel::property(ObjectId id,
                                                const std::string& key) const {
-  if (const ObjectRecord* rec = find_record(id)) {
-    if (const db::Value* v = rec->properties.find(key)) return *v;
-  }
   if (const ReportLog::Record* lr = log_record(id)) {
     return report_property(*lr, key);
   }
+  if (const db::Value* v = find_record(id)->properties.find(key)) return *v;
   return std::nullopt;
 }
 
 PropertyMap ObjectModel::properties(ObjectId id) const {
   const ReportLog::Record* lr = log_record(id);
-  const ObjectRecord* rec = find_record(id);
-  if (lr == nullptr) return rec->properties;
+  if (lr == nullptr) return find_record(id)->properties;
   PropertyMap out;
   out.reserve(std::size(kReportKeys));
   for (const std::string_view key : kReportKeys) {
     if (auto v = report_property(*lr, key)) out.append(key, std::move(*v));
   }
-  if (rec != nullptr) {
-    for (const auto& [key, value] : rec->properties) out.set(key, value);
-  }
   return out;
 }
 
 void ObjectModel::add_edge(ObjectId from, Relation relation, ObjectId to) {
-  if (is_report_edge(from, relation, to)) return;
   const auto r = static_cast<std::size_t>(relation);
-  // record() doubles as the existence check (it asserts on unknown ids).
+  // record() is the precondition: both ends are general objects.
   auto& out = record(from).out[r];
+  auto& in = record(to).in[r];
   if (std::find(out.begin(), out.end(), to) != out.end()) return;
   out.push_back(to);
-  record(to).in[r].push_back(from);  // may grow records_: `out` is done
+  in.push_back(from);
   notify(OosmEvent{OosmEvent::Kind::RelationAdded, from, {}, relation, to});
 }
 
@@ -322,19 +252,14 @@ void ObjectModel::relate(ObjectId from, Relation relation, ObjectId to) {
 
 std::vector<ObjectId> ObjectModel::related(ObjectId from,
                                            Relation relation) const {
-  std::vector<ObjectId> out;
-  if (relation == Relation::RefersTo) {
-    const ReportLog::Record* lr = log_record(from);
-    if (lr != nullptr && (lr->flags & ReportLog::kRefersTo) != 0 &&
-        exists(lr->sensed_object)) {
-      out.push_back(lr->sensed_object);
+  if (const ReportLog::Record* lr = log_record(from)) {
+    if (relation == Relation::RefersTo &&
+        (lr->flags & ReportLog::kRefersTo) != 0) {
+      return {lr->sensed_object};
     }
+    return {};
   }
-  if (const ObjectRecord* rec = find_record(from)) {
-    const auto& edges = rec->out[static_cast<std::size_t>(relation)];
-    out.insert(out.end(), edges.begin(), edges.end());
-  }
-  return out;
+  return find_record(from)->out[static_cast<std::size_t>(relation)];
 }
 
 std::vector<ObjectId> ObjectModel::related_to(ObjectId to,
@@ -346,11 +271,8 @@ std::vector<ObjectId> ObjectModel::related_to(ObjectId to,
 
 bool ObjectModel::has_relation(ObjectId from, Relation relation,
                                ObjectId to) const {
-  if (is_report_edge(from, relation, to) && exists(to)) return true;
-  const ObjectRecord* rec = find_record(from);
-  if (rec == nullptr) return false;
-  const auto& out = rec->out[static_cast<std::size_t>(relation)];
-  return std::find(out.begin(), out.end(), to) != out.end();
+  const std::vector<ObjectId> targets = related(from, relation);
+  return std::find(targets.begin(), targets.end(), to) != targets.end();
 }
 
 std::vector<ObjectId> ObjectModel::downstream_of(ObjectId id) const {

@@ -13,10 +13,12 @@
 //
 // Reports the PDME posts live in the report log (report_log.hpp): each
 // takes a fixed-layout log record and an 8-byte id slot instead of a full
-// object record, and reads back through the same object API. Objects built
-// with create_object() — ship equipment, reports a third party assembles by
-// hand — are general records; a hand-built report is stored and persisted
-// but never fused (the PDME fuses only what its submit() posts).
+// object record, and reads back through the same object API. A logged
+// report is immutable: it takes no later property or edge, and nothing can
+// point at it. Objects built with create_object() — ship equipment,
+// reports a third party assembles by hand — are general records; a
+// hand-built report is stored and persisted but never fused (the PDME
+// fuses only what its submit() posts). Objects are never deleted.
 //
 // Thread model: single writer (the PDME executive); listeners run inline on
 // the writer thread.
@@ -54,10 +56,11 @@ enum class Relation : std::uint8_t {
 inline constexpr std::size_t kRelationCount = 5;
 
 struct OosmEvent {
-  enum class Kind { ObjectCreated, ObjectDeleted, PropertyChanged,
-                    RelationAdded, ReportsReset } kind;
+  enum class Kind { ObjectCreated, PropertyChanged, RelationAdded,
+                    ReportPosted, ReportsReset } kind;
   ObjectId object;          ///< subject (RelationAdded: the `from` side;
-                            ///< ReportsReset: the machine)
+                            ///< ReportPosted: the report; ReportsReset: the
+                            ///< machine)
   std::string property;     ///< PropertyChanged only
   Relation relation{};      ///< RelationAdded only
   ObjectId other;           ///< RelationAdded: the `to` side; ReportsReset:
@@ -72,9 +75,10 @@ class ObjectModel {
 
   ObjectId create_object(std::string name, domain::EquipmentKind kind);
 
-  void delete_object(ObjectId id);
   [[nodiscard]] bool exists(ObjectId id) const;
-  [[nodiscard]] std::size_t object_count() const { return live_count_; }
+  [[nodiscard]] std::size_t object_count() const {
+    return records_.size() + log_.size();
+  }
 
   [[nodiscard]] const std::string& name(ObjectId id) const;
   [[nodiscard]] domain::EquipmentKind kind(ObjectId id) const;
@@ -87,12 +91,13 @@ class ObjectModel {
       domain::EquipmentKind kind) const;
   /// Every object, in creation order.
   [[nodiscard]] std::vector<ObjectId> all_objects() const;
-  /// Every live object that is not a Report, in creation order. Costs
+  /// Every object that is not a Report, in creation order. Costs
   /// O(general objects), however many reports were posted.
   [[nodiscard]] std::vector<ObjectId> equipment_objects() const;
 
   // -- Properties -------------------------------------------------------------
 
+  /// `id` must be a general object: a logged report is immutable.
   void set_property(ObjectId id, const std::string& key, db::Value value);
   [[nodiscard]] std::optional<db::Value> property(ObjectId id,
                                                   const std::string& key) const;
@@ -103,7 +108,8 @@ class ObjectModel {
   // -- Relationships ----------------------------------------------------------
 
   /// Add `from -(relation)-> to`. Proximity is symmetric and stored in both
-  /// directions. Duplicate edges are ignored.
+  /// directions. Duplicate edges are ignored. Both ends must be general
+  /// objects: a logged report is immutable.
   void relate(ObjectId from, Relation relation, ObjectId to);
 
   /// Targets of `from -(relation)->`.
@@ -126,18 +132,18 @@ class ObjectModel {
 
   // -- Report log -------------------------------------------------------------
 
-  /// Post one failure report as a Report object backed by the report log.
-  /// Emits what building it by hand would: ObjectCreated; RelationAdded for
-  /// `RefersTo` the sensed object, when that object exists; then
-  /// PropertyChanged("posted"), the completion marker. The object reads as
-  /// "Report <condition> on <sensed>" with properties belief, condition,
-  /// dc, explanation, ks, posted, prognostics (encode_prognostics text),
-  /// recommendations, sensed, severity, timestamp_us and, when nonzero,
-  /// trace. additional_info is kept in the log, not as a property.
+  /// Post one failure report as a Report object backed by the report log,
+  /// with a `RefersTo` edge to the sensed object when that is a general
+  /// object, and emit one ReportPosted event once the record is complete.
+  /// The object reads as "Report <condition> on <sensed>" with properties
+  /// belief, condition, dc, explanation, ks, posted (always 1), prognostics
+  /// (encode_prognostics text), recommendations, sensed, severity,
+  /// timestamp_us and, when nonzero, trace. additional_info is kept in the
+  /// log, not as a property.
   ObjectId post_report(const net::FailureReport& report);
 
   [[nodiscard]] const ReportLog& report_log() const { return log_; }
-  /// Log index of a live report object posted through post_report().
+  /// Log index of a report object posted through post_report().
   [[nodiscard]] std::optional<std::uint32_t> report_index(ObjectId id) const;
 
   /// Maintenance reset: reports on `machine` posted before now no longer
@@ -151,15 +157,6 @@ class ObjectModel {
     return resets_;
   }
 
-  /// True when `from -(relation)-> to` is a logged report's own RefersTo
-  /// edge, which the log record carries (journals skip it).
-  [[nodiscard]] bool is_report_edge(ObjectId from, Relation relation,
-                                    ObjectId to) const;
-  /// True when `key` on a logged report was set after posting, so it is
-  /// stored beside the record rather than derived from it.
-  [[nodiscard]] bool has_added_property(ObjectId id,
-                                        const std::string& key) const;
-
   // -- Events -----------------------------------------------------------------
 
   using Listener = std::function<void(const OosmEvent&)>;
@@ -169,10 +166,9 @@ class ObjectModel {
   void unsubscribe(SubscriptionId id);
 
  private:
-  /// A general object, or the properties and edges added to a logged
-  /// report after it was posted.
+  /// A general object: everything but a logged report.
   struct ObjectRecord {
-    ObjectId id;  ///< invalid once deleted
+    ObjectId id;
     std::string name;
     domain::EquipmentKind kind{};
     PropertyMap properties;
@@ -180,8 +176,8 @@ class ObjectModel {
     std::vector<ObjectId> in[kRelationCount];
   };
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-  /// Per-id slot: a log index, a record index, both (a logged report with
-  /// later additions) or neither (no such object).
+  /// Per-id slot: a log index (a logged report), a record index (a general
+  /// object) or neither (no such object).
   struct Slot {
     std::uint32_t log = kNone;
     std::uint32_t record = kNone;
@@ -192,9 +188,14 @@ class ObjectModel {
   void create_object_with_id(ObjectId id, std::string name,
                              domain::EquipmentKind kind);
   /// Restore a logged report under a specific id (persistence only). The
-  /// RefersTo edge is restored when `refers` and the sensed object exists.
+  /// RefersTo edge is restored when `refers` and the sensed object is a
+  /// general object.
   void restore_report(ObjectId id, const net::FailureReport& report,
                       bool refers);
+  /// Log `report` under `id`, linked RefersTo the sensed object when
+  /// `refers` and that is a general object.
+  void append_report(ObjectId id, const net::FailureReport& report,
+                     bool refers);
   /// Restore a reset watermark (persistence only).
   void restore_reset(ObjectId machine, ObjectId watermark);
 
@@ -203,10 +204,10 @@ class ObjectModel {
   ObjectRecord& new_record(ObjectId id, Slot& slot);
 
   [[nodiscard]] const Slot& slot(ObjectId id) const;
-  /// The record holding `id`'s own properties and edges, created on first
-  /// use for a logged report.
+  /// The general record of `id`; a logged report or an unknown id violates
+  /// the precondition.
   ObjectRecord& record(ObjectId id);
-  /// nullptr for a logged report with nothing added.
+  /// The general record of `id`, or nullptr for a logged report.
   [[nodiscard]] const ObjectRecord* find_record(ObjectId id) const;
   /// The log record behind `id`, or nullptr for a general object.
   [[nodiscard]] const ReportLog::Record* log_record(ObjectId id) const;
@@ -215,13 +216,13 @@ class ObjectModel {
   void notify(const OosmEvent& event);
   void add_edge(ObjectId from, Relation relation, ObjectId to);
 
-  /// Dense id-indexed slots (ids are allocated sequentially from 1, so the
-  /// table has no holes beyond deletions); id order is creation order.
+  /// Dense id-indexed slots (ids are allocated sequentially from 1; only a
+  /// model loaded from tables with id gaps has holes); id order is
+  /// creation order.
   std::vector<Slot> slots_;
   std::vector<ObjectRecord> records_;
   ReportLog log_;
   std::map<std::uint64_t, ObjectId> resets_;
-  std::size_t live_count_ = 0;
   std::uint64_t next_id_ = 1;
   std::map<SubscriptionId, Listener> listeners_;
   SubscriptionId next_subscription_ = 1;

@@ -131,26 +131,20 @@ void DurableModelJournal::create_tables() {
   db_.create_table(resets_schema());
 
   // Whatever the model already holds goes in through the row writers its
-  // events use. A logged report is its oosm_reports row plus what was added
-  // to it after posting.
+  // events use. A logged report is its oosm_reports row alone.
   for (const ObjectId id : model_.all_objects()) {
-    const bool logged = model_.report_index(id).has_value();
-    if (logged) {
-      db_.insert(Persistence::kReportsTable, report_row(model_, id));
-    } else {
-      insert_object(id);
+    if (model_.report_index(id).has_value()) {
+      insert_report(id);
+      continue;
     }
+    insert_object(id);
     for (const auto& [key, value] : model_.properties(id)) {
-      if (!logged || model_.has_added_property(id, key)) {
-        upsert_property(id, key);
-      }
+      upsert_property(id, key);
     }
     for (std::size_t r = 0; r < kRelationCount; ++r) {
       const auto relation = static_cast<Relation>(r);
       for (const ObjectId to : model_.related(id, relation)) {
-        if (!model_.is_report_edge(id, relation, to)) {
-          insert_relation(id, relation, to);
-        }
+        insert_relation(id, relation, to);
       }
     }
   }
@@ -179,13 +173,6 @@ void DurableModelJournal::adopt_tables() {
     }
     prop_rows_.emplace(std::pair{object, row[2].as_text()},
                        PropRow{row_key, type});
-  }
-  for (const auto& [row_key, row] :
-       db_.table(Persistence::kRelationsTable).rows()) {
-    relation_rows_.emplace(static_cast<std::uint64_t>(row[1].as_integer()),
-                           row_key);
-    relation_rows_.emplace(static_cast<std::uint64_t>(row[3].as_integer()),
-                           row_key);
   }
 }
 
@@ -243,14 +230,16 @@ void DurableModelJournal::insert_object(ObjectId id) {
               Value(static_cast<std::int64_t>(model_.kind(id)))});
 }
 
+void DurableModelJournal::insert_report(ObjectId id) {
+  db_.insert(Persistence::kReportsTable, report_row(model_, id));
+}
+
 void DurableModelJournal::insert_relation(ObjectId from, Relation relation,
                                           ObjectId to) {
-  const std::int64_t row = db_.insert_auto(
-      Persistence::kRelationsTable,
-      {integer(from.value()), Value(static_cast<std::int64_t>(relation)),
-       integer(to.value())});
-  relation_rows_.emplace(from.value(), row);
-  relation_rows_.emplace(to.value(), row);
+  db_.insert_auto(Persistence::kRelationsTable,
+                  {integer(from.value()),
+                   Value(static_cast<std::int64_t>(relation)),
+                   integer(to.value())});
 }
 
 void DurableModelJournal::record_reset(ObjectId machine, ObjectId watermark) {
@@ -266,50 +255,18 @@ void DurableModelJournal::record_reset(ObjectId machine, ObjectId watermark) {
 void DurableModelJournal::on_event(const OosmEvent& event) {
   switch (event.kind) {
     case OosmEvent::Kind::ObjectCreated:
-      // A logged report is written whole at its "posted" marker.
-      if (!model_.report_index(event.object).has_value()) {
-        insert_object(event.object);
-      }
+      insert_object(event.object);
       break;
     case OosmEvent::Kind::PropertyChanged:
-      if (model_.report_index(event.object).has_value() &&
-          !model_.has_added_property(event.object, event.property)) {
-        if (event.property == "posted") {
-          db_.insert(Persistence::kReportsTable,
-                     report_row(model_, event.object));
-        }
-        break;
-      }
       upsert_property(event.object, event.property);
       break;
     case OosmEvent::Kind::RelationAdded:
-      // A report edge is the report row's refers column.
-      if (!model_.is_report_edge(event.object, event.relation, event.other)) {
-        insert_relation(event.object, event.relation, event.other);
-      }
+      insert_relation(event.object, event.relation, event.other);
       break;
-    case OosmEvent::Kind::ObjectDeleted: {
-      // The object is in exactly one of the two tables; erase is a no-op
-      // on the other.
-      const auto object_key = static_cast<std::int64_t>(event.object.value());
-      db_.erase(Persistence::kObjectsTable, object_key);
-      db_.erase(Persistence::kReportsTable, object_key);
-      const auto lo = prop_rows_.lower_bound({event.object.value(), ""});
-      auto hi = lo;
-      while (hi != prop_rows_.end() &&
-             hi->first.first == event.object.value()) {
-        db_.erase(Persistence::kPropertiesTable, hi->second.row);
-        ++hi;
-      }
-      prop_rows_.erase(lo, hi);
-      auto [rlo, rhi] = relation_rows_.equal_range(event.object.value());
-      for (auto it = rlo; it != rhi; ++it) {
-        // False when the other endpoint's deletion already erased the row.
-        db_.erase(Persistence::kRelationsTable, it->second);
-      }
-      relation_rows_.erase(rlo, rhi);
+    case OosmEvent::Kind::ReportPosted:
+      // The whole report, its RefersTo edge included, is one row.
+      insert_report(event.object);
       break;
-    }
     case OosmEvent::Kind::ReportsReset:
       record_reset(event.object, event.other);
       break;

@@ -32,14 +32,14 @@ class Persistence {
 
 /// Incremental background persistence (paper §4.6: "managed entirely in the
 /// background"): subscribes to an ObjectModel and mirrors every event —
-/// creation, property change, relation, deletion, report reset — through
+/// creation, property change, relation, report post, report reset — through
 /// the *journaled* Database mutators, so an attached write-ahead log
 /// captures each change as it happens. General objects go to oosm_objects,
 /// their properties and edges to oosm_properties / oosm_relations, one
-/// oosm_reports row per logged report (written at its "posted" marker, its
-/// RefersTo edge a column of the row), and one oosm_report_resets row per
-/// reset watermark. Properties and edges added to a logged report after
-/// posting go to the general tables.
+/// oosm_reports row per logged report (written at its ReportPosted event,
+/// its RefersTo edge a column of the row), and one oosm_report_resets row
+/// per reset watermark. Rows are only ever inserted or updated: objects are
+/// never deleted and a logged report never changes.
 ///
 /// Two start modes, decided by what is already in `db`:
 ///  - fresh (no oosm_objects table): creates the tables, writes whatever
@@ -63,6 +63,7 @@ class DurableModelJournal {
   void adopt_tables();
   void on_event(const OosmEvent& event);
   void insert_object(ObjectId id);
+  void insert_report(ObjectId id);
   void insert_relation(ObjectId from, Relation relation, ObjectId to);
   void upsert_property(ObjectId id, const std::string& key);
   void record_reset(ObjectId machine, ObjectId watermark);
@@ -76,9 +77,6 @@ class DurableModelJournal {
     db::ValueType type = db::ValueType::Null;  ///< typed column currently set
   };
   std::map<std::pair<std::uint64_t, std::string>, PropRow> prop_rows_;
-  /// Each relation row is recorded under BOTH endpoints so deleting either
-  /// object finds it; the second lookup tolerates the already-erased row.
-  std::multimap<std::uint64_t, std::int64_t> relation_rows_;
 };
 
 }  // namespace mpros::oosm

@@ -87,7 +87,6 @@ class ReportLog {
     std::uint8_t flags = 0;
   };
   static constexpr std::uint8_t kRefersTo = 1;  ///< RefersTo edge posted
-  static constexpr std::uint8_t kPosted = 2;    ///< "posted" marker set
 
   /// Records per record chunk (24 KiB), and the pair pool's chunk size
   /// (1,024 pairs, 16 KiB). A report with more pairs than that gets a

@@ -77,14 +77,21 @@ bool DedupIndex::contains(const net::FailureReport& report) const {
   return slots_[probe(k, tag_of(k))].index != kEmpty;
 }
 
-void DedupIndex::insert(std::uint32_t index) {
+bool DedupIndex::claim(const net::FailureReport& report,
+                       std::uint32_t index) {
+  return insert(key_of(report), index);
+}
+
+void DedupIndex::insert(std::uint32_t index) { insert(key_of(index), index); }
+
+bool DedupIndex::insert(const Key& k, std::uint32_t index) {
   if (2 * (size_ + 1) > slots_.size()) grow();
-  const Key k = key_of(index);
   const std::uint32_t tag = tag_of(k);
   Slot& slot = slots_[probe(k, tag)];
-  if (slot.index != kEmpty) return;
+  if (slot.index != kEmpty) return false;
   slot = {index, tag};
   ++size_;
+  return true;
 }
 
 void DedupIndex::grow() {
@@ -164,14 +171,14 @@ void FusionCore::note_sensor_fault(const net::FailureReport& r) {
 std::optional<PendingRetest> FusionCore::retest_for(
     const net::FailureReport& r) const {
   if (!cfg_.auto_retest) return std::nullopt;
-  if (r.severity < cfg_.retest_severity) return std::nullopt;
+  if (r.severity < kRetestSeverity) return std::nullopt;
   const FailureMode mode = domain::failure_mode(r.machine_condition);
   const fusion::GroupState group =
       diagnostics_.state(r.sensed_object, domain::logical_group(mode));
   // Already corroborated: several reports and little unknown mass left. A
   // first-ever severe report always earns a closer look, however confident
   // its source was.
-  if (group.report_count > 1 && group.unknown < cfg_.retest_unknown) {
+  if (group.report_count > 1 && group.unknown < kRetestUnknown) {
     return std::nullopt;
   }
   return PendingRetest{r.dc, r.sensed_object, mode, r.timestamp};

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "mpros/fusion/diagnostic_fusion.hpp"
-#include "mpros/net/reliable.hpp"
 #include "mpros/fusion/prognostic_fusion.hpp"
 #include "mpros/fusion/trend.hpp"
 #include "mpros/net/report.hpp"
@@ -53,15 +52,12 @@ struct PdmeConfig {
   /// (DedupIndex).
   bool deduplicate = true;
 
-  /// Adaptive "closer look" (§6.3): when a fused report crosses
-  /// `retest_severity` while the group still carries real unknown mass, the
+  /// Adaptive "closer look" (§6.3): when a fused report reaches
+  /// kRetestSeverity while the group still carries real unknown mass, the
   /// PDME commands the originating DC to run an immediate vibration test.
   /// Requires attach_to_network(); at most one command per (machine, mode)
-  /// per `retest_backoff` of report time.
+  /// per kRetestBackoff of report time.
   bool auto_retest = false;
-  double retest_severity = 0.70;
-  double retest_unknown = 0.20;
-  SimTime retest_backoff = SimTime::from_hours(1.0);
 
   /// DC liveness supervision: the watchdog interval the DCs are expected to
   /// beat (matches DcConfig::heartbeat_period in the assembled system). A
@@ -71,12 +67,15 @@ struct PdmeConfig {
   SimTime heartbeat_interval = SimTime::from_seconds(60.0);
   std::size_t stale_after_missed = 2;
   std::size_t lost_after_missed = 3;
-
-  /// Control plane: reliable-delivery tuning for the per-DC command streams
-  /// (send_command). Same ack algebra as the report path, opposite
-  /// direction.
-  net::ReliableConfig command_reliable;
 };
+
+/// Closer-look thresholds (PdmeConfig::auto_retest): the severity a report
+/// must reach, and the unknown mass below which a group with more than one
+/// report counts as corroborated and earns no retest.
+inline constexpr double kRetestSeverity = 0.70;
+inline constexpr double kRetestUnknown = 0.20;
+/// Report time between two closer-look commands for one (machine, mode).
+inline constexpr SimTime kRetestBackoff = SimTime::from_hours(1.0);
 
 /// The latest word on each instrument channel the validators flagged:
 /// severity > 0 = fault standing, 0 = cleared. Keyed by
@@ -114,6 +113,10 @@ class DedupIndex {
 
   /// True when a logged report in the set is a duplicate of `report`.
   [[nodiscard]] bool contains(const net::FailureReport& report) const;
+  /// One probe: false when a duplicate of `report` is in the set, else add
+  /// `index`, the log index `report` is about to be posted at, and return
+  /// true. The caller must post it there before the next call.
+  bool claim(const net::FailureReport& report, std::uint32_t index);
   /// Add logged report `index`; a no-op when a duplicate is already in.
   void insert(std::uint32_t index);
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -134,6 +137,8 @@ class DedupIndex {
   static bool same(const Key& a, const Key& b);
   /// Slot of `k`'s duplicate, or of the empty slot where it would go.
   [[nodiscard]] std::size_t probe(const Key& k, std::uint32_t tag) const;
+  /// Add `index` under `k` unless a duplicate is in; true when added.
+  bool insert(const Key& k, std::uint32_t index);
   void grow();
 
   static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
@@ -149,9 +154,10 @@ class FusionCore {
   FusionCore(const PdmeConfig& cfg, const oosm::ReportLog& log)
       : cfg_(cfg), log_(log), dedup_(log) {}
 
-  /// Dedup bookkeeping over logged reports.
-  [[nodiscard]] bool seen(const net::FailureReport& report) const {
-    return dedup_.contains(report);
+  /// Dedup bookkeeping over logged reports: claim() is the ingest gate
+  /// (DedupIndex::claim), mark_seen() adds a report already logged.
+  bool claim(const net::FailureReport& report, std::uint32_t log_index) {
+    return dedup_.claim(report, log_index);
   }
   void mark_seen(std::uint32_t log_index) { dedup_.insert(log_index); }
   [[nodiscard]] std::size_t dedup_entries() const { return dedup_.size(); }

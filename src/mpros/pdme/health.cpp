@@ -5,20 +5,21 @@
 
 namespace mpros::pdme {
 
-HealthRollup::HealthRollup(HealthConfig cfg) : cfg_(cfg) {}
-
 namespace {
 
+/// Weight of the worst child vs the mean of the children when rolling up
+/// (1 = min-only: a chain is as healthy as its sickest link).
+constexpr double kWorstChildWeight = 0.7;
+
 std::map<ObjectId, double> own_health(const PdmeExecutive& pdme,
-                                      const oosm::ObjectModel& model,
-                                      double impact) {
+                                      const oosm::ObjectModel& model) {
   std::map<ObjectId, double> own;
   for (const ObjectId id : model.equipment_objects()) {
     double h = 1.0;
     for (const MaintenanceItem& item : pdme.prioritized_list(id)) {
-      h *= 1.0 - std::clamp(item.fused_belief *
-                                std::max(0.1, item.max_severity) * impact,
-                            0.0, 0.99);
+      h *= 1.0 - std::clamp(
+                     item.fused_belief * std::max(0.1, item.max_severity),
+                     0.0, 0.99);
     }
     own[id] = h;
   }
@@ -52,8 +53,8 @@ double HealthRollup::rolled_health(const oosm::ObjectModel& model,
     }
     if (counted > 0) {
       const double mean = sum / static_cast<double>(counted);
-      const double children_health = cfg_.worst_child_weight * worst +
-                                     (1.0 - cfg_.worst_child_weight) * mean;
+      const double children_health =
+          kWorstChildWeight * worst + (1.0 - kWorstChildWeight) * mean;
       h *= children_health;
     }
   }
@@ -64,8 +65,7 @@ double HealthRollup::rolled_health(const oosm::ObjectModel& model,
 std::map<ObjectId, HealthEntry> HealthRollup::compute(
     const PdmeExecutive& pdme) const {
   const oosm::ObjectModel& model = pdme.model();
-  const std::map<ObjectId, double> own =
-      own_health(pdme, model, cfg_.impact);
+  const std::map<ObjectId, double> own = own_health(pdme, model);
 
   std::map<ObjectId, double> memo;
   std::map<ObjectId, HealthEntry> out;

@@ -20,25 +20,17 @@
 
 namespace mpros::pdme {
 
-struct HealthConfig {
-  /// Weight of the worst child vs the mean of the children when rolling up
-  /// (1 = min-only: a chain is as healthy as its sickest link).
-  double worst_child_weight = 0.7;
-  /// How strongly a fused belief at a given severity hurts own health:
-  /// own = Π (1 - belief * severity * impact).
-  double impact = 1.0;
-};
-
 struct HealthEntry {
   ObjectId object;
   double own = 1.0;     ///< from conclusions against this object directly
   double rolled = 1.0;  ///< own combined with descendants
 };
 
+/// Own health is Π (1 - belief * max(0.1, severity)) over the fused
+/// conclusions against the object, each term capped at 0.99. A composite
+/// multiplies that by 0.7 x its worst child + 0.3 x its children's mean.
 class HealthRollup {
  public:
-  explicit HealthRollup(HealthConfig cfg = {});
-
   /// Compute health for every object in the model. Objects outside any
   /// PartOf tree still get their own-health entry.
   [[nodiscard]] std::map<ObjectId, HealthEntry> compute(
@@ -56,8 +48,6 @@ class HealthRollup {
   double rolled_health(const oosm::ObjectModel& model,
                        const std::map<ObjectId, double>& own,
                        std::map<ObjectId, double>& memo, ObjectId id) const;
-
-  HealthConfig cfg_;
 };
 
 }  // namespace mpros::pdme

@@ -102,13 +102,14 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
     } else {
       for (const net::ReportEnvelope& env : run) {
         const net::FailureReport& r = env.report;
-        if (cfg_.deduplicate && core_.seen(r)) {
+        // The log index post_report() is about to give it.
+        const auto index =
+            static_cast<std::uint32_t>(model_.report_log().size());
+        if (cfg_.deduplicate && !core_.claim(r, index)) {
           ++out.duplicates;
           continue;
         }
         const ObjectId obj = model_.post_report(r);
-        const std::uint32_t index = *model_.report_index(obj);
-        if (cfg_.deduplicate) core_.mark_seen(index);
         fuse(r, index);
         ++out.accepted;
         out.last_object = obj;
@@ -164,7 +165,7 @@ void PdmeExecutive::send_retest(const PendingRetest& p) {
   if (network_ == nullptr) return;
   const ModeKey key{p.machine.value(), p.mode};
   const auto last = last_retest_.find(key);
-  if (last != last_retest_.end() && p.at - last->second < cfg_.retest_backoff) {
+  if (last != last_retest_.end() && p.at - last->second < kRetestBackoff) {
     return;
   }
   last_retest_[key] = p.at;
@@ -443,7 +444,8 @@ std::uint64_t PdmeExecutive::send_command(
 
   auto& sender = command_senders_[dc.value()];
   if (!sender) {
-    sender = std::make_unique<net::ReliableSender>(dc, cfg_.command_reliable);
+    // Default reliable-delivery tuning; the report path's ack algebra.
+    sender = std::make_unique<net::ReliableSender>(dc);
   }
   std::vector<std::uint8_t> payload = sender->envelope(cmd, at);
   if (network_ != nullptr) {
@@ -471,7 +473,12 @@ const net::ReliableSender* PdmeExecutive::command_stream(DcId dc) const {
 
 void PdmeExecutive::accept(const net::SensorDataMessage& data) {
   ++stats_.sensor_batches;
-  if (!model_.exists(data.machine)) return;
+  // A logged report is immutable: a batch addressed to one is dropped like
+  // one addressed to an unknown id.
+  if (!model_.exists(data.machine) ||
+      model_.report_index(data.machine).has_value()) {
+    return;
+  }
   for (const auto& [key, value] : data.values) {
     model_.set_property(data.machine, key, value);
   }

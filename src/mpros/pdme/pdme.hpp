@@ -83,8 +83,9 @@ class PdmeExecutive {
   SubmitOutcome submit(std::span<const net::ReportEnvelope> reports);
 
   /// Post a sensor-data batch: values land as properties on the machine's
-  /// OOSM object (the §1 open-interface flow; PDME-resident algorithms
-  /// subscribe to the resulting OOSM events).
+  /// OOSM object (the §1 open-interface flow), where the browser and a
+  /// durable journal see them. A batch whose machine is unknown or a
+  /// logged report is counted and dropped.
   void accept(const net::SensorDataMessage& data);
 
   /// Post a DC liveness beacon delivered at `at`: refreshes the watchdog,

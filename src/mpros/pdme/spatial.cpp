@@ -6,7 +6,20 @@ namespace mpros::pdme {
 
 using domain::FailureMode;
 
-SpatialReasoner::SpatialReasoner(SpatialConfig cfg) : cfg_(cfg) {}
+namespace {
+
+/// Neighbour belief from which it counts as the "wildly vibrating"
+/// culprit (and a fluid-borne fault as confirmed).
+constexpr double kCulpritBelief = 0.80;
+/// Own belief below which a diagnosis is weak enough to discount.
+constexpr double kWeakBelief = 0.50;
+/// Multiplier applied to a discounted item's priority.
+constexpr double kDiscountFactor = 0.35;
+/// Advisory suspicion assigned to downstream components, per unit of the
+/// source's belief.
+constexpr double kDownstreamSuspicion = 0.30;
+
+}  // namespace
 
 bool SpatialReasoner::vibration_transmissible(FailureMode mode) {
   // Faults whose symptom is broadband/structural vibration that a healthy
@@ -43,7 +56,7 @@ std::vector<SpatialItem> SpatialReasoner::refine(
     SpatialItem s{item, false, ObjectId{}};
 
     if (vibration_transmissible(item.mode) &&
-        item.fused_belief < cfg_.weak_belief &&
+        item.fused_belief < kWeakBelief &&
         model.exists(item.machine)) {
       // Look for a strongly implicated proximate culprit with a
       // transmissible fault of its own.
@@ -51,10 +64,10 @@ std::vector<SpatialItem> SpatialReasoner::refine(
            model.related(item.machine, oosm::Relation::Proximity)) {
         for (const MaintenanceItem& other : pdme.prioritized_list(neighbour)) {
           if (vibration_transmissible(other.mode) &&
-              other.fused_belief >= cfg_.culprit_belief) {
+              other.fused_belief >= kCulpritBelief) {
             s.discounted = true;
             s.attributed_to = neighbour;
-            s.item.priority *= cfg_.discount_factor;
+            s.item.priority *= kDiscountFactor;
             break;
           }
         }
@@ -78,7 +91,7 @@ std::vector<FlowSuspicion> SpatialReasoner::flow_suspicions(
 
   for (const MaintenanceItem& item : pdme.prioritized_list()) {
     if (!fluid_borne(item.mode)) continue;
-    if (item.fused_belief < cfg_.culprit_belief) continue;
+    if (item.fused_belief < kCulpritBelief) continue;
     if (!model.exists(item.machine)) continue;
 
     for (const ObjectId downstream : model.downstream_of(item.machine)) {
@@ -86,7 +99,7 @@ std::vector<FlowSuspicion> SpatialReasoner::flow_suspicions(
       s.source = item.machine;
       s.source_mode = item.mode;
       s.downstream = downstream;
-      s.suspicion = cfg_.downstream_suspicion * item.fused_belief;
+      s.suspicion = kDownstreamSuspicion * item.fused_belief;
       out.push_back(s);
     }
   }

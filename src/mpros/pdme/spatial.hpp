@@ -22,18 +22,6 @@
 
 namespace mpros::pdme {
 
-struct SpatialConfig {
-  /// Neighbour belief above which it counts as the "wildly vibrating"
-  /// culprit.
-  double culprit_belief = 0.80;
-  /// Own belief below which a diagnosis is weak enough to discount.
-  double weak_belief = 0.50;
-  /// Multiplier applied to a discounted item's priority.
-  double discount_factor = 0.35;
-  /// Advisory suspicion assigned to downstream components.
-  double downstream_suspicion = 0.30;
-};
-
 /// A maintenance item after spatial post-processing.
 struct SpatialItem {
   MaintenanceItem item;
@@ -51,8 +39,6 @@ struct FlowSuspicion {
 
 class SpatialReasoner {
  public:
-  explicit SpatialReasoner(SpatialConfig cfg = {});
-
   /// Re-rank the PDME's prioritized list with proximity discounting.
   [[nodiscard]] std::vector<SpatialItem> refine(
       const PdmeExecutive& pdme) const;
@@ -65,8 +51,6 @@ class SpatialReasoner {
  private:
   [[nodiscard]] static bool vibration_transmissible(domain::FailureMode mode);
   [[nodiscard]] static bool fluid_borne(domain::FailureMode mode);
-
-  SpatialConfig cfg_;
 };
 
 }  // namespace mpros::pdme

@@ -15,6 +15,7 @@
 #include "mpros/dsp/fft.hpp"
 #include "mpros/fusion/dempster_shafer.hpp"
 #include "mpros/net/network.hpp"
+#include "mpros/oosm/object_model.hpp"
 #include "mpros/sbfr/interpreter.hpp"
 #include "mpros/sbfr/library.hpp"
 
@@ -115,6 +116,21 @@ TEST(ContractsDeathTest, SbfrStepRequiresDeclaredChannelCount) {
   sys.add_machine(sbfr::make_spike_machine());
   const double one_channel[1] = {0.0};
   EXPECT_DEATH(sys.step(one_channel), "precondition");
+}
+
+TEST(ContractsDeathTest, LoggedReportTakesNoPropertyOrEdge) {
+  oosm::ObjectModel m;
+  const ObjectId motor =
+      m.create_object("Motor", domain::EquipmentKind::InductionMotor);
+  net::FailureReport r;
+  r.sensed_object = motor;
+  const ObjectId report = m.post_report(r);
+  EXPECT_DEATH(m.set_property(report, "acknowledged", std::int64_t{1}),
+               "precondition");
+  EXPECT_DEATH(m.relate(report, oosm::Relation::KindOf, motor),
+               "precondition");
+  EXPECT_DEATH(m.relate(motor, oosm::Relation::RefersTo, report),
+               "precondition");
 }
 
 // --- Concurrency stress -------------------------------------------------------

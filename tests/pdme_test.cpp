@@ -110,6 +110,33 @@ TEST_F(PdmeTest, HandBuiltReportObjectIsNotFused) {
   EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
 }
 
+TEST_F(PdmeTest, SensorDataForALoggedReportIsDropped) {
+  // A logged report is immutable: a sensor batch addressed to its id is
+  // counted and dropped, like one addressed to an unknown id.
+  const auto report = submit_one(
+      pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8));
+  ASSERT_TRUE(report.has_value());
+  const auto properties_text = [&] {
+    std::string out;
+    for (const auto& [key, value] : model_.properties(*report)) {
+      out += std::string(key) + "=" + value.to_string() + "\n";
+    }
+    return out;
+  };
+  const std::string before = properties_text();
+  net::SensorDataMessage m;
+  m.dc = DcId(1);
+  m.machine = *report;
+  m.timestamp = SimTime::from_hours(1.0);
+  m.values = {{"process.load", 0.8}};
+  pdme_.accept(m);
+  EXPECT_EQ(properties_text(), before);
+  EXPECT_FALSE(model_.property(*report, "process.load").has_value());
+  EXPECT_FALSE(
+      model_.property(*report, "last_sensor_update_us").has_value());
+  EXPECT_EQ(pdme_.snapshot().sensor_batches, 1u);
+}
+
 TEST_F(PdmeTest, ReinforcingReportsRaiseBelief) {
   submit_one(pdme_, make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.6,
                            /*ks=*/1));
@@ -253,6 +280,37 @@ TEST(DedupIndexTest, MembershipHoldsAcrossGrows) {
     if (std::has_single_bit(inserted.size())) check_all();
   }
   check_all();
+}
+
+TEST(DedupIndexTest, ClaimIsOneFindOrInsert) {
+  oosm::ObjectModel model;
+  DedupIndex dedup(model.report_log());
+  const auto claim_and_post = [&](const net::FailureReport& r) {
+    const auto index = static_cast<std::uint32_t>(model.report_log().size());
+    if (!dedup.claim(r, index)) return false;
+    EXPECT_EQ(*model.report_index(model.post_report(r)), index);
+    return true;
+  };
+  const auto report =
+      make_report(ObjectId(7), FailureMode::MotorImbalance, 0.6, 0.8);
+  ASSERT_TRUE(claim_and_post(report));
+  EXPECT_EQ(dedup.size(), 1u);
+  EXPECT_TRUE(dedup.contains(report));
+
+  // A claimed key rejects its "%.6f" twin, and the rejected claim leaves
+  // the set as it was.
+  auto twin = report;
+  twin.belief = 0.8000004;  // "0.800000"
+  EXPECT_FALSE(claim_and_post(twin));
+  EXPECT_EQ(dedup.size(), 1u);
+  EXPECT_EQ(model.report_log().size(), 1u);
+
+  // A fresh key is claimed at the index the log gives it next.
+  auto later = report;
+  later.timestamp = later.timestamp + SimTime(1);
+  EXPECT_TRUE(claim_and_post(later));
+  EXPECT_EQ(dedup.size(), 2u);
+  EXPECT_TRUE(dedup.contains(later));
 }
 
 TEST_F(PdmeTest, PrioritizedListOrdersBySeverityWeightedBelief) {

@@ -27,12 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "fault_arg.hpp"
 #include "mpros/fleet/fleet_sim.hpp"
 
 namespace {
 
 using namespace mpros;
 using namespace mpros::fleet;
+using tools::split;
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr,
@@ -42,47 +44,11 @@ using namespace mpros::fleet;
   std::exit(2);
 }
 
-std::optional<domain::FailureMode> parse_mode(const std::string& name) {
-  for (const auto mode : domain::all_failure_modes()) {
-    if (name == domain::to_string(mode)) return mode;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    out.push_back(s.substr(start, pos - start));
-    if (pos == std::string::npos) break;
-    start = pos + 1;
-  }
-  return out;
-}
-
-struct FaultSpec {
-  std::size_t ship = 0;
-  plant::FaultEvent event;
-};
-
-FaultSpec parse_fault(const std::string& spec) {
-  const auto parts = split(spec, ':');
-  if (parts.size() != 5) {
-    usage_error(
-        "--fault expects ship:Mode:onset_h:ramp_h:severity, got '" + spec +
-        "'");
-  }
-  FaultSpec f;
-  f.ship = static_cast<std::size_t>(std::atoi(parts[0].c_str()));
-  const auto mode = parse_mode(parts[1]);
-  if (!mode) usage_error("unknown failure mode '" + parts[1] + "'");
-  f.event.mode = *mode;
-  f.event.onset = SimTime::from_hours(std::atof(parts[2].c_str()));
-  f.event.ramp = SimTime::from_hours(std::atof(parts[3].c_str()));
-  f.event.max_severity = std::atof(parts[4].c_str());
-  f.event.profile = plant::GrowthProfile::Linear;
-  return f;
+tools::FaultArg parse_fault(const std::string& spec) {
+  std::string error;
+  const auto f = tools::parse_fault_arg(spec, "ship", error);
+  if (!f) usage_error(error);
+  return *f;
 }
 
 }  // namespace
@@ -95,7 +61,7 @@ int main(int argc, char** argv) {
   cfg.shore.duplicate_probability = 0.02;
   double hours = 2.0;
   bool show_stats = false;
-  std::vector<FaultSpec> faults;
+  std::vector<tools::FaultArg> faults;
   std::vector<net::Outage> outages;
 
   for (int i = 1; i < argc; ++i) {
@@ -138,11 +104,11 @@ int main(int argc, char** argv) {
   for (const net::Outage& outage : outages) {
     fleet.shore().schedule_outage(outage);
   }
-  for (const FaultSpec& f : faults) {
-    if (f.ship >= fleet.ship_count()) {
+  for (const tools::FaultArg& f : faults) {
+    if (f.target >= fleet.ship_count()) {
       usage_error("--fault ship index out of range");
     }
-    fleet.ship(f.ship).chiller(0).faults().schedule(f.event);
+    fleet.ship(f.target).chiller(0).faults().schedule(f.event);
   }
 
   fleet.run_until(SimTime::from_hours(hours));

@@ -26,11 +26,13 @@
 #include <string>
 #include <vector>
 
+#include "fault_arg.hpp"
 #include "mpros/mpros/mpros.hpp"
 
 namespace {
 
 using namespace mpros;
+using tools::split;
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr, "mpros_sim: %s\n(see the header of tools/mpros_sim.cpp for usage)\n",
@@ -38,51 +40,11 @@ using namespace mpros;
   std::exit(2);
 }
 
-std::optional<domain::FailureMode> parse_mode(const std::string& name) {
-  for (const auto mode : domain::all_failure_modes()) {
-    if (name == domain::to_string(mode)) return mode;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    out.push_back(s.substr(start, pos - start));
-    if (pos == std::string::npos) break;
-    start = pos + 1;
-  }
-  return out;
-}
-
-struct FaultSpec {
-  std::size_t plant = 0;
-  plant::FaultEvent event;
-};
-
-FaultSpec parse_fault(const std::string& spec) {
-  const auto parts = split(spec, ':');
-  if (parts.size() != 5) {
-    usage_error("--fault expects plant:Mode:onset_h:ramp_h:severity, got '" +
-                spec + "'");
-  }
-  FaultSpec f;
-  f.plant = static_cast<std::size_t>(std::atoi(parts[0].c_str()));
-  const auto mode = parse_mode(parts[1]);
-  if (!mode) {
-    usage_error("unknown failure mode '" + parts[1] +
-                "' (try --list-modes)");
-  }
-  f.event.mode = *mode;
-  f.event.onset = SimTime::from_hours(std::atof(parts[2].c_str()));
-  f.event.ramp = SimTime::from_hours(std::atof(parts[3].c_str()));
-  f.event.max_severity = std::atof(parts[4].c_str());
-  f.event.profile = f.event.ramp.micros() == 0
-                        ? plant::GrowthProfile::Step
-                        : plant::GrowthProfile::Linear;
-  return f;
+tools::FaultArg parse_fault(const std::string& spec) {
+  std::string error;
+  const auto f = tools::parse_fault_arg(spec, "plant", error);
+  if (!f) usage_error(error);
+  return *f;
 }
 
 int run_validation_study() {
@@ -98,7 +60,7 @@ int run_validation_study() {
 int main(int argc, char** argv) {
   std::size_t plants = 2;
   double hours = 2.0;
-  std::vector<FaultSpec> faults;
+  std::vector<tools::FaultArg> faults;
   ShipSystemConfig cfg;
   std::vector<std::string> shows = {"summary"};
   std::uint64_t seed = 0x5417;
@@ -169,13 +131,13 @@ int main(int argc, char** argv) {
   cfg.seed = seed;
   ShipSystem ship(cfg);
 
-  for (const FaultSpec& f : faults) {
-    if (f.plant >= ship.plant_count()) {
-      usage_error("--fault names plant " + std::to_string(f.plant) +
+  for (const tools::FaultArg& f : faults) {
+    if (f.target >= ship.plant_count()) {
+      usage_error("--fault names plant " + std::to_string(f.target) +
                   " but only " + std::to_string(ship.plant_count()) +
                   " exist");
     }
-    ship.chiller(f.plant).faults().schedule(f.event);
+    ship.chiller(f.target).faults().schedule(f.event);
   }
 
   std::printf("mpros_sim: %zu plant(s), %.2f simulated hour(s), %zu fault(s)\n\n",

@@ -6,6 +6,8 @@
 // windows process-wide, packs N reals into an N/2 complex FFT, and reuses
 // a per-thread scratch arena so steady-state extraction never allocates.
 //
+// The FFT rows time each transform a DC test runs, alone.
+//
 // The DC-test row times what DataConcentrator::run_vibration_test spends
 // on analysis, with the plant simulator left out: the records are acquired
 // from a seeded chiller up front, then each test runs four sensor screens
@@ -144,6 +146,70 @@ void BM_FeatureFrame_Cached(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureFrame_Cached)->Unit(benchmark::kMicrosecond);
 
+// The transforms a DC test runs, alone: per accelerometer two 4096-point
+// complex FFTs under the 8192-point real spectra and one 8192-point complex
+// inverse (the envelope); per current record one 16384-point complex FFT
+// under a 32768-point real spectrum. Each rep transforms a fresh copy of
+// one seeded signal; the copy is not timed.
+std::vector<dsp::Complex> kernel_input(std::size_t n) {
+  std::vector<dsp::Complex> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i);
+    x[i] = dsp::Complex(std::sin(0.0137 * t) + 0.25 * std::cos(1.91 * t),
+                        std::cos(0.0291 * t) - 0.5 * std::sin(2.73 * t));
+  }
+  return x;
+}
+
+std::vector<double> real_kernel_input(std::size_t n) {
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i);
+    x[i] = std::sin(0.0137 * t) + 0.25 * std::cos(1.91 * t);
+  }
+  return x;
+}
+
+void BM_ComplexFft(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool inverse = state.range(1) != 0;
+  const dsp::FftPlan plan(n);
+  const std::vector<dsp::Complex> input = kernel_input(n);
+  std::vector<dsp::Complex> x = input;
+  for (auto _ : state) {
+    state.PauseTiming();
+    x = input;
+    state.ResumeTiming();
+    inverse ? plan.inverse(x) : plan.forward(x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(inverse ? "complex inverse" : "complex forward");
+}
+BENCHMARK(BM_ComplexFft)
+    ->Args({4096, 0})
+    ->Args({4096, 1})
+    ->Args({8192, 0})
+    ->Args({8192, 1})
+    ->Args({16384, 0})
+    ->Args({16384, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_RealFft(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const dsp::RealFftPlan plan(n);
+  const std::vector<double> x = real_kernel_input(n);
+  std::vector<dsp::Complex> half(plan.bins());
+  std::vector<dsp::Complex> scratch(plan.scratch_size());
+  for (auto _ : state) {
+    plan.forward(x, half, scratch);
+    benchmark::DoNotOptimize(half.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("real forward (pack, n/2-point FFT, split)");
+}
+BENCHMARK(BM_RealFft)->Arg(8192)->Arg(32768)->Unit(benchmark::kMicrosecond);
+
 // One DC vibration test's records, acquired from a seeded chiller at the
 // DC's default rates and lengths (DcConfig).
 struct DcTestRecords {
@@ -201,11 +267,13 @@ void BM_DcTestAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_DcTestAnalysis)->Unit(benchmark::kMicrosecond);
 
-// Median-of-reps wall time in nanoseconds for the JSON snapshot.
-template <typename Fn>
-double median_ns(std::size_t reps, Fn&& fn) {
+// Median-of-reps wall time in nanoseconds for the JSON snapshot; `setup`
+// runs before each rep, untimed.
+template <typename Setup, typename Fn>
+double median_ns(std::size_t reps, Setup&& setup, Fn&& fn) {
   std::vector<double> samples(reps);
   for (double& s : samples) {
+    setup();
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
@@ -214,6 +282,29 @@ double median_ns(std::size_t reps, Fn&& fn) {
   std::nth_element(samples.begin(), samples.begin() + reps / 2,
                    samples.end());
   return samples[reps / 2];
+}
+
+template <typename Fn>
+double median_ns(std::size_t reps, Fn&& fn) {
+  return median_ns(reps, [] {}, fn);
+}
+
+double complex_fft_ns(std::size_t n, bool inverse, std::size_t reps) {
+  const dsp::FftPlan plan(n);
+  const std::vector<dsp::Complex> input = kernel_input(n);
+  std::vector<dsp::Complex> x = input;
+  return median_ns(
+      reps, [&] { x = input; },
+      [&] { inverse ? plan.inverse(x) : plan.forward(x); });
+}
+
+double real_fft_ns(std::size_t n, std::size_t reps) {
+  const dsp::RealFftPlan plan(n);
+  const std::vector<double> x = real_kernel_input(n);
+  std::vector<dsp::Complex> half(plan.bins());
+  std::vector<dsp::Complex> scratch(plan.scratch_size());
+  plan.forward(x, half, scratch);
+  return median_ns(reps, [&] { plan.forward(x, half, scratch); });
 }
 
 void write_json_snapshot() {
@@ -248,6 +339,15 @@ void write_json_snapshot() {
   const std::uint64_t magnitudes_per_test =
       (g_magnitudes.load() - magnitudes_before) / tests.size();
 
+  constexpr std::size_t kComplexSizes[] = {4096, 8192, 16384};
+  double complex_ns[3][2] = {};
+  for (std::size_t i = 0; i < 3; ++i) {
+    complex_ns[i][0] = complex_fft_ns(kComplexSizes[i], false, 200);
+    complex_ns[i][1] = complex_fft_ns(kComplexSizes[i], true, 200);
+  }
+  const double real_8192 = real_fft_ns(8192, 200);
+  const double real_32768 = real_fft_ns(32768, 200);
+
   std::FILE* f = std::fopen("BENCH_DSP.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_dsp: cannot write BENCH_DSP.json\n");
@@ -263,11 +363,22 @@ void write_json_snapshot() {
                "  \"single_spectrum_speedup\": %.2f,\n"
                "  \"feature_frame_cached_ns\": %.0f,\n"
                "  \"dc_test_analysis_ns\": %.0f,\n"
-               "  \"dc_test_magnitudes\": %llu\n"
+               "  \"dc_test_magnitudes\": %llu,\n"
+               "  \"fft_complex_4096_forward_ns\": %.0f,\n"
+               "  \"fft_complex_4096_inverse_ns\": %.0f,\n"
+               "  \"fft_complex_8192_forward_ns\": %.0f,\n"
+               "  \"fft_complex_8192_inverse_ns\": %.0f,\n"
+               "  \"fft_complex_16384_forward_ns\": %.0f,\n"
+               "  \"fft_complex_16384_inverse_ns\": %.0f,\n"
+               "  \"fft_real_8192_forward_ns\": %.0f,\n"
+               "  \"fft_real_32768_forward_ns\": %.0f\n"
                "}\n",
                kWindow, kRate, rebuild, cached, rebuild / cached,
                feature_frame, dc_test,
-               static_cast<unsigned long long>(magnitudes_per_test));
+               static_cast<unsigned long long>(magnitudes_per_test),
+               complex_ns[0][0], complex_ns[0][1], complex_ns[1][0],
+               complex_ns[1][1], complex_ns[2][0], complex_ns[2][1], real_8192,
+               real_32768);
   std::fclose(f);
   std::printf("single spectrum: rebuild %.1f us -> cached %.1f us (%.2fx)\n",
               rebuild / 1e3, cached / 1e3, rebuild / cached);
@@ -276,6 +387,13 @@ void write_json_snapshot() {
               "(BENCH_DSP.json written)\n",
               dc_test / 1e3,
               static_cast<unsigned long long>(magnitudes_per_test));
+  for (std::size_t i = 0; i < 3; ++i) {
+    std::printf("complex %5zu   : forward %.1f us, inverse %.1f us\n",
+                kComplexSizes[i], complex_ns[i][0] / 1e3,
+                complex_ns[i][1] / 1e3);
+  }
+  std::printf("real 8192/32768: forward %.1f / %.1f us\n", real_8192 / 1e3,
+              real_32768 / 1e3);
 }
 
 }  // namespace

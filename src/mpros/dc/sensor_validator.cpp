@@ -1,6 +1,7 @@
 #include "mpros/dc/sensor_validator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "mpros/dsp/scratch.hpp"
@@ -28,9 +29,10 @@ struct ValidatorMetrics {
 };
 
 /// The median and the MAD each need one buffer as long as the window. The
-/// calling thread's DSP real lane 0 already holds a whole current record
-/// after its spectrum, so the screens borrow it; no dsp:: routine runs while
-/// they do.
+/// screens borrow the calling thread's DSP real lane 0: no dsp:: routine
+/// uses the real lanes (spectra window their samples as the FFT packs
+/// them), so it grows once, to the current record, and no dsp:: routine
+/// runs while the screens hold it.
 std::span<double> screen_buffer(std::size_t n) {
   return dsp::DspScratch::local().real_lane(0, n);
 }
@@ -79,21 +81,40 @@ SensorValidator::SensorValidator(SensorValidatorConfig cfg)
 std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
     const std::string& channel, std::span<const double> samples) const {
   if (samples.empty()) return std::nullopt;
+  namespace sel = dsp::detail;
+  const std::size_t n = samples.size();
+  const std::size_t k = n / 2;
+  const std::span<double> work = screen_buffer(n);
+  std::array<double, sel::kSelectSample> sample;
 
-  // One pass: finiteness and the extremes.
+  // The median's pass (dsp::select_kth in its parts) also checks
+  // finiteness and finds the extremes. No NaN may reach a selection: a
+  // sampled NaN is a dropout before the bracket is drawn, and the gather
+  // sees every other non-finite value before anything is selected.
+  const auto at = [samples](std::size_t i) { return samples[i]; };
+  sel::Bracket b = sel::kEveryValue;
+  if (n >= dsp::kSelectCutover) {
+    const std::span<double> drawn = sel::draw_sample(n, at, sample);
+    if (std::any_of(drawn.begin(), drawn.end(),
+                    [](double s) { return std::isnan(s); })) {
+      return domain::SensorFaultKind::Dropout;
+    }
+    b = sel::bracket_rank(drawn, n, k);
+  }
+  bool finite = true;
   double lo = samples[0];
   double hi = samples[0];
-  for (const double s : samples) {
-    if (!std::isfinite(s)) return domain::SensorFaultKind::Dropout;
+  const sel::Gathered g = sel::gather(n, b, at, work, [&](double s) {
+    finite &= std::isfinite(s);
     lo = std::min(lo, s);
     hi = std::max(hi, s);
-  }
+  });
+  if (!finite) return domain::SensorFaultKind::Dropout;
   if (hi - lo < cfg_.flatline_peak_to_peak) {
     return domain::SensorFaultKind::Flatline;
   }
 
-  const std::span<double> work = screen_buffer(samples.size());
-  const double median = dsp::median(samples, work);
+  const double median = sel::select_gathered(n, k, at, g, work);
   if (const auto range_it = cfg_.ranges.find(channel);
       range_it != cfg_.ranges.end()) {
     const PhysicalRange& r = range_it->second;
@@ -102,11 +123,29 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
     }
   }
 
-  const double sigma = robust_sigma(
-      samples.size(), [samples](std::size_t i) { return samples[i]; }, median,
-      work);
+  // The MAD's pass also counts the deviations above the spike limit its
+  // bracket's lower edge implies. Where that floor is at most the real
+  // limit, every spike is among them, so fewer than spike_min_count of
+  // them means no Spike without counting.
+  const auto deviation = [samples, median](std::size_t i) {
+    return std::fabs(samples[i] - median);
+  };
+  b = sel::kEveryValue;
+  if (n >= dsp::kSelectCutover) {
+    b = sel::bracket_rank(sel::draw_sample(n, deviation, sample), n, k);
+  }
+  const double spike_floor = cfg_.spike_sigmas * (1.4826 * b.lo);
+  std::size_t over_floor = 0;
+  const sel::Gathered gd = sel::gather(n, b, deviation, work, [&](double d) {
+    over_floor += static_cast<std::size_t>(d > spike_floor);
+  });
+  const double sigma =
+      1.4826 * sel::select_gathered(n, k, deviation, gd, work);
   if (sigma > 0.0) {
     const double limit = cfg_.spike_sigmas * sigma;
+    if (spike_floor <= limit && over_floor < cfg_.spike_min_count) {
+      return std::nullopt;
+    }
     std::size_t spikes = 0;
     for (const double s : samples) {
       spikes += static_cast<std::size_t>(std::fabs(s - median) > limit);

@@ -1,6 +1,7 @@
 #include "mpros/dsp/envelope.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "mpros/common/assert.hpp"
 #include "mpros/dsp/fft.hpp"
@@ -26,16 +27,25 @@ void analytic_envelope(std::span<const double> x, double sample_rate_hz,
   rplan.forward(x, half, scratch.complex_lane(2, rplan.scratch_size()));
 
   // Analytic spectrum: DC and Nyquist pass through (if kept), interior
-  // positive bins are doubled, the negative half is zero.
+  // positive bins are doubled, the negative half is zero. It is written in
+  // bit-reversed order, entry i holding bin rev[i], so the inverse skips
+  // its swap pass. An even i has rev[i] < n/2 and an odd one rev[i] >= n/2;
+  // only entry 1 holds the Nyquist bin.
+  const FftPlan& plan = PlanCache::instance().complex_plan(n);
+  const std::uint32_t* const rev = plan.bit_reversal().data();
   const std::span<Complex> spec = scratch.complex_lane(0, n);
-  spec[0] = keep(std::size_t{0}, bin_hz) ? half[0] : Complex{};
-  for (std::size_t i = 1; i < n / 2; ++i) {
-    spec[i] = keep(i, bin_hz) ? 2.0 * half[i] : Complex{};
+  for (std::size_t i = 0; i < n; i += 2) {
+    const std::size_t bin = rev[i];
+    if (!keep(bin, bin_hz)) {
+      spec[i] = Complex{};
+    } else {
+      spec[i] = bin == 0 ? half[0] : 2.0 * half[bin];
+    }
+    spec[i + 1] = Complex{};
   }
-  spec[n / 2] = keep(n / 2, bin_hz) ? half[n / 2] : Complex{};
-  for (std::size_t i = n / 2 + 1; i < n; ++i) spec[i] = Complex{};
+  spec[1] = keep(n / 2, bin_hz) ? half[n / 2] : Complex{};
 
-  PlanCache::instance().complex_plan(n).inverse(spec);
+  plan.inverse_permuted(spec);
 
   out.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {

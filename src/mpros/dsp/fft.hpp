@@ -13,8 +13,13 @@
 // on interleaved doubles through restrict-qualified half-block pointers, so
 // the compiler can keep the loop free of std::complex's NaN-recovery call
 // (__muldc3). The inverse negates the imaginary part of each twiddle in a
-// register rather than keeping a second table. The bit reversal is a list
-// of 32-bit swap pairs.
+// register rather than keeping a second table. The bit reversal is one
+// table of n 32-bit entries, rev[i] = i with its log2(n) bits reversed.
+// forward() and inverse() swap x[i] with x[rev[i]] before the stages; a
+// caller that writes its input straight to the permuted entries
+// (x[rev[i]] = sample i) calls forward_permuted() or inverse_permuted()
+// and skips that pass. The real FFT packs its input that way, and the
+// envelope writes its analytic spectrum that way.
 //
 // Bit identity. On finite input the kernel computes exactly the bits of
 // the textbook std::complex<double> radix-2 loop it replaced; tests/dsp_test
@@ -28,12 +33,23 @@
 // -mfma or -march=native: GCC's C++ default, -ffp-contract=fast, would
 // fuse br*wr - bi*wi into an FMA wherever the target has one, and move
 // bits.
+//
+// Two kernels run the stages and the real FFT's split loop, chosen once
+// per process from CPUID. Where the host has AVX, the butterflies and the
+// split's bins run two to an instruction, and each pass over the buffer
+// does two stages (radix-2^2) with the same twiddles in the same order;
+// the inverse's 1/n scaling is folded into the last pass's stores, which
+// is the same (u+v)*inv_n. The AVX product is addsub(b*wr, swap(b)*wi):
+// the real lane is br*wr - bi*wi, the imaginary lane bi*wr + br*wi, the
+// same sum with its terms swapped. There is no FMA: the AVX code is
+// compiled for "avx" alone, which has none. Elsewhere, and on non-x86
+// builds, the portable scalar kernel runs one stage per pass. Both give
+// the same bits; tests/dsp_test runs the bit-exactness pins through each.
 
 #include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace mpros::dsp {
@@ -48,16 +64,51 @@ using Complex = std::complex<double>;
 /// largest power of two a size_t holds (2^63 on 64-bit hosts).
 [[nodiscard]] std::size_t next_power_of_two(std::size_t n);
 
+namespace detail {
+
+/// The loops an FFT plan runs, on interleaved (re, im) doubles.
+struct FftKernel {
+  /// Every radix-2 stage of an n-point transform, in place on `data` (n
+  /// points already in bit-reversed order), reading a plan's per-stage
+  /// twiddle table. `inverse` conjugates each twiddle and scales the
+  /// result by 1/n.
+  void (*stages)(double* data, std::size_t n, const double* twiddle,
+                 bool inverse);
+  /// The real forward FFT's split: bins 0..m of `out` from `z`, the m-point
+  /// FFT of the packed samples, with the split twiddles `w` (m+1 points).
+  void (*split)(const double* z, const double* w, double* out,
+                std::size_t m);
+};
+
+/// The scalar loops, one stage per pass. They run on every host.
+[[nodiscard]] const FftKernel& portable_kernel();
+
+/// The AVX loops, or nullptr where the host or the build has no AVX.
+[[nodiscard]] const FftKernel* avx_kernel();
+
+/// The loops this process runs: avx_kernel() where there is one, else
+/// portable_kernel(). Chosen once, from CPUID.
+[[nodiscard]] const FftKernel& host_kernel();
+
+}  // namespace detail
+
 /// Precomputed in-place FFT for one size. Construction builds the
 /// bit-reversal permutation and twiddle table (O(n log n)); steady-state
 /// callers should obtain plans from PlanCache (plan_cache.hpp) so that cost
 /// is paid once per process, not per acquisition.
 class FftPlan {
  public:
-  /// `n` must be a power of two >= 2.
-  explicit FftPlan(std::size_t n);
+  /// `n` must be a power of two >= 2. `kernel` picks the loops; only
+  /// tests pick another than the host's.
+  explicit FftPlan(std::size_t n,
+                   const detail::FftKernel& kernel = detail::host_kernel());
 
   [[nodiscard]] std::size_t size() const { return n_; }
+
+  /// The bit-reversal permutation: n entries, an involution.
+  [[nodiscard]] std::span<const std::uint32_t> bit_reversal() const {
+    return rev_;
+  }
 
   /// In-place forward DFT: x[k] = sum_j x[j] exp(-2*pi*i*j*k/n).
   /// `x` is caller-owned scratch of exactly size() entries; no allocation.
@@ -66,13 +117,20 @@ class FftPlan {
   /// In-place inverse DFT (includes the 1/n normalization).
   void inverse(std::span<Complex> x) const;
 
+  /// forward() and inverse() of a signal written to the permuted entries:
+  /// x[bit_reversal()[i]] holds sample (or bin) i. The result is in
+  /// natural order.
+  void forward_permuted(std::span<Complex> x) const;
+  void inverse_permuted(std::span<Complex> x) const;
+
  private:
-  template <bool Invert>
-  void transform(std::span<Complex> x) const;
+  void permute(std::span<Complex> x) const;
+  void run(std::span<Complex> x, bool inverse) const;
 
   std::size_t n_;
-  // Bit-reversal permutation as (i, j) swaps with i < j.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps_;
+  const detail::FftKernel* kernel_;
+  // rev_[i] is i with its log2(n) bits reversed.
+  std::vector<std::uint32_t> rev_;
   // Forward twiddles per stage, interleaved re/im: 2*(n-1) doubles.
   std::vector<double> twiddle_;
 };
@@ -82,8 +140,10 @@ class FftPlan {
 /// All transform methods take caller-owned scratch and never allocate.
 class RealFftPlan {
  public:
-  /// `n` (number of real samples) must be a power of two >= 4.
-  explicit RealFftPlan(std::size_t n);
+  /// `n` (number of real samples) must be a power of two >= 4. `kernel`
+  /// picks the loops, as FftPlan's does.
+  explicit RealFftPlan(std::size_t n,
+                       const detail::FftKernel& kernel = detail::host_kernel());
 
   [[nodiscard]] std::size_t size() const { return n_; }
   /// Output bins of the half spectrum: n/2 + 1 (DC .. Nyquist inclusive).
@@ -95,8 +155,11 @@ class RealFftPlan {
   /// X[0..n/2]; the full spectrum follows from X[n-k] = conj(X[k]).
   /// `x.size()` may be <= n; missing samples are treated as zero padding.
   /// `half` must hold >= bins() entries, `scratch` >= scratch_size().
+  /// A non-empty `window` (x.size() entries) multiplies x[i] by window[i]
+  /// as the samples are packed, with no windowed copy.
   void forward(std::span<const double> x, std::span<Complex> half,
-               std::span<Complex> scratch) const;
+               std::span<Complex> scratch,
+               std::span<const double> window = {}) const;
 
   /// Inverse of a conjugate-symmetric half spectrum (bins() entries) back
   /// to n real samples. `x` must hold >= n entries.
@@ -105,6 +168,7 @@ class RealFftPlan {
 
  private:
   std::size_t n_;
+  const detail::FftKernel* kernel_;
   FftPlan half_plan_;                    // n/2-point complex plan
   std::vector<Complex> split_twiddle_;   // exp(-2*pi*i*k/n), k = 0..n/2
 };

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstddef>
+#include <limits>
 #include <span>
 
 #include "mpros/common/assert.hpp"
@@ -46,42 +47,83 @@ struct Bracket {
 /// std::nth_element, returning the value it leaves at `rank`.
 [[nodiscard]] double nth_value(std::span<double> v, std::size_t rank);
 
+/// The bracket select_kth takes below kSelectCutover values: every value
+/// but a NaN is inside it.
+inline constexpr Bracket kEveryValue{-std::numeric_limits<double>::infinity(),
+                                     std::numeric_limits<double>::infinity()};
+
+/// Draws select_kth's sample of value(0), ..., value(n-1) (n at least
+/// kSelectCutover) into `sample` and returns the part it filled.
+template <typename Value>
+[[nodiscard]] std::span<double> draw_sample(
+    std::size_t n, const Value& value,
+    std::array<double, kSelectSample>& sample) {
+  const std::size_t m = select_sample_size(n);
+  const std::size_t step = select_sample_step(n);
+  for (std::size_t j = 0, pos = 0; j < m; ++j) {
+    sample[j] = value(pos);
+    pos += step;
+    if (pos >= n) pos -= n;
+  }
+  return std::span<double>(sample.data(), m);
+}
+
+struct Gathered {
+  std::size_t below = 0;   // values below the bracket
+  std::size_t inside = 0;  // values inside it, now work[0, inside)
+};
+
+/// select_kth's pass over every value: counts the values below `b` and
+/// gathers the ones inside it into `work`, branch-free. `see(x)` is shown
+/// each value on the way, so a caller can check or summarise the values in
+/// the same pass.
+template <typename Value, typename See>
+[[nodiscard]] Gathered gather(std::size_t n, Bracket b, const Value& value,
+                              std::span<double> work, See&& see) {
+  Gathered g;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = value(i);
+    see(x);
+    g.below += static_cast<std::size_t>(x < b.lo);
+    work[g.inside] = x;
+    g.inside += static_cast<std::size_t>((b.lo <= x) & (x <= b.hi));
+  }
+  return g;
+}
+
+/// Rank k of n values after gather(): nth_element over the gathered values
+/// when the bracket holds rank k, else over every value, copied to `work`.
+template <typename Value>
+[[nodiscard]] double select_gathered(std::size_t n, std::size_t k,
+                                     const Value& value, Gathered g,
+                                     std::span<double> work) {
+  if (k >= g.below && k - g.below < g.inside) {
+    return nth_value(work.first(g.inside), k - g.below);
+  }
+  for (std::size_t i = 0; i < n; ++i) work[i] = value(i);
+  return nth_value(work.first(n), k);
+}
+
 }  // namespace detail
 
 /// The k-th smallest (0-based) of value(0), ..., value(n-1): the value
 /// std::nth_element would leave at position k of those values, up to the
 /// sign of a zero. `work` (at least n entries) is the only memory written.
-/// The values must hold no NaN. value(i) is called two or three times per
-/// index; a miss calls it once more for every index.
+/// The values must hold no NaN. value(i) is called once per index, and
+/// once more for the sampled indices; a miss calls it once more for every
+/// index.
 template <typename Value>
 [[nodiscard]] double select_kth(std::size_t n, std::size_t k,
                                 const Value& value, std::span<double> work) {
   MPROS_EXPECTS(k < n && work.size() >= n);
+  detail::Bracket b = detail::kEveryValue;
   if (n >= kSelectCutover) {
     std::array<double, detail::kSelectSample> sample;
-    const std::size_t m = detail::select_sample_size(n);
-    const std::size_t step = detail::select_sample_step(n);
-    for (std::size_t j = 0, pos = 0; j < m; ++j) {
-      sample[j] = value(pos);
-      pos += step;
-      if (pos >= n) pos -= n;
-    }
-    const detail::Bracket b =
-        detail::bracket_rank(std::span<double>(sample.data(), m), n, k);
-    std::size_t below = 0;
-    std::size_t inside = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = value(i);
-      below += static_cast<std::size_t>(x < b.lo);
-      work[inside] = x;
-      inside += static_cast<std::size_t>((b.lo <= x) & (x <= b.hi));
-    }
-    if (k >= below && k - below < inside) {
-      return detail::nth_value(work.first(inside), k - below);
-    }
+    b = detail::bracket_rank(detail::draw_sample(n, value, sample), n, k);
   }
-  for (std::size_t i = 0; i < n; ++i) work[i] = value(i);
-  return detail::nth_value(work.first(n), k);
+  const detail::Gathered g =
+      detail::gather(n, b, value, work, [](double) {});
+  return detail::select_gathered(n, k, value, g, work);
 }
 
 /// select_kth over the entries of `x`.

@@ -102,14 +102,10 @@ HalfSpectrum half_spectrum(std::span<const double> x, double sample_rate_hz,
   const CachedWindow& window = WindowCache::instance().get(cfg.window,
                                                            x.size());
   DspScratch& scratch = DspScratch::local();
-  const std::span<double> windowed = scratch.real_lane(0, x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    windowed[i] = x[i] * window.coeffs[i];
-  }
-
   const RealFftPlan& plan = PlanCache::instance().real_plan(n);
   const std::span<Complex> half = scratch.complex_lane(0, plan.bins());
-  plan.forward(windowed, half, scratch.complex_lane(1, plan.scratch_size()));
+  plan.forward(x, half, scratch.complex_lane(1, plan.scratch_size()),
+               window.coeffs);
 
   // Amplitudes divide by the window's coherent gain so a unit-amplitude sine
   // at a bin center reads ~1.0 (HalfSpectrum::amplitude).
@@ -160,7 +156,6 @@ void welch_psd(std::span<const double> x, double sample_rate_hz,
   out.amplitude.assign(segment_size / 2 + 1, 0.0);
 
   DspScratch& scratch = DspScratch::local();
-  const std::span<double> windowed = scratch.real_lane(0, segment_size);
   const std::span<Complex> half = scratch.complex_lane(0, plan.bins());
   const std::span<Complex> fft_scratch =
       scratch.complex_lane(1, plan.scratch_size());
@@ -169,10 +164,7 @@ void welch_psd(std::span<const double> x, double sample_rate_hz,
   std::size_t segments = 0;
 
   for (std::size_t start = 0; start + segment_size <= x.size(); start += hop) {
-    for (std::size_t i = 0; i < segment_size; ++i) {
-      windowed[i] = x[start + i] * w.coeffs[i];
-    }
-    plan.forward(windowed, half, fft_scratch);
+    plan.forward(x.subspan(start, segment_size), half, fft_scratch, w.coeffs);
     for (std::size_t i = 0; i < out.amplitude.size(); ++i) {
       double p = std::norm(half[i]) / pgain;
       if (i != 0 && i != segment_size / 2) p *= 2.0;

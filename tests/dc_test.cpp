@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "mpros/common/rng.hpp"
 #include "mpros/dc/data_concentrator.hpp"
 #include "mpros/dc/scheduler.hpp"
 #include "mpros/dc/supervisor.hpp"
@@ -298,6 +299,48 @@ TEST(SensorValidatorTest, DropoutRangeAndSpikeScreens) {
             domain::SensorFaultKind::Dropout);
   EXPECT_EQ(v.check_value("process.oil_temp_c", 900.0).fault,
             domain::SensorFaultKind::OutOfRange);
+}
+
+TEST(SensorValidatorTest, LongWindowScreensNonFiniteValuesAndTheSpikeCount) {
+  // A current-record-length window, screened through the sampled bracket:
+  // non-finite values anywhere, sampled or not, are dropouts, and the spike
+  // verdict turns on exactly spike_min_count samples past the limit.
+  SensorValidator v;
+  const SensorValidatorConfig cfg;
+  Rng rng(0x5C2E);
+  std::vector<double> w(32768);
+  for (double& s : w) s = rng.normal(0.0, 1.0);
+  EXPECT_FALSE(v.check_window("current.motor", w).fault.has_value());
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (const std::size_t at : {std::size_t{0}, std::size_t{1},
+                                 w.size() / 2, w.size() - 1}) {
+      std::vector<double> broken = w;
+      broken[at] = bad;
+      EXPECT_EQ(v.check_window("current.motor", broken).fault,
+                domain::SensorFaultKind::Dropout)
+          << bad << " at " << at;
+    }
+  }
+
+  // Dropout outranks a flat window, and a flat window a biased one.
+  std::vector<double> flat(32768, 2000.0);
+  EXPECT_EQ(v.check_window("current.motor", flat).fault,
+            domain::SensorFaultKind::Flatline);
+  flat[7] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(v.check_window("current.motor", flat).fault,
+            domain::SensorFaultKind::Dropout);
+
+  std::vector<double> spiky = w;
+  for (std::size_t i = 0; i + 1 < cfg.spike_min_count; ++i) {
+    spiky[1000 + 997 * i] = 200.0;
+  }
+  EXPECT_FALSE(v.check_window("current.motor", spiky).fault.has_value());
+  spiky[30000] = -200.0;
+  EXPECT_EQ(v.check_window("current.motor", spiky).fault,
+            domain::SensorFaultKind::Spike);
 }
 
 TEST(SensorValidatorTest, ScalarStuckAtNeedsExactRepeats) {

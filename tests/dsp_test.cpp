@@ -705,6 +705,192 @@ TEST(FftBitExactTest, FeatureFrameDigestPinned) {
   EXPECT_EQ(h, 0xA11A35F77E1A9650ULL);
 }
 
+// --- Each kernel, not just the host's ---------------------------------------
+//
+// FftPlan runs the kernel CPUID picked; these pins run the complex and real
+// transforms through the portable and the AVX loops in turn (the AVX leg
+// skips on a host without AVX).
+
+enum class Kernel { Portable, Avx };
+
+const detail::FftKernel* kernel_for(Kernel kernel) {
+  return kernel == Kernel::Portable ? &detail::portable_kernel()
+                                    : detail::avx_kernel();
+}
+
+class FftKernelBitExactTest : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (kernel_for(GetParam()) == nullptr) {
+      GTEST_SKIP() << "this host has no AVX";
+    }
+  }
+  [[nodiscard]] const detail::FftKernel& kernel() const {
+    return *kernel_for(GetParam());
+  }
+};
+
+TEST_P(FftKernelBitExactTest, ComplexTransformsMatchReferenceBits) {
+  Rng rng(1201);
+  for (std::size_t n = 2; n <= 32768; n <<= 1) {
+    const FftPlan plan(n, kernel());
+    const ReferencePlan reference(n);
+    for (const Input kind : kAllInputs) {
+      const std::vector<Complex> x = complex_input(kind, n, rng);
+      for (const bool invert : {false, true}) {
+        std::vector<Complex> got = x;
+        std::vector<Complex> want = x;
+        invert ? plan.inverse(got) : plan.forward(got);
+        reference.transform(want, invert);
+        EXPECT_TRUE(same_bits(got, want))
+            << "n=" << n << " input=" << static_cast<int>(kind)
+            << " invert=" << invert;
+
+        // The same transform of a signal written to the permuted entries.
+        std::vector<Complex> permuted(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          permuted[plan.bit_reversal()[i]] = x[i];
+        }
+        invert ? plan.inverse_permuted(permuted)
+               : plan.forward_permuted(permuted);
+        EXPECT_TRUE(same_bits(permuted, want))
+            << "permuted n=" << n << " input=" << static_cast<int>(kind)
+            << " invert=" << invert;
+      }
+    }
+  }
+}
+
+TEST_P(FftKernelBitExactTest, RealTransformsMatchReferenceBits) {
+  Rng rng(1202);
+  for (std::size_t n = 4; n <= 32768; n <<= 1) {
+    const RealFftPlan plan(n, kernel());
+    const ReferenceRealPlan reference(n);
+    std::vector<Complex> half(plan.bins());
+    std::vector<Complex> scratch(plan.scratch_size());
+    std::vector<double> back(n);
+    for (const Input kind : kAllInputs) {
+      const std::vector<double> x = real_input(kind, n, rng);
+      plan.forward(x, half, scratch);
+      const std::vector<Complex> want_half = reference.forward(x);
+      EXPECT_TRUE(same_bits(half, want_half))
+          << "forward n=" << n << " input=" << static_cast<int>(kind);
+
+      plan.inverse(want_half, back, scratch);
+      EXPECT_TRUE(same_bits(back, reference.inverse(want_half)))
+          << "inverse n=" << n << " input=" << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST_P(FftKernelBitExactTest, WindowFoldedIntoThePackMatchesAWindowedCopy) {
+  // Full, odd-length and zero-padded records, each with a Hann window and
+  // with signed zeros in both the samples and the window.
+  Rng rng(1204);
+  for (const std::size_t n : {std::size_t{4}, std::size_t{64},
+                              std::size_t{8192}, std::size_t{32768}}) {
+    const RealFftPlan plan(n, kernel());
+    std::vector<Complex> half(plan.bins());
+    std::vector<Complex> want(plan.bins());
+    std::vector<Complex> scratch(plan.scratch_size());
+    for (const std::size_t len : {n, n - 1, n / 2 + 1}) {
+      std::vector<double> x = real_input(Input::Random, len, rng);
+      x[0] = -0.0;
+      std::vector<double> window = make_window(WindowKind::Hann, len);
+      window[len - 1] = -0.0;
+      std::vector<double> windowed(len);
+      for (std::size_t i = 0; i < len; ++i) windowed[i] = x[i] * window[i];
+      plan.forward(x, half, scratch, window);
+      plan.forward(windowed, want, scratch);
+      EXPECT_TRUE(same_bits(half, want)) << "n=" << n << " len=" << len;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, FftKernelBitExactTest,
+                         ::testing::Values(Kernel::Portable, Kernel::Avx),
+                         [](const ::testing::TestParamInfo<Kernel>& param) {
+                           return param.param == Kernel::Portable
+                                      ? std::string("Portable")
+                                      : std::string("Avx");
+                         });
+
+// --- The envelope against the reference kernel -------------------------------
+//
+// A verbatim copy of analytic_envelope as it stood before the analytic
+// spectrum was written to the bit-reversed entries, over ReferencePlan:
+// forward real FFT, per-bin gate on the positive half, analytic-signal
+// construction and a full complex inverse.
+
+template <typename Keep>
+std::vector<double> reference_envelope(std::span<const double> x,
+                                       double sample_rate_hz,
+                                       const Keep& keep) {
+  const std::size_t n = next_power_of_two(std::max<std::size_t>(x.size(), 4));
+  const double bin_hz = sample_rate_hz / static_cast<double>(n);
+
+  const std::vector<Complex> half = ReferenceRealPlan(n).forward(x);
+
+  std::vector<Complex> spec(n);
+  spec[0] = keep(std::size_t{0}, bin_hz) ? half[0] : Complex{};
+  for (std::size_t i = 1; i < n / 2; ++i) {
+    spec[i] = keep(i, bin_hz) ? 2.0 * half[i] : Complex{};
+  }
+  spec[n / 2] = keep(n / 2, bin_hz) ? half[n / 2] : Complex{};
+  for (std::size_t i = n / 2 + 1; i < n; ++i) spec[i] = Complex{};
+
+  ReferencePlan(n).transform(spec, true);
+
+  std::vector<double> out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    out[i] = std::abs(spec[i]);
+  }
+  return out;
+}
+
+std::vector<double> reference_envelope_bandpassed(std::span<const double> x,
+                                                  double sample_rate_hz,
+                                                  double lo_hz, double hi_hz) {
+  return reference_envelope(
+      x, sample_rate_hz, [lo_hz, hi_hz](std::size_t i, double bin_hz) {
+        const double f = static_cast<double>(i) * bin_hz;
+        return f >= lo_hz && f <= hi_hz;
+      });
+}
+
+TEST(EnvelopeBitExactTest, MatchesTheReferenceKernelBitForBit) {
+  constexpr double kRate = 40960.0;
+  Rng rng(1205);
+  // 8192 and 32768 points, and an odd-length record zero-padded to 1024.
+  for (const std::size_t len : {std::size_t{8192}, std::size_t{32768},
+                                std::size_t{1001}}) {
+    std::vector<double> x = sine(len, 3100.0, kRate);
+    for (double& v : x) v += rng.normal(0.0, 0.3);
+    const auto all = [](std::size_t, double) { return true; };
+    EXPECT_TRUE(same_bits(envelope(x), reference_envelope(x, 1.0, all)))
+        << "envelope len=" << len;
+    EXPECT_TRUE(same_bits(envelope_bandpassed(x, kRate, 2000.0, 8000.0),
+                          reference_envelope_bandpassed(x, kRate, 2000.0,
+                                                        8000.0)))
+        << "band-passed len=" << len;
+  }
+}
+
+TEST(EnvelopeBitExactTest, BandThatKeepsNoBinMatchesTheReference) {
+  // A band narrower than one bin, between two bin centres: every bin is
+  // gated off and the envelope is all zeros.
+  constexpr double kRate = 40960.0;
+  const std::vector<double> x = sine(8192, 1000.0, kRate);
+  const double bin_hz = kRate / 8192.0;
+  const double lo = 200.3 * bin_hz;
+  const double hi = 200.6 * bin_hz;
+  const std::vector<double> got = envelope_bandpassed(x, kRate, lo, hi);
+  EXPECT_TRUE(
+      same_bits(got, reference_envelope_bandpassed(x, kRate, lo, hi)));
+  EXPECT_TRUE(std::all_of(got.begin(), got.end(),
+                          [](double v) { return v == 0.0; }));
+}
+
 // --- Band reads on the half spectrum ---------------------------------------
 
 TEST(HalfSpectrumTest, BandReadsMatchTheMagnitudeSpectrumBitForBit) {

@@ -64,7 +64,7 @@ constexpr std::uint8_t kSbfrEventBase = 0x60;
 constexpr SimTime kLogHorizon = SimTime::from_hours(1.0);
 
 /// The append-only tables trim_log() keeps inside kLogHorizon; each has
-/// time_us as column 1. "config" is upserted, so it never grows.
+/// time_us as column 1.
 constexpr const char* kLogTables[] = {"measurements", "diagnostics",
                                       "test_log"};
 
@@ -96,8 +96,8 @@ struct DcMetrics {
 };
 
 /// First slot of the form phase + k*period (k >= 1) strictly after `resume`,
-/// so a recovered task keeps its original firing grid and its catch-up
-/// advance re-runs exactly the occurrences the wedge swallowed.
+/// so a task on a recovered ship keeps its boot-time firing grid and never
+/// fires inside the interval the crashed run already committed.
 SimTime next_slot(SimTime resume, SimTime phase, SimTime period) {
   const std::int64_t p = period.micros();
   std::int64_t k = (resume.micros() - phase.micros()) / p + 1;
@@ -124,61 +124,12 @@ DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
       validator_(cfg.sensor_validation),
       reliable_(cfg.id, cfg.reliable) {
   MPROS_EXPECTS(cfg_.window >= 256);
+  MPROS_EXPECTS(cfg_.heartbeat_period.micros() > 0);
   vib_buffer_.resize(cfg_.window);
   current_buffer_.resize(cfg_.current_window);
   setup_database();
   setup_sbfr();
   register_tasks(start_at);
-}
-
-DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
-                                   plant::ChillerSimulator& chiller,
-                                   std::shared_ptr<nn::WnnClassifier> wnn,
-                                   Salvage salvage)
-    : cfg_(cfg),
-      refs_(refs),
-      chiller_(chiller),
-      wnn_(std::move(wnn)),
-      db_(std::move(salvage.db)),
-      beliefs_(std::move(salvage.beliefs)),
-      extractor_(chiller.signature()),
-      dli_(rules::chiller_rulebase(chiller.signature())),
-      fuzzy_(),
-      sbfr_(std::move(salvage.sbfr)),
-      last_reports_(std::move(salvage.last_reports)),
-      validator_(std::move(salvage.validator)),
-      reliable_(cfg.id, cfg.reliable),
-      command_rx_(std::move(salvage.command_rx)),
-      outbox_(std::move(salvage.outbox)),
-      sensor_outbox_(std::move(salvage.sensor_outbox)),
-      wire_outbox_(std::move(salvage.wire_outbox)),
-      stats_(salvage.stats) {
-  MPROS_EXPECTS(cfg_.window >= 256);
-  vib_buffer_.resize(cfg_.window);
-  current_buffer_.resize(cfg_.current_window);
-  reliable_.restore(std::move(salvage.reliable));
-  setup_sbfr(/*add_machines=*/false);
-  // Re-apply the persisted runtime config before anchoring the schedule so
-  // commanded periods govern the recovered firing grid, not the template's.
-  reapply_persisted_config();
-  register_tasks(salvage.resume_at);
-}
-
-DataConcentrator::Salvage DataConcentrator::salvage() {
-  return Salvage{
-      .db = std::move(db_),
-      .beliefs = std::move(beliefs_),
-      .validator = std::move(validator_),
-      .sbfr = std::move(sbfr_),
-      .last_reports = std::move(last_reports_),
-      .stats = stats_,
-      .reliable = reliable_.take_state(),
-      .command_rx = std::move(command_rx_),
-      .outbox = std::move(outbox_),
-      .sensor_outbox = std::move(sensor_outbox_),
-      .wire_outbox = std::move(wire_outbox_),
-      .resume_at = chiller_.now(),
-  };
 }
 
 void DataConcentrator::register_tasks(SimTime resume_at) {
@@ -192,9 +143,7 @@ void DataConcentrator::register_tasks(SimTime resume_at) {
       cfg_.process_period,
       [this](SimTime now) { run_process_scan(now); });
   const SimTime sweep_phase =
-      cfg_.desync_phase ? net::desync_phase(cfg_.id.value() << 1,
-                                            cfg_.retransmit_sweep_period)
-                        : SimTime(0);
+      net::desync_phase(cfg_.id.value() << 1, cfg_.retransmit_sweep_period);
   sweep_task_ = scheduler_.add_periodic(
       "retransmit-sweep",
       next_slot(resume_at, sweep_phase, cfg_.retransmit_sweep_period),
@@ -203,23 +152,19 @@ void DataConcentrator::register_tasks(SimTime resume_at) {
           wire_outbox_.push_back(WireDatagram{now, std::move(payload)});
         }
       });
-  if (cfg_.heartbeat_period.micros() > 0) {
-    const SimTime phase =
-        cfg_.desync_phase ? net::desync_phase((cfg_.id.value() << 1) | 1,
-                                              cfg_.heartbeat_period)
-                          : SimTime(0);
-    heartbeat_task_ = scheduler_.add_periodic(
-        "heartbeat", next_slot(resume_at, phase, cfg_.heartbeat_period),
-        cfg_.heartbeat_period, [this](SimTime now) {
-          net::HeartbeatMessage hb;
-          hb.dc = cfg_.id;
-          hb.timestamp = now;
-          hb.last_sequence = reliable_.last_sequence();
-          wire_outbox_.push_back(WireDatagram{now, net::wrap(hb)});
-          ++stats_.heartbeats_sent;
-        });
-    has_heartbeat_task_ = true;
-  }
+  const SimTime heartbeat_phase =
+      net::desync_phase((cfg_.id.value() << 1) | 1, cfg_.heartbeat_period);
+  heartbeat_task_ = scheduler_.add_periodic(
+      "heartbeat",
+      next_slot(resume_at, heartbeat_phase, cfg_.heartbeat_period),
+      cfg_.heartbeat_period, [this](SimTime now) {
+        net::HeartbeatMessage hb;
+        hb.dc = cfg_.id;
+        hb.timestamp = now;
+        hb.last_sequence = reliable_.last_sequence();
+        wire_outbox_.push_back(WireDatagram{now, net::wrap(hb)});
+        ++stats_.heartbeats_sent;
+      });
 }
 
 void DataConcentrator::setup_database() {
@@ -245,20 +190,11 @@ void DataConcentrator::setup_database() {
       {ColumnDef{"id", ValueType::Integer, false},
        ColumnDef{"time_us", ValueType::Integer, false},
        ColumnDef{"test", ValueType::Text, false}}});
-  // Runtime control plane: last-acked configuration, one row per applied
-  // setting key (plus the "__revision" bookkeeping row), survives restarts.
-  db_.create_table(db::TableSchema{
-      "config",
-      {ColumnDef{"id", ValueType::Integer, false},
-       ColumnDef{"key", ValueType::Text, false},
-       ColumnDef{"value", ValueType::Real, false}}});
-  db_.table("config").create_index("key");
 }
 
 void DataConcentrator::trim_log(SimTime now) {
   // Keys are insert_auto order, which is time order, so the oldest row is
   // always the table's first: erase from the front until one is in window.
-  // The table itself is the cursor, so trimming carries across a salvage.
   const std::int64_t cutoff = (now - kLogHorizon).micros();
   std::uint64_t rows = 0;
   for (const char* name : kLogTables) {
@@ -273,7 +209,7 @@ void DataConcentrator::trim_log(SimTime now) {
   stats_.log_rows = rows;
 }
 
-void DataConcentrator::setup_sbfr(bool add_machines) {
+void DataConcentrator::setup_sbfr() {
   if (!cfg_.enable_sbfr) return;
   const auto nominals = domain::navy_chiller_nominals();
 
@@ -289,7 +225,7 @@ void DataConcentrator::setup_sbfr(bool add_machines) {
 
   std::uint8_t idx = 0;
   const auto add = [&](sbfr::MachineDef def, FailureMode mode) {
-    if (add_machines) sbfr_.add_machine(std::move(def));
+    sbfr_.add_machine(std::move(def));
     sbfr_machine_mode_.push_back(mode);
     ++idx;
   };
@@ -313,7 +249,7 @@ void DataConcentrator::setup_sbfr(bool add_machines) {
 std::vector<net::FailureReport> DataConcentrator::advance_to(SimTime t) {
   // A wedged DC models a hung driver loop: time passes outside but nothing
   // runs inside — the plant reference is untouched (the supervisor's
-  // replacement re-runs the missed interval), the progress tick freezes.
+  // catch-up re-runs the missed interval), the progress tick freezes.
   if (wedged_) return {};
   MPROS_EXPECTS(t >= chiller_.now());
   ++progress_;
@@ -419,7 +355,7 @@ void DataConcentrator::apply_command(const net::CommandMessage& cmd,
     if (apply_setting(key, value, /*quiet=*/false)) {
       ++stats_.config_applied;
       metrics.config_applied.inc();
-      persist_setting(key, value);
+      pending_config_updates_.emplace_back(key, value);
     } else {
       ++stats_.config_rejected;
       metrics.config_rejected.inc();
@@ -427,7 +363,8 @@ void DataConcentrator::apply_command(const net::CommandMessage& cmd,
   }
   if (cmd.revision != 0) {
     config_revision_ = cmd.revision;
-    persist_setting("__revision", static_cast<double>(cmd.revision));
+    pending_config_updates_.emplace_back("__revision",
+                                         static_cast<double>(cmd.revision));
   }
   db_.table("test_log").insert_auto(
       {db::Value(now.micros()), db::Value("config: " + cmd.reason)});
@@ -489,27 +426,19 @@ bool DataConcentrator::apply_setting(std::string_view key, double value,
     ok = value > 0.0;
     if (ok) {
       cfg_.process_period = SimTime::from_seconds(value);
-      if (scheduler_.task_count() > 0) {
-        scheduler_.set_period(process_task_, cfg_.process_period);
-      }
+      scheduler_.set_period(process_task_, cfg_.process_period);
     }
   } else if (key == "dc.vibration_period_s") {
     ok = value > 0.0;
     if (ok) {
       cfg_.vibration_period = SimTime::from_seconds(value);
-      if (scheduler_.task_count() > 0) {
-        scheduler_.set_period(vibration_task_, cfg_.vibration_period);
-      }
+      scheduler_.set_period(vibration_task_, cfg_.vibration_period);
     }
   } else if (key == "dc.heartbeat_period_s") {
-    // Runtime retune only — a DC built without a heartbeat task cannot
-    // grow one (liveness policy is a commissioning decision).
-    ok = value > 0.0 && cfg_.heartbeat_period.micros() > 0;
+    ok = value > 0.0;
     if (ok) {
       cfg_.heartbeat_period = SimTime::from_seconds(value);
-      if (has_heartbeat_task_) {
-        scheduler_.set_period(heartbeat_task_, cfg_.heartbeat_period);
-      }
+      scheduler_.set_period(heartbeat_task_, cfg_.heartbeat_period);
     }
   } else if (key == "dc.retransmit_sweep_period_s") {
     ok = value > 0.0;
@@ -558,18 +487,6 @@ std::optional<double> DataConcentrator::runtime_setting(
   return std::nullopt;
 }
 
-void DataConcentrator::persist_setting(std::string_view key, double value) {
-  db::Table& t = db_.table("config");
-  std::string k(key);
-  const auto keys = t.lookup("key", db::Value(k));
-  if (keys.empty()) {
-    t.insert_auto({db::Value(k), db::Value(value)});
-  } else {
-    t.update(keys.front(), "value", db::Value(value));
-  }
-  pending_config_updates_.emplace_back(std::move(k), value);
-}
-
 std::vector<std::pair<std::string, double>>
 DataConcentrator::drain_config_updates() {
   std::vector<std::pair<std::string, double>> out;
@@ -577,34 +494,9 @@ DataConcentrator::drain_config_updates() {
   return out;
 }
 
-std::vector<std::pair<std::string, double>> DataConcentrator::persisted_config()
-    const {
-  std::vector<std::pair<std::string, double>> out;
-  for (const db::Row& row : db_.table("config").select()) {
-    out.emplace_back(row[1].as_text(), row[2].as_real());
-  }
-  return out;
-}
-
 void DataConcentrator::restore_config(
     const std::vector<std::pair<std::string, double>>& settings) {
   for (const auto& [key, value] : settings) {
-    if (key == "__revision") {
-      config_revision_ = static_cast<std::uint64_t>(std::llround(value));
-    } else {
-      apply_setting(key, value, /*quiet=*/true);
-    }
-    persist_setting(key, value);
-  }
-  // The entries came from the durable mirror; queueing them back would
-  // just rewrite identical rows into the WAL on the next barrier.
-  pending_config_updates_.clear();
-}
-
-void DataConcentrator::reapply_persisted_config() {
-  for (const db::Row& row : db_.table("config").select()) {
-    const std::string& key = row[1].as_text();
-    const double value = row[2].as_real();
     if (key == "__revision") {
       config_revision_ = static_cast<std::uint64_t>(std::llround(value));
     } else {

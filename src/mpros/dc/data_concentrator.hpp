@@ -92,12 +92,11 @@ struct DcConfig {
   net::ReliableConfig reliable;
   /// Cadence of the scheduler task that sweeps the retransmit buffer.
   SimTime retransmit_sweep_period = SimTime::from_seconds(60.0);
-  /// Cadence of DC->PDME liveness heartbeats (0 disables).
-  SimTime heartbeat_period = SimTime::from_seconds(60.0);
-  /// Offset the retransmit sweep and heartbeat by a seeded per-DC phase
+  /// Cadence of DC->PDME liveness heartbeats (positive). The retransmit
+  /// sweep and the heartbeat are each offset by a seeded per-DC phase
   /// (net::desync_phase) so hundreds of DCs brought up together do not
   /// burst-retransmit in lockstep when an outage ends.
-  bool desync_phase = true;
+  SimTime heartbeat_period = SimTime::from_seconds(60.0);
 };
 
 class DataConcentrator {
@@ -119,41 +118,12 @@ class DataConcentrator {
     std::uint64_t log_rows = 0;
   };
 
-  struct LastReport {
-    double severity = -1.0;
-    SimTime at{-1};
-  };
-
   /// Retransmission + heartbeat payloads accumulated by the DC's scheduler
   /// tasks since the last drain; the assembler sends them on the driver
   /// thread at their generation timestamps.
   struct WireDatagram {
     SimTime at;
     std::vector<std::uint8_t> payload;
-  };
-
-  /// Everything a supervisor can rescue from a wedged DC before tearing it
-  /// down: the durable database (including the persisted runtime config),
-  /// the believability statistics, the instrument-quarantine ledger,
-  /// analyzer soft state, report-hysteresis memory, counters, the reliable
-  /// stream (sequence cursor + unacked retransmit window) and the command
-  /// stream's dedup state. `resume_at` is the last time the DC actually
-  /// advanced to — the restarted schedule re-anchors strictly after it.
-  struct Salvage {
-    db::Database db;
-    rules::BelievabilityTable beliefs;
-    SensorValidator validator;
-    sbfr::SbfrSystem sbfr;
-    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-             LastReport>
-        last_reports;
-    Stats stats;
-    net::ReliableSender::State reliable;
-    net::ReliableReceiver command_rx;
-    std::vector<net::FailureReport> outbox;
-    std::vector<net::SensorDataMessage> sensor_outbox;
-    std::vector<WireDatagram> wire_outbox;
-    SimTime resume_at;
   };
 
   /// `chiller` must outlive the DC. `wnn` may be null (WNN analyzer off)
@@ -166,23 +136,6 @@ class DataConcentrator {
                    plant::ChillerSimulator& chiller,
                    std::shared_ptr<nn::WnnClassifier> wnn = nullptr,
                    SimTime start_at = SimTime(0));
-
-  /// Supervised restart: rebuild a DC around `salvage`. The persisted
-  /// runtime config is re-applied from the recovered database (so the DC
-  /// comes back with its last-acked configuration, not the template's), the
-  /// schedule re-anchors on the first natural slot strictly after
-  /// `salvage.resume_at` (phase preserved — a catch-up advance_to() then
-  /// re-runs exactly the tests the wedge swallowed, at their original
-  /// times), and the restored retransmit window resumes the report stream
-  /// mid-sequence.
-  DataConcentrator(DcConfig cfg, MachineRefs refs,
-                   plant::ChillerSimulator& chiller,
-                   std::shared_ptr<nn::WnnClassifier> wnn, Salvage salvage);
-
-  /// Tear-down half of supervised recovery: strip this DC of everything a
-  /// restart needs. The carcass stays destructible but must not be advanced
-  /// again.
-  [[nodiscard]] Salvage salvage();
 
   /// Advance the DC (and its chiller) to absolute time `t`, running every
   /// scheduled test that falls due. Returns the §7 reports generated.
@@ -206,8 +159,8 @@ class DataConcentrator {
   /// Runtime control plane (§4.9): apply one versioned CommandMessage.
   /// Settings are applied individually — unknown keys or out-of-range
   /// values are rejected (counted) without poisoning the rest of the
-  /// command. Accepted settings persist to the DC database so a restarted
-  /// DC comes back with its last-acked configuration. Commands whose
+  /// command. Accepted settings are queued for drain_config_updates(), so
+  /// a durable ship can restore them after a crash. Commands whose
   /// revision is not newer than the last applied one are stale no-ops
   /// (the cumulative ack already covers them).
   void apply_command(const net::CommandMessage& cmd, SimTime now);
@@ -223,23 +176,17 @@ class DataConcentrator {
     return config_revision_;
   }
 
-  /// Settings persisted since the last drain (includes the "__revision"
-  /// bookkeeping key). The assembler pulls these at its step barrier to
-  /// mirror the per-DC config into the ship's durable store — a pull, so
+  /// Settings applied since the last drain (includes the "__revision"
+  /// bookkeeping key). The assembler pulls these at every step barrier and,
+  /// on a durable ship, mirrors them into its durable store — a pull, so
   /// the mirror write happens on the driver thread, never a DC worker.
   [[nodiscard]] std::vector<std::pair<std::string, double>>
   drain_config_updates();
 
-  /// Full persisted runtime config (every row of the config table,
-  /// "__revision" included) — what a durable mirror must hold to rebuild
-  /// this DC's control-plane state after a whole-process crash.
-  [[nodiscard]] std::vector<std::pair<std::string, double>>
-  persisted_config() const;
-
   /// Crash recovery: re-impose a mirrored config on a freshly built DC —
-  /// apply each setting quietly, persist it locally, and adopt the
-  /// revision carried under "__revision". The entries came *from* the
-  /// durable mirror, so they are not queued for re-mirroring.
+  /// apply each setting quietly (no counters) and adopt the revision
+  /// carried under "__revision". The entries came *from* the durable
+  /// mirror, so they are not queued for re-mirroring.
   void restore_config(
       const std::vector<std::pair<std::string, double>>& settings);
 
@@ -250,8 +197,8 @@ class DataConcentrator {
 
   /// Chaos hook: a wedged DC stops advancing (advance_to returns nothing,
   /// the progress tick freezes) and ignores all wire input — modelling a
-  /// hung driver loop. The supervisor detects the frozen tick and restarts
-  /// the DC from its salvage.
+  /// hung driver loop. The supervisor detects the frozen tick, clears the
+  /// flag and catches the DC up through the steps it missed.
   void set_wedged(bool wedged) { wedged_ = wedged; }
   [[nodiscard]] bool wedged() const { return wedged_; }
 
@@ -304,21 +251,18 @@ class DataConcentrator {
   /// Erase log-table rows at or before now - one hour, oldest first, and
   /// refresh stats_.log_rows.
   void trim_log(SimTime now);
-  /// Build the SBFR channel/mode tables; `add_machines` is false when the
-  /// machines (with their latch state) arrived via Salvage.
-  void setup_sbfr(bool add_machines = true);
+  /// Build the SBFR machines and their channel/mode tables.
+  void setup_sbfr();
   /// Register the scheduler tasks. For a fresh DC `resume_at` is zero and
-  /// tasks first fire one period (plus any desync phase) from boot; for a
-  /// recovered DC each task re-anchors on the first natural slot of its
-  /// original phase strictly after `resume_at`, so the catch-up advance
-  /// re-runs the swallowed tests at their original times.
+  /// tasks first fire one period (plus its desync phase) from boot; on a
+  /// recovered ship each task anchors on the first slot of its boot-time
+  /// grid strictly after `resume_at`, so none fires inside the interval
+  /// the crashed run already committed.
   void register_tasks(SimTime resume_at);
   /// Apply one runtime setting; returns false (rejected) on unknown key or
-  /// out-of-range value. `quiet` suppresses counters/persistence when
-  /// re-applying the persisted config during recovery.
+  /// out-of-range value. `quiet` suppresses the rejection warning when
+  /// restoring a mirrored config.
   bool apply_setting(std::string_view key, double value, bool quiet);
-  void persist_setting(std::string_view key, double value);
-  void reapply_persisted_config();
 
   DcConfig cfg_;
   MachineRefs refs_;
@@ -330,7 +274,6 @@ class DataConcentrator {
   EventScheduler::TaskId process_task_ = 0;
   EventScheduler::TaskId sweep_task_ = 0;
   EventScheduler::TaskId heartbeat_task_ = 0;
-  bool has_heartbeat_task_ = false;
   db::Database db_;
   rules::BelievabilityTable beliefs_;
   rules::FeatureExtractor extractor_;
@@ -340,6 +283,10 @@ class DataConcentrator {
   std::vector<std::string> sbfr_channel_keys_;  // process key per channel
   std::vector<domain::FailureMode> sbfr_machine_mode_;  // mode per machine
 
+  struct LastReport {
+    double severity = -1.0;
+    SimTime at{-1};
+  };
   std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
            LastReport>
       last_reports_;  // (ks, object, condition) -> last emission
@@ -351,7 +298,7 @@ class DataConcentrator {
   net::ReliableSender reliable_;
   net::ReliableReceiver command_rx_;  ///< PDME->DC command stream dedup
   std::uint64_t config_revision_ = 0;
-  /// Settings persisted since the last drain_config_updates() pull.
+  /// Settings applied since the last drain_config_updates() pull.
   std::vector<std::pair<std::string, double>> pending_config_updates_;
   std::uint64_t progress_ = 0;
   bool wedged_ = false;

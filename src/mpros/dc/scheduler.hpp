@@ -42,7 +42,6 @@ class EventScheduler {
   /// Returns the number of task executions.
   std::size_t run_until(SimTime deadline);
 
-  [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
   [[nodiscard]] const std::string& task_name(TaskId id) const;
 
  private:

@@ -6,10 +6,10 @@
 // liveness watchdog can only *report* the silence. The supervisor closes
 // the loop: every advance the assembler feeds it each DC's internal
 // progress tick; a DC whose tick has not moved for `wedge_timeout` of
-// simulated time is declared wedged, and the assembler tears it down and
-// restarts it from its salvageable state (persisted runtime config,
-// quarantine ledger, analyzer soft state, retransmit window) so the
-// restarted DC resumes the same report stream with nothing lost.
+// simulated time is declared wedged. A hang leaves the DC's state where it
+// stopped, so the assembler restarts it in place: it clears the wedge and
+// replays the missed steps, and the DC resumes the same report stream with
+// nothing lost.
 
 #include <cstdint>
 #include <map>

@@ -43,15 +43,4 @@ double nth_value(std::span<double> v, std::size_t rank) {
 
 }  // namespace detail
 
-double select_kth(std::span<const double> x, std::size_t k,
-                  std::span<double> work) {
-  return select_kth(
-      x.size(), k, [x](std::size_t i) { return x[i]; }, work);
-}
-
-double median(std::span<const double> x, std::span<double> work) {
-  MPROS_EXPECTS(!x.empty());
-  return select_kth(x, x.size() / 2, work);
-}
-
 }  // namespace mpros::dsp

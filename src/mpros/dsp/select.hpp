@@ -126,12 +126,4 @@ template <typename Value>
   return detail::select_gathered(n, k, value, g, work);
 }
 
-/// select_kth over the entries of `x`.
-[[nodiscard]] double select_kth(std::span<const double> x, std::size_t k,
-                                std::span<double> work);
-
-/// Upper median of `x`: select_kth(x, x.size() / 2, work). `x` must not be
-/// empty.
-[[nodiscard]] double median(std::span<const double> x, std::span<double> work);
-
 }  // namespace mpros::dsp

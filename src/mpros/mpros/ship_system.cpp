@@ -95,19 +95,17 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
   }
 
   // The watchdog interval must match the cadence the DCs actually beat.
-  if (cfg_.dc_template.heartbeat_period.micros() > 0) {
-    const SimTime requested = cfg_.pdme.heartbeat_interval;
-    if (requested.micros() != pdme::PdmeConfig{}.heartbeat_interval.micros() &&
-        requested.micros() != cfg_.dc_template.heartbeat_period.micros()) {
-      MPROS_LOG_WARN("mpros",
-                     "pdme.heartbeat_interval %.0f s conflicts with "
-                     "dc_template.heartbeat_period %.0f s; using the DC "
-                     "period (the watchdog must match the beat cadence)",
-                     requested.seconds(),
-                     cfg_.dc_template.heartbeat_period.seconds());
-    }
-    cfg_.pdme.heartbeat_interval = cfg_.dc_template.heartbeat_period;
+  const SimTime requested = cfg_.pdme.heartbeat_interval;
+  if (requested.micros() != pdme::PdmeConfig{}.heartbeat_interval.micros() &&
+      requested.micros() != cfg_.dc_template.heartbeat_period.micros()) {
+    MPROS_LOG_WARN("mpros",
+                   "pdme.heartbeat_interval %.0f s conflicts with "
+                   "dc_template.heartbeat_period %.0f s; using the DC "
+                   "period (the watchdog must match the beat cadence)",
+                   requested.seconds(),
+                   cfg_.dc_template.heartbeat_period.seconds());
   }
+  cfg_.pdme.heartbeat_interval = cfg_.dc_template.heartbeat_period;
   pdme_ = std::make_unique<pdme::PdmeExecutive>(model_, cfg_.pdme);
   if (recovered_) {
     // Re-fold every persisted report object in creation order so the fused
@@ -120,9 +118,8 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
         *pdme_, cfg.fleet_analyzer);
   }
 
-  if (cfg.use_wnn) {
-    wnn_ = train_wnn_classifier(cfg.wnn_training);
-  }
+  std::shared_ptr<nn::WnnClassifier> wnn;
+  if (cfg.use_wnn) wnn = train_wnn_classifier(cfg.wnn_training);
 
   for (std::size_t p = 0; p < cfg.plant_count; ++p) {
     plant::ChillerConfig chiller_cfg;
@@ -139,7 +136,7 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
     // the plants re-simulate the already-fused interval deterministically
     // (same seeds), but no test may fire inside it and re-mutate the model.
     dcs_.push_back(std::make_unique<dc::DataConcentrator>(
-        dc_cfg, refs, *plants_.back(), wnn_,
+        dc_cfg, refs, *plants_.back(), wnn,
         /*start_at=*/recovered_ ? now_ : SimTime(0)));
     if (recorder_) dcs_.back()->set_journal(recorder_.get());
 
@@ -279,9 +276,9 @@ std::size_t ShipSystem::advance_to(SimTime t) {
     per_dc[i] = dcs_[i]->advance_to(t);
   });
 
-  // Supervised recovery: a DC whose progress tick froze gets torn down,
-  // rebuilt from its salvage and caught up (restart_dc_to flushes each
-  // catch-up slice itself) before the regular flush below.
+  // Supervised recovery: a DC whose progress tick froze is unwedged and
+  // caught up (restart_dc_to flushes each catch-up slice itself) before
+  // the regular flush below.
   for (std::size_t i = 0; i < dcs_.size(); ++i) {
     if (!supervisor_.observe(DcId(i + 1), dcs_[i]->progress(), t)) continue;
     restart_dc_to(i, t);
@@ -326,11 +323,19 @@ std::size_t ShipSystem::advance_to(SimTime t) {
     }
   }
 
+  // Config deltas drain at every barrier, so a ship without durability
+  // keeps none. Pull, don't push: the DCs queued them on their worker
+  // threads; the mirror write happens here, on the driver, in DC order.
+  for (std::size_t i = 0; i < dcs_.size(); ++i) {
+    for (const auto& [key, value] : dcs_[i]->drain_config_updates()) {
+      if (durable_) mirror_dc_setting(i, key, value);
+    }
+  }
   // Durability barrier: everything the window changed — model events (the
-  // journal already buffered those as they happened), DC config deltas,
-  // watchdog records, the committed-through clock — becomes one WAL commit
-  // with one fsync. A crash anywhere before the next barrier rolls back to
-  // exactly this state.
+  // journal already buffered those as they happened), the DC config deltas
+  // just mirrored, watchdog records, the committed-through clock — becomes
+  // one WAL commit with one fsync. A crash anywhere before the next barrier
+  // rolls back to exactly this state.
   if (durable_) durable_commit(now_);
   return delivered;
 }
@@ -356,13 +361,6 @@ void ShipSystem::mirror_dc_setting(std::size_t i, const std::string& key,
 
 void ShipSystem::durable_commit(SimTime t) {
   db::Database& db = durable_->db();
-  // Pull, don't push: the DCs persisted these on their worker threads;
-  // the mirror write happens here, on the driver, in DC order.
-  for (std::size_t i = 0; i < dcs_.size(); ++i) {
-    for (const auto& [key, value] : dcs_[i]->drain_config_updates()) {
-      mirror_dc_setting(i, key, value);
-    }
-  }
   const db::Table& health_table = db.table(kDcHealthTable);
   for (const auto& [dc, health] : pdme_->dc_health()) {
     const auto key = static_cast<std::int64_t>(dc);
@@ -416,48 +414,23 @@ void ShipSystem::flush_dc(std::size_t i,
 }
 
 void ShipSystem::restart_dc_to(std::size_t i, SimTime t) {
-  MPROS_EXPECTS(i < dcs_.size());
-  dc::DataConcentrator::Salvage salvage = dcs_[i]->salvage();
-  const SimTime resume = salvage.resume_at;
-
-  dc::DcConfig dc_cfg = cfg_.dc_template;
-  dc_cfg.id = DcId(i + 1);
-  const oosm::ChillerPlant& objs = ship_.plants[i];
-  dc::MachineRefs refs{objs.chiller, objs.motor, objs.gearbox,
-                       objs.compressor};
-  dcs_[i] = std::make_unique<dc::DataConcentrator>(
-      dc_cfg, refs, *plants_[i], wnn_, std::move(salvage));
+  dc::DataConcentrator& dc = *dcs_[i];
+  // A wedged DC left its plant, schedule and state where the hang found
+  // them, so clearing the flag is the whole restart.
+  const SimTime resume = plants_[i]->now();
+  dc.set_wedged(false);
   if (recorder_) {
-    dcs_[i]->set_journal(recorder_.get());
     recorder_->record_event(t.micros(), "dc-" + std::to_string(i + 1),
                             "supervised restart (resume from " +
                                 std::to_string(resume.seconds()) + " s)");
   }
-  // Re-point the endpoint at the replacement (re-registering a name
-  // replaces its handler).
-  dc::DataConcentrator* dc_ptr = dcs_[i].get();
-  network_.register_endpoint(
-      "dc-" + std::to_string(i + 1),
-      [dc_ptr](const net::Message& msg) { dc_ptr->handle_wire(msg); });
-
   // Catch up through the recorded assembler steps, flushing per slice:
   // reports seal (entering the retransmit window) at the same step
   // boundaries an unwedged run sealed them, so the sweep/backoff schedule
   // — and therefore the wire — is reproduced exactly.
   for (const SimTime s : step_log_) {
     if (s <= resume || s > t) continue;
-    flush_dc(i, dcs_[i]->advance_to(s));
-  }
-
-  if (durable_) {
-    // The replacement reapplied its persisted config from the salvaged
-    // database; re-mirror the full dump (idempotent upserts) so nothing a
-    // wedge swallowed between pulls is missing from the durable copy, and
-    // drop the replacement's delta queue — the dump already covers it.
-    for (const auto& [key, value] : dcs_[i]->persisted_config()) {
-      mirror_dc_setting(i, key, value);
-    }
-    (void)dcs_[i]->drain_config_updates();
+    flush_dc(i, dc.advance_to(s));
   }
 }
 
@@ -472,13 +445,6 @@ std::uint64_t ShipSystem::command_dc(
 void ShipSystem::wedge_dc(std::size_t plant, bool wedged) {
   MPROS_EXPECTS(plant < dcs_.size());
   dcs_[plant]->set_wedged(wedged);
-}
-
-void ShipSystem::restart_dc(std::size_t plant) {
-  MPROS_EXPECTS(plant < dcs_.size());
-  restart_dc_to(plant, now_);
-  supervisor_.notify_restarted(DcId(plant + 1), dcs_[plant]->progress(),
-                              now_);
 }
 
 net::FleetSummary ShipSystem::fleet_summary(SimTime at) const {

@@ -74,11 +74,11 @@ struct ShipSystemConfig {
   UplinkConfig uplink;
   /// Supervised DC recovery (§4.9), always on: watch every DC's progress
   /// tick each step; a DC that stops ticking for supervisor.wedge_timeout
-  /// is torn down and restarted from its salvage, then caught up
-  /// slice-by-slice so its output matches an unwedged run.
+  /// is unwedged in place, then caught up slice-by-slice through the
+  /// recorded step grid so its output matches an unwedged run.
   dc::DcSupervisorConfig supervisor;
   /// Durable OOSM (§4.6, "managed entirely in the background" — but
-  /// crash-safe): journal the object model, each DC's persisted runtime
+  /// crash-safe): journal the object model, each DC's applied runtime
   /// config, and the PDME's DC-liveness records into a write-ahead log
   /// under durability.directory, group-committed (one fsync) at every
   /// advance_to() barrier. Constructing a ShipSystem over a directory
@@ -131,11 +131,6 @@ class ShipSystem {
   /// DataConcentrator::set_wedged). The supervisor detects the frozen tick
   /// and restarts the DC during a later advance_to().
   void wedge_dc(std::size_t plant, bool wedged = true);
-
-  /// Tear one DC down and rebuild it from its salvage immediately, catching
-  /// it up to now() through the recorded assembler steps. The supervisor
-  /// path does this automatically; tests and operators call it directly.
-  void restart_dc(std::size_t plant);
 
   [[nodiscard]] dc::DcSupervisor& supervisor() { return supervisor_; }
 
@@ -208,17 +203,17 @@ class ShipSystem {
   /// sealed report envelopes, sensor batches, then the wire outbox
   /// (retransmissions, heartbeats, command acks) at their own timestamps.
   void flush_dc(std::size_t i, const std::vector<net::FailureReport>& reports);
-  /// Salvage-and-rebuild dc i, then catch it up through the recorded
-  /// assembler-step boundaries ending at `t` (flushing per slice, so the
-  /// seal/sweep interleaving matches an unwedged run).
+  /// Unwedge dc i, then catch it up through the recorded assembler-step
+  /// boundaries ending at `t` (flushing per slice, so the seal/sweep
+  /// interleaving matches an unwedged run).
   void restart_dc_to(std::size_t i, SimTime t);
   /// Upsert one (dc, key) row in the dc_config mirror table (no-op when
-  /// the mirrored value is already current, so idempotent re-mirrors
-  /// don't bloat the WAL).
+  /// the mirrored value is already current, so re-sent values don't bloat
+  /// the WAL).
   void mirror_dc_setting(std::size_t i, const std::string& key, double value);
-  /// Barrier-end group commit: pull config deltas from every DC, mirror
-  /// the PDME watchdog records and the committed-through clock, then
-  /// fsync the window as one WAL commit.
+  /// Barrier-end group commit: mirror the PDME watchdog records and the
+  /// committed-through clock, then fsync the window (with the config
+  /// deltas advance_to() mirrored) as one WAL commit.
   void durable_commit(SimTime t);
 
   ShipSystemConfig cfg_;
@@ -233,7 +228,6 @@ class ShipSystem {
   std::unique_ptr<telemetry::FlightRecorder> recorder_;
   std::unique_ptr<pdme::PdmeExecutive> pdme_;
   std::unique_ptr<pdme::FleetComparativeAnalyzer> resident_;
-  std::shared_ptr<nn::WnnClassifier> wnn_;
   std::vector<std::unique_ptr<plant::ChillerSimulator>> plants_;
   std::vector<std::unique_ptr<dc::DataConcentrator>> dcs_;
   ThreadPool pool_;

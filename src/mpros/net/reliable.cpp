@@ -95,34 +95,6 @@ std::vector<std::uint8_t> ReliableSender::envelope(const CommandMessage& cmd,
   return seal(wrap(env), now);
 }
 
-ReliableSender::State ReliableSender::take_state() {
-  std::lock_guard lock(mu_);
-  State state;
-  state.next_sequence = next_sequence_;
-  state.stats = stats_;
-  state.window.reserve(window_.size());
-  for (Entry& e : window_) {
-    state.window.push_back(State::BufferedEntry{
-        e.sequence, std::move(e.payload), e.next_retry, e.rto});
-  }
-  adjust_inflight(-static_cast<std::int64_t>(window_.size()));
-  window_.clear();
-  return state;
-}
-
-void ReliableSender::restore(State state) {
-  std::lock_guard lock(mu_);
-  adjust_inflight(static_cast<std::int64_t>(state.window.size()) -
-                  static_cast<std::int64_t>(window_.size()));
-  next_sequence_ = state.next_sequence;
-  stats_ = state.stats;
-  window_.clear();
-  for (State::BufferedEntry& e : state.window) {
-    window_.push_back(
-        Entry{e.sequence, std::move(e.payload), e.next_retry, e.rto});
-  }
-}
-
 std::vector<std::uint8_t> ReliableSender::seal(
     std::vector<std::uint8_t> payload, SimTime now) {
   std::int64_t inflight_delta = 1;

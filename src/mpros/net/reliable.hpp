@@ -103,28 +103,6 @@ class ReliableSender {
   /// (net.retransmit_inflight).
   [[nodiscard]] Stats snapshot() const;
 
-  /// The sender's full resumable state: sequence cursor, buffered unacked
-  /// entries with their backoff timers, stats. take_state()/restore() let a
-  /// supervisor move the retransmit window out of a wedged owner and into
-  /// its restarted replacement, so the stream resumes mid-sequence and no
-  /// unacked payload is lost.
-  struct State {
-    struct BufferedEntry {
-      std::uint64_t sequence = 0;
-      std::vector<std::uint8_t> payload;
-      SimTime next_retry;
-      SimTime rto;
-    };
-    std::uint64_t next_sequence = 1;
-    std::vector<BufferedEntry> window;  ///< ascending sequence
-    Stats stats;
-  };
-  /// Strip this sender of its stream state (the window empties; the
-  /// recovery-debt gauge moves with the entries, not the carcass).
-  [[nodiscard]] State take_state();
-  /// Adopt `state` wholesale, replacing whatever this sender held.
-  void restore(State state);
-
  private:
   struct Entry {
     std::uint64_t sequence = 0;

@@ -12,6 +12,7 @@
 #include "mpros/common/clock.hpp"
 #include "mpros/common/thread_pool.hpp"
 #include "mpros/db/table.hpp"
+#include "mpros/dc/data_concentrator.hpp"
 #include "mpros/dsp/fft.hpp"
 #include "mpros/fusion/dempster_shafer.hpp"
 #include "mpros/net/network.hpp"
@@ -130,6 +131,16 @@ TEST(ContractsDeathTest, LoggedReportTakesNoPropertyOrEdge) {
   EXPECT_DEATH(m.relate(report, oosm::Relation::KindOf, motor),
                "precondition");
   EXPECT_DEATH(m.relate(motor, oosm::Relation::RefersTo, report),
+               "precondition");
+}
+
+TEST(ContractsDeathTest, DcRequiresAPositiveHeartbeatPeriod) {
+  plant::ChillerSimulator chiller;
+  dc::DcConfig cfg;
+  cfg.heartbeat_period = SimTime(0);
+  const dc::MachineRefs refs{ObjectId(1), ObjectId(2), ObjectId(3),
+                             ObjectId(4)};
+  EXPECT_DEATH({ dc::DataConcentrator concentrator(cfg, refs, chiller); },
                "precondition");
 }
 

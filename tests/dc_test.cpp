@@ -167,7 +167,7 @@ TEST_F(DataConcentratorTest, DatabaseAccumulatesMeasurementsAndDiagnostics) {
                    .empty());
 }
 
-TEST_F(DataConcentratorTest, DatabaseKeepsOneHourAcrossSalvage) {
+TEST_F(DataConcentratorTest, DatabaseKeepsOneHourAcrossWedge) {
   chiller_.faults().schedule({FailureMode::MotorImbalance, SimTime(0),
                               SimTime(0), 0.9, plant::GrowthProfile::Step});
   const auto imbalance = static_cast<std::int64_t>(
@@ -197,17 +197,19 @@ TEST_F(DataConcentratorTest, DatabaseKeepsOneHourAcrossSalvage) {
     EXPECT_TRUE(db.integrity_violations().empty());
   };
 
-  const DcConfig cfg = dc_config();
-  DataConcentrator dc(cfg, refs_, chiller_);
+  DataConcentrator dc(dc_config(), refs_, chiller_);
   (void)dc.advance_to(SimTime::from_hours(3.0));
   EXPECT_EQ(dc.stats().process_scans, 180u);
   check_window(dc, SimTime::from_hours(3.0));
 
-  // A restarted DC inherits the trimmed tables and keeps trimming them.
-  DataConcentrator recovered(cfg, refs_, chiller_, nullptr, dc.salvage());
-  (void)recovered.advance_to(SimTime::from_hours(4.0));
-  EXPECT_EQ(recovered.stats().process_scans, 240u);
-  check_window(recovered, SimTime::from_hours(4.0));
+  // A wedge freezes the tables; once cleared, the DC catches up through
+  // the missed interval and keeps trimming them.
+  dc.set_wedged(true);
+  (void)dc.advance_to(SimTime::from_hours(3.5));
+  dc.set_wedged(false);
+  (void)dc.advance_to(SimTime::from_hours(4.0));
+  EXPECT_EQ(dc.stats().process_scans, 240u);
+  check_window(dc, SimTime::from_hours(4.0));
 }
 
 TEST_F(DataConcentratorTest, OnDemandVibrationTestRunsEarly) {
@@ -533,21 +535,28 @@ TEST_F(DataConcentratorTest, SensorRecoveryEmitsAllClear) {
 TEST_F(DataConcentratorTest, HeartbeatsAccumulateInWireOutbox) {
   DcConfig cfg = dc_config();
   cfg.heartbeat_period = SimTime::from_seconds(60.0);
-  cfg.desync_phase = false;  // pin the beat grid; phasing has its own test
   DataConcentrator dc(cfg, refs_, chiller_);
   (void)dc.advance_to(SimTime::from_seconds(600));
 
+  // The beat grid is offset by DC 7's seeded heartbeat phase.
+  const SimTime phase =
+      net::desync_phase((cfg.id.value() << 1) | 1, cfg.heartbeat_period);
+  std::vector<SimTime> expected;
+  for (SimTime at = phase + cfg.heartbeat_period;
+       at <= SimTime::from_seconds(600); at += cfg.heartbeat_period) {
+    expected.push_back(at);
+  }
   auto wire = dc.drain_wire_outbox();
-  EXPECT_EQ(dc.stats().heartbeats_sent, 10u);
-  std::size_t heartbeats = 0;
+  EXPECT_EQ(dc.stats().heartbeats_sent, expected.size());
+  std::vector<SimTime> beats;
   for (const auto& dgram : wire) {
     const auto hb = net::try_unwrap_heartbeat(dgram.payload);
     if (!hb.has_value()) continue;
-    ++heartbeats;
+    beats.push_back(hb->timestamp);
     EXPECT_EQ(hb->dc, DcId(7));
     EXPECT_EQ(hb->timestamp, dgram.at);
   }
-  EXPECT_EQ(heartbeats, 10u);
+  EXPECT_EQ(beats, expected);
   EXPECT_TRUE(dc.drain_wire_outbox().empty());  // drained
 }
 
@@ -648,36 +657,32 @@ TEST_F(DataConcentratorTest, CommandEnvelopeOverWireAppliesOnceAndAcks) {
   EXPECT_EQ(dc.stats().config_commands, 1u);
 }
 
-TEST_F(DataConcentratorTest, PersistedConfigSurvivesSalvageRestart) {
-  DcConfig cfg = dc_config();
-  DataConcentrator dc(cfg, refs_, chiller_);
+TEST_F(DataConcentratorTest, RestoredConfigIsAdoptedQuietly) {
+  DataConcentrator dc(dc_config(), refs_, chiller_);
   (void)dc.advance_to(SimTime::from_seconds(120.0));
 
-  net::CommandMessage cmd;
-  cmd.target = DcId(7);
-  cmd.revision = 4;
-  cmd.settings = {{"validator.spike_sigmas", 8.5},
-                  {"dc.report_hysteresis", 0.12},
-                  {"dc.enable_sbfr", 0.0}};
-  dc.apply_command(cmd, SimTime::from_seconds(130.0));
+  // What a durable ship's dc_config mirror hands a rebuilt DC after a crash.
+  dc.restore_config({{"validator.spike_sigmas", 8.5},
+                     {"dc.report_hysteresis", 0.12},
+                     {"dc.enable_sbfr", 0.0},
+                     {"__revision", 4.0}});
+  EXPECT_EQ(dc.config_revision(), 4u);
+  EXPECT_EQ(dc.runtime_setting("validator.spike_sigmas"), 8.5);
+  EXPECT_EQ(dc.runtime_setting("dc.report_hysteresis"), 0.12);
+  EXPECT_EQ(dc.runtime_setting("dc.enable_sbfr"), 0.0);
+  // The restore is quiet: no counter moves and nothing is queued to be
+  // mirrored back.
+  EXPECT_EQ(dc.stats().config_applied, 0u);
+  EXPECT_TRUE(dc.drain_config_updates().empty());
 
-  // Rebuild from the carcass: the recovered DC must come back with its
-  // last-acked configuration, not the factory template.
-  DataConcentrator recovered(cfg, refs_, chiller_, nullptr, dc.salvage());
-  EXPECT_EQ(recovered.config_revision(), 4u);
-  EXPECT_EQ(recovered.runtime_setting("validator.spike_sigmas"), 8.5);
-  EXPECT_EQ(recovered.runtime_setting("dc.report_hysteresis"), 0.12);
-  EXPECT_EQ(recovered.runtime_setting("dc.enable_sbfr"), 0.0);
-  // Recovery re-applies quietly: the counters carry over unchanged.
-  EXPECT_EQ(recovered.stats().config_applied, 3u);
-
-  // And the revision gate still holds after the restart.
+  // And the revision gate holds against the restored revision.
   net::CommandMessage stale;
   stale.target = DcId(7);
   stale.revision = 2;
   stale.settings = {{"validator.spike_sigmas", 3.0}};
-  recovered.apply_command(stale, SimTime::from_seconds(200.0));
-  EXPECT_EQ(recovered.runtime_setting("validator.spike_sigmas"), 8.5);
+  dc.apply_command(stale, SimTime::from_seconds(200.0));
+  EXPECT_EQ(dc.stats().config_stale, 1u);
+  EXPECT_EQ(dc.runtime_setting("validator.spike_sigmas"), 8.5);
 }
 
 TEST_F(DataConcentratorTest, WedgedDcFreezesProgressAndIgnoresWire) {

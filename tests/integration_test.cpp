@@ -472,37 +472,41 @@ std::string browser_fingerprint(ShipSystem& ship) {
   return out;
 }
 
+/// The wedge tests' two ships are built from this one seeded config.
+ShipSystemConfig wedge_test_config() {
+  ShipSystemConfig cfg = small_config();
+  cfg.seed = 0x5EED;
+  return cfg;
+}
+
+/// A fault on each plant and a hard outage isolating dc-1 over
+/// [3600 s, 4500 s].
+void wedge_test_script(ShipSystem& ship) {
+  ship.chiller(0).faults().schedule({FailureMode::MotorImbalance,
+                                     SimTime::from_seconds(720),
+                                     SimTime::from_hours(1.0), 0.9,
+                                     plant::GrowthProfile::Linear});
+  ship.chiller(1).faults().schedule({FailureMode::RefrigerantLeak,
+                                     SimTime::from_seconds(1500),
+                                     SimTime::from_hours(1.0), 0.8,
+                                     plant::GrowthProfile::Linear});
+  ship.network().schedule_outage({"dc-1", SimTime::from_seconds(3600),
+                                  SimTime::from_seconds(4500), 1.0});
+}
+
 TEST(SupervisorRecoveryTest, WedgeRecoveryIsByteIdenticalToUnwedgedRun) {
   // Two identically-seeded ships run the identical fault script under an
   // identical hard outage isolating dc-1 over [3600 s, 4500 s]. Ship B
   // additionally wedges DC 0 at 3600 s; the supervisor notices the frozen
-  // progress tick (wedge_timeout 300 s -> fires at 3900 s), rebuilds the DC
-  // from its salvage and catches it up through the recorded step grid. The
+  // progress tick (wedge_timeout 300 s -> fires at 3900 s), unwedges the DC
+  // in place and catches it up through the recorded step grid. The
   // outage covers the wedge through recovery, so both runs drop exactly the
   // same datagrams — any divergence in the operator view could only come
   // from the recovery itself.
-  const auto make_config = [] {
-    ShipSystemConfig cfg = small_config();
-    cfg.seed = 0x5EED;
-    return cfg;
-  };
-  const auto script = [](ShipSystem& ship) {
-    ship.chiller(0).faults().schedule({FailureMode::MotorImbalance,
-                                       SimTime::from_seconds(720),
-                                       SimTime::from_hours(1.0), 0.9,
-                                       plant::GrowthProfile::Linear});
-    ship.chiller(1).faults().schedule({FailureMode::RefrigerantLeak,
-                                       SimTime::from_seconds(1500),
-                                       SimTime::from_hours(1.0), 0.8,
-                                       plant::GrowthProfile::Linear});
-    ship.network().schedule_outage({"dc-1", SimTime::from_seconds(3600),
-                                    SimTime::from_seconds(4500), 1.0});
-  };
-
-  ShipSystem unwedged(make_config());
-  ShipSystem wedged(make_config());
-  script(unwedged);
-  script(wedged);
+  ShipSystem unwedged(wedge_test_config());
+  ShipSystem wedged(wedge_test_config());
+  wedge_test_script(unwedged);
+  wedge_test_script(wedged);
 
   // A pre-wedge runtime reconfiguration: it must still govern the
   // recovered DC after the restart.
@@ -542,8 +546,7 @@ TEST(SupervisorRecoveryTest, WedgeRecoveryIsByteIdenticalToUnwedgedRun) {
   EXPECT_EQ(sa.envelopes_accepted, sb.envelopes_accepted);
   EXPECT_EQ(sa.heartbeats_received, sb.heartbeats_received);
 
-  // The runtime config survived the restart: persisted through the DC
-  // database, re-applied from the salvage, values intact.
+  // The runtime config survived the restart, values intact.
   EXPECT_EQ(wedged.concentrator(0).config_revision(), rev_b);
   EXPECT_EQ(wedged.concentrator(0).runtime_setting("validator.spike_sigmas"),
             7.0);
@@ -551,35 +554,57 @@ TEST(SupervisorRecoveryTest, WedgeRecoveryIsByteIdenticalToUnwedgedRun) {
             0.08);
 }
 
-TEST(SupervisorRecoveryTest, ManualRestartPreservesStreamAndConfig) {
-  // restart_dc() is the operator's (and the soak harness's) direct handle
-  // on the salvage/rebuild path: no wedge, no silence window — the DC is
-  // torn down mid-run and must resume its reliable stream mid-sequence
-  // with its commanded configuration intact.
+TEST(SupervisorRecoveryTest, WedgeAfterOffGridPeriodRetuneMatchesUnwedgedRun) {
+  // The seed, fault script, outage and wedge of the test above, but a
+  // runtime retune of DC 0's vibration period at 1260 s moves its later
+  // tests off the k * period grid: a retune takes effect at the next
+  // reschedule, so they fall at 1800 + k * 700 s. The restart must keep
+  // that grid, not re-anchor on k * 700 s.
+  ShipSystem unwedged(wedge_test_config());
+  ShipSystem wedged(wedge_test_config());
+  wedge_test_script(unwedged);
+  wedge_test_script(wedged);
+
+  unwedged.run_until(SimTime::from_seconds(1260));
+  wedged.run_until(SimTime::from_seconds(1260));
+  unwedged.command_dc(0, {{"dc.vibration_period_s", 700.0}},
+                      "off-grid retune");
+  wedged.command_dc(0, {{"dc.vibration_period_s", 700.0}}, "off-grid retune");
+
+  unwedged.run_until(SimTime::from_seconds(3600));
+  wedged.run_until(SimTime::from_seconds(3600));
+  ASSERT_EQ(wedged.concentrator(0).runtime_setting("dc.vibration_period_s"),
+            700.0);
+  wedged.wedge_dc(0);
+
+  unwedged.run_until(SimTime::from_hours(2.5));
+  wedged.run_until(SimTime::from_hours(2.5));
+  EXPECT_EQ(wedged.supervisor().stats().restarts, 1u);
+
+  EXPECT_EQ(wedged.concentrator(0).stats().vibration_tests,
+            unwedged.concentrator(0).stats().vibration_tests);
+  EXPECT_EQ(browser_fingerprint(unwedged), browser_fingerprint(wedged));
+  for (std::size_t p = 0; p < unwedged.plant_count(); ++p) {
+    const oosm::ChillerPlant& objs = unwedged.plant_objects(p);
+    for (const ObjectId machine : {objs.chiller, objs.gearbox,
+                                   objs.compressor}) {
+      EXPECT_EQ(pdme::render_machine(unwedged.pdme(), unwedged.model(),
+                                     machine),
+                pdme::render_machine(wedged.pdme(), wedged.model(), machine));
+    }
+  }
+}
+
+TEST(ShipSystemTest, ConfigUpdatesDrainWithoutDurability) {
+  // A ship without durability mirrors no config, but its barrier still
+  // drains every DC's queue, so applied settings do not pile up.
   ShipSystem ship(small_config());
-  ship.chiller(0).faults().schedule({FailureMode::MotorImbalance, SimTime(0),
-                                     SimTime(0), 0.9,
-                                     plant::GrowthProfile::Step});
-  ship.run_until(SimTime::from_seconds(1200));
+  ship.run_until(SimTime::from_seconds(120));
   const std::uint64_t rev =
-      ship.command_dc(0, {{"dc.wnn_report_threshold", 0.6}}, "ops tune");
-  ship.run_until(SimTime::from_seconds(1800));
-  const std::uint64_t seq_before =
-      ship.concentrator(0).reliable().last_sequence();
-  ASSERT_GT(seq_before, 0u);
-
-  ship.restart_dc(0);
-  EXPECT_EQ(ship.concentrator(0).config_revision(), rev);
-  EXPECT_EQ(ship.concentrator(0).runtime_setting("dc.wnn_report_threshold"),
-            0.6);
-  // The reliable stream resumed mid-sequence instead of restarting at 1.
-  EXPECT_GE(ship.concentrator(0).reliable().last_sequence(), seq_before);
-
-  ship.run_until(SimTime::from_hours(1.0));
-  const auto list = ship.pdme().prioritized_list(ship.plant_objects(0).motor);
-  ASSERT_FALSE(list.empty());
-  EXPECT_EQ(list.front().mode, FailureMode::MotorImbalance);
-  EXPECT_GT(ship.concentrator(0).reliable().last_sequence(), seq_before);
+      ship.command_dc(0, {{"dc.report_hysteresis", 0.08}}, "tune");
+  ship.run_until(SimTime::from_seconds(180));
+  ASSERT_EQ(ship.concentrator(0).config_revision(), rev);
+  EXPECT_TRUE(ship.concentrator(0).drain_config_updates().empty());
 }
 
 // --- Golden output digest ------------------------------------------------------

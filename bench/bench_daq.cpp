@@ -4,16 +4,21 @@
 // 4-channel digitizer; "Highest sampling rate exceeds 40,000 Hz";
 // per-channel RMS detectors give "real-time and constant alarming for all
 // sensors". The harness measures full-scan duty cycle, achieved sample
-// rate, and alarm latency under a step fault.
+// rate, and alarm latency under a step fault. The plant rows time the
+// simulator behind the chain: one DC test's vibration and current records
+// and the seeded Gaussian that draws their noise.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
+#include "mpros/common/rng.hpp"
 #include "mpros/common/units.hpp"
 #include "mpros/plant/chiller.hpp"
 #include "mpros/plant/daq.hpp"
+#include "mpros/plant/vibration.hpp"
 
 namespace {
 
@@ -96,6 +101,50 @@ void BM_AlarmScan(benchmark::State& state) {
   state.SetLabel("detector samples");
 }
 BENCHMARK(BM_AlarmScan);
+
+// One DC test's vibration record: 8,192 samples at 40,960 Hz with a
+// gear-mesh fault, tones then noise then impacts.
+void BM_VibrationAcceleration(benchmark::State& state) {
+  VibrationSynthesizer synth(domain::navy_chiller_signature(), 1);
+  Severities s{};
+  s[static_cast<std::size_t>(domain::FailureMode::GearMeshWear)] = 0.8;
+  std::vector<double> out(8192);
+  for (auto _ : state) {
+    synth.acceleration(MachinePoint::Gearbox, s, 0.85, 0.0, 40960.0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+  state.SetLabel("samples");
+}
+BENCHMARK(BM_VibrationAcceleration);
+
+// One DC test's motor-current record: 32,768 samples at 4,096 Hz.
+void BM_MotorCurrent(benchmark::State& state) {
+  VibrationSynthesizer synth(domain::navy_chiller_signature(), 1);
+  std::vector<double> out(32768);
+  for (auto _ : state) {
+    synth.motor_current(Severities{}, 0.85, 0.0, 4096.0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+  state.SetLabel("samples");
+}
+BENCHMARK(BM_MotorCurrent);
+
+// One seeded normal draw, the plant's per-sample noise.
+void BM_RngNormal(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.normal(0.0, 1.0));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("draws");
+}
+BENCHMARK(BM_RngNormal);
 
 }  // namespace
 

@@ -5,7 +5,21 @@
 // jitter, network loss) draws from a seeded Rng so scenarios replay exactly.
 // Substreams derive child seeds via splitmix64 so that adding a consumer
 // doesn't perturb unrelated streams.
+//
+// The engine is the standard's mt19937_64 (same seeding, recurrence and
+// tempering), written out so that a draw takes no data-dependent branch:
+// the twist's conditional is a mask, and the twist runs out of line once
+// every 312 words. uniform() and normal() are written out too and follow
+// libstdc++ 12 term for term, so the simulated data is the bits
+// std::uniform_real_distribution and a fresh std::normal_distribution
+// (Marsaglia's polar method, second variate discarded) give on that
+// engine. integer(), exponential(), bernoulli() and std::shuffle on
+// engine() still go through <random>.
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -19,6 +33,48 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// std::mt19937_64, word for word.
+class Mt64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit Mt64(std::uint64_t seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (index_ >= kStateSize) [[unlikely]] twist();
+    result_type z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kStateSize = 312;
+
+  void twist();
+
+  std::array<std::uint64_t, kStateSize> state_;
+  std::size_t index_ = kStateSize;
+};
+
+/// `double(u)`, correctly rounded, without the sign-bit test the compiler
+/// puts in an unsigned conversion: both halves convert exactly and the one
+/// addition rounds once.
+constexpr double u64_to_double(std::uint64_t u) {
+  return static_cast<double>(static_cast<std::uint32_t>(u >> 32)) * 0x1p32 +
+         static_cast<double>(static_cast<std::uint32_t>(u));
+}
+
+/// std::generate_canonical<double, 53> of one 64-bit word: `u · 2⁻⁶⁴`,
+/// clamped below 1.
+constexpr double canonical(std::uint64_t u) {
+  return std::min(u64_to_double(u) * 0x1p-64, 0x1.fffffffffffffp-1);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
@@ -29,10 +85,16 @@ class Rng {
   }
 
   double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return canonical(engine_()) * (hi - lo) + lo;
   }
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    for (;;) {
+      const double x = 2.0 * canonical(engine_()) - 1.0;
+      const double y = 2.0 * canonical(engine_()) - 1.0;
+      const double r2 = x * x + y * y;
+      if (r2 > 1.0 || r2 == 0.0) continue;
+      return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
+    }
   }
   double exponential(double rate) {
     return std::exponential_distribution<double>(rate)(engine_);
@@ -42,10 +104,10 @@ class Rng {
   }
   bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt64 engine_;
   std::uint64_t seed_;
 };
 

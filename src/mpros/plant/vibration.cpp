@@ -277,15 +277,19 @@ void VibrationSynthesizer::motor_current(const Severities& severities,
   const double pole_pass =
       2.0 * signature_.slip_hz(load) * signature_.pole_pairs;
 
+  // Winding asymmetry adds a small third harmonic. A healthy winding's term
+  // is ±0, and v is never -0.0 (each sideband is a nonzero amplitude times
+  // the sine of a nonzero argument), so skipping it leaves every bit.
+  const double third =
+      fundamental * 0.04 * sev(FailureMode::StatorWindingFault);
+
   const double dt = 1.0 / sample_rate_hz;
   for (std::size_t i = 0; i < out.size(); ++i) {
     const double t = t0_seconds + static_cast<double>(i) * dt;
     double v = fundamental * std::sin(kTwoPi * line * t);
     v += sideband_amp * std::sin(kTwoPi * (line - pole_pass) * t + 0.7);
     v += sideband_amp * std::sin(kTwoPi * (line + pole_pass) * t + 1.9);
-    // Winding asymmetry adds a small third harmonic.
-    v += fundamental * 0.04 * sev(FailureMode::StatorWindingFault) *
-         std::sin(kTwoPi * 3.0 * line * t + 0.3);
+    if (third != 0.0) v += third * std::sin(kTwoPi * 3.0 * line * t + 0.3);
     out[i] = v + rng_.normal(0.0, fundamental * 0.002);
   }
 }

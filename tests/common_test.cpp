@@ -4,12 +4,18 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "mpros/common/clock.hpp"
 #include "mpros/common/file.hpp"
@@ -170,6 +176,114 @@ TEST(RngTest, NormalHasRoughlyCorrectMoments) {
   EXPECT_NEAR(mean, 5.0, 0.1);
   EXPECT_NEAR(var, 4.0, 0.2);
 }
+
+static_assert(std::uniform_random_bit_generator<Mt64>);
+static_assert(sizeof(Mt64) == sizeof(std::mt19937_64));
+
+std::uint64_t bits_of(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+TEST(RngTest, StreamsArePinnedAtSeedOne) {
+  // The goldens' noise, pinned without reference to any standard library:
+  // the first normal(0, 1) and uniform(0, 1) draws of a fresh Rng(1).
+  const std::uint64_t normals[] = {
+      0xbfd8c1da014dda10ULL, 0x3fe5fa75918ca314ULL, 0xbfe971d689089fddULL,
+      0x3fff01d3e119ca68ULL, 0x3fbe15bc7159ee3dULL, 0xbfe4bec5ef0151f1ULL,
+      0xbff862918a96f613ULL, 0x3fed3d936bb14019ULL};
+  const std::uint64_t uniforms[] = {
+      0x3fc122deafddb438ULL, 0x3fc175c928118c7dULL, 0x3fdce0b479deb991ULL,
+      0x3f95876015e4d702ULL, 0x3fd6751d5cbb3f1aULL, 0x3fed29d85a57326dULL,
+      0x3fde20cd8d6456f4ULL, 0x3fb30d84f91bf14bULL};
+  Rng n(1), u(1);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(bits_of(n.normal(0.0, 1.0)), normals[i]) << "normal " << i;
+    EXPECT_EQ(bits_of(u.uniform(0.0, 1.0)), uniforms[i]) << "uniform " << i;
+  }
+}
+
+TEST(RngTest, CanonicalClampsBelowOne) {
+  // Words within 2^10 of 2^64 round up to 1.0; the standard clamps them.
+  EXPECT_EQ(canonical(~std::uint64_t{0}), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(canonical(~std::uint64_t{0} - 1023), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(canonical(0), 0.0);
+  EXPECT_EQ(canonical(std::uint64_t{1} << 63), 0.5);
+}
+
+TEST(RngTest, HighWordsConvertExactly) {
+  // Words with bit 63 set: exact, ties to even, and the compiler's own
+  // correctly rounded conversion.
+  const std::uint64_t top = std::uint64_t{1} << 63;
+  EXPECT_EQ(u64_to_double(top), 0x1p63);
+  EXPECT_EQ(u64_to_double(top + 2048), 0x1p63 + 2048.0);
+  EXPECT_EQ(u64_to_double(top + 1024), 0x1p63);           // tie, even down
+  EXPECT_EQ(u64_to_double(top + 3072), 0x1p63 + 4096.0);  // tie, even up
+  EXPECT_EQ(u64_to_double(top + 1025), 0x1p63 + 2048.0);
+  EXPECT_EQ(u64_to_double(~std::uint64_t{0}), 0x1p64);
+  std::uint64_t x = 0x243f6a8885a308d3ULL;
+  for (int i = 0; i < 100000; ++i) {
+    x = splitmix64(x);
+    const std::uint64_t u = x | top;
+    ASSERT_EQ(bits_of(u64_to_double(u)), bits_of(static_cast<double>(u)))
+        << std::hex << u;
+    const std::uint64_t low = x >> (i % 64);
+    ASSERT_EQ(bits_of(u64_to_double(low)), bits_of(static_cast<double>(low)))
+        << std::hex << low;
+  }
+}
+
+#if defined(__GLIBCXX__)
+TEST(RngTest, DrawsMatchLibstdcxxBitForBit) {
+  // Rng's engine and its written-out uniform and normal against
+  // std::mt19937_64 and the std distributions: a mixed stream of every
+  // draw Rng offers, then the engines' next words.
+  for (const std::uint64_t seed : {0ULL, 1ULL, ~0ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const double scale = 0.25 + static_cast<double>(i % 13);
+      switch (i % 8) {
+        case 0:
+        case 1:
+        case 2:
+          ASSERT_EQ(bits_of(rng.normal(1.5, scale)),
+                    bits_of(std::normal_distribution<double>(1.5, scale)(ref)))
+              << "seed " << seed << " draw " << i;
+          break;
+        case 3:
+        case 4:
+          ASSERT_EQ(
+              bits_of(rng.uniform(-scale, 2.0 * scale)),
+              bits_of(std::uniform_real_distribution<double>(
+                  -scale, 2.0 * scale)(ref)))
+              << "seed " << seed << " draw " << i;
+          break;
+        case 5:
+          ASSERT_EQ(
+              rng.integer(3, 3 + static_cast<std::uint64_t>(i)),
+              std::uniform_int_distribution<std::uint64_t>(
+                  3, 3 + static_cast<std::uint64_t>(i))(ref))
+              << "seed " << seed << " draw " << i;
+          break;
+        case 6:
+          ASSERT_EQ(bits_of(rng.exponential(scale)),
+                    bits_of(std::exponential_distribution<double>(scale)(ref)))
+              << "seed " << seed << " draw " << i;
+          break;
+        default:
+          ASSERT_EQ(rng.bernoulli(0.3), std::bernoulli_distribution(0.3)(ref))
+              << "seed " << seed << " draw " << i;
+      }
+    }
+    std::vector<int> mine(1000), theirs(1000);
+    for (int i = 0; i < 1000; ++i) mine[i] = theirs[i] = i;
+    std::shuffle(mine.begin(), mine.end(), rng.engine());
+    std::shuffle(theirs.begin(), theirs.end(), ref);
+    EXPECT_EQ(mine, theirs) << "seed " << seed;
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(rng.engine()(), ref()) << "seed " << seed;
+    }
+  }
+}
+#endif
 
 
 TEST(ReadFileTest, MissingEmptyUnreadableAndReadAreDistinct) {

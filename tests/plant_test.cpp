@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
 
+#include "mpros/common/rng.hpp"
 #include "mpros/common/units.hpp"
 #include "mpros/dsp/spectrum.hpp"
 #include "mpros/dsp/stats.hpp"
@@ -191,6 +196,66 @@ TEST(VibrationTest, RotorBarSidebandsInCurrent) {
   const double f_sb = fs.band_peak(60.0 - pole_pass * 1.2,
                                    60.0 - pole_pass * 0.8);
   EXPECT_GT(f_sb, 5.0 * h_sb);
+}
+
+// motor_current as it was before it skipped a zero third harmonic, verbatim
+// but for the synthesizer's members, which come in as arguments.
+void reference_motor_current(const domain::MachineSignature& signature,
+                             Rng& rng, const Severities& severities,
+                             double load_fraction, double t0_seconds,
+                             double sample_rate_hz, std::span<double> out) {
+  const double line = signature.line_hz;
+  const double load = std::clamp(load_fraction, 0.05, 1.2);
+  const auto sev = [&](FailureMode m) {
+    return severities[static_cast<std::size_t>(m)];
+  };
+  const double nominal_rms = 180.0;
+  const double rms = nominal_rms *
+                     (0.25 + 0.75 * load) *
+                     (1.0 + 0.25 * sev(FailureMode::StatorWindingFault) +
+                      0.18 * sev(FailureMode::CondenserFouling));
+  const double fundamental = rms * std::sqrt(2.0);
+  const double rotor = sev(FailureMode::RotorBarDefect);
+  const double sideband_db = 60.0 - 38.0 * rotor;
+  const double sideband_amp = fundamental * std::pow(10.0, -sideband_db / 20.0);
+  const double pole_pass =
+      2.0 * signature.slip_hz(load) * signature.pole_pairs;
+  const double dt = 1.0 / sample_rate_hz;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double t = t0_seconds + static_cast<double>(i) * dt;
+    double v = fundamental * std::sin(kTwoPi * line * t);
+    v += sideband_amp * std::sin(kTwoPi * (line - pole_pass) * t + 0.7);
+    v += sideband_amp * std::sin(kTwoPi * (line + pole_pass) * t + 1.9);
+    v += fundamental * 0.04 * sev(FailureMode::StatorWindingFault) *
+         std::sin(kTwoPi * 3.0 * line * t + 0.3);
+    out[i] = v + rng.normal(0.0, fundamental * 0.002);
+  }
+}
+
+TEST(VibrationTest, MotorCurrentMatchesReferenceBitForBit) {
+  // Skipping the third harmonic of a healthy winding must leave every
+  // sample's bits and the noise stream as they were, with or without a
+  // stator fault, across two acquisitions on one synthesizer.
+  constexpr double kCurrentRate = 4096.0;
+  const auto sig = domain::navy_chiller_signature();
+  for (const std::uint64_t seed : {6ULL, 91ULL}) {
+    for (const double stator : {0.0, 0.3}) {
+      Severities s{};
+      s[static_cast<std::size_t>(FailureMode::StatorWindingFault)] = stator;
+      s[static_cast<std::size_t>(FailureMode::RotorBarDefect)] = 0.4;
+      VibrationSynthesizer synth(sig, seed);
+      Rng rng(seed);
+      for (const double t0 : {0.0, 8.0}) {
+        std::vector<double> got(32768), want(32768);
+        synth.motor_current(s, 0.85, t0, kCurrentRate, got);
+        reference_motor_current(sig, rng, s, 0.85, t0, kCurrentRate, want);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "seed " << seed << " stator " << stator << " t0 " << t0;
+      }
+    }
+  }
 }
 
 // --- Process model -------------------------------------------------------------

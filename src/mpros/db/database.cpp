@@ -1,6 +1,7 @@
 #include "mpros/db/database.hpp"
 
 #include "mpros/common/assert.hpp"
+#include "mpros/db/wal.hpp"
 
 namespace mpros::db {
 
@@ -18,7 +19,7 @@ Table& Database::create_table(TableSchema schema) {
     op.kind = RedoOp::Kind::CreateTable;
     op.table = name;
     op.schema = std::move(journal_copy);
-    journal_->journal(std::move(op));
+    journal_->append(op);
   }
   return *it->second;
 }
@@ -45,7 +46,7 @@ void Database::drop_table(const std::string& name) {
     RedoOp op;
     op.kind = RedoOp::Kind::DropTable;
     op.table = name;
-    journal_->journal(std::move(op));
+    journal_->append(op);
   }
 }
 
@@ -57,7 +58,7 @@ void Database::create_index(const std::string& table_name,
     op.kind = RedoOp::Kind::CreateIndex;
     op.table = table_name;
     op.column = column;
-    journal_->journal(std::move(op));
+    journal_->append(op);
   }
 }
 
@@ -79,7 +80,7 @@ std::int64_t Database::insert(const std::string& table_name, Row row) {
     op.table = table_name;
     op.key = key;
     op.row = std::move(journal_copy);
-    journal_->journal(std::move(op));
+    journal_->append(op);
   }
   return key;
 }
@@ -95,7 +96,7 @@ std::int64_t Database::insert_auto(const std::string& table_name,
     op.table = table_name;
     op.key = key;
     op.row = *t.find(key);
-    journal_->journal(std::move(op));
+    journal_->append(op);
   }
   return key;
 }
@@ -113,7 +114,7 @@ bool Database::update(const std::string& table_name, std::int64_t key,
     op.column = column;
     op.key = key;
     op.value = std::move(journal_copy);
-    journal_->journal(std::move(op));
+    journal_->append(op);
   }
   return applied;
 }
@@ -125,19 +126,9 @@ bool Database::erase(const std::string& table_name, std::int64_t key) {
     op.kind = RedoOp::Kind::Erase;
     op.table = table_name;
     op.key = key;
-    journal_->journal(std::move(op));
+    journal_->append(op);
   }
   return applied;
-}
-
-std::vector<std::string> Database::integrity_violations() const {
-  std::vector<std::string> out;
-  for (const auto& [name, table] : tables_) {
-    std::vector<std::string> v = table->index_violations();
-    out.insert(out.end(), std::make_move_iterator(v.begin()),
-               std::make_move_iterator(v.end()));
-  }
-  return out;
 }
 
 namespace {

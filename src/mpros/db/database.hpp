@@ -1,5 +1,6 @@
 #pragma once
-// Database: a named collection of tables.
+// Database: a named collection of tables, with an optional write-ahead
+// log that receives every mutation made through its methods.
 //
 // Thread-compatible (external synchronization); the DC wraps one behind its
 // scheduler thread and the OOSM behind its single-writer event loop.
@@ -35,13 +36,7 @@ struct RedoOp {
   Value value;          // Update
 };
 
-/// Receives every mutation made through a Database. The durability layer
-/// implements this to build WAL commit batches.
-class JournalSink {
- public:
-  virtual ~JournalSink() = default;
-  virtual void journal(RedoOp op) = 0;
-};
+class WriteAheadLog;
 
 class Database {
  public:
@@ -59,18 +54,16 @@ class Database {
 
   void drop_table(const std::string& name);
 
-  /// Journaled index creation (idempotent, like Table::create_index).
+  /// Journaled index declaration (idempotent, like Table::create_index).
   void create_index(const std::string& table_name, const std::string& column);
 
   [[nodiscard]] std::vector<std::string> table_names() const;
 
-  /// Attach (or detach with nullptr) a journal sink. Every mutation made
-  /// through Database methods is forwarded; direct Table& mutations bypass
-  /// it, so durable callers must go through the Database wrappers.
-  void attach_journal(JournalSink* journal) { journal_ = journal; }
-
-  /// Index consistency audit across every table (see Table::index_violations).
-  [[nodiscard]] std::vector<std::string> integrity_violations() const;
+  /// Attach (or detach with nullptr) a write-ahead log. Every mutation
+  /// made through Database methods is appended to it; direct Table&
+  /// mutations bypass it, so durable callers must go through the Database
+  /// wrappers.
+  void attach_journal(WriteAheadLog* wal) { journal_ = wal; }
 
   /// Journaled row ops.
   std::int64_t insert(const std::string& table_name, Row row);
@@ -81,7 +74,7 @@ class Database {
 
  private:
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
-  JournalSink* journal_ = nullptr;
+  WriteAheadLog* journal_ = nullptr;
 };
 
 /// Replay one redo operation against `db`, pre-validating everything a

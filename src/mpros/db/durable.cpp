@@ -21,7 +21,6 @@ namespace {
 struct WalCounters {
   telemetry::Counter& commits;
   telemetry::Counter& fsyncs;
-  telemetry::Counter& records;
   telemetry::Counter& replayed_commits;
   telemetry::Counter& replayed_records;
   telemetry::Counter& truncated_bytes;
@@ -31,7 +30,6 @@ struct WalCounters {
     auto& reg = telemetry::Registry::instance();
     static WalCounters c{reg.counter("wal.commits"),
                          reg.counter("wal.fsyncs"),
-                         reg.counter("wal.records"),
                          reg.counter("wal.replayed_commits"),
                          reg.counter("wal.replayed_records"),
                          reg.counter("wal.truncated_bytes"),
@@ -116,7 +114,7 @@ DurableDatabase::DurableDatabase(DurabilityConfig config)
                     config_.directory.c_str(), ec.message().c_str());
   }
   recover();
-  db_.attach_journal(this);
+  db_.attach_journal(wal_.get());
 }
 
 DurableDatabase::~DurableDatabase() {
@@ -162,11 +160,6 @@ void DurableDatabase::recover() {
   counters.truncated_bytes.inc(recovery_.truncated_bytes);
 
   wal_ = std::make_unique<WriteAheadLog>(wal, recovery_.recovered_seq + 1);
-}
-
-void DurableDatabase::journal(RedoOp op) {
-  wal_->append(op);
-  WalCounters::instance().records.inc();
 }
 
 bool DurableDatabase::commit() {

@@ -6,10 +6,10 @@
 // whatever torn/corrupt suffix the crash left and reopens the log for
 // appending. A file that exists but cannot be read is never truncated or
 // recreated: the store reports it (RecoveryReport::io_error) and refuses
-// to commit. From then on the instance journals every mutation made
-// through its Database; commit() group-commits the window (one fsync) and
-// checkpoints — snapshot + log compaction — when the log outgrows the
-// configured budget.
+// to commit. From then on its Database appends every mutation made
+// through it straight to the write-ahead log; commit() group-commits the
+// window (one fsync) and checkpoints — snapshot + log compaction — when the
+// log outgrows the configured budget.
 //
 // Crash semantics: anything not yet commit()ed is gone, by design; the
 // destructor deliberately does not flush. Thread-compatible, same as
@@ -58,10 +58,10 @@ struct Recovered {
 /// builds on this, and mpros_dbtool calls it directly.
 [[nodiscard]] Recovered recover_directory(const std::string& directory);
 
-class DurableDatabase final : public JournalSink {
+class DurableDatabase {
  public:
   explicit DurableDatabase(DurabilityConfig config);
-  ~DurableDatabase() override;
+  ~DurableDatabase();
 
   DurableDatabase(const DurableDatabase&) = delete;
   DurableDatabase& operator=(const DurableDatabase&) = delete;
@@ -86,9 +86,6 @@ class DurableDatabase final : public JournalSink {
 
   [[nodiscard]] static std::string snapshot_path(const std::string& directory);
   [[nodiscard]] static std::string wal_path(const std::string& directory);
-
-  // JournalSink (called by db_; not for direct use).
-  void journal(RedoOp op) override;
 
  private:
   void recover();

@@ -1,8 +1,8 @@
 #pragma once
 // Point-in-time snapshot of a whole Database, for WAL compaction.
 //
-// A checkpoint writes the full store (schemas, auto-key counters, index
-// definitions, rows) plus the WAL sequence it covers; recovery loads the
+// A checkpoint writes the full store (schemas, auto-key counters, declared
+// index columns, rows) plus the WAL sequence it covers; recovery loads the
 // snapshot and replays only the WAL tail past that sequence. The encoding
 // is deterministic (tables sorted by name, rows in key order), so two
 // databases with identical content produce identical snapshot bytes — the

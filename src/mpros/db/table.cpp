@@ -14,7 +14,8 @@ std::optional<std::size_t> TableSchema::column_index(
   return std::nullopt;
 }
 
-Table::Table(TableSchema schema) : schema_(std::move(schema)) {
+Table::Table(TableSchema schema)
+    : schema_(std::move(schema)), indexed_(schema_.columns.size(), false) {
   MPROS_EXPECTS(!schema_.columns.empty());
   MPROS_EXPECTS(schema_.columns[0].type == ValueType::Integer);
   MPROS_EXPECTS(!schema_.columns[0].nullable);
@@ -49,9 +50,8 @@ void Table::check_row(const Row& row) const {
 std::int64_t Table::insert(Row row) {
   check_row(row);
   const std::int64_t key = row[0].as_integer();
-  auto [it, inserted] = rows_.emplace(key, std::move(row));
+  const bool inserted = rows_.emplace(key, std::move(row)).second;
   MPROS_EXPECTS(inserted);
-  index_row(key, it->second);
   next_key_ = std::max(next_key_, key + 1);
   return key;
 }
@@ -76,126 +76,25 @@ bool Table::update(std::int64_t key, const std::string& column, Value v) {
   MPROS_EXPECTS(col.has_value());
   MPROS_EXPECTS(*col != 0);  // primary keys are immutable
 
-  // Validate the candidate BEFORE mutating: the old order unindexed and
-  // overwrote the row first, so a type-mismatched update tripped the
-  // precondition with the table already inconsistent.
   check_cell(*col, v);
-
-  Row& row = it->second;
-  unindex_row(key, row);
-  row[*col] = std::move(v);
-  index_row(key, row);
+  it->second[*col] = std::move(v);
   return true;
 }
 
-bool Table::erase(std::int64_t key) {
-  const auto it = rows_.find(key);
-  if (it == rows_.end()) return false;
-  unindex_row(key, it->second);
-  rows_.erase(it);
-  return true;
-}
-
-std::vector<Row> Table::select(const Predicate& where) const {
-  std::vector<Row> out;
-  for (const auto& [key, row] : rows_) {
-    if (!where || where(row)) out.push_back(row);
-  }
-  return out;
-}
+bool Table::erase(std::int64_t key) { return rows_.erase(key) == 1; }
 
 void Table::create_index(const std::string& column) {
   const auto col = schema_.column_index(column);
   MPROS_EXPECTS(col.has_value());
-  if (indexes_.contains(*col)) return;
-
-  SecondaryIndex index;
-  for (const auto& [key, row] : rows_) {
-    index.emplace(row[*col], key);
-  }
-  indexes_.emplace(*col, std::move(index));
-}
-
-std::vector<std::int64_t> Table::lookup(const std::string& column,
-                                        const Value& v) const {
-  const auto col = schema_.column_index(column);
-  MPROS_EXPECTS(col.has_value());
-  const auto idx = indexes_.find(*col);
-  MPROS_EXPECTS(idx != indexes_.end());
-
-  std::vector<std::int64_t> out;
-  auto [lo, hi] = idx->second.equal_range(v);
-  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-  std::sort(out.begin(), out.end());
-  return out;
+  indexed_[*col] = true;
 }
 
 std::vector<std::string> Table::indexed_columns() const {
-  std::vector<std::size_t> cols;
-  cols.reserve(indexes_.size());
-  for (const auto& [col, index] : indexes_) cols.push_back(col);
-  std::sort(cols.begin(), cols.end());
   std::vector<std::string> out;
-  out.reserve(cols.size());
-  for (const std::size_t col : cols) out.push_back(schema_.columns[col].name);
-  return out;
-}
-
-std::vector<std::string> Table::index_violations() const {
-  std::vector<std::string> out;
-  const auto equivalent = [](const Value& a, const Value& b) {
-    return !a.less(b) && !b.less(a);
-  };
-  for (const auto& [col, index] : indexes_) {
-    const std::string& column = schema_.columns[col].name;
-    if (index.size() != rows_.size()) {
-      out.push_back(schema_.name + "." + column + ": index has " +
-                    std::to_string(index.size()) + " entries for " +
-                    std::to_string(rows_.size()) + " rows");
-    }
-    for (const auto& [value, key] : index) {
-      const Row* row = find(key);
-      if (row == nullptr) {
-        out.push_back(schema_.name + "." + column + ": entry for key " +
-                      std::to_string(key) + " dangles (row erased)");
-      } else if (!equivalent(value, (*row)[col])) {
-        out.push_back(schema_.name + "." + column + ": entry for key " +
-                      std::to_string(key) + " holds stale value " +
-                      value.to_string());
-      }
-    }
-    for (const auto& [key, row] : rows_) {
-      auto [lo, hi] = index.equal_range(row[col]);
-      std::size_t hits = 0;
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second == key) ++hits;
-      }
-      if (hits != 1) {
-        out.push_back(schema_.name + "." + column + ": row " +
-                      std::to_string(key) + " appears " +
-                      std::to_string(hits) + " times in the index");
-      }
-    }
+  for (std::size_t col = 0; col < indexed_.size(); ++col) {
+    if (indexed_[col]) out.push_back(schema_.columns[col].name);
   }
   return out;
-}
-
-void Table::index_row(std::int64_t key, const Row& row) {
-  for (auto& [col, index] : indexes_) {
-    index.emplace(row[col], key);
-  }
-}
-
-void Table::unindex_row(std::int64_t key, const Row& row) {
-  for (auto& [col, index] : indexes_) {
-    auto [lo, hi] = index.equal_range(row[col]);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == key) {
-        index.erase(it);
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace mpros::db

@@ -1,13 +1,14 @@
 #pragma once
-// Table: schema-checked rows with a unique integer primary key and optional
-// secondary indexes.
+// Table: schema-checked rows with a unique integer primary key.
+//
+// A table may declare indexed columns. A declaration is only recorded:
+// it round-trips through the WAL's create-index op and the snapshot's
+// index list, and no read path consults it.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mpros/db/value.hpp"
@@ -31,9 +32,6 @@ struct TableSchema {
 /// One row: values positionally matching the schema's columns.
 using Row = std::vector<Value>;
 
-/// Row filter used by scans.
-using Predicate = std::function<bool(const Row&)>;
-
 class Table {
  public:
   explicit Table(TableSchema schema);
@@ -56,20 +54,13 @@ class Table {
   /// Remove a row; returns false if key is missing.
   bool erase(std::int64_t key);
 
-  /// Full scan in key order; rows matching `where` (or all rows if null).
-  [[nodiscard]] std::vector<Row> select(const Predicate& where = nullptr) const;
-
-  /// Create a secondary index on a column (idempotent).
+  /// Declare an index on a column (idempotent). Nothing is maintained.
   void create_index(const std::string& column);
 
-  /// Indexed equality lookup; requires create_index(column) first.
-  [[nodiscard]] std::vector<std::int64_t> lookup(const std::string& column,
-                                                 const Value& v) const;
-
-  /// Names of indexed columns, in schema order (deterministic).
+  /// Names of declared indexed columns, in schema order (deterministic).
   [[nodiscard]] std::vector<std::string> indexed_columns() const;
 
-  /// Rows in key order (snapshot encoding, consistency checks, dump tools).
+  /// Rows in key order (snapshot encoding, recovery, dump tools).
   [[nodiscard]] const std::map<std::int64_t, Row>& rows() const {
     return rows_;
   }
@@ -87,26 +78,13 @@ class Table {
                                      const Value& v) const;
   [[nodiscard]] bool row_admissible(const Row& row) const;
 
-  /// Index consistency audit: every index entry must point at a live row
-  /// whose cell is equivalent under the index ordering, and every row must
-  /// appear in every index exactly once. Returns human-readable violations
-  /// (empty == consistent).
-  [[nodiscard]] std::vector<std::string> index_violations() const;
-
  private:
-  struct ValueLess {
-    bool operator()(const Value& a, const Value& b) const { return a.less(b); }
-  };
-  using SecondaryIndex = std::multimap<Value, std::int64_t, ValueLess>;
-
   void check_row(const Row& row) const;
   void check_cell(std::size_t column_index, const Value& v) const;
-  void index_row(std::int64_t key, const Row& row);
-  void unindex_row(std::int64_t key, const Row& row);
 
   TableSchema schema_;
   std::map<std::int64_t, Row> rows_;  // key order for stable scans
-  std::unordered_map<std::size_t, SecondaryIndex> indexes_;  // by column idx
+  std::vector<bool> indexed_;         // by column index
   std::int64_t next_key_ = 1;
 };
 

@@ -1,6 +1,5 @@
 #include "mpros/db/value.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 #include "mpros/common/assert.hpp"
@@ -28,42 +27,6 @@ double Value::numeric() const {
   }
   MPROS_EXPECTS(std::holds_alternative<double>(v_));
   return std::get<double>(v_);
-}
-
-bool Value::less(const Value& other) const {
-  const auto rank = [](const Value& v) {
-    switch (v.type()) {
-      case ValueType::Null: return 0;
-      case ValueType::Integer:
-      case ValueType::Real: return 1;
-      case ValueType::Text: return 2;
-    }
-    return 3;
-  };
-  const int ra = rank(*this), rb = rank(other);
-  if (ra != rb) return ra < rb;
-  switch (ra) {
-    case 0: return false;  // nulls equal
-    case 1: {
-      // Two Integers compare exactly: going through double collapses
-      // distinct int64s above 2^53, which made indexed lookups return
-      // rows for the wrong key.
-      if (type() == ValueType::Integer && other.type() == ValueType::Integer) {
-        return as_integer() < other.as_integer();
-      }
-      const double a = numeric();
-      const double b = other.numeric();
-      // NaN sorts below every other numeric (two NaNs are equivalent).
-      // Raw `a < b` is false for every NaN comparison, which breaks the
-      // strict weak ordering std::multimap needs and let unindex_row
-      // miss NaN entries, leaving dangling index references.
-      const bool a_nan = std::isnan(a);
-      const bool b_nan = std::isnan(b);
-      if (a_nan || b_nan) return a_nan && !b_nan;
-      return a < b;
-    }
-    default: return as_text() < other.as_text();
-  }
 }
 
 std::string Value::to_string() const {

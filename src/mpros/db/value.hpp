@@ -43,9 +43,6 @@ class Value {
 
   friend bool operator==(const Value&, const Value&) = default;
 
-  /// Ordering used by indexes: Null < Integer/Real (numeric) < Text.
-  [[nodiscard]] bool less(const Value& other) const;
-
   [[nodiscard]] std::string to_string() const;
 
  private:

@@ -10,6 +10,7 @@
 #include "mpros/common/assert.hpp"
 #include "mpros/common/file.hpp"
 #include "mpros/common/log.hpp"
+#include "mpros/telemetry/metrics.hpp"
 
 namespace mpros::db {
 
@@ -235,9 +236,12 @@ bool WriteAheadLog::write_header() {
 }
 
 void WriteAheadLog::append(const RedoOp& op) {
+  static telemetry::Counter& records =
+      telemetry::Registry::instance().counter("wal.records");
   walfmt::put_op(pending_, op);
   ++pending_ops_;
   ++stats_.records;
+  records.inc();
 }
 
 std::uint64_t WriteAheadLog::seal() {

@@ -91,7 +91,8 @@ class WriteAheadLog {
   [[nodiscard]] bool ok() const { return file_ != nullptr; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// Buffer one op into the open commit batch. No I/O.
+  /// Buffer one op into the open commit batch and count it in the
+  /// `wal.records` registry counter. No I/O.
   void append(const RedoOp& op);
 
   /// Frame the buffered ops as one commit record (still only in memory).

@@ -308,8 +308,7 @@ ObjectModel Persistence::load(const db::Database& db) {
     }
   }
 
-  const db::Table& properties = db.table(kPropertiesTable);
-  for (const db::Row& row : properties.select()) {
+  for (const auto& [row_key, row] : db.table(kPropertiesTable).rows()) {
     const ObjectId object(static_cast<std::uint64_t>(row[1].as_integer()));
     const std::string& key = row[2].as_text();
     if (!row[3].is_null()) {
@@ -323,8 +322,7 @@ ObjectModel Persistence::load(const db::Database& db) {
     }
   }
 
-  const db::Table& relations = db.table(kRelationsTable);
-  for (const db::Row& row : relations.select()) {
+  for (const auto& [key, row] : db.table(kRelationsTable).rows()) {
     const ObjectId from(static_cast<std::uint64_t>(row[1].as_integer()));
     const auto relation = static_cast<Relation>(row[2].as_integer());
     const ObjectId to(static_cast<std::uint64_t>(row[3].as_integer()));

@@ -321,8 +321,6 @@ TEST(CrashRecoveryTest, WalTailCorruptionFallsBackToAnEarlierBarrier) {
     EXPECT_EQ(barrier.micros() % kStep.micros(), 0) << "back=" << back;
     EXPECT_EQ(browser_fingerprint(recovered), oracle.at(barrier))
         << "back=" << back;
-    EXPECT_TRUE(recovered.durable()->db().integrity_violations().empty())
-        << "back=" << back;
   }
 }
 

@@ -668,8 +668,10 @@ TEST(FftBitExactTest, FeatureFrameDigestPinned) {
   // current feature extraction at the DC's default rates and record sizes.
   // The pinned digest was recorded with the std::complex kernel above, on
   // x86-64 with GCC 12 and glibc 2.36. Any change to the FFT's bits moves
-  // it; so does a change to plant synthesis, or a libm or standard library
-  // whose sin or normal_distribution return other bits.
+  // it; so does a change to plant synthesis. The normal and uniform streams
+  // are defined in common/rng.hpp, so no standard library moves it, only a
+  // libm whose sin, or whose log or sqrt in the polar draw, return other
+  // bits.
   constexpr double kVibrationRate = 40960.0;
   constexpr double kCurrentRate = 4096.0;
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -667,8 +667,11 @@ std::uint64_t golden_digest(bool auto_retest, std::uint64_t* retests,
 TEST(GoldenDigestTest, SeededShipOutputPinned) {
   // Pins the operator-visible output of the ingest path, with and without
   // adaptive retests, so a refactor of the PDME cannot drift it silently.
-  // Recorded on x86-64 with GCC 12 and glibc 2.36; a libm whose sin or
-  // normal_distribution return other bits moves it too.
+  // Recorded on x86-64 with GCC 12 and glibc 2.36. The normal and uniform
+  // streams are defined in common/rng.hpp, so only libm moves the plant's
+  // data: a libm whose sin, or whose log or sqrt in the polar draw, return
+  // other bits moves it too. The network's drop and duplicate draws still
+  // go through std::bernoulli_distribution.
   // The render digests cover the machine pages and the MIMOSA export,
   // which read the report history that the summary and ICAS do not.
   std::uint64_t retests = 0;

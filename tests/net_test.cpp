@@ -9,8 +9,8 @@
 #include <set>
 #include <span>
 
+#include "mpros/common/codec.hpp"
 #include "mpros/common/rng.hpp"
-#include "mpros/net/codec.hpp"
 #include "mpros/net/fleet_summary.hpp"
 #include "mpros/net/messages.hpp"
 #include "mpros/net/network.hpp"

@@ -1,7 +1,7 @@
 // mpros_dbtool — inspect and verify a durability directory offline.
 //
 //   mpros_dbtool dump   <dir> [table]   print recovered tables (and rows)
-//   mpros_dbtool verify <dir>           recover read-only, check integrity
+//   mpros_dbtool verify <dir>           recover read-only, report damage
 //   mpros_dbtool log    <dir>           walk the WAL frame by frame
 //
 // Every mode is strictly read-only: dump and verify run the same
@@ -12,14 +12,11 @@
 //
 // Exit status: 0 clean; 1 usage or I/O error (including a db.snapshot or
 // db.wal that exists but cannot be read); 2 verify found damage (a
-// db.snapshot that does not decode, a torn tail, a partial commit, or an
-// index/constraint violation in the recovered store).
+// db.snapshot that does not decode, a torn tail or a partial commit).
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "mpros/db/database.hpp"
 #include "mpros/db/durable.hpp"
@@ -136,11 +133,6 @@ int cmd_verify(const std::string& dir) {
     std::printf("PARTIAL COMMIT: a CRC-valid frame carried an inadmissible "
                 "op; recovered capped at seq %llu\n",
                 static_cast<unsigned long long>(r.wal.last_seq));
-    damaged = true;
-  }
-  const std::vector<std::string> violations = r.db.integrity_violations();
-  for (const std::string& v : violations) {
-    std::printf("INTEGRITY: %s\n", v.c_str());
     damaged = true;
   }
   std::printf("verdict  : %s\n", damaged ? "DAMAGED (recoverable prefix "

@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -145,6 +146,22 @@ void BM_RngNormal(benchmark::State& state) {
   state.SetLabel("draws");
 }
 BENCHMARK(BM_RngNormal);
+
+// The same draws a block of 256 at a time, as the plant takes its noise;
+// items are draws, so the two rows read as ns per normal.
+void BM_RngUnitNormals(benchmark::State& state) {
+  Rng rng(1);
+  std::array<double, 256> z;
+  for (auto _ : state) {
+    rng.unit_normals(z);
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(z.size()));
+  state.SetLabel("draws");
+}
+BENCHMARK(BM_RngUnitNormals);
 
 }  // namespace
 

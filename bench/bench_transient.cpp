@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "mpros/common/rng.hpp"
 #include "mpros/mpros/wnn_training.hpp"
@@ -154,6 +155,8 @@ BENCHMARK(BM_TransientSynthesis);
 
 int main(int argc, char** argv) {
   print_e13_sweep();
+  // `--table` prints the sweep alone: it is seeded, so its stdout is pinned.
+  if (argc == 2 && std::strcmp(argv[1], "--table") == 0) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -15,6 +15,15 @@
 // (Marsaglia's polar method, second variate discarded) give on that
 // engine. integer(), exponential(), bernoulli() and std::shuffle on
 // engine() still go through <random>.
+//
+// unit_normals() fills a span with the values that as many normal(0, 1)
+// calls give before their `· 1 + 0`, from the same engine words, so a
+// caller that writes `z · stddev + mean` gets normal()'s bits and leaves
+// the stream where the calls would have. It draws a block of candidates
+// first, keeping the accepted ones without a branch, then takes the
+// block's logs and square roots in a loop of their own: the polar
+// method's rejection is a branch no predictor learns, and kept out of
+// that loop its misses do not stall the libm calls.
 
 #include <algorithm>
 #include <array>
@@ -22,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 
 namespace mpros {
 
@@ -96,6 +106,27 @@ class Rng {
       return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
     }
   }
+  /// Fill `z` with what `z.size()` calls of normal(0, 1) compute before
+  /// `· 1 + 0`, consuming the same engine words.
+  void unit_normals(std::span<double> z) {
+    std::array<double, kNormalBlock> r2s{};
+    for (std::size_t done = 0; done < z.size();) {
+      const std::size_t want = std::min(kNormalBlock, z.size() - done);
+      double* const ys = z.data() + done;
+      for (std::size_t n = 0; n < want;) {
+        const double x = 2.0 * canonical(engine_()) - 1.0;
+        const double y = 2.0 * canonical(engine_()) - 1.0;
+        const double r2 = x * x + y * y;
+        ys[n] = y;
+        r2s[n] = r2;
+        n += static_cast<std::size_t>((r2 <= 1.0) & (r2 != 0.0));
+      }
+      for (std::size_t k = 0; k < want; ++k) {
+        ys[k] = ys[k] * std::sqrt(-2.0 * std::log(r2s[k]) / r2s[k]);
+      }
+      done += want;
+    }
+  }
   double exponential(double rate) {
     return std::exponential_distribution<double>(rate)(engine_);
   }
@@ -107,6 +138,8 @@ class Rng {
   Mt64& engine() { return engine_; }
 
  private:
+  static constexpr std::size_t kNormalBlock = 256;
+
   Mt64 engine_;
   std::uint64_t seed_;
 };

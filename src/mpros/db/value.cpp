@@ -1,7 +1,5 @@
 #include "mpros/db/value.hpp"
 
-#include <cstdio>
-
 #include "mpros/common/assert.hpp"
 
 namespace mpros::db {
@@ -27,30 +25,6 @@ double Value::numeric() const {
   }
   MPROS_EXPECTS(std::holds_alternative<double>(v_));
   return std::get<double>(v_);
-}
-
-std::string Value::to_string() const {
-  switch (type()) {
-    case ValueType::Null: return "NULL";
-    case ValueType::Integer: return std::to_string(as_integer());
-    case ValueType::Real: {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%g", as_real());
-      return buf;
-    }
-    case ValueType::Text: return as_text();
-  }
-  return "?";
-}
-
-const char* to_string(ValueType t) {
-  switch (t) {
-    case ValueType::Null: return "NULL";
-    case ValueType::Integer: return "INTEGER";
-    case ValueType::Real: return "REAL";
-    case ValueType::Text: return "TEXT";
-  }
-  return "?";
 }
 
 }  // namespace mpros::db

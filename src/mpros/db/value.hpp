@@ -43,12 +43,8 @@ class Value {
 
   friend bool operator==(const Value&, const Value&) = default;
 
-  [[nodiscard]] std::string to_string() const;
-
  private:
   std::variant<std::monostate, std::int64_t, double, std::string> v_;
 };
-
-[[nodiscard]] const char* to_string(ValueType t);
 
 }  // namespace mpros::db

@@ -1,7 +1,9 @@
 #include "mpros/plant/vibration.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "mpros/common/assert.hpp"
 #include "mpros/common/units.hpp"
@@ -54,11 +56,29 @@ struct Tone {
   bool gated;  ///< fault tone, subject to the transient burst envelope
 };
 
+/// Every tone acceleration() can add: five baseline tones, then at most
+/// 1 + 3 + 9 + 3 + 1 + 1 + 1 fault tones.
+constexpr std::size_t kMaxTones = 24;
+
 /// Square burst gate: on for `duty` of each period, deterministic phase.
 double burst_gate(double t, const TransientProfile& p) {
   if (p.duty >= 1.0) return 1.0;
   const double phase = t - std::floor(t / p.period_s) * p.period_s;
   return phase < p.duty * p.period_s ? 1.0 : 0.0;
+}
+
+/// Add `normal(0, sigma(i))` to each `out[i]`, drawn a block at a time:
+/// the same words and the same bits as one normal() call per sample.
+template <class Sigma>
+void add_noise(Rng& rng, std::span<double> out, Sigma sigma) {
+  std::array<double, 256> z{};
+  for (std::size_t i0 = 0; i0 < out.size(); i0 += z.size()) {
+    const std::size_t n = std::min(z.size(), out.size() - i0);
+    rng.unit_normals(std::span(z).first(n));
+    for (std::size_t k = 0; k < n; ++k) {
+      out[i0 + k] += z[k] * sigma(i0 + k) + 0.0;
+    }
+  }
 }
 
 }  // namespace
@@ -87,17 +107,19 @@ void VibrationSynthesizer::acceleration(MachinePoint point,
   };
   const auto att = [&](FailureMode m) { return attenuation(origin_of(m), point); };
 
-  std::vector<Tone> tones;
+  std::array<Tone, kMaxTones> tones{};
+  std::size_t tone_count = 0;
   bool adding_fault_tones = false;  // flipped after the baseline block
   const auto add_tone = [&](double freq, double amp, double phase_salt) {
     if (amp <= 0.0 || freq >= sample_rate_hz / 2.0) return;
+    MPROS_ASSERT(tone_count < tones.size());
     // Deterministic per-tone phase: stable across acquisitions.
     const double phase =
         kTwoPi * (0.0001 * static_cast<double>(
                                splitmix64(static_cast<std::uint64_t>(
                                    freq * 1000.0 + phase_salt)) %
                                10000));
-    tones.push_back(Tone{freq, amp, phase, adding_fault_tones});
+    tones[tone_count++] = Tone{freq, amp, phase, adding_fault_tones};
   };
 
   // Healthy baseline, mildly load-dependent.
@@ -168,29 +190,27 @@ void VibrationSynthesizer::acceleration(MachinePoint point,
                             att(FailureMode::PumpCavitation);
   if (cavitation > 0.0) add_tone(vpf, 0.20 * cavitation, 50);
 
-  // Render tones; fault tones ride the transient burst envelope.
+  // Render tones one at a time over the whole record, in the order they
+  // were added, so each sample sums the same terms in the same order;
+  // fault tones ride the transient burst envelope.
   const double dt = 1.0 / sample_rate_hz;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double t = t0_seconds + static_cast<double>(i) * dt;
-    const double gate = burst_gate(t, transient);
-    double v = 0.0;
-    for (const Tone& tone : tones) {
-      const double g = tone.gated ? gate : 1.0;
+  std::fill(out.begin(), out.end(), 0.0);
+  for (const Tone& tone : std::span(tones).first(tone_count)) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const double t = t0_seconds + static_cast<double>(i) * dt;
+      const double g = tone.gated ? burst_gate(t, transient) : 1.0;
       if (g == 0.0) continue;
-      v += g * tone.amplitude *
-           std::sin(kTwoPi * tone.freq_hz * t + tone.phase);
+      out[i] += g * tone.amplitude *
+                std::sin(kTwoPi * tone.freq_hz * t + tone.phase);
     }
-    out[i] = v;
   }
 
   // Broadband noise: baseline + cavitation contribution (white, so it
   // lands across the band including the 5-12 kHz window the rules watch).
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  add_noise(rng_, out, [&](std::size_t i) {
     const double t = t0_seconds + static_cast<double>(i) * dt;
-    const double noise_sigma =
-        0.02 + 0.13 * cavitation * burst_gate(t, transient);
-    out[i] += rng_.normal(0.0, noise_sigma);
-  }
+    return 0.02 + 0.13 * cavitation * burst_gate(t, transient);
+  });
 
   // Bearing defects: repetitive impacts exciting a structural resonance.
   struct BearingSource {
@@ -278,20 +298,34 @@ void VibrationSynthesizer::motor_current(const Severities& severities,
       2.0 * signature_.slip_hz(load) * signature_.pole_pairs;
 
   // Winding asymmetry adds a small third harmonic. A healthy winding's term
-  // is ±0, and v is never -0.0 (each sideband is a nonzero amplitude times
-  // the sine of a nonzero argument), so skipping it leaves every bit.
+  // is ±0, and a sample is never -0.0 (each sideband is a nonzero amplitude
+  // times the sine of a nonzero argument), so skipping it leaves every bit.
   const double third =
       fundamental * 0.04 * sev(FailureMode::StatorWindingFault);
 
+  // One pass per term, in the order each sample sums them.
   const double dt = 1.0 / sample_rate_hz;
+  const auto time = [&](std::size_t i) {
+    return t0_seconds + static_cast<double>(i) * dt;
+  };
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const double t = t0_seconds + static_cast<double>(i) * dt;
-    double v = fundamental * std::sin(kTwoPi * line * t);
-    v += sideband_amp * std::sin(kTwoPi * (line - pole_pass) * t + 0.7);
-    v += sideband_amp * std::sin(kTwoPi * (line + pole_pass) * t + 1.9);
-    if (third != 0.0) v += third * std::sin(kTwoPi * 3.0 * line * t + 0.3);
-    out[i] = v + rng_.normal(0.0, fundamental * 0.002);
+    out[i] = fundamental * std::sin(kTwoPi * line * time(i));
   }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] += sideband_amp *
+              std::sin(kTwoPi * (line - pole_pass) * time(i) + 0.7);
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] += sideband_amp *
+              std::sin(kTwoPi * (line + pole_pass) * time(i) + 1.9);
+  }
+  if (third != 0.0) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] += third * std::sin(kTwoPi * 3.0 * line * time(i) + 0.3);
+    }
+  }
+  const double noise_sigma = fundamental * 0.002;
+  add_noise(rng_, out, [&](std::size_t) { return noise_sigma; });
 }
 
 }  // namespace mpros::plant

@@ -21,10 +21,17 @@
 //
 // Sensor-point attenuation: each fault originates at a machine point; other
 // points see it attenuated, like a real machinery train.
+//
+// A record is rendered one term at a time: each tone (or current term) is
+// added over the whole record in a fixed order, so every sample sums the
+// same terms in the same order as a per-sample loop would, and libm's sin
+// sees one steady argument pattern at a time. The noise pass then draws
+// the record's normals a block at a time (Rng::unit_normals), the same
+// words and bits as one normal() per sample, and the bearing impacts come
+// last with their timing jitter.
 
 #include <array>
 #include <span>
-#include <vector>
 
 #include "mpros/common/rng.hpp"
 #include "mpros/domain/equipment.hpp"

@@ -200,6 +200,24 @@ TEST(RngTest, StreamsArePinnedAtSeedOne) {
   }
 }
 
+TEST(RngTest, UnitNormalsMatchSequentialDraws) {
+  // Block draws are normal(0, 1) call for call: the same bits across block
+  // edges, and the engine left at the same word.
+  for (const std::uint64_t seed : {0ULL, 1ULL, ~0ULL}) {
+    for (const std::size_t size : {0, 1, 255, 256, 257, 32768}) {
+      Rng block(seed), single(seed);
+      std::vector<double> z(size);
+      block.unit_normals(z);
+      for (std::size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(bits_of(z[i]), bits_of(single.normal(0.0, 1.0)))
+            << "seed " << seed << " size " << size << " draw " << i;
+      }
+      EXPECT_EQ(block.engine()(), single.engine()())
+          << "seed " << seed << " size " << size;
+    }
+  }
+}
+
 TEST(RngTest, CanonicalClampsBelowOne) {
   // Words within 2^10 of 2^64 round up to 1.0; the standard clamps them.
   EXPECT_EQ(canonical(~std::uint64_t{0}), std::nextafter(1.0, 0.0));

@@ -27,12 +27,6 @@ TEST(ValueTest, TypesAndAccessors) {
   EXPECT_DOUBLE_EQ(Value(std::int64_t{3}).numeric(), 3.0);
 }
 
-TEST(ValueTest, ToStringRendering) {
-  EXPECT_EQ(Value().to_string(), "NULL");
-  EXPECT_EQ(Value(std::int64_t{42}).to_string(), "42");
-  EXPECT_EQ(Value("x").to_string(), "x");
-}
-
 TEST(TableTest, InsertFindErase) {
   Table t(people_schema());
   t.insert({Value(std::int64_t{1}), Value("alice"), Value(std::int64_t{30}),

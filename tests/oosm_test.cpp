@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -211,6 +212,22 @@ std::vector<std::uint8_t> model_fingerprint(ObjectModel& m) {
   return db::encode_snapshot(db, 0);
 }
 
+/// A property value as its type name and its value, reals in `%g`.
+std::string value_text(const db::Value& v) {
+  switch (v.type()) {
+    case db::ValueType::Null: return "NULL NULL";
+    case db::ValueType::Integer:
+      return "INTEGER " + std::to_string(v.as_integer());
+    case db::ValueType::Real: {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%g", v.as_real());
+      return std::string("REAL ") + buf;
+    }
+    case db::ValueType::Text: return "TEXT " + v.as_text();
+  }
+  return "?";
+}
+
 /// The model as its read API shows it, with no persistence code involved:
 /// every live object's name, kind, typed properties and outgoing edges, then
 /// the reset watermarks. model_fingerprint() cannot see what a journal
@@ -221,8 +238,7 @@ std::string model_text(const ObjectModel& m) {
     out += std::to_string(id.value()) + " " + m.name(id) + " " +
            std::to_string(static_cast<int>(m.kind(id))) + "\n";
     for (const auto& [key, value] : m.properties(id)) {
-      out += "  " + std::string(key) + " " + db::to_string(value.type()) +
-             " " + value.to_string() + "\n";
+      out += "  " + std::string(key) + " " + value_text(value) + "\n";
     }
     for (std::size_t r = 0; r < kRelationCount; ++r) {
       for (const ObjectId to : m.related(id, static_cast<Relation>(r))) {

@@ -45,6 +45,21 @@ net::FailureReport make_report(ObjectId machine, FailureMode mode,
   return r;
 }
 
+/// A property value as text, reals in `%g`.
+std::string value_text(const db::Value& v) {
+  switch (v.type()) {
+    case db::ValueType::Null: return "NULL";
+    case db::ValueType::Integer: return std::to_string(v.as_integer());
+    case db::ValueType::Real: {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%g", v.as_real());
+      return buf;
+    }
+    case db::ValueType::Text: return v.as_text();
+  }
+  return "?";
+}
+
 class PdmeTest : public ::testing::Test {
  protected:
   PdmeTest() : ship_(oosm::build_ship(model_, "Test", 1, 1)), pdme_(model_) {
@@ -119,7 +134,7 @@ TEST_F(PdmeTest, SensorDataForALoggedReportIsDropped) {
   const auto properties_text = [&] {
     std::string out;
     for (const auto& [key, value] : model_.properties(*report)) {
-      out += std::string(key) + "=" + value.to_string() + "\n";
+      out += std::string(key) + "=" + value_text(value) + "\n";
     }
     return out;
   };

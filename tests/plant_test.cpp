@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "mpros/common/assert.hpp"
 #include "mpros/common/rng.hpp"
 #include "mpros/common/units.hpp"
 #include "mpros/dsp/spectrum.hpp"
@@ -253,6 +254,274 @@ TEST(VibrationTest, MotorCurrentMatchesReferenceBitForBit) {
                               got.size() * sizeof(double)),
                   0)
             << "seed " << seed << " stator " << stator << " t0 " << t0;
+      }
+    }
+  }
+}
+
+// acceleration() as it was when it rendered sample by sample, with its
+// helpers, verbatim but for the synthesizer's members, which come in as
+// arguments.
+namespace sample_major {
+
+/// Transmission factor from a fault's origin point to the sensing point.
+double attenuation(MachinePoint origin, MachinePoint sensor) {
+  const int d = std::abs(static_cast<int>(origin) - static_cast<int>(sensor));
+  switch (d) {
+    case 0: return 1.0;
+    case 1: return 0.35;
+    default: return 0.12;
+  }
+}
+
+MachinePoint origin_of(FailureMode m) {
+  switch (m) {
+    case FailureMode::MotorImbalance:
+    case FailureMode::RotorBarDefect:
+    case FailureMode::StatorWindingFault:
+    case FailureMode::MotorBearingWear:
+    case FailureMode::ShaftMisalignment:  // coupling on the motor output end
+      return MachinePoint::Motor;
+    case FailureMode::GearMeshWear:
+      return MachinePoint::Gearbox;
+    default:
+      return MachinePoint::Compressor;
+  }
+}
+
+/// One additive tone.
+struct Tone {
+  double freq_hz;
+  double amplitude;
+  double phase;
+  bool gated;  ///< fault tone, subject to the transient burst envelope
+};
+
+/// Square burst gate: on for `duty` of each period, deterministic phase.
+double burst_gate(double t, const TransientProfile& p) {
+  if (p.duty >= 1.0) return 1.0;
+  const double phase = t - std::floor(t / p.period_s) * p.period_s;
+  return phase < p.duty * p.period_s ? 1.0 : 0.0;
+}
+
+void acceleration(const domain::MachineSignature& signature_, Rng& rng_,
+                  MachinePoint point, const Severities& severities,
+                  double load_fraction, double t0_seconds,
+                  double sample_rate_hz, std::span<double> out,
+                  const TransientProfile& transient) {
+  MPROS_EXPECTS(sample_rate_hz > 0.0 && !out.empty());
+  MPROS_EXPECTS(transient.duty > 0.0 && transient.duty <= 1.0);
+  MPROS_EXPECTS(transient.period_s > 0.0);
+  const double shaft = signature_.shaft_hz;
+  const double hss = signature_.high_speed_shaft_hz();
+  const double gmf = signature_.gear_mesh_hz();
+  const double vpf = signature_.vane_pass_hz();
+  const double line = signature_.line_hz;
+  const auto sev = [&](FailureMode m) {
+    return severities[static_cast<std::size_t>(m)];
+  };
+  const auto att = [&](FailureMode m) { return attenuation(origin_of(m), point); };
+
+  std::vector<Tone> tones;
+  bool adding_fault_tones = false;  // flipped after the baseline block
+  const auto add_tone = [&](double freq, double amp, double phase_salt) {
+    if (amp <= 0.0 || freq >= sample_rate_hz / 2.0) return;
+    // Deterministic per-tone phase: stable across acquisitions.
+    const double phase =
+        kTwoPi * (0.0001 * static_cast<double>(
+                               splitmix64(static_cast<std::uint64_t>(
+                                   freq * 1000.0 + phase_salt)) %
+                               10000));
+    tones.push_back(Tone{freq, amp, phase, adding_fault_tones});
+  };
+
+  // Healthy baseline, mildly load-dependent.
+  const double load = std::clamp(load_fraction, 0.0, 1.2);
+  add_tone(shaft, 0.05 * (0.6 + 0.4 * load), 1);
+  add_tone(2.0 * shaft, 0.02, 2);
+  add_tone(gmf, 0.03 * (0.5 + 0.5 * load), 3);
+  add_tone(vpf, 0.02 * load, 4);
+  add_tone(hss, 0.015, 5);
+  adding_fault_tones = true;  // everything below is a fault signature
+
+  // Imbalance: 1x grows with severity and with the square of speed (fixed
+  // speed here, so linear in severity).
+  if (const double s = sev(FailureMode::MotorImbalance) *
+                       att(FailureMode::MotorImbalance);
+      s > 0.0) {
+    add_tone(shaft, 0.45 * s, 10);
+  }
+
+  // Misalignment: strong 2x, some 3x, slight axial 1x rise.
+  if (const double s = sev(FailureMode::ShaftMisalignment) *
+                       att(FailureMode::ShaftMisalignment);
+      s > 0.0) {
+    add_tone(2.0 * shaft, 0.32 * s, 11);
+    add_tone(3.0 * shaft, 0.14 * s, 12);
+    add_tone(shaft, 0.05 * s, 13);
+  }
+
+  // Looseness: half-order family plus a raised harmonic series; only
+  // rattles under load (the rule gate exploits this).
+  if (const double s = sev(FailureMode::BearingHousingLooseness) *
+                       att(FailureMode::BearingHousingLooseness) *
+                       std::clamp(load / 0.5, 0.0, 1.0);
+      s > 0.0) {
+    for (const double k : {0.5, 1.5, 2.5}) add_tone(k * shaft, 0.16 * s, 20);
+    for (int k = 1; k <= 6; ++k) {
+      add_tone(k * shaft, 0.10 * s / static_cast<double>(k), 21);
+    }
+  }
+
+  // Gear wear: mesh tone + sidebands at +/- input shaft speed.
+  if (const double s =
+          sev(FailureMode::GearMeshWear) * att(FailureMode::GearMeshWear);
+      s > 0.0) {
+    add_tone(gmf, 0.30 * s, 30);
+    add_tone(gmf - shaft, 0.14 * s, 31);
+    add_tone(gmf + shaft, 0.14 * s, 32);
+  }
+
+  // Stator winding fault: 2x line-frequency magnetic vibration.
+  if (const double s = sev(FailureMode::StatorWindingFault) *
+                       att(FailureMode::StatorWindingFault);
+      s > 0.0) {
+    add_tone(2.0 * line, 0.25 * s, 40);
+  }
+
+  // Rotor bar: slight 1x modulation in vibration (the main signature is in
+  // the current spectrum).
+  if (const double s =
+          sev(FailureMode::RotorBarDefect) * att(FailureMode::RotorBarDefect);
+      s > 0.0) {
+    add_tone(shaft, 0.12 * s, 45);
+  }
+
+  // Cavitation: strong vane pass plus broadband high-frequency noise
+  // (handled in the noise pass below).
+  const double cavitation = sev(FailureMode::PumpCavitation) *
+                            att(FailureMode::PumpCavitation);
+  if (cavitation > 0.0) add_tone(vpf, 0.20 * cavitation, 50);
+
+  // Render tones; fault tones ride the transient burst envelope.
+  const double dt = 1.0 / sample_rate_hz;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double t = t0_seconds + static_cast<double>(i) * dt;
+    const double gate = burst_gate(t, transient);
+    double v = 0.0;
+    for (const Tone& tone : tones) {
+      const double g = tone.gated ? gate : 1.0;
+      if (g == 0.0) continue;
+      v += g * tone.amplitude *
+           std::sin(kTwoPi * tone.freq_hz * t + tone.phase);
+    }
+    out[i] = v;
+  }
+
+  // Broadband noise: baseline + cavitation contribution (white, so it
+  // lands across the band including the 5-12 kHz window the rules watch).
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double t = t0_seconds + static_cast<double>(i) * dt;
+    const double noise_sigma =
+        0.02 + 0.13 * cavitation * burst_gate(t, transient);
+    out[i] += rng_.normal(0.0, noise_sigma);
+  }
+
+  // Bearing defects: repetitive impacts exciting a structural resonance.
+  struct BearingSource {
+    FailureMode mode;
+    double order;
+  };
+  const BearingSource bearings[] = {
+      {FailureMode::MotorBearingWear, signature_.bearing.bpfo},
+      {FailureMode::CompressorBearingWear, signature_.hss_bearing.bsf},
+  };
+  const double resonance_hz = std::min(4200.0, sample_rate_hz * 0.4);
+  for (const BearingSource& b : bearings) {
+    const double s = sev(b.mode) * att(b.mode);
+    if (s <= 0.0) continue;
+    // Inner-race-style second tone for the motor bearing as wear spreads.
+    const double rates[] = {b.order * (b.mode == FailureMode::MotorBearingWear
+                                           ? signature_.shaft_hz
+                                           : signature_.high_speed_shaft_hz()),
+                            b.mode == FailureMode::MotorBearingWear
+                                ? signature_.bearing.bpfi * signature_.shaft_hz
+                                : signature_.hss_bearing.ftf *
+                                      signature_.high_speed_shaft_hz()};
+    const double weights[] = {1.0, 0.55};
+    for (int r = 0; r < 2; ++r) {
+      const double rate_hz = rates[r];
+      if (rate_hz <= 0.0) continue;
+      const double period_s = 1.0 / rate_hz;
+      const double impact_amp = 0.9 * s * weights[r];
+      // Ring-down time constant ~ 1.2 ms.
+      const double tau = 1.2e-3;
+      const double t_end =
+          t0_seconds + static_cast<double>(out.size()) * dt;
+      double impact_t = std::floor(t0_seconds / period_s) * period_s;
+      for (; impact_t < t_end; impact_t += period_s) {
+        // +/-2% timing jitter, characteristic of rolling-element slippage.
+        const double jitter = rng_.uniform(-0.02, 0.02) * period_s;
+        const double center = impact_t + jitter;
+        if (burst_gate(center, transient) == 0.0) continue;  // off-phase
+        const auto first =
+            static_cast<std::ptrdiff_t>((center - t0_seconds) * sample_rate_hz);
+        const auto last = first + static_cast<std::ptrdiff_t>(
+                                      6.0 * tau * sample_rate_hz);
+        for (std::ptrdiff_t i = std::max<std::ptrdiff_t>(first, 0);
+             i < std::min<std::ptrdiff_t>(
+                     last, static_cast<std::ptrdiff_t>(out.size()));
+             ++i) {
+          const double t = t0_seconds + static_cast<double>(i) * dt - center;
+          if (t < 0.0) continue;
+          out[static_cast<std::size_t>(i)] +=
+              impact_amp * std::exp(-t / tau) *
+              std::sin(kTwoPi * resonance_hz * t);
+        }
+      }
+    }
+  }
+}
+
+}  // namespace sample_major
+
+TEST(VibrationTest, AccelerationMatchesReferenceBitForBit) {
+  // Tone-major rendering and block noise draws must leave every sample's
+  // bits and the noise stream as they were: each fault mode alone at each
+  // point, all of them at once (every tone slot), steady and burst-gated,
+  // across two acquisitions on one synthesizer.
+  const auto sig = domain::navy_chiller_signature();
+  std::vector<Severities> cases;
+  for (const FailureMode m : domain::all_failure_modes()) {
+    Severities s{};
+    s[static_cast<std::size_t>(m)] = 0.7;
+    cases.push_back(s);
+  }
+  Severities all{};
+  all.fill(1.0);
+  cases.push_back(all);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (std::size_t p = 0; p < kMachinePointCount; ++p) {
+      const auto point = static_cast<MachinePoint>(p);
+      for (const double duty : {1.0, 0.25}) {
+        const TransientProfile transient{duty, 0.05};
+        const std::uint64_t seed = 100 + c;
+        VibrationSynthesizer synth(sig, seed);
+        Rng rng(seed);
+        // A DC window, then a record that ends mid noise block.
+        double t0 = 3.0;
+        for (const std::size_t size : {kWindow, std::size_t{1000}}) {
+          std::vector<double> got(size), want(size);
+          synth.acceleration(point, cases[c], 0.9, t0, kRate, got, transient);
+          sample_major::acceleration(sig, rng, point, cases[c], 0.9, t0,
+                                     kRate, want, transient);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << "case " << c << " point " << p << " duty " << duty
+              << " t0 " << t0;
+          t0 += static_cast<double>(size) / kRate;
+        }
       }
     }
   }

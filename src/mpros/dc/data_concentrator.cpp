@@ -5,6 +5,7 @@
 
 #include "mpros/common/assert.hpp"
 #include "mpros/common/log.hpp"
+#include "mpros/dsp/scratch.hpp"
 #include "mpros/sbfr/library.hpp"
 #include "mpros/telemetry/metrics.hpp"
 
@@ -125,8 +126,6 @@ DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
       reliable_(cfg.id, cfg.reliable) {
   MPROS_EXPECTS(cfg_.window >= 256);
   MPROS_EXPECTS(cfg_.heartbeat_period.micros() > 0);
-  vib_buffer_.resize(cfg_.window);
-  current_buffer_.resize(cfg_.current_window);
   setup_database();
   setup_sbfr();
   register_tasks(start_at);
@@ -668,38 +667,47 @@ void DataConcentrator::run_vibration_test(SimTime now) {
   const plant::ProcessSnapshot process = chiller_.process_snapshot();
   const double load = chiller_.load();
 
+  // The records live in the thread's sample arena: a DC holds no samples
+  // between tests, and the DCs stepped on one thread share one set.
+  using Lane = dsp::DspScratch::Real;
+  dsp::DspScratch& scratch = dsp::DspScratch::local();
+  const std::span<double> current =
+      scratch.real_lane(Lane::kCurrentRecord, cfg_.current_window);
+  const std::span<double> vibration =
+      scratch.real_lane(Lane::kVibrationRecord, cfg_.window);
+
   // Current signature analysis shares the test (§6.1 pairs spectral
   // features with process parameters).
-  chiller_.acquire_current(cfg_.current_sample_rate_hz, current_buffer_);
-  stats_.samples_processed += current_buffer_.size();
-  metrics.samples_processed.inc(current_buffer_.size());
+  chiller_.acquire_current(cfg_.current_sample_rate_hz, current);
+  stats_.samples_processed += current.size();
+  metrics.samples_processed.inc(current.size());
   const bool current_ok =
-      validate_window(now, plant::kCurrentChannel, current_buffer_);
+      validate_window(now, plant::kCurrentChannel, current);
 
   for (const plant::MachinePoint point :
        {plant::MachinePoint::Motor, plant::MachinePoint::Gearbox,
         plant::MachinePoint::Compressor}) {
-    chiller_.acquire_vibration(point, cfg_.sample_rate_hz, vib_buffer_);
-    stats_.samples_processed += vib_buffer_.size();
-    metrics.samples_processed.inc(vib_buffer_.size());
+    chiller_.acquire_vibration(point, cfg_.sample_rate_hz, vibration);
+    stats_.samples_processed += vibration.size();
+    metrics.samples_processed.inc(vibration.size());
 
     // Quarantined accelerometer: withhold the window; the analyzers for
     // this point sit out the test instead of diagnosing a lying sensor. A
     // healthy current record still reaches the motor point's rules, and
     // the modes it owns are reported.
     const bool vibration_ok =
-        validate_window(now, plant::vibration_channel(point), vib_buffer_);
+        validate_window(now, plant::vibration_channel(point), vibration);
     const bool with_current =
         point == plant::MachinePoint::Motor && current_ok;
     if (!cfg_.enable_dli || (!vibration_ok && !with_current)) continue;
 
     rules::FeatureFrame frame;
     if (vibration_ok) {
-      extractor_.extract_vibration(vib_buffer_, cfg_.sample_rate_hz, frame);
+      extractor_.extract_vibration(vibration, cfg_.sample_rate_hz, frame);
     }
     if (with_current) {
-      extractor_.extract_current(current_buffer_,
-                                 cfg_.current_sample_rate_hz, load, frame);
+      extractor_.extract_current(current, cfg_.current_sample_rate_hz, load,
+                                 frame);
     }
     for (const auto& [key, value] : process) {
       if (cfg_.enable_sensor_validation && validator_.quarantined(key)) {
@@ -729,7 +737,7 @@ void DataConcentrator::run_vibration_test(SimTime now) {
       }
 
       for (const rules::Diagnosis& d :
-           wnn_->diagnose(vib_buffer_, cfg_.sample_rate_hz, ctx, beliefs_,
+           wnn_->diagnose(vibration, cfg_.sample_rate_hz, ctx, beliefs_,
                           cfg_.wnn_report_threshold)) {
         if (!point_owns(point, d.mode)) continue;
         emit(now, kWaveletNeuralNet, sensed_object_for(d.mode), d);

@@ -305,8 +305,6 @@ class DataConcentrator {
   std::vector<net::FailureReport> outbox_;
   std::vector<net::SensorDataMessage> sensor_outbox_;
   std::vector<WireDatagram> wire_outbox_;
-  std::vector<double> vib_buffer_;
-  std::vector<double> current_buffer_;
   Stats stats_;
 };
 

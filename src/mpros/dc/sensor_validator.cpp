@@ -29,12 +29,11 @@ struct ValidatorMetrics {
 };
 
 /// The median and the MAD each need one buffer as long as the window. The
-/// screens borrow the calling thread's DSP real lane 0: no dsp:: routine
-/// uses the real lanes (spectra window their samples as the FFT packs
-/// them), so it grows once, to the current record, and no dsp:: routine
-/// runs while the screens hold it.
+/// screens borrow the calling thread's FFT workspace: no transform runs
+/// while they hold it, and the current record's spectrum grows it to the
+/// current record's length anyway, so the screens add nothing to the arena.
 std::span<double> screen_buffer(std::size_t n) {
-  return dsp::DspScratch::local().real_lane(0, n);
+  return dsp::DspScratch::local().fft_workspace_as_reals(n);
 }
 
 /// Robust scatter of value(0..n-1) about their median: 1.4826 * MAD ~ sigma

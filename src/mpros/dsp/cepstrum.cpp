@@ -11,17 +11,16 @@ namespace mpros::dsp {
 
 std::vector<double> real_cepstrum(std::span<const double> x,
                                   std::size_t fft_size) {
-  std::vector<double> out;
-  real_cepstrum(x, fft_size, out);
+  std::vector<double> out(
+      fft_size != 0 ? fft_size
+                    : next_power_of_two(std::max<std::size_t>(x.size(), 4)));
+  real_cepstrum(x, out);
   return out;
 }
 
-void real_cepstrum(std::span<const double> x, std::size_t fft_size,
-                   std::vector<double>& out) {
+void real_cepstrum(std::span<const double> x, std::span<double> out) {
   MPROS_EXPECTS(x.size() >= 2);
-  const std::size_t n =
-      fft_size != 0 ? fft_size
-                    : next_power_of_two(std::max<std::size_t>(x.size(), 4));
+  const std::size_t n = out.size();
   MPROS_EXPECTS(is_power_of_two(n) && n >= 4 && n >= x.size());
 
   DspScratch& scratch = DspScratch::local();
@@ -38,7 +37,6 @@ void real_cepstrum(std::span<const double> x, std::size_t fft_size,
   for (std::size_t i = 0; i < plan.bins(); ++i) {
     half[i] = Complex(std::log(std::abs(half[i]) + kEps), 0.0);
   }
-  out.resize(n);
   plan.inverse(half, out, fft_scratch);
 }
 

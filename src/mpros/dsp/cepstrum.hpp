@@ -16,9 +16,9 @@ namespace mpros::dsp {
 [[nodiscard]] std::vector<double> real_cepstrum(std::span<const double> x,
                                                 std::size_t fft_size = 0);
 
-/// Allocation-free variant: writes into `out`, reusing its capacity.
-void real_cepstrum(std::span<const double> x, std::size_t fft_size,
-                   std::vector<double>& out);
+/// Allocation-free variant: the FFT size is out.size(), a power of two
+/// >= max(x.size(), 4).
+void real_cepstrum(std::span<const double> x, std::span<double> out);
 
 /// Quefrency (seconds) of the strongest cepstral peak in
 /// [min_quefrency_s, max_quefrency_s]; 0 if the range is empty.

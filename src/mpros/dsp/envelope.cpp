@@ -17,7 +17,8 @@ namespace {
 /// negative half is implicitly zeroed — exactly the analytic conversion.
 template <typename Keep>
 void analytic_envelope(std::span<const double> x, double sample_rate_hz,
-                       const Keep& keep, std::vector<double>& out) {
+                       const Keep& keep, std::span<double> out) {
+  MPROS_EXPECTS(out.size() == x.size());
   const std::size_t n = next_power_of_two(std::max<std::size_t>(x.size(), 4));
   const double bin_hz = sample_rate_hz / static_cast<double>(n);
 
@@ -47,7 +48,6 @@ void analytic_envelope(std::span<const double> x, double sample_rate_hz,
 
   plan.inverse_permuted(spec);
 
-  out.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     out[i] = std::abs(spec[i]);
   }
@@ -56,28 +56,23 @@ void analytic_envelope(std::span<const double> x, double sample_rate_hz,
 }  // namespace
 
 std::vector<double> envelope(std::span<const double> x) {
-  std::vector<double> out;
-  envelope(x, out);
-  return out;
-}
-
-void envelope(std::span<const double> x, std::vector<double>& out) {
   MPROS_EXPECTS(x.size() >= 4);
+  std::vector<double> out(x.size());
   analytic_envelope(
       x, 1.0, [](std::size_t, double) { return true; }, out);
+  return out;
 }
 
 std::vector<double> envelope_bandpassed(std::span<const double> x,
                                         double sample_rate_hz, double lo_hz,
                                         double hi_hz) {
-  std::vector<double> out;
+  std::vector<double> out(x.size());
   envelope_bandpassed(x, sample_rate_hz, lo_hz, hi_hz, out);
   return out;
 }
 
 void envelope_bandpassed(std::span<const double> x, double sample_rate_hz,
-                         double lo_hz, double hi_hz,
-                         std::vector<double>& out) {
+                         double lo_hz, double hi_hz, std::span<double> out) {
   MPROS_EXPECTS(x.size() >= 4);
   MPROS_EXPECTS(sample_rate_hz > 0.0 && lo_hz >= 0.0 && hi_hz > lo_hz);
 

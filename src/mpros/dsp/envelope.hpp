@@ -16,19 +16,15 @@ namespace mpros::dsp {
 /// two; the pad is discarded).
 [[nodiscard]] std::vector<double> envelope(std::span<const double> x);
 
-/// Allocation-free variant: writes the envelope into `out`, reusing its
-/// capacity (steady-state zero-allocation on the acquisition loop).
-void envelope(std::span<const double> x, std::vector<double>& out);
-
 /// Envelope after an FFT-domain band-pass in [lo_hz, hi_hz]; this is the
 /// classic "high-frequency resonance technique" front end.
 [[nodiscard]] std::vector<double> envelope_bandpassed(
     std::span<const double> x, double sample_rate_hz, double lo_hz,
     double hi_hz);
 
-/// Allocation-free variant of envelope_bandpassed.
+/// Allocation-free variant of envelope_bandpassed; `out` holds x.size()
+/// entries.
 void envelope_bandpassed(std::span<const double> x, double sample_rate_hz,
-                         double lo_hz, double hi_hz,
-                         std::vector<double>& out);
+                         double lo_hz, double hi_hz, std::span<double> out);
 
 }  // namespace mpros::dsp

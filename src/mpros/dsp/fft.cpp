@@ -393,6 +393,11 @@ void FftPlan::inverse_permuted(std::span<Complex> x) const {
   run(x, true);
 }
 
+std::size_t FftPlan::footprint_bytes() const {
+  return rev_.capacity() * sizeof(std::uint32_t) +
+         twiddle_.capacity() * sizeof(double);
+}
+
 RealFftPlan::RealFftPlan(std::size_t n, const detail::FftKernel& kernel)
     : n_(n), kernel_(&kernel), half_plan_(n / 2, kernel) {
   MPROS_EXPECTS(is_power_of_two(n) && n >= 4);
@@ -402,6 +407,11 @@ RealFftPlan::RealFftPlan(std::size_t n, const detail::FftKernel& kernel)
                          static_cast<double>(n);
     split_twiddle_[k] = Complex(std::cos(angle), std::sin(angle));
   }
+}
+
+std::size_t RealFftPlan::footprint_bytes() const {
+  return half_plan_.footprint_bytes() +
+         split_twiddle_.capacity() * sizeof(Complex);
 }
 
 void RealFftPlan::forward(std::span<const double> x, std::span<Complex> half,

@@ -123,6 +123,9 @@ class FftPlan {
   void forward_permuted(std::span<Complex> x) const;
   void inverse_permuted(std::span<Complex> x) const;
 
+  /// Bytes of the permutation and twiddle tables.
+  [[nodiscard]] std::size_t footprint_bytes() const;
+
  private:
   void permute(std::span<Complex> x) const;
   void run(std::span<Complex> x, bool inverse) const;
@@ -165,6 +168,9 @@ class RealFftPlan {
   /// to n real samples. `x` must hold >= n entries.
   void inverse(std::span<const Complex> half, std::span<double> x,
                std::span<Complex> scratch) const;
+
+  /// Bytes of the half-size plan's tables and the split twiddles.
+  [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
   std::size_t n_;

@@ -67,12 +67,27 @@ PlanCache& PlanCache::instance() {
 
 const FftPlan& PlanCache::complex_plan(std::size_t n) {
   return lookup_or_build(mu_, complex_, n, plan_hits(), plan_misses(),
-                         [n] { return std::make_unique<FftPlan>(n); });
+                         [this, n] {
+                           auto plan = std::make_unique<FftPlan>(n);
+                           count_bytes(plan->footprint_bytes());
+                           return plan;
+                         });
 }
 
 const RealFftPlan& PlanCache::real_plan(std::size_t n) {
   return lookup_or_build(mu_, real_, n, plan_hits(), plan_misses(),
-                         [n] { return std::make_unique<RealFftPlan>(n); });
+                         [this, n] {
+                           auto plan = std::make_unique<RealFftPlan>(n);
+                           count_bytes(plan->footprint_bytes());
+                           return plan;
+                         });
+}
+
+void PlanCache::count_bytes(std::size_t bytes) {
+  static telemetry::Gauge& gauge =
+      telemetry::Registry::instance().gauge("dsp.plan_cache_bytes");
+  bytes_ += bytes;
+  gauge.set(static_cast<double>(bytes_));
 }
 
 std::size_t PlanCache::size() const {

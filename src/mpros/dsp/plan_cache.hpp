@@ -10,7 +10,8 @@
 // shared-lock map probe. Hits and misses are counted through the telemetry
 // registry ("dsp.plan_cache_hit" / "dsp.plan_cache_miss" and the window
 // equivalents); because entries are never evicted, the miss count equals
-// the number of plans built.
+// the number of plans built. The "dsp.plan_cache_bytes" gauge holds the
+// bytes the plans keep.
 
 #include <cstddef>
 #include <map>
@@ -48,9 +49,13 @@ class PlanCache {
   [[nodiscard]] std::size_t size() const;
 
  private:
+  /// Adds a new plan's bytes to the gauge; called under the exclusive lock.
+  void count_bytes(std::size_t bytes);
+
   mutable std::shared_mutex mu_;
   std::map<std::size_t, std::unique_ptr<FftPlan>> complex_;
   std::map<std::size_t, std::unique_ptr<RealFftPlan>> real_;
+  std::size_t bytes_ = 0;
 };
 
 /// Thread-safe cache of window tapers keyed by (kind, length).

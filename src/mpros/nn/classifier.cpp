@@ -6,6 +6,8 @@
 #include "mpros/common/assert.hpp"
 #include "mpros/dsp/cepstrum.hpp"
 #include "mpros/dsp/dct.hpp"
+#include "mpros/dsp/fft.hpp"
+#include "mpros/dsp/scratch.hpp"
 #include "mpros/dsp/spectrum.hpp"
 #include "mpros/dsp/stats.hpp"
 #include "mpros/wavelet/features.hpp"
@@ -51,15 +53,15 @@ std::vector<double> WnnClassifier::features(std::span<const double> waveform,
   f.push_back(dsp::crest_factor(waveform));
   f.push_back(m.kurtosis);
 
-  // Per-thread reusable DSP outputs (training sweeps thousands of windows
-  // through here; the cached zero-allocation path keeps that loop off the
-  // allocator).
-  static thread_local std::vector<double> ceps;
-  static thread_local dsp::Spectrum spec;
-  static thread_local std::vector<double> log_spec;
+  // The cepstrum, and then the log spectrum, live in the thread's sample
+  // arena (training sweeps thousands of windows through here; one reused
+  // lane keeps that loop off the allocator).
+  const std::span<double> ceps = dsp::DspScratch::local().real_lane(
+      dsp::DspScratch::Real::kWnnSpectrum,
+      dsp::next_power_of_two(std::max<std::size_t>(waveform.size(), 4)));
 
   // Cepstrum: dominant quefrency in the 2..200 ms band and its strength.
-  dsp::real_cepstrum(waveform, 0, ceps);
+  dsp::real_cepstrum(waveform, ceps);
   const double q = dsp::dominant_quefrency(ceps, sample_rate_hz, 0.002, 0.2);
   f.push_back(q * 1000.0);  // ms
   double q_strength = 0.0;
@@ -70,24 +72,23 @@ std::vector<double> WnnClassifier::features(std::span<const double> waveform,
   f.push_back(q_strength);
 
   // DCT coefficients of the log amplitude spectrum (spectral shape).
-  dsp::amplitude_spectrum(waveform, sample_rate_hz, {}, spec);
-  log_spec.resize(spec.amplitude.size());
+  const dsp::HalfSpectrum spec = dsp::half_spectrum(waveform, sample_rate_hz);
+  const std::span<double> log_spec = ceps.first(spec.bins());  // same lane
   for (std::size_t i = 0; i < log_spec.size(); ++i) {
-    log_spec[i] = std::log10(spec.amplitude[i] + 1e-9);
+    log_spec[i] = std::log10(spec.amplitude(i) + 1e-9);
   }
   const std::vector<double> dct =
       dsp::dct2_truncated(log_spec, cfg_.dct_coeffs);
   f.insert(f.end(), dct.begin(), dct.end());
 
-  // Wavelet map: per-scale relative energies + entropy. Truncate the window
-  // to a multiple of 2^levels.
+  // Wavelet map: per-scale relative energies + entropy, written in place.
+  // Truncate the window to a multiple of 2^levels.
   const std::size_t block = std::size_t{1} << cfg_.wavelet_levels;
   const std::size_t usable = (waveform.size() / block) * block;
-  static thread_local std::vector<double> wmap;
-  wavelet::wavelet_feature_vector(waveform.subspan(0, usable),
-                                  wavelet::Family::Db4, cfg_.wavelet_levels,
-                                  wmap);
-  f.insert(f.end(), wmap.begin(), wmap.end());
+  f.resize(f.size() + cfg_.wavelet_levels + 2);
+  wavelet::wavelet_feature_vector(
+      waveform.subspan(0, usable), wavelet::Family::Db4, cfg_.wavelet_levels,
+      std::span(f).last(cfg_.wavelet_levels + 2));
 
   // Context: temperature, speed, mass-proxy (load), per the paper's list.
   f.push_back(ctx.bearing_temp_c);

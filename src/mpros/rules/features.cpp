@@ -6,6 +6,7 @@
 #include "mpros/common/assert.hpp"
 #include "mpros/dsp/envelope.hpp"
 #include "mpros/dsp/fft.hpp"
+#include "mpros/dsp/scratch.hpp"
 #include "mpros/dsp/spectrum.hpp"
 #include "mpros/dsp/stats.hpp"
 #include "mpros/telemetry/metrics.hpp"
@@ -52,11 +53,10 @@ void FeatureExtractor::extract_vibration(std::span<const double> waveform,
   const double shaft = signature_.shaft_hz;
 
   // The transforms and band reads below are allocation-free once the plan
-  // and window caches, the scratch lanes and `env` are warm. Each band read
-  // computes magnitudes for the bins it covers only; every read of `spec`
-  // comes before the envelope, whose transforms reuse the lane it views.
-  static thread_local std::vector<double> env;
-
+  // and window caches and the thread's sample arena are warm. Each band
+  // read computes magnitudes for the bins it covers only; every read of
+  // `spec` comes before the envelope, whose transforms reuse the lane it
+  // views.
   dsp::SpectrumConfig scfg;
   scfg.fft_size =
       std::max(cfg_.fft_size, dsp::next_power_of_two(waveform.size()));
@@ -115,6 +115,8 @@ void FeatureExtractor::extract_vibration(std::span<const double> waveform,
   const double band_hi = std::min(cfg_.envelope_band_hi_hz,
                                   sample_rate_hz * 0.45);
   if (cfg_.envelope_band_lo_hz < band_hi) {
+    const std::span<double> env = dsp::DspScratch::local().real_lane(
+        dsp::DspScratch::Real::kEnvelope, waveform.size());
     dsp::envelope_bandpassed(waveform, sample_rate_hz,
                              cfg_.envelope_band_lo_hz, band_hi, env);
     // Remove the DC component of the envelope before the spectrum.

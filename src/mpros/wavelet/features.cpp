@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "mpros/common/assert.hpp"
+
 namespace mpros::wavelet {
 namespace {
 
@@ -52,35 +54,35 @@ std::vector<double> peak_map(const Decomposition& d) {
 
 std::vector<double> wavelet_feature_vector(std::span<const double> x, Family f,
                                            std::size_t levels) {
-  std::vector<double> features;
+  std::vector<double> features(levels + 2);
   wavelet_feature_vector(x, f, levels, features);
   return features;
 }
 
 void wavelet_feature_vector(std::span<const double> x, Family f,
-                            std::size_t levels, std::vector<double>& out) {
+                            std::size_t levels, std::span<double> out) {
+  MPROS_EXPECTS(out.size() == levels + 2);
   static thread_local Decomposition d;
   decompose(x, f, levels, d);
 
   // Inline energy map + entropy so no intermediate vector is needed.
-  out.clear();
-  out.reserve(d.details.size() + 2);
+  const std::span<double> energies = out.first(levels + 1);
   double total = 0.0;
-  for (const auto& detail : d.details) {
-    out.push_back(sum_sq(detail));
-    total += out.back();
+  for (std::size_t i = 0; i < levels; ++i) {
+    energies[i] = sum_sq(d.details[i]);
+    total += energies[i];
   }
-  out.push_back(sum_sq(d.approx));
-  total += out.back();
+  energies[levels] = sum_sq(d.approx);
+  total += energies[levels];
   if (total > 0.0) {
-    for (double& e : out) e /= total;
+    for (double& e : energies) e /= total;
   }
 
   double h = 0.0;
-  for (double p : out) {
+  for (double p : energies) {
     if (p > 1e-15) h -= p * std::log2(p);
   }
-  out.push_back(h);
+  out[levels + 1] = h;
 }
 
 }  // namespace mpros::wavelet

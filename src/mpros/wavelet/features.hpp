@@ -30,9 +30,9 @@ namespace mpros::wavelet {
 [[nodiscard]] std::vector<double> wavelet_feature_vector(
     std::span<const double> x, Family f, std::size_t levels);
 
-/// Allocation-free variant: writes into `out`, reusing its capacity and a
-/// per-thread decomposition buffer.
+/// Allocation-free variant: writes the levels + 2 values into `out`,
+/// reusing a per-thread decomposition buffer.
 void wavelet_feature_vector(std::span<const double> x, Family f,
-                            std::size_t levels, std::vector<double>& out);
+                            std::size_t levels, std::span<double> out);
 
 }  // namespace mpros::wavelet

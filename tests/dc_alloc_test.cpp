@@ -1,5 +1,7 @@
 // Steady-state allocation audit for the DC's per-test analysis: the sensor
-// screens and feature extraction on pre-acquired seeded records.
+// screens and feature extraction on pre-acquired seeded records. Also
+// checks who owns the samples: a DC holds none between tests, so DCs
+// stepped on one thread share one set of records in the thread's arena.
 //
 // Overrides the global allocation functions with a counting hook (as
 // dsp_alloc_test does), warms the caches, scratch lanes and per-channel
@@ -11,29 +13,50 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "mpros/dc/data_concentrator.hpp"
 #include "mpros/dc/sensor_validator.hpp"
+#include "mpros/dsp/scratch.hpp"
+#include "mpros/dsp/spectrum.hpp"
+#include "mpros/mpros/wnn_training.hpp"
 #include "mpros/plant/chiller.hpp"
 #include "mpros/rules/features.hpp"
+#include "mpros/telemetry/metrics.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+std::atomic<std::uint64_t> g_largest{0};  ///< largest block since reset
+
+// Out of line: inlined into the hooks, GCC 12 pairs their malloc with the
+// free in the replacement delete and reports a false mismatch.
+[[gnu::noinline]] void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  std::uint64_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
+}
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
 
 void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
@@ -122,6 +145,94 @@ TEST(DcAllocationTest, WarmedScreensAndCurrentExtractionAllocateNothing) {
   }
   // Nothing above was quarantined: the screens ran every stage.
   EXPECT_EQ(validator.stats().faults_detected, 0u);
+}
+
+const dc::MachineRefs kRefs{ObjectId(1), ObjectId(2), ObjectId(3),
+                            ObjectId(4)};
+
+TEST(DcArenaTest, ConstructionAllocatesNoRecord) {
+  plant::ChillerSimulator chiller;
+  const dc::DcConfig cfg;
+  const std::uint64_t bytes_before = g_bytes.load();
+  g_largest.store(0);
+  const dc::DataConcentrator dc(cfg, kRefs, chiller);
+  const std::uint64_t bytes = g_bytes.load() - bytes_before;
+  EXPECT_LT(g_largest.load(), cfg.window * sizeof(double))
+      << "the constructor allocated a block as large as a vibration record";
+  EXPECT_LT(bytes, (cfg.window + cfg.current_window) * sizeof(double))
+      << "the constructor allocated " << bytes << " bytes";
+}
+
+TEST(DcArenaTest, SixteenDcsOnOneThreadShareOneSetOfRecords) {
+  // FleetSim steps its hulls' DCs one after another on one thread. Every
+  // analyzer runs, the WNN included.
+  WnnTrainingConfig wnn_cfg;
+  wnn_cfg.windows_per_class = 2;
+  wnn_cfg.classifier.train.epochs = 5;
+  const auto wnn = train_wnn_classifier(wnn_cfg);
+
+  std::vector<std::unique_ptr<plant::ChillerSimulator>> chillers;
+  std::vector<std::unique_ptr<dc::DataConcentrator>> dcs;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    plant::ChillerConfig plant_cfg;
+    plant_cfg.seed = 0xA4E1 + i;
+    chillers.push_back(std::make_unique<plant::ChillerSimulator>(plant_cfg));
+    dc::DcConfig cfg;
+    cfg.id = DcId(i + 1);
+    dcs.push_back(std::make_unique<dc::DataConcentrator>(
+        cfg, kRefs, *chillers.back(), wnn));
+  }
+
+  const dsp::DspScratch& arena = dsp::DspScratch::local();
+  std::size_t after_first = 0;
+  for (std::size_t i = 0; i < dcs.size(); ++i) {
+    (void)dcs[i]->advance_to(SimTime::from_seconds(600));
+    ASSERT_EQ(dcs[i]->stats().vibration_tests, 1u) << "DC " << i;
+    if (i == 0) after_first = arena.footprint_bytes();
+  }
+  const dc::DcConfig cfg;
+  EXPECT_GE(after_first, (cfg.window + cfg.current_window) * sizeof(double));
+  EXPECT_EQ(arena.footprint_bytes(), after_first);
+
+  // This binary runs everything on one thread, so the gauge over every
+  // thread's arena reads this one's.
+  auto& registry = telemetry::Registry::instance();
+  EXPECT_EQ(registry.gauge("dsp.scratch_bytes").value(),
+            static_cast<double>(arena.footprint_bytes()));
+  EXPECT_GT(registry.gauge("dsp.plan_cache_bytes").value(), 0.0);
+}
+
+TEST(DcArenaTest, ScreensLeaveALiveHalfSpectrumsBandReadsBitIdentical) {
+  // A HalfSpectrum views the arena's complex lane 0; the screens borrow the
+  // FFT workspace (lane 1). A screen run between the transform and its
+  // band reads must not move a bit of them.
+  plant::ChillerSimulator sim;
+  const Records r = acquire(sim);
+  dc::SensorValidator validator;
+  const auto screen = [&] {
+    (void)validator.check_window("current.motor", r.current);
+    (void)validator.check_window("vib.motor", r.vibration);
+  };
+  const auto reads = [](const dsp::HalfSpectrum& spec) {
+    std::vector<double> out;
+    for (std::size_t i = 0; i < spec.bins(); ++i) {
+      out.push_back(spec.amplitude(i));
+    }
+    out.push_back(spec.band_peak(280.0, 320.0));
+    out.push_back(spec.band_energy(5000.0, 12000.0));
+    return out;
+  };
+  screen();  // the lanes at full size: no growth below moves a buffer
+
+  const std::vector<double> want =
+      reads(dsp::half_spectrum(r.vibration, kVibrationRate));
+  const dsp::HalfSpectrum spec =
+      dsp::half_spectrum(r.vibration, kVibrationRate);
+  screen();
+  const std::vector<double> got = reads(spec);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
 }
 
 }  // namespace

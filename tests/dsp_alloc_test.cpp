@@ -17,6 +17,7 @@
 
 #include "mpros/dsp/cepstrum.hpp"
 #include "mpros/dsp/envelope.hpp"
+#include "mpros/dsp/fft.hpp"
 #include "mpros/dsp/spectrum.hpp"
 #include "mpros/wavelet/dwt.hpp"
 #include "mpros/wavelet/features.hpp"
@@ -67,15 +68,15 @@ TEST(DspAllocationTest, SteadyStateSpectralPipelineIsAllocationFree) {
 
   dsp::Spectrum spec;
   dsp::Spectrum welch;
-  std::vector<double> env;
-  std::vector<double> ceps;
+  std::vector<double> env(x.size());
+  std::vector<double> ceps(dsp::next_power_of_two(x.size()));
 
   const auto run_all = [&] {
     dsp::amplitude_spectrum(x, kRate, cfg, spec);
     (void)dsp::half_spectrum(x, kRate, cfg);
     dsp::welch_psd(x, kRate, 1024, dsp::WindowKind::Hann, welch);
     dsp::envelope_bandpassed(x, kRate, 2000.0, 6000.0, env);
-    dsp::real_cepstrum(x, 0, ceps);
+    dsp::real_cepstrum(x, ceps);
   };
 
   // Two warm-up passes: the first builds plans, windows and scratch lanes,
@@ -94,7 +95,7 @@ TEST(DspAllocationTest, SteadyStateWaveletPathIsAllocationFree) {
   const std::vector<double> x = test_signal(4096, 16384.0);
 
   wavelet::Decomposition d;
-  std::vector<double> feats;
+  std::vector<double> feats(5 + 2);  // five levels' energies, approx, entropy
 
   const auto run_all = [&] {
     wavelet::decompose(x, wavelet::Family::Db4, 5, d);

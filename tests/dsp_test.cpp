@@ -902,26 +902,33 @@ TEST(HalfSpectrumTest, BandReadsMatchTheMagnitudeSpectrumBitForBit) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] += std::sin(kTwoPi * 297.0 * static_cast<double>(i) / 40960.0);
   }
-  SpectrumConfig cfg;
-  cfg.fft_size = 16384;  // zero-padded, as the DC's vibration frames are
-  const Spectrum full = amplitude_spectrum(x, 40960.0, cfg);
-  const HalfSpectrum half = half_spectrum(x, 40960.0, cfg);
-  ASSERT_EQ(half.bins(), full.bins());
-  EXPECT_EQ(half.bin_hz, full.bin_hz);
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  for (std::size_t i = 0; i < full.bins(); ++i) {
-    ASSERT_EQ(bits(half.amplitude(i)), bits(full.amplitude[i])) << i;
+  // 8192 points unpadded, as the DC's vibration frames are
+  // (ExtractorConfig::fft_size equals DcConfig::window), and zero-padded to
+  // 16384.
+  for (const std::size_t fft_size : {std::size_t{8192}, std::size_t{16384}}) {
+    SCOPED_TRACE(fft_size);
+    SpectrumConfig cfg;
+    cfg.fft_size = fft_size;
+    const Spectrum full = amplitude_spectrum(x, 40960.0, cfg);
+    const HalfSpectrum half = half_spectrum(x, 40960.0, cfg);
+    ASSERT_EQ(half.bins(), full.bins());
+    EXPECT_EQ(half.bin_hz, full.bin_hz);
+    for (std::size_t i = 0; i < full.bins(); ++i) {
+      ASSERT_EQ(bits(half.amplitude(i)), bits(full.amplitude[i])) << i;
+    }
+    // Bands inside, across the edges of and beyond the spectrum, empty ones
+    // and a reversed one.
+    for (int trial = 0; trial < 400; ++trial) {
+      const double lo = rng.uniform(-500.0, 21000.0);
+      const double hi = lo + rng.uniform(-50.0, 3000.0);
+      EXPECT_EQ(bits(half.band_peak(lo, hi)), bits(full.band_peak(lo, hi)));
+      EXPECT_EQ(bits(half.band_energy(lo, hi)),
+                bits(full.band_energy(lo, hi)));
+    }
+    EXPECT_EQ(bits(order_amplitude(half, 29.6, 2.0, 0.05)),
+              bits(order_amplitude(full, 29.6, 2.0, 0.05)));
   }
-  // Bands inside, across the edges of and beyond the spectrum, empty ones
-  // and a reversed one.
-  for (int trial = 0; trial < 400; ++trial) {
-    const double lo = rng.uniform(-500.0, 21000.0);
-    const double hi = lo + rng.uniform(-50.0, 3000.0);
-    EXPECT_EQ(bits(half.band_peak(lo, hi)), bits(full.band_peak(lo, hi)));
-    EXPECT_EQ(bits(half.band_energy(lo, hi)), bits(full.band_energy(lo, hi)));
-  }
-  EXPECT_EQ(bits(order_amplitude(half, 29.6, 2.0, 0.05)),
-            bits(order_amplitude(full, 29.6, 2.0, 0.05)));
 }
 
 TEST(WaveformStatsTest, OnePassFieldsMatchTheStandaloneRoutines) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "mpros/common/rng.hpp"
 #include "mpros/mpros/wnn_training.hpp"
@@ -156,6 +159,47 @@ TEST(WnnClassifierTest, FeatureVectorMatchesDeclaredSize) {
   std::vector<double> waveform(4096, 0.1);
   const auto f = classifier.features(waveform, 40960.0, WnnContext{});
   EXPECT_EQ(f.size(), classifier.feature_count());
+}
+
+// FNV-1a over the bits of `values`.
+std::uint64_t fnv1a(std::uint64_t h, std::span<const double> values) {
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (bits >> b) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(WnnClassifierTest, TrainingSetAndFeatureDigestsPinned) {
+  // E13's training set (bench_transient's config): burst-gated windows at
+  // assorted duties, and the feature vector of each. The digests were
+  // recorded on x86-64 with GCC 12 and glibc 2.36; a change to plant
+  // synthesis moves both, a change to any WNN feature moves the second.
+  WnnTrainingConfig cfg;
+  cfg.windows_per_class = 28;
+  cfg.min_duty = 0.08;
+  cfg.min_severity = 0.35;
+  cfg.classifier.train.epochs = 500;
+  const auto windows = make_training_windows(cfg);
+  const WnnClassifier classifier(cfg.classifier);
+
+  std::uint64_t windows_h = 0xcbf29ce484222325ULL;
+  std::uint64_t features_h = 0xcbf29ce484222325ULL;
+  for (const LabelledWindow& w : windows) {
+    const double head[] = {static_cast<double>(w.label), w.sample_rate_hz,
+                           w.context.bearing_temp_c, w.context.shaft_hz,
+                           w.context.load_fraction};
+    windows_h = fnv1a(fnv1a(windows_h, head), w.waveform);
+    features_h = fnv1a(
+        features_h, classifier.features(w.waveform, w.sample_rate_hz,
+                                        w.context));
+  }
+  EXPECT_EQ(windows.size(), 252u);
+  EXPECT_EQ(windows_h, 0x2F2625F9DDA02E07ULL) << std::hex << windows_h;
+  EXPECT_EQ(features_h, 0x3D6ED51C8F6519ADULL) << std::hex << features_h;
 }
 
 TEST(WnnClassifierTest, TrainsToHighAccuracyOnSyntheticFaults) {

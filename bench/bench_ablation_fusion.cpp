@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "mpros/common/rng.hpp"
 #include "mpros/fusion/bayes_net.hpp"
@@ -140,6 +141,9 @@ BENCHMARK(BM_HazardRefinement);
 int main(int argc, char** argv) {
   print_diagnostic_ablation();
   print_prognostic_ablation();
+  // `--table` prints the two ablations alone: they are deterministic, so
+  // their stdout is pinned.
+  if (argc == 2 && std::strcmp(argv[1], "--table") == 0) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "mpros/net/network.hpp"
 #include "mpros/oosm/ship_builder.hpp"
@@ -127,6 +128,9 @@ BENCHMARK(BM_HostileDelivery);
 
 int main(int argc, char** argv) {
   print_e9_summary();
+  // `--table` prints the summary alone: its networks are seeded, so its
+  // stdout is pinned.
+  if (argc == 2 && std::strcmp(argv[1], "--table") == 0) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -8,6 +8,7 @@
 #include "mpros/dsp/scratch.hpp"
 #include "mpros/sbfr/library.hpp"
 #include "mpros/telemetry/metrics.hpp"
+#include "mpros/telemetry/trace.hpp"
 
 namespace mpros::dc {
 
@@ -107,6 +108,14 @@ SimTime next_slot(SimTime resume, SimTime phase, SimTime period) {
   return SimTime(phase.micros() + k * p);
 }
 
+/// The running test's trace id: the DC's id over its 1-based count of tests
+/// and scans. The OOSM stores it as an Integer: nonzero and below 2^63.
+telemetry::TraceId trace_id(DcId dc, const DataConcentrator::Stats& s) {
+  const std::uint64_t n = s.vibration_tests + s.process_scans;
+  MPROS_EXPECTS(dc.value() < (1ULL << 23) && n >= 1 && n < (1ULL << 40));
+  return (dc.value() << 40) | n;
+}
+
 }  // namespace
 
 DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
@@ -126,6 +135,7 @@ DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
       reliable_(cfg.id, cfg.reliable) {
   MPROS_EXPECTS(cfg_.window >= 256);
   MPROS_EXPECTS(cfg_.heartbeat_period.micros() > 0);
+  events_.reserve(4);  // a step's usual events: steady steps allocate none
   setup_database();
   setup_sbfr();
   register_tasks(start_at);
@@ -226,6 +236,8 @@ void DataConcentrator::setup_sbfr() {
   const auto add = [&](sbfr::MachineDef def, FailureMode mode) {
     sbfr_.add_machine(std::move(def));
     sbfr_machine_mode_.push_back(mode);
+    sbfr_latch_events_.push_back(std::string("SBFR latch: ") +
+                                 domain::to_string(mode));
     ++idx;
   };
   add(sbfr::make_threshold_machine(
@@ -246,6 +258,7 @@ void DataConcentrator::setup_sbfr() {
 }
 
 std::vector<net::FailureReport> DataConcentrator::advance_to(SimTime t) {
+  events_.clear();
   // A wedged DC models a hung driver loop: time passes outside but nothing
   // runs inside — the plant reference is untouched (the supervisor's
   // catch-up re-runs the missed interval), the progress tick freezes.
@@ -273,7 +286,11 @@ std::vector<net::FailureReport> DataConcentrator::advance_to(SimTime t) {
 }
 
 void DataConcentrator::request_vibration_test() {
-  scheduler_.request_now(vibration_task_);
+  scheduler_.request_now(vibration_task_, chiller_.now());
+}
+
+std::vector<DataConcentrator::Event> DataConcentrator::drain_events() {
+  return std::exchange(events_, {});
 }
 
 std::vector<net::SensorDataMessage> DataConcentrator::drain_sensor_data() {
@@ -329,11 +346,8 @@ void DataConcentrator::handle_command(const net::TestCommandMessage& command) {
           {db::Value(chiller_.now().micros()),
            db::Value("commanded: " + command.reason)});
       trim_log(chiller_.now());
-      if (journal_ != nullptr) {
-        journal_->record_event(chiller_.now().micros(),
-                               "dc-" + std::to_string(cfg_.id.value()),
-                               "commanded vibration test: " + command.reason);
-      }
+      events_.push_back(
+          {chiller_.now(), "commanded vibration test: ", command.reason});
       request_vibration_test();
       break;
   }
@@ -368,13 +382,8 @@ void DataConcentrator::apply_command(const net::CommandMessage& cmd,
   db_.table("test_log").insert_auto(
       {db::Value(now.micros()), db::Value("config: " + cmd.reason)});
   trim_log(now);
-  if (journal_ != nullptr) {
-    journal_->record_event(now.micros(),
-                           "dc-" + std::to_string(cfg_.id.value()),
-                           "config command rev " +
-                               std::to_string(cmd.revision) + ": " +
-                               cmd.reason);
-  }
+  events_.push_back({now, "config command rev ",
+                     std::to_string(cmd.revision) + ": " + cmd.reason});
 }
 
 bool DataConcentrator::apply_setting(std::string_view key, double value,
@@ -554,7 +563,7 @@ void DataConcentrator::emit_sensor_fault(SimTime now,
               : "Inspect transducer, cabling and DAQ channel; machinery "
                 "diagnostics from this channel are suspended.";
   r.timestamp = now;
-  r.trace = current_trace_;
+  r.trace = trace_id(cfg_.id, stats_);
 
   db_.table("diagnostics")
       .insert_auto(
@@ -564,13 +573,9 @@ void DataConcentrator::emit_sensor_fault(SimTime now,
            db::Value(static_cast<std::int64_t>(r.machine_condition.value())),
            db::Value(r.severity), db::Value(r.belief)});
   trim_log(now);
-  if (journal_ != nullptr) {
-    journal_->record_event(now.micros(),
-                           "dc-" + std::to_string(cfg_.id.value()),
-                           (cleared ? "sensor channel restored: "
-                                    : "sensor channel quarantined: ") +
-                               channel);
-  }
+  events_.push_back({now, cleared ? "sensor channel restored: "
+                                  : "sensor channel quarantined: ",
+                     channel});
   outbox_.push_back(std::move(r));
   ++stats_.reports_emitted;
   ++stats_.sensor_fault_reports;
@@ -621,7 +626,7 @@ void DataConcentrator::emit_raw(
   r.explanation = std::move(explanation);
   r.recommendations = std::move(recommendation);
   r.timestamp = now;
-  r.trace = current_trace_;
+  r.trace = trace_id(cfg_.id, stats_);
   for (const rules::PrognosticPoint& p : prognosis) {
     r.prognostics.push_back(
         net::PrognosticPair{p.probability, p.horizon.seconds()});
@@ -648,18 +653,13 @@ void DataConcentrator::emit(SimTime now, KnowledgeSourceId ks,
 
 void DataConcentrator::run_vibration_test(SimTime now) {
   DcMetrics& metrics = DcMetrics::instance();
+  ++stats_.vibration_tests;
   // One trace per acquisition: every report this test emits carries the id,
   // so the DAQ → scheduler → codec → fusion path can be reconstructed.
-  current_trace_ = telemetry::next_trace_id();
-  telemetry::StageTimer span("dc.vibration_test", current_trace_,
+  telemetry::StageTimer span("dc.vibration_test", trace_id(cfg_.id, stats_),
                              now.micros(), &metrics.vibration_wall_us);
-  ++stats_.vibration_tests;
   metrics.vibration_tests.inc();
-  if (journal_ != nullptr) {
-    journal_->record_event(now.micros(),
-                           "dc-" + std::to_string(cfg_.id.value()),
-                           "vibration test");
-  }
+  events_.push_back({now, "vibration test", {}});
   db_.table("test_log").insert_auto(
       {db::Value(now.micros()), db::Value("vibration")});
   trim_log(now);
@@ -748,10 +748,9 @@ void DataConcentrator::run_vibration_test(SimTime now) {
 
 void DataConcentrator::run_process_scan(SimTime now) {
   DcMetrics& metrics = DcMetrics::instance();
-  current_trace_ = telemetry::next_trace_id();
-  telemetry::StageTimer span("dc.process_scan", current_trace_, now.micros(),
-                             &metrics.process_wall_us);
   ++stats_.process_scans;
+  telemetry::StageTimer span("dc.process_scan", trace_id(cfg_.id, stats_),
+                             now.micros(), &metrics.process_wall_us);
   metrics.process_scans.inc();
   plant::ProcessSnapshot snapshot = chiller_.process_snapshot();
 
@@ -821,11 +820,7 @@ void DataConcentrator::run_process_scan(SimTime now) {
     for (const sbfr::Event& e : sbfr_.drain_events()) {
       MPROS_ASSERT(e.machine < sbfr_machine_mode_.size());
       const FailureMode mode = sbfr_machine_mode_[e.machine];
-      if (journal_ != nullptr) {
-        journal_->record_event(
-            now.micros(), "dc-" + std::to_string(cfg_.id.value()),
-            std::string("SBFR latch: ") + domain::to_string(mode));
-      }
+      events_.push_back({now, sbfr_latch_events_[e.machine], {}});
       const double severity = 0.5;  // SBFR flags onset; KF fuses magnitude
       emit_raw(now, kSbfr, sensed_object_for(mode), mode, severity,
                /*belief=*/0.65,

@@ -37,8 +37,6 @@
 #include "mpros/rules/believability.hpp"
 #include "mpros/rules/dli_rules.hpp"
 #include "mpros/sbfr/interpreter.hpp"
-#include "mpros/telemetry/recorder.hpp"
-#include "mpros/telemetry/trace.hpp"
 
 namespace mpros::dc {
 
@@ -190,11 +188,6 @@ class DataConcentrator {
   void restore_config(
       const std::vector<std::pair<std::string, double>>& settings);
 
-  /// Dedup/ack state for the PDME->DC command stream.
-  [[nodiscard]] net::ReliableReceiver& command_receiver() {
-    return command_rx_;
-  }
-
   /// Chaos hook: a wedged DC stops advancing (advance_to returns nothing,
   /// the progress tick freezes) and ignores all wire input — modelling a
   /// hung driver loop. The supervisor detects the frozen tick, clears the
@@ -216,10 +209,17 @@ class DataConcentrator {
   /// effect on the next advance_to().
   void request_vibration_test();
 
-  /// Attach a flight-recorder journal (nullptr detaches). The DC logs test
-  /// runs, commanded tests and SBFR latches into it for post-hoc diagnosis;
-  /// `journal` must outlive the DC or be detached first.
-  void set_journal(telemetry::FlightRecorder* journal) { journal_ = journal; }
+  /// A journal line, `what` then `detail`. `what` views static text or text
+  /// the DC holds while it lives, so a steady step's events allocate nothing.
+  struct Event {
+    SimTime at;
+    std::string_view what;
+    std::string detail;
+  };
+  /// Test runs, commands, quarantines and SBFR latches since the last drain,
+  /// in order. advance_to() starts a fresh buffer, so a DC nobody drains
+  /// keeps one step's worth.
+  std::vector<Event> drain_events();
 
   [[nodiscard]] DcId id() const { return cfg_.id; }
   [[nodiscard]] db::Database& database() { return db_; }
@@ -282,6 +282,7 @@ class DataConcentrator {
   sbfr::SbfrSystem sbfr_;
   std::vector<std::string> sbfr_channel_keys_;  // process key per channel
   std::vector<domain::FailureMode> sbfr_machine_mode_;  // mode per machine
+  std::vector<std::string> sbfr_latch_events_;  // journal text per machine
 
   struct LastReport {
     double severity = -1.0;
@@ -291,8 +292,7 @@ class DataConcentrator {
            LastReport>
       last_reports_;  // (ks, object, condition) -> last emission
 
-  telemetry::FlightRecorder* journal_ = nullptr;
-  telemetry::TraceId current_trace_ = 0;  ///< stamped on emitted reports
+  std::vector<Event> events_;
 
   SensorValidator validator_;
   net::ReliableSender reliable_;

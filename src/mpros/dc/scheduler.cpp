@@ -17,10 +17,9 @@ EventScheduler::TaskId EventScheduler::add_periodic(std::string name,
   return id;
 }
 
-void EventScheduler::request_now(TaskId id) {
+void EventScheduler::request_now(TaskId id, SimTime at) {
   MPROS_EXPECTS(id < tasks_.size());
-  // Fires at whatever deadline the next run_until() covers.
-  queue_.push(Due{SimTime(0), next_sequence_++, id, false});
+  queue_.push(Due{at, next_sequence_++, id, false});
 }
 
 void EventScheduler::set_period(TaskId id, SimTime period) {
@@ -41,8 +40,7 @@ std::size_t EventScheduler::run_until(SimTime deadline) {
   while (!queue_.empty() && queue_.top().at <= deadline) {
     const Due due = queue_.top();
     queue_.pop();
-    // On-demand runs fire "now": at the time they were requested for, or
-    // the deadline if that is earlier than the task's natural slot.
+    // Every run, on-demand ones included, is stamped with its own due time.
     const SimTime at = due.at;
     tasks_[due.id].task(at);
     ++executed;

@@ -27,9 +27,10 @@ class EventScheduler {
   TaskId add_periodic(std::string name, SimTime first_due, SimTime period,
                       Task task);
 
-  /// Queue an extra one-shot run of an existing task at the next
-  /// run_until() (the §5.8 on-demand test command).
-  void request_now(TaskId id);
+  /// Queue an extra one-shot run of an existing task, stamped `at` (the
+  /// caller's current time), at the next run_until() whose deadline covers
+  /// it (the §5.8 on-demand test command).
+  void request_now(TaskId id, SimTime at);
 
   /// Change a task's period at runtime (the control plane's report-rate /
   /// heartbeat-rate knob). Takes effect at the task's next reschedule: the

@@ -10,8 +10,8 @@
 // small set of lazily grown, thread-local buffers instead: the first
 // acquisition at a given size allocates, every subsequent one reuses
 // capacity, and everything stepped on one thread shares one set. It is the
-// only per-thread sample storage of the dc, dsp, rules and nn layers, so
-// footprint_bytes() is all of a thread's sample memory.
+// only per-thread sample storage of the dc, dsp, rules, nn and wavelet
+// layers, so footprint_bytes() is all of a thread's sample memory.
 //
 // Buffers are handed out by *lane*; two buffers that must stay live at the
 // same time take distinct lanes.
@@ -45,6 +45,7 @@ class DspScratch {
     kCurrentRecord,    ///< DataConcentrator: the motor-current record
     kEnvelope,         ///< FeatureExtractor: the bearing-band envelope
     kWnnSpectrum,      ///< WnnClassifier: the cepstrum, then the log spectrum
+    kWavelet,          ///< wavelet_feature_vector: the in-place pyramid
     kCount,
   };
 

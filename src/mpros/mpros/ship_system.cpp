@@ -1,7 +1,6 @@
 #include "mpros/mpros/ship_system.hpp"
 
 #include <cmath>
-#include <mutex>
 
 #include "mpros/common/assert.hpp"
 #include "mpros/common/log.hpp"
@@ -77,8 +76,7 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
   ship_.plants.resize(cfg.plant_count);
 
   if (cfg.enable_flight_recorder) {
-    recorder_ =
-        std::make_unique<telemetry::FlightRecorder>();
+    recorder_ = std::make_unique<telemetry::FlightRecorder>();
     telemetry::RecorderHeader header;
     header.pdme_dedup = cfg.pdme.deduplicate;
     header.plant_count = static_cast<std::uint32_t>(cfg.plant_count);
@@ -138,15 +136,15 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
     dcs_.push_back(std::make_unique<dc::DataConcentrator>(
         dc_cfg, refs, *plants_.back(), wnn,
         /*start_at=*/recovered_ ? now_ : SimTime(0)));
-    if (recorder_) dcs_.back()->set_journal(recorder_.get());
 
     // Each DC listens on the ship's network for §5.8 scheduler commands and
     // PDME acknowledgements (handlers run on the driver thread during
     // advance_to, when the DC's worker is idle).
-    dc::DataConcentrator* dc_ptr = dcs_.back().get();
     network_.register_endpoint(
-        "dc-" + std::to_string(p + 1),
-        [dc_ptr](const net::Message& msg) { dc_ptr->handle_wire(msg); });
+        "dc-" + std::to_string(p + 1), [this, p](const net::Message& msg) {
+          dcs_[p]->handle_wire(msg);
+          record_dc_events(p);
+        });
     // Register with the watchdog so a DC partitioned before its first
     // datagram is still missed.
     pdme_->expect_dc(DcId(p + 1), SimTime(0));
@@ -275,6 +273,7 @@ std::size_t ShipSystem::advance_to(SimTime t) {
   pool_.parallel_for(dcs_.size(), [&](std::size_t i) {
     per_dc[i] = dcs_[i]->advance_to(t);
   });
+  for (std::size_t i = 0; i < dcs_.size(); ++i) record_dc_events(i);
 
   // Supervised recovery: a DC whose progress tick froze is unwedged and
   // caught up (restart_dc_to flushes each catch-up slice itself) before
@@ -431,6 +430,15 @@ void ShipSystem::restart_dc_to(std::size_t i, SimTime t) {
   for (const SimTime s : step_log_) {
     if (s <= resume || s > t) continue;
     flush_dc(i, dc.advance_to(s));
+    record_dc_events(i);
+  }
+}
+
+void ShipSystem::record_dc_events(std::size_t i) {
+  if (!recorder_) return;  // the DC's next advance_to() drops them
+  for (const auto& [at, what, detail] : dcs_[i]->drain_events()) {
+    recorder_->record_event(at.micros(), "dc-" + std::to_string(i + 1),
+                            std::string(what) + detail);
   }
 }
 

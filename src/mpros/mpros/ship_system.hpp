@@ -207,6 +207,8 @@ class ShipSystem {
   /// boundaries ending at `t` (flushing per slice, so the seal/sweep
   /// interleaving matches an unwedged run).
   void restart_dc_to(std::size_t i, SimTime t);
+  /// Drain dc i's events into the flight recorder (driver thread, DC order).
+  void record_dc_events(std::size_t i);
   /// Upsert one (dc, key) row in the dc_config mirror table (no-op when
   /// the mirrored value is already current, so re-sent values don't bloat
   /// the WAL).

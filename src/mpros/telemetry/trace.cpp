@@ -1,6 +1,5 @@
 #include "mpros/telemetry/trace.hpp"
 
-#include <atomic>
 #include <chrono>
 
 namespace mpros::telemetry {
@@ -14,11 +13,6 @@ std::int64_t wall_now_ns() {
 }
 
 }  // namespace
-
-TraceId next_trace_id() {
-  static std::atomic<TraceId> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 Tracer& Tracer::instance() {
   static Tracer tracer;

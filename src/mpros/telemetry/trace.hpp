@@ -1,7 +1,7 @@
 #pragma once
 // Pipeline tracing: follow one acquisition end to end.
 //
-// A DC allocates a TraceId when a test fires, stamps it on every §7 report
+// A DC derives a TraceId when a test fires, stamps it on every §7 report
 // the test produces (the id rides the wire in the report header), and each
 // stage the report crosses — DC analysis, network transit, PDME fusion —
 // records a SpanRecord against the id. spans_for() then reconstructs the
@@ -21,11 +21,11 @@
 
 namespace mpros::telemetry {
 
-/// 0 means "untraced" (e.g. reports from sources predating tracing).
+/// 0 means "untraced". A DC stamps (DcId << 40) | n, n its own 1-based
+/// count of tests and scans, so no worker count moves an id. Ids are unique
+/// within one ship: two hulls in one process may share ids (the global
+/// Tracer ring is read only by TraceTest), and a recovered DC restarts n.
 using TraceId = std::uint64_t;
-
-/// Process-unique, never 0.
-[[nodiscard]] TraceId next_trace_id();
 
 struct SpanRecord {
   TraceId trace = 0;

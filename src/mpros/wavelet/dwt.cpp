@@ -123,41 +123,48 @@ Decomposition decompose(std::span<const double> x, Family f,
   return d;
 }
 
+double analyze_in_place(std::span<double> x, Family f,
+                        std::span<double> detail) {
+  const std::span<const double> h = scaling_coefficients(f);
+  const std::span<const double> g = wavelet_coefficients(f);
+  const std::size_t n = x.size();
+  const std::size_t half = n / 2;
+  const std::size_t len = h.size();
+  MPROS_EXPECTS(n >= 2 && n % 2 == 0);
+  MPROS_EXPECTS(detail.empty() || detail.size() == half);
+  // Output i overwrites x[i] once its sums are done. Only a read that the
+  // periodic extension wraps can land below i, and it lands among the
+  // level's first min(n, 8) entries (8 taps is the longest filter): keep
+  // those.
+  std::array<double, kDb4.size()> head{};
+  std::copy_n(x.begin(), std::min(n, head.size()), head.begin());
+  double energy = 0.0;
+  for (std::size_t i = 0; i < half; ++i) {
+    double a = 0.0, dv = 0.0;
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::size_t j = (2 * i + k) % n;  // periodic extension
+      const double v = j < i ? head[j] : x[j];
+      a += h[k] * v;
+      dv += g[k] * v;
+    }
+    x[i] = a;
+    if (!detail.empty()) detail[i] = dv;
+    energy += dv * dv;
+  }
+  return energy;
+}
+
 void decompose(std::span<const double> x, Family f, std::size_t levels,
                Decomposition& d) {
   MPROS_EXPECTS(levels >= 1 && levels <= max_levels(x.size()));
-  const std::span<const double> h = scaling_coefficients(f);
-  const std::span<const double> g = wavelet_coefficients(f);
-  const std::size_t len = h.size();
-
   d.family = f;
   d.details.resize(levels);
-  // The pyramid runs in place: d.approx holds the current approximation,
-  // each pass filters its first `n` samples down to `n/2` (reads at index
-  // (2i + k) mod n stay >= the write index i, so in-place is safe only with
-  // a separate output row — use the level's detail buffer as the staging
-  // area for the half-rate approximation, then copy back).
   d.approx.assign(x.begin(), x.end());
-  static thread_local std::vector<double> next_approx;
   std::size_t n = x.size();
   for (std::size_t level = 0; level < levels; ++level) {
-    const std::size_t half = n / 2;
-    std::vector<double>& detail = d.details[level];
-    detail.resize(half);
-    if (next_approx.size() < half) next_approx.resize(half);
-    for (std::size_t i = 0; i < half; ++i) {
-      double a = 0.0, dv = 0.0;
-      for (std::size_t k = 0; k < len; ++k) {
-        const std::size_t j = (2 * i + k) % n;  // periodic extension
-        a += h[k] * d.approx[j];
-        dv += g[k] * d.approx[j];
-      }
-      next_approx[i] = a;
-      detail[i] = dv;
-    }
-    std::copy(next_approx.begin(), next_approx.begin() +
-              static_cast<std::ptrdiff_t>(half), d.approx.begin());
-    n = half;
+    d.details[level].resize(n / 2);
+    (void)analyze_in_place(std::span(d.approx).first(n), f, d.details[level]);
+    n /= 2;
   }
   d.approx.resize(n);
 }

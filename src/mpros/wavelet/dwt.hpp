@@ -39,6 +39,13 @@ struct DwtLevel {
                                             std::span<const double> detail,
                                             Family f);
 
+/// One pyramid level in place over `x` (even length n): its first n/2
+/// entries become the half-rate approximation and `detail` (n/2 entries,
+/// or empty to drop them) the detail. Returns the detail's energy, summed
+/// in index order. Allocates nothing.
+double analyze_in_place(std::span<double> x, Family f,
+                        std::span<double> detail);
+
 /// Full multi-level decomposition.
 /// details[0] is the finest scale; approx is the coarsest residual.
 struct Decomposition {

@@ -1,8 +1,10 @@
 #include "mpros/wavelet/features.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "mpros/common/assert.hpp"
+#include "mpros/dsp/scratch.hpp"
 
 namespace mpros::wavelet {
 namespace {
@@ -62,17 +64,20 @@ std::vector<double> wavelet_feature_vector(std::span<const double> x, Family f,
 void wavelet_feature_vector(std::span<const double> x, Family f,
                             std::size_t levels, std::span<double> out) {
   MPROS_EXPECTS(out.size() == levels + 2);
-  static thread_local Decomposition d;
-  decompose(x, f, levels, d);
-
-  // Inline energy map + entropy so no intermediate vector is needed.
+  MPROS_EXPECTS(levels >= 1 && levels <= max_levels(x.size()));
+  // The pyramid runs in place in the thread's wavelet lane and keeps only
+  // each level's detail energy, so no decomposition is stored.
+  std::span<double> approx = dsp::DspScratch::local().real_lane(
+      dsp::DspScratch::Real::kWavelet, x.size());
+  std::copy(x.begin(), x.end(), approx.begin());
   const std::span<double> energies = out.first(levels + 1);
   double total = 0.0;
   for (std::size_t i = 0; i < levels; ++i) {
-    energies[i] = sum_sq(d.details[i]);
+    energies[i] = analyze_in_place(approx, f, {});
     total += energies[i];
+    approx = approx.first(approx.size() / 2);
   }
-  energies[levels] = sum_sq(d.approx);
+  energies[levels] = sum_sq(approx);
   total += energies[levels];
   if (total > 0.0) {
     for (double& e : energies) e /= total;

@@ -31,7 +31,7 @@ namespace mpros::wavelet {
     std::span<const double> x, Family f, std::size_t levels);
 
 /// Allocation-free variant: writes the levels + 2 values into `out`,
-/// reusing a per-thread decomposition buffer.
+/// running the pyramid in the thread's DspScratch wavelet lane.
 void wavelet_feature_vector(std::span<const double> x, Family f,
                             std::size_t levels, std::span<double> out);
 

@@ -370,14 +370,62 @@ TEST(CrashRecoveryTest, MaintenanceResetSurvivesRecovery) {
   EXPECT_FALSE(
       control.pdme().reports_for(control.plant_objects(0).motor).empty());
   EXPECT_EQ(view(recovered), view(control));
-  // The report history itself matches field for field. Trace ids are
-  // allocated process-wide, so the two runs in this process differ there.
-  const auto untraced = [](ShipSystem& ship) {
-    auto reports = ship.pdme().reports_for(ship.plant_objects(0).motor);
-    for (net::FailureReport& r : reports) r.trace = 0;
-    return reports;
+  // The report history itself matches field for field, trace ids included.
+  EXPECT_EQ(recovered.pdme().reports_for(recovered.plant_objects(0).motor),
+            control.pdme().reports_for(control.plant_objects(0).motor));
+}
+
+TEST(CrashRecoveryTest, ShipBytesDoNotDependOnTheWorkerCount) {
+  // The scripted voyage with the flight recorder on and one checkpoint
+  // after the 1800-s barrier, plus a severe fault that earns PDME retests
+  // and a wedged DC, so DC events reach the recorder from the parallel
+  // step, a catch-up slice and a wire delivery alike.
+  TempDir dir;
+  struct ShipBytes {
+    std::vector<std::uint8_t> wal, snapshot, mfr;
   };
-  EXPECT_EQ(untraced(recovered), untraced(control));
+  const auto run = [&](std::size_t workers) {
+    const fs::path path = dir.sub("workers-" + std::to_string(workers));
+    ShipSystemConfig cfg = durable_config(path.string());
+    cfg.worker_threads = workers;
+    cfg.enable_flight_recorder = true;
+    cfg.pdme.auto_retest = true;
+    ShipBytes bytes;
+    {
+      ShipSystem ship(cfg);
+      schedule_faults(ship);
+      ship.chiller(1).faults().schedule({FailureMode::MotorImbalance,
+                                         SimTime(0), SimTime(0), 0.95,
+                                         plant::GrowthProfile::Step});
+      for (SimTime t = kStep; t.micros() <= kEnd.micros(); t += kStep) {
+        ship.advance_to(t);
+        if (t.micros() == kCommandAt.micros()) {
+          ship.command_dc(0, {{"dc.report_hysteresis", 0.08}}, "tuning");
+        }
+        if (t.micros() == SimTime::from_seconds(1800).micros()) {
+          EXPECT_TRUE(ship.durable()->checkpoint());
+        }
+        if (t.micros() == SimTime::from_seconds(2400).micros()) {
+          ship.wedge_dc(1);
+        }
+      }
+      EXPECT_GT(ship.pdme().snapshot().retests_commanded, 0u);
+      EXPECT_GT(ship.supervisor().stats().restarts, 0u);
+      bytes.mfr = ship.flight_recorder()->encode();
+    }
+    bytes.wal = read_file(path / "db.wal");
+    bytes.snapshot = read_file(path / "db.snapshot");
+    return bytes;
+  };
+  const ShipBytes one = run(1);
+  ASSERT_FALSE(one.wal.empty());
+  ASSERT_FALSE(one.snapshot.empty());
+  for (const std::size_t workers : {1, 2, 4}) {
+    const ShipBytes many = run(workers);
+    EXPECT_TRUE(many.wal == one.wal) << workers << " workers";
+    EXPECT_TRUE(many.snapshot == one.snapshot) << workers << " workers";
+    EXPECT_TRUE(many.mfr == one.mfr) << workers << " workers";
+  }
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ TEST(EventSchedulerTest, RequestNowInjectsExtraRun) {
   const auto id = sched.add_periodic("t", SimTime::from_seconds(100),
                                      SimTime::from_seconds(100),
                                      [&](SimTime) { ++runs; });
-  sched.request_now(id);
+  sched.request_now(id, SimTime::from_seconds(1));
   sched.run_until(SimTime::from_seconds(1));
   EXPECT_EQ(runs, 1);  // on-demand run before the first natural slot
   sched.run_until(SimTime::from_seconds(100));
@@ -221,6 +221,37 @@ TEST_F(DataConcentratorTest, OnDemandVibrationTestRunsEarly) {
   // The periodic slot (300 s) has not arrived, yet the commanded test ran.
   EXPECT_EQ(dc.stats().vibration_tests, 1u);
   EXPECT_FALSE(reports.empty());
+}
+
+TEST_F(DataConcentratorTest, CommandedTestIsStampedWhenItRuns) {
+  chiller_.faults().schedule({FailureMode::MotorImbalance, SimTime(0),
+                              SimTime(0), 0.9, plant::GrowthProfile::Step});
+  DcConfig cfg = dc_config();
+  cfg.vibration_period = SimTime::from_hours(2.0);  // no periodic test here
+  DataConcentrator dc(cfg, refs_, chiller_);
+  const SimTime commanded = SimTime::from_seconds(1200.0);
+  (void)dc.advance_to(commanded);
+  net::TestCommandMessage cmd;
+  cmd.target = cfg.id;
+  cmd.reason = "retest";
+  dc.handle_command(cmd);
+  const auto reports = dc.advance_to(commanded + SimTime::from_seconds(60.0));
+  ASSERT_EQ(dc.stats().vibration_tests, 1u);
+
+  // Its reports and its test_log rows carry the time the command arrived,
+  // not time zero.
+  std::size_t dli = 0;
+  for (const net::FailureReport& r : reports) {
+    if (r.knowledge_source != kDliExpertSystem) continue;
+    ++dli;
+    EXPECT_EQ(r.timestamp.micros(), commanded.micros());
+  }
+  EXPECT_GT(dli, 0u);
+  const db::Table& log = dc.database().table("test_log");
+  EXPECT_EQ(log.row_count(), 2u);  // "commanded: retest", then the run
+  for (const auto& [key, row] : log.rows()) {
+    EXPECT_EQ(row[1].as_integer(), commanded.micros()) << row[2].as_text();
+  }
 }
 
 TEST_F(DataConcentratorTest, DisabledAnalyzersStaySilent) {

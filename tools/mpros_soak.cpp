@@ -4,9 +4,10 @@
 // injection hammers the shipboard layer, and re-checks the system's
 // standing invariants at every soak checkpoint — not just at the end, so a
 // violation pins the simulated minute it first appeared. Hulls 0 and 1 are
-// mirrors (same seed, same faults, same chaos), turning run-to-run
-// determinism — across crashes and rebuilds too — into a continuously
-// evaluated invariant.
+// mirrors (same seed, same faults, same chaos; hull 0 steps its DCs on the
+// pool, hull 1 on one worker), turning run-to-run determinism — across
+// worker counts, crashes and rebuilds too — into a continuously evaluated
+// invariant.
 //
 // Chaos knobs come from the environment so one binary serves both the CI
 // job and the nightly soak without recompilation:
@@ -26,7 +27,9 @@
 //
 // Invariants (any violation = nonzero exit naming the simulated time):
 //   I1 mirror determinism     the mirror hulls' fused views render
-//                             byte-identical (summary + ICAS export)
+//                             byte-identical (summary + ICAS export) and,
+//                             when durable, their db.wal and db.snapshot
+//                             files are byte-identical
 //   I2 delivery conservation  per hull: sent + duplicated ==
 //                             delivered + dropped + dead_lettered + in_flight
 //   I3 liveness sanity        PDME counters are monotone; after the final
@@ -58,6 +61,7 @@
 #include <string>
 #include <vector>
 
+#include "mpros/common/file.hpp"
 #include "mpros/mpros/mpros.hpp"
 
 namespace {
@@ -203,6 +207,7 @@ int main(int argc, char** argv) {
     cfg.plant_count = plants;
     const bool mirror_pair = h < 2;
     cfg.seed = mirror_pair ? seed : seed + h * 0x9E3779B9ULL;
+    if (h == 1) cfg.worker_threads = 1;  // the pool must not change a byte
     cfg.network.seed = mirror_pair ? 0xC0FFEE : 0xC0FFEE + h;
     cfg.network.drop_probability = chaos_drop;
     cfg.network.duplicate_probability = chaos_dup;
@@ -386,6 +391,16 @@ int main(int argc, char** argv) {
     if (fused_fingerprint(*fleet[0]) != fused_fingerprint(*fleet[1])) {
       return fail(t, "mirror determinism broken: hulls 0 and 1 render "
                      "different fused views");
+    }
+    if (crash_period_s > 0.0) {  // durable mirrors: their files match too
+      for (const char* file : {"db.wal", "db.snapshot"}) {
+        const FileRead a = read_file((crash_root / "hull0" / file).string());
+        const FileRead b = read_file((crash_root / "hull1" / file).string());
+        if (a.status != b.status || a.bytes != b.bytes) {
+          return fail(t, std::string("mirror determinism broken: the "
+                                     "mirror hulls' ") + file + " differ");
+        }
+      }
     }
 
     for (std::size_t h = 0; h < ships; ++h) {

@@ -5,14 +5,16 @@
 // per-channel RMS detectors give "real-time and constant alarming for all
 // sensors". The harness measures full-scan duty cycle, achieved sample
 // rate, and alarm latency under a step fault. The plant rows time the
-// simulator behind the chain: one DC test's vibration and current records
-// and the seeded Gaussian that draws their noise.
+// simulator behind the chain: one DC test's vibration record, its three
+// accelerometer records in one joint render, its current record and the
+// seeded Gaussian that draws their noise.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "mpros/common/rng.hpp"
@@ -120,6 +122,30 @@ void BM_VibrationAcceleration(benchmark::State& state) {
   state.SetLabel("samples");
 }
 BENCHMARK(BM_VibrationAcceleration);
+
+// The same test's three accelerometer records in one joint render, the
+// way the DC acquires them: each tone's sine once for all three points.
+void BM_VibrationAccelerationThreePoints(benchmark::State& state) {
+  VibrationSynthesizer synth(domain::navy_chiller_signature(), 1);
+  Severities s{};
+  s[static_cast<std::size_t>(domain::FailureMode::GearMeshWear)] = 0.8;
+  std::vector<double> out(kMachinePointCount * 8192);
+  const std::span<double> all(out);
+  const PointRecord records[] = {
+      {MachinePoint::Motor, all.first(8192)},
+      {MachinePoint::Gearbox, all.subspan(8192, 8192)},
+      {MachinePoint::Compressor, all.last(8192)},
+  };
+  for (auto _ : state) {
+    synth.acceleration(records, s, 0.85, 0.0, 40960.0);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+  state.SetLabel("samples");
+}
+BENCHMARK(BM_VibrationAccelerationThreePoints);
 
 // One DC test's motor-current record: 32,768 samples at 4,096 Hz.
 void BM_MotorCurrent(benchmark::State& state) {

@@ -14,8 +14,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 #include "mpros/common/rng.hpp"
 #include "mpros/mpros/wnn_training.hpp"
@@ -42,6 +45,18 @@ std::vector<double> make_window(plant::VibrationSynthesizer& synth, Rng& rng,
                      rng.uniform(0.6, 0.95), rng.uniform(0.0, 100.0), kRate,
                      w, transient);
   return w;
+}
+
+/// FNV-1a over the bits of `values`.
+std::uint64_t fnv1a(std::uint64_t h, std::span<const double> values) {
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (bits >> b) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
 }
 
 void print_e13_sweep() {
@@ -82,10 +97,15 @@ void print_e13_sweep() {
       "WNN");
 
   constexpr int kTrials = 20;
+  // The hit rates are whole percents over 20 trials, so a small move in
+  // the burst-gated windows' bits could leave them as they are; the digest
+  // of every window's samples cannot.
+  std::uint64_t windows_h = 0xcbf29ce484222325ULL;
   for (const double duty : {1.0, 0.5, 0.25, 0.12}) {
     int spectral_hits = 0, dli_hits = 0, wnn_hits = 0;
     for (int t = 0; t < kTrials; ++t) {
       const auto w = make_window(synth, rng, 0.7, duty);
+      windows_h = fnv1a(windows_h, w);
 
       rules::FeatureFrame frame;
       extractor.extract_vibration(w, kRate, frame);
@@ -115,6 +135,8 @@ void print_e13_sweep() {
                 100.0 * spectral_hits / kTrials, 100.0 * dli_hits / kTrials,
                 100.0 * wnn_hits / kTrials);
   }
+  std::printf("  window digest: %016" PRIx64 " (FNV-1a, all %d windows)\n",
+              windows_h, 4 * kTrials);
   std::printf(
       "  shape: all three agree at steady state; the FFT-tone detector\n"
       "         dilutes away as the defect turns intermittent, while the\n"

@@ -673,8 +673,8 @@ void DataConcentrator::run_vibration_test(SimTime now) {
   dsp::DspScratch& scratch = dsp::DspScratch::local();
   const std::span<double> current =
       scratch.real_lane(Lane::kCurrentRecord, cfg_.current_window);
-  const std::span<double> vibration =
-      scratch.real_lane(Lane::kVibrationRecord, cfg_.window);
+  const std::span<double> records = scratch.real_lane(
+      Lane::kVibrationRecord, plant::kMachinePointCount * cfg_.window);
 
   // Current signature analysis shares the test (§6.1 pairs spectral
   // features with process parameters).
@@ -684,10 +684,14 @@ void DataConcentrator::run_vibration_test(SimTime now) {
   const bool current_ok =
       validate_window(now, plant::kCurrentChannel, current);
 
+  // The three accelerometer records in one render, Motor, Gearbox and
+  // Compressor back to back.
+  chiller_.acquire_vibration(cfg_.sample_rate_hz, records);
   for (const plant::MachinePoint point :
        {plant::MachinePoint::Motor, plant::MachinePoint::Gearbox,
         plant::MachinePoint::Compressor}) {
-    chiller_.acquire_vibration(point, cfg_.sample_rate_hz, vibration);
+    const std::span<double> vibration = records.subspan(
+        static_cast<std::size_t>(point) * cfg_.window, cfg_.window);
     stats_.samples_processed += vibration.size();
     metrics.samples_processed.inc(vibration.size());
 

@@ -41,7 +41,8 @@ class DspScratch {
 
   /// Real lanes, by owner.
   enum class Real : std::size_t {
-    kVibrationRecord,  ///< DataConcentrator: one accelerometer record
+    kVibrationRecord,  ///< DataConcentrator: a test's three accelerometer
+                       ///< records (Motor, Gearbox, Compressor) back to back
     kCurrentRecord,    ///< DataConcentrator: the motor-current record
     kEnvelope,         ///< FeatureExtractor: the bearing-band envelope
     kWnnSpectrum,      ///< WnnClassifier: the cepstrum, then the log spectrum

@@ -1,6 +1,7 @@
 #include "mpros/plant/chiller.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "mpros/common/assert.hpp"
 
@@ -47,6 +48,24 @@ void ChillerSimulator::acquire_vibration(MachinePoint point,
                                          double sample_rate_hz,
                                          std::span<double> out) {
   acquire_vibration_at(point, clock_.now().seconds(), sample_rate_hz, out);
+}
+
+void ChillerSimulator::acquire_vibration(double sample_rate_hz,
+                                         std::span<double> records) {
+  MPROS_EXPECTS(records.size() % kMachinePointCount == 0);
+  const std::size_t n = records.size() / kMachinePointCount;
+  const std::array<PointRecord, kMachinePointCount> parts{{
+      {MachinePoint::Motor, records.first(n)},
+      {MachinePoint::Gearbox, records.subspan(n, n)},
+      {MachinePoint::Compressor, records.last(n)},
+  }};
+  vibration_.acceleration(parts, faults_.all_at(clock_.now()),
+                          cfg_.load_fraction, clock_.now().seconds(),
+                          sample_rate_hz);
+  for (const PointRecord& r : parts) {
+    sensor_faults_.corrupt_window(vibration_channel(r.point), clock_.now(),
+                                  r.out);
+  }
 }
 
 void ChillerSimulator::acquire_vibration_at(MachinePoint point,

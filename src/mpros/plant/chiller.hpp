@@ -57,6 +57,12 @@ class ChillerSimulator {
   void acquire_vibration(MachinePoint point, double sample_rate_hz,
                          std::span<double> out);
 
+  /// Acquire one vibration test's records at the current simulated time:
+  /// the Motor, Gearbox and Compressor windows back to back in `records`
+  /// (kMachinePointCount equal parts). One joint render: the same samples
+  /// and seeded draws as one single-point call per point in that order.
+  void acquire_vibration(double sample_rate_hz, std::span<double> records);
+
   /// Acquire with an explicit record start time (the DAQ chain schedules
   /// bank acquisitions at sub-step offsets). Fault severities are evaluated
   /// at the simulator's current time.

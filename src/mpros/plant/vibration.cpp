@@ -48,12 +48,16 @@ MachinePoint origin_of(FailureMode m) {
   }
 }
 
-/// One additive tone.
+/// A value per record of a render, by list position.
+using PerRecord = std::array<double, kMachinePointCount>;
+
+/// One additive tone and its amplitude at each record of a render; a record
+/// whose amplitude is not positive leaves the tone out.
 struct Tone {
   double freq_hz;
-  double amplitude;
   double phase;
   bool gated;  ///< fault tone, subject to the transient burst envelope
+  PerRecord amplitude;
 };
 
 /// Every tone acceleration() can add: five baseline tones, then at most
@@ -81,158 +85,35 @@ void add_noise(Rng& rng, std::span<double> out, Sigma sigma) {
   }
 }
 
-}  // namespace
-
-VibrationSynthesizer::VibrationSynthesizer(domain::MachineSignature signature,
-                                           std::uint64_t seed)
-    : signature_(signature), rng_(seed) {}
-
-void VibrationSynthesizer::acceleration(MachinePoint point,
-                                        const Severities& severities,
-                                        double load_fraction,
-                                        double t0_seconds,
-                                        double sample_rate_hz,
-                                        std::span<double> out,
-                                        const TransientProfile& transient) {
-  MPROS_EXPECTS(sample_rate_hz > 0.0 && !out.empty());
-  MPROS_EXPECTS(transient.duty > 0.0 && transient.duty <= 1.0);
-  MPROS_EXPECTS(transient.period_s > 0.0);
-  const double shaft = signature_.shaft_hz;
-  const double hss = signature_.high_speed_shaft_hz();
-  const double gmf = signature_.gear_mesh_hz();
-  const double vpf = signature_.vane_pass_hz();
-  const double line = signature_.line_hz;
-  const auto sev = [&](FailureMode m) {
-    return severities[static_cast<std::size_t>(m)];
-  };
-  const auto att = [&](FailureMode m) { return attenuation(origin_of(m), point); };
-
-  std::array<Tone, kMaxTones> tones{};
-  std::size_t tone_count = 0;
-  bool adding_fault_tones = false;  // flipped after the baseline block
-  const auto add_tone = [&](double freq, double amp, double phase_salt) {
-    if (amp <= 0.0 || freq >= sample_rate_hz / 2.0) return;
-    MPROS_ASSERT(tone_count < tones.size());
-    // Deterministic per-tone phase: stable across acquisitions.
-    const double phase =
-        kTwoPi * (0.0001 * static_cast<double>(
-                               splitmix64(static_cast<std::uint64_t>(
-                                   freq * 1000.0 + phase_salt)) %
-                               10000));
-    tones[tone_count++] = Tone{freq, amp, phase, adding_fault_tones};
-  };
-
-  // Healthy baseline, mildly load-dependent.
-  const double load = std::clamp(load_fraction, 0.0, 1.2);
-  add_tone(shaft, 0.05 * (0.6 + 0.4 * load), 1);
-  add_tone(2.0 * shaft, 0.02, 2);
-  add_tone(gmf, 0.03 * (0.5 + 0.5 * load), 3);
-  add_tone(vpf, 0.02 * load, 4);
-  add_tone(hss, 0.015, 5);
-  adding_fault_tones = true;  // everything below is a fault signature
-
-  // Imbalance: 1x grows with severity and with the square of speed (fixed
-  // speed here, so linear in severity).
-  if (const double s = sev(FailureMode::MotorImbalance) *
-                       att(FailureMode::MotorImbalance);
-      s > 0.0) {
-    add_tone(shaft, 0.45 * s, 10);
-  }
-
-  // Misalignment: strong 2x, some 3x, slight axial 1x rise.
-  if (const double s = sev(FailureMode::ShaftMisalignment) *
-                       att(FailureMode::ShaftMisalignment);
-      s > 0.0) {
-    add_tone(2.0 * shaft, 0.32 * s, 11);
-    add_tone(3.0 * shaft, 0.14 * s, 12);
-    add_tone(shaft, 0.05 * s, 13);
-  }
-
-  // Looseness: half-order family plus a raised harmonic series; only
-  // rattles under load (the rule gate exploits this).
-  if (const double s = sev(FailureMode::BearingHousingLooseness) *
-                       att(FailureMode::BearingHousingLooseness) *
-                       std::clamp(load / 0.5, 0.0, 1.0);
-      s > 0.0) {
-    for (const double k : {0.5, 1.5, 2.5}) add_tone(k * shaft, 0.16 * s, 20);
-    for (int k = 1; k <= 6; ++k) {
-      add_tone(k * shaft, 0.10 * s / static_cast<double>(k), 21);
-    }
-  }
-
-  // Gear wear: mesh tone + sidebands at +/- input shaft speed.
-  if (const double s =
-          sev(FailureMode::GearMeshWear) * att(FailureMode::GearMeshWear);
-      s > 0.0) {
-    add_tone(gmf, 0.30 * s, 30);
-    add_tone(gmf - shaft, 0.14 * s, 31);
-    add_tone(gmf + shaft, 0.14 * s, 32);
-  }
-
-  // Stator winding fault: 2x line-frequency magnetic vibration.
-  if (const double s = sev(FailureMode::StatorWindingFault) *
-                       att(FailureMode::StatorWindingFault);
-      s > 0.0) {
-    add_tone(2.0 * line, 0.25 * s, 40);
-  }
-
-  // Rotor bar: slight 1x modulation in vibration (the main signature is in
-  // the current spectrum).
-  if (const double s =
-          sev(FailureMode::RotorBarDefect) * att(FailureMode::RotorBarDefect);
-      s > 0.0) {
-    add_tone(shaft, 0.12 * s, 45);
-  }
-
-  // Cavitation: strong vane pass plus broadband high-frequency noise
-  // (handled in the noise pass below).
-  const double cavitation = sev(FailureMode::PumpCavitation) *
-                            att(FailureMode::PumpCavitation);
-  if (cavitation > 0.0) add_tone(vpf, 0.20 * cavitation, 50);
-
-  // Render tones one at a time over the whole record, in the order they
-  // were added, so each sample sums the same terms in the same order;
-  // fault tones ride the transient burst envelope.
-  const double dt = 1.0 / sample_rate_hz;
-  std::fill(out.begin(), out.end(), 0.0);
-  for (const Tone& tone : std::span(tones).first(tone_count)) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const double t = t0_seconds + static_cast<double>(i) * dt;
-      const double g = tone.gated ? burst_gate(t, transient) : 1.0;
-      if (g == 0.0) continue;
-      out[i] += g * tone.amplitude *
-                std::sin(kTwoPi * tone.freq_hz * t + tone.phase);
-    }
-  }
-
-  // Broadband noise: baseline + cavitation contribution (white, so it
-  // lands across the band including the 5-12 kHz window the rules watch).
-  add_noise(rng_, out, [&](std::size_t i) {
-    const double t = t0_seconds + static_cast<double>(i) * dt;
-    return 0.02 + 0.13 * cavitation * burst_gate(t, transient);
-  });
-
-  // Bearing defects: repetitive impacts exciting a structural resonance.
+/// Bearing defects: repetitive impacts exciting a structural resonance,
+/// added to the record at `point` with their timing jitter drawn from `rng`.
+void add_bearing_impacts(Rng& rng, const domain::MachineSignature& signature,
+                         MachinePoint point, const Severities& severities,
+                         double t0_seconds, double sample_rate_hz,
+                         std::span<double> out,
+                         const TransientProfile& transient) {
   struct BearingSource {
     FailureMode mode;
     double order;
   };
   const BearingSource bearings[] = {
-      {FailureMode::MotorBearingWear, signature_.bearing.bpfo},
-      {FailureMode::CompressorBearingWear, signature_.hss_bearing.bsf},
+      {FailureMode::MotorBearingWear, signature.bearing.bpfo},
+      {FailureMode::CompressorBearingWear, signature.hss_bearing.bsf},
   };
+  const double dt = 1.0 / sample_rate_hz;
   const double resonance_hz = std::min(4200.0, sample_rate_hz * 0.4);
   for (const BearingSource& b : bearings) {
-    const double s = sev(b.mode) * att(b.mode);
+    const double s = severities[static_cast<std::size_t>(b.mode)] *
+                     attenuation(origin_of(b.mode), point);
     if (s <= 0.0) continue;
     // Inner-race-style second tone for the motor bearing as wear spreads.
     const double rates[] = {b.order * (b.mode == FailureMode::MotorBearingWear
-                                           ? signature_.shaft_hz
-                                           : signature_.high_speed_shaft_hz()),
+                                           ? signature.shaft_hz
+                                           : signature.high_speed_shaft_hz()),
                             b.mode == FailureMode::MotorBearingWear
-                                ? signature_.bearing.bpfi * signature_.shaft_hz
-                                : signature_.hss_bearing.ftf *
-                                      signature_.high_speed_shaft_hz()};
+                                ? signature.bearing.bpfi * signature.shaft_hz
+                                : signature.hss_bearing.ftf *
+                                      signature.high_speed_shaft_hz()};
     const double weights[] = {1.0, 0.55};
     for (int r = 0; r < 2; ++r) {
       const double rate_hz = rates[r];
@@ -246,7 +127,7 @@ void VibrationSynthesizer::acceleration(MachinePoint point,
       double impact_t = std::floor(t0_seconds / period_s) * period_s;
       for (; impact_t < t_end; impact_t += period_s) {
         // +/-2% timing jitter, characteristic of rolling-element slippage.
-        const double jitter = rng_.uniform(-0.02, 0.02) * period_s;
+        const double jitter = rng.uniform(-0.02, 0.02) * period_s;
         const double center = impact_t + jitter;
         if (burst_gate(center, transient) == 0.0) continue;  // off-phase
         const auto first =
@@ -265,6 +146,181 @@ void VibrationSynthesizer::acceleration(MachinePoint point,
         }
       }
     }
+  }
+}
+
+}  // namespace
+
+VibrationSynthesizer::VibrationSynthesizer(domain::MachineSignature signature,
+                                           std::uint64_t seed)
+    : signature_(signature), rng_(seed) {}
+
+void VibrationSynthesizer::acceleration(MachinePoint point,
+                                        const Severities& severities,
+                                        double load_fraction,
+                                        double t0_seconds,
+                                        double sample_rate_hz,
+                                        std::span<double> out,
+                                        const TransientProfile& transient) {
+  const PointRecord record{point, out};
+  acceleration(std::span(&record, 1), severities, load_fraction, t0_seconds,
+               sample_rate_hz, transient);
+}
+
+void VibrationSynthesizer::acceleration(std::span<const PointRecord> records,
+                                        const Severities& severities,
+                                        double load_fraction,
+                                        double t0_seconds,
+                                        double sample_rate_hz,
+                                        const TransientProfile& transient) {
+  MPROS_EXPECTS(!records.empty() && records.size() <= kMachinePointCount);
+  const std::size_t n = records.front().out.size();
+  for (const PointRecord& r : records) MPROS_EXPECTS(r.out.size() == n);
+  MPROS_EXPECTS(sample_rate_hz > 0.0 && n > 0);
+  MPROS_EXPECTS(transient.duty > 0.0 && transient.duty <= 1.0);
+  MPROS_EXPECTS(transient.period_s > 0.0);
+  const double shaft = signature_.shaft_hz;
+  const double hss = signature_.high_speed_shaft_hz();
+  const double gmf = signature_.gear_mesh_hz();
+  const double vpf = signature_.vane_pass_hz();
+  const double line = signature_.line_hz;
+
+  // A fault mode's strength at each record: its severity times the
+  // attenuation from the mode's origin to the record's point.
+  const auto strength = [&](FailureMode m) {
+    PerRecord s{};
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      s[k] = severities[static_cast<std::size_t>(m)] *
+             attenuation(origin_of(m), records[k].point);
+    }
+    return s;
+  };
+  // `coef * s / divisor` at each record whose strength s is positive, 0
+  // (no tone) at the others.
+  const auto scaled = [&](double coef, const PerRecord& s,
+                          double divisor = 1.0) {
+    PerRecord a{};
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      if (s[k] > 0.0) a[k] = coef * s[k] / divisor;
+    }
+    return a;
+  };
+  // The same amplitude at every record.
+  const auto everywhere = [&](double amp) {
+    PerRecord a{};
+    std::fill_n(a.begin(), records.size(), amp);
+    return a;
+  };
+
+  std::array<Tone, kMaxTones> tones{};
+  std::size_t tone_count = 0;
+  bool adding_fault_tones = false;  // flipped after the baseline block
+  const auto add_tone = [&](double freq, const PerRecord& amplitude,
+                            double phase_salt) {
+    if (freq >= sample_rate_hz / 2.0 ||
+        std::all_of(amplitude.begin(), amplitude.begin() + records.size(),
+                    [](double a) { return a <= 0.0; })) {
+      return;
+    }
+    MPROS_ASSERT(tone_count < tones.size());
+    // Deterministic per-tone phase: stable across acquisitions.
+    const double phase =
+        kTwoPi * (0.0001 * static_cast<double>(
+                               splitmix64(static_cast<std::uint64_t>(
+                                   freq * 1000.0 + phase_salt)) %
+                               10000));
+    tones[tone_count++] = Tone{freq, phase, adding_fault_tones, amplitude};
+  };
+
+  // Healthy baseline, mildly load-dependent.
+  const double load = std::clamp(load_fraction, 0.0, 1.2);
+  add_tone(shaft, everywhere(0.05 * (0.6 + 0.4 * load)), 1);
+  add_tone(2.0 * shaft, everywhere(0.02), 2);
+  add_tone(gmf, everywhere(0.03 * (0.5 + 0.5 * load)), 3);
+  add_tone(vpf, everywhere(0.02 * load), 4);
+  add_tone(hss, everywhere(0.015), 5);
+  adding_fault_tones = true;  // everything below is a fault signature
+
+  // Imbalance: 1x grows with severity and with the square of speed (fixed
+  // speed here, so linear in severity).
+  add_tone(shaft, scaled(0.45, strength(FailureMode::MotorImbalance)), 10);
+
+  // Misalignment: strong 2x, some 3x, slight axial 1x rise.
+  const PerRecord misalignment = strength(FailureMode::ShaftMisalignment);
+  add_tone(2.0 * shaft, scaled(0.32, misalignment), 11);
+  add_tone(3.0 * shaft, scaled(0.14, misalignment), 12);
+  add_tone(shaft, scaled(0.05, misalignment), 13);
+
+  // Looseness: half-order family plus a raised harmonic series; only
+  // rattles under load (the rule gate exploits this).
+  PerRecord looseness = strength(FailureMode::BearingHousingLooseness);
+  for (double& s : looseness) s *= std::clamp(load / 0.5, 0.0, 1.0);
+  for (const double k : {0.5, 1.5, 2.5}) {
+    add_tone(k * shaft, scaled(0.16, looseness), 20);
+  }
+  for (int k = 1; k <= 6; ++k) {
+    add_tone(k * shaft, scaled(0.10, looseness, k), 21);
+  }
+
+  // Gear wear: mesh tone + sidebands at +/- input shaft speed.
+  const PerRecord gear = strength(FailureMode::GearMeshWear);
+  add_tone(gmf, scaled(0.30, gear), 30);
+  add_tone(gmf - shaft, scaled(0.14, gear), 31);
+  add_tone(gmf + shaft, scaled(0.14, gear), 32);
+
+  // Stator winding fault: 2x line-frequency magnetic vibration.
+  add_tone(2.0 * line, scaled(0.25, strength(FailureMode::StatorWindingFault)),
+           40);
+
+  // Rotor bar: slight 1x modulation in vibration (the main signature is in
+  // the current spectrum).
+  add_tone(shaft, scaled(0.12, strength(FailureMode::RotorBarDefect)), 45);
+
+  // Cavitation: strong vane pass plus broadband high-frequency noise
+  // (handled in the noise pass below).
+  const PerRecord cavitation = strength(FailureMode::PumpCavitation);
+  add_tone(vpf, scaled(0.20, cavitation), 50);
+
+  // Render tones one at a time over the whole record, in the order they
+  // were added, so each sample sums the same terms in the same order;
+  // fault tones ride the transient burst envelope. Each sample's sine is
+  // taken once and added to every record the tone reaches.
+  const double dt = 1.0 / sample_rate_hz;
+  for (const PointRecord& r : records) {
+    std::fill(r.out.begin(), r.out.end(), 0.0);
+  }
+  for (const Tone& tone : std::span(tones).first(tone_count)) {
+    std::array<double*, kMachinePointCount> dst{};
+    PerRecord amp{};
+    std::size_t reached = 0;
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      if (tone.amplitude[k] <= 0.0) continue;
+      dst[reached] = records[k].out.data();
+      amp[reached++] = tone.amplitude[k];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t = t0_seconds + static_cast<double>(i) * dt;
+      const double g = tone.gated ? burst_gate(t, transient) : 1.0;
+      if (g == 0.0) continue;
+      const double wave = std::sin(kTwoPi * tone.freq_hz * t + tone.phase);
+      for (std::size_t k = 0; k < reached; ++k) {
+        dst[k][i] += g * amp[k] * wave;
+      }
+    }
+  }
+
+  // Record by record in list order, the seeded draws: broadband noise
+  // (baseline + cavitation contribution; white, so it lands across the
+  // band including the 5-12 kHz window the rules watch), then the bearing
+  // impacts.
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    add_noise(rng_, records[k].out, [&](std::size_t i) {
+      const double t = t0_seconds + static_cast<double>(i) * dt;
+      return 0.02 + 0.13 * cavitation[k] * burst_gate(t, transient);
+    });
+    add_bearing_impacts(rng_, signature_, records[k].point, severities,
+                        t0_seconds, sample_rate_hz, records[k].out,
+                        transient);
   }
 }
 

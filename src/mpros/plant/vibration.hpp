@@ -29,6 +29,15 @@
 // the record's normals a block at a time (Rng::unit_normals), the same
 // words and bits as one normal() per sample, and the bearing impacts come
 // last with their timing jitter.
+//
+// A vibration test's accelerometer records share their start time, rate,
+// load and severities, so a tone has the same frequency, phase and sine at
+// every point; only its attenuated amplitude differs. acceleration() takes
+// a list of points and renders their records in one pass: each tone's
+// sample and burst gate once, added to each record in that record's tone
+// order. Noise and impacts then run record by record in list order, so the
+// seeded stream draws what one single-point call per record would. The
+// single-point call is the one-record list.
 
 #include <array>
 #include <span>
@@ -57,13 +66,29 @@ struct TransientProfile {
   double period_s = 0.05;
 };
 
+/// One record of a joint render: the accelerometer point it samples and
+/// the samples it receives.
+struct PointRecord {
+  MachinePoint point;
+  std::span<double> out;
+};
+
 class VibrationSynthesizer {
  public:
   VibrationSynthesizer(domain::MachineSignature signature, std::uint64_t seed);
 
-  /// Synthesize `out.size()` acceleration samples (in g) at `sample_rate_hz`
-  /// for the accelerometer at `point`, starting at absolute phase time
-  /// `t0_seconds` (keeps tones phase-continuous across acquisitions).
+  /// Synthesize acceleration samples (in g) at `sample_rate_hz` for each of
+  /// `records` (at most kMachinePointCount, all one size), starting at
+  /// absolute phase time `t0_seconds` (keeps tones phase-continuous across
+  /// acquisitions). Every record's bits, and the seeded stream after the
+  /// call, are those of one single-point call per record in list order.
+  void acceleration(std::span<const PointRecord> records,
+                    const Severities& severities, double load_fraction,
+                    double t0_seconds, double sample_rate_hz,
+                    const TransientProfile& transient = TransientProfile{});
+
+  /// The one-record render: `out.size()` samples for the accelerometer at
+  /// `point`.
   void acceleration(MachinePoint point, const Severities& severities,
                     double load_fraction, double t0_seconds,
                     double sample_rate_hz, std::span<double> out,

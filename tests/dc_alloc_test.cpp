@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -183,16 +184,52 @@ TEST(DcArenaTest, SixteenDcsOnOneThreadShareOneSetOfRecords) {
         cfg, kRefs, *chillers.back(), wnn));
   }
 
-  const dsp::DspScratch& arena = dsp::DspScratch::local();
+  using Lane = dsp::DspScratch::Real;
+  dsp::DspScratch& arena = dsp::DspScratch::local();
+  const dc::DcConfig cfg;
+  const std::size_t records_size = plant::kMachinePointCount * cfg.window;
   std::size_t after_first = 0;
+  const double* records_after_first = nullptr;
   for (std::size_t i = 0; i < dcs.size(); ++i) {
     (void)dcs[i]->advance_to(SimTime::from_seconds(600));
     ASSERT_EQ(dcs[i]->stats().vibration_tests, 1u) << "DC " << i;
-    if (i == 0) after_first = arena.footprint_bytes();
+    if (i == 0) {
+      after_first = arena.footprint_bytes();
+      records_after_first =
+          arena.real_lane(Lane::kVibrationRecord, records_size).data();
+    }
   }
-  const dc::DcConfig cfg;
-  EXPECT_GE(after_first, (cfg.window + cfg.current_window) * sizeof(double));
+  EXPECT_GE(after_first,
+            (records_size + cfg.current_window) * sizeof(double));
   EXPECT_EQ(arena.footprint_bytes(), after_first);
+
+  // The set is the last test's three accelerometer records, back to back,
+  // and its current record; the first DC grew it, and no DC moved it.
+  const std::span<const double> records =
+      arena.real_lane(Lane::kVibrationRecord, records_size);
+  const std::span<const double> current =
+      arena.real_lane(Lane::kCurrentRecord, cfg.current_window);
+  EXPECT_EQ(records.data(), records_after_first);
+  EXPECT_EQ(arena.footprint_bytes(), after_first);
+  SimTime tested_at;
+  for (const auto& e : dcs.back()->drain_events()) {
+    if (e.what == "vibration test") tested_at = e.at;
+  }
+  ASSERT_GT(tested_at.micros(), 0);
+  plant::ChillerConfig twin_cfg;
+  twin_cfg.seed = 0xA4E1 + dcs.size() - 1;
+  plant::ChillerSimulator twin(twin_cfg);
+  twin.advance(tested_at);
+  std::vector<double> want_current(cfg.current_window);
+  std::vector<double> want_records(records_size);
+  twin.acquire_current(cfg.current_sample_rate_hz, want_current);
+  twin.acquire_vibration(cfg.sample_rate_hz, want_records);
+  EXPECT_EQ(std::memcmp(current.data(), want_current.data(),
+                        current.size_bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(records.data(), want_records.data(),
+                        records.size_bytes()),
+            0);
 
   // This binary runs everything on one thread, so the gauge over every
   // thread's arena reads this one's.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "mpros/plant/ema.hpp"
 #include "mpros/plant/faults.hpp"
 #include "mpros/plant/process.hpp"
+#include "mpros/plant/sensor_faults.hpp"
 #include "mpros/plant/vibration.hpp"
 
 namespace mpros::plant {
@@ -527,6 +529,70 @@ TEST(VibrationTest, AccelerationMatchesReferenceBitForBit) {
   }
 }
 
+TEST(VibrationTest, ThreePointRecordsMatchSinglePointCallsBitForBit) {
+  // A joint render must leave each record's bits, and the seeded stream,
+  // as one single-point call per point on a twin synthesizer would: each
+  // fault mode alone, all of them at once, and all of them at a severity
+  // so small that the compressor's attenuated tones underflow to 0 (it
+  // skips them) while the motor's do not; steady and burst-gated; two
+  // tests back to back, then one single-point call on each synthesizer.
+  const double tiny = 1e-323;
+  ASSERT_EQ(tiny * 0.12, 0.0);      // compressor: motor-origin strength
+  ASSERT_GT(0.45 * tiny, 0.0);      // motor: its imbalance tone
+  const auto sig = domain::navy_chiller_signature();
+  std::vector<Severities> cases;
+  for (const FailureMode m : domain::all_failure_modes()) {
+    Severities s{};
+    s[static_cast<std::size_t>(m)] = 0.7;
+    cases.push_back(s);
+  }
+  Severities all{};
+  all.fill(1.0);
+  cases.push_back(all);
+  all.fill(tiny);
+  cases.push_back(all);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (const double duty : {1.0, 0.25}) {
+      const TransientProfile transient{duty, 0.05};
+      const std::uint64_t seed = 300 + c;
+      VibrationSynthesizer joint(sig, seed);
+      VibrationSynthesizer single(sig, seed);
+      std::vector<double> got(kMachinePointCount * kWindow);
+      std::vector<double> want(got.size());
+      double t0 = 3.0;
+      for (int test = 0; test < 2; ++test) {
+        const std::span<double> g(got);
+        const PointRecord records[] = {
+            {MachinePoint::Motor, g.first(kWindow)},
+            {MachinePoint::Gearbox, g.subspan(kWindow, kWindow)},
+            {MachinePoint::Compressor, g.last(kWindow)},
+        };
+        joint.acceleration(records, cases[c], 0.9, t0, kRate, transient);
+        for (std::size_t p = 0; p < kMachinePointCount; ++p) {
+          single.acceleration(static_cast<MachinePoint>(p), cases[c], 0.9,
+                              t0, kRate,
+                              std::span(want).subspan(p * kWindow, kWindow),
+                              transient);
+        }
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "case " << c << " duty " << duty << " test " << test;
+        t0 += static_cast<double>(kWindow) / kRate;
+      }
+      std::vector<double> after_joint(1000), after_single(1000);
+      joint.acceleration(MachinePoint::Gearbox, cases[c], 0.9, t0, kRate,
+                         after_joint, transient);
+      single.acceleration(MachinePoint::Gearbox, cases[c], 0.9, t0, kRate,
+                          after_single, transient);
+      EXPECT_EQ(std::memcmp(after_joint.data(), after_single.data(),
+                            after_joint.size() * sizeof(double)),
+                0)
+          << "case " << c << " duty " << duty << ": streams out of step";
+    }
+  }
+}
+
 // --- Process model -------------------------------------------------------------
 
 TEST(ProcessModelTest, RelaxesTowardFaultTargets) {
@@ -608,6 +674,60 @@ TEST(ChillerSimulatorTest, AcquisitionReflectsFaultState) {
   const auto spec = dsp::amplitude_spectrum(w, kRate);
   EXPECT_GT(dsp::order_amplitude(spec, chiller.signature().shaft_hz, 1.0),
             0.3);
+}
+
+TEST(ChillerSimulatorTest, ThreePointAcquisitionMatchesSinglePointCalls) {
+  // The DC's one call fills the Motor, Gearbox and Compressor records with
+  // the bits of three single-point calls, each corrupted on its own
+  // channel: a spiking gearbox accelerometer moves the gearbox record
+  // alone. The seeded stream stays in step for the next acquisition.
+  const auto make = [](bool spiking) {
+    auto chiller = std::make_unique<ChillerSimulator>();
+    chiller->faults().schedule({FailureMode::MotorBearingWear, SimTime(0),
+                                SimTime(0), 0.6, GrowthProfile::Step});
+    chiller->faults().schedule({FailureMode::PumpCavitation, SimTime(0),
+                                SimTime(0), 0.5, GrowthProfile::Step});
+    if (spiking) {
+      SensorFaultEvent spike;
+      spike.channel = vibration_channel(MachinePoint::Gearbox);
+      spike.type = SensorFaultType::Spike;
+      spike.to = SimTime::from_hours(1.0);
+      spike.level = 3.0;
+      spike.spike_fraction = 0.01;
+      chiller->sensor_faults().schedule(spike);
+    }
+    chiller->advance(SimTime::from_seconds(60.0));
+    return chiller;
+  };
+  const auto joint = make(true);
+  const auto single = make(true);
+  const auto clean = make(false);
+
+  std::vector<double> got(kMachinePointCount * kWindow);
+  std::vector<double> want(got.size());
+  std::vector<double> unspiked(got.size());
+  joint->acquire_vibration(kRate, got);
+  for (std::size_t p = 0; p < kMachinePointCount; ++p) {
+    single->acquire_vibration(static_cast<MachinePoint>(p), kRate,
+                              std::span(want).subspan(p * kWindow, kWindow));
+  }
+  clean->acquire_vibration(kRate, unspiked);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+  for (std::size_t p = 0; p < kMachinePointCount; ++p) {
+    const bool same = std::memcmp(got.data() + p * kWindow,
+                                  unspiked.data() + p * kWindow,
+                                  kWindow * sizeof(double)) == 0;
+    EXPECT_EQ(same, static_cast<MachinePoint>(p) != MachinePoint::Gearbox)
+        << to_string(static_cast<MachinePoint>(p));
+  }
+
+  std::vector<double> joint_current(4096), single_current(4096);
+  joint->acquire_current(4096.0, joint_current);
+  single->acquire_current(4096.0, single_current);
+  EXPECT_EQ(std::memcmp(joint_current.data(), single_current.data(),
+                        joint_current.size() * sizeof(double)),
+            0);
 }
 
 // --- EMA -----------------------------------------------------------------------

@@ -58,7 +58,8 @@ void print_e8_summary() {
   const auto alarms =
       alarm_daq.poll_alarms(SimTime(0), SimTime::from_seconds(2.0));
 
-  std::printf(
+  std::fprintf(
+      stderr,
       "\nE8 Data Concentrator acquisition chain (paper Fig 5 / §8)\n"
       "  claim    : 32 channels via 2 MUX cards, >40 kHz sampling,\n"
       "             real-time RMS alarming on all channels\n"
@@ -66,11 +67,13 @@ void print_e8_summary() {
       "             (%.0f samples/s aggregate through the 4-ch digitizer)\n",
       daq.channel_count(), to_string(scan.duration).c_str(), achieved);
   if (!alarms.empty()) {
-    std::printf("             RMS alarm on ch%zu after %s (rms %.2f g)\n\n",
-                alarms[0].channel, to_string(alarms[0].at).c_str(),
-                alarms[0].rms);
+    std::fprintf(stderr,
+                 "             RMS alarm on ch%zu after %s (rms %.2f g)\n\n",
+                 alarms[0].channel, to_string(alarms[0].at).c_str(),
+                 alarms[0].rms);
   } else {
-    std::printf("             RMS alarm did not fire (unexpected)\n\n");
+    std::fprintf(stderr,
+                 "             RMS alarm did not fire (unexpected)\n\n");
   }
 }
 
@@ -192,6 +195,7 @@ BENCHMARK(BM_RngUnitNormals);
 }  // namespace
 
 int main(int argc, char** argv) {
+  // On stderr, so --benchmark_format=json leaves stdout one JSON document.
   print_e8_summary();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -65,7 +65,9 @@ std::optional<FailureMode> diagnose_trial(FailureMode mode, double severity,
       chiller.acquire_current(4096.0, current);
       extractor.extract_current(current, 4096.0, chiller.load(), frame);
     }
-    for (const auto& [k, v] : process) frame.set(k, v);
+    process.for_each([&](domain::Channel c, double v) {
+      frame.set(domain::name(c), v);
+    });
     for (const auto& d : engine.evaluate(frame, beliefs)) consider(d);
   }
   for (const auto& d : fuzzy_dx.evaluate(process, beliefs)) consider(d);

@@ -242,7 +242,7 @@ std::vector<DcTestRecords> acquire_dc_tests(std::size_t tests) {
 /// The analysis of run_vibration_test on one test's records.
 void analyze_dc_test(const DcTestRecords& r, dc::SensorValidator& validator,
                      const rules::FeatureExtractor& extractor) {
-  (void)validator.check_window(plant::kCurrentChannel, r.current);
+  (void)validator.check_window(domain::Channel::CurrentMotor, r.current);
   for (std::size_t p = 0; p < 3; ++p) {
     (void)validator.check_window(plant::vibration_channel(kPoints[p]),
                                  r.vibration[p]);

@@ -1,5 +1,5 @@
 #pragma once
-// Small unit helpers used across the plant and DSP code.
+// Constants shared by the plant and DSP code.
 
 #include <numbers>
 
@@ -7,20 +7,5 @@ namespace mpros {
 
 constexpr double kPi = std::numbers::pi;
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
-
-/// Shaft speed conversions. Vibration analysis is organized around "orders"
-/// (multiples of running speed), so rpm <-> Hz appears everywhere.
-constexpr double rpm_to_hz(double rpm) { return rpm / 60.0; }
-constexpr double hz_to_rpm(double hz) { return hz * 60.0; }
-
-constexpr double celsius_to_kelvin(double c) { return c + 273.15; }
-constexpr double kelvin_to_celsius(double k) { return k - 273.15; }
-
-/// Pressure in kPa throughout; PSI appears in Navy-facing displays.
-constexpr double kpa_to_psi(double kpa) { return kpa * 0.145037738; }
-
-/// Acceleration expressed in g for display, m/s^2 internally.
-constexpr double g_to_ms2(double g) { return g * 9.80665; }
-constexpr double ms2_to_g(double ms2) { return ms2 / 9.80665; }
 
 }  // namespace mpros

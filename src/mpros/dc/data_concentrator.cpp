@@ -1,6 +1,7 @@
 #include "mpros/dc/data_concentrator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "mpros/common/assert.hpp"
@@ -58,6 +59,16 @@ bool current_owns(const rules::RuleEngine& dli, FailureMode mode) {
 
 /// SBFR event codes: 0x60 + machine index (resolved via sbfr_machine_mode_).
 constexpr std::uint8_t kSbfrEventBase = 0x60;
+
+/// The process value each SBFR input channel carries:
+///   0: compressor bearing temperature (C)
+///   1: oil temperature (C)
+///   2: condensing pressure (kPa)
+///   3: evaporator pressure *deficit* (nominal - actual, kPa) so a falling
+///      suction pressure is a rising channel the threshold machine can see.
+constexpr std::array<domain::Channel, 4> kSbfrChannels{
+    domain::Channel::BearingTemp, domain::Channel::OilTemp,
+    domain::Channel::CondPressure, domain::Channel::EvapPressure};
 
 /// How far back the DC database's log tables reach. They are a rolling
 /// window for local inspection, not the durable record: condensed health
@@ -130,8 +141,7 @@ DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
       extractor_(chiller.signature()),
       dli_(rules::chiller_rulebase(chiller.signature())),
       fuzzy_(),
-      sbfr_(/*input_channels=*/4),
-      validator_(cfg.sensor_validation),
+      sbfr_(kSbfrChannels.size()),
       reliable_(cfg.id, cfg.reliable) {
   MPROS_EXPECTS(cfg_.window >= 256);
   MPROS_EXPECTS(cfg_.heartbeat_period.micros() > 0);
@@ -222,16 +232,7 @@ void DataConcentrator::setup_sbfr() {
   if (!cfg_.enable_sbfr) return;
   const auto nominals = domain::navy_chiller_nominals();
 
-  // Channel layout (process variables resampled per scan):
-  //   0: compressor bearing temperature (C)
-  //   1: oil temperature (C)
-  //   2: condensing pressure (kPa)
-  //   3: evaporator pressure *deficit* (nominal - actual, kPa) so a falling
-  //      suction pressure is a rising channel the threshold machine can see.
-  sbfr_channel_keys_ = {"process.bearing_temp_c", "process.oil_temp_c",
-                        "process.cond_pressure_kpa",
-                        "process.evap_pressure_kpa"};
-
+  // Input channels follow kSbfrChannels.
   std::uint8_t idx = 0;
   const auto add = [&](sbfr::MachineDef def, FailureMode mode) {
     sbfr_.add_machine(std::move(def));
@@ -404,7 +405,7 @@ bool DataConcentrator::apply_setting(std::string_view key, double value,
       if (key == "validator.flatline_peak_to_peak") {
         vc.flatline_peak_to_peak = value;
       }
-      validator_.set_config(std::move(vc));
+      validator_.set_config(vc);
     }
   } else if (key == "dc.report_hysteresis") {
     ok = value >= 0.0 && value <= 1.0;
@@ -535,19 +536,18 @@ ObjectId DataConcentrator::sensed_object_for(FailureMode mode) const {
   return refs_.chiller;
 }
 
-ObjectId DataConcentrator::object_for_channel(std::string_view channel) const {
-  if (channel == "vib.motor" || channel == plant::kCurrentChannel) {
-    return refs_.motor;
-  }
-  if (channel == "vib.gearbox") return refs_.gearbox;
-  if (channel == "vib.compressor") return refs_.compressor;
+ObjectId DataConcentrator::object_for_channel(domain::Channel channel) const {
+  using enum domain::Channel;
+  if (channel == VibMotor || channel == CurrentMotor) return refs_.motor;
+  if (channel == VibGearbox) return refs_.gearbox;
+  if (channel == VibCompressor) return refs_.compressor;
   return refs_.chiller;
 }
 
-void DataConcentrator::emit_sensor_fault(SimTime now,
-                                         const std::string& channel,
+void DataConcentrator::emit_sensor_fault(SimTime now, domain::Channel channel,
                                          domain::SensorFaultKind kind,
                                          bool cleared) {
+  const std::string name(domain::name(channel));
   net::FailureReport r;
   r.dc = cfg_.id;
   r.knowledge_source = kSensorValidator;
@@ -556,8 +556,8 @@ void DataConcentrator::emit_sensor_fault(SimTime now,
   r.severity = cleared ? 0.0 : 1.0;
   r.belief = 0.9;
   r.explanation =
-      cleared ? channel + " validated clean; channel trusted again"
-              : domain::sensor_fault_condition_text(kind) + " on " + channel;
+      cleared ? name + " validated clean; channel trusted again"
+              : domain::sensor_fault_condition_text(kind) + " on " + name;
   r.recommendations =
       cleared ? "Resume normal monitoring."
               : "Inspect transducer, cabling and DAQ channel; machinery "
@@ -575,22 +575,24 @@ void DataConcentrator::emit_sensor_fault(SimTime now,
   trim_log(now);
   events_.push_back({now, cleared ? "sensor channel restored: "
                                   : "sensor channel quarantined: ",
-                     channel});
+                     name});
   outbox_.push_back(std::move(r));
   ++stats_.reports_emitted;
   ++stats_.sensor_fault_reports;
   DcMetrics::instance().reports_emitted.inc();
 }
 
-bool DataConcentrator::validate_window(SimTime now, const std::string& channel,
-                                       std::span<const double> samples) {
-  if (!cfg_.enable_sensor_validation) return true;
-  const SensorValidator::Verdict v = validator_.check_window(channel, samples);
+bool DataConcentrator::admit(SimTime now, domain::Channel channel,
+                             const SensorValidator::Verdict& v) {
   if (v.newly_quarantined) emit_sensor_fault(now, channel, *v.fault, false);
-  if (v.released && v.cleared_kind.has_value()) {
-    emit_sensor_fault(now, channel, *v.cleared_kind, true);
-  }
+  if (v.released) emit_sensor_fault(now, channel, *v.cleared_kind, true);
   return !validator_.quarantined(channel);
+}
+
+bool DataConcentrator::validate_window(SimTime now, domain::Channel channel,
+                                       std::span<const double> samples) {
+  return !cfg_.enable_sensor_validation ||
+         admit(now, channel, validator_.check_window(channel, samples));
 }
 
 void DataConcentrator::emit_raw(
@@ -664,7 +666,7 @@ void DataConcentrator::run_vibration_test(SimTime now) {
       {db::Value(now.micros()), db::Value("vibration")});
   trim_log(now);
 
-  const plant::ProcessSnapshot process = chiller_.process_snapshot();
+  const domain::ProcessValues process = chiller_.process_snapshot();
   const double load = chiller_.load();
 
   // The records live in the thread's sample arena: a DC holds no samples
@@ -682,7 +684,7 @@ void DataConcentrator::run_vibration_test(SimTime now) {
   stats_.samples_processed += current.size();
   metrics.samples_processed.inc(current.size());
   const bool current_ok =
-      validate_window(now, plant::kCurrentChannel, current);
+      validate_window(now, domain::Channel::CurrentMotor, current);
 
   // The three accelerometer records in one render, Motor, Gearbox and
   // Compressor back to back.
@@ -713,12 +715,10 @@ void DataConcentrator::run_vibration_test(SimTime now) {
       extractor_.extract_current(current, cfg_.current_sample_rate_hz, load,
                                  frame);
     }
-    for (const auto& [key, value] : process) {
-      if (cfg_.enable_sensor_validation && validator_.quarantined(key)) {
-        continue;  // rules abstain on the missing feature
-      }
-      frame.set(key, value);
-    }
+    process.for_each([&](domain::Channel c, double value) {
+      // Rules abstain on a quarantined value's missing feature.
+      if (trusted(c)) frame.set(domain::name(c), value);
+    });
 
     for (const rules::Diagnosis& d : dli_.evaluate(frame, beliefs_)) {
       if (!point_owns(point, d.mode)) continue;
@@ -733,11 +733,8 @@ void DataConcentrator::run_vibration_test(SimTime now) {
       nn::WnnContext ctx;
       ctx.shaft_hz = chiller_.signature().shaft_hz;
       ctx.load_fraction = load;
-      const auto temp = process.find("process.bearing_temp_c");
-      if (temp != process.end() &&
-          !(cfg_.enable_sensor_validation &&
-            validator_.quarantined(temp->first))) {
-        ctx.bearing_temp_c = temp->second;
+      if (trusted(domain::Channel::BearingTemp)) {
+        ctx.bearing_temp_c = process[domain::Channel::BearingTemp];
       }
 
       for (const rules::Diagnosis& d :
@@ -756,33 +753,25 @@ void DataConcentrator::run_process_scan(SimTime now) {
   telemetry::StageTimer span("dc.process_scan", trace_id(cfg_.id, stats_),
                              now.micros(), &metrics.process_wall_us);
   metrics.process_scans.inc();
-  plant::ProcessSnapshot snapshot = chiller_.process_snapshot();
+  domain::ProcessValues snapshot = chiller_.process_snapshot();
 
-  // Screen every reading; quarantined keys vanish from the snapshot, so the
+  // Screen every reading; quarantined values leave the snapshot, so the
   // database, the raw-data feed and every analyzer see only trusted values.
   if (cfg_.enable_sensor_validation) {
-    for (auto it = snapshot.begin(); it != snapshot.end();) {
-      const SensorValidator::Verdict v =
-          validator_.check_value(it->first, it->second);
-      if (v.newly_quarantined) {
-        emit_sensor_fault(now, it->first, *v.fault, false);
-      }
-      if (v.released && v.cleared_kind.has_value()) {
-        emit_sensor_fault(now, it->first, *v.cleared_kind, true);
-      }
-      if (validator_.quarantined(it->first)) {
-        it = snapshot.erase(it);
-      } else {
-        ++it;
+    for (std::size_t i = 0; i < domain::kProcessCount; ++i) {
+      const domain::Channel c = domain::process_channel(i);
+      if (!admit(now, c, validator_.check_value(c, snapshot[c]))) {
+        snapshot.erase(c);
       }
     }
   }
 
   db::Table& measurements = db_.table("measurements");
-  for (const auto& [key, value] : snapshot) {
-    measurements.insert_auto(
-        {db::Value(now.micros()), db::Value(key), db::Value(value)});
-  }
+  snapshot.for_each([&](domain::Channel c, double value) {
+    measurements.insert_auto({db::Value(now.micros()),
+                              db::Value(domain::spec(c).name),
+                              db::Value(value)});
+  });
   trim_log(now);
 
   if (cfg_.sensor_publish_every != 0 &&
@@ -791,7 +780,10 @@ void DataConcentrator::run_process_scan(SimTime now) {
     msg.dc = cfg_.id;
     msg.machine = refs_.chiller;
     msg.timestamp = now;
-    msg.values.assign(snapshot.begin(), snapshot.end());
+    msg.values.reserve(snapshot.size());
+    snapshot.for_each([&](domain::Channel c, double value) {
+      msg.values.emplace_back(domain::name(c), value);
+    });
     sensor_outbox_.push_back(std::move(msg));
   }
 
@@ -803,22 +795,15 @@ void DataConcentrator::run_process_scan(SimTime now) {
 
   // SBFR steps only when its full input vector is trusted; with any channel
   // quarantined it holds state rather than latching on fabricated inputs.
-  bool sbfr_inputs_ok = true;
-  for (const std::string& key : sbfr_channel_keys_) {
-    sbfr_inputs_ok = sbfr_inputs_ok && snapshot.contains(key);
-  }
-  if (cfg_.enable_sbfr && !sbfr_machine_mode_.empty() && sbfr_inputs_ok) {
-    const auto value = [&](const std::string& key) {
-      const auto it = snapshot.find(key);
-      MPROS_ASSERT(it != snapshot.end());
-      return it->second;
-    };
-    const double inputs[4] = {
-        value(sbfr_channel_keys_[0]), value(sbfr_channel_keys_[1]),
-        value(sbfr_channel_keys_[2]),
-        // Channel 3 carries the evaporator pressure deficit.
+  if (cfg_.enable_sbfr && !sbfr_machine_mode_.empty() &&
+      std::ranges::all_of(kSbfrChannels, [&](domain::Channel c) {
+        return snapshot.has(c);
+      })) {
+    const double inputs[kSbfrChannels.size()] = {
+        snapshot[kSbfrChannels[0]], snapshot[kSbfrChannels[1]],
+        snapshot[kSbfrChannels[2]],
         domain::navy_chiller_nominals().evap_pressure_kpa -
-            value(sbfr_channel_keys_[3])};
+            snapshot[kSbfrChannels[3]]};
     sbfr_.step(inputs);
 
     for (const sbfr::Event& e : sbfr_.drain_events()) {
@@ -828,9 +813,9 @@ void DataConcentrator::run_process_scan(SimTime now) {
       const double severity = 0.5;  // SBFR flags onset; KF fuses magnitude
       emit_raw(now, kSbfr, sensed_object_for(mode), mode, severity,
                /*belief=*/0.65,
-               "SBFR state machine latched on " +
-                   sbfr_channel_keys_[std::min<std::size_t>(
-                       e.machine, sbfr_channel_keys_.size() - 1)],
+               std::string("SBFR state machine latched on ")
+                   .append(domain::name(kSbfrChannels[std::min<std::size_t>(
+                       e.machine, kSbfrChannels.size() - 1)])),
                "Correlate with vibration expert system findings.",
                rules::default_prognosis(severity));
       // The host acknowledges the latch so the machine can re-arm (§6.3).

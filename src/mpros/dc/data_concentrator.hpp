@@ -83,7 +83,6 @@ struct DcConfig {
   /// Screen every acquisition for instrument faults; quarantined channels
   /// are withheld from the analyzers and reported as sensor faults.
   bool enable_sensor_validation = true;
-  SensorValidatorConfig sensor_validation = chiller_validator_config();
   /// Reliable report delivery: each sync window's reports ride one
   /// sequence-numbered ReportBatch datagram, buffered until the PDME acks
   /// and retransmitted with backoff.
@@ -240,18 +239,26 @@ class DataConcentrator {
                 std::string explanation, std::string recommendation,
                 const std::vector<rules::PrognosticPoint>& prognosis);
   [[nodiscard]] ObjectId sensed_object_for(domain::FailureMode mode) const;
-  [[nodiscard]] ObjectId object_for_channel(std::string_view channel) const;
-  void emit_sensor_fault(SimTime now, const std::string& channel,
+  [[nodiscard]] ObjectId object_for_channel(domain::Channel channel) const;
+  void emit_sensor_fault(SimTime now, domain::Channel channel,
                          domain::SensorFaultKind kind, bool cleared);
+  /// Report a screen's quarantine or release of `channel`; returns false
+  /// while it is quarantined and its data must be withheld.
+  bool admit(SimTime now, domain::Channel channel,
+             const SensorValidator::Verdict& v);
   /// Validate one waveform acquisition; returns false when the channel is
   /// quarantined and its data must be withheld from the analyzers.
-  bool validate_window(SimTime now, const std::string& channel,
+  bool validate_window(SimTime now, domain::Channel channel,
                        std::span<const double> samples);
+  /// False while sensor validation holds `channel` in quarantine.
+  [[nodiscard]] bool trusted(domain::Channel channel) const {
+    return !(cfg_.enable_sensor_validation && validator_.quarantined(channel));
+  }
   void setup_database();
   /// Erase log-table rows at or before now - one hour, oldest first, and
   /// refresh stats_.log_rows.
   void trim_log(SimTime now);
-  /// Build the SBFR machines and their channel/mode tables.
+  /// Build the SBFR machines and their mode table.
   void setup_sbfr();
   /// Register the scheduler tasks. For a fresh DC `resume_at` is zero and
   /// tasks first fire one period (plus its desync phase) from boot; on a
@@ -280,7 +287,6 @@ class DataConcentrator {
   rules::RuleEngine dli_;
   fuzzy::FuzzyDiagnoser fuzzy_;
   sbfr::SbfrSystem sbfr_;
-  std::vector<std::string> sbfr_channel_keys_;  // process key per channel
   std::vector<domain::FailureMode> sbfr_machine_mode_;  // mode per machine
   std::vector<std::string> sbfr_latch_events_;  // journal text per machine
 

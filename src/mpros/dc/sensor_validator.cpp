@@ -49,36 +49,8 @@ double robust_sigma(std::size_t n, const Value& value, double median,
 
 }  // namespace
 
-SensorValidatorConfig chiller_validator_config() {
-  SensorValidatorConfig cfg;
-  // Accelerometers saturate long before 80 g on this frame size; motor
-  // supply current is bipolar instantaneous amperes.
-  for (const char* vib : {"vib.motor", "vib.gearbox", "vib.compressor"}) {
-    cfg.ranges[vib] = PhysicalRange{-80.0, 80.0};
-  }
-  cfg.ranges["current.motor"] = PhysicalRange{-1500.0, 1500.0};
-  cfg.ranges["process.load"] = PhysicalRange{-0.1, 1.5};
-  cfg.ranges["process.evap_pressure_kpa"] = PhysicalRange{0.0, 2000.0};
-  cfg.ranges["process.cond_pressure_kpa"] = PhysicalRange{0.0, 3000.0};
-  cfg.ranges["process.chw_supply_c"] = PhysicalRange{-10.0, 60.0};
-  cfg.ranges["process.superheat_c"] = PhysicalRange{-20.0, 60.0};
-  cfg.ranges["process.oil_pressure_kpa"] = PhysicalRange{0.0, 1500.0};
-  cfg.ranges["process.oil_temp_c"] = PhysicalRange{-10.0, 150.0};
-  cfg.ranges["process.winding_temp_c"] = PhysicalRange{-10.0, 250.0};
-  cfg.ranges["process.bearing_temp_c"] = PhysicalRange{-10.0, 200.0};
-  cfg.ranges["process.cond_approach_c"] = PhysicalRange{-10.0, 60.0};
-  cfg.ranges["process.motor_current_a"] = PhysicalRange{0.0, 2000.0};
-  // The load key echoes the commanded setpoint — no instrument noise, so
-  // exact repeats are normal, not a stuck DAC.
-  cfg.flatline_exempt.insert("process.load");
-  return cfg;
-}
-
-SensorValidator::SensorValidator(SensorValidatorConfig cfg)
-    : cfg_(std::move(cfg)) {}
-
 std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
-    const std::string& channel, std::span<const double> samples) const {
+    domain::Channel channel, std::span<const double> samples) const {
   if (samples.empty()) return std::nullopt;
   namespace sel = dsp::detail;
   const std::size_t n = samples.size();
@@ -114,12 +86,9 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
   }
 
   const double median = sel::select_gathered(n, k, at, g, work);
-  if (const auto range_it = cfg_.ranges.find(channel);
-      range_it != cfg_.ranges.end()) {
-    const PhysicalRange& r = range_it->second;
-    if (median < r.lo || median > r.hi) {
-      return domain::SensorFaultKind::OutOfRange;
-    }
+  const domain::ChannelSpec& spec = domain::spec(channel);
+  if (median < spec.lo || median > spec.hi) {
+    return domain::SensorFaultKind::OutOfRange;
   }
 
   // The MAD's pass also counts the deviations above the spike limit its
@@ -157,15 +126,12 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
 }
 
 std::optional<domain::SensorFaultKind> SensorValidator::screen_value(
-    const std::string& channel, ChannelState& state, double value) const {
+    domain::Channel channel, ChannelState& state, double value) const {
   if (!std::isfinite(value)) return domain::SensorFaultKind::Dropout;
 
-  if (const auto range_it = cfg_.ranges.find(channel);
-      range_it != cfg_.ranges.end()) {
-    const PhysicalRange& r = range_it->second;
-    if (value < r.lo || value > r.hi) {
-      return domain::SensorFaultKind::OutOfRange;
-    }
+  const domain::ChannelSpec& spec = domain::spec(channel);
+  if (value < spec.lo || value > spec.hi) {
+    return domain::SensorFaultKind::OutOfRange;
   }
 
   if (state.has_last && value == state.last_value) {
@@ -175,47 +141,28 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_value(
   }
   state.last_value = value;
   state.has_last = true;
-  if (state.repeat_count + 1 >= cfg_.flatline_repeats &&
-      !cfg_.flatline_exempt.contains(channel)) {
+  if (state.repeat_count + 1 >= kFlatlineRepeats && !spec.flatline_exempt) {
     return domain::SensorFaultKind::Flatline;
   }
 
-  const std::size_t n = state.history_size;
-  if (n > 0 && n >= cfg_.scalar_history) {
-    const std::size_t slots = state.history.size();
-    const std::size_t first = state.history_next + slots - n;
-    const auto held = [&](std::size_t j) {
-      return state.history[(first + j) % slots];
+  if (state.history_size == kScalarHistory) {
+    const auto held = [&](std::size_t j) {  // oldest first
+      return state.history[(state.history_next + j) % kScalarHistory];
     };
-    const std::span<double> work = screen_buffer(n);
-    const double median = dsp::select_kth(n, n / 2, held, work);
-    const double sigma = robust_sigma(n, held, median, work);
+    const std::span<double> work = screen_buffer(kScalarHistory);
+    const double median =
+        dsp::select_kth(kScalarHistory, kScalarHistory / 2, held, work);
+    const double sigma = robust_sigma(kScalarHistory, held, median, work);
     if (sigma > 0.0 &&
         std::fabs(value - median) > cfg_.scalar_spike_sigmas * sigma) {
       return domain::SensorFaultKind::Spike;
     }
   }
 
-  remember(state, value);
-  return std::nullopt;
-}
-
-void SensorValidator::remember(ChannelState& state, double value) const {
-  const std::size_t limit = cfg_.scalar_history;
-  if (state.history.size() < limit) {
-    // Unroll the ring oldest-first before it grows; only a longer
-    // `scalar_history` gets here after the first readings.
-    std::rotate(state.history.begin(),
-                state.history.begin() +
-                    static_cast<std::ptrdiff_t>(state.history_next),
-                state.history.end());
-    state.history_next = state.history.size();
-    state.history.resize(limit);
-  }
-  if (state.history.empty()) return;
   state.history[state.history_next] = value;
-  state.history_next = (state.history_next + 1) % state.history.size();
-  state.history_size = std::min(state.history_size + 1, limit);
+  state.history_next = (state.history_next + 1) % kScalarHistory;
+  state.history_size = std::min(state.history_size + 1, kScalarHistory);
+  return std::nullopt;
 }
 
 SensorValidator::Verdict SensorValidator::resolve(
@@ -250,27 +197,15 @@ SensorValidator::Verdict SensorValidator::resolve(
 }
 
 SensorValidator::Verdict SensorValidator::check_window(
-    const std::string& channel, std::span<const double> samples) {
-  return resolve(channels_[channel], screen_window(channel, samples));
+    domain::Channel channel, std::span<const double> samples) {
+  return resolve(channels_[domain::index(channel)],
+                 screen_window(channel, samples));
 }
 
-SensorValidator::Verdict SensorValidator::check_value(
-    const std::string& channel, double value) {
-  ChannelState& state = channels_[channel];
+SensorValidator::Verdict SensorValidator::check_value(domain::Channel channel,
+                                                      double value) {
+  ChannelState& state = channels_[domain::index(channel)];
   return resolve(state, screen_value(channel, state, value));
-}
-
-bool SensorValidator::quarantined(const std::string& channel) const {
-  const auto it = channels_.find(channel);
-  return it != channels_.end() && it->second.quarantined;
-}
-
-std::vector<std::string> SensorValidator::quarantined_channels() const {
-  std::vector<std::string> out;
-  for (const auto& [name, state] : channels_) {
-    if (state.quarantined) out.push_back(name);
-  }
-  return out;
 }
 
 }  // namespace mpros::dc

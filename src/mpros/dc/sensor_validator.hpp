@@ -12,41 +12,27 @@
 //                 sit above genuine bearing-impact crest factors so real
 //                 machinery impulsiveness never trips them.
 // A failed channel is quarantined: its data is withheld from the analyzers
-// (which degrade gracefully — rules abstain on missing features, fuzzy and
-// SBFR skip absent keys) until the channel produces `release_after`
-// consecutive clean checks.
+// (which degrade gracefully: rules abstain on missing features, and the
+// fuzzy engines and SBFR sit out a scan whose ProcessValues lack a value
+// they read) until the channel produces `release_after` consecutive clean
+// checks. The channel table (domain/channels.hpp) gives each channel's
+// plausibility range and whether the exact-repeat flatline screen skips it.
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <span>
-#include <string>
-#include <utility>
-#include <vector>
 
+#include "mpros/domain/channels.hpp"
 #include "mpros/domain/failure_modes.hpp"
 
 namespace mpros::dc {
 
-struct PhysicalRange {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
+/// The screens' thresholds, tunable at run time.
 struct SensorValidatorConfig {
-  /// Plausibility limits per channel; channels without an entry skip the
-  /// range check but keep all other screens.
-  std::map<std::string, PhysicalRange> ranges;
   /// Window peak-to-peak below this is a flatline. Real accelerometer noise
   /// floors sit orders of magnitude above.
   double flatline_peak_to_peak = 1e-9;
-  /// Scalar channels flatline when this many consecutive scans repeat the
-  /// same reading exactly (process noise makes honest repeats implausible).
-  std::size_t flatline_repeats = 4;
-  /// Channels exempt from the exact-repeat flatline screen: commanded
-  /// setpoints and other noiseless telemetry repeat legitimately.
-  std::set<std::string> flatline_exempt;
   /// Spike screen: samples beyond `spike_sigmas` robust deviations
   /// (median/MAD) count as spikes; the window faults when at least
   /// `spike_min_count` land. Bearing-impact crests reach ~5-10 sigmas;
@@ -56,13 +42,9 @@ struct SensorValidatorConfig {
   /// Scalar spike screen: deviation from the recent-history median, in
   /// robust sigmas of that history.
   double scalar_spike_sigmas = 12.0;
-  std::size_t scalar_history = 16;
   /// Consecutive clean checks before a quarantined channel is trusted again.
   std::size_t release_after = 3;
 };
-
-/// Plausibility limits for the chiller's instrument suite.
-[[nodiscard]] SensorValidatorConfig chiller_validator_config();
 
 class SensorValidator {
  public:
@@ -72,28 +54,29 @@ class SensorValidator {
     std::optional<domain::SensorFaultKind> fault;
     bool newly_quarantined = false;  ///< healthy -> quarantined transition
     bool released = false;           ///< quarantined -> healthy transition
-    /// The fault being retired when `released` (for the all-clear report).
+    /// The fault being retired, set exactly when `released` (for the
+    /// all-clear report).
     std::optional<domain::SensorFaultKind> cleared_kind;
   };
 
-  explicit SensorValidator(SensorValidatorConfig cfg =
-                               chiller_validator_config());
+  explicit SensorValidator(SensorValidatorConfig cfg = {}) : cfg_(cfg) {}
 
   /// Screen a waveform acquisition (vibration / motor current).
-  Verdict check_window(const std::string& channel,
+  Verdict check_window(domain::Channel channel,
                        std::span<const double> samples);
 
   /// Screen one scalar process reading.
-  Verdict check_value(const std::string& channel, double value);
+  Verdict check_value(domain::Channel channel, double value);
 
-  [[nodiscard]] bool quarantined(const std::string& channel) const;
-  [[nodiscard]] std::vector<std::string> quarantined_channels() const;
+  [[nodiscard]] bool quarantined(domain::Channel channel) const {
+    return channels_[domain::index(channel)].quarantined;
+  }
 
   /// Runtime control plane: adjust the screening thresholds in place.
   /// Quarantine verdicts, clean streaks and scalar histories are preserved
   /// — only future checks see the new limits.
   [[nodiscard]] const SensorValidatorConfig& config() const { return cfg_; }
-  void set_config(SensorValidatorConfig cfg) { cfg_ = std::move(cfg); }
+  void set_config(SensorValidatorConfig cfg) { cfg_ = cfg; }
 
   struct Stats {
     std::uint64_t checks = 0;
@@ -104,6 +87,13 @@ class SensorValidator {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// A scalar channel flatlines when this many consecutive scans repeat the
+  /// same reading exactly (process noise makes honest repeats implausible).
+  static constexpr std::size_t kFlatlineRepeats = 4;
+  /// Clean scalar readings the spike screen takes its median and scatter
+  /// from; it screens once this many are held.
+  static constexpr std::size_t kScalarHistory = 16;
+
   struct ChannelState {
     bool quarantined = false;
     domain::SensorFaultKind last_fault = domain::SensorFaultKind::Flatline;
@@ -111,26 +101,22 @@ class SensorValidator {
     std::size_t repeat_count = 0;  ///< scalar stuck-at tracking
     double last_value = 0.0;
     bool has_last = false;
-    /// Scalar recent readings (clean only): the `history_size` readings
-    /// before `history_next` in a ring, oldest overwritten first. The ring
-    /// grows only when `scalar_history` does.
-    std::vector<double> history;
+    /// The last `history_size` clean scalar readings; the next one
+    /// overwrites `history[history_next]`, the oldest once the ring is full.
+    std::array<double, kScalarHistory> history{};
     std::size_t history_next = 0;
     std::size_t history_size = 0;
   };
 
-  /// Append a clean reading, keeping the last `scalar_history` of them.
-  void remember(ChannelState& state, double value) const;
-
   Verdict resolve(ChannelState& state,
                   std::optional<domain::SensorFaultKind> fault);
   [[nodiscard]] std::optional<domain::SensorFaultKind> screen_window(
-      const std::string& channel, std::span<const double> samples) const;
+      domain::Channel channel, std::span<const double> samples) const;
   [[nodiscard]] std::optional<domain::SensorFaultKind> screen_value(
-      const std::string& channel, ChannelState& state, double value) const;
+      domain::Channel channel, ChannelState& state, double value) const;
 
   SensorValidatorConfig cfg_;
-  std::map<std::string, ChannelState> channels_;
+  std::array<ChannelState, domain::kChannelCount> channels_{};
   Stats stats_;
 };
 

@@ -173,7 +173,7 @@ FuzzyDiagnoser::FuzzyDiagnoser(const domain::ProcessNominals& nom) {
 }
 
 std::vector<rules::Diagnosis> FuzzyDiagnoser::evaluate(
-    const ProcessSnapshot& snapshot,
+    const domain::ProcessValues& snapshot,
     const rules::BelievabilityTable& beliefs) const {
   std::vector<rules::Diagnosis> out;
   for (const ModeEngine& me : engines_) {
@@ -201,7 +201,7 @@ std::vector<rules::Diagnosis> FuzzyDiagnoser::evaluate(
 }
 
 double FuzzyDiagnoser::severity(domain::FailureMode mode,
-                                const ProcessSnapshot& snapshot) const {
+                                const domain::ProcessValues& snapshot) const {
   for (const ModeEngine& me : engines_) {
     if (me.mode == mode) return me.engine.infer(snapshot);
   }

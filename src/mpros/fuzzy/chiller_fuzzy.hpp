@@ -7,20 +7,16 @@
 // pressures, superheat and current onto a 0..1 severity, which is then
 // packaged with the same gradient/prognosis mapping the DLI substitute uses.
 
-#include <map>
 #include <string>
 #include <vector>
 
+#include "mpros/domain/channels.hpp"
 #include "mpros/domain/equipment.hpp"
 #include "mpros/domain/failure_modes.hpp"
 #include "mpros/fuzzy/engine.hpp"
 #include "mpros/rules/engine.hpp"
 
 namespace mpros::fuzzy {
-
-/// Crisp process-variable snapshot, keyed by the rules::feat process keys
-/// (process.load, process.oil_temp_c, ...).
-using ProcessSnapshot = std::map<std::string, double>;
 
 class FuzzyDiagnoser {
  public:
@@ -31,12 +27,12 @@ class FuzzyDiagnoser {
   /// `fire_threshold`) return as rules::Diagnosis so downstream protocol
   /// packaging is shared with the vibration expert system.
   [[nodiscard]] std::vector<rules::Diagnosis> evaluate(
-      const ProcessSnapshot& snapshot,
+      const domain::ProcessValues& snapshot,
       const rules::BelievabilityTable& beliefs) const;
 
   /// Crisp severity for one mode (0 if the mode has no engine).
   [[nodiscard]] double severity(domain::FailureMode mode,
-                                const ProcessSnapshot& snapshot) const;
+                                const domain::ProcessValues& snapshot) const;
 
   /// Modes this diagnoser covers.
   [[nodiscard]] std::vector<domain::FailureMode> covered_modes() const;

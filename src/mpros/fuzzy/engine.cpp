@@ -1,6 +1,8 @@
 #include "mpros/fuzzy/engine.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 
 #include "mpros/common/assert.hpp"
 
@@ -11,12 +13,18 @@ MamdaniEngine::MamdaniEngine(std::vector<LinguisticVariable> inputs,
     : inputs_(std::move(inputs)), output_(std::move(output)) {
   MPROS_EXPECTS(!inputs_.empty());
   MPROS_EXPECTS(!output_.terms().empty());
+  for (const LinguisticVariable& var : inputs_) {
+    const std::optional<domain::Channel> c = domain::channel_named(var.name());
+    MPROS_EXPECTS(c.has_value() && domain::is_process(*c));
+    channels_.push_back(*c);
+  }
 }
 
 MamdaniEngine& MamdaniEngine::add_rule(FuzzyRule rule) {
   MPROS_EXPECTS(!rule.antecedents.empty());
   MPROS_EXPECTS(output_.has_term(rule.output_term));
   MPROS_EXPECTS(rule.weight > 0.0 && rule.weight <= 1.0);
+  MPROS_EXPECTS(rules_.size() < kMaxRules);
   BoundRule bound;
   bound.output_term = output_.term_index(rule.output_term);
   bound.weight = rule.weight;
@@ -24,6 +32,7 @@ MamdaniEngine& MamdaniEngine::add_rule(FuzzyRule rule) {
     const std::size_t v = input_index(a.variable);
     MPROS_EXPECTS(inputs_[v].has_term(a.term));
     bound.antecedents.push_back({v, inputs_[v].term_index(a.term), a.negated});
+    required_ |= domain::ProcessValues::bit(channels_[v]);
   }
   rules_.push_back(std::move(bound));
   return *this;
@@ -37,37 +46,25 @@ std::size_t MamdaniEngine::input_index(const std::string& name) const {
   return 0;  // unreachable
 }
 
-bool MamdaniEngine::has_inputs(const CrispInputs& inputs) const {
-  for (const BoundRule& rule : rules_) {
-    for (const BoundAntecedent& a : rule.antecedents) {
-      if (!inputs.contains(inputs_[a.variable].name())) return false;
-    }
-  }
-  return true;
-}
-
-std::vector<double> MamdaniEngine::firing_strengths(
-    const CrispInputs& inputs) const {
-  std::vector<double> strengths;
-  strengths.reserve(rules_.size());
-
-  for (const BoundRule& rule : rules_) {
+void MamdaniEngine::firing_strengths(const domain::ProcessValues& inputs,
+                                     std::span<double> out) const {
+  MPROS_EXPECTS(out.size() >= rules_.size());
+  for (std::size_t r = 0; r < rules_.size(); ++r) {
     double strength = 1.0;
-    for (const BoundAntecedent& a : rule.antecedents) {
-      const LinguisticVariable& var = inputs_[a.variable];
-      const auto it = inputs.find(var.name());
-      MPROS_EXPECTS(it != inputs.end());
-      double g = var.grade_term(a.term, it->second);
+    for (const BoundAntecedent& a : rules_[r].antecedents) {
+      const double x = inputs[channels_[a.variable]];
+      double g = inputs_[a.variable].grade_term(a.term, x);
       if (a.negated) g = 1.0 - g;
       strength = std::min(strength, g);
     }
-    strengths.push_back(strength * rule.weight);
+    out[r] = strength * rules_[r].weight;
   }
-  return strengths;
 }
 
-double MamdaniEngine::infer(const CrispInputs& inputs, Defuzzifier d) const {
-  const std::vector<double> strengths = firing_strengths(inputs);
+double MamdaniEngine::infer(const domain::ProcessValues& inputs,
+                            Defuzzifier d) const {
+  std::array<double, kMaxRules> strengths{};
+  firing_strengths(inputs, strengths);
 
   // Aggregate the clipped consequents over a sampled output universe.
   const double lo = output_.min();

@@ -141,7 +141,7 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
     // PDME acknowledgements (handlers run on the driver thread during
     // advance_to, when the DC's worker is idle).
     network_.register_endpoint(
-        "dc-" + std::to_string(p + 1), [this, p](const net::Message& msg) {
+        net::dc_endpoint(DcId(p + 1)), [this, p](const net::Message& msg) {
           dcs_[p]->handle_wire(msg);
           record_dc_events(p);
         });
@@ -395,7 +395,7 @@ void ShipSystem::durable_commit(SimTime t) {
 
 void ShipSystem::flush_dc(std::size_t i,
                           const std::vector<net::FailureReport>& reports) {
-  const std::string endpoint = "dc-" + std::to_string(i + 1);
+  const std::string endpoint = net::dc_endpoint(DcId(i + 1));
   dc::DataConcentrator& dc = *dcs_[i];
   if (!reports.empty()) {
     // The whole sync window rides one ReportBatch datagram sealed under a
@@ -419,7 +419,7 @@ void ShipSystem::restart_dc_to(std::size_t i, SimTime t) {
   const SimTime resume = plants_[i]->now();
   dc.set_wedged(false);
   if (recorder_) {
-    recorder_->record_event(t.micros(), "dc-" + std::to_string(i + 1),
+    recorder_->record_event(t.micros(), net::dc_endpoint(DcId(i + 1)),
                             "supervised restart (resume from " +
                                 std::to_string(resume.seconds()) + " s)");
   }
@@ -437,7 +437,7 @@ void ShipSystem::restart_dc_to(std::size_t i, SimTime t) {
 void ShipSystem::record_dc_events(std::size_t i) {
   if (!recorder_) return;  // the DC's next advance_to() drops them
   for (const auto& [at, what, detail] : dcs_[i]->drain_events()) {
-    recorder_->record_event(at.micros(), "dc-" + std::to_string(i + 1),
+    recorder_->record_event(at.micros(), net::dc_endpoint(DcId(i + 1)),
                             std::string(what) + detail);
   }
 }

@@ -38,6 +38,10 @@ struct NetMetrics {
 
 }  // namespace
 
+std::string dc_endpoint(DcId dc) {
+  return "dc-" + std::to_string(dc.value());
+}
+
 SimNetwork::SimNetwork(NetworkConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   MPROS_EXPECTS(cfg.drop_probability >= 0.0 && cfg.drop_probability < 1.0);
   MPROS_EXPECTS(cfg.duplicate_probability >= 0.0 &&

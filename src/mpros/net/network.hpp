@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mpros/common/clock.hpp"
+#include "mpros/common/ids.hpp"
 #include "mpros/common/rng.hpp"
 
 namespace mpros::net {
@@ -58,6 +59,9 @@ struct Outage {
   SimTime to;
   double drop_probability = 1.0;
 };
+
+/// The network endpoint name of a data concentrator ("dc-<id>").
+[[nodiscard]] std::string dc_endpoint(DcId dc);
 
 class SimNetwork {
  public:

@@ -174,7 +174,7 @@ void PdmeExecutive::send_retest(const PendingRetest& p) {
   cmd.target = p.dc;
   cmd.command = net::TestCommandMessage::Command::VibrationTest;
   cmd.reason = "PDME closer-look: " + domain::condition_text(p.mode);
-  network_->send(endpoint_name_, "dc-" + std::to_string(p.dc.value()),
+  network_->send(endpoint_name_, net::dc_endpoint(p.dc),
                  net::wrap(cmd), p.at);
   ++stats_.retests_commanded;
 }
@@ -385,8 +385,7 @@ bool PdmeExecutive::deliver(const net::Message& message) {
       if (view->sequence != 0 && network_ != nullptr) {
         // Ack fresh and duplicate datagrams alike — a retransmission may
         // mean our previous ack was the datagram that got lost.
-        network_->send(endpoint_name_,
-                       "dc-" + std::to_string(view->dc.value()),
+        network_->send(endpoint_name_, net::dc_endpoint(view->dc),
                        net::wrap(receiver_.make_ack(view->dc)),
                        message.delivered_at);
         ++stats_.acks_sent;
@@ -449,7 +448,7 @@ std::uint64_t PdmeExecutive::send_command(
   }
   std::vector<std::uint8_t> payload = sender->envelope(cmd, at);
   if (network_ != nullptr) {
-    network_->send(endpoint_name_, "dc-" + std::to_string(dc.value()),
+    network_->send(endpoint_name_, net::dc_endpoint(dc),
                    std::move(payload), at);
   }
   ++stats_.commands_sent;
@@ -460,15 +459,10 @@ void PdmeExecutive::sweep_commands(SimTime now) {
   if (network_ == nullptr) return;
   for (auto& [dc, sender] : command_senders_) {
     for (auto& payload : sender->due_retransmits(now)) {
-      network_->send(endpoint_name_, "dc-" + std::to_string(dc),
+      network_->send(endpoint_name_, net::dc_endpoint(DcId(dc)),
                      std::move(payload), now);
     }
   }
-}
-
-const net::ReliableSender* PdmeExecutive::command_stream(DcId dc) const {
-  const auto it = command_senders_.find(dc.value());
-  return it == command_senders_.end() ? nullptr : it->second.get();
 }
 
 void PdmeExecutive::accept(const net::SensorDataMessage& data) {

@@ -143,10 +143,6 @@ class PdmeExecutive {
   /// calls this once per step; the PDME has no scheduler of its own).
   void sweep_commands(SimTime now);
 
-  /// Command-stream sender for `dc` (nullptr before the first
-  /// send_command to it). Tests assert window drain / backoff through it.
-  [[nodiscard]] const net::ReliableSender* command_stream(DcId dc) const;
-
   [[nodiscard]] std::vector<SensorFaultRecord> sensor_faults(
       bool active_only = true) const;
 

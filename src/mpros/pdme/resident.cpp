@@ -30,10 +30,11 @@ double median(std::vector<double> v) {
 }  // namespace
 
 std::vector<FleetComparativeAnalyzer::Deviation>
-FleetComparativeAnalyzer::outliers(const std::string& key,
+FleetComparativeAnalyzer::outliers(domain::Channel channel,
                                    double min_delta) const {
   const oosm::ObjectModel& model =
       static_cast<const PdmeExecutive&>(pdme_).model();
+  const std::string key(domain::name(channel));
 
   std::vector<std::pair<ObjectId, double>> readings;
   for (const ObjectId chiller :
@@ -99,7 +100,7 @@ std::vector<net::FailureReport> FleetComparativeAnalyzer::scan(SimTime now) {
   // High condensing pressure relative to sisters sharing the same seawater
   // supply: fouling in that plant's condenser.
   for (const Deviation& d :
-       outliers("process.cond_pressure_kpa", cfg_.min_cond_kpa_delta)) {
+       outliers(domain::Channel::CondPressure, cfg_.min_cond_kpa_delta)) {
     ++stats_.comparisons;
     if (d.robust_z > 0.0) {
       issued.push_back(make_report(d, FailureMode::CondenserFouling,
@@ -110,7 +111,7 @@ std::vector<net::FailureReport> FleetComparativeAnalyzer::scan(SimTime now) {
   // Low evaporator pressure relative to sisters under comparable load:
   // refrigerant inventory problem in that plant.
   for (const Deviation& d :
-       outliers("process.evap_pressure_kpa", cfg_.min_evap_kpa_delta)) {
+       outliers(domain::Channel::EvapPressure, cfg_.min_evap_kpa_delta)) {
     ++stats_.comparisons;
     if (d.robust_z < 0.0) {
       issued.push_back(make_report(d, FailureMode::RefrigerantLeak,

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "mpros/domain/channels.hpp"
 #include "mpros/pdme/pdme.hpp"
 
 namespace mpros::pdme {
@@ -67,8 +68,9 @@ class FleetComparativeAnalyzer {
     double fleet_median = 0.0;
     double robust_z = 0.0;
   };
-  /// Robust per-key outlier detection across all chillers carrying `key`.
-  [[nodiscard]] std::vector<Deviation> outliers(const std::string& key,
+  /// Robust outlier detection across all chillers carrying the process
+  /// value `channel` (the property the PDME stores under its name).
+  [[nodiscard]] std::vector<Deviation> outliers(domain::Channel channel,
                                                 double min_delta) const;
   net::FailureReport make_report(const Deviation& d, domain::FailureMode mode,
                                  const std::string& what, SimTime now) const;

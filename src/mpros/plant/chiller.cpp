@@ -63,8 +63,8 @@ void ChillerSimulator::acquire_vibration(double sample_rate_hz,
                           cfg_.load_fraction, clock_.now().seconds(),
                           sample_rate_hz);
   for (const PointRecord& r : parts) {
-    sensor_faults_.corrupt_window(vibration_channel(r.point), clock_.now(),
-                                  r.out);
+    sensor_faults_.corrupt_window(domain::name(vibration_channel(r.point)),
+                                  clock_.now(), r.out);
   }
 }
 
@@ -75,20 +75,24 @@ void ChillerSimulator::acquire_vibration_at(MachinePoint point,
   vibration_.acceleration(point, faults_.all_at(clock_.now()),
                           cfg_.load_fraction, t0_seconds, sample_rate_hz,
                           out);
-  sensor_faults_.corrupt_window(vibration_channel(point), clock_.now(), out);
+  sensor_faults_.corrupt_window(domain::name(vibration_channel(point)),
+                                clock_.now(), out);
 }
 
 void ChillerSimulator::acquire_current(double sample_rate_hz,
                                        std::span<double> out) {
   vibration_.motor_current(faults_.all_at(clock_.now()), cfg_.load_fraction,
                            clock_.now().seconds(), sample_rate_hz, out);
-  sensor_faults_.corrupt_window(kCurrentChannel, clock_.now(), out);
+  sensor_faults_.corrupt_window(domain::name(domain::Channel::CurrentMotor),
+                                clock_.now(), out);
 }
 
-ProcessSnapshot ChillerSimulator::process_snapshot() {
-  ProcessSnapshot snap = process_.snapshot();
-  for (auto& [key, value] : snap) {
-    value = sensor_faults_.corrupt_value(key, clock_.now(), value);
+domain::ProcessValues ChillerSimulator::process_snapshot() {
+  domain::ProcessValues snap = process_.snapshot();
+  for (std::size_t i = 0; i < domain::kProcessCount; ++i) {
+    const domain::Channel c = domain::process_channel(i);
+    snap.set(c, sensor_faults_.corrupt_value(domain::name(c), clock_.now(),
+                                             snap[c]));
   }
   return snap;
 }

@@ -39,7 +39,6 @@ class ChillerSimulator {
     return sensor_faults_;
   }
 
-  void set_load(double fraction) { cfg_.load_fraction = fraction; }
   [[nodiscard]] double load() const { return cfg_.load_fraction; }
 
   /// Schedule a load setpoint at an absolute time; between setpoints the
@@ -72,8 +71,8 @@ class ChillerSimulator {
   /// Acquire a motor-current window (amperes).
   void acquire_current(double sample_rate_hz, std::span<double> out);
 
-  /// Noisy process-variable snapshot (keys = rules::feat process names).
-  [[nodiscard]] ProcessSnapshot process_snapshot();
+  /// Noisy process-variable snapshot, sensor faults applied.
+  [[nodiscard]] domain::ProcessValues process_snapshot();
 
   /// Current ground-truth severities (for scoring).
   [[nodiscard]] Severities truth() const { return faults_.all_at(now()); }

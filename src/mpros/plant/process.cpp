@@ -13,65 +13,65 @@ ProcessModel::ProcessModel(domain::ProcessNominals nominals,
                            std::uint64_t seed, SimTime time_constant)
     : nom_(nominals), rng_(seed), tau_(time_constant) {
   MPROS_EXPECTS(time_constant.micros() > 0);
-  state_ = targets(load_, Severities{});
+  state_ = targets(0.8, Severities{});
 }
 
-void ProcessModel::reset() {
-  load_ = 0.8;
-  state_ = targets(load_, Severities{});
-}
-
-ProcessModel::Targets ProcessModel::targets(
-    double load, const Severities& severities) const {
+ProcessModel::Values ProcessModel::targets(double load,
+                                           const Severities& severities) const {
+  using enum domain::Channel;
   const auto sev = [&](FailureMode m) {
     return severities[static_cast<std::size_t>(m)];
   };
   const double l = std::clamp(load, 0.0, 1.2);
 
-  Targets t;
+  Values t{};
+  const auto at = [&t](domain::Channel c) -> double& {
+    return t[domain::process_slot(c)];
+  };
+  at(Load) = l;
   // Load raises evaporator duty (lower pressure at high load) and
   // condensing pressure.
-  t.evap_kpa = nom_.evap_pressure_kpa + 18.0 * (0.8 - l);
-  t.cond_kpa = nom_.cond_pressure_kpa + 90.0 * (l - 0.8);
-  t.chw_supply_c = nom_.chilled_water_supply_c + 0.4 * (l - 0.8);
-  t.superheat_c = nom_.superheat_c;
-  t.oil_kpa = nom_.oil_pressure_kpa;
-  t.oil_c = nom_.oil_temperature_c + 4.0 * (l - 0.8);
-  t.winding_c = nom_.motor_winding_temp_c + 22.0 * (l - 0.8);
-  t.bearing_c = nom_.bearing_temp_c + 6.0 * (l - 0.8);
-  t.cond_approach_c = 4.0 + 1.0 * (l - 0.8);
-  t.current_a = nom_.motor_current_a * (0.25 + 0.75 * l);
+  at(EvapPressure) = nom_.evap_pressure_kpa + 18.0 * (0.8 - l);
+  at(CondPressure) = nom_.cond_pressure_kpa + 90.0 * (l - 0.8);
+  at(ChwSupplyTemp) = nom_.chilled_water_supply_c + 0.4 * (l - 0.8);
+  at(Superheat) = nom_.superheat_c;
+  at(OilPressure) = nom_.oil_pressure_kpa;
+  at(OilTemp) = nom_.oil_temperature_c + 4.0 * (l - 0.8);
+  at(WindingTemp) = nom_.motor_winding_temp_c + 22.0 * (l - 0.8);
+  at(BearingTemp) = nom_.bearing_temp_c + 6.0 * (l - 0.8);
+  at(CondApproach) = 4.0 + 1.0 * (l - 0.8);
+  at(MotorCurrent) = nom_.motor_current_a * (0.25 + 0.75 * l);
 
   // Fault signatures on the process side.
   const double leak = sev(FailureMode::RefrigerantLeak);
-  t.evap_kpa -= 95.0 * leak;
-  t.superheat_c += 11.0 * leak;
-  t.chw_supply_c += 5.0 * leak;
+  at(EvapPressure) -= 95.0 * leak;
+  at(Superheat) += 11.0 * leak;
+  at(ChwSupplyTemp) += 5.0 * leak;
 
   const double fouling = sev(FailureMode::CondenserFouling);
-  t.cond_kpa += 340.0 * fouling;
-  t.cond_approach_c += 10.0 * fouling;
-  t.current_a *= 1.0 + 0.20 * fouling;
+  at(CondPressure) += 340.0 * fouling;
+  at(CondApproach) += 10.0 * fouling;
+  at(MotorCurrent) *= 1.0 + 0.20 * fouling;
 
   const double oil = sev(FailureMode::OilDegradation);
-  t.oil_c += 26.0 * oil;
-  t.oil_kpa -= 115.0 * oil;
-  t.bearing_c += 12.0 * oil;
+  at(OilTemp) += 26.0 * oil;
+  at(OilPressure) -= 115.0 * oil;
+  at(BearingTemp) += 12.0 * oil;
 
   const double winding = sev(FailureMode::StatorWindingFault);
-  t.winding_c += 48.0 * winding;
-  t.current_a *= 1.0 + 0.28 * winding;
+  at(WindingTemp) += 48.0 * winding;
+  at(MotorCurrent) *= 1.0 + 0.28 * winding;
 
-  t.bearing_c += 24.0 * sev(FailureMode::MotorBearingWear);
-  t.bearing_c += 28.0 * sev(FailureMode::CompressorBearingWear);
-  t.oil_c += 6.0 * sev(FailureMode::CompressorBearingWear);
+  at(BearingTemp) += 24.0 * sev(FailureMode::MotorBearingWear);
+  at(BearingTemp) += 28.0 * sev(FailureMode::CompressorBearingWear);
+  at(OilTemp) += 6.0 * sev(FailureMode::CompressorBearingWear);
 
   // Cavitation depresses suction slightly.
-  t.evap_kpa -= 30.0 * sev(FailureMode::PumpCavitation);
+  at(EvapPressure) -= 30.0 * sev(FailureMode::PumpCavitation);
 
   // Heavy mechanical faults bleed a little energy into bearings.
-  t.bearing_c += 5.0 * sev(FailureMode::ShaftMisalignment);
-  t.bearing_c += 4.0 * sev(FailureMode::GearMeshWear);
+  at(BearingTemp) += 5.0 * sev(FailureMode::ShaftMisalignment);
+  at(BearingTemp) += 4.0 * sev(FailureMode::GearMeshWear);
 
   return t;
 }
@@ -79,57 +79,45 @@ ProcessModel::Targets ProcessModel::targets(
 void ProcessModel::advance(SimTime dt, double load_fraction,
                            const Severities& severities) {
   MPROS_EXPECTS(dt.micros() >= 0);
-  load_ = std::clamp(load_fraction, 0.0, 1.2);
-  const Targets goal = targets(load_, severities);
+  const Values goal = targets(load_fraction, severities);
 
-  // First-order relaxation: alpha = 1 - exp(-dt/tau).
+  // First-order relaxation: alpha = 1 - exp(-dt/tau). The load follows its
+  // setpoint at once.
   const double alpha =
       1.0 - std::exp(-static_cast<double>(dt.micros()) /
                      static_cast<double>(tau_.micros()));
-  const auto relax = [alpha](double& current, double target) {
-    current += alpha * (target - current);
-  };
-  relax(state_.evap_kpa, goal.evap_kpa);
-  relax(state_.cond_kpa, goal.cond_kpa);
-  relax(state_.chw_supply_c, goal.chw_supply_c);
-  relax(state_.superheat_c, goal.superheat_c);
-  relax(state_.oil_kpa, goal.oil_kpa);
-  relax(state_.oil_c, goal.oil_c);
-  relax(state_.winding_c, goal.winding_c);
-  relax(state_.bearing_c, goal.bearing_c);
-  relax(state_.cond_approach_c, goal.cond_approach_c);
-  relax(state_.current_a, goal.current_a);
+  for (std::size_t i = 0; i < state_.size(); ++i) {
+    state_[i] += alpha * (goal[i] - state_[i]);
+  }
+  const std::size_t load = domain::process_slot(domain::Channel::Load);
+  state_[load] = goal[load];
 }
 
-ProcessSnapshot ProcessModel::state() const {
-  return ProcessSnapshot{
-      {"process.load", load_},
-      {"process.evap_pressure_kpa", state_.evap_kpa},
-      {"process.cond_pressure_kpa", state_.cond_kpa},
-      {"process.chw_supply_c", state_.chw_supply_c},
-      {"process.superheat_c", state_.superheat_c},
-      {"process.oil_pressure_kpa", state_.oil_kpa},
-      {"process.oil_temp_c", state_.oil_c},
-      {"process.winding_temp_c", state_.winding_c},
-      {"process.bearing_temp_c", state_.bearing_c},
-      {"process.cond_approach_c", state_.cond_approach_c},
-      {"process.motor_current_a", state_.current_a},
-  };
+domain::ProcessValues ProcessModel::state() const {
+  domain::ProcessValues s;
+  for (std::size_t i = 0; i < state_.size(); ++i) {
+    s.set(domain::process_channel(i), state_[i]);
+  }
+  return s;
 }
 
-ProcessSnapshot ProcessModel::snapshot() {
-  ProcessSnapshot s = state();
-  // Instrument-grade noise per variable class.
-  s["process.evap_pressure_kpa"] += rng_.normal(0.0, 1.5);
-  s["process.cond_pressure_kpa"] += rng_.normal(0.0, 3.0);
-  s["process.chw_supply_c"] += rng_.normal(0.0, 0.05);
-  s["process.superheat_c"] += rng_.normal(0.0, 0.1);
-  s["process.oil_pressure_kpa"] += rng_.normal(0.0, 2.0);
-  s["process.oil_temp_c"] += rng_.normal(0.0, 0.2);
-  s["process.winding_temp_c"] += rng_.normal(0.0, 0.4);
-  s["process.bearing_temp_c"] += rng_.normal(0.0, 0.25);
-  s["process.cond_approach_c"] += rng_.normal(0.0, 0.1);
-  s["process.motor_current_a"] += rng_.normal(0.0, 0.8);
+domain::ProcessValues ProcessModel::snapshot() {
+  using enum domain::Channel;
+  domain::ProcessValues s = state();
+  // Instrument-grade noise per variable class, drawn in this order.
+  const auto noise = [&](domain::Channel c, double sigma) {
+    s.set(c, s[c] + rng_.normal(0.0, sigma));
+  };
+  noise(EvapPressure, 1.5);
+  noise(CondPressure, 3.0);
+  noise(ChwSupplyTemp, 0.05);
+  noise(Superheat, 0.1);
+  noise(OilPressure, 2.0);
+  noise(OilTemp, 0.2);
+  noise(WindingTemp, 0.4);
+  noise(BearingTemp, 0.25);
+  noise(CondApproach, 0.1);
+  noise(MotorCurrent, 0.8);
   return s;
 }
 

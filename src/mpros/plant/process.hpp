@@ -9,22 +9,16 @@
 // and the fuzzy rulebase.
 
 #include <array>
-#include <map>
-#include <string>
 
 #include "mpros/common/clock.hpp"
 #include "mpros/common/rng.hpp"
+#include "mpros/domain/channels.hpp"
 #include "mpros/domain/equipment.hpp"
 #include "mpros/domain/failure_modes.hpp"
 
 namespace mpros::plant {
 
 using Severities = std::array<double, domain::kFailureModeCount>;
-
-/// Crisp process-variable snapshot, keyed by the canonical
-/// rules::feat::process.* names (kept as plain strings here so plant does
-/// not depend on rules).
-using ProcessSnapshot = std::map<std::string, double>;
 
 class ProcessModel {
  public:
@@ -34,28 +28,21 @@ class ProcessModel {
   /// Advance the state by dt toward the fault/load-determined targets.
   void advance(SimTime dt, double load_fraction, const Severities& severities);
 
-  /// Current (noisy) snapshot including "process.load".
-  [[nodiscard]] ProcessSnapshot snapshot();
+  /// Current (noisy) reading of every process value, the load included.
+  [[nodiscard]] domain::ProcessValues snapshot();
 
   /// Noise-free internal state (for tests).
-  [[nodiscard]] ProcessSnapshot state() const;
-
-  /// Reset to nominal conditions.
-  void reset();
+  [[nodiscard]] domain::ProcessValues state() const;
 
  private:
-  struct Targets {
-    double evap_kpa, cond_kpa, chw_supply_c, superheat_c, oil_kpa, oil_c,
-        winding_c, bearing_c, cond_approach_c, current_a;
-  };
-  [[nodiscard]] Targets targets(double load,
-                                const Severities& severities) const;
+  /// Every process value, by domain::process_slot().
+  using Values = std::array<double, domain::kProcessCount>;
+  [[nodiscard]] Values targets(double load, const Severities& severities) const;
 
   domain::ProcessNominals nom_;
   Rng rng_;
   SimTime tau_;
-  double load_ = 0.8;
-  Targets state_;
+  Values state_{};
 };
 
 }  // namespace mpros::plant

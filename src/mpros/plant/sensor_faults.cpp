@@ -28,25 +28,6 @@ double unit_hash(std::uint64_t x) {
 
 }  // namespace
 
-const char* to_string(SensorFaultType type) {
-  switch (type) {
-    case SensorFaultType::StuckAt: return "stuck-at";
-    case SensorFaultType::Dropout: return "dropout";
-    case SensorFaultType::OutOfRange: return "out-of-range";
-    case SensorFaultType::Spike: return "spike";
-  }
-  return "unknown";
-}
-
-const char* vibration_channel(MachinePoint point) {
-  switch (point) {
-    case MachinePoint::Motor: return "vib.motor";
-    case MachinePoint::Gearbox: return "vib.gearbox";
-    case MachinePoint::Compressor: return "vib.compressor";
-  }
-  return "vib.unknown";
-}
-
 void SensorFaultInjector::schedule(SensorFaultEvent event) {
   MPROS_EXPECTS(!event.channel.empty());
   MPROS_EXPECTS(event.from < event.to);
@@ -54,13 +35,6 @@ void SensorFaultInjector::schedule(SensorFaultEvent event) {
     MPROS_EXPECTS(event.spike_fraction > 0.0 && event.spike_fraction <= 1.0);
   }
   events_.push_back(std::move(event));
-}
-
-bool SensorFaultInjector::active(std::string_view channel, SimTime now) const {
-  for (const SensorFaultEvent& e : events_) {
-    if (e.channel == channel && now >= e.from && now < e.to) return true;
-  }
-  return false;
 }
 
 void SensorFaultInjector::corrupt_window(std::string_view channel, SimTime now,

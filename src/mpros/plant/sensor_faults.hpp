@@ -9,9 +9,9 @@
 // deterministically: corruption is a pure function of (channel, time,
 // sample index, seed), independent of acquisition order.
 //
-// Channel names follow the DC's convention: "vib.motor", "vib.gearbox",
-// "vib.compressor", "current.motor", and the process snapshot keys
-// ("process.bearing_temp_c", ...).
+// Events name their channel as the channel table does
+// (domain/channels.hpp); a name the table lacks corrupts nothing the
+// chiller acquires.
 
 #include <span>
 #include <string>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mpros/common/clock.hpp"
+#include "mpros/domain/channels.hpp"
 #include "mpros/plant/vibration.hpp"
 
 namespace mpros::plant {
@@ -29,8 +30,6 @@ enum class SensorFaultType : std::uint8_t {
   OutOfRange,  ///< constant bias `level` pushes readings out of physics
   Spike,       ///< sparse impulses of amplitude `level` (loose connector)
 };
-
-[[nodiscard]] const char* to_string(SensorFaultType type);
 
 struct SensorFaultEvent {
   std::string channel;
@@ -44,24 +43,18 @@ struct SensorFaultEvent {
   double spike_fraction = 0.005;
 };
 
-/// The vibration channel name for an accelerometer point.
-[[nodiscard]] const char* vibration_channel(MachinePoint point);
-
-inline constexpr const char* kCurrentChannel = "current.motor";
+/// The accelerometer channel of a machine point.
+[[nodiscard]] constexpr domain::Channel vibration_channel(MachinePoint point) {
+  using enum domain::Channel;
+  constexpr domain::Channel kByPoint[] = {VibMotor, VibGearbox, VibCompressor};
+  return kByPoint[static_cast<std::size_t>(point)];
+}
 
 class SensorFaultInjector {
  public:
   explicit SensorFaultInjector(std::uint64_t seed = 0x5E4503) : seed_(seed) {}
 
   void schedule(SensorFaultEvent event);
-  void clear() { events_.clear(); }
-  [[nodiscard]] const std::vector<SensorFaultEvent>& events() const {
-    return events_;
-  }
-
-  /// True if any fault window covers `channel` at `now` (ground truth for
-  /// scoring the validator).
-  [[nodiscard]] bool active(std::string_view channel, SimTime now) const;
 
   /// Corrupt a waveform window acquired from `channel` at `now` in place.
   /// No-op when no fault window is active.

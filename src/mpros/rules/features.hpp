@@ -14,6 +14,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "mpros/domain/channels.hpp"
 #include "mpros/domain/equipment.hpp"
 
 namespace mpros::telemetry {
@@ -60,18 +61,20 @@ inline constexpr const char* kCurrentRms = "electrical.current_rms";
 inline constexpr const char* kOverallRms = "overall.rms";
 inline constexpr const char* kCrestFactor = "overall.crest";
 inline constexpr const char* kKurtosis = "overall.kurtosis";
-// Process variables
-inline constexpr const char* kLoad = "process.load";  // fraction 0..1
-inline constexpr const char* kOilPressure = "process.oil_pressure_kpa";
-inline constexpr const char* kOilTemp = "process.oil_temp_c";
-inline constexpr const char* kBearingTemp = "process.bearing_temp_c";
-inline constexpr const char* kWindingTemp = "process.winding_temp_c";
-inline constexpr const char* kEvapPressure = "process.evap_pressure_kpa";
-inline constexpr const char* kCondPressure = "process.cond_pressure_kpa";
-inline constexpr const char* kSuperheat = "process.superheat_c";
-inline constexpr const char* kChwSupplyTemp = "process.chw_supply_c";
-inline constexpr const char* kCondApproach = "process.cond_approach_c";
-inline constexpr const char* kMotorCurrent = "process.motor_current_a";
+// Process variables, named by the channel table. Load is a fraction 0..1.
+using domain::Channel;
+using domain::spec;
+inline constexpr const char* kLoad = spec(Channel::Load).name;
+inline constexpr const char* kOilPressure = spec(Channel::OilPressure).name;
+inline constexpr const char* kOilTemp = spec(Channel::OilTemp).name;
+inline constexpr const char* kBearingTemp = spec(Channel::BearingTemp).name;
+inline constexpr const char* kWindingTemp = spec(Channel::WindingTemp).name;
+inline constexpr const char* kEvapPressure = spec(Channel::EvapPressure).name;
+inline constexpr const char* kCondPressure = spec(Channel::CondPressure).name;
+inline constexpr const char* kSuperheat = spec(Channel::Superheat).name;
+inline constexpr const char* kChwSupplyTemp = spec(Channel::ChwSupplyTemp).name;
+inline constexpr const char* kCondApproach = spec(Channel::CondApproach).name;
+inline constexpr const char* kMotorCurrent = spec(Channel::MotorCurrent).name;
 }  // namespace feat
 
 class FeatureFrame {

@@ -1,5 +1,6 @@
 // Steady-state allocation audit for the DC's per-test analysis: the sensor
-// screens and feature extraction on pre-acquired seeded records. Also
+// screens and feature extraction on pre-acquired seeded records, and the
+// process scan's snapshot, screens, fuzzy engines and SBFR step. Also
 // checks who owns the samples: a DC holds none between tests, so DCs
 // stepped on one thread share one set of records in the thread's arena.
 //
@@ -14,7 +15,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <new>
 #include <span>
@@ -25,9 +25,12 @@
 #include "mpros/dc/sensor_validator.hpp"
 #include "mpros/dsp/scratch.hpp"
 #include "mpros/dsp/spectrum.hpp"
+#include "mpros/fuzzy/chiller_fuzzy.hpp"
 #include "mpros/mpros/wnn_training.hpp"
 #include "mpros/plant/chiller.hpp"
 #include "mpros/rules/features.hpp"
+#include "mpros/sbfr/interpreter.hpp"
+#include "mpros/sbfr/library.hpp"
 #include "mpros/telemetry/metrics.hpp"
 
 namespace {
@@ -77,7 +80,7 @@ constexpr double kCurrentRate = 4096.0;
 struct Records {
   std::vector<double> current = std::vector<double>(32768);
   std::vector<double> vibration = std::vector<double>(8192);
-  std::map<std::string, double> process;
+  domain::ProcessValues process;
 };
 
 Records acquire(plant::ChillerSimulator& sim) {
@@ -109,11 +112,11 @@ TEST(DcAllocationTest, WarmedScreensAndCurrentExtractionAllocateNothing) {
   rules::FeatureFrame frame;
 
   const auto screen = [&](const Records& r) {
-    (void)validator.check_window("current.motor", r.current);
-    (void)validator.check_window("vib.motor", r.vibration);
-    for (const auto& [key, value] : r.process) {
-      (void)validator.check_value(key, value);
-    }
+    (void)validator.check_window(domain::Channel::CurrentMotor, r.current);
+    (void)validator.check_window(domain::Channel::VibMotor, r.vibration);
+    r.process.for_each([&](domain::Channel c, double value) {
+      (void)validator.check_value(c, value);
+    });
   };
   const auto extract = [&](const Records& r) {
     extractor.extract_current(r.current, kCurrentRate, sim.load(), frame);
@@ -146,6 +149,61 @@ TEST(DcAllocationTest, WarmedScreensAndCurrentExtractionAllocateNothing) {
   }
   // Nothing above was quarantined: the screens ran every stage.
   EXPECT_EQ(validator.stats().faults_detected, 0u);
+}
+
+TEST(DcAllocationTest, WarmedProcessScanPathAllocatesNothing) {
+  // A process scan's analysis: the plant's snapshot, a screen of every
+  // value (quarantined ones leave the snapshot), the fuzzy engines and one
+  // step of SBFR machines over bound channels, as the DC runs them.
+  using domain::Channel;
+  plant::ChillerSimulator sim;
+  dc::SensorValidator validator;
+  const fuzzy::FuzzyDiagnoser fuzzy;
+  const rules::BelievabilityTable beliefs;
+  const domain::ProcessNominals nominals = domain::navy_chiller_nominals();
+  constexpr Channel kInputs[] = {Channel::BearingTemp, Channel::OilTemp,
+                                 Channel::CondPressure, Channel::EvapPressure};
+  sbfr::SbfrSystem sbfr(std::size(kInputs));
+  sbfr.add_machine(sbfr::make_threshold_machine(
+      0, nominals.bearing_temp_c + 18.0, 2, 0, 0x60));
+  sbfr.add_machine(sbfr::make_trend_machine(1, 0.15, 5, 1, 0x61));
+
+  domain::ProcessValues values;
+  std::size_t fired = 0;
+  const auto scan = [&](bool audit) {
+    sim.advance(SimTime::from_seconds(60));
+    const auto check = [&](const char* what, const auto& body) {
+      const std::uint64_t n = allocations_in(body);
+      if (audit) {
+        EXPECT_EQ(n, 0u) << what << " allocated";
+      }
+    };
+    check("process_snapshot", [&] { values = sim.process_snapshot(); });
+    check("the screens", [&] {
+      for (std::size_t i = 0; i < domain::kProcessCount; ++i) {
+        const Channel c = domain::process_channel(i);
+        (void)validator.check_value(c, values[c]);
+        if (validator.quarantined(c)) values.erase(c);
+      }
+    });
+    check("FuzzyDiagnoser::evaluate",
+          [&] { fired += fuzzy.evaluate(values, beliefs).size(); });
+    check("the SBFR step", [&] {
+      double inputs[std::size(kInputs)];
+      for (std::size_t i = 0; i < std::size(kInputs); ++i) {
+        inputs[i] = values[kInputs[i]];
+      }
+      sbfr.step(inputs);
+    });
+  };
+
+  // Warm-up fills every scalar history ring and the screens' workspace.
+  for (int i = 0; i < 20; ++i) scan(false);
+  for (int i = 0; i < 10; ++i) scan(true);
+  // A healthy plant: every value trusted, no fuzzy engine fired.
+  EXPECT_EQ(values.size(), domain::kProcessCount);
+  EXPECT_EQ(validator.stats().faults_detected, 0u);
+  EXPECT_EQ(fired, 0u);
 }
 
 const dc::MachineRefs kRefs{ObjectId(1), ObjectId(2), ObjectId(3),
@@ -247,8 +305,8 @@ TEST(DcArenaTest, ScreensLeaveALiveHalfSpectrumsBandReadsBitIdentical) {
   const Records r = acquire(sim);
   dc::SensorValidator validator;
   const auto screen = [&] {
-    (void)validator.check_window("current.motor", r.current);
-    (void)validator.check_window("vib.motor", r.vibration);
+    (void)validator.check_window(domain::Channel::CurrentMotor, r.current);
+    (void)validator.check_window(domain::Channel::VibMotor, r.vibration);
   };
   const auto reads = [](const dsp::HalfSpectrum& spec) {
     std::vector<double> out;

@@ -92,7 +92,7 @@ inline std::string render_screen_verdicts() {
   // The default screen, and a tight one whose spike verdict moves with the
   // exact median and MAD of every window and of every scalar history.
   dc::SensorValidator normal;
-  dc::SensorValidatorConfig tight_cfg = dc::chiller_validator_config();
+  dc::SensorValidatorConfig tight_cfg;
   tight_cfg.spike_sigmas = 3.0;
   tight_cfg.spike_min_count = 40;
   tight_cfg.scalar_spike_sigmas = 1.5;
@@ -106,7 +106,7 @@ inline std::string render_screen_verdicts() {
     char head[16];
     std::snprintf(head, sizeof head, "%02d", minute);
     std::string line = head;
-    const auto check_window = [&](const char* channel,
+    const auto check_window = [&](domain::Channel channel,
                                   std::span<const double> w) {
       line += ' ';
       line += verdict_code(normal.check_window(channel, w));
@@ -114,7 +114,7 @@ inline std::string render_screen_verdicts() {
       line += verdict_code(tight.check_window(channel, w));
     };
     chiller.acquire_current(4096.0, current);
-    check_window("current.motor", current);
+    check_window(domain::Channel::CurrentMotor, current);
     for (const plant::MachinePoint point :
          {plant::MachinePoint::Motor, plant::MachinePoint::Gearbox,
           plant::MachinePoint::Compressor}) {
@@ -122,12 +122,12 @@ inline std::string render_screen_verdicts() {
       check_window(plant::vibration_channel(point), vib);
     }
     line += " |";
-    for (const auto& [key, value] : chiller.process_snapshot()) {
+    chiller.process_snapshot().for_each([&](domain::Channel c, double value) {
       line += ' ';
-      line += verdict_code(normal.check_value(key, value));
+      line += verdict_code(normal.check_value(c, value));
       line += '/';
-      line += verdict_code(tight.check_value(key, value));
-    }
+      line += verdict_code(tight.check_value(c, value));
+    });
     out += line;
     out += '\n';
   }
@@ -137,7 +137,7 @@ inline std::string render_screen_verdicts() {
 inline std::string render_fuzzy_severities() {
   const fuzzy::FuzzyDiagnoser diagnoser;
   const std::vector<domain::FailureMode> modes = diagnoser.covered_modes();
-  std::vector<fuzzy::ProcessSnapshot> snapshots;
+  std::vector<domain::ProcessValues> snapshots;
 
   // Plant snapshots: nominal, then each covered mode ramping to full.
   {
@@ -161,14 +161,14 @@ inline std::string render_fuzzy_severities() {
   }
   // Seeded snapshots from well below to well above each nominal, past the
   // edges of every input universe.
-  const fuzzy::ProcessSnapshot nominal = snapshots.front();
+  const domain::ProcessValues nominal = snapshots.front();
   Rng rng(0xF022);
   for (int i = 0; i < 96; ++i) {
-    fuzzy::ProcessSnapshot s;
-    for (const auto& [key, value] : nominal) {
-      s[key] = value * rng.uniform(0.2, 2.2);
-    }
-    snapshots.push_back(std::move(s));
+    domain::ProcessValues s;
+    nominal.for_each([&](domain::Channel c, double value) {
+      s.set(c, value * rng.uniform(0.2, 2.2));
+    });
+    snapshots.push_back(s);
   }
 
   std::string out;

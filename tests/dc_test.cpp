@@ -17,6 +17,7 @@
 namespace mpros::dc {
 namespace {
 
+using domain::Channel;
 using domain::FailureMode;
 
 /// Rows of the DC's `diagnostics` table that name `condition`.
@@ -285,20 +286,20 @@ TEST(SensorValidatorTest, FlatlineWindowQuarantinesThenCleanRunsRelease) {
     live[i] = 0.1 * static_cast<double>(i % 7);
   }
 
-  const auto verdict = v.check_window("vib.motor", stuck);
+  const auto verdict = v.check_window(Channel::VibMotor, stuck);
   ASSERT_TRUE(verdict.fault.has_value());
   EXPECT_EQ(*verdict.fault, domain::SensorFaultKind::Flatline);
   EXPECT_TRUE(verdict.newly_quarantined);
-  EXPECT_TRUE(v.quarantined("vib.motor"));
+  EXPECT_TRUE(v.quarantined(Channel::VibMotor));
 
   // Three consecutive clean acquisitions restore trust (release_after=3).
-  EXPECT_FALSE(v.check_window("vib.motor", live).released);
-  EXPECT_FALSE(v.check_window("vib.motor", live).released);
-  const auto released = v.check_window("vib.motor", live);
+  EXPECT_FALSE(v.check_window(Channel::VibMotor, live).released);
+  EXPECT_FALSE(v.check_window(Channel::VibMotor, live).released);
+  const auto released = v.check_window(Channel::VibMotor, live);
   EXPECT_TRUE(released.released);
   ASSERT_TRUE(released.cleared_kind.has_value());
   EXPECT_EQ(*released.cleared_kind, domain::SensorFaultKind::Flatline);
-  EXPECT_FALSE(v.quarantined("vib.motor"));
+  EXPECT_FALSE(v.quarantined(Channel::VibMotor));
   EXPECT_EQ(v.stats().quarantines, 1u);
   EXPECT_EQ(v.stats().releases, 1u);
 }
@@ -312,25 +313,25 @@ TEST(SensorValidatorTest, DropoutRangeAndSpikeScreens) {
 
   std::vector<double> with_nan = w;
   with_nan[100] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(v.check_window("vib.gearbox", with_nan).fault,
+  EXPECT_EQ(v.check_window(Channel::VibGearbox, with_nan).fault,
             domain::SensorFaultKind::Dropout);
 
   std::vector<double> biased = w;
   for (double& s : biased) s += 500.0;  // way past the 80 g accel range
-  EXPECT_EQ(v.check_window("vib.compressor", biased).fault,
+  EXPECT_EQ(v.check_window(Channel::VibCompressor, biased).fault,
             domain::SensorFaultKind::OutOfRange);
 
   std::vector<double> spiky = w;
   for (std::size_t i = 0; i < spiky.size(); i += 32) spiky[i] = 300.0;
-  EXPECT_EQ(v.check_window("current.motor", spiky).fault,
+  EXPECT_EQ(v.check_window(Channel::CurrentMotor, spiky).fault,
             domain::SensorFaultKind::Spike);
 
   // Scalar screens: NaN reading and physically absurd temperature.
-  EXPECT_EQ(v.check_value("process.oil_temp_c",
+  EXPECT_EQ(v.check_value(Channel::OilTemp,
                           std::numeric_limits<double>::quiet_NaN())
                 .fault,
             domain::SensorFaultKind::Dropout);
-  EXPECT_EQ(v.check_value("process.oil_temp_c", 900.0).fault,
+  EXPECT_EQ(v.check_value(Channel::OilTemp, 900.0).fault,
             domain::SensorFaultKind::OutOfRange);
 }
 
@@ -343,7 +344,7 @@ TEST(SensorValidatorTest, LongWindowScreensNonFiniteValuesAndTheSpikeCount) {
   Rng rng(0x5C2E);
   std::vector<double> w(32768);
   for (double& s : w) s = rng.normal(0.0, 1.0);
-  EXPECT_FALSE(v.check_window("current.motor", w).fault.has_value());
+  EXPECT_FALSE(v.check_window(Channel::CurrentMotor, w).fault.has_value());
 
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity(),
@@ -352,7 +353,7 @@ TEST(SensorValidatorTest, LongWindowScreensNonFiniteValuesAndTheSpikeCount) {
                                  w.size() / 2, w.size() - 1}) {
       std::vector<double> broken = w;
       broken[at] = bad;
-      EXPECT_EQ(v.check_window("current.motor", broken).fault,
+      EXPECT_EQ(v.check_window(Channel::CurrentMotor, broken).fault,
                 domain::SensorFaultKind::Dropout)
           << bad << " at " << at;
     }
@@ -360,32 +361,32 @@ TEST(SensorValidatorTest, LongWindowScreensNonFiniteValuesAndTheSpikeCount) {
 
   // Dropout outranks a flat window, and a flat window a biased one.
   std::vector<double> flat(32768, 2000.0);
-  EXPECT_EQ(v.check_window("current.motor", flat).fault,
+  EXPECT_EQ(v.check_window(Channel::CurrentMotor, flat).fault,
             domain::SensorFaultKind::Flatline);
   flat[7] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(v.check_window("current.motor", flat).fault,
+  EXPECT_EQ(v.check_window(Channel::CurrentMotor, flat).fault,
             domain::SensorFaultKind::Dropout);
 
   std::vector<double> spiky = w;
   for (std::size_t i = 0; i + 1 < cfg.spike_min_count; ++i) {
     spiky[1000 + 997 * i] = 200.0;
   }
-  EXPECT_FALSE(v.check_window("current.motor", spiky).fault.has_value());
+  EXPECT_FALSE(v.check_window(Channel::CurrentMotor, spiky).fault.has_value());
   spiky[30000] = -200.0;
-  EXPECT_EQ(v.check_window("current.motor", spiky).fault,
+  EXPECT_EQ(v.check_window(Channel::CurrentMotor, spiky).fault,
             domain::SensorFaultKind::Spike);
 }
 
 TEST(SensorValidatorTest, ScalarStuckAtNeedsExactRepeats) {
   SensorValidator v;
   // Three identical readings are still believable...
-  EXPECT_FALSE(v.check_value("process.bearing_temp_c", 55.1).fault.has_value());
-  EXPECT_FALSE(v.check_value("process.bearing_temp_c", 55.1).fault.has_value());
-  EXPECT_FALSE(v.check_value("process.bearing_temp_c", 55.1).fault.has_value());
+  EXPECT_FALSE(v.check_value(Channel::BearingTemp, 55.1).fault.has_value());
+  EXPECT_FALSE(v.check_value(Channel::BearingTemp, 55.1).fault.has_value());
+  EXPECT_FALSE(v.check_value(Channel::BearingTemp, 55.1).fault.has_value());
   // ...the fourth exact repeat is a frozen loop.
-  EXPECT_EQ(v.check_value("process.bearing_temp_c", 55.1).fault,
+  EXPECT_EQ(v.check_value(Channel::BearingTemp, 55.1).fault,
             domain::SensorFaultKind::Flatline);
-  EXPECT_TRUE(v.quarantined("process.bearing_temp_c"));
+  EXPECT_TRUE(v.quarantined(Channel::BearingTemp));
 }
 
 TEST(SensorValidatorTest, ExemptChannelsMayRepeatExactly) {
@@ -393,20 +394,20 @@ TEST(SensorValidatorTest, ExemptChannelsMayRepeatExactly) {
   // its normal behavior, not a stuck DAC.
   SensorValidator v;
   for (int i = 0; i < 20; ++i) {
-    EXPECT_FALSE(v.check_value("process.load", 0.85).fault.has_value());
+    EXPECT_FALSE(v.check_value(Channel::Load, 0.85).fault.has_value());
   }
-  EXPECT_FALSE(v.quarantined("process.load"));
+  EXPECT_FALSE(v.quarantined(Channel::Load));
 }
 
 TEST_F(DataConcentratorTest, StuckAccelerometerQuarantinedAndReported) {
   chiller_.sensor_faults().schedule(
-      {plant::vibration_channel(plant::MachinePoint::Motor),
+      {std::string(domain::name(Channel::VibMotor)),
        plant::SensorFaultType::StuckAt, SimTime(0), SimTime::from_hours(2.0),
        3.3});
   DataConcentrator dc(dc_config(), refs_, chiller_);
   const auto reports = dc.advance_to(SimTime::from_hours(1.0));
 
-  EXPECT_TRUE(dc.validator().quarantined("vib.motor"));
+  EXPECT_TRUE(dc.validator().quarantined(Channel::VibMotor));
   EXPECT_GE(dc.stats().sensor_fault_reports, 1u);
   bool found = false;
   for (const net::FailureReport& r : reports) {
@@ -447,13 +448,13 @@ TEST_F(DataConcentratorTest, QuarantinedMotorAccelerometerKeepsCurrentSignature)
   EXPECT_EQ(dli_reports(healthy_reports, FailureMode::RotorBarDefect), 2u);
 
   chiller_.sensor_faults().schedule(
-      {plant::vibration_channel(plant::MachinePoint::Motor),
+      {std::string(domain::name(Channel::VibMotor)),
        plant::SensorFaultType::StuckAt, SimTime(0), SimTime::from_hours(2.0),
        3.3});
   DataConcentrator dc(dc_config(), refs_, chiller_);
   const auto reports = dc.advance_to(SimTime::from_hours(1.0));
-  ASSERT_TRUE(dc.validator().quarantined("vib.motor"));
-  ASSERT_FALSE(dc.validator().quarantined(plant::kCurrentChannel));
+  ASSERT_TRUE(dc.validator().quarantined(Channel::VibMotor));
+  ASSERT_FALSE(dc.validator().quarantined(Channel::CurrentMotor));
   EXPECT_GE(dli_reports(reports, FailureMode::RotorBarDefect), 1u);
   for (const net::FailureReport& r : reports) {
     if (r.machine_condition ==
@@ -473,12 +474,12 @@ TEST_F(DataConcentratorTest, QuarantinedMotorAccelerometerIsNotReadFromHeat) {
   chiller_.faults().schedule({FailureMode::CompressorBearingWear, SimTime(0),
                               SimTime(0), 0.9, plant::GrowthProfile::Step});
   chiller_.sensor_faults().schedule(
-      {plant::vibration_channel(plant::MachinePoint::Motor),
+      {std::string(domain::name(Channel::VibMotor)),
        plant::SensorFaultType::StuckAt, SimTime(0), SimTime::from_hours(2.0),
        3.3});
   DataConcentrator dc(dc_config(), refs_, chiller_);
   const auto reports = dc.advance_to(SimTime::from_hours(1.0));
-  ASSERT_TRUE(dc.validator().quarantined("vib.motor"));
+  ASSERT_TRUE(dc.validator().quarantined(Channel::VibMotor));
   for (const net::FailureReport& r : reports) {
     EXPECT_NE(r.machine_condition,
               domain::condition_id(FailureMode::MotorBearingWear));
@@ -495,7 +496,7 @@ TEST_F(DataConcentratorTest, QuarantineSuppressesFalseMachineryDiagnoses) {
   DataConcentrator dc(dc_config(), refs_, chiller_);
   const auto reports = dc.advance_to(SimTime::from_hours(1.0));
 
-  EXPECT_TRUE(dc.validator().quarantined("process.bearing_temp_c"));
+  EXPECT_TRUE(dc.validator().quarantined(Channel::BearingTemp));
   for (const net::FailureReport& r : reports) {
     EXPECT_TRUE(std::isfinite(r.severity));
     EXPECT_TRUE(std::isfinite(r.belief));
@@ -547,7 +548,7 @@ TEST_F(DataConcentratorTest, SensorRecoveryEmitsAllClear) {
   DataConcentrator dc(dc_config(), refs_, chiller_);
   const auto reports = dc.advance_to(SimTime::from_hours(1.0));
 
-  EXPECT_FALSE(dc.validator().quarantined("process.oil_temp_c"));
+  EXPECT_FALSE(dc.validator().quarantined(Channel::OilTemp));
   bool quarantined_seen = false;
   bool cleared_seen = false;
   for (const net::FailureReport& r : reports) {

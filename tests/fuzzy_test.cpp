@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "mpros/fuzzy/chiller_fuzzy.hpp"
 #include "mpros/fuzzy/engine.hpp"
@@ -66,23 +67,36 @@ TEST(LinguisticVariableTest, GradeClampsToUniverse) {
   EXPECT_DOUBLE_EQ(v.grade("low", -50.0), 1.0);   // clamped to min
 }
 
+// Engine inputs read process channels; the demo engines read the oil
+// temperature as "temp" and the superheat as "x".
+using domain::Channel;
+using domain::ProcessValues;
+constexpr const char* kTemp = rules::feat::kOilTemp;
+constexpr const char* kX = rules::feat::kSuperheat;
+
+ProcessValues temp(double value) {
+  ProcessValues v;
+  v.set(Channel::OilTemp, value);
+  return v;
+}
+
 MamdaniEngine make_demo_engine() {
   std::vector<LinguisticVariable> in;
-  in.push_back(make_low_normal_high("temp", 0.0, 30.0, 70.0, 100.0));
+  in.push_back(make_low_normal_high(kTemp, 0.0, 30.0, 70.0, 100.0));
   LinguisticVariable out("risk", 0.0, 1.0);
   out.add_term("low", Triangular{0.0, 0.0, 0.5});
   out.add_term("high", Triangular{0.5, 1.0, 1.0});
   MamdaniEngine e(std::move(in), std::move(out));
-  e.add_rule({{{"temp", "high"}}, "high"});
-  e.add_rule({{{"temp", "low"}}, "low"});
-  e.add_rule({{{"temp", "normal"}}, "low"});
+  e.add_rule({{{kTemp, "high"}}, "high"});
+  e.add_rule({{{kTemp, "low"}}, "low"});
+  e.add_rule({{{kTemp, "normal"}}, "low"});
   return e;
 }
 
 TEST(MamdaniTest, CrispExtremesMapToExtremes) {
   const MamdaniEngine e = make_demo_engine();
-  EXPECT_GT(e.infer({{"temp", 95.0}}), 0.7);
-  EXPECT_LT(e.infer({{"temp", 10.0}}), 0.3);
+  EXPECT_GT(e.infer(temp(95.0)), 0.7);
+  EXPECT_LT(e.infer(temp(10.0)), 0.3);
 }
 
 TEST(MamdaniTest, OutputMonotoneInInput) {
@@ -91,7 +105,7 @@ TEST(MamdaniTest, OutputMonotoneInInput) {
   const MamdaniEngine e = make_demo_engine();
   double prev = -1.0;
   for (double t = 10.0; t <= 95.0; t += 5.0) {
-    const double risk = e.infer({{"temp", t}});
+    const double risk = e.infer(temp(t));
     EXPECT_GE(risk, prev - 0.05) << "at temp " << t;
     prev = std::max(prev, risk);
   }
@@ -99,60 +113,62 @@ TEST(MamdaniTest, OutputMonotoneInInput) {
 
 TEST(MamdaniTest, NegatedAntecedent) {
   std::vector<LinguisticVariable> in;
-  in.push_back(make_low_normal_high("temp", 0.0, 30.0, 70.0, 100.0));
+  in.push_back(make_low_normal_high(kTemp, 0.0, 30.0, 70.0, 100.0));
   LinguisticVariable out("risk", 0.0, 1.0);
   out.add_term("low", Triangular{0.0, 0.0, 0.5});
   out.add_term("high", Triangular{0.5, 1.0, 1.0});
   MamdaniEngine e(std::move(in), std::move(out));
-  e.add_rule({{{"temp", "low", /*negated=*/true}}, "high"});
-  e.add_rule({{{"temp", "low"}}, "low"});
-  EXPECT_GT(e.infer({{"temp", 90.0}}), 0.6);
-  EXPECT_LT(e.infer({{"temp", 5.0}}), 0.4);
+  e.add_rule({{{kTemp, "low", /*negated=*/true}}, "high"});
+  e.add_rule({{{kTemp, "low"}}, "low"});
+  EXPECT_GT(e.infer(temp(90.0)), 0.6);
+  EXPECT_LT(e.infer(temp(5.0)), 0.4);
 }
 
 TEST(MamdaniTest, NothingFiredReturnsUniverseMinimum) {
   std::vector<LinguisticVariable> in;
-  LinguisticVariable x("x", 0.0, 10.0);
+  LinguisticVariable x(kX, 0.0, 10.0);
   x.add_term("mid", Triangular{4.0, 5.0, 6.0});
   in.push_back(x);
   LinguisticVariable out("y", 0.0, 1.0);
   out.add_term("high", Triangular{0.5, 1.0, 1.0});
   MamdaniEngine e(std::move(in), std::move(out));
-  e.add_rule({{{"x", "mid"}}, "high"});
-  EXPECT_DOUBLE_EQ(e.infer({{"x", 0.0}}), 0.0);
+  e.add_rule({{{kX, "mid"}}, "high"});
+  ProcessValues x0;
+  x0.set(Channel::Superheat, 0.0);
+  EXPECT_DOUBLE_EQ(e.infer(x0), 0.0);
 }
 
 TEST(MamdaniTest, MeanOfMaximumDefuzzifier) {
   const MamdaniEngine e = make_demo_engine();
-  const double mom = e.infer({{"temp", 95.0}}, Defuzzifier::MeanOfMaximum);
+  const double mom = e.infer(temp(95.0), Defuzzifier::MeanOfMaximum);
   EXPECT_GT(mom, 0.8);
 }
 
 TEST(MamdaniTest, FiringStrengthsExposed) {
   const MamdaniEngine e = make_demo_engine();
-  const auto strengths = e.firing_strengths({{"temp", 95.0}});
-  ASSERT_EQ(strengths.size(), 3u);
+  std::array<double, 3> strengths{};
+  e.firing_strengths(temp(95.0), strengths);
   EXPECT_GT(strengths[0], 0.9);   // "high" rule
   EXPECT_LT(strengths[1], 0.05);  // "low" rule
 }
 
 // --- Chiller process diagnoser -----------------------------------------------
 
-ProcessSnapshot healthy_snapshot() {
+ProcessValues healthy_snapshot() {
   const auto nom = domain::navy_chiller_nominals();
-  return ProcessSnapshot{
-      {rules::feat::kLoad, 0.8},
-      {rules::feat::kOilPressure, nom.oil_pressure_kpa},
-      {rules::feat::kOilTemp, nom.oil_temperature_c},
-      {rules::feat::kBearingTemp, nom.bearing_temp_c},
-      {rules::feat::kWindingTemp, nom.motor_winding_temp_c},
-      {rules::feat::kEvapPressure, nom.evap_pressure_kpa},
-      {rules::feat::kCondPressure, nom.cond_pressure_kpa},
-      {rules::feat::kSuperheat, nom.superheat_c},
-      {rules::feat::kChwSupplyTemp, nom.chilled_water_supply_c},
-      {rules::feat::kCondApproach, 4.0},
-      {rules::feat::kMotorCurrent, nom.motor_current_a},
-  };
+  ProcessValues s;
+  s.set(Channel::Load, 0.8);
+  s.set(Channel::OilPressure, nom.oil_pressure_kpa);
+  s.set(Channel::OilTemp, nom.oil_temperature_c);
+  s.set(Channel::BearingTemp, nom.bearing_temp_c);
+  s.set(Channel::WindingTemp, nom.motor_winding_temp_c);
+  s.set(Channel::EvapPressure, nom.evap_pressure_kpa);
+  s.set(Channel::CondPressure, nom.cond_pressure_kpa);
+  s.set(Channel::Superheat, nom.superheat_c);
+  s.set(Channel::ChwSupplyTemp, nom.chilled_water_supply_c);
+  s.set(Channel::CondApproach, 4.0);
+  s.set(Channel::MotorCurrent, nom.motor_current_a);
+  return s;
 }
 
 TEST(FuzzyDiagnoserTest, HealthyPlantIsQuiet) {
@@ -165,10 +181,10 @@ TEST(FuzzyDiagnoserTest, RefrigerantLeakSignatureFires) {
   const FuzzyDiagnoser diagnoser;
   const rules::BelievabilityTable beliefs;
   const auto nom = domain::navy_chiller_nominals();
-  ProcessSnapshot s = healthy_snapshot();
-  s[rules::feat::kEvapPressure] = nom.evap_pressure_kpa - 90.0;
-  s[rules::feat::kSuperheat] = nom.superheat_c + 9.0;
-  s[rules::feat::kChwSupplyTemp] = nom.chilled_water_supply_c + 4.0;
+  ProcessValues s = healthy_snapshot();
+  s.set(Channel::EvapPressure, nom.evap_pressure_kpa - 90.0);
+  s.set(Channel::Superheat, nom.superheat_c + 9.0);
+  s.set(Channel::ChwSupplyTemp, nom.chilled_water_supply_c + 4.0);
 
   const auto diagnoses = diagnoser.evaluate(s, beliefs);
   ASSERT_FALSE(diagnoses.empty());
@@ -181,9 +197,9 @@ TEST(FuzzyDiagnoserTest, OilDegradationSignatureFires) {
   const FuzzyDiagnoser diagnoser;
   const rules::BelievabilityTable beliefs;
   const auto nom = domain::navy_chiller_nominals();
-  ProcessSnapshot s = healthy_snapshot();
-  s[rules::feat::kOilTemp] = nom.oil_temperature_c + 22.0;
-  s[rules::feat::kOilPressure] = nom.oil_pressure_kpa - 100.0;
+  ProcessValues s = healthy_snapshot();
+  s.set(Channel::OilTemp, nom.oil_temperature_c + 22.0);
+  s.set(Channel::OilPressure, nom.oil_pressure_kpa - 100.0);
 
   const auto diagnoses = diagnoser.evaluate(s, beliefs);
   ASSERT_FALSE(diagnoses.empty());
@@ -195,10 +211,10 @@ TEST(FuzzyDiagnoserTest, CondenserFoulingSignatureFires) {
   const FuzzyDiagnoser diagnoser;
   const rules::BelievabilityTable beliefs;
   const auto nom = domain::navy_chiller_nominals();
-  ProcessSnapshot s = healthy_snapshot();
-  s[rules::feat::kCondPressure] = nom.cond_pressure_kpa + 300.0;
-  s[rules::feat::kCondApproach] = 12.0;
-  s[rules::feat::kMotorCurrent] = nom.motor_current_a * 1.15;
+  ProcessValues s = healthy_snapshot();
+  s.set(Channel::CondPressure, nom.cond_pressure_kpa + 300.0);
+  s.set(Channel::CondApproach, 12.0);
+  s.set(Channel::MotorCurrent, nom.motor_current_a * 1.15);
 
   const auto diagnoses = diagnoser.evaluate(s, beliefs);
   ASSERT_FALSE(diagnoses.empty());
@@ -208,11 +224,11 @@ TEST(FuzzyDiagnoserTest, CondenserFoulingSignatureFires) {
 TEST(FuzzyDiagnoserTest, SeverityScalesWithDeviation) {
   const FuzzyDiagnoser diagnoser;
   const auto nom = domain::navy_chiller_nominals();
-  ProcessSnapshot mild = healthy_snapshot();
-  mild[rules::feat::kOilTemp] = nom.oil_temperature_c + 11.0;
-  ProcessSnapshot severe = healthy_snapshot();
-  severe[rules::feat::kOilTemp] = nom.oil_temperature_c + 24.0;
-  severe[rules::feat::kOilPressure] = nom.oil_pressure_kpa - 110.0;
+  ProcessValues mild = healthy_snapshot();
+  mild.set(Channel::OilTemp, nom.oil_temperature_c + 11.0);
+  ProcessValues severe = healthy_snapshot();
+  severe.set(Channel::OilTemp, nom.oil_temperature_c + 24.0);
+  severe.set(Channel::OilPressure, nom.oil_pressure_kpa - 110.0);
 
   EXPECT_LT(diagnoser.severity(FailureMode::OilDegradation, mild),
             diagnoser.severity(FailureMode::OilDegradation, severe));
@@ -235,9 +251,9 @@ TEST(FuzzyDiagnoserTest, MissingSensorMeansAbstain) {
   const FuzzyDiagnoser diagnoser;
   const rules::BelievabilityTable beliefs;
   const auto nom = domain::navy_chiller_nominals();
-  ProcessSnapshot s = healthy_snapshot();
-  s[rules::feat::kOilTemp] = nom.oil_temperature_c + 25.0;
-  s.erase(rules::feat::kOilPressure);  // oil-pressure sensor lost
+  ProcessValues s = healthy_snapshot();
+  s.set(Channel::OilTemp, nom.oil_temperature_c + 25.0);
+  s.erase(Channel::OilPressure);  // oil-pressure sensor lost
 
   for (const auto& d : diagnoser.evaluate(s, beliefs)) {
     EXPECT_NE(d.mode, FailureMode::OilDegradation);

@@ -115,8 +115,8 @@ int fail(SimTime at, const std::string& what) {
 /// diagnostic; a test logs its run, plus a marker when commanded; every
 /// config command logs one line.
 [[nodiscard]] std::uint64_t log_rows_written(
-    const dc::DataConcentrator::Stats& s, std::uint64_t vars_per_scan) {
-  return s.process_scans * vars_per_scan + s.reports_emitted +
+    const dc::DataConcentrator::Stats& s) {
+  return s.process_scans * domain::kProcessCount + s.reports_emitted +
          2 * s.vibration_tests + s.config_commands;
 }
 
@@ -294,17 +294,13 @@ int main(int argc, char** argv) {
 
   // I5 bookkeeping: per (hull, plant), log_rows_written() at each
   // checkpoint of the last hour, oldest first, plus the newest one at or
-  // before now - 1 h. A probe chiller, outside the fleet so no hull's noise
-  // stream moves, gives the number of process variables a scan logs.
+  // before now - 1 h.
   struct LogMark {
     SimTime at;
     std::uint64_t written = 0;
   };
   std::vector<std::vector<std::deque<LogMark>>> log_marks(
       ships, std::vector<std::deque<LogMark>>(plants));
-  const std::uint64_t vars_per_scan =
-      plant::ChillerSimulator().process_snapshot().size();
-
   SimTime next_check = check;
   for (SimTime t = step; t <= end; t = t + step) {
     const bool chaos_live = t <= chaos_end;
@@ -351,7 +347,7 @@ int main(int argc, char** argv) {
       // Partition one rotating DC endpoint on every hull (identically on
       // the mirror pair, by construction of the loop).
       const std::string victim =
-          "dc-" + std::to_string(outage_count % plants + 1);
+          net::dc_endpoint(DcId(outage_count % plants + 1));
       for (auto& ship : fleet) {
         ship->network().schedule_outage(
             {victim, t, t + SimTime::from_seconds(outage_len_s), 1.0});
@@ -434,7 +430,7 @@ int main(int argc, char** argv) {
       for (std::size_t p = 0; p < plants; ++p) {
         const dc::DataConcentrator::Stats& ds =
             fleet[h]->concentrator(p).stats();
-        const std::uint64_t written = log_rows_written(ds, vars_per_scan);
+        const std::uint64_t written = log_rows_written(ds);
         std::deque<LogMark>& marks = log_marks[h][p];
         const SimTime horizon = t - SimTime::from_hours(1.0);
         while (marks.size() > 1 && marks[1].at <= horizon) marks.pop_front();

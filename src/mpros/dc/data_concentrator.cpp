@@ -70,17 +70,6 @@ constexpr std::array<domain::Channel, 4> kSbfrChannels{
     domain::Channel::BearingTemp, domain::Channel::OilTemp,
     domain::Channel::CondPressure, domain::Channel::EvapPressure};
 
-/// How far back the DC database's log tables reach. They are a rolling
-/// window for local inspection, not the durable record: condensed health
-/// history lives in the PDME's fused model, so a DC's memory stays flat
-/// over an unattended voyage (§4.9).
-constexpr SimTime kLogHorizon = SimTime::from_hours(1.0);
-
-/// The append-only tables trim_log() keeps inside kLogHorizon; each has
-/// time_us as column 1.
-constexpr const char* kLogTables[] = {"measurements", "diagnostics",
-                                      "test_log"};
-
 /// Registry handles resolved once; afterwards an observation is a relaxed
 /// atomic add, cheap enough for the test/scan path.
 struct DcMetrics {
@@ -127,7 +116,44 @@ telemetry::TraceId trace_id(DcId dc, const DataConcentrator::Stats& s) {
   return (dc.value() << 40) | n;
 }
 
+/// Drop `v`'s leading records at or before `cutoff`.
+template <typename Record>
+void drop_through(std::vector<Record>& v, SimTime cutoff) {
+  v.erase(v.begin(), std::ranges::find_if(v, [cutoff](const Record& r) {
+            return r.at > cutoff;
+          }));
+}
+
+/// Any append trims all three logs to the horizon behind it.
+void trim(DcLog& log, SimTime now) {
+  const SimTime cutoff = now - DcLog::kHorizon;
+  drop_through(log.scans, cutoff);
+  drop_through(log.diagnostics, cutoff);
+  drop_through(log.tests, cutoff);
+}
+
 }  // namespace
+
+void DcLog::append(const ScanRecord& r) {
+  scans.push_back(r);
+  trim(*this, r.at);
+}
+
+void DcLog::append(const DiagnosticRecord& r) {
+  diagnostics.push_back(r);
+  trim(*this, r.at);
+}
+
+void DcLog::append(const TestRecord& r) {
+  tests.push_back(r);
+  trim(*this, r.at);
+}
+
+std::uint64_t DcLog::rows() const {
+  std::uint64_t n = diagnostics.size() + tests.size();
+  for (const ScanRecord& s : scans) n += s.values.size();
+  return n;
+}
 
 DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
                                    plant::ChillerSimulator& chiller,
@@ -146,7 +172,6 @@ DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
   MPROS_EXPECTS(cfg_.window >= 256);
   MPROS_EXPECTS(cfg_.heartbeat_period.micros() > 0);
   events_.reserve(4);  // a step's usual events: steady steps allocate none
-  setup_database();
   setup_sbfr();
   register_tasks(start_at);
 }
@@ -184,48 +209,6 @@ void DataConcentrator::register_tasks(SimTime resume_at) {
         wire_outbox_.push_back(WireDatagram{now, net::wrap(hb)});
         ++stats_.heartbeats_sent;
       });
-}
-
-void DataConcentrator::setup_database() {
-  using db::ColumnDef;
-  using db::ValueType;
-  db_.create_table(db::TableSchema{
-      "measurements",
-      {ColumnDef{"id", ValueType::Integer, false},
-       ColumnDef{"time_us", ValueType::Integer, false},
-       ColumnDef{"key", ValueType::Text, false},
-       ColumnDef{"value", ValueType::Real, false}}});
-  db_.create_table(db::TableSchema{
-      "diagnostics",
-      {ColumnDef{"id", ValueType::Integer, false},
-       ColumnDef{"time_us", ValueType::Integer, false},
-       ColumnDef{"ks", ValueType::Integer, false},
-       ColumnDef{"object", ValueType::Integer, false},
-       ColumnDef{"condition", ValueType::Integer, false},
-       ColumnDef{"severity", ValueType::Real, false},
-       ColumnDef{"belief", ValueType::Real, false}}});
-  db_.create_table(db::TableSchema{
-      "test_log",
-      {ColumnDef{"id", ValueType::Integer, false},
-       ColumnDef{"time_us", ValueType::Integer, false},
-       ColumnDef{"test", ValueType::Text, false}}});
-}
-
-void DataConcentrator::trim_log(SimTime now) {
-  // Keys are insert_auto order, which is time order, so the oldest row is
-  // always the table's first: erase from the front until one is in window.
-  const std::int64_t cutoff = (now - kLogHorizon).micros();
-  std::uint64_t rows = 0;
-  for (const char* name : kLogTables) {
-    db::Table& t = db_.table(name);
-    while (!t.rows().empty()) {
-      const auto& [key, row] = *t.rows().begin();
-      if (row[1].as_integer() > cutoff) break;
-      t.erase(key);
-    }
-    rows += t.row_count();
-  }
-  stats_.log_rows = rows;
 }
 
 void DataConcentrator::setup_sbfr() {
@@ -343,10 +326,8 @@ void DataConcentrator::handle_command(const net::TestCommandMessage& command) {
   if (command.target != cfg_.id) return;  // mis-routed datagram
   switch (command.command) {
     case net::TestCommandMessage::Command::VibrationTest:
-      db_.table("test_log").insert_auto(
-          {db::Value(chiller_.now().micros()),
-           db::Value("commanded: " + command.reason)});
-      trim_log(chiller_.now());
+      append_log(
+          DcLog::TestRecord{chiller_.now(), DcLog::TestKind::Commanded});
       events_.push_back(
           {chiller_.now(), "commanded vibration test: ", command.reason});
       request_vibration_test();
@@ -380,9 +361,7 @@ void DataConcentrator::apply_command(const net::CommandMessage& cmd,
     pending_config_updates_.emplace_back("__revision",
                                          static_cast<double>(cmd.revision));
   }
-  db_.table("test_log").insert_auto(
-      {db::Value(now.micros()), db::Value("config: " + cmd.reason)});
-  trim_log(now);
+  append_log(DcLog::TestRecord{now, DcLog::TestKind::Config, cmd.revision});
   events_.push_back({now, "config command rev ",
                      std::to_string(cmd.revision) + ": " + cmd.reason});
 }
@@ -565,14 +544,9 @@ void DataConcentrator::emit_sensor_fault(SimTime now, domain::Channel channel,
   r.timestamp = now;
   r.trace = trace_id(cfg_.id, stats_);
 
-  db_.table("diagnostics")
-      .insert_auto(
-          {db::Value(now.micros()),
-           db::Value(static_cast<std::int64_t>(kSensorValidator.value())),
-           db::Value(static_cast<std::int64_t>(r.sensed_object.value())),
-           db::Value(static_cast<std::int64_t>(r.machine_condition.value())),
-           db::Value(r.severity), db::Value(r.belief)});
-  trim_log(now);
+  append_log(DcLog::DiagnosticRecord{now, kSensorValidator, r.sensed_object,
+                                     r.machine_condition, r.severity,
+                                     r.belief});
   events_.push_back({now, cleared ? "sensor channel restored: "
                                   : "sensor channel quarantined: ",
                      name});
@@ -634,14 +608,8 @@ void DataConcentrator::emit_raw(
         net::PrognosticPair{p.probability, p.horizon.seconds()});
   }
 
-  db_.table("diagnostics")
-      .insert_auto({db::Value(now.micros()),
-                    db::Value(static_cast<std::int64_t>(ks.value())),
-                    db::Value(static_cast<std::int64_t>(sensed.value())),
-                    db::Value(static_cast<std::int64_t>(
-                        r.machine_condition.value())),
-                    db::Value(severity), db::Value(belief)});
-  trim_log(now);
+  append_log(DcLog::DiagnosticRecord{now, ks, sensed, r.machine_condition,
+                                     severity, belief});
   outbox_.push_back(std::move(r));
   ++stats_.reports_emitted;
   DcMetrics::instance().reports_emitted.inc();
@@ -662,9 +630,7 @@ void DataConcentrator::run_vibration_test(SimTime now) {
                              now.micros(), &metrics.vibration_wall_us);
   metrics.vibration_tests.inc();
   events_.push_back({now, "vibration test", {}});
-  db_.table("test_log").insert_auto(
-      {db::Value(now.micros()), db::Value("vibration")});
-  trim_log(now);
+  append_log(DcLog::TestRecord{now, DcLog::TestKind::Vibration});
 
   const domain::ProcessValues process = chiller_.process_snapshot();
   const double load = chiller_.load();
@@ -756,7 +722,7 @@ void DataConcentrator::run_process_scan(SimTime now) {
   domain::ProcessValues snapshot = chiller_.process_snapshot();
 
   // Screen every reading; quarantined values leave the snapshot, so the
-  // database, the raw-data feed and every analyzer see only trusted values.
+  // DC log, the raw-data feed and every analyzer see only trusted values.
   if (cfg_.enable_sensor_validation) {
     for (std::size_t i = 0; i < domain::kProcessCount; ++i) {
       const domain::Channel c = domain::process_channel(i);
@@ -766,13 +732,7 @@ void DataConcentrator::run_process_scan(SimTime now) {
     }
   }
 
-  db::Table& measurements = db_.table("measurements");
-  snapshot.for_each([&](domain::Channel c, double value) {
-    measurements.insert_auto({db::Value(now.micros()),
-                              db::Value(domain::spec(c).name),
-                              db::Value(value)});
-  });
-  trim_log(now);
+  append_log(DcLog::ScanRecord{now, snapshot});
 
   if (cfg_.sensor_publish_every != 0 &&
       stats_.process_scans % cfg_.sensor_publish_every == 0) {

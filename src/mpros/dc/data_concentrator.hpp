@@ -10,8 +10,8 @@
 //   3. the Wavelet Neural Network (nn::WnnClassifier, shared & pre-trained),
 //   4. fuzzy-logic diagnostics on non-vibration data (fuzzy::FuzzyDiagnoser),
 // coordinated by the event scheduler, with results logged in the DC's
-// relational database (a rolling one-hour log of measurements, diagnostics
-// and tests) and emitted as §7 failure reports.
+// database (DcLog: a rolling one-hour log of process scans, diagnostics and
+// tests) and emitted as §7 failure reports.
 
 #include <cstdint>
 #include <map>
@@ -23,10 +23,11 @@
 #include <utility>
 #include <vector>
 
+#include "mpros/common/clock.hpp"
 #include "mpros/common/ids.hpp"
-#include "mpros/db/database.hpp"
 #include "mpros/dc/scheduler.hpp"
 #include "mpros/dc/sensor_validator.hpp"
+#include "mpros/domain/channels.hpp"
 #include "mpros/fuzzy/chiller_fuzzy.hpp"
 #include "mpros/net/messages.hpp"
 #include "mpros/net/network.hpp"
@@ -96,6 +97,53 @@ struct DcConfig {
   SimTime heartbeat_period = SimTime::from_seconds(60.0);
 };
 
+/// The DC database (§1): a rolling log of what the DC measured, concluded
+/// and ran, for local inspection. It is not the durable record: condensed
+/// health history lives in the PDME's fused model, so a DC's memory stays
+/// flat over an unattended voyage (§4.9). Records arrive in time order.
+/// Every append drops, from all three vectors, the leading records at or
+/// before its time minus kHorizon; the erase keeps capacity, so a warmed
+/// log appends without touching the heap.
+struct DcLog {
+  static constexpr SimTime kHorizon = SimTime::from_hours(1.0);
+
+  /// One process scan's screened values; quarantined channels are absent.
+  struct ScanRecord {
+    SimTime at;
+    domain::ProcessValues values;
+  };
+  /// The conclusion of one emitted report.
+  struct DiagnosticRecord {
+    SimTime at;
+    KnowledgeSourceId ks;
+    ObjectId object;
+    ConditionId condition;
+    double severity = 0.0;
+    double belief = 0.0;
+  };
+  enum class TestKind : std::uint8_t {
+    Vibration,  ///< a vibration test ran
+    Commanded,  ///< a vibration test was commanded
+    Config,     ///< a config command was applied
+  };
+  struct TestRecord {
+    SimTime at;
+    TestKind kind = TestKind::Vibration;
+    std::uint64_t revision = 0;  ///< a Config command's revision
+  };
+
+  std::vector<ScanRecord> scans;
+  std::vector<DiagnosticRecord> diagnostics;
+  std::vector<TestRecord> tests;
+
+  void append(const ScanRecord& r);
+  void append(const DiagnosticRecord& r);
+  void append(const TestRecord& r);
+
+  /// Present scan values plus diagnostic and test records.
+  [[nodiscard]] std::uint64_t rows() const;
+};
+
 class DataConcentrator {
  public:
   /// Counters for the throughput benches.
@@ -110,8 +158,9 @@ class DataConcentrator {
     std::uint64_t config_applied = 0;    ///< settings accepted
     std::uint64_t config_rejected = 0;   ///< settings refused (bad key/value)
     std::uint64_t config_stale = 0;      ///< commands older than applied rev
-    /// Rows now held by the measurements, diagnostics and test_log tables,
-    /// which keep only the last simulated hour.
+    /// DcLog::rows() after the latest append: the present values of the
+    /// logged scans plus the diagnostic and test records, all within the
+    /// last simulated hour.
     std::uint64_t log_rows = 0;
   };
 
@@ -221,7 +270,7 @@ class DataConcentrator {
   std::vector<Event> drain_events();
 
   [[nodiscard]] DcId id() const { return cfg_.id; }
-  [[nodiscard]] db::Database& database() { return db_; }
+  [[nodiscard]] const DcLog& log() const { return log_; }
   [[nodiscard]] rules::BelievabilityTable& believability() {
     return beliefs_;
   }
@@ -254,10 +303,12 @@ class DataConcentrator {
   [[nodiscard]] bool trusted(domain::Channel channel) const {
     return !(cfg_.enable_sensor_validation && validator_.quarantined(channel));
   }
-  void setup_database();
-  /// Erase log-table rows at or before now - one hour, oldest first, and
-  /// refresh stats_.log_rows.
-  void trim_log(SimTime now);
+  /// Append `record` to the log and refresh stats_.log_rows.
+  template <typename Record>
+  void append_log(const Record& record) {
+    log_.append(record);
+    stats_.log_rows = log_.rows();
+  }
   /// Build the SBFR machines and their mode table.
   void setup_sbfr();
   /// Register the scheduler tasks. For a fresh DC `resume_at` is zero and
@@ -281,7 +332,7 @@ class DataConcentrator {
   EventScheduler::TaskId process_task_ = 0;
   EventScheduler::TaskId sweep_task_ = 0;
   EventScheduler::TaskId heartbeat_task_ = 0;
-  db::Database db_;
+  DcLog log_;
   rules::BelievabilityTable beliefs_;
   rules::FeatureExtractor extractor_;
   rules::RuleEngine dli_;

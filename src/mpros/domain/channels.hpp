@@ -4,9 +4,9 @@
 // spectral features ("process parameters such as load or bearing
 // temperatures"), with the plausibility range the DC's sensor screen applies.
 // Names ascend strictly, so enum order is name order: the order of the DC's
-// `measurements` rows, its sensor feed and the PDME's properties. Analyzers
-// bind to channels at construction; names are for the edges (rule and fault
-// scripts, the database, the wire).
+// sensor feed and the PDME's properties. Analyzers bind to channels at
+// construction; names are for the edges (rule and fault scripts, the OOSM,
+// the wire).
 
 #include <algorithm>
 #include <array>

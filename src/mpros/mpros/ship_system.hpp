@@ -136,7 +136,7 @@ class ShipSystem {
 
   /// Close the §6.1 believability loop: a maintainer opened the machine
   /// and either confirmed the fused conclusion or reversed it. Updates the
-  /// originating DC's statistical database, lowering (or restoring) the
+  /// originating DC's believability table, lowering (or restoring) the
   /// Belief field of its future reports for that condition, and clears the
   /// machine's fused state for a fresh start after maintenance.
   void record_maintenance_outcome(std::size_t plant,

@@ -119,7 +119,7 @@ struct CommandMessage {
   std::uint64_t revision = 0;
   SimTime issued_at;
   std::vector<std::pair<std::string, double>> settings;
-  std::string reason;  ///< free text for the DC's test log
+  std::string reason;  ///< free text for the DC's journal
 
   friend bool operator==(const CommandMessage&,
                          const CommandMessage&) = default;
@@ -153,7 +153,7 @@ struct TestCommandMessage {
 
   DcId target;
   Command command = Command::VibrationTest;
-  std::string reason;  ///< free text for the DC's test log
+  std::string reason;  ///< free text for the DC's journal
 
   friend bool operator==(const TestCommandMessage&,
                          const TestCommandMessage&) = default;

@@ -195,34 +195,6 @@ std::string Registry::render_text() const {
   return out;
 }
 
-std::string Registry::render_json() const {
-  std::string out = "{";
-  bool first = true;
-  for (const MetricSnapshot& s : snapshot()) {
-    if (!first) out += ",";
-    first = false;
-    switch (s.kind) {
-      case MetricSnapshot::Kind::Counter:
-        append(out, "\"%s\":{\"type\":\"counter\",\"value\":%.0f}",
-               s.name.c_str(), s.value);
-        break;
-      case MetricSnapshot::Kind::Gauge:
-        append(out, "\"%s\":{\"type\":\"gauge\",\"value\":%g}",
-               s.name.c_str(), s.value);
-        break;
-      case MetricSnapshot::Kind::Histogram:
-        append(out,
-               "\"%s\":{\"type\":\"histogram\",\"count\":%llu,\"sum\":%g,"
-               "\"p50\":%g,\"p95\":%g,\"p99\":%g}",
-               s.name.c_str(), static_cast<unsigned long long>(s.count),
-               s.sum, s.p50, s.p95, s.p99);
-        break;
-    }
-  }
-  out += "}";
-  return out;
-}
-
 void Registry::reset_values() {
   std::lock_guard lock(mu_);
   for (auto& [name, c] : counters_) c->reset();

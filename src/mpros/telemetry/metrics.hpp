@@ -131,7 +131,6 @@ class Registry {
 
   [[nodiscard]] std::vector<MetricSnapshot> snapshot() const;  // name order
   [[nodiscard]] std::string render_text() const;
-  [[nodiscard]] std::string render_json() const;
 
   /// Zero every metric (keeps registrations; for tests and benches).
   void reset_values();

@@ -153,8 +153,9 @@ TEST(DcAllocationTest, WarmedScreensAndCurrentExtractionAllocateNothing) {
 
 TEST(DcAllocationTest, WarmedProcessScanPathAllocatesNothing) {
   // A process scan's analysis: the plant's snapshot, a screen of every
-  // value (quarantined ones leave the snapshot), the fuzzy engines and one
-  // step of SBFR machines over bound channels, as the DC runs them.
+  // value (quarantined ones leave the snapshot), the log append, the fuzzy
+  // engines and one step of SBFR machines over bound channels, as the DC
+  // runs them.
   using domain::Channel;
   plant::ChillerSimulator sim;
   dc::SensorValidator validator;
@@ -169,6 +170,7 @@ TEST(DcAllocationTest, WarmedProcessScanPathAllocatesNothing) {
   sbfr.add_machine(sbfr::make_trend_machine(1, 0.15, 5, 1, 0x61));
 
   domain::ProcessValues values;
+  dc::DcLog log;
   std::size_t fired = 0;
   const auto scan = [&](bool audit) {
     sim.advance(SimTime::from_seconds(60));
@@ -186,6 +188,7 @@ TEST(DcAllocationTest, WarmedProcessScanPathAllocatesNothing) {
         if (validator.quarantined(c)) values.erase(c);
       }
     });
+    check("log", [&] { log.append(dc::DcLog::ScanRecord{sim.now(), values}); });
     check("FuzzyDiagnoser::evaluate",
           [&] { fired += fuzzy.evaluate(values, beliefs).size(); });
     check("the SBFR step", [&] {
@@ -197,13 +200,15 @@ TEST(DcAllocationTest, WarmedProcessScanPathAllocatesNothing) {
     });
   };
 
-  // Warm-up fills every scalar history ring and the screens' workspace.
-  for (int i = 0; i < 20; ++i) scan(false);
+  // Warm-up: an hour of scans fills every scalar history ring, the
+  // screens' workspace and the log's window.
+  for (int i = 0; i < 60; ++i) scan(false);
   for (int i = 0; i < 10; ++i) scan(true);
   // A healthy plant: every value trusted, no fuzzy engine fired.
   EXPECT_EQ(values.size(), domain::kProcessCount);
   EXPECT_EQ(validator.stats().faults_detected, 0u);
   EXPECT_EQ(fired, 0u);
+  EXPECT_EQ(log.scans.size(), 60u);
 }
 
 const dc::MachineRefs kRefs{ObjectId(1), ObjectId(2), ObjectId(3),

@@ -1,4 +1,4 @@
-// Data Concentrator tests: scheduler, analyzer orchestration, DC database,
+// Data Concentrator tests: scheduler, analyzer orchestration, DC log,
 // report emission.
 
 #include <gtest/gtest.h>
@@ -20,13 +20,31 @@ namespace {
 using domain::Channel;
 using domain::FailureMode;
 
-/// Rows of the DC's `diagnostics` table that name `condition`.
-std::size_t diagnostics_naming(const db::Database& db, std::int64_t condition) {
-  const auto& rows = db.table("diagnostics").rows();
-  return static_cast<std::size_t>(
-      std::count_if(rows.begin(), rows.end(), [&](const auto& entry) {
-        return entry.second[4].as_integer() == condition;
+/// Diagnostic records in the DC log that name `condition`.
+std::size_t diagnostics_naming(const DcLog& log, ConditionId condition) {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      log.diagnostics, [&](const DcLog::DiagnosticRecord& d) {
+        return d.condition == condition;
       }));
+}
+
+/// Every record in `log` is newer than now - 1 h, and log_rows counts the
+/// present scan values plus the diagnostic and test records.
+void expect_one_hour(const DataConcentrator& dc, SimTime now) {
+  const DcLog& log = dc.log();
+  const SimTime cutoff = now - SimTime::from_hours(1.0);
+  std::uint64_t rows = log.diagnostics.size() + log.tests.size();
+  for (const DcLog::ScanRecord& r : log.scans) {
+    EXPECT_GT(r.at, cutoff) << "scan at " << r.at.seconds();
+    rows += r.values.size();
+  }
+  for (const DcLog::DiagnosticRecord& r : log.diagnostics) {
+    EXPECT_GT(r.at, cutoff) << "diagnostic at " << r.at.seconds();
+  }
+  for (const DcLog::TestRecord& r : log.tests) {
+    EXPECT_GT(r.at, cutoff) << "test at " << r.at.seconds();
+  }
+  EXPECT_EQ(dc.stats().log_rows, rows);
 }
 
 TEST(EventSchedulerTest, PeriodicTasksFireInOrder) {
@@ -163,39 +181,36 @@ TEST_F(DataConcentratorTest, DatabaseAccumulatesMeasurementsAndDiagnostics) {
   dc.advance_to(SimTime::from_hours(1.0));
 
   // 60 process scans x 11 variables.
-  EXPECT_EQ(dc.database().table("measurements").row_count(), 60u * 11u);
-  EXPECT_GT(dc.database().table("diagnostics").row_count(), 0u);
-  EXPECT_GT(dc.database().table("test_log").row_count(), 0u);
+  ASSERT_EQ(dc.log().scans.size(), 60u);
+  for (const DcLog::ScanRecord& r : dc.log().scans) {
+    EXPECT_EQ(r.values.size(), 11u);
+  }
+  EXPECT_GT(dc.log().diagnostics.size(), 0u);
+  EXPECT_GT(dc.log().tests.size(), 0u);
 
   // Diagnostics record the condition id.
-  const auto imbalance = static_cast<std::int64_t>(
-      domain::condition_id(FailureMode::MotorImbalance).value());
-  EXPECT_GT(diagnostics_naming(dc.database(), imbalance), 0u);
+  EXPECT_GT(diagnostics_naming(
+                dc.log(), domain::condition_id(FailureMode::MotorImbalance)),
+            0u);
 }
 
 TEST_F(DataConcentratorTest, DatabaseKeepsOneHourAcrossWedge) {
   chiller_.faults().schedule({FailureMode::MotorImbalance, SimTime(0),
                               SimTime(0), 0.9, plant::GrowthProfile::Step});
-  const auto imbalance = static_cast<std::int64_t>(
-      domain::condition_id(FailureMode::MotorImbalance).value());
-  const auto check_window = [&](DataConcentrator& dc, SimTime now) {
-    const db::Database& db = dc.database();
+  const ConditionId imbalance =
+      domain::condition_id(FailureMode::MotorImbalance);
+  const auto check_window = [&](const DataConcentrator& dc, SimTime now) {
+    const DcLog& log = dc.log();
     // One hour of 60-s scans x 11 variables, however long the DC has run.
-    EXPECT_EQ(db.table("measurements").row_count(), 60u * 11u);
-    std::uint64_t rows = 0;
-    for (const char* name : {"measurements", "diagnostics", "test_log"}) {
-      const db::Table& t = db.table(name);
-      EXPECT_GT(t.row_count(), 0u) << name;
-      for (const auto& [key, row] : t.rows()) {
-        EXPECT_GT(row[1].as_integer(),
-                  (now - SimTime::from_hours(1.0)).micros())
-            << name << " row " << key;
-      }
-      rows += t.row_count();
-    }
-    EXPECT_EQ(dc.stats().log_rows, rows);
+    EXPECT_EQ(log.scans.size(), 60u);
+    std::uint64_t values = 0;
+    for (const DcLog::ScanRecord& r : log.scans) values += r.values.size();
+    EXPECT_EQ(values, 60u * 11u);
+    EXPECT_GT(log.diagnostics.size(), 0u);
+    EXPECT_GT(log.tests.size(), 0u);
+    expect_one_hour(dc, now);
     // Recent diagnostics still name the imbalance after the trim.
-    EXPECT_GT(diagnostics_naming(db, imbalance), 0u);
+    EXPECT_GT(diagnostics_naming(log, imbalance), 0u);
   };
 
   DataConcentrator dc(dc_config(), refs_, chiller_);
@@ -203,8 +218,8 @@ TEST_F(DataConcentratorTest, DatabaseKeepsOneHourAcrossWedge) {
   EXPECT_EQ(dc.stats().process_scans, 180u);
   check_window(dc, SimTime::from_hours(3.0));
 
-  // A wedge freezes the tables; once cleared, the DC catches up through
-  // the missed interval and keeps trimming them.
+  // A wedge freezes the log; once cleared, the DC catches up through
+  // the missed interval and keeps trimming it.
   dc.set_wedged(true);
   (void)dc.advance_to(SimTime::from_hours(3.5));
   dc.set_wedged(false);
@@ -239,7 +254,7 @@ TEST_F(DataConcentratorTest, CommandedTestIsStampedWhenItRuns) {
   const auto reports = dc.advance_to(commanded + SimTime::from_seconds(60.0));
   ASSERT_EQ(dc.stats().vibration_tests, 1u);
 
-  // Its reports and its test_log rows carry the time the command arrived,
+  // Its reports and its test records carry the time the command arrived,
   // not time zero.
   std::size_t dli = 0;
   for (const net::FailureReport& r : reports) {
@@ -248,11 +263,41 @@ TEST_F(DataConcentratorTest, CommandedTestIsStampedWhenItRuns) {
     EXPECT_EQ(r.timestamp.micros(), commanded.micros());
   }
   EXPECT_GT(dli, 0u);
-  const db::Table& log = dc.database().table("test_log");
-  EXPECT_EQ(log.row_count(), 2u);  // "commanded: retest", then the run
-  for (const auto& [key, row] : log.rows()) {
-    EXPECT_EQ(row[1].as_integer(), commanded.micros()) << row[2].as_text();
+  const std::vector<DcLog::TestRecord>& tests = dc.log().tests;
+  ASSERT_EQ(tests.size(), 2u);  // the command, then the run
+  EXPECT_EQ(tests[0].kind, DcLog::TestKind::Commanded);
+  EXPECT_EQ(tests[1].kind, DcLog::TestKind::Vibration);
+  for (const DcLog::TestRecord& t : tests) EXPECT_EQ(t.at, commanded);
+}
+
+TEST_F(DataConcentratorTest, LogFollowsARetunedScanPeriod) {
+  DataConcentrator dc(dc_config(), refs_, chiller_);
+  const SimTime retune = SimTime::from_hours(1.0);
+  (void)dc.advance_to(retune);
+  ASSERT_EQ(dc.log().scans.size(), 60u);
+
+  net::CommandMessage cmd;
+  cmd.target = DcId(7);
+  cmd.revision = 4;
+  cmd.settings = {{"dc.process_period_s", 30.0}};
+  dc.apply_command(cmd, retune);
+  ASSERT_EQ(dc.runtime_setting("dc.process_period_s"), 30.0);
+  ASSERT_FALSE(dc.log().tests.empty());
+  EXPECT_EQ(dc.log().tests.back().at, retune);
+  EXPECT_EQ(dc.log().tests.back().kind, DcLog::TestKind::Config);
+  EXPECT_EQ(dc.log().tests.back().revision, 4u);
+
+  // The scan already due at 3,660 s keeps its slot; the 30-s grid runs from
+  // there. An hour of it later, the log holds exactly that hour.
+  const SimTime now = SimTime::from_seconds(3660.0) + SimTime::from_hours(1.0);
+  (void)dc.advance_to(now);
+  const std::vector<DcLog::ScanRecord>& scans = dc.log().scans;
+  ASSERT_EQ(scans.size(), 120u);
+  for (std::size_t i = 1; i < scans.size(); ++i) {
+    EXPECT_EQ((scans[i].at - scans[i - 1].at).seconds(), 30.0);
   }
+  EXPECT_EQ(scans.back().at, now);
+  expect_one_hour(dc, now);
 }
 
 TEST_F(DataConcentratorTest, DisabledAnalyzersStaySilent) {

@@ -97,8 +97,6 @@ TEST(MetricsTest, SnapshotAndRenderersCoverAllKinds) {
 
   const std::string text = reg.render_text();
   EXPECT_NE(text.find("test.render_counter"), std::string::npos);
-  const std::string json = reg.render_json();
-  EXPECT_NE(json.find("\"test.render_gauge\""), std::string::npos);
 }
 
 TEST(MetricsTest, WarnAndErrorLogsFeedComponentCounters) {

@@ -38,8 +38,10 @@
 //                             the newest stamped revision and every
 //                             commanded value reads back via
 //                             runtime_setting()
-//   I5 bounded DC log         each DC's log_rows never exceeds the rows it
-//                             wrote since the last checkpoint at or before
+//   I5 bounded DC log         each DC's log_rows (DcLog::rows(): present
+//                             scan values plus diagnostic and test
+//                             records) never exceeds the rows it wrote
+//                             since the last checkpoint at or before
 //                             now - 1 h: one hour of scans, reports and
 //                             tests, plus at most one checkpoint period
 //
@@ -110,10 +112,10 @@ int fail(SimTime at, const std::string& what) {
   return 1;
 }
 
-/// I5: an upper bound on the log-table rows a DC has written so far. A scan
-/// logs one measurement per process variable; every report logs one
-/// diagnostic; a test logs its run, plus a marker when commanded; every
-/// config command logs one line.
+/// I5: an upper bound on the log rows a DC has written so far. A scan
+/// logs one value per process variable; every report logs one diagnostic
+/// record; a test logs its run, plus a record when commanded; every config
+/// command logs one record.
 [[nodiscard]] std::uint64_t log_rows_written(
     const dc::DataConcentrator::Stats& s) {
   return s.process_scans * domain::kProcessCount + s.reports_emitted +
